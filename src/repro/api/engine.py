@@ -1,36 +1,33 @@
-"""Execution engines: run a protocol phase to quiescence on either transport.
+"""Execution engines: run a protocol phase to quiescence on any transport.
 
-The seed exposed ``run_discovery`` / ``run_discovery_async`` method pairs on
-:class:`~repro.core.system.P2PSystem`, each guarding against the wrong
-transport.  The façade factors that split into one :class:`ExecutionEngine`
-protocol with two implementations:
+One :class:`ExecutionEngine` protocol — ``run`` (blocking) and ``run_async``
+(awaitable), identical semantics — so :meth:`repro.api.session.Session.run`
+works the same over every transport:
 
 * :class:`SyncEngine` drives a :class:`~repro.network.transport.SyncTransport`
   (the deterministic discrete-event simulator) and reads the virtual clock,
 * :class:`AsyncEngine` drives an
   :class:`~repro.network.transport.AsyncTransport`; its :meth:`AsyncEngine.run`
   wraps the coroutine in ``asyncio.run`` so callers without an event loop use
-  the same blocking call signature.
+  the same blocking call signature,
+* the scaling layer adds :class:`repro.sharding.engine.ShardedEngine` (K
+  in-process shard workers) and :class:`repro.sharding.process.ProcessEngine`
+  (shard workers in spawned processes or on TCP shard hosts, one-shot or
+  kept warm).
 
-Both expose ``run`` (blocking) and ``run_async`` (awaitable) with identical
-semantics, so :meth:`repro.api.session.Session.run` works identically over
-both transports; :func:`engine_for` picks the right engine for a transport.
-The scaling layer adds five more implementations behind the same protocol,
-selected the same way: :class:`repro.sharding.engine.ShardedEngine` (K
-in-process shard workers), :class:`repro.sharding.multiproc.MultiprocEngine`
-(one worker OS process per shard, respawned per run),
-:class:`repro.sharding.pool.PooledEngine` (the same processes kept warm
-across runs), and the cross-machine pair
-:class:`repro.sharding.sockets.SocketEngine` /
-:class:`repro.sharding.sockets.PooledSocketEngine` (shard workers on TCP
-shard hosts, one-shot or kept warm).  ``docs/engines.md`` is the decision
-guide.
+Which transport a name builds and which engine drives it is one table,
+:func:`transport_kinds`; :func:`engine_for` and
+:meth:`P2PSystem.build <repro.core.system.P2PSystem.build>` look things up
+there, and the spec/CLI validation reads which names are partitioned or
+process-backed from it.  ``docs/engines.md`` is the decision guide.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import TYPE_CHECKING, Iterable, Protocol, runtime_checkable
+import functools
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterable, Protocol, runtime_checkable
 
 from repro.coordination.rule import NodeId
 from repro.errors import ReproError
@@ -167,38 +164,99 @@ class AsyncEngine:
         return snapshot.simulated_time, snapshot
 
 
-def engine_for(transport: BaseTransport) -> ExecutionEngine:
-    """The engine matching a transport instance."""
+@dataclass(frozen=True)
+class TransportKind:
+    """One row of the transport registry: how a named transport is built and run."""
+
+    name: str
+    #: ``build(latency=, max_messages=, shards=, pool=, hosts=)``: the transport.
+    build: Callable[..., BaseTransport]
+    #: The engine that drives a transport built by this row.
+    engine: Callable[[BaseTransport], ExecutionEngine]
+    #: The peers are partitioned across ``shards=`` workers.
+    partitioned: bool = False
+    #: The workers live outside this interpreter, so they can be kept warm
+    #: (``pool=``) and killed, dropped on or partitioned (``faults=``).
+    process_backed: bool = False
+
+
+@functools.cache
+def transport_kinds() -> dict[str, TransportKind]:
+    """The transport registry, keyed by the name a spec or ``build`` selects."""
     # Imported lazily: repro.sharding imports this module for the phase
     # helpers, so a top-level import would be circular.
     from repro.sharding.engine import ShardedEngine
-    from repro.sharding.multiproc import MultiprocEngine, MultiprocTransport
-    from repro.sharding.pool import PooledEngine, PooledTransport
-    from repro.sharding.sockets import (
-        PooledSocketEngine,
-        PooledSocketTransport,
-        SocketEngine,
-        SocketTransport,
-    )
+    from repro.sharding.process import ProcessEngine, ProcessTransport
     from repro.sharding.transport import ShardedTransport
 
-    if isinstance(transport, SyncTransport):
-        return SyncEngine()
-    if isinstance(transport, AsyncTransport):
-        return AsyncEngine()
-    if isinstance(transport, ShardedTransport):
-        return ShardedEngine()
-    # The transport hierarchy roots at MultiprocTransport, so the most
-    # derived kinds must match first: pooled-socket < socket < multiproc,
-    # and pooled < multiproc.
-    if isinstance(transport, PooledSocketTransport):
-        return PooledSocketEngine()
-    if isinstance(transport, SocketTransport):
-        return SocketEngine()
-    if isinstance(transport, PooledTransport):
-        return PooledEngine()
-    if isinstance(transport, MultiprocTransport):
-        return MultiprocEngine()
-    raise ReproError(
-        f"no execution engine for transport {type(transport).__name__!r}"
+    def plain(transport_class):
+        def build(latency, max_messages, **_):
+            return transport_class(latency=latency, max_messages=max_messages)
+
+        return build
+
+    def sharded(latency, max_messages, shards, **_):
+        return ShardedTransport(
+            shard_count=2 if shards is None else shards,
+            latency=latency,
+            max_messages=max_messages,
+        )
+
+    def process(name: str, kind: str, warm: bool = False) -> TransportKind:
+        def build(latency, max_messages, shards, pool, hosts):
+            return ProcessTransport(
+                kind,
+                shards,
+                pool=pool or warm,
+                hosts=hosts,
+                latency=latency,
+                max_messages=max_messages,
+            )
+
+        def engine(transport):
+            return ProcessEngine(transport.kind, pool=transport.pool)
+
+        return TransportKind(name, build, engine, partitioned=True, process_backed=True)
+
+    rows = (
+        TransportKind("sync", plain(SyncTransport), lambda _: SyncEngine()),
+        TransportKind("async", plain(AsyncTransport), lambda _: AsyncEngine()),
+        TransportKind("sharded", sharded, lambda _: ShardedEngine(), partitioned=True),
+        process("multiproc", "multiproc"),
+        # "pooled" is "multiproc" with the pool flag already set.
+        process("pooled", "multiproc", warm=True),
+        process("socket", "socket"),
     )
+    return {row.name: row for row in rows}
+
+
+def transport_names(
+    *, partitioned: bool = False, process_backed: bool = False
+) -> tuple[str, ...]:
+    """The registered transport names, optionally only those with a property."""
+    return tuple(
+        kind.name
+        for kind in transport_kinds().values()
+        if (kind.partitioned or not partitioned)
+        and (kind.process_backed or not process_backed)
+    )
+
+
+def transport_kind(name: str) -> TransportKind:
+    """The registry row for a transport name."""
+    try:
+        return transport_kinds()[name]
+    except KeyError:
+        raise ReproError(
+            f"unknown transport kind {name!r}; expected one of {transport_names()}"
+        ) from None
+
+
+def engine_for(transport: BaseTransport) -> ExecutionEngine:
+    """The engine matching a transport instance."""
+    kind = transport_kinds().get(transport.kind)
+    if kind is None:
+        raise ReproError(
+            f"no execution engine for transport {type(transport).__name__!r}"
+        )
+    return kind.engine(transport)

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
+from repro.api.engine import transport_names
 from repro.coordination.rule import CoordinationRule, NodeId, rule_from_text
 from repro.database.relation import Row
 from repro.database.schema import Attribute, DatabaseSchema, RelationSchema
@@ -54,6 +55,11 @@ def _transport_label(transport: str | BaseTransport) -> str:
     if isinstance(transport, str):
         return transport
     return repr(type(transport).__name__)
+
+
+def _name_list(names: Iterable[str]) -> str:
+    """Transport names as error messages spell them: ``'a'/'b'/'c'``."""
+    return "/".join(repr(name) for name in names)
 
 
 def _coerce_schema(schema: SchemaInput) -> DatabaseSchema:
@@ -230,7 +236,7 @@ class ScenarioSpec:
         if isinstance(self.transport, BaseTransport):
             raise ReproError(
                 "cannot dump a spec holding a transport instance; use "
-                "transport='sync'/'async'/'sharded'/'multiproc'/'pooled'/'socket'"
+                f"transport={_name_list(transport_names())}"
             )
         document = {
             "format": _SPEC_FORMAT,
@@ -363,27 +369,26 @@ class ScenarioSpec:
                 "system; use transport='sync'/'async' for a replayable spec"
             )
         transport = self.transport
+        partitioned = transport_names(partitioned=True)
+        process_backed = transport_names(process_backed=True)
         if self.shards is not None:
             if transport == "sync":
                 transport = "sharded"
-            elif transport not in ("sharded", "multiproc", "pooled", "socket"):
+            elif transport not in partitioned:
                 raise ReproError(
                     f"shards={self.shards} needs a partitioned transport, but "
                     f"the spec selects {_transport_label(transport)}; "
                     "drop the shards setting or use "
-                    "transport='sharded'/'multiproc'/'pooled'/'socket'"
+                    f"transport={_name_list(partitioned)}"
                 )
-        if self.pool and transport not in ("multiproc", "pooled", "socket"):
-            from repro.sharding.multiproc import MultiprocTransport
-
-            # A live MultiprocTransport (or a pooled/socket subclass) instance
-            # already satisfies the flag; everything else cannot pool.
-            if not isinstance(transport, MultiprocTransport):
-                raise ReproError(
-                    f"pool=True needs the multiproc or socket transport, but "
-                    f"the spec selects {_transport_label(transport)}; "
-                    "use transport='multiproc'/'pooled'/'socket' with the pool flag"
-                )
+        # A live process-backed transport instance already satisfies the pool
+        # flag; everything else cannot pool.
+        if self.pool and getattr(transport, "kind", transport) not in process_backed:
+            raise ReproError(
+                f"pool=True needs the multiproc or socket transport, but "
+                f"the spec selects {_transport_label(transport)}; "
+                f"use transport={_name_list(process_backed)} with the pool flag"
+            )
         if self.hosts and transport != "socket":
             # A transport *instance* carries its own hosts; spec-level hosts
             # only make sense when the spec builds the transport itself.
@@ -392,10 +397,10 @@ class ScenarioSpec:
                 f"{_transport_label(transport)}"
             )
         if self.faults is not None:
-            if transport not in ("multiproc", "pooled", "socket"):
+            if transport not in process_backed:
                 raise ReproError(
                     "faults= needs a process-backed transport "
-                    "('multiproc'/'pooled'/'socket'), but the spec selects "
+                    f"({_name_list(process_backed)}), but the spec selects "
                     f"{_transport_label(transport)}; the in-process transports "
                     "have no workers to kill or frames to drop"
                 )

@@ -28,6 +28,7 @@ import sys
 from pathlib import Path
 from typing import Callable
 
+from repro.api.engine import transport_names
 from repro.api.strategies import available_strategies
 from repro.errors import ReproError
 from repro.experiments import (
@@ -98,8 +99,7 @@ _EXPERIMENTS: dict[str, tuple[str, Callable[[argparse.Namespace], str]]] = {
                 trace_path=getattr(args, "trace", None),
                 faults=_load_fault_plan(getattr(args, "faults", None)),
             )
-            if getattr(args, "engine", "sync")
-            in ("sharded", "multiproc", "pooled", "socket")
+            if getattr(args, "engine", "sync") in transport_names(partitioned=True)
             else scalability.main(
                 records_per_node=args.records,
                 strategy=getattr(args, "strategy", "distributed"),
@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--engine",
-        choices=("sync", "sharded", "multiproc", "pooled", "socket"),
+        choices=("sync", *transport_names(partitioned=True)),
         default="sync",
         help=(
             "execution engine for E3: 'sharded' runs the large sync-vs-sharded "
@@ -500,7 +500,7 @@ def main(argv: list[str] | None = None) -> int:
             args.experiment == "E11"
             or (
                 args.experiment == "E3"
-                and args.engine in ("multiproc", "pooled", "socket")
+                and args.engine in transport_names(process_backed=True)
             )
         ):
             # Same loud-failure policy as --hosts: silently running
@@ -508,21 +508,21 @@ def main(argv: list[str] | None = None) -> int:
             # worst outcome.
             print(
                 "error: --faults applies only to E11 or the E3 engine sweep "
-                "(run E3 --engine multiproc/pooled/socket); got "
-                f"{args.experiment} with --engine {args.engine}",
+                f"(run E3 --engine {'/'.join(transport_names(process_backed=True))}); "
+                f"got {args.experiment} with --engine {args.engine}",
                 file=sys.stderr,
             )
             return 2
         if getattr(args, "trace", None) and (
             args.experiment != "E3"
-            or args.engine not in ("sharded", "multiproc", "pooled", "socket")
+            or args.engine not in transport_names(partitioned=True)
         ):
             # Same loud-failure policy as --hosts: only the E3 engine sweep
             # is instrumented to write a trace file.
             print(
                 "error: --trace applies only to the E3 engine sweep "
-                "(run E3 --engine sharded/multiproc/pooled/socket); got "
-                f"{args.experiment} with --engine {args.engine}",
+                f"(run E3 --engine {'/'.join(transport_names(partitioned=True))}); "
+                f"got {args.experiment} with --engine {args.engine}",
                 file=sys.stderr,
             )
             return 2

@@ -7,13 +7,11 @@ opens the pipes the prototype would open, and applies dynamic-network changes.
 *Execution* lives one layer up: open a :class:`repro.api.Session` on the
 system (or build one with :class:`repro.api.NetworkBuilder` /
 :meth:`repro.api.Session.from_spec`) and call ``session.run("discovery")`` /
-``session.update(strategy=...)``.  The ``run_*`` methods still present here
-are deprecated shims kept for pre-façade callers.
+``session.update(strategy=...)``.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable, Mapping
 
 from repro.coordination.changeset import ChangeSet, StructuralDigest, digest_system
@@ -29,7 +27,7 @@ from repro.errors import ReproError
 from repro.network.advertisement import Advertisement, DiscoveryService
 from repro.network.latency import LatencyModel
 from repro.network.pipe import PipeTable
-from repro.network.transport import AsyncTransport, BaseTransport, SyncTransport
+from repro.network.transport import BaseTransport
 from repro.stats.collector import StatisticsCollector, StatsSnapshot
 
 SchemaSpec = Mapping[NodeId, DatabaseSchema | Iterable[RelationSchema]]
@@ -90,53 +88,27 @@ class P2PSystem:
         host); ``propagation`` selects the query propagation policy of every
         node (see :mod:`repro.core.update`).
         """
+        # Imported lazily: the api layer sits above this module.
+        from repro.api.engine import transport_kind
+
         if isinstance(transport, BaseTransport):
+            if hosts:
+                raise ReproError(
+                    "hosts= only applies when the transport is built here; "
+                    "pass them to the ProcessTransport instance instead"
+                )
             transport_obj = transport
-        elif transport == "sync":
-            transport_obj = SyncTransport(latency=latency, max_messages=max_messages)
-        elif transport == "async":
-            transport_obj = AsyncTransport(latency=latency, max_messages=max_messages)
-        elif transport == "sharded":
-            from repro.sharding.transport import ShardedTransport
-
-            transport_obj = ShardedTransport(
-                shard_count=shards if shards is not None else 2,
-                latency=latency,
-                max_messages=max_messages,
-            )
-        elif transport in ("multiproc", "pooled"):
-            from repro.sharding.multiproc import MultiprocTransport
-            from repro.sharding.pool import PooledTransport
-
-            transport_cls = (
-                PooledTransport
-                if pool or transport == "pooled"
-                else MultiprocTransport
-            )
-            transport_obj = transport_cls(
-                shard_count=shards if shards is not None else 2,
-                latency=latency,
-                max_messages=max_messages,
-            )
-        elif transport == "socket":
-            from repro.sharding.sockets import PooledSocketTransport, SocketTransport
-
-            socket_cls = PooledSocketTransport if pool else SocketTransport
-            transport_obj = socket_cls(
-                shard_count=shards,
-                hosts=tuple(hosts) if hosts else None,
-                latency=latency,
-                max_messages=max_messages,
-            )
         else:
-            raise ReproError(f"unknown transport kind {transport!r}")
-        if hosts and not isinstance(transport, str):
-            raise ReproError(
-                "hosts= only applies when the transport is built here; "
-                "pass them to the SocketTransport instance instead"
+            kind = transport_kind(transport)
+            if hosts and transport != "socket":
+                raise ReproError(f"hosts= needs transport='socket', not {transport!r}")
+            transport_obj = kind.build(
+                latency=latency,
+                max_messages=max_messages,
+                shards=shards,
+                pool=pool,
+                hosts=tuple(hosts) if hosts else None,
             )
-        if hosts and isinstance(transport, str) and transport != "socket":
-            raise ReproError(f"hosts= needs transport='socket', not {transport!r}")
 
         system = cls(transport_obj, super_peer=super_peer)
         for node_id, schema in schemas.items():
@@ -272,66 +244,6 @@ class P2PSystem:
             return self.nodes[node_id]
         except KeyError:
             raise ReproError(f"unknown node {node_id!r}") from None
-
-    # ------------------------------------------- protocols (deprecated shims)
-    #
-    # The execution logic lives in repro.api.engine; P2PSystem is the
-    # state-holding substrate.  These four methods remain as thin shims for
-    # pre-façade callers and will be removed in a future release.
-
-    def _deprecated(self, old: str, new: str) -> None:
-        warnings.warn(
-            f"P2PSystem.{old} is deprecated; use {new} "
-            "(see repro.api.Session)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def run_discovery(self, origins: Iterable[NodeId] | None = None) -> float:
-        """Deprecated: use ``Session.run("discovery")``.
-
-        Runs topology discovery to quiescence on the synchronous transport and
-        returns the simulated completion time.
-        """
-        from repro.api.engine import SyncEngine
-
-        self._deprecated("run_discovery", 'Session.run("discovery")')
-        completion, _snapshot = SyncEngine().run(self, "discovery", origins)
-        return completion
-
-    def run_global_update(self, origins: Iterable[NodeId] | None = None) -> float:
-        """Deprecated: use ``Session.run("update")`` or ``Session.update()``.
-
-        Runs the distributed update to quiescence on the synchronous transport
-        and returns the simulated completion time.
-        """
-        from repro.api.engine import SyncEngine
-
-        self._deprecated("run_global_update", 'Session.run("update")')
-        completion, _snapshot = SyncEngine().run(self, "update", origins)
-        return completion
-
-    async def run_discovery_async(
-        self, origins: Iterable[NodeId] | None = None
-    ) -> StatsSnapshot:
-        """Deprecated: use ``await Session.run_async("discovery")``."""
-        from repro.api.engine import AsyncEngine
-
-        self._deprecated("run_discovery_async", 'Session.run_async("discovery")')
-        _completion, snapshot = await AsyncEngine().run_async(
-            self, "discovery", origins
-        )
-        return snapshot
-
-    async def run_global_update_async(
-        self, origins: Iterable[NodeId] | None = None
-    ) -> StatsSnapshot:
-        """Deprecated: use ``await Session.run_async("update")``."""
-        from repro.api.engine import AsyncEngine
-
-        self._deprecated("run_global_update_async", 'Session.run_async("update")')
-        _completion, snapshot = await AsyncEngine().run_async(self, "update", origins)
-        return snapshot
 
     # ----------------------------------------------------------------- queries
 

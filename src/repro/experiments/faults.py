@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.api.engine import transport_names
 from repro.api.session import Session
 from repro.api.spec import ScenarioSpec
 from repro.errors import NetworkError, ReproError
@@ -176,7 +177,7 @@ def run_fault_matrix(
     if plan_path is not None:
         plan = FaultPlan.load_json(plan_path)
         rows = []
-        for transport in ("multiproc", "pooled", "socket"):
+        for transport in transport_names(process_backed=True):
             try:
                 rows.append(
                     _run_plan(

@@ -117,7 +117,7 @@ def run_scalability(
 # The paper stopped at 31 peers; the partitioned engines push the same update
 # protocol to hundreds or thousands.  This sweep compares the single-queue
 # SyncEngine with the in-process ShardedEngine — and, optionally, the
-# one-OS-process-per-shard MultiprocEngine, the only configuration whose
+# one-OS-process-per-shard multiproc engine, the only configuration whose
 # wall-clock can beat the GIL on multi-core hardware.  Topology discovery is
 # skipped at these sizes (the update phase does not depend on it, and
 # maximal-path enumeration on dense layered graphs is exactly the blow-up the
@@ -225,14 +225,14 @@ def run_shard_scalability(
     planner could not avoid.  ``check_parity`` additionally compares the
     final ground states (the Lemma 1 guarantee, now at scale);
     ``include_multiproc`` adds a third run under the one-process-per-shard
-    :class:`~repro.sharding.multiproc.MultiprocEngine`; ``include_pooled``
+    ``multiproc`` :class:`~repro.sharding.process.ProcessEngine`; ``include_pooled``
     (implies multiproc) adds a *repeat-run* comparison — ``repeats`` update
     runs on the cold multiproc session (each paying spawn + world shipping)
     against the same runs on one warm
     :class:`~repro.sharding.pool.WorkerPool` session (spawn once, deltas
     only), which is where the pool's amortisation shows.  ``include_socket``
-    adds a run under the TCP shard-host
-    :class:`~repro.sharding.sockets.SocketEngine` — against the ``hosts``
+    adds a run under the same engine over TCP shard hosts
+    (``transport="socket"``) — against the ``hosts``
     addresses when given, else against auto-spawned localhost hosts.
     ``tracer`` (usually built by :func:`shard_main` for ``--trace``) is
     shared across every session of the sweep, so all engines' runs land in

@@ -9,7 +9,7 @@ Two injectors exist, one per side of the engine split:
   partition set, and owns the cold-rerun recovery budget.
 * :class:`WorkerFrameInjector` lives inside each shard worker process,
   rebuilt per spawn from the plan subset shipped with the
-  :class:`~repro.sharding.multiproc.ShardWorld`.  It perturbs individual
+  :class:`~repro.sharding.worker.ShardWorld`.  It perturbs individual
   cross-shard frames (drop-and-retransmit, delay) on the simulated clock.
 
 Everything is seeded (``random.Random(plan.seed)``) and every action bumps a

@@ -5,7 +5,7 @@ chaos run: which fault kinds fire, in which engine phase, against which shard,
 and with which recovery budget.  Plans are plain frozen dataclasses with a
 versioned JSON round-trip (mirroring :class:`~repro.api.spec.ScenarioSpec`),
 picklable so the frame-fault subset can ride inside the shipped
-:class:`~repro.sharding.multiproc.ShardWorld`s, and deterministic: every
+:class:`~repro.sharding.worker.ShardWorld`s, and deterministic: every
 random choice an injector makes is drawn from ``random.Random(plan.seed)``,
 so a failing chaos run reproduces byte-for-byte from its plan file.
 

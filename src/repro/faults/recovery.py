@@ -5,7 +5,7 @@ a fault plan grants a retry budget: a partition that heals within the budget
 is ridden out transparently, one that does not re-raises the last (typed)
 error.  The policy is deliberately tiny — attempts, an exponential backoff,
 and a cap — because the quiescence barrier above already bounds total stall
-time at :data:`~repro.sharding.multiproc._WORKER_TIMEOUT`.
+time at :data:`~repro.sharding.pool._WORKER_TIMEOUT`.
 """
 
 from __future__ import annotations

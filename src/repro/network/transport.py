@@ -38,6 +38,11 @@ Handler = Callable[[Message], None]
 class BaseTransport:
     """Shared peer registry, latency model and statistics plumbing."""
 
+    #: The transport's name in the registry of :mod:`repro.api.engine`, which
+    #: is how :func:`~repro.api.engine.engine_for` finds its engine (empty:
+    #: not a registered transport).
+    kind: str = ""
+
     def __init__(
         self,
         latency: LatencyModel | None = None,
@@ -117,6 +122,8 @@ class BaseTransport:
 class SyncTransport(BaseTransport):
     """Deterministic discrete-event transport with a virtual clock."""
 
+    kind = "sync"
+
     def __init__(
         self,
         latency: LatencyModel | None = None,
@@ -183,6 +190,8 @@ class AsyncTransport(BaseTransport):
     that examples finish quickly (the default makes one latency unit one
     millisecond).
     """
+
+    kind = "async"
 
     def __init__(
         self,

@@ -1,8 +1,8 @@
 """Tenants: named scenario networks kept warm behind the serving front-end.
 
 A :class:`Tenant` wraps one :class:`~repro.api.session.Session` — by default
-re-targeted onto a warm engine (:class:`~repro.sharding.pool.PooledEngine`
-or the pooled socket engine), so worker processes persist between requests
+re-targeted onto a warm :class:`~repro.sharding.process.ProcessEngine`
+(``pooled`` or ``socket-pooled``), so worker processes persist between requests
 and insert-only updates take the delta-driven path of ``docs/incremental.md``.
 A :class:`TenantManager` owns the fleet: lifecycle (``available`` → ``loading``
 → ``ready`` → ``closed``), the per-tenant serialized update queue with its
@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
+from repro.api.engine import transport_names
 from repro.api.session import Session
 from repro.api.spec import ScenarioSpec
 from repro.coordination.rule import CoordinationRule, NodeId, rule_from_text
@@ -215,17 +216,13 @@ def warm_spec(spec: ScenarioSpec) -> ScenarioSpec:
 
     Served tenants answer many requests over one network, so the cold
     engines make no sense behind the front-end: ``sync``/``async``/``sharded``
-    become the pooled multiproc engine, ``multiproc`` gains ``pool=True``,
-    and ``socket`` keeps its fleet but pools the connections and workers.
+    become the pooled multiproc engine; the process-backed transports keep
+    their kind (and ``socket`` its fleet) and gain ``pool=True``.
     Specs already warm pass through unchanged.
     """
-    transport = spec.transport
-    if transport == "socket":
-        return spec if spec.pool else spec.with_(pool=True)
-    if transport == "pooled":
-        return spec
-    if transport == "multiproc":
-        return spec.with_(transport="pooled")
+    if spec.transport in transport_names(process_backed=True):
+        warm = spec.pool or spec.transport == "pooled"
+        return spec if warm else spec.with_(pool=True)
     shards = spec.shards if spec.shards else min(2, max(1, spec.node_count))
     return spec.with_(transport="pooled", shards=shards)
 

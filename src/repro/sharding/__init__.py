@@ -1,84 +1,66 @@
 """Sharded execution: partition the network, run one worker per shard.
 
 The paper's experiments stop at 31 peers; this subsystem is the scaling
-layer that pushes the same protocols toward thousands.  Four pieces:
+layer that pushes the same protocols toward thousands.  The partition is
+always the same — :class:`~repro.sharding.planner.ShardPlanner` greedily cuts
+the coordination-rule import graph so chatty neighbours co-locate
+(:class:`~repro.sharding.planner.ShardPlan` is the assignment,
+:func:`~repro.sharding.planner.round_robin_plan` the locality-blind
+baseline) — and there are two ways to run it:
 
-* :class:`~repro.sharding.planner.ShardPlanner` — partitions peers across K
-  shards by greedily cutting the coordination-rule import graph, so chatty
-  neighbours co-locate (:class:`~repro.sharding.planner.ShardPlan` is the
-  resulting assignment; :func:`~repro.sharding.planner.round_robin_plan` the
-  locality-blind baseline),
-* :class:`~repro.sharding.transport.ShardedTransport` — K per-shard event
-  queues with inter-shard mailboxes for cross-cut messages and a
-  distributed-quiescence barrier (per-shard idle + empty mailboxes), driven
-  by :class:`~repro.sharding.engine.ShardedEngine` behind the usual
-  :class:`~repro.api.engine.ExecutionEngine` protocol
-  (``ScenarioSpec(transport="sharded", shards=K)``),
-* :class:`~repro.sharding.multiproc.MultiprocTransport` /
-  :class:`~repro.sharding.multiproc.MultiprocEngine` — the same shard
-  boundary with one OS *process* per shard (``multiprocessing`` spawn,
-  queue-backed mailboxes, a cross-process quiescence barrier), selected via
-  ``ScenarioSpec(transport="multiproc", shards=K)`` — the first engine with
-  real multi-core wall-clock speedups on the 500+-node sweeps,
-* :class:`~repro.sharding.pool.WorkerPool` /
-  :class:`~repro.sharding.pool.PooledEngine` — the *persistent* variant of
-  the multiproc engine (``transport="pooled"``, or ``"multiproc"`` with
-  ``pool=True``): workers spawn once, worlds ship once, and successive runs
-  re-ship only deltas (new facts, ``addLink``/``deleteLink``), amortising
-  the 1-2 s spawn/ship overhead across repeat-run workloads,
-* :class:`~repro.sharding.sockets.ShardHost` /
-  :class:`~repro.sharding.sockets.SocketPool` /
-  :class:`~repro.sharding.sockets.SocketEngine` — the *cross-machine*
-  variant (``transport="socket"``, plus ``pool=True`` for the warm
-  :class:`~repro.sharding.sockets.PooledSocketEngine`): shard workers live
-  in ``python -m repro.shardhost`` server processes anywhere TCP reaches,
-  the coordinator ships worlds and drives the same delta-sync protocol and
-  quiescence barrier over length-prefixed frames, and a localhost
-  auto-spawn helper (:class:`~repro.sharding.sockets.LocalHostCluster`)
-  keeps tests and CI cluster-free.
+* **in one interpreter** — :class:`~repro.sharding.transport.ShardedTransport`
+  (K per-shard event queues, inter-shard mailboxes, a quiescence barrier)
+  driven by :class:`~repro.sharding.engine.ShardedEngine`
+  (``ScenarioSpec(transport="sharded", shards=K)``);
+* **in real workers** — one loop, one pool, two channels, one engine:
+
+  - :func:`~repro.sharding.worker.shard_worker_loop` is the one persistent
+    shard-worker command loop, rebuilt from a picklable
+    :class:`~repro.sharding.worker.ShardWorld`;
+  - :class:`~repro.sharding.pool.ShardPool` is the one coordinator-side
+    driver (delta sync, the cumulative-counter quiescence barrier, collect,
+    mirror bookkeeping), talking to shard *s* through a
+    :class:`~repro.sharding.pool.Channel`;
+  - the two channels are :class:`~repro.sharding.pool.ProcessChannel`
+    (a spawned OS process and its queue — :class:`~repro.sharding.pool.WorkerPool`)
+    and :class:`~repro.sharding.sockets.HostChannel` (a TCP link to a
+    ``python -m repro.shardhost`` :class:`~repro.sharding.sockets.ShardHost`
+    plus a shard id — :class:`~repro.sharding.sockets.SocketPool`, with
+    :class:`~repro.sharding.sockets.LocalHostCluster` auto-spawning localhost
+    hosts so tests and CI stay cluster-free);
+  - :class:`~repro.sharding.process.ProcessEngine` over a
+    :class:`~repro.sharding.process.ProcessTransport` is the one engine:
+    ``transport="multiproc"`` / ``"socket"`` close the pool after each run,
+    ``"pooled"`` (or ``pool=True``) keeps it warm and re-ships only deltas.
 
 See ``docs/architecture.md`` for where this layer sits in the system and
 ``docs/engines.md`` for when to pick which engine.
 """
 
 from repro.sharding.engine import ShardedEngine
-from repro.sharding.multiproc import MultiprocEngine, MultiprocTransport
 from repro.sharding.planner import ShardPlan, ShardPlanner, round_robin_plan
 from repro.sharding.pool import (
-    PooledEngine,
-    PooledTransport,
+    ShardPool,
     SyncDelta,
     WorkerPool,
     WorldMirror,
     compute_sync_delta,
 )
-from repro.sharding.sockets import (
-    LocalHostCluster,
-    PooledSocketEngine,
-    PooledSocketTransport,
-    ShardHost,
-    SocketEngine,
-    SocketPool,
-    SocketTransport,
-)
+from repro.sharding.process import ProcessEngine, ProcessTransport
+from repro.sharding.sockets import LocalHostCluster, ShardHost, SocketPool
 from repro.sharding.transport import ShardedTransport
 
 __all__ = [
     "LocalHostCluster",
-    "MultiprocEngine",
-    "MultiprocTransport",
-    "PooledEngine",
-    "PooledSocketEngine",
-    "PooledSocketTransport",
-    "PooledTransport",
+    "ProcessEngine",
+    "ProcessTransport",
     "ShardHost",
     "ShardPlan",
     "ShardPlanner",
+    "ShardPool",
     "ShardedEngine",
     "ShardedTransport",
-    "SocketEngine",
     "SocketPool",
-    "SocketTransport",
     "SyncDelta",
     "WorkerPool",
     "WorldMirror",

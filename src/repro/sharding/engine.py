@@ -29,6 +29,26 @@ if TYPE_CHECKING:
     from repro.core.system import P2PSystem
 
 
+def traffic_stats(transport, snapshot: StatsSnapshot) -> ShardTrafficStats:
+    """The per-shard traffic view of one run over a planned transport.
+
+    ``transport`` is any transport with a shard plan and merged delivery
+    counters (:class:`~repro.sharding.transport.ShardedTransport` or
+    :class:`~repro.sharding.process.ProcessTransport`), so the traffic stats
+    of every partitioned engine are directly comparable.
+    """
+    tuples_by_shard = {shard: 0 for shard in range(transport.shard_count)}
+    for node_id, node_stats in snapshot.nodes.items():
+        tuples_by_shard[transport.shard_of(node_id)] += node_stats.tuples_received
+    return ShardTrafficStats(
+        shard_count=transport.shard_count,
+        messages_by_shard=transport.shard_message_counts(),
+        tuples_by_shard=tuples_by_shard,
+        cross_shard_messages=transport.cross_shard_messages,
+        intra_shard_messages=transport.intra_shard_messages,
+    )
+
+
 class ShardedEngine:
     """Engine for the partitioned transport (one worker per shard)."""
 
@@ -52,24 +72,6 @@ class ShardedEngine:
             return
         planner = self.planner or ShardPlanner(transport.shard_count)
         transport.apply_plan(planner.plan_system(system))
-
-    def traffic_stats(
-        self, transport: ShardedTransport, snapshot: StatsSnapshot
-    ) -> ShardTrafficStats:
-        """Assemble the per-shard traffic view of one run."""
-        tuples_by_shard = {shard.index: 0 for shard in transport.shards}
-        for node_id, node_stats in snapshot.nodes.items():
-            shard = transport.shard_of(node_id)
-            tuples_by_shard[shard] = (
-                tuples_by_shard.get(shard, 0) + node_stats.tuples_received
-            )
-        return ShardTrafficStats(
-            shard_count=transport.shard_count,
-            messages_by_shard=transport.shard_message_counts(),
-            tuples_by_shard=tuples_by_shard,
-            cross_shard_messages=transport.cross_shard_messages,
-            intra_shard_messages=transport.intra_shard_messages,
-        )
 
     def run(
         self, system, phase: str, origins: Iterable[NodeId] | None = None
@@ -102,7 +104,6 @@ class ShardedEngine:
             )
         finalize_phase(system, phase)
         snapshot = system.stats.snapshot()
-        snapshot = replace(
-            snapshot, sharding=self.traffic_stats(transport, snapshot)
+        return completion, replace(
+            snapshot, sharding=traffic_stats(transport, snapshot)
         )
-        return completion, snapshot

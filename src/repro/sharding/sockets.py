@@ -1,41 +1,39 @@
-"""Socket-backed shard hosts: the partitioned engines across machines.
+"""Socket-backed shard hosts: the process-backed engines across machines.
 
-Every engine so far — sharded, multiproc, pooled — confines all K shards to
-one box's cores, which caps the sweeps near 1023 nodes.  The paper's
-coordination model is inherently distributed (peers on different machines
-exchanging update messages), and the pool's delta-sync protocol and
-cumulative-counter quiescence barrier are already transport-shaped for the
-wire.  This module puts them on it:
+Spawned worker processes confine all K shards to one box's cores, which caps
+the sweeps near 1023 nodes.  The paper's coordination model is inherently
+distributed (peers on different machines exchanging update messages), and
+the pool's delta-sync protocol and cumulative-counter quiescence barrier are
+already transport-shaped for the wire.  This module puts them on it:
 
 * :class:`ShardHost` is a standalone server process
   (``python -m repro.shardhost --bind HOST:PORT``) that can run anywhere and
-  hosts one or more shard workers — the exact persistent worker loop of
-  :func:`repro.sharding.pool._pool_worker_main`, run as threads inside the
+  hosts one or more shard workers — the one worker loop,
+  :func:`repro.sharding.worker.shard_worker_loop`, run as threads inside the
   host process (one *process per host*, so a cluster of hosts is what buys
   multi-core/multi-machine parallelism).
-* :class:`SocketPool` is the coordinator side: it dials a list of hosts over
-  TCP, ships each its pickled :class:`~repro.sharding.multiproc.ShardWorld`\\ s
-  with length-prefixed framing, and drives the same delta-sync protocol and
-  cumulative-counter quiescence barrier as the in-box
-  :class:`~repro.sharding.pool.WorkerPool` — over sockets instead of
-  ``mp.Queue``\\ s.  Inter-shard messages between workers on *different* hosts
-  route through the coordinator (hub-and-spoke: hosts never need to reach
-  each other, only the coordinator needs to reach the hosts); workers
-  co-hosted on one host exchange messages directly in memory.
-* :class:`SocketEngine` / :class:`PooledSocketEngine` expose it behind the
-  usual :class:`~repro.api.engine.ExecutionEngine` protocol
-  (``transport="socket"``, plus ``pool=True`` for the warm variant that keeps
-  host connections and workers alive between runs, re-shipping only
-  structural deltas).
+* :class:`HostChannel` is the second (and last)
+  :class:`~repro.sharding.pool.Channel` implementation: a link plus a shard
+  id, framing every command as ``("to", shard, command)``.  The coordinator
+  reaches each hosted worker through one; a hosted worker reaches a shard on
+  *another* host through one too, and the coordinator relays the frame
+  (hub-and-spoke: hosts never need to reach each other, only the coordinator
+  needs to reach the hosts).  Workers co-hosted on one host exchange
+  messages directly in memory.
+* :class:`SocketPool` is the :class:`~repro.sharding.pool.ShardPool` whose
+  channels are made by dialing a list of hosts over TCP and shipping each
+  its pickled :class:`~repro.sharding.worker.ShardWorld`\\ s with
+  length-prefixed framing; everything above the channels (delta sync, the
+  barrier, collect) is the shared pool.
 * :class:`LocalHostCluster` auto-spawns K localhost hosts as subprocesses, so
   tests, benchmarks and CI need no real cluster: a system built with
   ``transport="socket"`` and no ``hosts`` list gets one spawned on demand
   (and torn down by ``session.close()``).
 
-Liveness mirrors the pool's crashed-worker handling: every await loop checks
-the host connections, a dead host surfaces as a
-:class:`~repro.errors.NetworkError` (never a silent stall), and the next run
-reconnects — respawning auto-spawned hosts that died.
+Liveness mirrors the crashed-process handling: every await loop checks the
+channels, a dead host surfaces as a :class:`~repro.errors.NetworkError`
+(never a silent stall), and the next run reconnects — respawning
+auto-spawned hosts that died.
 
 Trust model: frames are **pickles**.  Unpickling executes code, so a shard
 host must only ever listen on localhost or inside a trusted network segment —
@@ -61,34 +59,15 @@ import threading
 import time
 import traceback
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Sequence
 
-from repro.coordination.rule import NodeId
 from repro.errors import NetworkError, ReproError
-from repro.faults.injector import NULL_INJECTOR, injector_of
+from repro.faults.injector import NULL_INJECTOR
 from repro.faults.recovery import retry_call
-from repro.network.latency import LatencyModel
-from repro.obs import NULL_TRACER, get_logger, tracer_of
-from repro.sharding.multiproc import (
-    _WORKER_TIMEOUT,
-    MultiprocEngine,
-    MultiprocTransport,
-    ShardWorld,
-    _await_replies,
-    _quiescence_rounds,
-    _worlds_from_system,
-)
-from repro.sharding.planner import ShardPlan, ShardPlanner
-from repro.sharding.pool import (
-    SyncDelta,
-    WarmPoolLifecycle,
-    WorldMirror,
-    _pool_worker_main,
-)
-from repro.stats.collector import StatisticsCollector
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
-    from repro.core.system import P2PSystem
+from repro.obs import get_logger
+from repro.sharding.planner import ShardPlan
+from repro.sharding.pool import _WORKER_TIMEOUT, ShardPool
+from repro.sharding.worker import ShardWorld, shard_worker_loop
 
 #: Hard bound on one frame's pickled payload.  Large enough for a shipped
 #: world at the 1000+-node sweeps, small enough that a corrupt or hostile
@@ -237,27 +216,46 @@ class _FrameWriter:
 # ------------------------------------------------------------- the host side
 
 
-class _RemoteOutbox:
-    """A worker's outbox for a shard living on another host.
+class HostChannel:
+    """The channel to a shard across a link: the link plus the shard's id.
 
-    Quacks like the local inbox queues: :meth:`put` takes the worker
-    transport's ``("msg", deliver_at, message)`` tuple and frames it to the
-    coordinator (tagged with the target shard), which routes it onward.
+    Every command is framed ``("to", shard, command)``.  The coordinator's
+    ``link`` is a :class:`_HostLink` to the host running the shard's worker;
+    inside a host, ``link`` is the connection's frame writer and the
+    channel is a worker's outbox for a shard living on another host (the
+    coordinator relays the frame to the right host).
     """
 
-    def __init__(self, writer: _FrameWriter, target_shard: int):
-        self._writer = writer
-        self._target = target_shard
+    def __init__(self, link, shard: int):
+        self._link = link
+        self._shard = shard
 
-    def put(self, item) -> None:
-        _kind, deliver_at, message = item
-        self._writer.send(("msg", self._target, deliver_at, message))
+    def put(self, command: tuple) -> None:
+        self._link.send(("to", self._shard, command))
+
+    @property
+    def alive(self) -> bool:
+        return self._link.alive
+
+    @property
+    def reason(self) -> str:
+        return self._link.exitcode or f"lost connection to {self._link.address}"
+
+    def kill(self) -> None:
+        # Severs the connection; the host itself survives — its read loop
+        # sees the close, stops its workers and loops back to ``accept`` —
+        # so the next (re)spawned pool can reconnect, which is exactly the
+        # crash-recovery path the fault suite exercises.
+        self._link.close()
+
+    def close(self) -> None:
+        self._link.close()  # shared by the host's shards; closing is idempotent
 
 
 def _host_worker(
-    world: ShardWorld, routing: list, results, isolate: bool
+    world: ShardWorld, outboxes: list, results, isolate: bool
 ) -> None:
-    """One hosted shard worker: isolate the world, run the persistent loop.
+    """One hosted shard worker: isolate the world, run the worker loop.
 
     Workers co-hosted on one host are threads sharing the unpickled
     ``worlds`` frame, but the worker loop mutates its world's schemas and
@@ -273,19 +271,19 @@ def _host_worker(
     except BaseException:  # noqa: BLE001 - shipped to the coordinator
         results.put(("error", world.shard_index, traceback.format_exc()))
         return
-    _pool_worker_main(world, routing, results)
+    shard_worker_loop(world, outboxes, results)
 
 
 class ShardHost:
     """A server process hosting shard workers for one coordinator at a time.
 
     The host accepts a TCP connection, receives its workers' worlds, runs
-    them as persistent threads (the same command loop the worker pool uses:
-    ``start`` / ``msg`` / ``ping`` / ``sync`` / ``collect`` / ``stop``), and
-    forwards their replies back over the wire.  When the coordinator
-    disconnects — or sends ``teardown`` — the workers are stopped and the
-    host loops back to ``accept``, ready for the next coordinator, so a
-    fleet of hosts can serve many successive runs without respawning.
+    them as persistent threads (the same command loop the worker processes
+    run), hands each ``("to", shard, command)`` frame to that shard's inbox,
+    and forwards the workers' replies back over the wire.  When the
+    coordinator disconnects the workers are stopped and the host loops back
+    to ``accept``, ready for the next coordinator, so a fleet of hosts can
+    serve many successive runs without respawning.
     """
 
     def __init__(
@@ -429,16 +427,16 @@ class ShardHost:
                             world.shard_index: queue_module.Queue()
                             for world in worlds
                         }
-                        routing = [
+                        outboxes = [
                             inboxes[shard]
                             if shard in inboxes
-                            else _RemoteOutbox(writer, shard)
+                            else HostChannel(writer, shard)
                             for shard in range(total)
                         ]
                         threads = [
                             threading.Thread(
                                 target=_host_worker,
-                                args=(world, routing, results, len(worlds) > 1),
+                                args=(world, outboxes, results, len(worlds) > 1),
                                 daemon=True,
                             )
                             for world in worlds
@@ -449,50 +447,22 @@ class ShardHost:
                         forwarder.start()
                         for thread in threads:
                             thread.start()
-                    elif kind == "start":
-                        # Frame layout matches the mp-pool inbox tuple; the
-                        # optional 4th slot carries the update mode (None or
-                        # "incremental") and is absent in frames from older
-                        # coordinators.
-                        start_mode = frame[3] if len(frame) > 3 else None
-                        for inbox in inboxes.values():
-                            inbox.put(("start", frame[1], frame[2], start_mode))
-                    elif kind == "msg":
-                        inbox = inboxes.get(frame[1])
+                    elif kind == "to":
+                        _kind, shard, command = frame
+                        inbox = inboxes.get(shard)
                         if inbox is None:
                             writer.send(
                                 (
                                     "error",
-                                    frame[1],
-                                    "message routed to a non-hosted shard",
+                                    shard,
+                                    f"{command[0]!r} command for a non-hosted shard",
                                 )
                             )
                         else:
-                            inbox.put(("msg", frame[2], frame[3]))
-                    elif kind == "ping":
-                        inbox = inboxes.get(frame[2])
-                        if inbox is None:
-                            writer.send(
-                                ("error", frame[2], "ping for a non-hosted shard")
-                            )
-                        else:
-                            inbox.put(("ping", frame[1]))
-                    elif kind == "sync":
-                        inbox = inboxes.get(frame[1])
-                        if inbox is None:
-                            writer.send(
-                                ("error", frame[1], "sync for a non-hosted shard")
-                            )
-                        else:
-                            inbox.put(("sync", frame[2]))
-                    elif kind == "collect":
-                        for inbox in inboxes.values():
-                            inbox.put(("collect",))
-                    elif kind == "teardown":
-                        stop_workers()
+                            inbox.put(command)
                     else:
                         writer.send(("error", -1, f"unknown frame kind {kind!r}"))
-                except (TypeError, IndexError, AttributeError) as error:
+                except (TypeError, ValueError, IndexError, AttributeError) as error:
                     # A well-pickled frame of the wrong *shape* (version
                     # skew, a buggy client): report it and drop this
                     # coordinator — the host must outlive any one client.
@@ -516,18 +486,20 @@ class ShardHost:
 class _HostLink:
     """One coordinator↔host connection: framed sends plus a reader thread.
 
-    The reader routes cross-host ``msg`` frames through the pool (the
-    hub-and-spoke path) and funnels every other reply into the pool's shared
-    results queue — the queue :func:`_await_replies` and the quiescence
-    rounds already know how to drain.  A closed or failing connection flips
-    :attr:`alive`, which the liveness checks read.
+    The reader hands ``("to", shard, command)`` frames — a hosted worker's
+    message for a shard on another host — to the pool's router (the
+    hub-and-spoke path) and funnels every other frame, the workers' replies,
+    into the pool's results queue.  A closed or failing connection flips
+    :attr:`alive`, which the liveness checks read through the channels.
     """
 
-    def __init__(self, address: str, results, router, max_frame: int):
+    def __init__(
+        self, address: str, results, router, max_frame: int, injector=NULL_INJECTOR
+    ):
         self.address = address
         self.alive = False
         self.exitcode: str | None = None
-        self.injector = NULL_INJECTOR
+        self.injector = injector
         self._results = results
         self._router = router
         self._max_frame = max_frame
@@ -561,8 +533,8 @@ class _HostLink:
                 except _IdleTimeout:
                     continue  # no frame in progress; keep listening
                 try:
-                    if frame[0] == "msg":
-                        self._router(frame[1], frame[2], frame[3])
+                    if frame[0] == "to":
+                        self._router(frame[1], frame[2])
                     else:
                         self._results.put(frame)
                 except (TypeError, IndexError, KeyError) as error:
@@ -620,45 +592,14 @@ class _HostLink:
             pass
 
 
-class _ShardLiveness:
-    """Presents one shard's host link through the worker-liveness protocol.
+class SocketPool(ShardPool):
+    """The pool whose workers live on shard hosts reached over TCP.
 
-    :func:`repro.sharding.multiproc._check_workers` expects per-shard objects
-    with ``is_alive()`` and ``exitcode``; for a socket shard, "the worker
-    died" means "its host's connection is gone".
-    """
-
-    def __init__(self, link: _HostLink):
-        self._link = link
-
-    def is_alive(self) -> bool:
-        return self._link.alive
-
-    @property
-    def exitcode(self) -> str:
-        return self._link.exitcode or f"lost connection to {self._link.address}"
-
-
-class _PingChannel:
-    """Per-shard ping outlet with the inbox ``put`` shape the barrier expects."""
-
-    def __init__(self, link: _HostLink, shard: int):
-        self._link = link
-        self._shard = shard
-
-    def put(self, item) -> None:
-        self._link.send(("ping", item[1], self._shard))
-
-
-class SocketPool:
-    """K shard workers behind TCP host connections (spawn once, run many).
-
-    The socket twin of :class:`~repro.sharding.pool.WorkerPool`: shards are
-    assigned to hosts round-robin, each host receives its workers' worlds
-    once, and successive runs drive the same delta-sync protocol and
-    cumulative-counter quiescence barrier — framed over the wire.  Any
-    failure (a dead host, a stalled barrier, an exceeded message bound)
-    closes the pool; the engines respawn/reconnect on the next run.
+    Shards are assigned to hosts round-robin, each host receives its
+    workers' worlds once, and one :class:`HostChannel` per shard carries the
+    pool's commands over the host's link.  Closing the pool stops this
+    coordinator's workers and drops the connections; the hosts themselves
+    stay up and loop back to ``accept`` for the next coordinator.
     """
 
     def __init__(
@@ -670,11 +611,6 @@ class SocketPool:
         max_frame: int = DEFAULT_MAX_FRAME,
         injector=NULL_INJECTOR,
     ):
-        if len(worlds) != plan.shard_count:
-            raise ReproError(
-                f"the pool needs one world per shard: got {len(worlds)} "
-                f"worlds for {plan.shard_count} shards"
-            )
         if not hosts:
             raise ReproError("the socket pool needs at least one shard host")
         if len(set(hosts)) != len(hosts):
@@ -682,115 +618,59 @@ class SocketPool:
                 f"duplicate shard-host addresses in {tuple(hosts)}; list "
                 "each host once (shards are assigned round-robin across them)"
             )
-        self.plan = plan
         # Round-robin assignment uses at most one host per shard, so hosts
         # past the shard count would never own a worker — don't dial them,
         # and never let an idle machine's restart fail a run.  (Trimming
         # preserves the mapping: shard % len(hosts[:K]) == shard % len(hosts)
         # for shard < K ≤ len(hosts).)
         self.hosts = tuple(hosts)[: plan.shard_count]
-        self.closed = False
-        self._injector = injector
         self._max_frame = max_frame
-        self._max_messages = worlds[0].max_messages if worlds else 1_000_000
-        self._mirror = WorldMirror(worlds)
-        self._host_of_shard = {
-            shard: shard % len(self.hosts) for shard in range(plan.shard_count)
-        }
-        self._results: queue_module.Queue = queue_module.Queue()
         self._links: list[_HostLink] = []
+        super().__init__(plan, worlds, injector=injector)
+
+    def _open(self, worlds: list[ShardWorld]) -> None:
+        self._results = queue_module.Queue()
         try:
             for address in self.hosts:
-                link = _HostLink(address, self._results, self._route, max_frame)
-                link.injector = injector
-                self._links.append(link)
-            for host_index, link in enumerate(self._links):
-                link.send(
-                    (
-                        "worlds",
-                        plan.shard_count,
-                        [
-                            world
-                            for world in worlds
-                            if self._host_of_shard[world.shard_index] == host_index
-                        ],
+                self._links.append(
+                    _HostLink(
+                        address,
+                        self._results,
+                        self._route,
+                        self._max_frame,
+                        self.injector,
                     )
                 )
-            _await_replies(self._results, "ready", plan.shard_count, self._liveness)
         except BaseException:
-            self.close()
+            for link in self._links:  # no channel owns these yet
+                link.close()
             raise
-
-    @classmethod
-    def spawn(
-        cls,
-        system: P2PSystem,
-        plan: ShardPlan,
-        hosts: Sequence[str],
-        *,
-        max_frame: int = DEFAULT_MAX_FRAME,
-        injector=NULL_INJECTOR,
-    ) -> "SocketPool":
-        """Open a pool over the live system's current state."""
-        return cls(
-            plan,
-            _worlds_from_system(system, plan),
-            hosts,
-            max_frame=max_frame,
-            injector=injector,
-        )
-
-    # ------------------------------------------------------------------ status
-
-    @property
-    def shard_count(self) -> int:
-        """Number of shard workers across all hosts."""
-        return self.plan.shard_count
-
-    @property
-    def alive(self) -> bool:
-        """True while the pool is open and every host connection lives."""
-        return not self.closed and all(link.alive for link in self._links)
-
-    @property
-    def _liveness(self) -> list[_ShardLiveness]:
-        return [
-            _ShardLiveness(self._links[self._host_of_shard[shard]])
-            for shard in range(self.shard_count)
+        self._channels = [
+            HostChannel(self._links[shard % len(self._links)], shard)
+            for shard in range(len(worlds))
         ]
-
-    @property
-    def injector(self):
-        """The fault injector driving this pool's chaos hooks."""
-        return self._injector
-
-    @injector.setter
-    def injector(self, injector) -> None:
-        self._injector = injector
-        for link in self._links:
-            link.injector = injector
+        for host_index, link in enumerate(self._links):
+            link.send(
+                (
+                    "worlds",
+                    len(worlds),
+                    [
+                        world
+                        for world in worlds
+                        if world.shard_index % len(self._links) == host_index
+                    ],
+                )
+            )
 
     def host_of(self, shard: int) -> str:
         """The host address a shard's worker runs on."""
-        return self.hosts[self._host_of_shard[shard]]
+        return self.hosts[shard % len(self.hosts)]
 
-    def kill_worker(self, shard: int) -> None:
-        """Sever the connection to the host owning ``shard`` (chaos kill).
-
-        The host itself survives — its read loop sees the close, stops its
-        workers and loops back to ``accept`` — so the next (re)spawned pool
-        can reconnect, which is exactly the crash-recovery path the fault
-        suite exercises.
-        """
-        self._links[self._host_of_shard[shard]].close()
-
-    # --------------------------------------------------------------- routing
-
-    def _route(self, target: int, deliver_at: float, message) -> None:
-        """Forward one cross-host message to the host owning ``target``."""
-        link = self._links[self._host_of_shard[target]]
+    def _route(self, target: int, command: tuple) -> None:
+        """Relay one hosted worker's command to the host owning ``target``."""
+        channel = self._channels[target]
         try:
-            link.send(("msg", target, deliver_at, message))
+            channel.put(command)
         except NetworkError:
             # The run is doomed; surface it through the results queue so the
             # await loops fail fast instead of stalling out the barrier.
@@ -798,128 +678,9 @@ class SocketPool:
                 (
                     "error",
                     target,
-                    f"lost connection to {link.address} while routing a "
-                    "cross-host message",
+                    f"{channel.reason} while routing a cross-host message",
                 )
             )
-
-    # ------------------------------------------------------------- lifecycle
-
-    def close(self) -> None:
-        """Tear down the workers and drop the connections (idempotent).
-
-        The hosts themselves stay up — they loop back to ``accept`` for the
-        next coordinator; only this coordinator's workers stop.
-        """
-        if self.closed:
-            return
-        self.closed = True
-        for link in self._links:
-            if link.alive:
-                try:
-                    link.send(("teardown",))
-                except NetworkError:  # pragma: no cover - teardown race
-                    pass
-            link.close()
-
-    def __enter__(self) -> "SocketPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _require_open(self) -> None:
-        if self.closed:
-            raise ReproError("the socket pool is closed")
-        for link in self._links:
-            if not link.alive:
-                raise NetworkError(
-                    f"lost connection to shard host {link.address} "
-                    f"({link.exitcode or 'connection dropped'}); "
-                    "the pool must be respawned"
-                )
-
-    # --------------------------------------------------------------- re-plan
-
-    def plan_if_stale(
-        self, system: P2PSystem, planner: ShardPlanner
-    ) -> ShardPlan | None:
-        """Re-plan after a rule-graph change (see :class:`WorldMirror`)."""
-        return self._mirror.plan_if_stale(self.plan, system, planner)
-
-    # ------------------------------------------------------------------ runs
-
-    def sync(self, system: P2PSystem) -> SyncDelta:
-        """Ship the coordinator's changes since the last run to the hosts.
-
-        Warm repeat runs re-ship only the structural delta — inserted rows,
-        wholesale relation replaces, rule add/removes — never the schemas or
-        unchanged data; an empty delta ships nothing at all.
-        """
-        self._require_open()
-        delta = self._mirror.delta(system)
-        if not delta.empty:
-            for shard in range(self.shard_count):
-                self._links[self._host_of_shard[shard]].send(
-                    ("sync", shard, delta.for_shard(self.plan, shard))
-                )
-            self._mirror.note_synced(system)
-        self._injector.fire("sync", self)
-        return delta
-
-    def run_phase(
-        self,
-        phase: str,
-        origins: Iterable[NodeId],
-        *,
-        tracer=None,
-        mode: str | None = None,
-    ) -> list[dict]:
-        """Drive one phase over the hosted workers and collect their payloads.
-
-        ``mode="incremental"`` is forwarded to the hosted workers, which run
-        the delta-driven update path when their accumulated sync deltas agree
-        it is safe (see :func:`repro.sharding.pool._pool_worker_main`).
-        """
-        tracer = tracer if tracer is not None else NULL_TRACER
-        try:
-            self._require_open()
-            origin_list = tuple(origins)
-            for link in self._links:
-                link.send(("start", phase, origin_list, mode))
-            self._injector.fire("chase", self)
-            with tracer.span("quiescence") as quiescence_span:
-                rounds = _quiescence_rounds(
-                    self._results,
-                    [
-                        _PingChannel(self._links[self._host_of_shard[shard]], shard)
-                        for shard in range(self.shard_count)
-                    ],
-                    self.shard_count,
-                    self._max_messages,
-                    self._liveness,
-                )
-                quiescence_span.set(rounds=rounds)
-            self._injector.fire("quiescence", self)
-            with tracer.span("collect"):
-                for link in self._links:
-                    link.send(("collect",))
-                collected = _await_replies(
-                    self._results, "collected", self.shard_count, self._liveness
-                )
-        except BaseException:
-            self.close()
-            raise
-        payloads = [payload for _shard, payload in sorted(collected.items())]
-        self._mirror.note_collected(payloads)
-        return payloads
-
-    def __repr__(self) -> str:
-        state = "closed" if self.closed else ("alive" if self.alive else "dead")
-        return (
-            f"SocketPool({self.shard_count} shards over "
-            f"{len(self.hosts)} hosts, {state})"
-        )
 
 
 # ------------------------------------------------------- localhost auto-spawn
@@ -1065,189 +826,3 @@ class LocalHostCluster:
 
     def __repr__(self) -> str:
         return f"LocalHostCluster({self.addresses!r})"
-
-
-# ------------------------------------------------------- transport and engines
-
-
-class SocketTransport(MultiprocTransport):
-    """Coordinator handle of a socket-backed run: configuration, merged counters.
-
-    ``hosts`` is the list of ``"HOST:PORT"`` shard-host addresses the engine
-    dials (shards are assigned round-robin across them); ``None`` means
-    *auto-spawn* — the engine brings up one localhost host per shard on the
-    first run and owns their lifecycle.  ``shard_count`` defaults to one
-    shard per host.  Like its mp parent, the transport never delivers a
-    message itself: execution happens inside the hosts.
-    """
-
-    def __init__(
-        self,
-        shard_count: int | None = None,
-        hosts: Sequence[str] | None = None,
-        latency: LatencyModel | None = None,
-        stats: StatisticsCollector | None = None,
-        max_messages: int = 1_000_000,
-        max_frame: int = DEFAULT_MAX_FRAME,
-    ):
-        if shard_count is None:
-            shard_count = len(hosts) if hosts else 2
-        super().__init__(
-            shard_count=shard_count,
-            latency=latency,
-            stats=stats,
-            max_messages=max_messages,
-        )
-        self.hosts: tuple[str, ...] | None = tuple(hosts) if hosts else None
-        self.max_frame = max_frame
-        for address in self.hosts or ():
-            parse_address(address)  # fail at build time, not first run
-        if self.hosts and len(set(self.hosts)) != len(self.hosts):
-            # A host serves one coordinator connection at a time, so a
-            # duplicate entry would sit unanswered in its listen backlog
-            # until the worker timeout.  Two workers on one box is already
-            # expressible: list the host once and raise shards.
-            raise NetworkError(
-                f"duplicate shard-host addresses in {self.hosts}; list each "
-                "host once (shards are assigned round-robin across them)"
-            )
-
-    def __repr__(self) -> str:
-        where = (
-            f"{len(self.hosts)} hosts" if self.hosts else "auto-spawned hosts"
-        )
-        return (
-            f"{type(self).__name__}({self.shard_count} shards over {where}, "
-            f"{self.delivered_count} delivered)"
-        )
-
-
-class PooledSocketTransport(SocketTransport):
-    """Socket transport whose type selects the warm (pooled) socket engine."""
-
-
-class SocketEngine(MultiprocEngine):
-    """One-shot runs over shard hosts: connect, ship, run, tear down.
-
-    Each :meth:`run` opens fresh host connections, ships the worlds, drives
-    the phase to distributed quiescence and collects the merged state — the
-    cold :class:`~repro.sharding.multiproc.MultiprocEngine` semantics, with
-    TCP hosts instead of spawned processes.  Auto-spawned localhost hosts
-    are kept (and revived) across runs on the engine; ``close()`` stops
-    them.  For warm repeat runs use :class:`PooledSocketEngine`.
-    """
-
-    name = "socket"
-
-    def __init__(self, planner: ShardPlanner | None = None):
-        super().__init__(planner)
-        self._cluster: LocalHostCluster | None = None
-
-    def _check(self, system: P2PSystem) -> SocketTransport:
-        transport = system.transport
-        if not isinstance(transport, SocketTransport):
-            raise ReproError(
-                "the socket engine needs a SocketTransport; "
-                "use Session.run (which picks the engine) or build the system "
-                "with transport='socket'"
-            )
-        return transport
-
-    @property
-    def cluster(self) -> LocalHostCluster | None:
-        """The auto-spawned localhost cluster, or None with explicit hosts."""
-        return self._cluster
-
-    def close(self) -> None:
-        """Stop any auto-spawned localhost hosts (idempotent)."""
-        if self._cluster is not None:
-            self._cluster.close()
-            self._cluster = None
-
-    def __enter__(self) -> "SocketEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self):  # pragma: no cover - interpreter-shutdown best effort
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def _hosts_for(self, transport: SocketTransport) -> Sequence[str]:
-        """The transport's hosts, or the engine's (revived) localhost cluster."""
-        if transport.hosts:
-            return transport.hosts
-        if self._cluster is None:
-            self._cluster = LocalHostCluster(transport.shard_count)
-            return self._cluster.addresses
-        return self._cluster.ensure_alive()
-
-    def _drive_workers(
-        self,
-        system: P2PSystem,
-        plan: ShardPlan,
-        phase: str,
-        origins: Iterable[NodeId],
-    ) -> list[dict]:
-        transport = self._check(system)
-        tracer = tracer_of(system)
-        injector = injector_of(system)
-        with tracer.span("ship", shards=plan.shard_count):
-            pool = SocketPool.spawn(
-                system,
-                plan,
-                self._hosts_for(transport),
-                max_frame=transport.max_frame,
-                injector=injector,
-            )
-        try:
-            injector.fire("ship", pool)
-            return pool.run_phase(phase, origins, tracer=tracer)
-        finally:
-            pool.close()
-
-
-class PooledSocketEngine(WarmPoolLifecycle, SocketEngine):
-    """Warm repeat runs over shard hosts: the :class:`SocketPool` kept open.
-
-    The first run connects and ships the worlds; every later run reuses the
-    live host connections and workers, re-shipping only structural deltas —
-    the socket twin of :class:`~repro.sharding.pool.PooledEngine`, sharing
-    its :class:`~repro.sharding.pool.WarmPoolLifecycle` run driver and so
-    the exact same lifecycle rules: a dead host closes the pool and the next
-    run reconnects (respawning auto-spawned hosts), and a rule-graph change
-    that moves any peer restarts the pool over the fresh partition.
-    """
-
-    name = "socket-pooled"
-
-    def __init__(self, planner: ShardPlanner | None = None):
-        super().__init__(planner)
-        self._pool: SocketPool | None = None
-
-    @property
-    def pool(self) -> SocketPool | None:
-        """The live pool, or None before the first run / after close()."""
-        return self._pool
-
-    def close(self) -> None:
-        """Shut the pool and any auto-spawned hosts down (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-        super().close()
-
-    def _spawn_pool(self, system: P2PSystem, transport: SocketTransport) -> SocketPool:
-        # The injector is passed at spawn time (not only attached afterwards
-        # by WarmPoolLifecycle) so an unhealed partition already gates the
-        # world-shipping sends of a cold re-spawn.
-        return SocketPool.spawn(
-            system,
-            transport.plan,
-            self._hosts_for(transport),
-            max_frame=transport.max_frame,
-            injector=injector_of(system),
-        )

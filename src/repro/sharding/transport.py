@@ -67,6 +67,8 @@ class _Shard:
 class ShardedTransport(BaseTransport):
     """K per-shard event queues joined by inter-shard mailboxes."""
 
+    kind = "sharded"
+
     def __init__(
         self,
         shard_count: int = 2,

@@ -24,7 +24,7 @@ from repro.api import Session
 from repro.errors import NetworkError
 from repro.faults import FaultPlan, FaultSpec
 
-# Every process-backed engine (they share MultiprocEngine's retry loop, so
+# Every process-backed transport name (one ProcessEngine drives them all, so
 # each must honour the same converge-or-raise contract).
 ENGINES = ("multiproc", "pooled", "socket")
 

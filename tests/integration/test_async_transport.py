@@ -2,6 +2,7 @@
 
 import asyncio
 
+from repro.api import Session
 from repro.core.fixpoint import ground_part
 from repro.core.superpeer import SuperPeer
 from repro.core.system import P2PSystem
@@ -22,15 +23,15 @@ class TestAsyncUpdate:
                 transport="async", propagation="once",
                 latency=UniformLatency(0.2, 2.0, seed=11),
             )
-            await system.run_discovery_async(origins=["A"])
-            await system.run_global_update_async()
+            await Session(system).run_async("discovery", origins=["A"])
+            await Session(system).run_async("update")
             return system.databases()
 
         async_result = run(async_run())
 
         sync_system = build_paper_example(propagation="once")
         SuperPeer(sync_system, "A").run_discovery()
-        sync_system.run_global_update()
+        Session(sync_system).run("update")
 
         assert ground_part(async_result) == ground_part(sync_system.databases())
 
@@ -50,7 +51,7 @@ class TestAsyncUpdate:
                 transport="async",
                 latency=UniformLatency(0.1, 1.0, seed=3),
             )
-            snapshot = await system.run_global_update_async()
+            snapshot = (await Session(system).run_async("update")).stats
             return system, snapshot
 
         system, snapshot = run(scenario())
@@ -60,7 +61,7 @@ class TestAsyncUpdate:
     def test_async_discovery_populates_paths(self):
         async def scenario():
             system = build_paper_example(transport="async", with_data=False)
-            await system.run_discovery_async(origins=["A"])
+            await Session(system).run_async("discovery", origins=["A"])
             return {"".join(p) for p in system.node("A").state.maximal_paths()}
 
         assert run(scenario()) == {"ABE", "ABCA", "ABCB", "ABCDA"}
@@ -68,7 +69,7 @@ class TestAsyncUpdate:
     def test_async_statistics_recorded(self):
         async def scenario():
             system = build_paper_example(transport="async")
-            await system.run_global_update_async()
+            await Session(system).run_async("update")
             return system.snapshot_stats()
 
         snapshot = run(scenario())

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import Session
 from repro.coordination.rule import rule_from_text
 from repro.core.dynamics import (
     AddLink,
@@ -72,7 +73,7 @@ class TestApplyingChanges:
     def test_add_link_during_quiescence_triggers_import(self):
         schemas, rules, data = chain_setup()
         system = P2PSystem.build(schemas, rules, data)
-        system.run_global_update()
+        Session(system).run("update")
         # New rule: a also imports directly from c.
         new_rule = rule_from_text("ac", "c: item(X, Y) -> a: item(Y, X)")
         apply_change_operation(system, AddLink(new_rule))
@@ -82,7 +83,7 @@ class TestApplyingChanges:
     def test_delete_link_keeps_already_imported_data(self):
         schemas, rules, data = chain_setup()
         system = P2PSystem.build(schemas, rules, data)
-        system.run_global_update()
+        Session(system).run("update")
         apply_change_operation(system, DeleteLink("a", "b", "ab"))
         system.transport.run()
         # Data imported through the deleted rule stays (Definition 9 allows it).

@@ -2,7 +2,7 @@
 
 The acceptance bar of the multiproc subsystem mirrors the sharded one:
 whatever the partitioning and however the OS schedules the shard workers,
-``MultiprocEngine`` must drive the update protocol to the same per-node
+the ``multiproc`` ``ProcessEngine`` must drive the update protocol to the same per-node
 ground state as ``SyncEngine`` on the paper's three topology families and
 the Section 2 example, at K=1 (one worker process) and K=4 (real
 cross-process traffic).  The cross-shard counters must also stay consistent

@@ -1,5 +1,6 @@
 """Integration tests on the paper's Section 2 running example (E1/E2)."""
 
+from repro.api import Session
 from repro.core.fixpoint import (
     all_nodes_closed,
     satisfies_all_rules,
@@ -38,7 +39,7 @@ class TestDiscoveryOnExample:
         assert paths == {"ABE", "ABCA", "ABCB", "ABCDA"}
 
     def test_discovery_from_all_origins_gives_each_node_its_paths(self, paper_system):
-        paper_system.run_discovery(origins=sorted(paper_system.nodes))
+        Session(paper_system).run("discovery", origins=sorted(paper_system.nodes))
         graph = paper_system.dependency_graph()
         for node_id, node in paper_system.nodes.items():
             expected = set(graph.maximal_dependency_paths(node_id))
@@ -102,7 +103,7 @@ class TestUpdateOnExample:
         before = updated_paper_system.databases()
         for node in updated_paper_system.nodes.values():
             node.state.reset_update()
-        updated_paper_system.run_global_update()
+        Session(updated_paper_system).run("update")
         assert updated_paper_system.databases() == before
 
     def test_per_path_policy_reaches_same_fixpoint(self):
@@ -110,7 +111,7 @@ class TestUpdateOnExample:
         per_path = build_paper_example(propagation="per_path")
         for system in (once, per_path):
             SuperPeer(system, "A").run_discovery()
-            system.run_global_update()
+            Session(system).run("update")
         assert once.databases() == per_path.databases()
 
     def test_per_path_policy_sends_more_messages(self):
@@ -118,7 +119,7 @@ class TestUpdateOnExample:
         per_path = build_paper_example(propagation="per_path")
         for system in (once, per_path):
             SuperPeer(system, "A").run_discovery()
-            system.run_global_update()
+            Session(system).run("update")
         assert (
             per_path.snapshot_stats().total_messages
             > once.snapshot_stats().total_messages
@@ -131,7 +132,7 @@ class TestUpdateOnExample:
     def test_query_dependent_update_only_touches_dependency_closure(self, paper_system):
         # Start the update only at D: its closure is the whole example except
         # nothing flows INTO E, so E's database must stay untouched.
-        paper_system.run_global_update(origins=["D"])
+        Session(paper_system).run("update", origins=["D"])
         e_rows = paper_system.node("E").database.relation("e").rows()
         assert e_rows == frozenset({("s", "t"), ("t", "z")})
         d_rows = paper_system.node("D").database.relation("d").rows()

@@ -3,7 +3,7 @@
 The pooled engine's acceptance bar extends the multiproc one: whatever the
 partitioning, however many runs share the warm workers, and whatever changes
 between those runs (new facts, ``addLink``, ``deleteLink``), the
-:class:`~repro.sharding.pool.PooledEngine` must keep every run's final
+``pooled`` :class:`~repro.sharding.process.ProcessEngine` must keep every run's final
 per-node ground state identical to a :class:`~repro.api.engine.SyncEngine`
 session executing the *same sequence* on the paper's three topology
 families and the Section 2 example, at K=1 (one persistent worker) and K=4

@@ -5,8 +5,8 @@ whatever the partitioning (K=1 and K=4), however the shards are spread over
 the hosts (two hosts, so K=4 co-hosts two workers per host *and* routes real
 cross-host traffic through the coordinator), and whatever changes between
 runs (new facts, ``addLink``, ``deleteLink``), both
-:class:`~repro.sharding.sockets.SocketEngine` (one-shot) and
-:class:`~repro.sharding.sockets.PooledSocketEngine` (warm) must keep every
+the ``socket`` (one-shot) and ``socket-pooled`` (warm)
+:class:`~repro.sharding.process.ProcessEngine` must keep every
 run's final per-node ground state identical to a
 :class:`~repro.api.engine.SyncEngine` session executing the same sequence on
 the paper's three topology families and the Section 2 example.

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import Session, SyncEngine
 from repro.coordination.rule import rule_from_text
 from repro.core.superpeer import SuperPeer
 from repro.core.system import P2PSystem
@@ -67,10 +68,11 @@ class TestSystemAssembly:
 
     def test_sync_methods_require_sync_transport(self):
         system = build_paper_example(transport="async")
+        session = Session(system, engine=SyncEngine())
         with pytest.raises(ReproError):
-            system.run_discovery()
+            session.run("discovery")
         with pytest.raises(ReproError):
-            system.run_global_update()
+            session.run("update")
 
     def test_dependency_graph_includes_isolated_nodes(self):
         system = P2PSystem.build(

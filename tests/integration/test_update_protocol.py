@@ -5,6 +5,7 @@ import time
 import pytest
 
 from repro.analysis import analyze_parts, is_weakly_acyclic
+from repro.api import Session
 from repro.baselines.centralized import centralized_update
 from repro.coordination.rule import rule_from_text
 from repro.core.fixpoint import (
@@ -27,18 +28,18 @@ def item_schemas(*names):
 
 class TestChainPropagation:
     def test_data_reaches_the_root(self, chain_system):
-        chain_system.run_global_update()
+        Session(chain_system).run("update")
         assert chain_system.node("a").database.relation("item").rows() == {
             ("1", "2"),
             ("3", "4"),
         }
 
     def test_all_nodes_close(self, chain_system):
-        chain_system.run_global_update()
+        Session(chain_system).run("update")
         assert all_nodes_closed(chain_system)
 
     def test_message_counts_are_bounded(self, chain_system):
-        chain_system.run_global_update()
+        Session(chain_system).run("update")
         stats = chain_system.snapshot_stats()
         # 2 rules, each needs at least one query+answer; pushes and re-pull
         # rounds stay within a small constant factor.
@@ -46,7 +47,7 @@ class TestChainPropagation:
         assert stats.total_messages <= 40
 
     def test_leaf_node_unchanged(self, chain_system):
-        chain_system.run_global_update()
+        Session(chain_system).run("update")
         assert chain_system.node("c").database.relation("item").rows() == {
             ("1", "2"),
             ("3", "4"),
@@ -65,19 +66,19 @@ class TestCyclicTwoNodeNetwork:
 
     def test_both_nodes_get_both_facts(self):
         system, schemas, rules, data = self.build()
-        system.run_global_update()
+        Session(system).run("update")
         expected = {("a1", "a2"), ("b1", "b2")}
         assert system.node("a").database.relation("item").rows() == expected
         assert system.node("b").database.relation("item").rows() == expected
 
     def test_cycle_terminates_and_closes(self):
         system, *_ = self.build()
-        system.run_global_update()
+        Session(system).run("update")
         assert all_nodes_closed(system)
 
     def test_matches_centralized(self):
         system, schemas, rules, data = self.build()
-        system.run_global_update()
+        Session(system).run("update")
         assert verify_against_centralized(system, schemas, rules, data).ok
 
 
@@ -99,7 +100,7 @@ class TestMultiSourceRule:
 
     def test_cross_peer_join(self):
         system, *_ = self.build()
-        system.run_global_update()
+        Session(system).run("update")
         assert system.node("a").database.relation("joined").rows() == {
             ("1", "9"),
             ("1", "8"),
@@ -107,7 +108,7 @@ class TestMultiSourceRule:
 
     def test_matches_centralized(self):
         system, schemas, rules, data = self.build()
-        system.run_global_update()
+        Session(system).run("update")
         assert verify_against_centralized(system, schemas, rules, data).ok
 
     def test_join_fragments_requires_all_sources(self):
@@ -129,7 +130,7 @@ class TestExistentialRules:
         rules = [rule_from_text("r", "b: author(X) -> a: person(X, O)")]
         data = {"b": {"author": [("ada",), ("bob",)]}}
         system = P2PSystem.build(schemas, rules, data)
-        system.run_global_update()
+        Session(system).run("update")
         rows = system.node("a").database.relation("person").rows()
         assert len(rows) == 2
         assert all(is_null(org) for _name, org in rows)
@@ -156,7 +157,7 @@ class TestExistentialRules:
         ]
         data = {"a": {"item": [("x0", "x1")]}}
         system = P2PSystem.build(schemas, rules, data)
-        system.run_global_update()
+        Session(system).run("update")
         assert all_nodes_closed(system)
         # Ground part matches the centralized chase with the same check.
         reference = centralized_update(schemas, rules, data).snapshot()
@@ -194,7 +195,7 @@ class TestExistentialRules:
         assert analyze_parts(schemas, rules).ok
         data = {"a": {"item": [("x0", "x1"), ("y0", "y1")]}}
         system = P2PSystem.build(schemas, rules, data)
-        system.run_global_update()
+        Session(system).run("update")
         assert all_nodes_closed(system)
         b_rows = system.node("b").database.relation("item").rows()
         assert {row[0] for row in b_rows} == {"x0", "y0"}
@@ -209,7 +210,7 @@ class TestBuiltinsInRules:
         rules = [rule_from_text("r", "b: item(X, Y), X != Y -> a: item(X, Y)")]
         data = {"b": {"item": [("1", "1"), ("1", "2")]}}
         system = P2PSystem.build(schemas, rules, data)
-        system.run_global_update()
+        Session(system).run("update")
         assert system.node("a").database.relation("item").rows() == {("1", "2")}
 
     def test_ordering_builtin(self):
@@ -220,7 +221,7 @@ class TestBuiltinsInRules:
         rules = [rule_from_text("r", "b: pub(K, Y), Y >= 2000 -> a: recent(K, Y)")]
         data = {"b": {"pub": [("p1", 1998), ("p2", 2003)]}}
         system = P2PSystem.build(schemas, rules, data)
-        system.run_global_update()
+        Session(system).run("update")
         assert system.node("a").database.relation("recent").rows() == {("p2", 2003)}
 
 
@@ -230,7 +231,7 @@ class TestNodesWithoutRules:
         rules = [rule_from_text("ab", "b: item(X, Y) -> a: item(X, Y)")]
         data = {"b": {"item": [("1", "2")]}, "lonely": {"item": [("9", "9")]}}
         system = P2PSystem.build(schemas, rules, data)
-        system.run_global_update()
+        Session(system).run("update")
         assert system.node("lonely").is_update_closed
         assert system.node("lonely").database.relation("item").rows() == {("9", "9")}
 
@@ -245,5 +246,5 @@ class TestNodesWithoutRules:
             ],
             {"c": {"item": [("1", "2")]}},
         )
-        system.run_global_update()
+        Session(system).run("update")
         assert system.node("a").database.relation("item").rows() == {("1", "2")}

@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Session
 from repro.coordination.rule import CoordinationRule
 from repro.core.dynamics import (
     NetworkChange,
@@ -84,7 +85,7 @@ class TestTheorem2Properties:
     def test_empty_change_envelopes_coincide_with_fixpoint(self, edges, data):
         schemas, rules, initial = build_system(edges, data)
         system = P2PSystem.build(schemas, rules, initial)
-        system.run_global_update()
+        Session(system).run("update")
         change = NetworkChange()
         measured = system.databases()
         upper = sound_envelope(schemas, rules, change, initial)

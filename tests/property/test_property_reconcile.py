@@ -21,6 +21,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Session
 from repro.coordination.changeset import ChangeSet
 from repro.core.system import P2PSystem
 from repro.database.schema import DatabaseSchema, RelationSchema
@@ -141,7 +142,7 @@ class _SystemSession:
         self.system = system
 
     def update(self):
-        self.system.run_global_update()
+        Session(self.system).run("update")
 
 
 class TestReconcile:

@@ -10,6 +10,7 @@ closed under every coordination rule.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Session
 from repro.baselines.centralized import centralized_update
 from repro.coordination.rule import CoordinationRule
 from repro.core.fixpoint import all_nodes_closed, ground_part, satisfies_all_rules
@@ -53,7 +54,7 @@ class TestDistributedMatchesCentralized:
     def test_copy_networks_reach_the_centralized_fixpoint(self, edges, data):
         schemas, rules, initial = build_setup(edges, data)
         system = P2PSystem.build(schemas, rules, initial)
-        system.run_global_update()
+        Session(system).run("update")
 
         reference = centralized_update(schemas, rules, initial).snapshot()
         assert ground_part(system.databases()) == ground_part(reference)
@@ -65,7 +66,7 @@ class TestDistributedMatchesCentralized:
     def test_per_path_policy_reaches_the_same_fixpoint(self, edges, data):
         schemas, rules, initial = build_setup(edges, data)
         system = P2PSystem.build(schemas, rules, initial, propagation="per_path")
-        system.run_global_update()
+        Session(system).run("update")
         reference = centralized_update(schemas, rules, initial).snapshot()
         assert ground_part(system.databases()) == ground_part(reference)
 
@@ -74,11 +75,11 @@ class TestDistributedMatchesCentralized:
     def test_update_is_idempotent(self, edges, data):
         schemas, rules, initial = build_setup(edges, data)
         system = P2PSystem.build(schemas, rules, initial)
-        system.run_global_update()
+        Session(system).run("update")
         snapshot_after_first = system.databases()
         for node in system.nodes.values():
             node.state.reset_update()
-        system.run_global_update()
+        Session(system).run("update")
         assert system.databases() == snapshot_after_first
 
     @given(edges=edges_strategy, data=data_strategy)
@@ -86,7 +87,7 @@ class TestDistributedMatchesCentralized:
     def test_every_node_keeps_its_initial_data(self, edges, data):
         schemas, rules, initial = build_setup(edges, data)
         system = P2PSystem.build(schemas, rules, initial)
-        system.run_global_update()
+        Session(system).run("update")
         for name, node_rows in data.items():
             assert set(node_rows) <= system.node(name).database.relation("item").rows()
 
@@ -113,7 +114,7 @@ class TestTransformingRules:
             name: {"item": sorted(node_rows)} for name, node_rows in data.items()
         }
         system = P2PSystem.build(schemas, rules, initial)
-        system.run_global_update()
+        Session(system).run("update")
         reference = centralized_update(schemas, rules, initial).snapshot()
         assert ground_part(system.databases()) == ground_part(reference)
         assert all_nodes_closed(system)

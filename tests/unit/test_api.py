@@ -194,12 +194,6 @@ class TestSystemSubstrate:
         with pytest.raises(ReproError, match="ghost"):
             system.load_data({"ghost": {"item": [("1", "2")]}})
 
-    def test_deprecated_shims_still_work_and_warn(self):
-        system = small_builder().build().build_system()
-        with pytest.warns(DeprecationWarning):
-            completion = system.run_discovery()
-        assert completion > 0
-
 
 class TestCliStrategyFlag:
     def test_strategy_flag_accepts_registered_names(self):

@@ -16,7 +16,7 @@ from repro.coordination.changeset import (
     structural_digest,
 )
 from repro.coordination.rule import rule_from_text
-from repro.sharding.multiproc import _worlds_from_system
+from repro.sharding.worker import _worlds_from_system
 from repro.sharding.planner import ShardPlanner
 from repro.sharding.pool import SyncDelta, WorldMirror
 from repro.workloads.scenarios import (

@@ -1,5 +1,6 @@
 """Unit tests for the topology-discovery protocol (algorithms A1-A3)."""
 
+from repro.api import Session
 from repro.coordination.rule import rule_from_text
 from repro.core.state import DiscoveryState
 from repro.core.system import P2PSystem
@@ -49,7 +50,7 @@ class TestRequestAndAnswerFlow:
             ["b: item(X, Y) -> a: item(X, Y)", "c: item(X, Y) -> b: item(X, Y)"],
             ["a", "b", "c"],
         )
-        system.run_discovery(origins=["a"])
+        Session(system).run("discovery", origins=["a"])
         state_a = system.node("a").state
         assert state_a.edges == {("a", "b"), ("b", "c")}
         assert state_a.state_d == DiscoveryState.CLOSED
@@ -60,7 +61,7 @@ class TestRequestAndAnswerFlow:
             ["b: item(X, Y) -> a: item(X, Y)", "c: item(X, Y) -> b: item(X, Y)"],
             ["a", "b", "c"],
         )
-        system.run_discovery(origins=["a"])
+        Session(system).run("discovery", origins=["a"])
         # b depends on c only; it must not record the a->b edge as outgoing
         # knowledge relevant to its own paths.
         assert system.node("b").state.maximal_paths() == [("b", "c")]
@@ -70,7 +71,7 @@ class TestRequestAndAnswerFlow:
             ["b: item(X, Y) -> a: item(X, Y)", "a: item(X, Y) -> b: item(X, Y)"],
             ["a", "b"],
         )
-        system.run_discovery(origins=["a"])
+        Session(system).run("discovery", origins=["a"])
         state_a = system.node("a").state
         assert state_a.state_d == DiscoveryState.CLOSED
         assert state_a.edges == {("a", "b"), ("b", "a")}
@@ -81,9 +82,9 @@ class TestRequestAndAnswerFlow:
             ["b: item(X, Y) -> a: item(X, Y)", "c: item(X, Y) -> b: item(X, Y)"],
             ["a", "b", "c"],
         )
-        system.run_discovery(origins=["a"])
+        Session(system).run("discovery", origins=["a"])
         first_messages = system.snapshot_stats().total_messages
-        system.run_discovery(origins=["b"])
+        Session(system).run("discovery", origins=["b"])
         second_messages = system.snapshot_stats().total_messages - first_messages
         assert second_messages <= first_messages
         assert system.node("b").state.maximal_paths() == [("b", "c")]
@@ -115,7 +116,7 @@ class TestFinalizePaths:
     def test_finalize_is_cached_until_edges_change(self):
         system = build(["b: item(X, Y) -> a: item(X, Y)"], ["a", "b"])
         node = system.node("a")
-        system.run_discovery(origins=["a"])
+        Session(system).run("discovery", origins=["a"])
         first = node.state.maximal_paths()
         node.discovery.finalize_paths()  # cached: no change
         assert node.state.maximal_paths() == first

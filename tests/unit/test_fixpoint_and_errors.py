@@ -3,6 +3,7 @@
 import pytest
 
 from repro import errors
+from repro.api import Session
 from repro.core.fixpoint import (
     all_nodes_closed,
     ground_part,
@@ -51,7 +52,7 @@ class TestFixpointChecks:
     def test_updated_system_is_at_fixpoint(self):
         schemas, rules, data = chain()
         system = P2PSystem.build(schemas, rules, data)
-        system.run_global_update()
+        Session(system).run("update")
         assert satisfies_all_rules(system)
         assert all_nodes_closed(system)
 
@@ -75,7 +76,7 @@ class TestFixpointChecks:
     def test_verification_report_ok_after_update(self):
         schemas, rules, data = chain()
         system = P2PSystem.build(schemas, rules, data)
-        system.run_global_update()
+        Session(system).run("update")
         report = verify_against_centralized(system, schemas, rules, data)
         assert report.ok
         assert report.missing == {} and report.extra == {}
@@ -83,7 +84,7 @@ class TestFixpointChecks:
     def test_verification_report_flags_extra_data(self):
         schemas, rules, data = chain()
         system = P2PSystem.build(schemas, rules, data)
-        system.run_global_update()
+        Session(system).run("update")
         system.node("a").database.insert("item", ("99", "99"))
         report = verify_against_centralized(system, schemas, rules, data)
         assert not report.ground_equal

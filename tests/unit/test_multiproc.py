@@ -13,8 +13,8 @@ from repro.api.engine import engine_for
 from repro.core.system import P2PSystem
 from repro.errors import NetworkError, ReproError
 from repro.network.message import Message, MessageType
-from repro.sharding import MultiprocEngine, MultiprocTransport, ShardPlan
-from repro.sharding.multiproc import ShardWorld, _WorkerTransport, _worlds_from_system
+from repro.sharding import ProcessEngine, ProcessTransport, ShardPlan
+from repro.sharding.worker import ShardWorld, _WorkerTransport, _worlds_from_system
 from repro.database.schema import DatabaseSchema, RelationSchema
 from repro.coordination.rule import rule_from_text
 
@@ -35,20 +35,20 @@ class _ListQueue:
         self.items.append(item)
 
 
-class TestMultiprocTransport:
+class TestProcessTransport:
     def test_engine_for_picks_multiproc_engine(self):
-        transport = MultiprocTransport(shard_count=2)
-        assert isinstance(engine_for(transport), MultiprocEngine)
+        transport = ProcessTransport(shard_count=2)
+        assert engine_for(transport).name == "multiproc"
 
     def test_system_build_knows_the_multiproc_kind(self):
         system = P2PSystem.build(
             _item_schemas("a", "b"), transport="multiproc", shards=3
         )
-        assert isinstance(system.transport, MultiprocTransport)
+        assert (system.transport.kind, system.transport.pool) == ("multiproc", False)
         assert system.transport.shard_count == 3
 
     def test_send_is_refused_on_the_coordinator(self):
-        transport = MultiprocTransport(shard_count=2)
+        transport = ProcessTransport(shard_count=2)
         transport.register("a", lambda message: None)
         with pytest.raises(NetworkError):
             transport.send(
@@ -56,14 +56,14 @@ class TestMultiprocTransport:
             )
 
     def test_plan_must_cover_registered_peers(self):
-        transport = MultiprocTransport(shard_count=2)
+        transport = ProcessTransport(shard_count=2)
         transport.register("a", lambda message: None)
         transport.register("b", lambda message: None)
         with pytest.raises(NetworkError):
             transport.apply_plan(ShardPlan(shard_count=2, shard_of={"a": 0}))
 
     def test_plan_with_too_many_shards_raises(self):
-        transport = MultiprocTransport(shard_count=1)
+        transport = ProcessTransport(shard_count=1)
         with pytest.raises(NetworkError):
             transport.apply_plan(
                 ShardPlan(shard_count=2, shard_of={"a": 0, "b": 1})
@@ -71,15 +71,15 @@ class TestMultiprocTransport:
 
     def test_at_least_one_shard_required(self):
         with pytest.raises(NetworkError):
-            MultiprocTransport(shard_count=0)
+            ProcessTransport(shard_count=0)
 
     def test_shard_of_requires_a_plan(self):
-        transport = MultiprocTransport(shard_count=2)
+        transport = ProcessTransport(shard_count=2)
         with pytest.raises(NetworkError):
             transport.shard_of("a")
 
     def test_record_run_accumulates_counters(self):
-        transport = MultiprocTransport(shard_count=2)
+        transport = ProcessTransport(shard_count=2)
         transport.record_run({0: 10, 1: 5}, cross_shard=3)
         transport.record_run({0: 2}, cross_shard=1)
         assert transport.delivered_count == 17
@@ -89,14 +89,14 @@ class TestMultiprocTransport:
 
     def test_engine_rejects_other_transports(self, chain_system):
         with pytest.raises(ReproError):
-            MultiprocEngine().run(chain_system, "update")
+            ProcessEngine().run(chain_system, "update")
 
     def test_engine_rejects_unknown_phase(self):
         system = P2PSystem.build(
             _item_schemas("a"), transport="multiproc", shards=1
         )
         with pytest.raises(ReproError):
-            MultiprocEngine().run(system, "gossip")
+            ProcessEngine().run(system, "gossip")
 
 
 class TestWorkerTransport:

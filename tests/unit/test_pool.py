@@ -15,12 +15,8 @@ from repro.coordination.rule import rule_from_text
 from repro.database.schema import RelationSchema
 from repro.errors import NetworkError, ReproError
 from repro.sharding.planner import ShardPlan, ShardPlanner
-from repro.sharding.pool import (
-    PooledEngine,
-    PooledTransport,
-    compute_sync_delta,
-    rules_fingerprint,
-)
+from repro.coordination.changeset import rules_fingerprint
+from repro.sharding.pool import compute_sync_delta
 from repro.workloads.topologies import tree_topology
 
 RULE = "r1: b: item(X, Y) -> a: item(X, Y)"
@@ -42,7 +38,7 @@ def small_system(transport="sync", **kwargs):
 
 def mirror_of(system):
     """The (rules, facts) mirror a freshly-spawned pool would hold."""
-    return rules_fingerprint(system), {
+    return rules_fingerprint(system.registry), {
         node_id: dict(node.database.facts())
         for node_id, node in system.nodes.items()
     }
@@ -115,20 +111,18 @@ class TestComputeSyncDelta:
 class TestWiring:
     def test_build_pooled_transport_by_kind(self):
         system = small_system(transport="pooled", shards=2)
-        assert isinstance(system.transport, PooledTransport)
-        assert isinstance(engine_for(system.transport), PooledEngine)
+        assert (system.transport.kind, system.transport.pool) == ("multiproc", True)
+        assert engine_for(system.transport).name == "pooled"
 
     def test_multiproc_with_pool_flag_builds_pooled_transport(self):
         system = small_system(transport="multiproc", shards=2, pool=True)
-        assert isinstance(system.transport, PooledTransport)
+        assert (system.transport.kind, system.transport.pool) == ("multiproc", True)
 
     def test_multiproc_without_pool_flag_stays_cold(self):
-        from repro.sharding.multiproc import MultiprocEngine
-
         system = small_system(transport="multiproc", shards=2)
-        assert not isinstance(system.transport, PooledTransport)
+        assert system.transport.pool is False
         engine = engine_for(system.transport)
-        assert type(engine) is MultiprocEngine
+        assert engine.name == "multiproc"
 
     def test_spec_pool_flag_round_trips_and_builds_pooled(self):
         spec = ScenarioSpec.of(
@@ -143,7 +137,7 @@ class TestWiring:
         )
         loaded = ScenarioSpec.load_json(spec.dump_json())
         assert loaded.pool is True
-        assert isinstance(loaded.build_system().transport, PooledTransport)
+        assert loaded.build_system().transport.pool is True
 
     def test_spec_rejects_pool_on_unpartitioned_transports(self):
         spec = ScenarioSpec.of(

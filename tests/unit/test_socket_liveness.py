@@ -3,9 +3,9 @@
 The parity suites exercise these only incidentally (and only on the happy
 path); here each failure mode is pinned on its own: partial reads across
 fragmented frames, clean closes vs mid-frame closes, the oversize-frame
-bound, the idle-timeout distinction, and the little adapters
-(:class:`_ShardLiveness`, :class:`_PingChannel`) that present a host link
-through the worker-liveness protocol the await loops poll.
+bound, the idle-timeout distinction, and the socket
+:class:`~repro.sharding.pool.Channel` (:class:`HostChannel`) that presents a
+host link plus a shard id through the liveness surface the await loops poll.
 """
 
 import socket
@@ -18,11 +18,10 @@ from repro.errors import NetworkError
 from repro.faults import NULL_INJECTOR
 from repro.sharding.sockets import (
     ConnectionClosed,
+    HostChannel,
     _FrameWriter,
     _IdleTimeout,
-    _PingChannel,
     _recv_exact,
-    _ShardLiveness,
     parse_address,
     recv_frame,
 )
@@ -123,7 +122,7 @@ class TestRecvFrame:
 
 
 class FakeLink:
-    """The link surface the liveness/ping adapters read."""
+    """The link surface the socket channel reads."""
 
     def __init__(self, address="h:9101"):
         self.address = address
@@ -136,28 +135,26 @@ class FakeLink:
         self.sent.append(obj)
 
 
-class TestShardLiveness:
+class TestHostChannel:
     def test_mirrors_the_link_state(self):
         link = FakeLink()
-        liveness = _ShardLiveness(link)
-        assert liveness.is_alive() is True
+        channel = HostChannel(link, shard=0)
+        assert channel.alive is True
         link.alive = False
-        assert liveness.is_alive() is False
+        assert channel.alive is False
 
-    def test_exitcode_prefers_the_recorded_reason(self):
+    def test_reason_prefers_the_recorded_one(self):
         link = FakeLink(address="far:1")
-        liveness = _ShardLiveness(link)
-        assert "far:1" in liveness.exitcode  # no reason yet: generic loss
+        channel = HostChannel(link, shard=0)
+        assert "far:1" in channel.reason  # no reason yet: generic loss
         link.exitcode = "malformed frame"
-        assert liveness.exitcode == "malformed frame"
+        assert channel.reason == "malformed frame"
 
-
-class TestPingChannel:
-    def test_put_reshapes_the_inbox_tuple_into_a_ping_frame(self):
+    def test_put_frames_the_command_with_its_shard_id(self):
         link = FakeLink()
-        channel = _PingChannel(link, shard=3)
+        channel = HostChannel(link, shard=3)
         channel.put(("ping", 17))
-        assert link.sent == [("ping", 17, 3)]
+        assert link.sent == [("to", 3, ("ping", 17))]
 
 
 class TestParseAddress:

@@ -19,14 +19,11 @@ from repro.api.spec import NetworkBuilder
 from repro.core.system import P2PSystem
 from repro.database.schema import RelationSchema
 from repro.errors import NetworkError, ReproError
+from repro.sharding.process import ProcessEngine, ProcessTransport
 from repro.sharding.sockets import (
     ConnectionClosed,
     LocalHostCluster,
-    PooledSocketEngine,
-    PooledSocketTransport,
     ShardHost,
-    SocketEngine,
-    SocketTransport,
     _FrameWriter,
     parse_address,
     recv_frame,
@@ -145,7 +142,7 @@ class TestShardHost:
             with socket.create_connection(host.address, timeout=5.0) as conn:
                 writer = _FrameWriter(conn, host.max_frame)
                 writer.send(("worlds", 1, []))
-                writer.send(("ping", 1, 0))
+                writer.send(("to", 0, ("ping", 1)))
                 kind, shard, _message = recv_frame(conn)
                 assert (kind, shard) == ("error", 0)
 
@@ -213,12 +210,11 @@ class TestWiring:
             hosts=["h1:9101", "h2:9102", "h3:9103"],
         )
         transport = system.transport
-        assert isinstance(transport, SocketTransport)
-        assert not isinstance(transport, PooledSocketTransport)
+        assert (transport.kind, transport.pool) == ("socket", False)
         assert transport.hosts == ("h1:9101", "h2:9102", "h3:9103")
         # One shard per host unless told otherwise.
         assert transport.shard_count == 3
-        assert isinstance(engine_for(transport), SocketEngine)
+        assert engine_for(transport).name == "socket"
 
     def test_pool_flag_selects_the_pooled_socket_engine(self):
         system = P2PSystem.build(
@@ -227,8 +223,8 @@ class TestWiring:
             pool=True,
             shards=2,
         )
-        assert isinstance(system.transport, PooledSocketTransport)
-        assert isinstance(engine_for(system.transport), PooledSocketEngine)
+        assert (system.transport.kind, system.transport.pool) == ("socket", True)
+        assert engine_for(system.transport).name == "socket-pooled"
 
     def test_bad_host_address_fails_at_build_time(self):
         with pytest.raises(ReproError, match="expected 'HOST:PORT'"):
@@ -285,14 +281,14 @@ class TestWiring:
         system = P2PSystem.build(
             {"a": [RelationSchema("item", ["x", "y"])]}, transport="multiproc"
         )
-        with pytest.raises(ReproError, match="needs a SocketTransport"):
-            SocketEngine().run(system, "update")
+        with pytest.raises(ReproError, match="needs a 'socket' ProcessTransport"):
+            ProcessEngine("socket").run(system, "update")
 
     def test_duplicate_host_addresses_are_rejected_at_build_time(self):
         # A host serves one coordinator connection at a time; a duplicate
         # entry would stall in its listen backlog until the worker timeout.
         with pytest.raises(NetworkError, match="duplicate"):
-            SocketTransport(hosts=["h1:9101", "h2:9101", "h1:9101"])
+            ProcessTransport("socket", hosts=["h1:9101", "h2:9101", "h1:9101"])
 
 
 class TestHostDeath:
@@ -332,20 +328,20 @@ class TestHostDeath:
         # host runs in-process (worker threads share this interpreter), so
         # bloating the worker payload helper makes the collect reply blow
         # the frame bound while every control frame still fits.
-        import repro.sharding.pool as pool_module
+        import repro.sharding.worker as worker_module
         from repro.coordination.rule import rule_from_text
-        from repro.sharding.multiproc import _worlds_from_system
+        from repro.sharding.worker import _worlds_from_system
         from repro.sharding.planner import ShardPlanner
         from repro.sharding.sockets import SocketPool
 
-        original = pool_module._worker_payload
+        original = worker_module._worker_payload
 
         def bloated(*args, **kwargs):
             payload = original(*args, **kwargs)
             payload["ballast"] = "x" * (1 << 20)
             return payload
 
-        monkeypatch.setattr(pool_module, "_worker_payload", bloated)
+        monkeypatch.setattr(worker_module, "_worker_payload", bloated)
 
         system = P2PSystem.build(
             {

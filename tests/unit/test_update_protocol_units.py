@@ -1,5 +1,6 @@
 """Unit tests for the update protocol internals: rounds, pushes, fragments."""
 
+from repro.api import Session
 from repro.coordination.rule import rule_from_text
 from repro.core.state import UpdateState
 from repro.core.system import P2PSystem
@@ -170,7 +171,7 @@ class TestQueryHandling:
 class TestPushSuppression:
     def test_unchanged_fragment_is_not_pushed_twice(self):
         system = chain_system()
-        system.run_global_update()
+        Session(system).run("update")
         node_b = system.node("b")
         messages_before = system.snapshot_stats().total_messages
         # Force another push round: nothing changed, so nothing is sent.
@@ -180,7 +181,7 @@ class TestPushSuppression:
 
     def test_forced_push_bypasses_suppression(self):
         system = chain_system()
-        system.run_global_update()
+        Session(system).run("update")
         node_b = system.node("b")
         node_b.update._push_to_owners(force=True)
         assert system.transport.pending > 0
