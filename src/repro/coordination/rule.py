@@ -16,10 +16,12 @@ its sources) to each body node.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 from repro.database.parser import parse_rule_text
 from repro.database.query import Atom, Comparison, ConjunctiveQuery, Variable
+from repro.database.query import field_state
 from repro.errors import RuleError
 
 NodeId = str
@@ -29,7 +31,13 @@ more readable in examples and traces and work identically."""
 
 @dataclass(frozen=True)
 class CoordinationRule:
-    """A single coordination rule ``body@sources ⇒ head@target``."""
+    """A single coordination rule ``body@sources ⇒ head@target``.
+
+    Immutable, so the queries and variable tuples derived from it are built
+    once per instance (see :class:`~repro.database.query.ConjunctiveQuery`
+    for how the cached values stay out of ``==``, ``hash``, ``repr`` and
+    pickles).
+    """
 
     rule_id: str
     target: NodeId
@@ -65,9 +73,11 @@ class CoordinationRule:
         # Validate built-ins against body variables via the query constructor.
         ConjunctiveQuery(head, [atom for _node, atom in body], comparisons)
 
+    __getstate__ = field_state
+
     # ----------------------------------------------------------------- derived
 
-    @property
+    @cached_property
     def sources(self) -> tuple[NodeId, ...]:
         """The distinct source (body) nodes, in order of first occurrence."""
         seen: list[NodeId] = []
@@ -93,20 +103,30 @@ class CoordinationRule:
             )
         return sources[0]
 
-    @property
+    @cached_property
     def query(self) -> ConjunctiveQuery:
         """The rule seen as a conjunctive query (head ← body)."""
         return ConjunctiveQuery(
             self.head, [atom for _node, atom in self.body], self.comparisons
         )
 
+    @cached_property
+    def derived(self) -> dict:
+        """Where layers keep what they compile from this rule (per-source body
+        queries, :mod:`repro.core.update`'s join plans); same contract as
+        ``ConjunctiveQuery.derived``."""
+        return {}
+
     def body_query_for(self, node: NodeId) -> ConjunctiveQuery:
         """The part of the body located at ``node``, as a body-only query.
 
         This is what the head node sends to a source node when it evaluates a
         multi-source rule by fetching each source's fragment and joining
-        locally.
+        locally.  Built once per node.
         """
+        key = ("body_query", node)
+        if key in self.derived:
+            return self.derived[key]
         atoms = [atom for body_node, atom in self.body if body_node == node]
         if not atoms:
             raise RuleError(f"rule {self.rule_id!r} has no body atom at {node!r}")
@@ -114,9 +134,10 @@ class CoordinationRule:
         comparisons = tuple(
             c for c in self.comparisons if set(c.variables) <= relevant_vars
         )
-        return ConjunctiveQuery(None, atoms, comparisons)
+        query = self.derived[key] = ConjunctiveQuery(None, atoms, comparisons)
+        return query
 
-    @property
+    @cached_property
     def distinguished_variables(self) -> tuple[Variable, ...]:
         """Head variables bound by the body (the exported columns)."""
         return self.query.distinguished_variables

@@ -30,6 +30,7 @@ termination and documented in DESIGN.md:
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING
 
 from repro.coordination.depgraph import DependencyGraph
@@ -45,7 +46,9 @@ class DiscoveryProtocol:
     """The discovery-phase behaviour of one peer node."""
 
     def __init__(self, node: "PeerNode"):
-        self.node = node
+        # The node owns this protocol object; a strong reference back would
+        # make every peer cyclic garbage that only the collector can free.
+        self.node: "PeerNode" = weakref.proxy(node)
         self._finalized_edge_count = -1
 
     # ------------------------------------------------------------------ A1

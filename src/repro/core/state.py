@@ -13,6 +13,10 @@ The paper equips every node with:
 This module holds those structures in dataclasses so the protocol code in
 :mod:`repro.core.discovery` and :mod:`repro.core.update` stays readable and
 the tests can inspect every flag the paper mentions.
+
+One structure is ours, not the paper's: ``fragment_cache``, the fragments a
+peer maintains for its outgoing rules (:class:`MaintainedFragment`); it is
+derived from the local database alone and checks itself against it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.coordination.rule import NodeId
+from repro.coordination.rule import CoordinationRule, NodeId
+from repro.database.relation import Relation
 
 Path = tuple[NodeId, ...]
 Edge = tuple[NodeId, NodeId]
@@ -80,6 +85,24 @@ class OwnerEntry:
 
 
 @dataclass
+class MaintainedFragment:
+    """An outgoing rule's fragment and what it was computed from.
+
+    ``marks`` holds, per body relation at this node (in
+    ``rule.body_relations_at`` order), the ``Relation`` object that was read,
+    its ``removals`` counter and its row count at that moment — ``(None, 0,
+    0)`` for a relation the database did not have.  The entry is valid for as
+    long as the same rule object reads the same relation objects with the
+    same ``removals``; rows counted beyond ``marks`` are then exactly the
+    rows inserted since (:func:`repro.core.update.evaluate_fragment`).
+    """
+
+    rule: CoordinationRule
+    rows: frozenset[tuple]
+    marks: tuple[tuple[Relation | None, int, int], ...]
+
+
+@dataclass
 class NodeState:
     """The complete mutable protocol state of one peer."""
 
@@ -113,18 +136,9 @@ class NodeState:
     pushed_fragments: dict[tuple[str, NodeId], frozenset[tuple]] = field(
         default_factory=dict
     )
-    # -- incremental (delta-driven) update bookkeeping -----------------------
-    # Rows inserted into this node's database since the last naive run, in
-    # insertion order: base-data inserts seeded by a sync plus every row the
-    # incremental chase derived here.  ``fragment_cache`` holds each outgoing
-    # rule's last fully-evaluated fragment and ``fragment_mark`` the log
-    # length it was computed at, so a fragment refresh only has to join the
-    # log suffix (semi-naive) instead of re-evaluating over the whole
-    # database.  All three are cleared by any naive run (see
-    # UpdateProtocol.invalidate_incremental).
-    delta_log: list[tuple[str, tuple]] = field(default_factory=list)
-    fragment_cache: dict[str, frozenset[tuple]] = field(default_factory=dict)
-    fragment_mark: dict[str, int] = field(default_factory=dict)
+    # Each outgoing rule's fragment, maintained across answers, pushes and
+    # runs; entries validate themselves, nothing has to invalidate them.
+    fragment_cache: dict[str, MaintainedFragment] = field(default_factory=dict)
 
     # ------------------------------------------------------------------ reset
 
@@ -153,9 +167,7 @@ class NodeState:
         self.rerun_requested = False
         self.rounds_completed = 0
         self.pushed_fragments.clear()
-        self.delta_log.clear()
         self.fragment_cache.clear()
-        self.fragment_mark.clear()
 
     # ------------------------------------------------------------- inspection
 

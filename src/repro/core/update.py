@@ -46,13 +46,23 @@ node therefore supports two policies (see DESIGN.md):
   owners-push mechanism still delivers every later data change, so the final
   fix-point is identical; only the number of (duplicate) messages differs.
 
+Fragment maintenance
+--------------------
+A4 and A5 answer and push *whole* fragments, and a source is asked for the
+same fragment many times per run.  What goes on the wire stays whole, but a
+peer evaluates each outgoing rule's fragment in full only once and then
+*maintains* it (:func:`evaluate_fragment`, the one function cold and warm,
+naive and incremental runs all go through).  :func:`fragment_for` itself
+stays pure, so the centralized baseline — the oracle the tests and the
+benchmark compare with — always recomputes.
+
 Incremental (delta-driven) mode
 -------------------------------
 On top of the naive pull rounds, the protocol supports an *incremental* mode
 used by the warm engines for repeat runs whose only change since the last
 converged run is row insertion (see ``docs/incremental.md``).  No queries are
 sent at all: a node whose base data changed calls :meth:`start_incremental`,
-which logs the inserted rows and pushes semi-naive fragment *deltas* to the
+which pushes what its maintained fragments gained — fragment *deltas* — to the
 dependants already registered in its ``owner`` table by the previous run.  A
 receiver handles such an answer (payload flag ``incremental``) by joining
 only the fresh rows against its cached fragments
@@ -67,12 +77,26 @@ the final databases bit-identical to a naive re-run.
 
 from __future__ import annotations
 
+import weakref
+from collections import defaultdict
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.coordination.rule import CoordinationRule, NodeId
-from repro.core.state import OwnerEntry, PathFlags, RuleFlags, UpdateState
-from repro.database.evaluate import evaluate_body, evaluate_body_delta
-from repro.database.query import Constant, Variable
+from repro.core.state import (
+    MaintainedFragment,
+    OwnerEntry,
+    PathFlags,
+    RuleFlags,
+    UpdateState,
+)
+from repro.database.evaluate import (
+    comparisons_hold,
+    compile_comparisons,
+    evaluate_body,
+    evaluate_body_delta,
+)
+from repro.database.query import Variable
+from repro.database.relation import row_picker
 from repro.network.message import Message, MessageType
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -94,21 +118,12 @@ def fragment_for(database, rule: CoordinationRule, node_id: NodeId) -> Fragment:
 
     The result is a set of tuples over :func:`fragment_variables` order; the
     head node joins fragments from every source before projecting onto the
-    rule's distinguished variables.  This function is shared with the
-    centralized baseline, which evaluates the same fragments without any
-    message exchange.
+    rule's distinguished variables.  This function is pure — it always
+    evaluates in full — and is shared with the centralized baseline, which
+    evaluates the same fragments without any message exchange.
     """
     query = rule.body_query_for(node_id)
-    variables = query.body_variables
-    answers = set()
-    for binding in evaluate_body(database, query):
-        answers.add(tuple(binding[variable] for variable in variables))
-    return frozenset(answers)
-
-
-def evaluate_fragment(node: "PeerNode", rule: CoordinationRule) -> Fragment:
-    """Evaluate the part of ``rule``'s body stored at ``node`` (a peer)."""
-    return fragment_for(node.database, rule, node.node_id)
+    return frozenset(evaluate_body(database, query, query.body_variables))
 
 
 def fragment_delta_for(
@@ -126,11 +141,84 @@ def fragment_delta_for(
     proportional to the delta.
     """
     query = rule.body_query_for(node_id)
-    variables = query.body_variables
-    answers = set()
-    for binding in evaluate_body_delta(database, query, delta):
-        answers.add(tuple(binding[variable] for variable in variables))
-    return frozenset(answers)
+    return frozenset(
+        evaluate_body_delta(database, query, delta, query.body_variables)
+    )
+
+
+def evaluate_fragment(node: "PeerNode", rule: CoordinationRule) -> Fragment:
+    """The part of ``rule``'s body stored at ``node`` (a peer), *maintained*.
+
+    The first call evaluates the fragment in full (:func:`fragment_for`) and
+    remembers, per body relation, which ``Relation`` object it read, its
+    ``removals`` counter and its row count.  A later call compares those
+    marks with the relations as they are now: nothing changed → the very same
+    frozenset; relations only gained rows → the remembered fragment plus
+    :func:`fragment_delta_for` over exactly the rows inserted since; anything
+    else (a delete, clear or replace, a relation added or swapped, another
+    rule under the same id) → a full evaluation again.  The entry validates
+    itself against the data, so nobody has to invalidate it and a stale
+    fragment is never returned (``docs/incremental.md``).
+    """
+    database = node.database
+    marks = []
+    for name in rule.body_relations_at(node.node_id):
+        if name in database:
+            relation = database.relation(name)
+            marks.append((relation, relation.removals, len(relation)))
+        else:
+            marks.append((None, 0, 0))
+    cache = node.state.fragment_cache
+    entry = cache.get(rule.rule_id)
+    rows = None
+    if entry is not None and entry.rule is rule:
+        delta = {}
+        for (relation, removals, count), (seen, seen_removals, seen_count) in zip(
+            marks, entry.marks
+        ):
+            if relation is not seen or removals != seen_removals:
+                break
+            if count > seen_count:
+                delta[relation.name] = relation.newest(count - seen_count)
+        else:
+            if not delta:
+                return entry.rows
+            fresh = fragment_delta_for(database, rule, node.node_id, delta)
+            rows = entry.rows if fresh <= entry.rows else entry.rows | fresh
+    if rows is None:
+        rows = fragment_for(database, rule, node.node_id)
+    cache[rule.rule_id] = MaintainedFragment(rule, rows, tuple(marks))
+    return rows
+
+
+def _join_plan(rule: CoordinationRule, first: NodeId | None) -> tuple:
+    """The hash-join plan of ``rule``'s fragments with source ``first`` leading.
+
+    A partial binding is a tuple that grows by one source's new columns at a
+    time, so a variable's *slot* is its position in binding order.  Per source
+    the plan holds three pickers: the fragment columns of the variables bound
+    by earlier sources (the hash key), those variables' slots in the partial,
+    and the new fragment columns.  Compiled once per leading source.
+    """
+    key = ("join", first)
+    plan = rule.derived.get(key)
+    if plan is not None:
+        return plan
+    slot_of: dict[Variable, int] = {}
+    steps = []
+    # Stable reorder: the leading (delta) source first, the rest in rule order.
+    for source in sorted(rule.sources, key=lambda source: source != first):
+        variables = fragment_variables(rule, source)
+        shared = [c for c, variable in enumerate(variables) if variable in slot_of]
+        bound = [slot_of[variables[c]] for c in shared]
+        fresh = [c for c, variable in enumerate(variables) if variable not in slot_of]
+        for column in fresh:
+            slot_of[variables[column]] = len(slot_of)
+        steps.append((source, row_picker(shared), row_picker(bound), row_picker(fresh)))
+    comparisons = compile_comparisons(rule.comparisons, slot_of)
+    project = row_picker([slot_of[v] for v in rule.distinguished_variables])
+    plan = rule.derived[key] = (tuple(steps), comparisons, project)
+    return plan
 
 
 def join_fragments(
@@ -145,7 +233,9 @@ def join_fragments(
     Returns the set of answer tuples (one per firing) ordered like
     ``rule.distinguished_variables``.  Sources with no fragment yet make the
     result empty — the rule simply cannot fire until every source answered at
-    least once.
+    least once.  The join is a hash join per source, keyed on the columns
+    earlier sources already bound (:func:`_join_plan`); for a single-source
+    rule it is a plain projection of the fragment.
 
     With ``delta_source``/``delta_rows`` the join is *semi-naive*: the delta
     source is joined first and restricted to ``delta_rows`` (the rows of its
@@ -153,71 +243,35 @@ def join_fragments(
     produced — the firings over the old rows were already computed when they
     arrived.
     """
-    sources = list(rule.sources)
-    for source in sources:
+    for source in rule.sources:
         if source not in fragments:
             return set()
-    if delta_source is not None:
-        if delta_source not in sources:
-            return set()
-        # Stable reorder: the delta source first, the rest in rule order.
-        sources.sort(key=lambda source: source != delta_source)
+    if delta_source is not None and delta_source not in rule.sources:
+        return set()
+    steps, comparisons, project = _join_plan(rule, delta_source)
 
-    bindings: list[dict[Variable, object]] = [{}]
-    for source in sources:
-        variables = fragment_variables(rule, source)
-        if delta_source is not None and source == delta_source:
-            fragment_rows: Iterable[tuple] = (
-                delta_rows if delta_rows is not None else fragments[source]
-            )
+    partials: list[tuple] | None = None
+    for source, key_of_row, key_of_partial, fresh_of_row in steps:
+        rows = fragments[source]
+        if source == delta_source and delta_rows is not None:
+            rows = delta_rows
+        if partials is None:
+            # The leading source binds every one of its columns, in order.
+            partials = list(rows)
         else:
-            fragment_rows = fragments[source]
-        new_bindings: list[dict[Variable, object]] = []
-        for binding in bindings:
-            for row in fragment_rows:
-                candidate = dict(binding)
-                consistent = True
-                for variable, value in zip(variables, row):
-                    known = candidate.get(variable, _UNBOUND)
-                    if known is _UNBOUND:
-                        candidate[variable] = value
-                    elif known != value:
-                        consistent = False
-                        break
-                if consistent:
-                    new_bindings.append(candidate)
-        bindings = new_bindings
-        if not bindings:
+            index: dict[tuple, list[tuple]] = defaultdict(list)
+            for row in rows:
+                index[key_of_row(row)].append(fresh_of_row(row))
+            partials = [
+                partial + extension
+                for partial in partials
+                for extension in index.get(key_of_partial(partial), ())
+            ]
+        if not partials:
             return set()
-
-    answers: set[tuple] = set()
-    distinguished = rule.distinguished_variables
-    for binding in bindings:
-        if not _comparisons_hold(rule, binding):
-            continue
-        answers.add(tuple(binding[variable] for variable in distinguished))
-    return answers
-
-
-_UNBOUND = object()
-
-
-def _comparisons_hold(
-    rule: CoordinationRule, binding: Mapping[Variable, object]
-) -> bool:
-    """Check the rule's built-in predicates against a complete binding."""
-    for comparison in rule.comparisons:
-        operands = []
-        for term in (comparison.left, comparison.right):
-            if isinstance(term, Constant):
-                operands.append(term.value)
-            else:
-                if term not in binding:
-                    return False
-                operands.append(binding[term])
-        if not comparison.evaluate(operands[0], operands[1]):
-            return False
-    return True
+    if comparisons:
+        partials = [p for p in partials if comparisons_hold(comparisons, p)]
+    return set(map(project, partials))
 
 
 class UpdateProtocol:
@@ -235,7 +289,9 @@ class UpdateProtocol:
     """
 
     def __init__(self, node: "PeerNode"):
-        self.node = node
+        # The node owns this protocol object; a strong reference back would
+        # make every peer cyclic garbage that only the collector can free.
+        self.node: "PeerNode" = weakref.proxy(node)
 
     # ---------------------------------------------------------------- start
 
@@ -247,9 +303,6 @@ class UpdateProtocol:
         """
         node = self.node
         state = node.state
-        # A naive run re-derives everything below, so the incremental
-        # bookkeeping no longer describes "changes since the last push".
-        self.invalidate_incremental()
         if not node.incoming_rules:
             state.state_u = UpdateState.CLOSED
             return
@@ -309,111 +362,25 @@ class UpdateProtocol:
 
     # ------------------------------------------------------- incremental mode
 
-    def invalidate_incremental(self) -> None:
-        """Drop the delta log and fragment caches (any naive run does this).
-
-        After invalidation the next incremental push falls back to one full
-        fragment evaluation per rule (re-seeding the caches); correctness
-        never depends on the caches being present.
-        """
-        state = self.node.state
-        state.delta_log.clear()
-        state.fragment_cache.clear()
-        state.fragment_mark.clear()
-
     def start_incremental(self, changes: Mapping[str, Iterable[tuple]]) -> None:
         """Seed the delta frontier at this node (incremental update run).
 
         ``changes`` maps relation names to rows *already inserted* into this
         node's database (the warm engines apply the sync delta before
         starting the phase).  No queries are sent and the node stays in
-        whatever ``state_u`` the previous converged run left it in: the new
-        rows are appended to the delta log and semi-naive fragment deltas
-        are pushed to the dependants registered in ``owner`` by the previous
-        run.  Receivers cascade through :meth:`on_answer`'s incremental
-        branch until the frontier is empty — the engines' quiescence
-        barriers detect exactly that.
+        whatever ``state_u`` the previous converged run left it in: the
+        maintained fragments (:func:`evaluate_fragment`) pick the new rows up
+        from the relations themselves, and what they add is pushed to the
+        dependants registered in ``owner`` by the previous run.  Receivers
+        cascade through :meth:`on_answer`'s incremental branch until the
+        frontier is empty — the engines' quiescence barriers detect exactly
+        that.
         """
         node = self.node
-        state = node.state
-        seeded = 0
-        for relation_name, rows in sorted(changes.items()):
-            for row in rows:
-                state.delta_log.append((relation_name, row))
-                seeded += 1
+        seeded = sum(len(tuple(rows)) for rows in changes.values())
         if seeded:
             node.stats.record_incremental(node.node_id, seed_rows=seeded)
-        self._push_to_owners_incremental()
-
-    def _incremental_fragment(self, rule: CoordinationRule) -> Fragment:
-        """The rule's current full fragment, refreshed via the delta log.
-
-        A cold cache (first incremental run after a naive one, or after
-        :meth:`invalidate_incremental`) costs one full evaluation; from then
-        on only the delta-log suffix since the last refresh is joined
-        (semi-naive), which is what makes a cascade of pushes cost
-        proportional to the change.
-        """
-        node = self.node
-        state = node.state
-        rule_id = rule.rule_id
-        log = state.delta_log
-        cached = state.fragment_cache.get(rule_id)
-        if cached is None:
-            fragment = evaluate_fragment(node, rule)
-        else:
-            mark = state.fragment_mark.get(rule_id, 0)
-            if mark >= len(log):
-                return cached
-            delta: dict[str, list[tuple]] = {}
-            for relation_name, row in log[mark:]:
-                delta.setdefault(relation_name, []).append(row)
-            fresh = fragment_delta_for(node.database, rule, node.node_id, delta)
-            fragment = cached if fresh <= cached else frozenset(cached | fresh)
-        state.fragment_cache[rule_id] = fragment
-        state.fragment_mark[rule_id] = len(log)
-        return fragment
-
-    def _push_to_owners_incremental(self) -> None:
-        """Push fragment *deltas* to every registered dependant.
-
-        The incremental counterpart of :meth:`_push_to_owners`: fragments
-        are refreshed semi-naively and each (rule, requester) pair receives
-        only the rows not yet pushed to it, tagged ``incremental`` so the
-        receiver joins them as a delta.  Pairs with nothing new are skipped
-        entirely, which is what terminates the cascade.
-        """
-        node = self.node
-        state = node.state
-        pushes = 0
-        for entry in state.update_owner:
-            if entry.requester is None or entry.rule_id is None:
-                continue
-            rule = node.outgoing_rules.get(entry.rule_id)
-            if rule is None:
-                continue
-            fragment = self._incremental_fragment(rule)
-            key = (entry.rule_id, entry.requester)
-            previous = state.pushed_fragments.get(key, frozenset())
-            fresh = fragment - previous
-            if not fresh:
-                continue
-            state.pushed_fragments[key] = fragment
-            pushes += 1
-            node.send(
-                entry.requester,
-                MessageType.ANSWER,
-                {
-                    "rule_id": entry.rule_id,
-                    "source": node.node_id,
-                    "tuples": fresh,
-                    "complete": state.state_u == UpdateState.CLOSED,
-                    "path": (node.node_id,),
-                    "incremental": True,
-                },
-            )
-        if pushes:
-            node.stats.record_incremental(node.node_id, pushes=pushes)
+        self._push_to_owners(incremental=True)
 
     def _on_incremental_answer(
         self,
@@ -430,28 +397,29 @@ class UpdateProtocol:
         if not fresh:
             node.stats.record_update(node.node_id, received=len(tuples), inserted=0)
             return
-        state.fragments[(rule_id, source)] = frozenset(previous | fresh)
-        fragments = {
-            src: state.fragments.get((rule_id, src), frozenset())
-            for src in rule.sources
-        }
-        answers = join_fragments(
-            rule, fragments, delta_source=source, delta_rows=fresh
-        )
-        inserted = node.database.apply_view_tuples(
-            rule_id, rule.head, rule.distinguished_variables, answers
-        )
+        state.fragments[(rule_id, source)] = previous | fresh
+        inserted = self._fire(rule, delta_source=source, delta_rows=fresh)
         node.stats.record_update(
             node.node_id, received=len(tuples), inserted=len(inserted)
         )
         if inserted:
-            head_relation = rule.head.relation
-            for row in inserted:
-                state.delta_log.append((head_relation, row))
             node.stats.record_incremental(
                 node.node_id, rules_fired=1, rows_derived=len(inserted)
             )
-            self._push_to_owners_incremental()
+            self._push_to_owners(incremental=True)
+
+    def _fire(self, rule: CoordinationRule, **delta) -> set[tuple]:
+        """Join ``rule``'s stored fragments (``delta`` as for
+        :func:`join_fragments`), chase the firings in, return the new rows."""
+        state = self.node.state
+        fragments = {
+            source: state.fragments.get((rule.rule_id, source), frozenset())
+            for source in rule.sources
+        }
+        answers = join_fragments(rule, fragments, **delta)
+        return self.node.database.apply_view_tuples(
+            rule.rule_id, rule.head, rule.distinguished_variables, answers
+        )
 
     # ------------------------------------------------------------------- A4
 
@@ -554,8 +522,11 @@ class UpdateProtocol:
 
         flags = state.rule_flags.setdefault(rule_id, RuleFlags())
         previous = state.fragments.get((rule_id, source), frozenset())
-        fragment_grew = not tuples <= previous
-        state.fragments[(rule_id, source)] = frozenset(previous | tuples)
+        # A whole-fragment answer normally holds every earlier row: keep the
+        # sender's set itself then, instead of building an equal union.
+        merged = tuples if previous <= tuples else previous | tuples
+        fragment_grew = len(merged) > len(previous)
+        state.fragments[(rule_id, source)] = merged
         if complete:
             flags.complete_sources.add(source)
             if set(rule.sources) <= flags.complete_sources:
@@ -565,14 +536,7 @@ class UpdateProtocol:
             # Re-join and re-apply only when the source contributed something
             # new, or when this answer completes a pull round (so the round's
             # dirty flag is meaningful even for the first, empty answers).
-            fragments = {
-                src: state.fragments.get((rule_id, src), frozenset())
-                for src in rule.sources
-            }
-            answers = join_fragments(rule, fragments)
-            inserted = node.database.apply_view_tuples(
-                rule_id, rule.head, rule.distinguished_variables, answers
-            )
+            inserted = self._fire(rule)
         else:
             inserted = set()
         node.stats.record_update(
@@ -630,7 +594,9 @@ class UpdateProtocol:
 
     # ------------------------------------------------------------------ push
 
-    def _push_to_owners(self, *, force: bool = False) -> None:
+    def _push_to_owners(
+        self, *, force: bool = False, incremental: bool = False
+    ) -> None:
         """Push refreshed fragments to every dependant registered in ``owner``.
 
         This is the second half of A5: when the local database changed (or the
@@ -643,48 +609,40 @@ class UpdateProtocol:
         that pair — the "delta optimisation" the paper leaves for future work.
         ``force=True`` (used for the one-off closure notification) overrides
         the suppression so dependants always learn about completeness.
+
+        ``incremental=True`` is the push of an incremental run: each pair
+        receives only the rows not yet pushed to it, tagged ``incremental``
+        so the receiver joins them as a delta, and pairs with nothing new are
+        skipped entirely — which is what terminates the cascade.
         """
         node = self.node
         state = node.state
-        fragment_cache: dict[str, Fragment] = {}
+        pushes = 0
         for entry in state.update_owner:
             if entry.requester is None or entry.rule_id is None:
                 continue
             rule = node.outgoing_rules.get(entry.rule_id)
             if rule is None:
                 continue
-            fragment = fragment_cache.get(entry.rule_id)
-            if fragment is None:
-                fragment = evaluate_fragment(node, rule)
-                fragment_cache[entry.rule_id] = fragment
+            fragment = evaluate_fragment(node, rule)
             key = (entry.rule_id, entry.requester)
-            if not force and state.pushed_fragments.get(key) == fragment:
+            pushed = state.pushed_fragments.get(key)
+            payload = {
+                "rule_id": entry.rule_id,
+                "source": node.node_id,
+                "tuples": fragment,
+                "complete": state.state_u == UpdateState.CLOSED,
+                "path": (node.node_id,),
+            }
+            if incremental:
+                fresh = fragment - pushed if pushed else fragment
+                if not fresh:
+                    continue
+                payload.update(tuples=fresh, incremental=True)
+            elif not force and (pushed is fragment or pushed == fragment):
                 continue
             state.pushed_fragments[key] = fragment
-            node.send(
-                entry.requester,
-                MessageType.ANSWER,
-                {
-                    "rule_id": entry.rule_id,
-                    "source": node.node_id,
-                    "tuples": fragment,
-                    "complete": state.state_u == UpdateState.CLOSED,
-                    "path": (node.node_id,),
-                },
-            )
-
-    # ---------------------------------------------------------------- local
-
-    def local_answer(self, rule: CoordinationRule) -> set[tuple]:
-        """Evaluate a whole rule against this node's database only.
-
-        Used by the baselines and by tests; the distributed protocol itself
-        always works fragment-wise.
-        """
-        query = rule.query
-        answers = set()
-        distinguished = rule.distinguished_variables
-        for binding in evaluate_body(self.node.database, query):
-            if _comparisons_hold(rule, binding):
-                answers.add(tuple(binding[v] for v in distinguished))
-        return answers
+            pushes += 1
+            node.send(entry.requester, MessageType.ANSWER, payload)
+        if incremental and pushes:
+            node.stats.record_incremental(node.node_id, pushes=pushes)

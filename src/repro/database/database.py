@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 from repro.database.evaluate import evaluate_body, evaluate_query
 from repro.database.nulls import SkolemFactory
 from repro.database.query import Atom, ConjunctiveQuery, Constant, Variable
-from repro.database.relation import Relation, Row
+from repro.database.relation import Relation, Row, row_picker
 from repro.database.schema import DatabaseSchema, RelationSchema
 from repro.errors import QueryError, SchemaError
 
@@ -134,13 +134,37 @@ class LocalDatabase:
                 f"relation {head.relation!r}"
             )
 
-        distinguished_names = {variable.name for variable in distinguished}
-        known_positions = [
-            position
-            for position, term in enumerate(head.terms)
-            if isinstance(term, Constant) or term.name in distinguished_names
+        # The head template, compiled once per call: every head position is a
+        # column of (answer columns + head constants + invented nulls).
+        names = tuple(variable.name for variable in distinguished)
+        width = len(names)
+        constants = [
+            term.value for term in head.terms if isinstance(term, Constant)
         ]
-        has_existentials = len(known_positions) < head.arity
+        existentials = list(
+            dict.fromkeys(
+                term.name
+                for term in head.terms
+                if isinstance(term, Variable) and term.name not in names
+            )
+        )
+        columns: list[int] = []
+        known_positions: list[int] = []
+        next_constant = width
+        for position, term in enumerate(head.terms):
+            if isinstance(term, Constant):
+                columns.append(next_constant)
+                next_constant += 1
+            elif term.name in names:
+                columns.append(names.index(term.name))
+            else:
+                columns.append(
+                    width + len(constants) + existentials.index(term.name)
+                )
+                continue
+            known_positions.append(position)
+        build = row_picker(columns)
+        null_for = self.skolems.null_for
 
         profile = self.profile
         if profile is not None:
@@ -149,37 +173,31 @@ class LocalDatabase:
 
         inserted: set[Row] = set()
         for answer in answers:
-            if len(answer) != len(distinguished):
+            if len(answer) != width:
                 raise QueryError(
                     f"answer {answer!r} does not match distinguished variables "
                     f"{[str(v) for v in distinguished]} of rule {rule_id!r}"
                 )
-            binding: dict[str, object] = {
-                variable.name: value
-                for variable, value in zip(distinguished, answer)
-            }
-            row = []
-            for term in head.terms:
-                if isinstance(term, Constant):
-                    row.append(term.value)
-                elif term.name in binding:
-                    row.append(binding[term.name])
-                else:
-                    row.append(self.skolems.null_for(rule_id, term.name, binding))
-            row = tuple(row)
-            if has_existentials:
-                if profile is None:
-                    if self._projection_present(relation, row, known_positions):
-                        continue
-                else:
+            if existentials:
+                # The Skolem term is a function of the firing's binding; only
+                # a head with existentials needs that dict built.
+                binding = dict(zip(names, answer))
+                nulls = [null_for(rule_id, name, binding) for name in existentials]
+                row = build((*answer, *constants, *nulls))
+            elif constants:
+                row = build((*answer, *constants))
+            else:
+                row = build(answer)
+            if existentials:
+                present, scanned = self._projection_present(
+                    relation, row, known_positions
+                )
+                if profile is not None:
                     profile.projection_checks += 1
-                    present, scanned = self._projection_present_profiled(
-                        relation, row, known_positions
-                    )
                     profile.candidates_scanned += scanned
-                    if present:
-                        profile.skipped_by_projection += 1
-                        continue
+                    profile.skipped_by_projection += present
+                if present:
+                    continue
             if relation.insert(row):
                 inserted.add(row)
 
@@ -191,21 +209,9 @@ class LocalDatabase:
     @staticmethod
     def _projection_present(
         relation: Relation, row: Row, known_positions: list[int]
-    ) -> bool:
-        """True if some existing row agrees with ``row`` on all known positions."""
-        if not known_positions:
-            return len(relation) > 0
-        candidates = relation.lookup(known_positions[0], row[known_positions[0]])
-        for candidate in candidates:
-            if all(candidate[p] == row[p] for p in known_positions[1:]):
-                return True
-        return False
-
-    @staticmethod
-    def _projection_present_profiled(
-        relation: Relation, row: Row, known_positions: list[int]
     ) -> tuple[bool, int]:
-        """:meth:`_projection_present` plus the number of candidates scanned."""
+        """Whether some existing row agrees with ``row`` on all known positions,
+        and how many candidates were scanned to find out."""
         if not known_positions:
             return len(relation) > 0, 0
         candidates = relation.lookup(known_positions[0], row[known_positions[0]])

@@ -1,39 +1,56 @@
-"""Evaluation of conjunctive queries over a local database.
+"""Evaluation of conjunctive queries over a local database: compiled join plans.
 
-The evaluator is a straightforward backtracking join: body atoms are ordered
-greedily (bound atoms first, then by relation size), each atom is matched
-against its relation using the per-position hash indexes of
-:class:`~repro.database.relation.Relation`, and built-in comparisons are
-checked as soon as both sides are bound.  This is ample for the paper's
-workload sizes (about a thousand tuples per node) while staying easy to audit.
+A query body is compiled **once** into a :class:`_Plan` — every body variable
+becomes an integer *slot*, every atom a tuple of ``(slot, constant)`` columns
+— and the plan is kept on the query it describes
+(``ConjunctiveQuery.derived``), so it is shared by every evaluation of that
+query and dies with it.  One evaluation then
+
+1. binds the plan to the database (missing relation → no answers, arity
+   mismatch → :class:`QueryError`),
+2. picks a join order *for the data at hand*: the seed atom first when there
+   is one, then greedily the atom that can be probed through an index (it
+   has a constant or an already-bound variable) before one that has to be
+   scanned, smaller relation first — so a delta-seeded join never opens with
+   a cross product,
+3. looks the order's :class:`_Step` list up (compiled on first use: per atom
+   the probe column that goes straight to ``Relation.lookup``, the slots the
+   row fills, the equality checks left over, and the built-in comparisons
+   that become decidable there), and
+4. runs the steps over **one** mutable slot list, building a result object —
+   a ``dict`` binding or a projected row — only for complete solutions.
 
 Two evaluation modes share that machinery (see ``docs/incremental.md``):
 
 * **naive** — :func:`evaluate_body` / :func:`evaluate_query` enumerate every
-  binding of the full body over the full database; this is what cold runs
-  and the one-shot engines always use.
+  solution of the full body over the full database.
 * **semi-naive** — :func:`evaluate_body_delta` takes a *delta* (rows recently
-  inserted into the database) and yields only bindings that touch at least
+  inserted into the database) and yields only solutions that touch at least
   one delta row: each body atom whose relation appears in the delta is
   seeded with the delta rows in turn while the remaining atoms join against
-  the full database.  Since any derivation that is *new* since the delta was
-  applied must use at least one delta row, the union over seed atoms covers
-  exactly the new derivations — at cost proportional to the delta, not the
-  database.
+  the full database — exactly the derivations that are new since the delta
+  was applied, at cost proportional to the delta, not the database.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
+from typing import NamedTuple, Sequence
 
-from repro.database.query import Atom, Comparison, ConjunctiveQuery, Constant, Variable
+from repro.database.query import Atom, Comparison, ConjunctiveQuery, Constant
+from repro.database.query import Term, Variable
+from repro.database.relation import row_picker
 from repro.errors import QueryError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.database.database import LocalDatabase
+    from repro.database.relation import Relation
 
 Binding = dict[Variable, object]
-"""A partial assignment of query variables to database values."""
+"""An assignment of the body variables of a query to database values."""
+
+_Emit = Callable[[list], object]
+"""Builds the caller's result object from the slot list of one solution."""
 
 
 def substitute(atom: Atom, binding: Mapping[Variable, object]) -> tuple:
@@ -44,151 +61,244 @@ def substitute(atom: Atom, binding: Mapping[Variable, object]) -> tuple:
             values.append(term.value)
         else:
             if term not in binding:
-                raise QueryError(
-                    f"variable {term} of atom {atom} is not bound"
-                )
+                raise QueryError(f"variable {term} of atom {atom} is not bound")
             values.append(binding[term])
     return tuple(values)
 
 
-def _order_atoms(database: "LocalDatabase", atoms: Iterable[Atom]) -> list[Atom]:
-    """Order body atoms smallest-relation-first.
-
-    A static greedy order is enough here: the dynamic gain of full Selinger
-    style ordering does not matter at the workload sizes of the paper, and a
-    deterministic order keeps traces reproducible.
-    """
-    def size(atom: Atom) -> int:
-        if atom.relation in database.schema:
-            return len(database.relation(atom.relation))
-        return 0
-
-    return sorted(atoms, key=lambda atom: (size(atom), atom.relation, str(atom)))
+def _term(term: Term, slot_of: Mapping[Variable, int]) -> tuple[int, object]:
+    """A term as ``(slot, constant)``, slot -1 for a constant."""
+    return (-1, term.value) if isinstance(term, Constant) else (slot_of[term], None)
 
 
-def _match_atom(
-    database: "LocalDatabase",
-    atom: Atom,
-    binding: Binding,
-) -> Iterator[Binding]:
-    """Yield extensions of ``binding`` that satisfy ``atom`` in ``database``.
-
-    Missing relations are treated as empty (a node may receive a query about a
-    relation it does not store; the paper's mediator nodes have no LDB at all).
-    """
-    if atom.relation not in database.schema:
-        return
-    relation = database.relation(atom.relation)
-    if relation.schema.arity != atom.arity:
-        raise QueryError(
-            f"atom {atom} has arity {atom.arity} but relation "
-            f"{atom.relation!r} has arity {relation.schema.arity}"
-        )
-
-    # Use an index on the first bound position, if any.
-    probe_position: int | None = None
-    probe_value: object | None = None
-    for position, term in enumerate(atom.terms):
-        if isinstance(term, Constant):
-            probe_position, probe_value = position, term.value
-            break
-        if term in binding:
-            probe_position, probe_value = position, binding[term]
-            break
-
-    if probe_position is None:
-        candidates: Iterable[tuple] = relation.scan()
-    else:
-        candidates = relation.lookup(probe_position, probe_value)
-
-    for row in candidates:
-        extended = _extend_binding(atom, row, binding)
-        if extended is not None:
-            yield extended
+def compile_comparisons(
+    comparisons: Iterable[Comparison], slot_of: Mapping[Variable, int]
+) -> tuple[tuple, ...]:
+    """Built-ins as ``(evaluate, left slot, left constant, right slot, right
+    constant)`` for :func:`comparisons_hold`."""
+    return tuple(
+        (c.evaluate, *_term(c.left, slot_of), *_term(c.right, slot_of))
+        for c in comparisons
+    )
 
 
-_UNBOUND = object()
-
-
-def _extend_binding(atom: Atom, row: tuple, binding: Binding) -> Binding | None:
-    """Extend ``binding`` so that ``atom`` matches ``row``, or None on clash."""
-    extended = dict(binding)
-    for position, term in enumerate(atom.terms):
-        value = row[position]
-        if isinstance(term, Constant):
-            if term.value != value:
-                return None
-        else:
-            bound = extended.get(term, _UNBOUND)
-            if bound is _UNBOUND:
-                extended[term] = value
-            elif bound != value:
-                return None
-    return extended
-
-
-def _comparisons_hold(
-    comparisons: Iterable[Comparison], binding: Binding, *, partial: bool
-) -> bool:
-    """Check built-ins under ``binding``.
-
-    With ``partial=True`` a comparison whose variables are not yet all bound
-    is considered satisfied (it will be re-checked once the binding grows).
-    """
-    for comparison in comparisons:
-        operands = []
-        ready = True
-        for term in (comparison.left, comparison.right):
-            if isinstance(term, Constant):
-                operands.append(term.value)
-            elif term in binding:
-                operands.append(binding[term])
-            else:
-                ready = False
-                break
-        if not ready:
-            if partial:
-                continue
-            return False
-        if not comparison.evaluate(operands[0], operands[1]):
+def comparisons_hold(comparisons: tuple[tuple, ...], slots: Sequence) -> bool:
+    """Compiled built-ins under ``slots`` (anything indexable by slot)."""
+    for evaluate, left, left_value, right, right_value in comparisons:
+        if not evaluate(
+            slots[left] if left >= 0 else left_value,
+            slots[right] if right >= 0 else right_value,
+        ):
             return False
     return True
 
 
-def _extend_over(
-    database: "LocalDatabase",
-    query: ConjunctiveQuery,
-    ordered: list[Atom],
-    seed: Binding,
-) -> Iterator[Binding]:
-    """Complete ``seed`` over ``ordered`` atoms, checking comparisons early."""
+class _Step(NamedTuple):
+    """One atom of a join order, compiled against the slots bound before it."""
 
-    def extend(index: int, binding: Binding) -> Iterator[Binding]:
-        if not _comparisons_hold(query.comparisons, binding, partial=True):
-            return
-        if index == len(ordered):
-            if _comparisons_hold(query.comparisons, binding, partial=False):
-                yield binding
-            return
-        for extended in _match_atom(database, ordered[index], binding):
-            yield from extend(index + 1, extended)
+    atom: int
+    #: Index probe ``(column, slot, constant)``, or None: scan the relation
+    #: (or, for the seed step, take the rows handed in).
+    probe: tuple[int, int, object] | None
+    #: ``(column, slot)``: the variables this atom binds.
+    assigns: tuple[tuple[int, int], ...]
+    #: ``(column, slot, constant)``: what else the row must equal.  Checked
+    #: after the assignments, which makes a variable repeated inside the atom
+    #: an ordinary check against its own slot.
+    checks: tuple[tuple[int, int, object], ...]
+    #: The compiled built-ins whose operands are all bound once this step
+    #: matched.
+    comparisons: tuple[tuple, ...]
 
-    yield from extend(0, seed)
+
+class _Plan:
+    """A query body over slots; holds no reference to the query itself."""
+
+    __slots__ = ("variables", "slot_of", "atoms", "comparisons", "steps")
+
+    def __init__(self, query: ConjunctiveQuery):
+        self.variables = query.body_variables
+        self.slot_of = {variable: slot for slot, variable in enumerate(self.variables)}
+        self.atoms = tuple(
+            (atom.relation, tuple(_term(term, self.slot_of) for term in atom.terms))
+            for atom in query.body
+        )
+        self.comparisons = compile_comparisons(query.comparisons, self.slot_of)
+        #: (seeded, atom order) -> compiled steps.
+        self.steps: dict[tuple[bool, tuple[int, ...]], tuple[_Step, ...]] = {}
+
+    def bind(self, database: "LocalDatabase") -> list["Relation"] | None:
+        """The relation behind each atom, or None when one is missing.
+
+        Missing relations are treated as empty (a node may receive a query
+        about a relation it does not store; the paper's mediator nodes have
+        no LDB at all), so the whole conjunction has no answers.
+        """
+        relations: list["Relation"] = []
+        for name, terms in self.atoms:
+            if name not in database:
+                continue
+            relation = database.relation(name)
+            if relation.schema.arity != len(terms):
+                raise QueryError(
+                    f"an atom over {name!r} has arity {len(terms)} but the "
+                    f"relation has arity {relation.schema.arity}"
+                )
+            relations.append(relation)
+        return relations if len(relations) == len(self.atoms) else None
+
+    def order(
+        self, relations: Sequence["Relation"], seed: int | None = None
+    ) -> tuple[int, ...]:
+        """Greedy join order for the current relation sizes (module docstring)."""
+        remaining = list(range(len(self.atoms)))
+        order: list[int] = []
+        bound: set[int] = set()
+
+        def cost(index: int) -> tuple[bool, bool, int]:
+            scanned = all(
+                slot >= 0 and slot not in bound for slot, _ in self.atoms[index][1]
+            )
+            return (index != seed, scanned, len(relations[index]))
+
+        while remaining:
+            chosen = min(remaining, key=cost)
+            remaining.remove(chosen)
+            order.append(chosen)
+            bound.update(slot for slot, _ in self.atoms[chosen][1])
+            seed = None  # only the first pick prefers the seed
+        return tuple(order)
+
+    def compile(self, order: tuple[int, ...], seeded: bool) -> tuple[_Step, ...]:
+        """The steps of ``order``; with ``seeded`` the first atom's rows are
+        handed in by the caller, so it probes nothing and checks everything."""
+        steps = self.steps.get((seeded, order))
+        if steps is not None:
+            return steps
+        bound = {-1}
+        unscheduled = list(self.comparisons)
+        compiled: list[_Step] = []
+        for index in order:
+            probe: tuple[int, int, object] | None = None
+            assigns: list[tuple[int, int]] = []
+            checks: list[tuple[int, int, object]] = []
+            fresh: set[int] = set()
+            for column, (slot, value) in enumerate(self.atoms[index][1]):
+                if slot not in bound and slot not in fresh:
+                    fresh.add(slot)
+                    assigns.append((column, slot))
+                elif probe is None and slot in bound and (compiled or not seeded):
+                    probe = (column, slot, value)
+                else:
+                    checks.append((column, slot, value))
+            bound |= fresh
+            ready = [c for c in unscheduled if c[1] in bound and c[3] in bound]
+            unscheduled = [c for c in unscheduled if c not in ready]
+            compiled.append(
+                _Step(index, probe, tuple(assigns), tuple(checks), tuple(ready))
+            )
+        steps = self.steps[seeded, order] = tuple(compiled)
+        return steps
+
+    def emitter(self, columns: Sequence[Variable] | None) -> _Emit:
+        """What a solution is handed out as: a dict, or a row over ``columns``."""
+        if columns is None:
+            variables = self.variables
+            return lambda slots: dict(zip(variables, slots))
+        if tuple(columns) == self.variables:
+            return tuple
+        try:
+            picked = [self.slot_of[variable] for variable in columns]
+        except KeyError as error:
+            raise QueryError(
+                f"variable {error.args[0]} does not occur in the query body"
+            ) from None
+        return row_picker(picked)
+
+
+def _plan(query: ConjunctiveQuery) -> _Plan:
+    plan = query.derived.get("plan")
+    if plan is None:
+        plan = query.derived["plan"] = _Plan(query)
+    return plan
+
+
+def _candidates(
+    step: _Step, relations: Sequence["Relation"], slots: list
+) -> Iterator[tuple]:
+    relation = relations[step.atom]
+    if step.probe is None:
+        return relation.scan()
+    column, slot, value = step.probe
+    return relation.lookup(column, slots[slot] if slot >= 0 else value)
+
+
+def _solve(
+    steps: tuple[_Step, ...],
+    relations: Sequence["Relation"],
+    slots: list,
+    rows: Iterable[tuple],
+    emit: _Emit,
+) -> Iterator:
+    """Yield ``emit(slots)`` for every way of matching all ``steps``.
+
+    ``rows`` are the first step's candidates; every later step draws its own
+    from its relation under the slots bound so far.  Backtracking is a stack
+    of candidate iterators, one per step in progress.
+    """
+    last = len(steps) - 1
+    stack = [iter(rows)]
+    while stack:
+        depth = len(stack) - 1
+        _, _, assigns, checks, comparisons = steps[depth]
+        for row in stack[depth]:
+            for column, slot in assigns:
+                slots[slot] = row[column]
+            if checks and not all(
+                row[column] == (slots[slot] if slot >= 0 else value)
+                for column, slot, value in checks
+            ):
+                continue
+            if comparisons and not comparisons_hold(comparisons, slots):
+                continue
+            if depth == last:
+                yield emit(slots)
+            else:
+                stack.append(_candidates(steps[depth + 1], relations, slots))
+                break
+        else:
+            stack.pop()
 
 
 def evaluate_body(
-    database: "LocalDatabase", query: ConjunctiveQuery
-) -> Iterator[Binding]:
-    """Yield every binding of the body variables that satisfies the query body."""
-    yield from _extend_over(database, query, _order_atoms(database, query.body), {})
+    database: "LocalDatabase",
+    query: ConjunctiveQuery,
+    columns: Sequence[Variable] | None = None,
+) -> Iterator:
+    """Iterate over every solution of the query body.
+
+    A solution is handed out as a fresh :data:`Binding` of all body
+    variables, or — with ``columns`` — as the row of those variables' values
+    (what :func:`evaluate_query` and the fragment functions of
+    :mod:`repro.core.update` collect into sets).
+    """
+    plan = _plan(query)
+    relations = plan.bind(database)
+    if relations is None:
+        return iter(())
+    steps = plan.compile(plan.order(relations), seeded=False)
+    slots: list = [None] * len(plan.variables)
+    rows = _candidates(steps[0], relations, slots)
+    return _solve(steps, relations, slots, rows, plan.emitter(columns))
 
 
 def evaluate_body_delta(
     database: "LocalDatabase",
     query: ConjunctiveQuery,
     delta: Mapping[str, Iterable[tuple]],
-) -> Iterator[Binding]:
-    """Semi-naive evaluation: yield only bindings that touch a delta row.
+    columns: Sequence[Variable] | None = None,
+) -> Iterator:
+    """Semi-naive evaluation: yield only solutions that touch a delta row.
 
     ``delta`` maps relation names to rows recently *inserted* into
     ``database`` (the rows must already be present — this restricts the
@@ -197,36 +307,33 @@ def evaluate_body_delta(
     the delta rows only, and the remaining atoms join against the full
     database.  Any derivation that is new since the delta was applied uses
     at least one delta row, so the union over seed atoms covers exactly the
-    new derivations.  A binding joining several delta rows is yielded once
+    new derivations.  A solution joining several delta rows is yielded once
     per seed atom it matches — callers accumulate answers into sets, so the
-    duplicates are harmless and the single pass stays cheap.
+    duplicates are harmless and the single pass stays cheap.  ``columns`` is
+    as for :func:`evaluate_body`.
     """
-    delta_rows = {
-        name: tuple(rows) for name, rows in delta.items() if rows
-    }
-    if not delta_rows:
+    delta_rows = {name: tuple(rows) for name, rows in delta.items()}
+    plan = _plan(query)
+    relations = plan.bind(database)
+    if relations is None:
         return
-    atoms = list(query.body)
-    for seed_index, seed_atom in enumerate(atoms):
-        rows = delta_rows.get(seed_atom.relation)
+    emit = plan.emitter(columns)
+    slots: list = [None] * len(plan.variables)
+    for seed, (name, terms) in enumerate(plan.atoms):
+        rows = delta_rows.get(name)
         if not rows:
             continue
-        rest = atoms[:seed_index] + atoms[seed_index + 1 :]
-        ordered = _order_atoms(database, rest)
         for row in rows:
-            if len(row) != seed_atom.arity:
+            if len(row) != len(terms):
                 raise QueryError(
-                    f"delta row {row!r} does not match the arity of atom "
-                    f"{seed_atom}"
+                    f"delta row {row!r} does not match the arity of the "
+                    f"atom over {name!r}"
                 )
-            seeded = _extend_binding(seed_atom, row, {})
-            if seeded is not None:
-                yield from _extend_over(database, query, ordered, seeded)
+        steps = plan.compile(plan.order(relations, seed), seeded=True)
+        yield from _solve(steps, relations, slots, rows, emit)
 
 
-def evaluate_query(
-    database: "LocalDatabase", query: ConjunctiveQuery
-) -> set[tuple]:
+def evaluate_query(database: "LocalDatabase", query: ConjunctiveQuery) -> set[tuple]:
     """Evaluate a conjunctive query and return the set of answer tuples.
 
     For a query with a head, the answers are the head instantiations projected
@@ -235,11 +342,8 @@ def evaluate_query(
     body-only query the answers are the bindings of all body variables in
     order of first occurrence.
     """
-    answers: set[tuple] = set()
     if query.head is not None:
         projection = query.distinguished_variables
     else:
         projection = query.body_variables
-    for binding in evaluate_body(database, query):
-        answers.add(tuple(binding[variable] for variable in projection))
-    return answers
+    return set(evaluate_body(database, query, projection))

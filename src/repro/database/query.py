@@ -14,7 +14,8 @@ predicates)".  This module provides the corresponding AST:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Iterable, Union
 
 from repro.errors import QueryError
@@ -131,12 +132,26 @@ class Comparison:
         return f"{self.left} {self.operator} {self.right}"
 
 
+def field_state(instance) -> dict:
+    """Pickled state of a frozen dataclass: its fields, without cached values.
+
+    What is memoised in the instance ``__dict__`` is rebuilt on demand after
+    unpickling, so it is not shipped (rule sets go to every shard worker).
+    """
+    return {f.name: getattr(instance, f.name) for f in fields(instance)}
+
+
 @dataclass(frozen=True)
 class ConjunctiveQuery:
     """A conjunctive query: ``head :- body_atoms, comparisons``.
 
     ``head`` may be ``None`` for a boolean/body-only query (used internally
     when a node only needs the satisfying bindings of a body).
+
+    Immutable, so what is derived from it is computed once per instance
+    (``cached_property`` stores into the instance ``__dict__``): none of that
+    is a field, so ``==``, ``hash`` and ``repr`` do not see it, and
+    :func:`field_state` keeps it out of pickles.
     """
 
     head: Atom | None
@@ -167,7 +182,9 @@ class ConjunctiveQuery:
                         "that does not occur in the body"
                     )
 
-    @property
+    __getstate__ = field_state
+
+    @cached_property
     def body_variables(self) -> tuple[Variable, ...]:
         """Variables occurring in body atoms, in order of first occurrence."""
         seen: list[Variable] = []
@@ -177,26 +194,36 @@ class ConjunctiveQuery:
                     seen.append(variable)
         return tuple(seen)
 
-    @property
+    @cached_property
     def head_variables(self) -> tuple[Variable, ...]:
         """Variables occurring in the head (empty for body-only queries)."""
         if self.head is None:
             return ()
         return self.head.variables
 
-    @property
+    @cached_property
     def distinguished_variables(self) -> tuple[Variable, ...]:
         """Head variables that are bound by the body (universally quantified)."""
         body_vars = set(self.body_variables)
         return tuple(v for v in self.head_variables if v in body_vars)
 
-    @property
+    @cached_property
     def existential_variables(self) -> tuple[Variable, ...]:
         """Head variables not bound by the body (the paper's existentials)."""
         body_vars = set(self.body_variables)
         return tuple(v for v in self.head_variables if v not in body_vars)
 
-    @property
+    @cached_property
+    def derived(self) -> dict:
+        """Where other layers keep what they compile from this query.
+
+        :mod:`repro.database.evaluate` hangs its join plan here, so a plan
+        lives exactly as long as the query it describes.  Values must not
+        refer back to the query: a dropped query is freed by reference count.
+        """
+        return {}
+
+    @cached_property
     def relations(self) -> tuple[str, ...]:
         """Names of the relations mentioned in the body, without duplicates."""
         seen: list[str] = []

@@ -3,15 +3,25 @@
 A :class:`Relation` is the extension of one relation schema at one peer.  The
 engine uses set semantics (the paper's update step only inserts a tuple when
 its projection is not already present), keeps insertion cheap, and maintains
-simple hash indexes on demand so that the backtracking join in
-:mod:`repro.database.evaluate` does not degrade to nested loops on the larger
+simple hash indexes on demand so that the join plans of
+:mod:`repro.database.evaluate` do not degrade to nested loops on the larger
 DBLP-sized workloads.
+
+A relation also says *how* it changed, which lets a reader maintain what it
+derived from it instead of recomputing (:func:`repro.core.update.evaluate_fragment`,
+model in ``docs/incremental.md``): rows are kept in insertion order, so "the
+rows added since I last looked" is :meth:`Relation.newest`, and
+:attr:`Relation.removals` counts the changes that are not insertions
+(``delete``, ``clear`` — a replace is a clear plus inserts).  While
+``removals`` stands still, the relation has only grown.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Iterator
+from itertools import islice
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.database.schema import RelationSchema
 from repro.errors import SchemaError
@@ -20,12 +30,23 @@ Row = tuple
 """A database tuple; values are strings, ints or :class:`LabeledNull`."""
 
 
+def row_picker(columns: Sequence[int]) -> Callable[[Sequence], Row]:
+    """``values -> tuple(values[c] for c in columns)`` for a projection fixed
+    before the first row is seen (join plans, the chase's head template)."""
+    if len(columns) > 1:
+        return itemgetter(*columns)  # C-level, but a bare value for one column
+    return lambda values: tuple([values[column] for column in columns])
+
+
 class Relation:
     """The extension of a relation schema: a set of rows plus optional indexes."""
 
     def __init__(self, schema: RelationSchema, rows: Iterable[Row] = ()):
         self.schema = schema
-        self._rows: set[Row] = set()
+        # A dict used as an insertion-ordered set.
+        self._rows: dict[Row, None] = {}
+        #: Number of non-monotone changes (deletes and clears) so far.
+        self.removals = 0
         # position -> value -> set of rows; built lazily per position.
         self._indexes: dict[int, dict[object, set[Row]]] = {}
         for row in rows:
@@ -60,10 +81,10 @@ class Relation:
         duplicate insert is a no-op that returns False.
         """
         row = tuple(row)
-        self.schema.validate_tuple(row)
         if row in self._rows:
             return False
-        self._rows.add(row)
+        self.schema.validate_tuple(row)
+        self._rows[row] = None
         for position, index in self._indexes.items():
             index[row[position]].add(row)
         return True
@@ -77,7 +98,8 @@ class Relation:
         row = tuple(row)
         if row not in self._rows:
             return False
-        self._rows.discard(row)
+        del self._rows[row]
+        self.removals += 1
         for position, index in self._indexes.items():
             bucket = index.get(row[position])
             if bucket is not None:
@@ -90,12 +112,21 @@ class Relation:
         """Remove every row (indexes are dropped as well)."""
         self._rows.clear()
         self._indexes.clear()
+        self.removals += 1
 
     # ---------------------------------------------------------------- lookups
 
     def scan(self) -> Iterator[Row]:
         """Iterate over all rows (alias of ``iter`` for readability in joins)."""
         return iter(self._rows)
+
+    def newest(self, count: int) -> Iterator[Row]:
+        """Iterate over the ``count`` most recently inserted rows.
+
+        A reader that saw ``n`` rows and finds :attr:`removals` unchanged gets
+        exactly the rows inserted since from ``newest(len(relation) - n)``.
+        """
+        return islice(reversed(self._rows), count)
 
     def lookup(self, position: int, value: object) -> Iterator[Row]:
         """Iterate over rows whose attribute at ``position`` equals ``value``.

@@ -10,9 +10,10 @@ onto pipes" without actually serialising every message.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Mapping
+from typing import Any
 
 
 class MessageType(str, Enum):
@@ -71,8 +72,25 @@ class Message:
 def _value_size(value: Any) -> int:
     if isinstance(value, str):
         return len(value)
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return sum(_value_size(item) for item in value) + 8
     if isinstance(value, Mapping):
         return sum(_value_size(k) + _value_size(v) for k, v in value.items()) + 8
-    return 8
+    if not isinstance(value, (list, tuple, set, frozenset)):
+        return 8
+    # A collection.  Nearly every byte a run ships is a fragment — a set of
+    # tuples of strings and integers — so those two levels are sized in one
+    # flat pass right here; only what is nested deeper recurses.
+    size = 8
+    for row in value:
+        if type(row) is not tuple:
+            size += _value_size(row)
+            continue
+        size += 8
+        for item in row:
+            kind = type(item)
+            if kind is str:
+                size += len(item)
+            elif kind is int:
+                size += 8
+            else:
+                size += _value_size(item)
+    return size

@@ -25,7 +25,9 @@ from __future__ import annotations
 import asyncio
 import heapq
 import time
+from types import MethodType
 from typing import Callable
+from weakref import WeakMethod
 
 from repro.errors import NetworkError, UnknownPeerError
 from repro.network.latency import ConstantLatency, LatencyModel
@@ -50,17 +52,28 @@ class BaseTransport:
     ):
         self.latency = latency or ConstantLatency(1.0)
         self.stats = stats or StatisticsCollector()
-        self._handlers: dict[str, Handler] = {}
+        #: Peer id -> a callable returning the peer's handler (None once a
+        #: weakly held one is gone); see :meth:`register`.
+        self._handlers: dict[str, Callable[[], Handler | None]] = {}
         self._trace: list[tuple[float, Message]] = []
         self.trace_enabled = False
 
     # ------------------------------------------------------------ registration
 
     def register(self, node_id: str, handler: Handler) -> None:
-        """Register the message handler of peer ``node_id``."""
+        """Register the message handler of peer ``node_id``.
+
+        A bound method is held weakly: a peer registers its own ``handle``
+        and keeps this transport, so a strong reference would make every
+        dropped network a cycle only the garbage collector can free.  Once
+        the peer is gone its messages are dropped like any departed peer's.
+        """
         if node_id in self._handlers:
             raise NetworkError(f"peer {node_id!r} is already registered")
-        self._handlers[node_id] = handler
+        if isinstance(handler, MethodType):
+            self._handlers[node_id] = WeakMethod(handler)
+        else:
+            self._handlers[node_id] = lambda: handler
 
     def unregister(self, node_id: str) -> None:
         """Remove a peer from the network (undelivered messages to it are dropped)."""
@@ -86,17 +99,10 @@ class BaseTransport:
         """The delivery trace recorded so far (empty unless tracing is enabled)."""
         return list(self._trace)
 
-    def _handler_for(self, message: Message) -> Handler:
-        handler = self._handlers.get(message.recipient)
-        if handler is None:
-            raise UnknownPeerError(
-                f"message {message} addressed to unknown peer {message.recipient!r}"
-            )
-        return handler
-
     def _deliver(self, message: Message, at_time: float) -> None:
         """Run the recipient handler and account for the delivery."""
-        handler = self._handlers.get(message.recipient)
+        resolve = self._handlers.get(message.recipient)
+        handler = resolve() if resolve is not None else None
         if handler is None:
             # The peer left the network while the message was in flight; the
             # dynamic-network semantics of Section 4 allows dropping it.

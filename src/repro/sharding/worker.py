@@ -366,18 +366,6 @@ def _start_incremental_phase(
     system.seed_update_delta(changes, nodes=allowed)
 
 
-def _invalidate_incremental(system: P2PSystem, world: ShardWorld) -> None:
-    """Drop incremental bookkeeping on every owned node before a naive run.
-
-    A naive ``start()`` invalidates the origin's own bookkeeping, but a run
-    may start at a subset of origins while fragment caches on *other* owned
-    nodes also go stale once pull rounds rewrite their fragments — so a
-    naive update start clears all owned nodes wholesale.
-    """
-    for node_id in world.owned:
-        system.node(node_id).update.invalidate_incremental()
-
-
 def _reset_run_counters(transport: _WorkerTransport) -> None:
     """Zero the per-run counters after a collect (the clock stays).
 
@@ -480,7 +468,6 @@ def shard_worker_loop(world: ShardWorld, outboxes: list, results) -> None:
                     if mode == "incremental" and changes.incremental_ok:
                         _start_incremental_phase(system, world, changes, origins)
                     else:
-                        _invalidate_incremental(system, world)
                         _start_worker_phase(system, world, phase, origins)
                 else:
                     # Discovery runs neither consume nor stale the pending

@@ -1,0 +1,122 @@
+"""Golden values and a work bound for the two cold benchmark networks.
+
+``centralized_update`` — the oracle every other parity test compares with —
+shares the join, the fragment functions and the chase with the distributed
+engine, so a bug common to both would go unnoticed there.  The values below
+were recorded from the commit *before* the evaluator was replaced by compiled
+plans and fragments became maintained (``df58d8b``), with
+``benchmarks/perf``'s ``cold_tree`` / ``cold_clique`` specs: a digest of the
+sorted ground fix-point and the run's exact message, row and modelled byte
+counts.  None of them may move.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+import repro.core.update as update_module
+from repro.api.session import Session
+from repro.api.spec import ScenarioSpec
+from repro.core.fixpoint import ground_part
+from repro.workloads.topologies import clique_topology, tree_topology
+
+TOPOLOGIES = {
+    "cold_tree": lambda: tree_topology(5, 2),
+    "cold_clique": lambda: clique_topology(7),
+}
+
+#: (workload, seed) -> (ground digest, messages, rows shipped, modelled bytes).
+GOLDEN = {
+    ("cold_tree", 0): (
+        "bf162b37fad7c43cf39827b2c154b2f249e60221b585106e2aafeca6eb80d415",
+        1380,
+        58560,
+        4348876,
+    ),
+    ("cold_tree", 1): (
+        "179698959e2ee3cb916afa48b8c4d083bedf33c412c4c11c62074ae15202a0a0",
+        1380,
+        58560,
+        4359739,
+    ),
+    ("cold_clique", 0): (
+        "420732ba9d832a3f2aaa7d63ace3e02aa0b455fb3e59b4454c39b29176cc276d",
+        858,
+        32760,
+        2383300,
+    ),
+    ("cold_clique", 1): (
+        "51918f7daa71d71cfe89adef0e42d7c5e2d3a0704fa874a876074449bf396347",
+        858,
+        32760,
+        2376905,
+    ),
+}
+
+#: Bindings the parent's interpreter produced in one cold update of the tree.
+PARENT_TREE_BINDINGS = 84_750
+
+
+def spec_of(workload, seed):
+    return ScenarioSpec.from_topology(
+        TOPOLOGIES[workload](), records_per_node=10, seed=seed
+    )
+
+
+def ground_digest(databases):
+    canonical = sorted(
+        (node, name, sorted(map(repr, rows)))
+        for node, relations in ground_part(dict(databases)).items()
+        for name, rows in relations.items()
+    )
+    return hashlib.sha256(json.dumps(canonical).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(("workload", "seed"), sorted(GOLDEN))
+def test_cold_update_matches_the_recorded_run(workload, seed):
+    with Session.from_spec(spec_of(workload, seed)) as session:
+        result = session.run("update")
+    stats = result.stats
+    assert (
+        ground_digest(result.databases),
+        stats.total_messages,
+        stats.total_tuples_transferred,
+        stats.messages.total_bytes,
+    ) == GOLDEN[workload, seed]
+
+
+def test_each_fragment_is_evaluated_in_full_exactly_once(monkeypatch):
+    """The machine-independent work bound of the cold path.
+
+    One cold update of the 63-node tree evaluates every (rule, source)
+    fragment in full once — everything after that is maintenance — and the
+    evaluator hands out at most a tenth of the bindings the parent's did.
+    """
+    full = []
+    bindings = [0]
+    pure_fragment_for = update_module.fragment_for
+
+    def counting_fragment_for(database, rule, node_id):
+        full.append((rule.rule_id, node_id))
+        return pure_fragment_for(database, rule, node_id)
+
+    def counted(evaluate):
+        def counting(*args):
+            for solution in evaluate(*args):
+                bindings[0] += 1
+                yield solution
+
+        return counting
+
+    monkeypatch.setattr(update_module, "fragment_for", counting_fragment_for)
+    for name in ("evaluate_body", "evaluate_body_delta"):
+        monkeypatch.setattr(update_module, name, counted(getattr(update_module, name)))
+
+    spec = spec_of("cold_tree", 0)
+    with Session.from_spec(spec) as session:
+        session.run("update")
+    pairs = [(rule.rule_id, source) for rule in spec.rules for source in rule.sources]
+    assert len(pairs) == 122
+    assert sorted(full) == sorted(pairs)
+    assert 0 < bindings[0] <= PARENT_TREE_BINDINGS // 10

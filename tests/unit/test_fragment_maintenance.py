@@ -1,0 +1,211 @@
+"""Unit tests: maintained fragments, what makes them recompute, where caches live."""
+
+import gc
+import pickle
+import weakref
+
+import pytest
+
+import repro.core.update as update_module
+from repro.api import Session
+from repro.coordination.rule import rule_from_text
+from repro.core.node import PeerNode
+from repro.core.update import evaluate_fragment, fragment_for, join_fragments
+from repro.database.database import LocalDatabase
+from repro.database.parser import parse_query
+from repro.database.relation import Relation
+from repro.database.schema import DatabaseSchema, RelationSchema
+from repro.network.transport import SyncTransport
+from repro.workloads.scenarios import build_paper_example
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Which of the two pure fragment functions each lookup went through."""
+    seen = []
+    for name in ("fragment_for", "fragment_delta_for"):
+        pure = getattr(update_module, name)
+
+        def counting(*args, _name=name, _pure=pure):
+            seen.append(_name)
+            return _pure(*args)
+
+        monkeypatch.setattr(update_module, name, counting)
+    return seen
+
+
+@pytest.fixture
+def node():
+    database = LocalDatabase(
+        DatabaseSchema(
+            [RelationSchema("r", ["x", "y"]), RelationSchema("s", ["x", "y"])]
+        )
+    )
+    database.insert_many("r", [("1", "2"), ("2", "3")])
+    database.insert_many("s", [("2", "9")])
+    return PeerNode("b", database, SyncTransport())
+
+
+JOIN = "b: r(X, Y), s(Y, Z) -> a: h(X, Z)"
+
+
+class TestRelationChangeMarks:
+    def test_newest_returns_the_rows_inserted_since(self):
+        relation = Relation(RelationSchema("r", ["x"]), [("a",), ("b",)])
+        seen = len(relation)
+        relation.insert(("c",))
+        relation.insert(("a",))  # already there: not an insertion
+        relation.insert(("d",))
+        assert set(relation.newest(len(relation) - seen)) == {("c",), ("d",)}
+        assert list(relation.newest(0)) == []
+
+    def test_only_deletes_and_clears_count_as_removals(self):
+        relation = Relation(RelationSchema("r", ["x"]), [("a",)])
+        relation.insert(("b",))
+        assert relation.removals == 0
+        relation.delete(("nope",))
+        assert relation.removals == 0
+        relation.delete(("a",))
+        assert relation.removals == 1
+        relation.clear()
+        assert relation.removals == 2
+
+    def test_iteration_follows_insertion_order(self):
+        relation = Relation(RelationSchema("r", ["x"]))
+        for value in "qwerty":
+            relation.insert((value,))
+        relation.delete(("e",))
+        assert [row[0] for row in relation] == list("qwrty")
+
+
+class TestEvaluateFragment:
+    def test_unchanged_relations_return_the_same_object(self, node, calls):
+        rule = rule_from_text("out", JOIN)
+        first = evaluate_fragment(node, rule)
+        assert first == {("1", "2", "9")}
+        assert evaluate_fragment(node, rule) is first
+        assert calls == ["fragment_for"]
+
+    def test_growth_is_joined_semi_naively(self, node, calls):
+        rule = rule_from_text("out", JOIN)
+        evaluate_fragment(node, rule)
+        node.database.insert("s", ("3", "7"))
+        node.database.insert("r", ("5", "2"))
+        grown = evaluate_fragment(node, rule)
+        assert grown == {("1", "2", "9"), ("5", "2", "9"), ("2", "3", "7")}
+        assert grown == fragment_for(node.database, rule, "b")
+        assert calls == ["fragment_for", "fragment_delta_for"]
+
+    def test_growth_that_adds_nothing_keeps_the_object(self, node, calls):
+        rule = rule_from_text("out", JOIN)
+        first = evaluate_fragment(node, rule)
+        node.database.insert("s", ("unjoined", "0"))
+        assert evaluate_fragment(node, rule) is first
+        assert calls == ["fragment_for", "fragment_delta_for"]
+
+    def test_delete_recomputes(self, node, calls):
+        rule = rule_from_text("out", JOIN)
+        evaluate_fragment(node, rule)
+        node.database.delete("s", ("2", "9"))
+        assert evaluate_fragment(node, rule) == frozenset()
+        assert calls == ["fragment_for", "fragment_for"]
+
+    def test_clear_recomputes_even_when_refilled_to_the_same_size(self, node, calls):
+        rule = rule_from_text("out", JOIN)
+        evaluate_fragment(node, rule)
+        relation = node.database.relation("s")
+        relation.clear()
+        relation.insert(("3", "4"))
+        assert evaluate_fragment(node, rule) == {("2", "3", "4")}
+        assert calls == ["fragment_for", "fragment_for"]
+
+    def test_add_relation_recomputes(self, node, calls):
+        rule = rule_from_text("out", "b: r(X, Y), late(Y, Z) -> a: h(X, Z)")
+        assert evaluate_fragment(node, rule) == frozenset()
+        assert evaluate_fragment(node, rule) == frozenset()
+        assert calls == ["fragment_for"]
+        node.database.add_relation(RelationSchema("late", ["x", "y"]))
+        node.database.insert("late", ("3", "0"))
+        assert evaluate_fragment(node, rule) == {("2", "3", "0")}
+        assert calls == ["fragment_for", "fragment_for"]
+
+    def test_rule_reinstalled_with_another_body_recomputes(self, node, calls):
+        rule = rule_from_text("out", JOIN)
+        evaluate_fragment(node, rule)
+        replaced = rule_from_text("out", "b: r(X, Y) -> a: h(X, Y)")
+        assert evaluate_fragment(node, replaced) == {("1", "2"), ("2", "3")}
+        assert calls == ["fragment_for", "fragment_for"]
+
+    def test_reset_update_drops_the_entries(self, node):
+        rule = rule_from_text("out", JOIN)
+        evaluate_fragment(node, rule)
+        node.state.reset_update()
+        assert node.state.fragment_cache == {}
+
+
+class TestCachesOnFrozenDataclasses:
+    def warmed_rule(self):
+        rule = rule_from_text(
+            "r", "b: item(X, Y), c: item(Y, Z), X != Z -> a: item(X, Z)"
+        )
+        # Touch everything that memoises: derived tuples, per-source queries,
+        # the evaluator's plan (on the body query) and the join plan (lambdas).
+        rule.query, rule.sources, rule.distinguished_variables
+        database = LocalDatabase(DatabaseSchema([RelationSchema("item", ["x", "y"])]))
+        database.insert("item", ("1", "2"))
+        fragment_for(database, rule, "b")
+        join_fragments(rule, {"b": {("1", "k")}, "c": {("k", "9")}})
+        assert rule.derived and rule.body_query_for("b").derived
+        return rule
+
+    def test_caches_stay_out_of_eq_hash_and_repr(self):
+        warm = self.warmed_rule()
+        cold = rule_from_text(
+            "r", "b: item(X, Y), c: item(Y, Z), X != Z -> a: item(X, Z)"
+        )
+        assert warm == cold and hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold)
+        query = parse_query("q(X) :- edge(X, Y)")
+        untouched = repr(query), hash(query)
+        query.body_variables, query.derived.setdefault("anything", object())
+        assert (repr(query), hash(query)) == untouched
+        assert query == parse_query("q(X) :- edge(X, Y)")
+
+    def test_pickles_carry_the_fields_only(self):
+        warm = self.warmed_rule()
+        clone = pickle.loads(pickle.dumps(warm))
+        assert clone == warm
+        assert set(vars(clone)) == {"rule_id", "target", "head", "body", "comparisons"}
+        # ... and the clone rebuilds what it needs.
+        assert clone.sources == ("b", "c")
+        assert join_fragments(clone, {"b": {("1", "k")}, "c": {("k", "9")}}) == {
+            ("1", "9")
+        }
+        query = warm.body_query_for("b")
+        assert set(vars(pickle.loads(pickle.dumps(query)))) == {
+            "head",
+            "body",
+            "comparisons",
+        }
+
+    def test_per_source_queries_are_built_once(self):
+        rule = self.warmed_rule()
+        assert rule.body_query_for("b") is rule.body_query_for("b")
+        assert rule.query is rule.query
+
+
+class TestSessionLifetime:
+    def test_dropping_a_session_frees_it_without_the_collector(self):
+        gc.collect()
+        gc.disable()
+        try:
+            session = Session(build_paper_example())
+            session.run("discovery")
+            session.run("update")
+            database = weakref.ref(session.system.node("A").database)
+            node = weakref.ref(session.system.node("A"))
+            session.close()
+            del session
+            assert database() is None and node() is None
+        finally:
+            gc.enable()

@@ -260,19 +260,49 @@ class TestIncrementalMode:
         assert system.transport.pending == 0
         assert system.snapshot_stats().total_messages == messages_before
 
-    def test_naive_start_invalidates_incremental_bookkeeping(self):
+    def test_delete_between_runs_forces_a_full_reevaluation(self, monkeypatch):
+        # A delete between runs forces a full re-evaluation, and a stale
+        # fragment is never observable: every answer c sends after the
+        # delete is free of the deleted row, with nobody invalidating.
+        import repro.core.update as update_module
+
+        full_evaluations = []
+        pure_fragment_for = update_module.fragment_for
+
+        def counting_fragment_for(database, rule, node_id):
+            full_evaluations.append((rule.rule_id, node_id))
+            return pure_fragment_for(database, rule, node_id)
+
+        monkeypatch.setattr(update_module, "fragment_for", counting_fragment_for)
         system = chain_system()
         converge_naive(system)
         row = ("7", "8")
-        system.node("c").database.relation("item").insert(row)
+        relation = system.node("c").database.relation("item")
+        relation.insert(row)
         system.node("c").update.start_incremental({"item": [row]})
         system.transport.run()
-        state = system.node("c").state
-        assert state.delta_log and state.fragment_cache
-        system.node("c").update.start()
-        assert not state.delta_log
-        assert not state.fragment_cache
-        assert not state.fragment_mark
+        # Insert-only so far: one full evaluation per (rule, source), ever.
+        assert sorted(full_evaluations) == [("ab", "b"), ("bc", "c")]
+        assert row in system.node("c").state.fragment_cache["bc"].rows
+
+        relation.delete(row)
+        sent = []
+        send = system.transport.send
+
+        def recording_send(message):
+            sent.append(message)
+            send(message)
+
+        monkeypatch.setattr(system.transport, "send", recording_send)
+        converge_naive(system)
+        assert full_evaluations.count(("bc", "c")) == 2
+        answers = [
+            message.payload["tuples"]
+            for message in sent
+            if message.type == MessageType.ANSWER and message.sender == "c"
+        ]
+        assert answers and all(row not in tuples for tuples in answers)
+        assert system.node("c").state.fragment_cache["bc"].rows == {("1", "2")}
 
     def test_incremental_matches_naive_rerun_bit_identically(self):
         # Same insert, one system takes the delta path, the other re-runs
