@@ -13,7 +13,7 @@ the architecture.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Mapping
 
 from repro.coordination.rule import CoordinationRule, NodeId
 from repro.core.discovery import DiscoveryProtocol
@@ -80,50 +80,53 @@ class PeerNode:
         self.outgoing_rules[rule.rule_id] = rule
 
     def remove_incoming_rule(self, rule_id: str) -> None:
-        """Uninstall an incoming rule (no-op if absent)."""
+        """Uninstall an incoming rule and the fragments stored for it.
+
+        A rule installed under the same id later may have another body, so
+        rows of the old shape must not be merged into its fragments.
+        """
         self.incoming_rules.pop(rule_id, None)
         self.state.rule_flags.pop(rule_id, None)
+        self.state.forget_incoming_rule(rule_id)
 
     def remove_outgoing_rule(self, rule_id: str) -> None:
         """Uninstall an outgoing rule and forget dependants registered through it."""
         self.outgoing_rules.pop(rule_id, None)
-        self.state.update_owner = [
-            entry for entry in self.state.update_owner if entry.rule_id != rule_id
-        ]
+        self.state.forget_outgoing_rule(rule_id)
 
     # -------------------------------------------------------------- messaging
 
     def send(
-        self, recipient: NodeId, message_type: MessageType, payload: Mapping
+        self,
+        recipient: NodeId,
+        message_type: MessageType,
+        payload: Mapping,
+        *,
+        tuples_size: int | None = None,
     ) -> None:
-        """Send one protocol message through the transport."""
+        """Send one protocol message through the transport.
+
+        ``tuples_size`` is the modelled size of ``payload["tuples"]`` when
+        the caller already knows it (a maintained fragment's ``size``).
+        """
         self.transport.send(
             Message(
                 sender=self.node_id,
                 recipient=recipient,
                 type=message_type,
                 payload=dict(payload),
+                tuples_size=tuples_size,
             )
         )
 
     def handle(self, message: Message) -> None:
         """Dispatch one delivered message to the matching protocol handler."""
-        handlers = {
-            MessageType.REQUEST_NODES: self.discovery.on_request_nodes,
-            MessageType.DISCOVERY_ANSWER: self.discovery.on_discovery_answer,
-            MessageType.QUERY: self.update.on_query,
-            MessageType.ANSWER: self.update.on_answer,
-            MessageType.UPDATE_REQUEST: self._on_update_request,
-            MessageType.ADD_RULE: self._on_add_rule,
-            MessageType.DELETE_RULE: self._on_delete_rule,
-            MessageType.RESET: self._on_reset,
-        }
-        handler = handlers.get(message.type)
+        handler = _HANDLERS.get(message.type)
         if handler is None:
             raise ProtocolError(
                 f"node {self.node_id!r} cannot handle message type {message.type!r}"
             )
-        handler(message)
+        handler(self, message)
 
     # ------------------------------------------------------------ control msgs
 
@@ -182,3 +185,19 @@ class PeerNode:
             f"PeerNode({self.node_id!r}, rules_in={len(self.incoming_rules)}, "
             f"rules_out={len(self.outgoing_rules)}, rows={self.database.total_rows()})"
         )
+
+
+#: Message type -> handler, called as ``handler(node, message)``.  One table
+#: for every node: nothing is built per message and no node stores a bound
+#: method of itself (that would be a reference cycle).  The protocol methods
+#: are looked up on each call, so they stay replaceable on their classes.
+_HANDLERS: dict[MessageType, Callable[[PeerNode, Message], None]] = {
+    MessageType.REQUEST_NODES: lambda node, m: node.discovery.on_request_nodes(m),
+    MessageType.DISCOVERY_ANSWER: lambda node, m: node.discovery.on_discovery_answer(m),
+    MessageType.QUERY: lambda node, m: node.update.on_query(m),
+    MessageType.ANSWER: lambda node, m: node.update.on_answer(m),
+    MessageType.UPDATE_REQUEST: PeerNode._on_update_request,
+    MessageType.ADD_RULE: PeerNode._on_add_rule,
+    MessageType.DELETE_RULE: PeerNode._on_delete_rule,
+    MessageType.RESET: PeerNode._on_reset,
+}

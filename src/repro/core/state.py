@@ -14,15 +14,18 @@ This module holds those structures in dataclasses so the protocol code in
 :mod:`repro.core.discovery` and :mod:`repro.core.update` stays readable and
 the tests can inspect every flag the paper mentions.
 
-One structure is ours, not the paper's: ``fragment_cache``, the fragments a
-peer maintains for its outgoing rules (:class:`MaintainedFragment`); it is
-derived from the local database alone and checks itself against it.
+Two structures are ours, not the paper's: ``fragment_cache``, the fragments a
+peer maintains for its outgoing rules (:class:`MaintainedFragment`), and
+``fired``, what each incoming rule's stored fragments were last joined into
+(:class:`FiredMark`).  Both are derived from the local database alone and
+check themselves against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from repro.coordination.rule import CoordinationRule, NodeId
 from repro.database.relation import Relation
@@ -94,12 +97,33 @@ class MaintainedFragment:
     0)`` for a relation the database did not have.  The entry is valid for as
     long as the same rule object reads the same relation objects with the
     same ``removals``; rows counted beyond ``marks`` are then exactly the
-    rows inserted since (:func:`repro.core.update.evaluate_fragment`).
+    rows inserted since (:func:`repro.core.update.maintain_fragment`).
+    ``size`` is the modelled byte size of ``rows`` as a message payload value
+    (:meth:`repro.network.message.Message.size_estimate`), kept up to date
+    from the rows the fragment gains instead of being re-walked per send.
     """
 
     rule: CoordinationRule
     rows: frozenset[tuple]
     marks: tuple[tuple[Relation | None, int, int], ...]
+    size: int
+
+
+class FiredMark(NamedTuple):
+    """What an incoming rule's stored fragments have been joined and chased into.
+
+    Every firing over the fragments stored so far has been offered to the
+    head relation for as long as the same rule object targets the same
+    ``Relation`` object with the same ``removals``: an answer then only has
+    to fire the rows it adds.  Anything else — a ``delete`` or ``clear`` at
+    the head, a swapped relation, another rule under the same id — fails the
+    comparison and the rule is fired in full again
+    (:meth:`repro.core.update.UpdateProtocol._receive`).
+    """
+
+    rule: CoordinationRule
+    relation: Relation
+    removals: int
 
 
 @dataclass
@@ -139,6 +163,9 @@ class NodeState:
     # Each outgoing rule's fragment, maintained across answers, pushes and
     # runs; entries validate themselves, nothing has to invalidate them.
     fragment_cache: dict[str, MaintainedFragment] = field(default_factory=dict)
+    # Per incoming rule, what its stored fragments were last fired into;
+    # self-validating like the fragment cache.
+    fired: dict[str, FiredMark] = field(default_factory=dict)
 
     # ------------------------------------------------------------------ reset
 
@@ -168,6 +195,23 @@ class NodeState:
         self.rounds_completed = 0
         self.pushed_fragments.clear()
         self.fragment_cache.clear()
+        self.fired.clear()
+
+    def forget_incoming_rule(self, rule_id: str) -> None:
+        """Drop the fragments received for a rule that no longer targets this
+        node (its rows have that rule's shape) and what they were fired into."""
+        self.fired.pop(rule_id, None)
+        for key in [key for key in self.fragments if key[0] == rule_id]:
+            del self.fragments[key]
+
+    def forget_outgoing_rule(self, rule_id: str) -> None:
+        """Drop the dependants, ledger and fragment of a rule no longer read here."""
+        self.update_owner = [
+            entry for entry in self.update_owner if entry.rule_id != rule_id
+        ]
+        self.fragment_cache.pop(rule_id, None)
+        for key in [key for key in self.pushed_fragments if key[0] == rule_id]:
+            del self.pushed_fragments[key]
 
     # ------------------------------------------------------------- inspection
 

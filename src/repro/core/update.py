@@ -49,12 +49,16 @@ node therefore supports two policies (see DESIGN.md):
 Fragment maintenance
 --------------------
 A4 and A5 answer and push *whole* fragments, and a source is asked for the
-same fragment many times per run.  What goes on the wire stays whole, but a
-peer evaluates each outgoing rule's fragment in full only once and then
-*maintains* it (:func:`evaluate_fragment`, the one function cold and warm,
-naive and incremental runs all go through).  :func:`fragment_for` itself
-stays pure, so the centralized baseline — the oracle the tests and the
-benchmark compare with — always recomputes.
+same fragment many times per run.  What goes on the wire stays whole, but
+both ends work on what is new.  A source evaluates each outgoing rule's
+fragment in full only once and then *maintains* it, rows and modelled byte
+size alike (:func:`maintain_fragment`, the one function cold and warm, naive
+and incremental runs all go through).  A head node joins and chases only the
+rows an answer adds to what it has stored (:meth:`UpdateProtocol._receive`);
+A5's "recompute the rule" survives as the fallback of a self-validating mark
+(:class:`~repro.core.state.FiredMark`).  :func:`fragment_for` itself stays
+pure, so the centralized baseline — the oracle the tests and the benchmark
+compare with — always recomputes.
 
 Incremental (delta-driven) mode
 -------------------------------
@@ -64,10 +68,10 @@ converged run is row insertion (see ``docs/incremental.md``).  No queries are
 sent at all: a node whose base data changed calls :meth:`start_incremental`,
 which pushes what its maintained fragments gained — fragment *deltas* — to the
 dependants already registered in its ``owner`` table by the previous run.  A
-receiver handles such an answer (payload flag ``incremental``) by joining
-only the fresh rows against its cached fragments
-(:func:`join_fragments` with a delta source), applying the result through
-the same A6 chase step, and cascading its own incremental pushes when rows
+receiver handles such an answer (payload flag ``incremental``) like any
+other — joining only the fresh rows against its stored fragments
+(:func:`join_fragments` with a delta source) and applying the result through
+the same A6 chase step — and cascades its own incremental pushes when rows
 were actually inserted.  Nodes stay ``closed`` throughout — the previous
 run's fix-point plus the monotone delta propagation is the new fix-point
 (Lemma 1), and quiescence is detected by the engines' existing barriers.
@@ -83,6 +87,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.coordination.rule import CoordinationRule, NodeId
 from repro.core.state import (
+    FiredMark,
     MaintainedFragment,
     OwnerEntry,
     PathFlags,
@@ -97,7 +102,7 @@ from repro.database.evaluate import (
 )
 from repro.database.query import Variable
 from repro.database.relation import row_picker
-from repro.network.message import Message, MessageType
+from repro.network.message import Message, MessageType, rows_size, value_size
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.node import PeerNode
@@ -146,7 +151,7 @@ def fragment_delta_for(
     )
 
 
-def evaluate_fragment(node: "PeerNode", rule: CoordinationRule) -> Fragment:
+def maintain_fragment(node: "PeerNode", rule: CoordinationRule) -> MaintainedFragment:
     """The part of ``rule``'s body stored at ``node`` (a peer), *maintained*.
 
     The first call evaluates the fragment in full (:func:`fragment_for`) and
@@ -158,7 +163,8 @@ def evaluate_fragment(node: "PeerNode", rule: CoordinationRule) -> Fragment:
     else (a delete, clear or replace, a relation added or swapped, another
     rule under the same id) → a full evaluation again.  The entry validates
     itself against the data, so nobody has to invalidate it and a stale
-    fragment is never returned (``docs/incremental.md``).
+    fragment is never returned (``docs/incremental.md``).  Its modelled size
+    is maintained the same way: only rows new to the fragment are sized.
     """
     database = node.database
     marks = []
@@ -182,13 +188,16 @@ def evaluate_fragment(node: "PeerNode", rule: CoordinationRule) -> Fragment:
                 delta[relation.name] = relation.newest(count - seen_count)
         else:
             if not delta:
-                return entry.rows
-            fresh = fragment_delta_for(database, rule, node.node_id, delta)
-            rows = entry.rows if fresh <= entry.rows else entry.rows | fresh
+                return entry
+            rows, size = entry.rows, entry.size
+            added = fragment_delta_for(database, rule, node.node_id, delta) - rows
+            if added:
+                rows, size = rows | added, size + rows_size(added)
     if rows is None:
         rows = fragment_for(database, rule, node.node_id)
-    cache[rule.rule_id] = MaintainedFragment(rule, rows, tuple(marks))
-    return rows
+        size = value_size(rows)
+    entry = cache[rule.rule_id] = MaintainedFragment(rule, rows, tuple(marks), size)
+    return entry
 
 
 def _join_plan(rule: CoordinationRule, first: NodeId | None) -> tuple:
@@ -369,7 +378,7 @@ class UpdateProtocol:
         node's database (the warm engines apply the sync delta before
         starting the phase).  No queries are sent and the node stays in
         whatever ``state_u`` the previous converged run left it in: the
-        maintained fragments (:func:`evaluate_fragment`) pick the new rows up
+        maintained fragments (:func:`maintain_fragment`) pick the new rows up
         from the relations themselves, and what they add is pushed to the
         dependants registered in ``owner`` by the previous run.  Receivers
         cascade through :meth:`on_answer`'s incremental branch until the
@@ -382,31 +391,54 @@ class UpdateProtocol:
             node.stats.record_incremental(node.node_id, seed_rows=seeded)
         self._push_to_owners(incremental=True)
 
-    def _on_incremental_answer(
-        self,
-        rule: CoordinationRule,
-        rule_id: str,
-        source: NodeId,
-        tuples: Fragment,
-    ) -> None:
-        """A5, delta-driven: join only the fresh rows, apply, cascade."""
-        node = self.node
-        state = node.state
-        previous = state.fragments.get((rule_id, source), frozenset())
-        fresh = tuples - previous
-        if not fresh:
-            node.stats.record_update(node.node_id, received=len(tuples), inserted=0)
-            return
-        state.fragments[(rule_id, source)] = previous | fresh
-        inserted = self._fire(rule, delta_source=source, delta_rows=fresh)
-        node.stats.record_update(
-            node.node_id, received=len(tuples), inserted=len(inserted)
-        )
-        if inserted:
-            node.stats.record_incremental(
-                node.node_id, rules_fired=1, rows_derived=len(inserted)
-            )
-            self._push_to_owners(incremental=True)
+    def _receive(
+        self, rule: CoordinationRule, source: NodeId, tuples: Fragment
+    ) -> set[tuple]:
+        """A5's data half, for whole fragments and deltas alike: store what
+        ``source`` sent for ``rule``, fire the rule, return the new head rows.
+
+        Only the rows the answer *adds* are joined (against the other
+        sources' stored fragments) and chased — the firings over the rows
+        already stored were offered to the head relation when those arrived.
+        That holds for as long as ``state.fired`` says so (:class:`FiredMark`);
+        when it does not — the first answer, a delete or clear at the head,
+        another rule under the same id — the rule is fired in full.
+        """
+        state = self.node.state
+        database = self.node.database
+        mark = state.fired.get(rule.rule_id)
+        if mark is not None and mark.rule is not rule:
+            # Stored under this id by another rule: rows of another shape.
+            state.forget_incoming_rule(rule.rule_id)
+            mark = None
+        key = (rule.rule_id, source)
+        previous = state.fragments.get(key)
+        if previous is None:
+            fresh = state.fragments[key] = tuples
+        elif tuples is previous:
+            fresh = frozenset()
+        else:
+            fresh = tuples - previous
+            if len(tuples) == len(previous) + len(fresh):
+                # A whole-fragment answer normally holds every earlier row:
+                # keep the sender's set itself, not an equal union.
+                state.fragments[key] = tuples
+            elif fresh:
+                state.fragments[key] = previous | fresh
+        head = rule.head.relation
+        # No such relation: no mark can match, and `_fire` reports it.
+        relation = database.relation(head) if head in database else None
+        if (
+            mark is not None
+            and mark.relation is relation
+            and mark.removals == relation.removals
+        ):
+            if not fresh:
+                return set()
+            return self._fire(rule, delta_source=source, delta_rows=fresh)
+        inserted = self._fire(rule)
+        state.fired[rule.rule_id] = FiredMark(rule, relation, relation.removals)
+        return inserted
 
     def _fire(self, rule: CoordinationRule, **delta) -> set[tuple]:
         """Join ``rule``'s stored fragments (``delta`` as for
@@ -449,22 +481,23 @@ class UpdateProtocol:
                 OwnerEntry(requester=requester, origin=origin, rule_id=rule_id)
             )
 
-        fragment = evaluate_fragment(node, rule)
+        maintained = maintain_fragment(node, rule)
         # A query answer *is* a push of the full fragment: recording it keeps
         # the push-suppression ledger exact, so neither a later naive
         # `_push_to_owners` nor an incremental delta push re-sends rows the
         # requester already received in this answer.
-        state.pushed_fragments[(rule_id, requester)] = fragment
+        state.pushed_fragments[(rule_id, requester)] = maintained.rows
         node.send(
             requester,
             MessageType.ANSWER,
             {
                 "rule_id": rule_id,
                 "source": node.node_id,
-                "tuples": fragment,
+                "tuples": maintained.rows,
                 "complete": state.state_u == UpdateState.CLOSED,
                 "path": path,
             },
+            tuples_size=maintained.size,
         )
 
         # Propagate the update wave: a node that has not started updating yet
@@ -513,35 +546,26 @@ class UpdateProtocol:
             # Rule deleted while the answer was in flight: drop it.
             return
 
+        inserted = self._receive(rule, source, tuples)
+        node.stats.record_update(
+            node.node_id, received=len(tuples), inserted=len(inserted)
+        )
+
         if message.payload.get("incremental"):
-            # A delta push from an incremental run: the fresh rows are joined
-            # semi-naively against the cached fragments, with no effect on the
-            # naive round bookkeeping below (incremental runs have no rounds).
-            self._on_incremental_answer(rule, rule_id, source, tuples)
+            # A delta push from an incremental run: nodes stay closed and
+            # there are no rounds, so none of the bookkeeping below applies.
+            if inserted:
+                node.stats.record_incremental(
+                    node.node_id, rules_fired=1, rows_derived=len(inserted)
+                )
+                self._push_to_owners(incremental=True)
             return
 
         flags = state.rule_flags.setdefault(rule_id, RuleFlags())
-        previous = state.fragments.get((rule_id, source), frozenset())
-        # A whole-fragment answer normally holds every earlier row: keep the
-        # sender's set itself then, instead of building an equal union.
-        merged = tuples if previous <= tuples else previous | tuples
-        fragment_grew = len(merged) > len(previous)
-        state.fragments[(rule_id, source)] = merged
         if complete:
             flags.complete_sources.add(source)
             if set(rule.sources) <= flags.complete_sources:
                 flags.flag = True
-
-        if fragment_grew or (rule_id, source) in state.pending_answers:
-            # Re-join and re-apply only when the source contributed something
-            # new, or when this answer completes a pull round (so the round's
-            # dirty flag is meaningful even for the first, empty answers).
-            inserted = self._fire(rule)
-        else:
-            inserted = set()
-        node.stats.record_update(
-            node.node_id, received=len(tuples), inserted=len(inserted)
-        )
 
         path_flags = state.update_paths.setdefault(path, PathFlags())
         path_flags.no_new_data = not inserted
@@ -624,7 +648,8 @@ class UpdateProtocol:
             rule = node.outgoing_rules.get(entry.rule_id)
             if rule is None:
                 continue
-            fragment = evaluate_fragment(node, rule)
+            maintained = maintain_fragment(node, rule)
+            fragment = maintained.rows
             key = (entry.rule_id, entry.requester)
             pushed = state.pushed_fragments.get(key)
             payload = {
@@ -643,6 +668,12 @@ class UpdateProtocol:
                 continue
             state.pushed_fragments[key] = fragment
             pushes += 1
-            node.send(entry.requester, MessageType.ANSWER, payload)
+            node.send(
+                entry.requester,
+                MessageType.ANSWER,
+                payload,
+                # The whole fragment's modelled size is known; a delta is walked.
+                tuples_size=None if incremental else maintained.size,
+            )
         if incremental and pushes:
             node.stats.record_incremental(node.node_id, pushes=pushes)

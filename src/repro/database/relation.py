@@ -8,7 +8,7 @@ simple hash indexes on demand so that the join plans of
 DBLP-sized workloads.
 
 A relation also says *how* it changed, which lets a reader maintain what it
-derived from it instead of recomputing (:func:`repro.core.update.evaluate_fragment`,
+derived from it instead of recomputing (:func:`repro.core.update.maintain_fragment`,
 model in ``docs/incremental.md``): rows are kept in insertion order, so "the
 rows added since I last looked" is :meth:`Relation.newest`, and
 :attr:`Relation.removals` counts the changes that are not insertions

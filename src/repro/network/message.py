@@ -10,7 +10,7 @@ onto pipes" without actually serialising every message.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
@@ -51,6 +51,10 @@ class Message:
     type: MessageType
     payload: Mapping[str, Any] = field(default_factory=dict)
     sequence: int = field(default_factory=lambda: next(_SEQUENCE))
+    #: The modelled size of ``payload["tuples"]`` when the sender already
+    #: knows it (a maintained fragment carries its own); not part of the
+    #: message's identity, and nothing on the wire depends on it.
+    tuples_size: int | None = field(default=None, compare=False, repr=False)
 
     def size_estimate(self) -> int:
         """Rough size in bytes: envelope plus payload contents.
@@ -61,28 +65,42 @@ class Message:
         rank configurations the same way real serialisation would.
         """
         size = 64  # envelope: addresses, type, sequence number
-        for value in self.payload.values():
-            size += _value_size(value)
+        known = self.tuples_size
+        for key, value in self.payload.items():
+            if known is not None and key == "tuples":
+                size += known
+            else:
+                size += value_size(value)
         return size
 
     def __str__(self) -> str:
         return f"{self.type.value}[{self.sender}->{self.recipient}]#{self.sequence}"
 
 
-def _value_size(value: Any) -> int:
+def value_size(value: Any) -> int:
+    """The modelled bytes of one payload value (see ``size_estimate``)."""
     if isinstance(value, str):
         return len(value)
     if isinstance(value, Mapping):
-        return sum(_value_size(k) + _value_size(v) for k, v in value.items()) + 8
+        return sum(value_size(k) + value_size(v) for k, v in value.items()) + 8
     if not isinstance(value, (list, tuple, set, frozenset)):
         return 8
-    # A collection.  Nearly every byte a run ships is a fragment — a set of
-    # tuples of strings and integers — so those two levels are sized in one
-    # flat pass right here; only what is nested deeper recurses.
-    size = 8
-    for row in value:
+    return 8 + rows_size(value)
+
+
+def rows_size(rows: Iterable) -> int:
+    """The modelled bytes of a collection's members (the collection itself
+    adds 8), so a fragment's size can be kept up to date from the rows it
+    gains: ``size(rows | more) == size(rows) + rows_size(more - rows)``.
+
+    Nearly every byte a run ships is a fragment — a set of tuples of strings
+    and integers — so those two levels are sized in one flat pass right
+    here; only what is nested deeper recurses.
+    """
+    size = 0
+    for row in rows:
         if type(row) is not tuple:
-            size += _value_size(row)
+            size += value_size(row)
             continue
         size += 8
         for item in row:
@@ -92,5 +110,5 @@ def _value_size(value: Any) -> int:
             elif kind is int:
                 size += 8
             else:
-                size += _value_size(item)
+                size += value_size(item)
     return size

@@ -16,6 +16,7 @@ from repro.core.dynamics import (
     is_sound_answer,
     sound_envelope,
 )
+from repro.core.superpeer import SuperPeer
 from repro.core.system import P2PSystem
 from repro.database.schema import DatabaseSchema, RelationSchema
 from repro.errors import ChangeError
@@ -89,6 +90,31 @@ class TestApplyingChanges:
         # Data imported through the deleted rule stays (Definition 9 allows it).
         assert ("b1", "b2") in system.node("a").database.relation("item").rows()
         assert "ab" not in system.registry
+
+    def test_rule_id_reused_with_another_body(self):
+        """Removing a rule drops what was stored for it at both ends: the
+        fragments received, the push ledger and the fired mark.  Rows of the
+        old body's shape used to be merged into the new rule's fragment and
+        crash its join (``IndexError: tuple index out of range``)."""
+        schemas = item_schemas("a", "b")
+        rules = [rule_from_text("ab", "b: item(X, Y) -> a: item(X, Y)")]
+        data = {"b": {"item": [("1", "2"), ("2", "3")]}}
+        system = P2PSystem.build(schemas, rules, data)
+        super_peer = SuperPeer(system)
+        super_peer.run_global_update()
+        system.remove_rule("ab")
+        head, source = system.node("a").state, system.node("b").state
+        assert not head.fragments and not head.fired
+        assert not source.pushed_fragments and not source.fragment_cache
+        system.add_rule(
+            rule_from_text("ab", "b: item(Z, X), item(X, Y) -> a: item(Y, Z)")
+        )
+        super_peer.run_global_update()
+        assert system.node("a").database.relation("item").rows() == {
+            ("1", "2"),
+            ("2", "3"),
+            ("3", "1"),
+        }
 
     def test_delete_mismatching_link_rejected(self):
         schemas, rules, data = chain_setup()

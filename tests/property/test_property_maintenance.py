@@ -1,6 +1,6 @@
 """Stateful test: a maintained fragment always equals a fresh evaluation.
 
-``evaluate_fragment`` keeps each outgoing rule's fragment and extends or
+``maintain_fragment`` keeps each outgoing rule's fragment and extends or
 recomputes it according to marks on the relations it read.  Whatever
 interleaving of inserts, deletes, clears, added relations and rule
 replacements happens between two lookups, the lookup must return exactly
@@ -13,7 +13,7 @@ from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
 from repro.coordination.rule import rule_from_text
 from repro.core.node import PeerNode
-from repro.core.update import evaluate_fragment, fragment_for
+from repro.core.update import fragment_for, maintain_fragment
 from repro.database.database import LocalDatabase
 from repro.database.schema import DatabaseSchema, RelationSchema
 from repro.network.transport import SyncTransport
@@ -71,10 +71,10 @@ class MaintainedFragmentMachine(RuleBasedStateMachine):
 
     @rule()
     def lookup(self):
-        maintained = evaluate_fragment(self.node, self.rule)
+        maintained = maintain_fragment(self.node, self.rule).rows
         assert maintained == fragment_for(self.node.database, self.rule, "b")
         # Nothing changed since: the very same object comes back.
-        assert evaluate_fragment(self.node, self.rule) is maintained
+        assert maintain_fragment(self.node, self.rule).rows is maintained
 
     def teardown(self):
         self.lookup()

@@ -10,7 +10,7 @@ import repro.core.update as update_module
 from repro.api import Session
 from repro.coordination.rule import rule_from_text
 from repro.core.node import PeerNode
-from repro.core.update import evaluate_fragment, fragment_for, join_fragments
+from repro.core.update import fragment_for, join_fragments, maintain_fragment
 from repro.database.database import LocalDatabase
 from repro.database.parser import parse_query
 from repro.database.relation import Relation
@@ -81,64 +81,64 @@ class TestRelationChangeMarks:
 class TestEvaluateFragment:
     def test_unchanged_relations_return_the_same_object(self, node, calls):
         rule = rule_from_text("out", JOIN)
-        first = evaluate_fragment(node, rule)
+        first = maintain_fragment(node, rule).rows
         assert first == {("1", "2", "9")}
-        assert evaluate_fragment(node, rule) is first
+        assert maintain_fragment(node, rule).rows is first
         assert calls == ["fragment_for"]
 
     def test_growth_is_joined_semi_naively(self, node, calls):
         rule = rule_from_text("out", JOIN)
-        evaluate_fragment(node, rule)
+        maintain_fragment(node, rule)
         node.database.insert("s", ("3", "7"))
         node.database.insert("r", ("5", "2"))
-        grown = evaluate_fragment(node, rule)
+        grown = maintain_fragment(node, rule).rows
         assert grown == {("1", "2", "9"), ("5", "2", "9"), ("2", "3", "7")}
         assert grown == fragment_for(node.database, rule, "b")
         assert calls == ["fragment_for", "fragment_delta_for"]
 
     def test_growth_that_adds_nothing_keeps_the_object(self, node, calls):
         rule = rule_from_text("out", JOIN)
-        first = evaluate_fragment(node, rule)
+        first = maintain_fragment(node, rule).rows
         node.database.insert("s", ("unjoined", "0"))
-        assert evaluate_fragment(node, rule) is first
+        assert maintain_fragment(node, rule).rows is first
         assert calls == ["fragment_for", "fragment_delta_for"]
 
     def test_delete_recomputes(self, node, calls):
         rule = rule_from_text("out", JOIN)
-        evaluate_fragment(node, rule)
+        maintain_fragment(node, rule)
         node.database.delete("s", ("2", "9"))
-        assert evaluate_fragment(node, rule) == frozenset()
+        assert maintain_fragment(node, rule).rows == frozenset()
         assert calls == ["fragment_for", "fragment_for"]
 
     def test_clear_recomputes_even_when_refilled_to_the_same_size(self, node, calls):
         rule = rule_from_text("out", JOIN)
-        evaluate_fragment(node, rule)
+        maintain_fragment(node, rule)
         relation = node.database.relation("s")
         relation.clear()
         relation.insert(("3", "4"))
-        assert evaluate_fragment(node, rule) == {("2", "3", "4")}
+        assert maintain_fragment(node, rule).rows == {("2", "3", "4")}
         assert calls == ["fragment_for", "fragment_for"]
 
     def test_add_relation_recomputes(self, node, calls):
         rule = rule_from_text("out", "b: r(X, Y), late(Y, Z) -> a: h(X, Z)")
-        assert evaluate_fragment(node, rule) == frozenset()
-        assert evaluate_fragment(node, rule) == frozenset()
+        assert maintain_fragment(node, rule).rows == frozenset()
+        assert maintain_fragment(node, rule).rows == frozenset()
         assert calls == ["fragment_for"]
         node.database.add_relation(RelationSchema("late", ["x", "y"]))
         node.database.insert("late", ("3", "0"))
-        assert evaluate_fragment(node, rule) == {("2", "3", "0")}
+        assert maintain_fragment(node, rule).rows == {("2", "3", "0")}
         assert calls == ["fragment_for", "fragment_for"]
 
     def test_rule_reinstalled_with_another_body_recomputes(self, node, calls):
         rule = rule_from_text("out", JOIN)
-        evaluate_fragment(node, rule)
+        maintain_fragment(node, rule)
         replaced = rule_from_text("out", "b: r(X, Y) -> a: h(X, Y)")
-        assert evaluate_fragment(node, replaced) == {("1", "2"), ("2", "3")}
+        assert maintain_fragment(node, replaced).rows == {("1", "2"), ("2", "3")}
         assert calls == ["fragment_for", "fragment_for"]
 
     def test_reset_update_drops_the_entries(self, node):
         rule = rule_from_text("out", JOIN)
-        evaluate_fragment(node, rule)
+        maintain_fragment(node, rule)
         node.state.reset_update()
         assert node.state.fragment_cache == {}
 

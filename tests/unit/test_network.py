@@ -1,5 +1,8 @@
 """Unit tests for messages, pipes, latency models and advertisements."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import PipeClosedError
@@ -27,6 +30,20 @@ class TestMessage:
     def test_size_estimate_counts_strings_and_mappings(self):
         message = self._message({"text": "x" * 100, "nested": {"k": "v"}})
         assert message.size_estimate() >= 100
+
+    def test_size_hint_is_not_part_of_the_message(self):
+        """A known ``tuples`` size is added instead of walked; it changes
+        neither equality nor the repr, and survives the process engines'
+        pickle frames."""
+        tuples = frozenset({("a", "bb"), ("ccc", 4)})
+        plain = self._message({"tuples": tuples, "path": ("A",)})
+        size = plain.size_estimate()
+        hinted = dataclasses.replace(plain, tuples_size=8 + (8 + 1 + 2) + (8 + 3 + 8))
+        assert hinted.size_estimate() == size
+        assert hinted == plain and repr(hinted) == repr(plain)
+        assert pickle.loads(pickle.dumps(hinted)).size_estimate() == size
+        # The hint is trusted, not checked: it is the sender's statement.
+        assert dataclasses.replace(plain, tuples_size=0).size_estimate() < size
 
     def test_str_mentions_endpoints(self):
         assert "A->B" in str(self._message())
