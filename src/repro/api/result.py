@@ -25,13 +25,20 @@ Snapshot = Mapping[NodeId, Mapping[str, frozenset[Row]]]
 def diff_snapshots(
     before: Snapshot, after: Snapshot
 ) -> dict[NodeId, dict[str, frozenset[Row]]]:
-    """Per-node, per-relation rows present in ``after`` but not in ``before``."""
+    """Per-node, per-relation rows present in ``after`` but not in ``before``.
+
+    An unchanged relation hands out the same snapshot object both times
+    (:meth:`repro.database.relation.Relation.rows`) and is skipped unread.
+    """
     deltas: dict[NodeId, dict[str, frozenset[Row]]] = {}
     for node_id, relations in after.items():
         node_before = before.get(node_id, {})
         node_delta: dict[str, frozenset[Row]] = {}
         for relation, rows in relations.items():
-            added = rows - node_before.get(relation, frozenset())
+            seen = node_before.get(relation, frozenset())
+            if rows is seen:
+                continue
+            added = rows - seen
             if added:
                 node_delta[relation] = added
         if node_delta:

@@ -485,11 +485,10 @@ class Session:
         This is what makes cache invalidation structural: ``addLink`` /
         ``deleteLink`` changes the rule part, and any insertion — a chase, a
         distributed run, a bulk load — changes the data part, so stale
-        entries can never be served.  The digest is the shared
-        :class:`~repro.coordination.changeset.StructuralDigest` — the same
-        fingerprint the warm pools' :class:`~repro.sharding.pool.WorldMirror`
-        computes over its mirrored worker state, so "has anything changed?"
-        has exactly one definition across the codebase.
+        entries can never be served.  The digest is the
+        :class:`~repro.coordination.changeset.StructuralDigest`; unchanged
+        relations hand it the snapshot they already hold
+        (:meth:`~repro.database.relation.Relation.rows`).
         """
         return self.system.structural_digest()
 

@@ -14,14 +14,13 @@ Two previously-independent pieces of bookkeeping meet here:
   (:meth:`repro.core.system.P2PSystem.seed_update_delta`).
 
 * :class:`StructuralDigest` is the *one* fingerprint of a system's logical
-  state — the rule set plus every relation's contents.  It used to exist
-  twice (as the memo key of :meth:`repro.api.session.Session.update` and as
-  the ad-hoc rules/facts mirror of
-  :class:`repro.sharding.pool.WorldMirror`); both now delegate to
-  :func:`structural_digest`, so "has anything changed?" has a single
-  definition everywhere.  The digest is hashable (cache keys) and
-  structural by construction: ``addLink``/``deleteLink`` changes the rules
-  part, any insertion changes the data part.
+  state — the rule set plus every relation's contents — and the memo key of
+  :meth:`repro.api.session.Session.update`.  The digest is hashable (cache
+  keys) and structural by construction: ``addLink``/``deleteLink`` changes
+  the rules part, any insertion changes the data part.  (The warm pools'
+  :class:`repro.sharding.pool.WorldMirror` shares the rules half,
+  :func:`rules_fingerprint`; for the data it keeps marks on the live
+  relations instead of a second copy of them.)
 """
 
 from __future__ import annotations
@@ -175,12 +174,12 @@ class ChangeAccumulator:
 
 
 def rules_fingerprint(rules: Iterable[CoordinationRule]) -> dict[str, str]:
-    """``rule_id -> str(rule)`` for a rule set.
+    """``rule_id -> rule.text`` for a rule set.
 
-    The string form captures body, head and comparisons, so editing a rule
-    under the same id reads as remove + add.
+    The text captures body, head and comparisons, so editing a rule under
+    the same id reads as remove + add.
     """
-    return {rule.rule_id: str(rule) for rule in rules}
+    return {rule.rule_id: rule.text for rule in rules}
 
 
 @dataclass(frozen=True)
@@ -189,9 +188,8 @@ class StructuralDigest:
 
     Equality is structural: two digests are equal exactly when the systems
     hold the same rules (by id and text) and the same rows in every node's
-    relations.  This is the single fingerprint behind both the
-    ``Session.update`` strategy-memo cache and the warm pools'
-    :class:`~repro.sharding.pool.WorldMirror`.
+    relations.  This is the fingerprint behind the ``Session.update``
+    strategy-memo cache.
     """
 
     rules: tuple[tuple[str, str], ...]

@@ -160,11 +160,20 @@ class CoordinationRule:
                 seen.append(atom.relation)
         return tuple(seen)
 
-    def __str__(self) -> str:
+    @cached_property
+    def text(self) -> str:
+        """The rule in arrow syntax: id, body, comparisons and head (``str``).
+
+        Built once — the warm engines compare every rule's text on every run
+        (:func:`repro.coordination.changeset.rules_fingerprint`).
+        """
         body = ", ".join(f"{node}:{atom}" for node, atom in self.body)
         if self.comparisons:
             body += ", " + ", ".join(str(c) for c in self.comparisons)
         return f"{self.rule_id}: {body} -> {self.target}:{self.head}"
+
+    def __str__(self) -> str:
+        return self.text
 
 
 def rule_from_text(rule_id: str, text: str) -> CoordinationRule:

@@ -186,11 +186,10 @@ class P2PSystem:
     def structural_digest(self) -> StructuralDigest:
         """One hashable digest of the rule set and every relation's contents.
 
-        This is the single structural fingerprint shared by the
-        ``Session.update`` strategy-memo cache and the warm pools'
-        :class:`~repro.sharding.pool.WorldMirror`: equal digests mean the
-        same rules and the same rows everywhere, and any ``addLink`` /
-        ``deleteLink`` / insertion changes it by construction.
+        This is the structural fingerprint the ``Session.update``
+        strategy-memo cache keys on: equal digests mean the same rules and
+        the same rows everywhere, and any ``addLink`` / ``deleteLink`` /
+        insertion changes it by construction.
         """
         return digest_system(self)
 

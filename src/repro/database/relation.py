@@ -13,7 +13,10 @@ model in ``docs/incremental.md``): rows are kept in insertion order, so "the
 rows added since I last looked" is :meth:`Relation.newest`, and
 :attr:`Relation.removals` counts the changes that are not insertions
 (``delete``, ``clear`` — a replace is a clear plus inserts).  While
-``removals`` stands still, the relation has only grown.
+``removals`` stands still, the relation has only grown.  :meth:`Relation.mark`
+and :meth:`Relation.since` are that test written once, for readers that
+remember one relation at a time (the warm pools' cursors on both sides of the
+coordinator↔worker boundary).
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ from repro.errors import SchemaError
 
 Row = tuple
 """A database tuple; values are strings, ints or :class:`LabeledNull`."""
+
+Mark = tuple["Relation", int, int]
+"""What a reader saw of a relation: the object, its ``removals``, its row count."""
 
 
 def row_picker(columns: Sequence[int]) -> Callable[[Sequence], Row]:
@@ -49,6 +55,8 @@ class Relation:
         self.removals = 0
         # position -> value -> set of rows; built lazily per position.
         self._indexes: dict[int, dict[object, set[Row]]] = {}
+        # rows() as last taken; None once the relation changed.
+        self._snapshot: frozenset[Row] | None = None
         for row in rows:
             self.insert(row)
 
@@ -69,8 +77,11 @@ class Relation:
         return tuple(row) in self._rows
 
     def rows(self) -> frozenset[Row]:
-        """A snapshot of all rows."""
-        return frozenset(self._rows)
+        """A snapshot of all rows (the same object until the next change)."""
+        snapshot = self._snapshot
+        if snapshot is None:
+            snapshot = self._snapshot = frozenset(self._rows)
+        return snapshot
 
     # ---------------------------------------------------------------- updates
 
@@ -85,6 +96,7 @@ class Relation:
             return False
         self.schema.validate_tuple(row)
         self._rows[row] = None
+        self._snapshot = None
         for position, index in self._indexes.items():
             index[row[position]].add(row)
         return True
@@ -99,6 +111,7 @@ class Relation:
         if row not in self._rows:
             return False
         del self._rows[row]
+        self._snapshot = None
         self.removals += 1
         for position, index in self._indexes.items():
             bucket = index.get(row[position])
@@ -112,6 +125,7 @@ class Relation:
         """Remove every row (indexes are dropped as well)."""
         self._rows.clear()
         self._indexes.clear()
+        self._snapshot = None
         self.removals += 1
 
     # ---------------------------------------------------------------- lookups
@@ -127,6 +141,27 @@ class Relation:
         exactly the rows inserted since from ``newest(len(relation) - n)``.
         """
         return islice(reversed(self._rows), count)
+
+    def mark(self) -> Mark:
+        """What to remember now to ask :meth:`since` for the rows added later."""
+        return (self, self.removals, len(self._rows))
+
+    def since(self, mark: Mark | None) -> list[Row] | None:
+        """The rows inserted since ``mark`` was taken, in insertion order.
+
+        ``None`` when the mark does not validate — no mark, taken on another
+        ``Relation`` object, or a ``delete`` / ``clear`` happened since — and
+        the reader has to take the relation whole.
+        """
+        if mark is None:
+            return None
+        relation, removals, count = mark
+        grown = len(self._rows) - count
+        if relation is not self or removals != self.removals or grown < 0:
+            return None
+        fresh = list(self.newest(grown))
+        fresh.reverse()
+        return fresh
 
     def lookup(self, position: int, value: object) -> Iterator[Row]:
         """Iterate over rows whose attribute at ``position`` equals ``value``.

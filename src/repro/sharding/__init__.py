@@ -39,13 +39,7 @@ See ``docs/architecture.md`` for where this layer sits in the system and
 
 from repro.sharding.engine import ShardedEngine
 from repro.sharding.planner import ShardPlan, ShardPlanner, round_robin_plan
-from repro.sharding.pool import (
-    ShardPool,
-    SyncDelta,
-    WorkerPool,
-    WorldMirror,
-    compute_sync_delta,
-)
+from repro.sharding.pool import ShardPool, SyncDelta, WorkerPool, WorldMirror
 from repro.sharding.process import ProcessEngine, ProcessTransport
 from repro.sharding.sockets import LocalHostCluster, ShardHost, SocketPool
 from repro.sharding.transport import ShardedTransport
@@ -64,6 +58,5 @@ __all__ = [
     "SyncDelta",
     "WorkerPool",
     "WorldMirror",
-    "compute_sync_delta",
     "round_robin_plan",
 ]

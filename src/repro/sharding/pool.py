@@ -18,13 +18,13 @@ as peers' data shifts.  So the workers are *persistent* (the loop in
   with crashed-worker detection, the cumulative-counter quiescence barrier,
   delta :meth:`~ShardPool.sync`, :meth:`~ShardPool.run_phase`, re-plan
   invalidation and the :class:`WorldMirror` bookkeeping.  Successive runs
-  re-ship only **deltas**: rows inserted into the coordinator since the
-  last run, relations whose contents were rewritten, and
-  ``addLink``/``deleteLink`` rule changes — never the schemas or the
-  unchanged data.  :func:`compute_sync_delta` derives that delta
-  structurally, by diffing the live system against the pool's mirror of
-  what the workers last reported (state is compared, not change
-  notifications trusted).
+  move only **deltas**, in both directions: out go the rows inserted into
+  the coordinator since the last run, relations whose contents were
+  rewritten, and ``addLink``/``deleteLink`` rule changes; home come the
+  rows each shard gained — never the schemas or the unchanged data.  The
+  outgoing delta is read structurally, off the live relations against the
+  mirror's marks on them (state is compared, not change notifications
+  trusted), at a cost proportional to the change, not to the world.
 * :class:`WorkerPool` and :class:`~repro.sharding.sockets.SocketPool` are
   reduced to how their channels are made: spawn one process per shard, or
   dial a host fleet and ship it the worlds.
@@ -52,18 +52,19 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Protocol
 
-from repro.coordination.changeset import (
-    StructuralDigest,
-    rules_fingerprint,
-    structural_digest,
-)
+from repro.coordination.changeset import rules_fingerprint
 from repro.coordination.rule import CoordinationRule, NodeId
-from repro.database.relation import Row
+from repro.database.relation import Mark, Row
 from repro.errors import NetworkError, ReproError
 from repro.faults.injector import NULL_INJECTOR, injector_of
 from repro.obs import NULL_TRACER, get_logger
 from repro.sharding.planner import ShardPlan, ShardPlanner
-from repro.sharding.worker import ShardWorld, _worlds_from_system, shard_worker_loop
+from repro.sharding.worker import (
+    ShardWorld,
+    _worlds_from_system,
+    relation_marks,
+    shard_worker_loop,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.core.system import P2PSystem
@@ -74,9 +75,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
 #: whenever the counters show progress, so long phases are fine as long as
 #: deliveries keep happening.
 _WORKER_TIMEOUT = 120.0
-
-#: Facts as the pool mirrors them: per node, per relation, a row set.
-FactsMirror = dict[NodeId, dict[str, frozenset]]
 
 _log = get_logger("pool")
 
@@ -130,106 +128,64 @@ class SyncDelta:
         }
 
 
-def compute_sync_delta(
-    system, known_rules: Mapping[str, str], known_facts: FactsMirror
-) -> SyncDelta:
-    """Diff the live coordinator against the pool's mirror of worker state.
-
-    Structural by construction: whatever mutated the system — ``load_data``,
-    ``addLink``/``deleteLink``, a direct relation write — shows up in the
-    diff, with no change-notification protocol to forget to call.
-    """
-    current_rules = rules_fingerprint(system.registry)
-    remove_rules = tuple(
-        rule_id
-        for rule_id, text in known_rules.items()
-        if current_rules.get(rule_id) != text
-    )
-    add_rules = tuple(
-        rule
-        for rule in system.registry
-        if known_rules.get(rule.rule_id) != current_rules[rule.rule_id]
-    )
-
-    inserts: dict[NodeId, dict[str, tuple[Row, ...]]] = {}
-    replaces: dict[NodeId, dict[str, tuple[object, tuple[Row, ...]]]] = {}
-    for node_id, node in system.nodes.items():
-        mirrored = known_facts.get(node_id, {})
-        for relation_name, rows in node.database.facts().items():
-            old = mirrored.get(relation_name)
-            if old is not None and rows == old:
-                continue
-            if old is not None and rows >= old:
-                inserts.setdefault(node_id, {})[relation_name] = tuple(rows - old)
-            else:
-                # Rows vanished, or the relation is new to the workers: the
-                # only always-correct move is a wholesale rewrite (with the
-                # schema along, so a brand-new relation can be created).
-                schema = next(
-                    relation_schema
-                    for relation_schema in node.database.schema
-                    if relation_schema.name == relation_name
-                )
-                replaces.setdefault(node_id, {})[relation_name] = (
-                    schema,
-                    tuple(rows),
-                )
-    return SyncDelta(
-        add_rules=add_rules,
-        remove_rules=remove_rules,
-        inserts=inserts,
-        replaces=replaces,
-    )
-
-
 class WorldMirror:
-    """Coordinator-side mirror of what a pool's workers currently hold.
+    """What a pool's workers hold, as marks on the coordinator's own relations.
 
-    :class:`ShardPool` diffs the live system against it to decide what a
-    warm run must re-ship, and adopts the workers' collected facts as the
-    new mirror after every run.
+    Per relation the mirror keeps the :meth:`Relation.mark
+    <repro.database.relation.Relation.mark>` taken when coordinator and
+    workers last agreed on it — at spawn, after every sync, after every
+    merge — plus the rule texts the workers run.  What a warm run must
+    re-ship is then whatever the live relations hold beyond their marks.
     """
 
-    def __init__(self, worlds):
-        # The mirror starts as the worlds' own rule set and data slices:
-        # that is exactly what the workers load at build time.
-        self.rules: dict[str, str] = rules_fingerprint(
-            worlds[0].rules if worlds else ()
-        )
-        self.facts: FactsMirror = {}
-        for world in worlds:
-            for node_id, relations in world.data_slice.items():
-                self.facts[node_id] = {
-                    relation: frozenset(rows)
-                    for relation, rows in relations.items()
-                }
+    def __init__(self, system: P2PSystem):
+        self.rules: dict[str, str] = rules_fingerprint(system.registry)
+        self.marks: dict[tuple[NodeId, str], Mark] = {}
+        self.mark(system)
 
-    def digest(self) -> StructuralDigest:
-        """The mirrored state's structural digest.
+    def mark(self, system: P2PSystem) -> None:
+        """Record that the workers hold the coordinator's current facts."""
+        self.marks = relation_marks(system, system.nodes)
 
-        The same :class:`~repro.coordination.changeset.StructuralDigest` that
-        ``Session.update`` keys its memo cache on and
-        :meth:`P2PSystem.structural_digest
-        <repro.core.system.P2PSystem.structural_digest>` computes live — one
-        fingerprint definition, two consumers.
+    def advance(self, system: P2PSystem) -> SyncDelta:
+        """What changed in the coordinator since the marks were taken — rows
+        in insertion order — with the marks moved up to now.
+
+        Structural by construction: whatever mutated the system —
+        ``load_data``, ``addLink``/``deleteLink``, a direct relation write —
+        shows up, with no change-notification protocol to forget to call.
         """
-        return structural_digest(self.rules, self.facts)
-
-    def delta(self, system: P2PSystem) -> SyncDelta:
-        """What changed in the coordinator since the workers last synced."""
-        return compute_sync_delta(system, self.rules, self.facts)
-
-    def note_synced(self, system: P2PSystem) -> None:
-        """Record that the workers now hold the coordinator's current state."""
-        self.rules = rules_fingerprint(system.registry)
+        known, self.rules = self.rules, rules_fingerprint(system.registry)
+        inserts: dict[NodeId, dict[str, tuple[Row, ...]]] = {}
+        replaces: dict[NodeId, dict[str, tuple[object, tuple[Row, ...]]]] = {}
         for node_id, node in system.nodes.items():
-            self.facts[node_id] = dict(node.database.facts())
-
-    def note_collected(self, payloads: Iterable[Mapping]) -> None:
-        """Adopt the facts the workers just shipped home as the new mirror."""
-        for payload in payloads:
-            for node_id, facts in payload["facts"].items():
-                self.facts[node_id] = dict(facts)
+            for relation in node.database.relations():
+                rows = relation.since(self.marks.get((node_id, relation.name)))
+                if rows is None:
+                    # Rows vanished, or the relation is new to the workers:
+                    # the only always-correct move is a wholesale rewrite
+                    # (with the schema along, so it can be created there).
+                    replaces.setdefault(node_id, {})[relation.name] = (
+                        relation.schema,
+                        tuple(relation),
+                    )
+                elif rows:
+                    inserts.setdefault(node_id, {})[relation.name] = tuple(rows)
+        self.mark(system)
+        return SyncDelta(
+            add_rules=tuple(
+                rule
+                for rule in system.registry
+                if known.get(rule.rule_id) != rule.text
+            ),
+            remove_rules=tuple(
+                rule_id
+                for rule_id, text in known.items()
+                if self.rules.get(rule_id) != text
+            ),
+            inserts=inserts,
+            replaces=replaces,
+        )
 
 
 # ----------------------------------------------------------------- channels
@@ -302,12 +258,13 @@ class ShardPool:
     """K persistent shard workers behind per-shard channels.
 
     Spawn with :meth:`spawn` (ships each worker its world once), then call
-    :meth:`sync` + :meth:`run_phase` per run.  The pool mirrors the facts
-    its workers last reported, so :meth:`sync` ships only what changed in
-    the coordinator since.  Any failure — a crashed worker, a dead host, a
-    stall, an exceeded message bound — closes the pool; the engine respawns
-    a fresh one on the next run.  Subclasses provide :meth:`_open`, which
-    sets the results queue and one :class:`Channel` per shard.
+    :meth:`sync` + :meth:`run_phase` per run.  The pool keeps marks on the
+    coordinator's relations of what its workers hold, so :meth:`sync` ships
+    only what changed in the coordinator since.  Any failure — a crashed
+    worker, a dead host, a stall, an exceeded message bound — closes the
+    pool; the engine respawns a fresh one on the next run.  Subclasses
+    provide :meth:`_open`, which sets the results queue and one
+    :class:`Channel` per shard.
     """
 
     def __init__(
@@ -324,7 +281,8 @@ class ShardPool:
         #: (the null injector keeps every hook a no-op on fault-free runs).
         self.injector = injector
         self._max_messages = worlds[0].max_messages if worlds else 1_000_000
-        self._mirror = WorldMirror(worlds)
+        #: Set by :meth:`spawn`: marks need the system the worlds came from.
+        self._mirror: WorldMirror | None = None
         self._results: Any = None
         self._channels: list[Channel] = []
         try:
@@ -341,13 +299,16 @@ class ShardPool:
     @classmethod
     def spawn(cls, system: P2PSystem, plan: ShardPlan, *args, **kwargs):
         """Bring a pool up over the live system's current state."""
-        return cls(
+        mirror = WorldMirror(system)
+        pool = cls(
             plan,
             _worlds_from_system(system, plan),
             *args,
             injector=injector_of(system),
             **kwargs,
         )
+        pool._mirror = mirror
+        return pool
 
     # ---------------------------------------------------------------- status
 
@@ -522,11 +483,10 @@ class ShardPool:
         callers and tests can observe exactly what went over the wire.
         """
         self._require_open()
-        delta = self._mirror.delta(system)
+        delta = self._mirror.advance(system)
         if not delta.empty:
             for shard, channel in enumerate(self._channels):
                 channel.put(("sync", delta.for_shard(self.plan, shard)))
-            self._mirror.note_synced(system)
         # A sync-phase kill lands here: the dead worker is detected by the
         # next run_phase's liveness check, never by a wedged barrier.
         self.injector.fire("sync", self)
@@ -543,8 +503,9 @@ class ShardPool:
         """Drive one phase over the warm workers and collect their payloads.
 
         The run starts at the owned origins, reaches distributed quiescence
-        through the cumulative-counter barrier, then ``collect`` ships every
-        shard's per-run state home (the workers keep running).
+        through the cumulative-counter barrier, then ``collect`` ships home
+        what every shard gained (the workers keep running).  Once the caller
+        has merged the payloads it calls :meth:`note_merged`.
         ``mode="incremental"`` asks the workers for the delta-driven update
         path; each worker double-checks eligibility against its own
         accumulated sync deltas and falls back to naive when they disagree.
@@ -568,11 +529,14 @@ class ShardPool:
         except BaseException:
             self.close()
             raise
-        payloads = [payload for _shard, payload in sorted(collected.items())]
-        # After the merge the coordinator will hold exactly these facts, and
-        # so do the workers: the mirror is the shipped state itself.
-        self._mirror.note_collected(payloads)
-        return payloads
+        return [payload for _shard, payload in sorted(collected.items())]
+
+    def note_merged(self, system: P2PSystem) -> None:
+        """Record that ``system`` now holds what the workers shipped home.
+
+        Without it the next :meth:`sync` would ship every merged row back.
+        """
+        self._mirror.mark(system)
 
     def __repr__(self) -> str:
         state = "closed" if self.closed else ("alive" if self.alive else "dead")

@@ -15,8 +15,8 @@ What differs between them is data on the coordinator's transport handle:
   :class:`~repro.api.engine.ExecutionEngine` protocol: it plans the
   partition, brings a :class:`~repro.sharding.pool.ShardPool` up over the
   live system (or syncs the warm one with the structural delta), drives the
-  phase to distributed quiescence, and merges the workers' final databases,
-  protocol state and statistics back into the coordinator's system so
+  phase to distributed quiescence, and merges what the workers gained — new
+  rows, changed protocol state, statistics — into the coordinator's system so
   ``Session.run`` / parity checks / experiments read one consistent picture.
   A one-shot run is a pool closed after its run; a warm engine keeps the
   pool, so a :class:`~repro.api.session.Session` holding it keeps its
@@ -323,7 +323,16 @@ class ProcessEngine:
                     error,
                 )
         wall = time.perf_counter() - started
-        completion = self._merge(system, transport, payloads, wall)
+        try:
+            completion = self._merge(system, transport, payloads, wall)
+            if self._pool is not None:
+                self._pool.note_merged(system)
+        except BaseException:
+            # The workers only ship what they gained since their last
+            # collect, so a payload that was not merged in full is lost for
+            # good: drop the pool, the next run respawns from this state.
+            self._close_pool()
+            raise
         snapshot = system.stats.snapshot()
         return completion, replace(
             snapshot, sharding=traffic_stats(transport, snapshot)
@@ -423,38 +432,53 @@ class ProcessEngine:
     def _merge(
         self, system, transport: ProcessTransport, payloads: list[dict], wall: float
     ) -> float:
-        """Fold the workers' final state back into the coordinator system."""
+        """Fold what the workers shipped home into the coordinator system.
+
+        Payloads are deltas (:func:`repro.sharding.worker._worker_payload`):
+        rows are inserted, so the coordinator's indexes and ``removals``
+        survive an insert-only run.  A relation flagged ``whole`` is brought
+        to exactly the shipped rows by inserting them first and deleting the
+        rest after, so a merge that fails half-way has lost no row the next
+        (cold) world would need.
+        """
         from repro.core.state import UpdateState
         from repro.database.schema import RelationSchema
 
+        delivered_by_shard = {
+            shard: payload["delivered"] for shard, payload in enumerate(payloads)
+        }
+        if sum(delivered_by_shard.values()) > transport.max_messages:
+            raise NetworkError(
+                f"exceeded {transport.max_messages} deliveries across shards; "
+                "the protocol does not appear to terminate"
+            )
         collector = system.stats
         tracer = tracer_of(system)
         merge_span = tracer.start_span("merge", shards=len(payloads))
-        delivered_by_shard: dict[int, int] = {}
         cross_shard = 0
         completion = 0.0
-        total_delivered = 0
-        for shard, payload in enumerate(payloads):
-            delivered_by_shard[shard] = payload["delivered"]
-            total_delivered += payload["delivered"]
+        for payload in payloads:
             cross_shard += payload["cross_received"]
             completion = max(completion, payload["clock"])
-            # --- databases: replace each owned node's relations wholesale.
-            for node_id, facts in payload["facts"].items():
-                node = system.node(node_id)
-                shipped_schema = payload["schemas"][node_id]
-                for relation_schema in shipped_schema:
-                    if relation_schema.name not in node.database:
-                        node.database.add_relation(
+            # --- databases: relations new to the coordinator, then the rows.
+            for node_id, schemas in payload["schemas"].items():
+                database = system.node(node_id).database
+                for relation_schema in schemas:
+                    if relation_schema.name not in database:
+                        database.add_relation(
                             RelationSchema(
                                 relation_schema.name,
                                 list(relation_schema.attributes),
                             )
                         )
-                for relation_name, rows in facts.items():
-                    relation = node.database.relation(relation_name)
-                    relation.clear()
+            for node_id, facts in payload["facts"].items():
+                database = system.node(node_id).database
+                for relation_name, (whole, rows) in facts.items():
+                    relation = database.relation(relation_name)
                     relation.insert_many(rows)
+                    if whole and len(relation) > len(rows):
+                        for row in set(relation).difference(rows):
+                            relation.delete(row)
             # --- protocol state: closed flags and discovery paths/edges.
             for node_id, state in payload["node_state"].items():
                 node = system.node(node_id)
@@ -471,11 +495,6 @@ class ProcessEngine:
             if tracer.enabled and "spans" in payload:
                 tracer.adopt(payload["spans"], clock=payload.get("trace_clock"))
                 tracer.chase.merge(payload.get("chase_profile", {}))
-        if total_delivered > transport.max_messages:
-            raise NetworkError(
-                f"exceeded {transport.max_messages} deliveries across shards; "
-                "the protocol does not appear to terminate"
-            )
         collector.advance_time(completion)
         collector.elapsed_wall_seconds += wall
         transport.record_run(delivered_by_shard, cross_shard)

@@ -18,7 +18,9 @@ commands:
   latency`` by the sender and advance the receiving shard's clock on
   delivery, mirroring the in-process semantics.
 * :func:`shard_worker_loop` is the one persistent command loop (``start`` /
-  ``msg`` / ``ping`` / ``sync`` / ``collect`` / ``stop``).  A
+  ``msg`` / ``ping`` / ``sync`` / ``collect`` / ``stop``).  ``collect`` ships
+  home what the coordinator does not hold yet (:class:`_Shipped`), never the
+  world.  A
   :class:`~repro.sharding.pool.WorkerPool` runs it as the target of one
   spawned OS process per shard, a :class:`~repro.sharding.sockets.ShardHost`
   as one thread per hosted shard; a one-shot run is the same loop stopped
@@ -38,11 +40,12 @@ import heapq
 import queue as queue_module
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.coordination.changeset import ChangeAccumulator, ChangeSet
 from repro.coordination.rule import CoordinationRule, NodeId
+from repro.database.relation import Mark
 from repro.errors import NetworkError, ReproError
 from repro.faults.injector import WorkerFrameInjector, injector_of
 from repro.network.latency import LatencyModel
@@ -278,25 +281,73 @@ def _start_worker_phase(
                 raise ReproError(f"unknown phase {phase!r}")
 
 
+def relation_marks(
+    system: P2PSystem, node_ids: Iterable[NodeId]
+) -> dict[tuple[NodeId, str], Mark]:
+    """A :meth:`Relation.mark <repro.database.relation.Relation.mark>` per
+    relation of ``node_ids``, taken when both sides of the coordinator↔worker
+    boundary hold the same rows of it."""
+    return {
+        (node_id, relation.name): relation.mark()
+        for node_id in node_ids
+        for relation in system.node(node_id).database.relations()
+    }
+
+
+@dataclass
+class _Shipped:
+    """What the coordinator already holds of this worker's shard.
+
+    ``marks`` keeps, per owned relation, the mark taken when it was last
+    shipped home — or when the world was built, since those rows came from
+    the coordinator; ``node_state`` the protocol state as last shipped.
+    """
+
+    marks: dict[tuple[NodeId, str], Mark]
+    node_state: dict[NodeId, dict] = field(default_factory=dict)
+
+
 def _worker_payload(
-    system: P2PSystem, world: ShardWorld, transport: _WorkerTransport, phase: str
+    system: P2PSystem,
+    world: ShardWorld,
+    transport: _WorkerTransport,
+    phase: str,
+    shipped: _Shipped,
 ) -> dict:
-    """The final state one worker ships back: facts, protocol state, stats."""
+    """What one worker ships back: new facts, changed protocol state, stats.
+
+    Per owned relation ``facts`` carries ``(whole, rows)``: the rows appended
+    since the relation was last shipped, in insertion order, or — when its
+    mark does not validate (a ``delete`` / ``clear`` / replace, a new or
+    swapped relation) — every row, flagged ``whole``.  A relation the
+    coordinator has never been sent brings its schema; a node's protocol
+    state rides along when it changed.
+    """
     if phase == "discovery":
         for node_id in world.owned:
             system.node(node_id).discovery.finalize_paths()
-    facts = {}
-    schemas = {}
+    facts: dict[NodeId, dict] = {}
+    schemas: dict[NodeId, list] = {}
     node_state = {}
     for node_id in world.owned:
         node = system.node(node_id)
-        facts[node_id] = node.database.facts()
-        schemas[node_id] = node.database.schema
-        node_state[node_id] = {
+        for relation in node.database.relations():
+            key = (node_id, relation.name)
+            rows = relation.since(shipped.marks.get(key))
+            if rows is None:
+                if key not in shipped.marks:
+                    schemas.setdefault(node_id, []).append(relation.schema)
+                facts.setdefault(node_id, {})[relation.name] = (True, tuple(relation))
+            elif rows:
+                facts.setdefault(node_id, {})[relation.name] = (False, tuple(rows))
+            shipped.marks[key] = relation.mark()
+        state = {
             "closed": node.is_update_closed,
             "edges": set(node.state.edges),
             "paths": dict(node.state.paths),
         }
+        if shipped.node_state.get(node_id) != state:
+            shipped.node_state[node_id] = node_state[node_id] = state
     payload = {
         "facts": facts,
         "schemas": schemas,
@@ -389,9 +440,10 @@ def shard_worker_loop(world: ShardWorld, outboxes: list, results) -> None:
     delivery, ``ping`` answers a quiescence round (with an ``idle`` flag
     saying whether the local queue was empty), ``sync`` applies a
     coordinator delta between runs (rule changes first, then data),
-    ``collect`` ships the shard's current state home *without* exiting,
-    resetting the per-run counters so the next run starts from a clean
-    ledger, and ``stop`` ends the worker.  Commands are FIFO per worker, so
+    ``collect`` ships home what the shard gained since its last collect
+    (:func:`_worker_payload`) *without* exiting, resetting the per-run
+    counters so the next run starts from a clean ledger, and ``stop`` ends
+    the worker.  Commands are FIFO per worker, so
     a ``sync`` queued before a ``start`` is always applied before the phase
     begins.  Local deliveries run in bounded batches between inbox polls, so
     pings are answered promptly however long the local chain is — the
@@ -433,6 +485,7 @@ def shard_worker_loop(world: ShardWorld, outboxes: list, results) -> None:
             )
         with tracer.span("build", shard=world.shard_index):
             system = _build_worker_system(world, transport)
+        shipped = _Shipped(relation_marks(system, world.owned))
         if tracer.enabled:
             for node in system.nodes.values():
                 node.database.profile = tracer.chase
@@ -485,7 +538,7 @@ def shard_worker_loop(world: ShardWorld, outboxes: list, results) -> None:
                     _apply_sync(system, world, item[1])
                     pending.note_sync_payload(item[1])
             elif kind == "collect":
-                payload = _worker_payload(system, world, transport, phase)
+                payload = _worker_payload(system, world, transport, phase, shipped)
                 results.put(("collected", world.shard_index, payload))
                 _reset_run_counters(transport)
             elif kind == "stop":

@@ -1,0 +1,126 @@
+"""Work bounds for a warm run on the ``warm_pooled`` benchmark network.
+
+Host-independent counterparts of the benchmark's timings, in the manner of
+``test_cold_golden``'s evaluation counts: a warm one-row insert moves a
+handful of rows across the coordinator↔worker boundary — out in ``sync``,
+home in ``collect`` — however large the world has grown, and merging them
+neither clears a coordinator relation nor drops one of its indexes.  Before
+the boundary moved to cursors every run shipped ~150 KB of relations home
+and re-inserted all ~6 300 rows; the payload grew with every insert.
+"""
+
+import pickle
+
+import pytest
+
+from repro.api.session import Session
+from repro.api.spec import ScenarioSpec
+from repro.experiments.serving import feeding_site
+from repro.workloads.topologies import tree_topology
+
+INSERTS = 200
+
+
+class Boundary:
+    """Records what crosses a warm pool's boundary, run by run."""
+
+    def __init__(self, pool):
+        self.deltas, self.modes, self.payloads = [], [], []
+        sync, run_phase = pool.sync, pool.run_phase
+
+        def recording_sync(system):
+            self.deltas.append(sync(system))
+            return self.deltas[-1]
+
+        def recording_run_phase(*args, mode=None, **kwargs):
+            self.modes.append(mode)
+            self.payloads.append(run_phase(*args, mode=mode, **kwargs))
+            return self.payloads[-1]
+
+        pool.sync, pool.run_phase = recording_sync, recording_run_phase
+
+    @property
+    def shipped_home(self):
+        """``(whole, rows)`` of every relation in the last run's payloads."""
+        return [
+            entry
+            for payload in self.payloads[-1]
+            for relations in payload["facts"].values()
+            for entry in relations.values()
+        ]
+
+    @property
+    def payload_bytes(self):
+        return sum(len(pickle.dumps(payload)) for payload in self.payloads[-1])
+
+
+@pytest.fixture(scope="module")
+def warm():
+    spec = ScenarioSpec.from_topology(
+        tree_topology(5, 2), records_per_node=10, seed=0
+    ).with_(transport="pooled", shards=2)
+    with Session.from_spec(spec) as session:
+        session.run("update")  # the priming run: spawn, cold, converge
+        yield session, Boundary(session.engine.pool)
+
+
+def test_a_warm_insert_moves_rows_not_the_world(warm):
+    session, boundary = warm
+    system = session.system
+    node, relation_name, arity = feeding_site(session.spec)
+    site = system.node(node).database.relation(relation_name)
+    relations = [
+        relation
+        for peer in system.nodes.values()
+        for relation in peer.database.relations()
+    ]
+    removals = [relation.removals for relation in relations]
+    root = next(system.node(session.spec.super_peer or "n000").database.relations())
+    list(root.lookup(0, "probe"))  # a served point query builds this index
+    index = root._indexes[0]
+
+    sizes = []
+    for number in range(INSERTS):
+        site.insert(tuple(f"w{number:04d}-{column}" for column in range(arity)))
+        result = session.run("update")
+        assert boundary.modes[-1] == "incremental"
+        delta = boundary.deltas[-1]
+        assert not delta.replaces and not delta.add_rules and not delta.remove_rules
+        assert [len(rows) for rows in delta.inserts[node].values()] == [1]
+        assert list(delta.inserts) == [node]
+        shipped = boundary.shipped_home
+        assert not any(whole for whole, _rows in shipped)
+        # The inserted row comes back with the rows derived from it.
+        assert result.tuples_added < sum(len(rows) for _, rows in shipped) <= 5
+        assert not any(payload["schemas"] for payload in boundary.payloads[-1])
+        sizes.append(boundary.payload_bytes)
+
+    # Flat in world size: 200 inserts later a run ships what the first did.
+    assert sizes[0] <= 8 * 1024
+    assert sizes[-1] == sizes[0]
+    # Insert-only merges never clear: marks and indexes on the coordinator's
+    # relations survive, so the next served point query rebuilds nothing.
+    assert [relation.removals for relation in relations] == removals
+    assert root._indexes[0] is index
+    assert len(list(root.lookup(0, "w0199-0"))) == 1
+
+
+def test_a_delete_still_rewrites_the_relation_both_ways(warm):
+    session, boundary = warm
+    node, relation_name, _arity = feeding_site(session.spec)
+    site = session.system.node(node).database.relation(relation_name)
+    victim = next(iter(site))
+    site.delete(victim)
+    session.run("update")
+    assert boundary.modes[-1] is None  # no retraction: the naive re-run
+    delta = boundary.deltas[-1]
+    assert list(delta.replaces) == [node] and not delta.inserts
+    schema, rows = delta.replaces[node][relation_name]
+    assert schema.name == relation_name and set(rows) == set(site)
+    # The worker's rewritten relation fails its own mark and comes home whole.
+    assert [set(rows) for whole, rows in boundary.shipped_home if whole] == [set(site)]
+    # ... after which the very next insert is a delta again.
+    site.insert(victim)
+    session.run("update")
+    assert boundary.modes[-1] == "incremental"
+    assert not any(whole for whole, _rows in boundary.shipped_home)

@@ -3,9 +3,10 @@
 Covers the three pieces of :mod:`repro.coordination.changeset`: the
 :class:`ChangeSet` eligibility rules for the delta-driven update path, the
 worker-side :class:`ChangeAccumulator` that folds shipped sync deltas between
-runs, and the :class:`StructuralDigest` that is now the *single* fingerprint
-behind both the ``Session.update`` strategy-memo cache and the warm pools'
-:class:`~repro.sharding.pool.WorldMirror`.
+runs, and the :class:`StructuralDigest` behind the ``Session.update``
+strategy-memo cache — next to the warm pools'
+:class:`~repro.sharding.pool.WorldMirror`, which tracks the same state by
+marks instead of a digest.
 """
 
 from repro.api import ScenarioSpec, Session
@@ -16,8 +17,6 @@ from repro.coordination.changeset import (
     structural_digest,
 )
 from repro.coordination.rule import rule_from_text
-from repro.sharding.worker import _worlds_from_system
-from repro.sharding.planner import ShardPlanner
 from repro.sharding.pool import SyncDelta, WorldMirror
 from repro.workloads.scenarios import (
     paper_example_data,
@@ -156,28 +155,25 @@ class TestStructuralDigest:
         session = _paper_session()
         assert session._state_fingerprint() == session.system.structural_digest()
 
-    def test_world_mirror_digest_matches_the_live_system(self):
+    def test_world_mirror_follows_the_live_system_without_a_copy_of_it(self):
+        # The mirror keeps marks on the live relations, not their rows: what
+        # it ships after a mutation is exactly what moved the digest, and
+        # once shipped the mirror is level with the system again.
         session = _paper_session()
         system = session.system
-        plan = ShardPlanner(2).plan_system(system)
-        mirror = WorldMirror(_worlds_from_system(system, plan))
-        assert mirror.digest() == system.structural_digest()
-        # note_synced after a mutation re-aligns the mirror with the system.
+        mirror = WorldMirror(system)
+        assert mirror.rules == rules_fingerprint(system.registry)
+        assert mirror.advance(system).empty
+        before = system.structural_digest()
         node = sorted(system.nodes)[0]
-        relation = sorted(system.node(node).database.facts())[0]
-        arity = len(
-            next(
-                schema
-                for schema in system.node(node).database.schema
-                if schema.name == relation
-            ).attributes
-        )
-        system.node(node).database.relation(relation).insert(
-            tuple(f"new{i}" for i in range(arity))
-        )
-        assert mirror.digest() != system.structural_digest()
-        mirror.note_synced(system)
-        assert mirror.digest() == system.structural_digest()
+        relation = next(system.node(node).database.relations())
+        row = tuple(f"new{i}" for i in range(relation.schema.arity))
+        relation.insert(row)
+        assert system.structural_digest() != before
+        delta = mirror.advance(system)
+        assert delta.inserts == {node: {relation.name: (row,)}}
+        assert not delta.replaces and not delta.add_rules
+        assert mirror.advance(system).empty
 
     def test_rules_fingerprint_reads_edits_as_remove_plus_add(self):
         rule_a = rule_from_text("r1", "B: item(X, Y) -> A: item(X, Y)")

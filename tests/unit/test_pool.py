@@ -1,6 +1,7 @@
 """Unit coverage of the persistent worker pool: deltas, wiring, lifecycle.
 
-The pure pieces — :func:`~repro.sharding.pool.compute_sync_delta`, the
+The pure pieces — what :class:`~repro.sharding.pool.WorldMirror` ships
+(checked against the set-difference oracle of ``tests/sync_oracle.py``), the
 fingerprint and the re-plan decision — are tested without any processes; the
 lifecycle tests (spawn / crash / recover / close) use the smallest systems
 that exercise a real pool.
@@ -10,14 +11,19 @@ import pytest
 
 from repro.api import ScenarioSpec, Session
 from repro.api.engine import engine_for
+from repro.core.fixpoint import ground_part
 from repro.core.system import P2PSystem
 from repro.coordination.rule import rule_from_text
 from repro.database.schema import RelationSchema
 from repro.errors import NetworkError, ReproError
 from repro.sharding.planner import ShardPlan, ShardPlanner
-from repro.coordination.changeset import rules_fingerprint
-from repro.sharding.pool import compute_sync_delta
+from repro.sharding.pool import WorldMirror
 from repro.workloads.topologies import tree_topology
+from sync_oracle import (
+    assert_ships_what_the_oracle_ships,
+    set_difference_delta,
+    snapshot_of,
+)
 
 RULE = "r1: b: item(X, Y) -> a: item(X, Y)"
 
@@ -36,76 +42,123 @@ def small_system(transport="sync", **kwargs):
     )
 
 
-def mirror_of(system):
-    """The (rules, facts) mirror a freshly-spawned pool would hold."""
-    return rules_fingerprint(system.registry), {
-        node_id: dict(node.database.facts())
-        for node_id, node in system.nodes.items()
-    }
+def deltas_after(system, mutate, shrunk=()):
+    """Mutate ``system``; return what the marks ship, checked against the oracle."""
+    mirror = WorldMirror(system)
+    rules, facts = snapshot_of(system)
+    mutate()
+    oracle = set_difference_delta(system, rules, facts)
+    shipped = mirror.advance(system)
+    assert_ships_what_the_oracle_ships(system, shipped, oracle, shrunk)
+    assert mirror.advance(system).empty  # the marks moved up with the delta
+    return shipped
 
 
-class TestComputeSyncDelta:
+class TestSyncDelta:
     def test_unchanged_system_yields_empty_delta(self):
         system = small_system()
-        rules, facts = mirror_of(system)
-        assert compute_sync_delta(system, rules, facts).empty
+        assert deltas_after(system, lambda: None).empty
 
     def test_inserted_rows_ship_as_insert_deltas_only(self):
         system = small_system()
-        rules, facts = mirror_of(system)
-        system.load_data({"b": {"item": [("3", "4")]}})
-        delta = compute_sync_delta(system, rules, facts)
+        delta = deltas_after(
+            system, lambda: system.load_data({"b": {"item": [("3", "4")]}})
+        )
         assert delta.inserts == {"b": {"item": (("3", "4"),)}}
         assert not delta.replaces and not delta.add_rules and not delta.remove_rules
 
+    def test_inserted_rows_ship_in_insertion_order(self):
+        system = small_system()
+        rows = [(str(i), "x") for i in (7, 3, 9, 1, 5)]
+        delta = deltas_after(system, lambda: system.load_data({"b": {"item": rows}}))
+        assert delta.inserts["b"]["item"] == tuple(rows)
+
     def test_removed_rows_ship_as_a_wholesale_replace(self):
         system = small_system()
-        rules, facts = mirror_of(system)
-        system.node("b").database.relation("item").clear()
-        delta = compute_sync_delta(system, rules, facts)
-        assert "b" in delta.replaces
+        relation = system.node("b").database.relation("item")
+        delta = deltas_after(system, relation.clear, shrunk=[("b", "item")])
         schema, rows = delta.replaces["b"]["item"]
         assert schema.name == "item" and rows == ()
 
+    def test_a_row_deleted_and_put_back_still_fails_the_mark(self):
+        # removals moved: the set difference sees nothing, the marks cannot
+        # know the rows are the same ones and rewrite the relation.
+        system = small_system()
+        relation = system.node("b").database.relation("item")
+
+        def delete_and_reinsert():
+            relation.delete(("1", "2"))
+            relation.insert(("1", "2"))
+
+        delta = deltas_after(system, delete_and_reinsert, shrunk=[("b", "item")])
+        assert delta.replaces["b"]["item"][1] == (("1", "2"),)
+
+    def test_swapped_relation_object_ships_as_a_replace(self):
+        system = small_system()
+        database = system.node("b").database
+
+        def swap():
+            database._relations["item"] = database.relation("item").copy()
+
+        delta = deltas_after(system, swap, shrunk=[("b", "item")])
+        assert delta.replaces["b"]["item"][1] == (("1", "2"),)
+
     def test_new_relation_ships_replace_with_its_schema(self):
         system = small_system()
-        rules, facts = mirror_of(system)
-        system.node("c").database.add_relation(RelationSchema("extra", ["k"]))
-        system.node("c").database.relation("extra").insert(("v",))
-        delta = compute_sync_delta(system, rules, facts)
+
+        def add_relation():
+            system.node("c").database.add_relation(RelationSchema("extra", ["k"]))
+            system.node("c").database.relation("extra").insert(("v",))
+
+        delta = deltas_after(system, add_relation)
         schema, rows = delta.replaces["c"]["extra"]
         assert schema.name == "extra" and rows == (("v",),)
 
     def test_added_and_removed_rules_are_detected(self):
         system = small_system()
-        rules, facts = mirror_of(system)
-        system.remove_rule("r1")
-        system.add_rule(rule_from_text("r2", "c: item(X, Y) -> a: item(X, Y)"))
-        delta = compute_sync_delta(system, rules, facts)
+
+        def relink():
+            system.remove_rule("r1")
+            system.add_rule(rule_from_text("r2", "c: item(X, Y) -> a: item(X, Y)"))
+
+        delta = deltas_after(system, relink)
         assert delta.remove_rules == ("r1",)
         assert [rule.rule_id for rule in delta.add_rules] == ["r2"]
 
     def test_changed_rule_body_reads_as_remove_plus_add(self):
         system = small_system()
-        rules, facts = mirror_of(system)
-        system.remove_rule("r1")
-        system.add_rule(rule_from_text("r1", "c: item(X, Y) -> a: item(X, Y)"))
-        delta = compute_sync_delta(system, rules, facts)
+
+        def edit():
+            system.remove_rule("r1")
+            system.add_rule(rule_from_text("r1", "c: item(X, Y) -> a: item(X, Y)"))
+
+        delta = deltas_after(system, edit)
         assert delta.remove_rules == ("r1",)
         assert [rule.rule_id for rule in delta.add_rules] == ["r1"]
 
     def test_for_shard_slices_data_by_ownership_and_keeps_rules_global(self):
         system = small_system()
-        rules, facts = mirror_of(system)
-        system.load_data({"b": {"item": [("5", "6")]}, "c": {"item": [("7", "8")]}})
-        system.add_rule(rule_from_text("r3", "c: item(X, Y) -> b: item(X, Y)"))
-        delta = compute_sync_delta(system, rules, facts)
+
+        def mutate():
+            system.load_data(
+                {"b": {"item": [("5", "6")]}, "c": {"item": [("7", "8")]}}
+            )
+            system.add_rule(rule_from_text("r3", "c: item(X, Y) -> b: item(X, Y)"))
+
+        delta = deltas_after(system, mutate)
         plan = ShardPlan(shard_count=2, shard_of={"a": 0, "b": 0, "c": 1})
         shard0 = delta.for_shard(plan, 0)
         shard1 = delta.for_shard(plan, 1)
         assert set(shard0["inserts"]) == {"b"}
         assert set(shard1["inserts"]) == {"c"}
         assert shard0["add_rules"] == shard1["add_rules"] == delta.add_rules
+
+    def test_marking_after_a_merge_stops_merged_rows_from_shipping_back(self):
+        system = small_system()
+        mirror = WorldMirror(system)
+        system.load_data({"a": {"item": [("1", "2")]}})  # as a merge would
+        mirror.mark(system)
+        assert mirror.advance(system).empty
 
 
 class TestWiring:
@@ -226,6 +279,62 @@ class TestPoolLifecycle:
             assert session.engine.pool.worker_pids != pids
             assert session.engine.pool.alive
             assert recovered.completion_time >= first.completion_time
+
+    @staticmethod
+    def _insert_everywhere(session, tag, count=1):
+        """``count`` fresh rows into every node's first relation, in order."""
+        inserted = {}
+        for node_id, node in sorted(session.system.nodes.items()):
+            relation = next(node.database.relations())
+            arity = relation.schema.arity
+            rows = [
+                tuple(f"{tag}{index}-{column}" for column in range(arity))
+                for index in range(count)
+            ]
+            relation.insert_many(rows)
+            inserted[node_id] = {relation.name: tuple(rows)}
+        return inserted
+
+    def test_sync_ships_a_multi_row_insert_in_insertion_order(self):
+        # Set-difference sync shipped `tuple(rows - old)`: set-iteration
+        # order, which moves with PYTHONHASHSEED — and seeds the delta
+        # frontier in that order.  Cursor sync ships what was appended.
+        with self._pooled_session() as session:
+            session.run("update")
+            inserted = self._insert_everywhere(session, "ordered", count=5)
+            delta = session.engine.pool.sync(session.system)
+            assert delta.inserts == inserted
+            assert not delta.replaces
+
+    def test_a_failed_merge_drops_the_pool_and_the_next_run_recovers(self):
+        # Workers ship only what they gained since their last collect, so a
+        # payload lost between `collected` and the end of the merge would
+        # leave the coordinator behind its workers for good.  The engine
+        # must drop the pool instead; the cold respawn re-derives the rest.
+        spec = self._pooled_session().spec
+        with Session.from_spec(spec, capture_deltas=False) as session:
+            session.run("update")
+            pool = session.engine.pool
+            inserted = self._insert_everywhere(session, "lost")
+            run_phase = pool.run_phase
+
+            def lose_the_second_payload(*args, **kwargs):
+                payloads = run_phase(*args, **kwargs)
+                assert any(payload["facts"] for payload in payloads)
+                payloads[1]["facts"] = {"no-such-node": {}, **payloads[1]["facts"]}
+                return payloads
+
+            pool.run_phase = lose_the_second_payload
+            with pytest.raises(ReproError, match="no-such-node"):
+                session.run("update")
+            assert pool.closed
+            assert session.engine.pool is None
+            session.run("update")  # respawns cold, transparently
+            assert session.engine.pool is not pool and session.engine.pool.alive
+            with Session.from_spec(spec.with_(transport="sync")) as oracle:
+                oracle.system.load_data(inserted)
+                expected = oracle.run("update").ground_databases()
+            assert ground_part(session.databases()) == expected
 
     def test_run_phase_on_a_closed_pool_raises(self):
         session = self._pooled_session()

@@ -106,3 +106,60 @@ class TestCopyAndEquality:
         snapshot = pair_relation.rows()
         pair_relation.insert(("c", "d"))
         assert snapshot == frozenset({("a", "b")})
+
+    def test_rows_snapshot_is_shared_until_the_next_change(self, pair_relation):
+        pair_relation.insert(("a", "b"))
+        snapshot = pair_relation.rows()
+        assert pair_relation.rows() is snapshot
+        pair_relation.insert(("a", "b"))  # a duplicate changes nothing
+        assert pair_relation.rows() is snapshot
+        for change in (
+            lambda: pair_relation.insert(("c", "d")),
+            lambda: pair_relation.delete(("c", "d")),
+            pair_relation.clear,
+        ):
+            before = pair_relation.rows()
+            change()
+            assert pair_relation.rows() is not before
+            assert pair_relation.rows() == frozenset(pair_relation)
+
+
+class TestMarkAndSince:
+    """``since(mark)``: the rows added, in order — or None, take it whole."""
+
+    def test_rows_added_since_the_mark_come_in_insertion_order(self, pair_relation):
+        pair_relation.insert(("a", "b"))
+        mark = pair_relation.mark()
+        assert pair_relation.since(mark) == []
+        added = [(str(i), "x") for i in (7, 3, 9, 1, 5)]
+        pair_relation.insert_many(added)
+        assert pair_relation.since(mark) == added
+        assert pair_relation.since(pair_relation.mark()) == []
+
+    def test_no_mark_does_not_validate(self, pair_relation):
+        assert pair_relation.since(None) is None
+
+    def test_a_delete_or_clear_fails_the_mark(self, pair_relation):
+        pair_relation.insert_many([("a", "b"), ("c", "d")])
+        mark = pair_relation.mark()
+        pair_relation.delete(("a", "b"))
+        pair_relation.insert(("a", "b"))  # same rows, same count: still moved
+        assert pair_relation.since(mark) is None
+        mark = pair_relation.mark()
+        pair_relation.clear()
+        assert pair_relation.since(mark) is None
+
+    def test_a_missed_delete_does_not_move_removals(self, pair_relation):
+        pair_relation.insert(("a", "b"))
+        mark = pair_relation.mark()
+        pair_relation.delete(("x", "y"))
+        assert pair_relation.since(mark) == []
+
+    def test_a_mark_of_another_relation_object_does_not_validate(self, pair_relation):
+        pair_relation.insert(("a", "b"))
+        assert pair_relation.copy().since(pair_relation.mark()) is None
+
+    def test_a_mark_ahead_of_the_row_count_does_not_validate(self, pair_relation):
+        pair_relation.insert(("a", "b"))
+        ahead = (pair_relation, pair_relation.removals, len(pair_relation) + 1)
+        assert pair_relation.since(ahead) is None
