@@ -54,8 +54,6 @@ def _build_databases(
 ) -> dict[NodeId, LocalDatabase]:
     databases: dict[NodeId, LocalDatabase] = {}
     for node_id, schema in schemas.items():
-        if not isinstance(schema, DatabaseSchema):
-            schema = DatabaseSchema(schema)
         databases[node_id] = LocalDatabase(schema)
     if data:
         for node_id, relations in data.items():

@@ -129,8 +129,6 @@ class P2PSystem:
         """Create and register a peer with the given shared schema."""
         if node_id in self.nodes:
             raise ReproError(f"node {node_id!r} already exists")
-        if not isinstance(schema, DatabaseSchema):
-            schema = DatabaseSchema(schema)
         database = LocalDatabase(schema)
         node = PeerNode(
             node_id,
@@ -141,7 +139,9 @@ class P2PSystem:
         )
         self.nodes[node_id] = node
         self.discovery_service.publish(
-            Advertisement(peer_id=node_id, shared_relations=schema.relation_names)
+            Advertisement(
+                peer_id=node_id, shared_relations=database.schema.relation_names
+            )
         )
         return node
 

@@ -27,11 +27,11 @@ class LocalDatabase:
     """An in-memory relational database for one peer."""
 
     def __init__(self, schema: DatabaseSchema | Iterable[RelationSchema] = ()):
-        if not isinstance(schema, DatabaseSchema):
-            schema = DatabaseSchema(schema)
-        self.schema = schema
+        # A copy, also of a DatabaseSchema: add_relation mutates it, and the
+        # caller's object (a ScenarioSpec's, say) may build other databases.
+        self.schema = DatabaseSchema(schema)
         self._relations: dict[str, Relation] = {
-            rel.name: Relation(rel) for rel in schema
+            rel.name: Relation(rel) for rel in self.schema
         }
         self.skolems = SkolemFactory()
         #: A6 projection-check profiling sink; attached by traced sessions
@@ -226,7 +226,7 @@ class LocalDatabase:
 
     def copy(self) -> "LocalDatabase":
         """A deep copy with independent relations (nulls are shared values)."""
-        clone = LocalDatabase(DatabaseSchema(list(self.schema)))
+        clone = LocalDatabase(self.schema)
         for name, relation in self._relations.items():
             clone._relations[name] = relation.copy()
         return clone

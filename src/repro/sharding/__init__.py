@@ -22,7 +22,7 @@ baseline) — and there are two ways to run it:
     mirror bookkeeping), talking to shard *s* through a
     :class:`~repro.sharding.pool.Channel`;
   - the two channels are :class:`~repro.sharding.pool.ProcessChannel`
-    (a spawned OS process and its queue — :class:`~repro.sharding.pool.WorkerPool`)
+    (a fork-server child and its queue — :class:`~repro.sharding.pool.WorkerPool`)
     and :class:`~repro.sharding.sockets.HostChannel` (a TCP link to a
     ``python -m repro.shardhost`` :class:`~repro.sharding.sockets.ShardHost`
     plus a shard id — :class:`~repro.sharding.sockets.SocketPool`, with

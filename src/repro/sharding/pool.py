@@ -1,7 +1,7 @@
 """The coordinator side of every process-backed engine: one pool of workers.
 
 A one-shot process run pays a fixed price before the first message moves:
-one interpreter spawn (or host dial) per shard plus a pickle of the full
+one process start (or host dial) per shard plus a pickle of the full
 schema/rule world.  That is fine for one-shot sweeps and fatal for the
 workloads the paper motivates — the same rule world updated again and again
 as peers' data shifts.  So the workers are *persistent* (the loop in
@@ -11,7 +11,7 @@ as peers' data shifts.  So the workers are *persistent* (the loop in
   ``put(command)``, ``alive`` (+ ``reason`` when not), ``kill()``,
   ``close()``.  Replies never come back through a channel — every worker
   answers on the pool's single results queue.  There are exactly two
-  implementations: :class:`ProcessChannel` (a spawned OS process and its
+  implementations: :class:`ProcessChannel` (a local OS process and its
   inbox queue) here, and :class:`~repro.sharding.sockets.HostChannel` (a
   TCP link to a shard host plus the shard's id).
 * :class:`ShardPool` owns everything above the channels: awaiting replies
@@ -26,8 +26,11 @@ as peers' data shifts.  So the workers are *persistent* (the loop in
   mirror's marks on them (state is compared, not change notifications
   trusted), at a cost proportional to the change, not to the world.
 * :class:`WorkerPool` and :class:`~repro.sharding.sockets.SocketPool` are
-  reduced to how their channels are made: spawn one process per shard, or
-  dial a host fleet and ship it the worlds.
+  reduced to how their channels are made: start one process per shard, or
+  dial a host fleet and ship it the worlds.  :func:`_worker_context` decides
+  how a process starts: forked from a server that imported the worker's
+  modules once, so a worker costs a fork and an unpickle, not an interpreter
+  boot and a re-import of the package.
 
 Quiescence uses the classic cumulative-counter double check: the coordinator
 pings every worker for ``(cross-sent per shard, cross-received, delivered)``;
@@ -47,9 +50,12 @@ monotone across consecutive runs.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import queue as queue_module
+import threading
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Protocol
 
 from repro.coordination.changeset import rules_fingerprint
@@ -70,13 +76,57 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
     from repro.core.system import P2PSystem
 
 #: Seconds the coordinator waits for a worker to come up / answer before the
-#: run is declared stuck.  Generous: a spawn re-imports the whole package.
+#: run is declared stuck.  Generous: the first pool of a process boots the
+#: fork server, and on the spawn fallback every worker re-imports the package.
 #: This is a *stall* bound, not a run budget — the quiescence loop resets it
 #: whenever the counters show progress, so long phases are fine as long as
 #: deliveries keep happening.
 _WORKER_TIMEOUT = 120.0
 
+#: What the fork server imports before it forks a worker: the modules a
+#: :class:`ShardWorld` unpickles into and :func:`shard_worker_loop` runs on.
+_PRELOAD = ["repro.sharding.worker", "repro.core.system"]
+_context_lock = threading.Lock()
+
 _log = get_logger("pool")
+
+
+def package_pythonpath(existing: str | None) -> str:
+    """``PYTHONPATH`` for a child interpreter that must import this package."""
+    package_root = str(Path(__file__).resolve().parents[2])
+    return os.pathsep.join(filter(None, (package_root, existing)))
+
+
+def _worker_context():
+    """The ``multiprocessing`` context every :class:`WorkerPool` starts from.
+
+    Chosen from the platform, never from an option: ``forkserver`` wherever
+    it exists, ``spawn`` where it does not (Windows).  The server is one
+    long-lived, single-threaded process per coordinator process, started by
+    the first pool and reused by every later one.
+    """
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("spawn")
+    # Imported here: half a MiB that processes without a pool never need.
+    from multiprocessing import forkserver
+
+    context = multiprocessing.get_context("forkserver")
+    # CPython 3.11's server ignores the sys.path it is sent and swallows the
+    # preload's ImportError, so a package reachable only through sys.path
+    # would fork unloaded workers — silently, at spawn speed.  PYTHONPATH
+    # does reach the server: set around its start (a no-op while it runs).
+    with _context_lock:
+        context.set_forkserver_preload(_PRELOAD)
+        existing = os.environ.get("PYTHONPATH")
+        os.environ["PYTHONPATH"] = package_pythonpath(existing)
+        try:
+            forkserver.ensure_running()
+        finally:
+            if existing is None:
+                del os.environ["PYTHONPATH"]
+            else:
+                os.environ["PYTHONPATH"] = existing
+    return context
 
 
 # ------------------------------------------------------------------- deltas
@@ -217,7 +267,7 @@ class Channel(Protocol):
 
 
 class ProcessChannel:
-    """The channel to a spawned shard-worker process: its inbox queue."""
+    """The channel to a shard-worker process on this machine: its inbox queue."""
 
     def __init__(self, process, inbox):
         self.process = process
@@ -544,15 +594,16 @@ class ShardPool:
 
 
 class WorkerPool(ShardPool):
-    """The pool whose workers are spawned OS processes on this machine.
+    """The pool whose workers are OS processes on this machine.
 
-    Workers are daemons, so they also die with the coordinator process, but
-    an explicit :meth:`close` is what benchmarks and long-lived services
-    should do.
+    Workers are daemons forked from the fork server (:func:`_worker_context`)
+    — its children, not the coordinator's.  They and the server still die
+    with the coordinator process, but an explicit :meth:`close` is what
+    benchmarks and long-lived services should do.
     """
 
     def _open(self, worlds: list[ShardWorld]) -> None:
-        context = multiprocessing.get_context("spawn")
+        context = _worker_context()
         inboxes = [context.Queue() for _ in worlds]
         self._results = context.Queue()
         self._workers = [

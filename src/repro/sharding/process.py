@@ -4,8 +4,8 @@
 What differs between them is data on the coordinator's transport handle:
 
 * :class:`ProcessTransport` carries the run configuration — ``kind`` says
-  what carries the channels to the shard workers (``"multiproc"``: spawned
-  OS processes on this box; ``"socket"``: TCP shard hosts, with ``hosts`` and
+  what carries the channels to the shard workers (``"multiproc"``: fork-server
+  children on this box; ``"socket"``: TCP shard hosts, with ``hosts`` and
   ``max_frame``), ``pool`` says whether the workers outlive a run — adopts
   the shard plan, and after a run exposes the merged per-shard counters
   through the same surface as the in-process

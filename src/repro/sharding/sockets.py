@@ -58,7 +58,6 @@ import tempfile
 import threading
 import time
 import traceback
-from pathlib import Path
 from typing import Sequence
 
 from repro.errors import NetworkError, ReproError
@@ -66,7 +65,7 @@ from repro.faults.injector import NULL_INJECTOR
 from repro.faults.recovery import retry_call
 from repro.obs import get_logger
 from repro.sharding.planner import ShardPlan
-from repro.sharding.pool import _WORKER_TIMEOUT, ShardPool
+from repro.sharding.pool import _WORKER_TIMEOUT, ShardPool, package_pythonpath
 from repro.sharding.worker import ShardWorld, shard_worker_loop
 
 #: Hard bound on one frame's pickled payload.  Large enough for a shipped
@@ -718,13 +717,8 @@ class LocalHostCluster:
         atexit.register(self.close)
 
     def _launch_one(self) -> subprocess.Popen:
-        import repro
-
-        env = dict(os.environ)
-        package_root = str(Path(repro.__file__).resolve().parent.parent)
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            os.pathsep.join([package_root, existing]) if existing else package_root
+        env = dict(
+            os.environ, PYTHONPATH=package_pythonpath(os.environ.get("PYTHONPATH"))
         )
         # stderr goes to an unnamed temp file, not a pipe: nobody drains the
         # host's stderr for its (long) lifetime, and a filled pipe buffer

@@ -22,7 +22,7 @@ commands:
   home what the coordinator does not hold yet (:class:`_Shipped`), never the
   world.  A
   :class:`~repro.sharding.pool.WorkerPool` runs it as the target of one
-  spawned OS process per shard, a :class:`~repro.sharding.sockets.ShardHost`
+  fork-server child per shard, a :class:`~repro.sharding.sockets.ShardHost`
   as one thread per hosted shard; a one-shot run is the same loop stopped
   after its first ``collect``.
 
@@ -72,7 +72,7 @@ _DRAIN_BATCH = 500
 class ShardWorld:
     """Everything one worker process needs to rebuild its shard of the system.
 
-    The payload is pickled by ``multiprocessing`` spawn, so every field holds
+    The payload is pickled to the worker by ``multiprocessing``, so every field holds
     plain library objects (schemas, rules, rows — all module-level classes).
     Each worker rebuilds the *full* node and rule graph (rules span shards, so
     every peer must exist everywhere) but loads only its own shard's data

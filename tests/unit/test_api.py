@@ -90,6 +90,17 @@ class TestScenarioSpec:
         assert isinstance(system, P2PSystem)
         assert set(system.nodes) == {"a", "b"}
 
+    def test_sessions_of_one_spec_do_not_share_schemas(self):
+        # LocalDatabase kept the DatabaseSchema it was given, so add_relation
+        # in one session wrote into the spec and every session built after.
+        spec = small_builder().build()
+        first = Session.from_spec(spec)
+        first.system.node("a").database.add_relation(RelationSchema("extra", ["k"]))
+        second = Session.from_spec(spec).system.node("a").database
+        assert "extra" not in spec.schemas["a"]
+        assert "extra" not in second and "extra" not in second.schema
+        assert "extra" in first.system.node("a").database.schema
+
     def test_from_topology_packages_dblp_workload(self):
         from repro.workloads.topologies import tree_topology
 

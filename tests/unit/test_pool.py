@@ -7,6 +7,8 @@ lifecycle tests (spawn / crash / recover / close) use the smallest systems
 that exercise a real pool.
 """
 
+import os
+
 import pytest
 
 from repro.api import ScenarioSpec, Session
@@ -19,6 +21,7 @@ from repro.errors import NetworkError, ReproError
 from repro.sharding.planner import ShardPlan, ShardPlanner
 from repro.sharding.pool import WorldMirror
 from repro.workloads.topologies import tree_topology
+from test_pool_bringup import FORK_SERVER_VISIBLE, parent_of
 from sync_oracle import (
     assert_ships_what_the_oracle_ships,
     set_difference_delta,
@@ -40,6 +43,11 @@ def small_system(transport="sync", **kwargs):
         transport=transport,
         **kwargs,
     )
+
+
+def _parents_of(pids):
+    """The live workers' parent pids; empty where they cannot be read."""
+    return {parent_of(pid) for pid in pids} if FORK_SERVER_VISIBLE else set()
 
 
 def deltas_after(system, mutate, shrunk=()):
@@ -270,15 +278,21 @@ class TestPoolLifecycle:
             first = session.run("update")
             pool = session.engine.pool
             pids = pool.worker_pids
-            for victim in pool._workers:
-                victim.terminate()
-                victim.join(timeout=5.0)
+            parents = _parents_of(pids)
+            for shard in range(pool.shard_count):
+                pool.kill_worker(shard)
+            assert not pool.alive
+            with pytest.raises(NetworkError, match=r"gone \(exit code -\d+\)"):
+                pool._require_open()
             recovered = session.run("update")
             assert recovered.engine == "pooled"
             assert session.engine.pool is not pool
-            assert session.engine.pool.worker_pids != pids
+            assert not set(session.engine.pool.worker_pids) & set(pids)
             assert session.engine.pool.alive
             assert recovered.completion_time >= first.completion_time
+            if parents:  # the respawn is forked from the same server
+                assert len(parents) == 1 and os.getpid() not in parents
+                assert _parents_of(session.engine.pool.worker_pids) == parents
 
     @staticmethod
     def _insert_everywhere(session, tag, count=1):
