@@ -6,10 +6,10 @@ The shape that must hold: messages and time grow with the node count, every
 run reaches the fix-point, and trees stay far cheaper than cliques of similar
 size.
 
-The sharded extension goes past the paper's 31 nodes: the same update on
-~127- and ~511-node topologies under the partitioned engines — the
-in-process sharded one and the one-OS-process-per-shard multiproc one —
-with per-shard and cross-shard message counts as the record.
+The engine extension goes past the paper's 31 nodes: the same update on
+~127- and ~511-node topologies under sync and the one-OS-process-per-shard
+multiproc engine, with per-shard and cross-shard message counts as the
+record.
 """
 
 import pytest
@@ -68,16 +68,14 @@ def test_bench_layered_scalability(benchmark, depth):
     ],
 )
 def test_bench_engine_scalability(benchmark, size):
-    """Sync vs sharded vs multiproc update on topologies far past 31 nodes.
+    """Sync vs multiproc update on topologies far past 31 nodes.
 
-    The extended E3 sweep, one run per size covering all three engines: the
-    same global update on a ~``size``-node tree and layered DAG under the
-    single-queue sync engine, the in-process sharded engine, and the
-    one-OS-process-per-shard multiproc engine, with wall-clocks and shard
-    traffic (per-shard and cross-shard deliveries) as the headline numbers.
-    The cross-shard counters of the two partitioned engines must tell a
-    consistent story about the same planner cut: real traffic crosses it
-    (>0) but most deliveries stay local in both views.
+    The extended E3 sweep, one run per size: the same global update on a
+    ~``size``-node tree and layered DAG under the single-queue sync engine
+    and the one-OS-process-per-shard multiproc engine, with wall-clocks and
+    shard traffic (per-shard and cross-shard deliveries) as the headline
+    numbers.  Real traffic must cross the planner's cut (>0) while most
+    deliveries stay local.
     """
     def run():
         return run_shard_scalability(
@@ -85,7 +83,7 @@ def test_bench_engine_scalability(benchmark, size):
             shards=4,
             records_per_node=3,
             check_parity=True,
-            include_multiproc=True,
+            engine="multiproc",
         )
 
     comparisons = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -94,23 +92,17 @@ def test_bench_engine_scalability(benchmark, size):
         nodes=tree.node_count,
         shards=tree.shards,
         sync_wall=round(tree.sync_wall, 3),
-        sharded_wall=round(tree.sharded_wall, 3),
-        multiproc_wall=round(tree.multiproc_wall, 3),
+        multiproc_wall=round(tree.engine_wall, 3),
         sync_messages=tree.sync_messages,
-        sharded_messages=tree.sharded_messages,
+        multiproc_messages=tree.engine_messages,
         messages_by_shard=tree.messages_by_shard,
         cross_shard_messages=tree.cross_shard_messages,
         cut_ratio=round(tree.cut_ratio, 4),
-        multiproc_cross=tree.multiproc_cross_shard,
-        multiproc_cut_ratio=round(tree.multiproc_cut_ratio, 4),
     )
     for comparison in comparisons:
         assert comparison.parity
-        assert comparison.multiproc_parity
         assert comparison.cross_shard_messages > 0
-        assert comparison.multiproc_cross_shard > 0
         assert comparison.cut_ratio < 0.5  # the planner keeps most traffic local
-        assert comparison.multiproc_cut_ratio < 0.5
 
 
 def test_bench_pooled_warm_update(benchmark):
@@ -178,7 +170,7 @@ def test_bench_pooled_amortization_127(benchmark):
             shards=4,
             records_per_node=3,
             check_parity=True,
-            include_pooled=True,
+            engine="pooled",
             repeats=3,
         )
 
@@ -193,7 +185,6 @@ def test_bench_pooled_amortization_127(benchmark):
     )
     for comparison in comparisons:
         assert comparison.parity
-        assert comparison.multiproc_parity
         assert comparison.pooled_parity
         # Warm runs amortise the ~1-2 s fixed overhead away.
         assert comparison.pooled_warm_wall < comparison.multiproc_repeat_wall / 2

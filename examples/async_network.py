@@ -1,59 +1,58 @@
 #!/usr/bin/env python3
-"""The asynchronous communication model on an asyncio transport.
+"""The asynchronous communication model: one fix-point under every schedule.
 
-The paper's algorithm "is based on an asynchronous model of communications
-(while also supporting a synchronous alternative)".  The unified
-:class:`repro.Session` makes the transport an assembly-time choice: the same
-``session.run(...)`` / ``session.update()`` calls drive either engine.  This
-example runs the paper example over the asyncio transport (every message
-delivery an independent task with randomised latency) from inside an event
-loop via ``run_async``, then re-runs it on the deterministic synchronous
-transport — from plain blocking code — and checks that both converge to
-exactly the same ground data.
+The paper's algorithm "is based on an asynchronous model of communications",
+so the fix-point a network reaches must not depend on the order in which
+its messages are delivered.  The simulator explores that order: under a
+seeded ``UniformLatency`` every seed is a different legal schedule.  This
+example runs the paper example (discovery, then the update) under N seeded
+schedules, prints each run's message count — which does vary with the
+schedule — and checks that every run reaches the ground fix-point of the
+constant-latency run.  Any seed replays on its own, from a spec file too:
+``spec.with_(latency=UniformLatency(0, 1, seed)).dump_json("seed.json")``.
 
 Run with::
 
-    python examples/async_network.py
+    python examples/async_network.py [schedules]
 """
 
 from __future__ import annotations
 
-import asyncio
+import sys
 
-from repro import Session, UniformLatency
+from repro import ScenarioSpec, Session, UniformLatency
 from repro.core.fixpoint import ground_part
-from repro.workloads import build_paper_example
+from repro.workloads.scenarios import (
+    paper_example_data,
+    paper_example_rules,
+    paper_example_schemas,
+)
 
 
-async def run_async() -> dict:
-    session = Session.of(build_paper_example(
-        transport="async",
-        propagation="once",
-        latency=UniformLatency(0.5, 3.0, seed=7),
-    ))
-    await session.run_async("discovery", origins=["A"])
-    update = await session.run_async("update")
-    print(f"async run: {update.stats.total_messages} messages, "
-          f"{update.tuples_added} tuples inserted")
-    return session.databases()
-
-
-def run_sync() -> dict:
-    session = Session.of(build_paper_example(transport="sync", propagation="once"))
-    session.run("discovery", origins=["A"])
+def run(spec: ScenarioSpec):
+    session = Session.from_spec(spec)
+    session.run("discovery")
     update = session.update()
-    print(f"sync  run: {update.stats.total_messages} messages, "
-          f"{update.tuples_added} tuples inserted")
-    return session.databases()
+    return update.stats.total_messages, ground_part(session.databases())
 
 
-def main() -> None:
-    async_result = asyncio.run(run_async())
-    sync_result = run_sync()
-    same = ground_part(async_result) == ground_part(sync_result)
-    print("asynchronous and synchronous runs reach the same ground fix-point:", same)
+def main(schedules: int = 10) -> None:
+    spec = ScenarioSpec.of(
+        paper_example_schemas(),
+        paper_example_rules(),
+        paper_example_data(),
+        super_peer="A",
+    )
+    messages, reference = run(spec)
+    print(f"constant latency: {messages} messages")
+    same = True
+    for seed in range(schedules):
+        messages, fixpoint = run(spec.with_(latency=UniformLatency(0, 1, seed)))
+        print(f"schedule seed {seed:3d}: {messages} messages")
+        same = same and fixpoint == reference
+    print(f"{schedules} schedules reach the same ground fix-point: {same}")
     assert same
 
 
 if __name__ == "__main__":
-    main()
+    main(int(sys.argv[1]) if len(sys.argv) > 1 else 10)

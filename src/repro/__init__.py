@@ -58,7 +58,6 @@ from repro.network import (
     Message,
     MessageType,
     SyncTransport,
-    AsyncTransport,
     ConstantLatency,
     UniformLatency,
 )
@@ -82,7 +81,6 @@ from repro.api import (
     RunResult,
     ExecutionEngine,
     SyncEngine,
-    AsyncEngine,
     engine_for,
     UpdateStrategy,
     register_strategy,
@@ -102,12 +100,7 @@ from repro.workloads import (
     build_paper_example,
     build_dblp_network,
 )
-from repro.sharding import (
-    ShardPlan,
-    ShardPlanner,
-    ShardedEngine,
-    ShardedTransport,
-)
+from repro.sharding import ShardPlan, ShardPlanner
 from repro.stats import StatisticsCollector, format_table
 
 __version__ = "0.1.0"
@@ -147,7 +140,6 @@ __all__ = [
     "Message",
     "MessageType",
     "SyncTransport",
-    "AsyncTransport",
     "ConstantLatency",
     "UniformLatency",
     # core
@@ -169,7 +161,6 @@ __all__ = [
     "RunResult",
     "ExecutionEngine",
     "SyncEngine",
-    "AsyncEngine",
     "engine_for",
     "UpdateStrategy",
     "register_strategy",
@@ -178,8 +169,6 @@ __all__ = [
     # sharding
     "ShardPlan",
     "ShardPlanner",
-    "ShardedEngine",
-    "ShardedTransport",
     # baselines
     "centralized_update",
     "acyclic_update",

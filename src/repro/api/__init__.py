@@ -7,7 +7,7 @@ This package is the unified execution façade over the substrate in
   (``session.run("discovery")``) and strategy-pluggable updates
   (``session.update(strategy="centralized")``),
 * :class:`~repro.api.engine.ExecutionEngine` with
-  :class:`~repro.api.engine.SyncEngine` / :class:`~repro.api.engine.AsyncEngine`,
+  :class:`~repro.api.engine.SyncEngine`,
 * :class:`~repro.api.strategies.UpdateStrategy` and its string-keyed registry
   (``"distributed"``, ``"centralized"``, ``"acyclic"``, ``"querytime"``),
 * :class:`~repro.api.spec.ScenarioSpec` / :class:`~repro.api.spec.NetworkBuilder`
@@ -15,7 +15,7 @@ This package is the unified execution façade over the substrate in
   ``docs/scenarios.md``),
 * :class:`~repro.api.result.RunResult` — the uniform result of every run.
 
-The scaling engines (sharded, multiproc, pooled) live in
+The scaling engines (multiproc, pooled, socket) live in
 :mod:`repro.sharding` and plug into the same protocol; ``Session`` selects
 them from the spec's ``transport``/``shards``/``pool`` knobs
 (``docs/engines.md`` is the guide).
@@ -29,7 +29,6 @@ opts out; ``docs/analysis.md`` lists the diagnostic codes).
 
 from repro.api.engine import (
     PHASES,
-    AsyncEngine,
     ExecutionEngine,
     SyncEngine,
     engine_for,
@@ -46,7 +45,6 @@ from repro.api.strategies import (
 
 __all__ = [
     "PHASES",
-    "AsyncEngine",
     "ExecutionEngine",
     "SyncEngine",
     "engine_for",

@@ -6,8 +6,7 @@ state-holding substrate: nodes, rules, pipes, transport) to an
 exposes the library's operations uniformly:
 
 * ``session.run("discovery")`` / ``session.run("update")`` — the paper's two
-  protocol phases, identical over the synchronous and the asyncio transport
-  (``await session.run_async(...)`` for callers already inside a loop),
+  protocol phases, identical over the simulator and the process engines,
 * ``session.update(strategy="centralized")`` — any registered
   :class:`~repro.api.strategies.UpdateStrategy` (the paper's algorithm or one
   of the three baselines), always returning a uniform
@@ -368,34 +367,6 @@ class Session:
         chase_before = tracer.chase.snapshot()
         with tracer.span("run", phase=phase, engine=self.engine.name) as span:
             completion, snapshot = self.engine.run(self.system, phase, origins)
-            span.set(
-                completion_time=completion,
-                messages=sum(snapshot.messages.by_type.values()),
-                **tracer.chase.delta_attributes(chase_before),
-            )
-        result = self._package(phase, before, completion, snapshot, started)
-        return replace(
-            result, extras={**result.extras, "trace": tracer.trace(since=mark)}
-        )
-
-    async def run_async(
-        self, phase: str, *, origins: Iterable[NodeId] | None = None
-    ) -> RunResult:
-        """Awaitable variant of :meth:`run` for callers inside an event loop."""
-        started = time.perf_counter()
-        before = self.system.databases() if self.capture_deltas else None
-        tracer = self.tracer
-        if tracer is None:
-            completion, snapshot = await self.engine.run_async(
-                self.system, phase, origins
-            )
-            return self._package(phase, before, completion, snapshot, started)
-        mark = tracer.mark()
-        chase_before = tracer.chase.snapshot()
-        with tracer.span("run", phase=phase, engine=self.engine.name) as span:
-            completion, snapshot = await self.engine.run_async(
-                self.system, phase, origins
-            )
             span.set(
                 completion_time=completion,
                 messages=sum(snapshot.messages.by_type.values()),

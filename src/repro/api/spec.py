@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from repro.api.engine import transport_names
+from repro.api.engine import transport_kind, transport_names
 from repro.coordination.rule import CoordinationRule, NodeId, rule_from_text
 from repro.database.relation import Row
 from repro.database.schema import Attribute, DatabaseSchema, RelationSchema
@@ -134,11 +134,9 @@ class ScenarioSpec:
     strategy: str = "distributed"
     max_messages: int = 1_000_000
     name: str = "scenario"
-    #: Shard count for the partitioned transports (``"sharded"`` runs the
-    #: shards as asyncio tasks in-process, ``"multiproc"`` as one OS process
-    #: each).  Setting it on a spec whose transport is the default ``"sync"``
-    #: selects ``"sharded"`` implicitly, so ``spec.with_(shards=4)`` is the
-    #: whole knob; pair it with ``transport="multiproc"`` for real processes.
+    #: Shard count for the partitioned transports (``"multiproc"`` /
+    #: ``"pooled"`` run one worker OS process per shard, ``"socket"`` one
+    #: worker per shard on TCP shard hosts); any other transport refuses it.
     shards: int | None = None
     #: With ``transport="multiproc"``, keep the shard worker processes alive
     #: between runs (the persistent :class:`~repro.sharding.pool.WorkerPool`:
@@ -165,6 +163,10 @@ class ScenarioSpec:
     #: host partitions at their phase hook points (see ``docs/faults.md``).
     #: ``None`` (the default) injects nothing and costs nothing.
     faults: "FaultPlan | None" = None
+
+    def __post_init__(self) -> None:
+        if isinstance(self.transport, str):
+            transport_kind(self.transport)  # unknown and removed names raise
 
     @classmethod
     def of(
@@ -358,36 +360,32 @@ class ScenarioSpec:
         A spec is replayable — each call builds an independent system — except
         when it holds a *transport instance*, which can only back one system
         (its peer registry and statistics are per-system state); in that case
-        a second build raises :class:`ReproError`.  Pass ``"sync"`` /
-        ``"async"`` to keep the spec fully replayable.
+        a second build raises :class:`ReproError`.  Pass a transport name
+        (``"sync"``, ``"multiproc"``, ...) to keep the spec fully replayable.
         """
         from repro.core.system import P2PSystem
 
         if isinstance(self.transport, BaseTransport) and self.transport.peers:
             raise ReproError(
                 "this spec holds a transport instance that already backs a "
-                "system; use transport='sync'/'async' for a replayable spec"
+                "system; use a transport name for a replayable spec"
             )
         transport = self.transport
         partitioned = transport_names(partitioned=True)
-        process_backed = transport_names(process_backed=True)
-        if self.shards is not None:
-            if transport == "sync":
-                transport = "sharded"
-            elif transport not in partitioned:
-                raise ReproError(
-                    f"shards={self.shards} needs a partitioned transport, but "
-                    f"the spec selects {_transport_label(transport)}; "
-                    "drop the shards setting or use "
-                    f"transport={_name_list(partitioned)}"
-                )
+        if self.shards is not None and transport not in partitioned:
+            raise ReproError(
+                f"shards={self.shards} needs a partitioned transport, but "
+                f"the spec selects {_transport_label(transport)}; "
+                "drop the shards setting or use "
+                f"transport={_name_list(partitioned)}"
+            )
         # A live process-backed transport instance already satisfies the pool
         # flag; everything else cannot pool.
-        if self.pool and getattr(transport, "kind", transport) not in process_backed:
+        if self.pool and getattr(transport, "kind", transport) not in partitioned:
             raise ReproError(
                 f"pool=True needs the multiproc or socket transport, but "
                 f"the spec selects {_transport_label(transport)}; "
-                f"use transport={_name_list(process_backed)} with the pool flag"
+                f"use transport={_name_list(partitioned)} with the pool flag"
             )
         if self.hosts and transport != "socket":
             # A transport *instance* carries its own hosts; spec-level hosts
@@ -397,12 +395,12 @@ class ScenarioSpec:
                 f"{_transport_label(transport)}"
             )
         if self.faults is not None:
-            if transport not in process_backed:
+            if transport not in partitioned:
                 raise ReproError(
                     "faults= needs a process-backed transport "
-                    f"({_name_list(process_backed)}), but the spec selects "
-                    f"{_transport_label(transport)}; the in-process transports "
-                    "have no workers to kill or frames to drop"
+                    f"({_name_list(partitioned)}), but the spec selects "
+                    f"{_transport_label(transport)}; the in-process transport "
+                    "has no workers to kill or frames to drop"
                 )
             if transport != "socket" and any(
                 fault.kind == "partition" for fault in self.faults.faults
@@ -471,17 +469,19 @@ class NetworkBuilder:
         return self
 
     def transport(self, kind: str | BaseTransport) -> "NetworkBuilder":
-        """Select the transport: ``"sync"``, ``"async"``, ``"sharded"``,
-        ``"multiproc"``, ``"pooled"``, ``"socket"`` or an instance."""
+        """Select the transport: ``"sync"``, ``"multiproc"``, ``"pooled"``,
+        ``"socket"`` or an instance."""
+        if isinstance(kind, str):
+            transport_kind(kind)  # unknown and removed names raise
         self._settings["transport"] = kind
         return self
 
     def shards(self, count: int) -> "NetworkBuilder":
         """Run over a partitioned transport with ``count`` shards.
 
-        Defaults to the in-process ``"sharded"`` transport; combine with
-        ``.transport("multiproc")`` for one worker process per shard, or
-        call :meth:`pooled` to keep those processes warm between runs.
+        Combine with ``.transport("multiproc")`` for one worker process per
+        shard, or call :meth:`pooled` to keep those processes warm between
+        runs; the ``"sync"`` transport refuses a shard count.
         """
         self._settings["shards"] = count
         return self

@@ -93,7 +93,7 @@ _EXPERIMENTS: dict[str, tuple[str, Callable[[argparse.Namespace], str]]] = {
                 records_per_node=getattr(args, "shard_records", 3),
                 shards=getattr(args, "shards", 4),
                 sizes=_parse_sizes(getattr(args, "sizes", "127,511")),
-                engine=getattr(args, "engine", "sharded"),
+                engine=args.engine,
                 repeats=getattr(args, "repeats", 3),
                 hosts=_parse_hosts(getattr(args, "hosts", None)),
                 trace_path=getattr(args, "trace", None),
@@ -200,12 +200,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("sync", *transport_names(partitioned=True)),
         default="sync",
         help=(
-            "execution engine for E3: 'sharded' runs the large sync-vs-sharded "
-            "sweep instead of the paper-sized one; 'multiproc' additionally "
-            "runs the one-process-per-shard engine; 'pooled' adds the "
-            "repeat-run comparison against a persistent worker pool; "
-            "'socket' adds the TCP shard-host engine (see --hosts) "
-            "(default sync)"
+            "execution engine for E3: 'multiproc' runs the large "
+            "sync-vs-multiproc sweep (one process per shard) instead of the "
+            "paper-sized one; 'pooled' adds the repeat-run comparison against "
+            "a persistent worker pool; 'socket' compares against the TCP "
+            "shard-host engine (see --hosts) (default sync)"
         ),
     )
     run_parser.add_argument(
@@ -231,13 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=4,
-        help="shard count for --engine sharded/multiproc (default 4)",
+        help="shard count for --engine multiproc/pooled/socket (default 4)",
     )
     run_parser.add_argument(
         "--sizes",
         default="127,511",
         help=(
-            "comma-separated node counts for --engine sharded/multiproc "
+            "comma-separated node counts for --engine multiproc/pooled/socket "
             "(default 127,511)"
         ),
     )
@@ -246,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="shard_records",
         type=int,
         default=3,
-        help="records per node for the sharded sweep (default 3; the sweep "
+        help="records per node for the engine sweep (default 3; the sweep "
         "runs hundreds of nodes, so it stays small independently of --records)",
     )
 
@@ -280,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "write a Chrome trace-event JSON timeline of the E3 engine sweep "
             "to PATH (open it at https://ui.perfetto.dev); only valid with "
-            "E3 and --engine sharded/multiproc/pooled/socket"
+            "E3 and --engine multiproc/pooled/socket"
         ),
     )
     run_parser.add_argument(
@@ -500,7 +499,7 @@ def main(argv: list[str] | None = None) -> int:
             args.experiment == "E11"
             or (
                 args.experiment == "E3"
-                and args.engine in transport_names(process_backed=True)
+                and args.engine in transport_names(partitioned=True)
             )
         ):
             # Same loud-failure policy as --hosts: silently running
@@ -508,7 +507,7 @@ def main(argv: list[str] | None = None) -> int:
             # worst outcome.
             print(
                 "error: --faults applies only to E11 or the E3 engine sweep "
-                f"(run E3 --engine {'/'.join(transport_names(process_backed=True))}); "
+                f"(run E3 --engine {'/'.join(transport_names(partitioned=True))}); "
                 f"got {args.experiment} with --engine {args.engine}",
                 file=sys.stderr,
             )

@@ -77,9 +77,9 @@ class P2PSystem:
         """Build a system from per-node schemas, rules and initial data.
 
         ``transport`` is either an existing transport instance or the string
-        ``"sync"`` / ``"async"`` / ``"sharded"`` / ``"multiproc"`` /
-        ``"pooled"`` / ``"socket"``; ``shards`` sets the shard count of the
-        partitioned transports (default 2, ignored otherwise); ``pool=True``
+        ``"sync"`` / ``"multiproc"`` / ``"pooled"`` / ``"socket"``;
+        ``shards`` sets the shard count of the partitioned transports
+        (default 2, ignored otherwise); ``pool=True``
         upgrades the ``"multiproc"`` transport to the persistent worker pool
         (equivalent to ``transport="pooled"``) and the ``"socket"`` transport
         to the warm socket pool; ``hosts`` lists the ``"HOST:PORT"``

@@ -177,7 +177,7 @@ def run_fault_matrix(
     if plan_path is not None:
         plan = FaultPlan.load_json(plan_path)
         rows = []
-        for transport in transport_names(process_backed=True):
+        for transport in transport_names(partitioned=True):
             try:
                 rows.append(
                     _run_plan(

@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
+from repro.api.engine import transport_names
 from repro.api.session import Session
 from repro.api.spec import ScenarioSpec
 from repro.errors import ReproError
@@ -112,26 +113,25 @@ def run_scalability(
     return results
 
 
-# ------------------------------------------------------- the sharded extension
+# ----------------------------------------------------- the engine extension
 #
 # The paper stopped at 31 peers; the partitioned engines push the same update
 # protocol to hundreds or thousands.  This sweep compares the single-queue
-# SyncEngine with the in-process ShardedEngine — and, optionally, the
-# one-OS-process-per-shard multiproc engine, the only configuration whose
-# wall-clock can beat the GIL on multi-core hardware.  Topology discovery is
-# skipped at these sizes (the update phase does not depend on it, and
-# maximal-path enumeration on dense layered graphs is exactly the blow-up the
-# paper's complexity section predicts).
+# SyncEngine with one partitioned engine — one OS process per shard
+# (multiproc), optionally against a warm worker pool (pooled), or workers on
+# TCP shard hosts (socket).  Topology discovery is skipped at these sizes
+# (the update phase does not depend on it, and maximal-path enumeration on
+# dense layered graphs is exactly the blow-up the paper's complexity section
+# predicts).
 
 
 @dataclass(frozen=True)
 class ShardComparison:
-    """One topology run under both engines, plus the shard traffic view.
+    """One topology run under sync and under one partitioned engine.
 
-    The ``multiproc_*`` columns are filled only when the sweep was asked to
-    include the multi-process engine (``include_multiproc=True`` /
-    ``run E3 --engine multiproc``); the ``pooled_*`` columns only for the
-    repeat-run pooled sweep (``include_pooled=True`` /
+    ``engine`` names the partitioned engine of the ``engine_*`` and traffic
+    columns (``"multiproc"`` or ``"socket"``).  The pooled columns are filled
+    only for the repeat-run sweep (``engine="pooled"`` /
     ``run E3 --engine pooled``), where ``multiproc_repeat_wall`` is the mean
     wall-clock of *cold* multiproc runs (spawn + world ship every time) and
     ``pooled_warm_wall`` the mean of the warm pool's second-and-later runs —
@@ -144,28 +144,18 @@ class ShardComparison:
     sync_time: float
     sync_wall: float
     sync_messages: int
-    sharded_time: float
-    sharded_wall: float
-    sharded_messages: int
+    engine: str
+    engine_time: float
+    engine_wall: float
+    engine_messages: int
     cross_shard_messages: int
     cut_ratio: float
     messages_by_shard: dict[int, int]
     parity: bool
-    multiproc_time: float | None = None
-    multiproc_wall: float | None = None
-    multiproc_messages: int | None = None
-    multiproc_cross_shard: int | None = None
-    multiproc_cut_ratio: float | None = None
-    multiproc_parity: bool | None = None
     multiproc_repeat_wall: float | None = None
     pooled_first_wall: float | None = None
     pooled_warm_wall: float | None = None
     pooled_parity: bool | None = None
-    socket_time: float | None = None
-    socket_wall: float | None = None
-    socket_messages: int | None = None
-    socket_cross_shard: int | None = None
-    socket_parity: bool | None = None
 
     @property
     def per_shard_column(self) -> str:
@@ -181,7 +171,7 @@ def shard_sweep_specs(
     max_imports: int = 2,
     seed: int = 0,
 ) -> list[TopologySpec]:
-    """Large topologies for the sharded sweep: one tree + one layered DAG per size.
+    """Large topologies for the engine sweep: one tree + one layered DAG per size.
 
     Trees are the complete binary trees closest to each requested size.
     Layered DAGs take a wide-and-shallow shape (depth ≈ log2(size), width
@@ -210,33 +200,30 @@ def run_shard_scalability(
     max_imports: int = 2,
     seed: int = 0,
     check_parity: bool = True,
-    include_multiproc: bool = False,
-    include_pooled: bool = False,
-    include_socket: bool = False,
+    engine: str = "multiproc",
     hosts: Sequence[str] | None = None,
     repeats: int = 3,
     tracer: Tracer | None = None,
     faults: "FaultPlan | None" = None,
 ) -> list[ShardComparison]:
-    """Run the global update under the sync and the partitioned engines side by side.
+    """Run the global update under sync and one partitioned engine side by side.
 
     Reports, per topology: simulated completion time and wall-clock for each
     engine, per-shard delivery counts, and the cross-shard (cut) traffic the
     planner could not avoid.  ``check_parity`` additionally compares the
-    final ground states (the Lemma 1 guarantee, now at scale);
-    ``include_multiproc`` adds a third run under the one-process-per-shard
-    ``multiproc`` :class:`~repro.sharding.process.ProcessEngine`; ``include_pooled``
-    (implies multiproc) adds a *repeat-run* comparison — ``repeats`` update
-    runs on the cold multiproc session (each paying spawn + world shipping)
-    against the same runs on one warm
+    final ground states (the Lemma 1 guarantee, now at scale).  ``engine``
+    is ``"multiproc"`` (one cold
+    :class:`~repro.sharding.process.ProcessEngine` run, one OS process per
+    shard), ``"socket"`` (the same engine over TCP shard hosts — the
+    ``hosts`` addresses when given, else auto-spawned localhost hosts) or
+    ``"pooled"``: the multiproc run plus a *repeat-run* comparison —
+    ``repeats`` update runs on the cold multiproc session (each paying spawn
+    + world shipping) against the same runs on one warm
     :class:`~repro.sharding.pool.WorkerPool` session (spawn once, deltas
-    only), which is where the pool's amortisation shows.  ``include_socket``
-    adds a run under the same engine over TCP shard hosts
-    (``transport="socket"``) — against the ``hosts``
-    addresses when given, else against auto-spawned localhost hosts.
-    ``tracer`` (usually built by :func:`shard_main` for ``--trace``) is
-    shared across every session of the sweep, so all engines' runs land in
-    one timeline — worker-process spans included.  ``faults`` (the CLI's
+    only), which is where the pool's amortisation shows.  ``tracer``
+    (usually built by :func:`shard_main` for ``--trace``) is shared across
+    every session of the sweep, so all engines' runs land in one timeline —
+    worker-process spans included.  ``faults`` (the CLI's
     ``--faults plan.json``) injects the same seeded
     :class:`~repro.faults.FaultPlan` into every partitioned-engine session
     of the sweep — the sync baseline stays fault-free, so the parity columns
@@ -244,10 +231,14 @@ def run_shard_scalability(
     """
     from repro.core.fixpoint import ground_part
 
-    if include_pooled:
-        include_multiproc = True
-        if repeats < 2:
-            raise ReproError("the pooled repeat-run sweep needs repeats >= 2")
+    if engine not in transport_names(partitioned=True):
+        raise ReproError(
+            f"unknown sweep engine {engine!r}; expected one of "
+            f"{transport_names(partitioned=True)}"
+        )
+    if engine == "pooled" and repeats < 2:
+        raise ReproError("the pooled repeat-run sweep needs repeats >= 2")
+    transport = "socket" if engine == "socket" else "multiproc"
     comparisons: list[ShardComparison] = []
     for spec in shard_sweep_specs(sizes, max_imports=max_imports, seed=seed):
         scenario = ScenarioSpec.from_topology(
@@ -263,52 +254,36 @@ def run_shard_scalability(
         sync_wall = time.perf_counter() - started
 
         started = time.perf_counter()
-        sharded_session = Session.from_spec(
-            scenario.with_(shards=shards), capture_deltas=False, tracer=tracer
+        partitioned_session = Session.from_spec(
+            scenario.with_(
+                transport=transport,
+                shards=shards,
+                hosts=tuple(hosts) if hosts and transport == "socket" else None,
+                faults=faults,
+            ),
+            capture_deltas=False,
+            tracer=tracer,
         )
-        sharded_result = sharded_session.run("update")
-        sharded_wall = time.perf_counter() - started
-
-        traffic = sharded_result.stats.sharding
-        assert traffic is not None  # the sharded engine always attaches it
-        parity = True
-        sync_ground = ground_part(sync_session.databases()) if check_parity else None
-        if check_parity:
-            parity = sync_ground == ground_part(sharded_session.databases())
-
-        multiproc_columns: dict = {}
-        if include_multiproc:
-            started = time.perf_counter()
-            multiproc_session = Session.from_spec(
-                scenario.with_(transport="multiproc", shards=shards, faults=faults),
-                capture_deltas=False,
-                tracer=tracer,
+        with partitioned_session:
+            result = partitioned_session.run("update")
+            wall = time.perf_counter() - started
+            traffic = result.stats.sharding
+            assert traffic is not None  # the partitioned engines always attach it
+            sync_ground = (
+                ground_part(sync_session.databases()) if check_parity else None
             )
-            multiproc_result = multiproc_session.run("update")
-            multiproc_wall = time.perf_counter() - started
-            multiproc_traffic = multiproc_result.stats.sharding
-            assert multiproc_traffic is not None
-            multiproc_parity = True
-            if check_parity:
-                multiproc_parity = sync_ground == ground_part(
-                    multiproc_session.databases()
-                )
-            multiproc_columns = dict(
-                multiproc_time=multiproc_result.completion_time,
-                multiproc_wall=multiproc_wall,
-                multiproc_messages=multiproc_result.stats.total_messages,
-                multiproc_cross_shard=multiproc_traffic.cross_shard_messages,
-                multiproc_cut_ratio=multiproc_traffic.cut_ratio,
-                multiproc_parity=multiproc_parity,
+            parity = not check_parity or sync_ground == ground_part(
+                partitioned_session.databases()
             )
 
-            if include_pooled:
+            pooled_columns: dict = {}
+            if engine == "pooled":
                 # Cold repeats: every further run on the plain multiproc
                 # session respawns workers and re-ships the worlds.
-                cold_walls = [multiproc_wall]
+                cold_walls = [wall]
                 for _ in range(repeats - 1):
                     started = time.perf_counter()
-                    multiproc_session.run("update")
+                    partitioned_session.run("update")
                     cold_walls.append(time.perf_counter() - started)
                 with Session.from_spec(
                     scenario.with_(transport="pooled", shards=shards, faults=faults),
@@ -323,47 +298,15 @@ def run_shard_scalability(
                         started = time.perf_counter()
                         pooled_session.run("update")
                         warm_walls.append(time.perf_counter() - started)
-                    pooled_parity = True
-                    if check_parity:
-                        pooled_parity = sync_ground == ground_part(
-                            pooled_session.databases()
-                        )
-                multiproc_columns.update(
+                    pooled_parity = not check_parity or sync_ground == ground_part(
+                        pooled_session.databases()
+                    )
+                pooled_columns = dict(
                     multiproc_repeat_wall=sum(cold_walls) / len(cold_walls),
                     pooled_first_wall=pooled_first,
                     pooled_warm_wall=sum(warm_walls) / len(warm_walls),
                     pooled_parity=pooled_parity,
                 )
-
-        socket_columns: dict = {}
-        if include_socket:
-            started = time.perf_counter()
-            with Session.from_spec(
-                scenario.with_(
-                    transport="socket",
-                    shards=shards,
-                    hosts=tuple(hosts) if hosts else None,
-                    faults=faults,
-                ),
-                capture_deltas=False,
-                tracer=tracer,
-            ) as socket_session:
-                socket_result = socket_session.run("update")
-                socket_wall = time.perf_counter() - started
-                socket_traffic = socket_result.stats.sharding
-                assert socket_traffic is not None
-                socket_parity = True
-                if check_parity:
-                    socket_parity = sync_ground == ground_part(
-                        socket_session.databases()
-                    )
-            socket_columns = dict(
-                socket_time=socket_result.completion_time,
-                socket_wall=socket_wall,
-                socket_messages=socket_result.stats.total_messages,
-                socket_cross_shard=socket_traffic.cross_shard_messages,
-                socket_parity=socket_parity,
-            )
 
         comparisons.append(
             ShardComparison(
@@ -373,15 +316,15 @@ def run_shard_scalability(
                 sync_time=sync_result.completion_time,
                 sync_wall=sync_wall,
                 sync_messages=sync_result.stats.total_messages,
-                sharded_time=sharded_result.completion_time,
-                sharded_wall=sharded_wall,
-                sharded_messages=sharded_result.stats.total_messages,
+                engine=transport,
+                engine_time=result.completion_time,
+                engine_wall=wall,
+                engine_messages=result.stats.total_messages,
                 cross_shard_messages=traffic.cross_shard_messages,
                 cut_ratio=traffic.cut_ratio,
                 messages_by_shard=dict(traffic.messages_by_shard),
                 parity=parity,
-                **multiproc_columns,
-                **socket_columns,
+                **pooled_columns,
             )
         )
     return comparisons
@@ -391,7 +334,7 @@ def shard_main(
     records_per_node: int = 3,
     shards: int = 4,
     sizes: Sequence[int] = (127, 511),
-    engine: str = "sharded",
+    engine: str = "multiproc",
     repeats: int = 3,
     hosts: Sequence[str] | None = None,
     trace_path: str | None = None,
@@ -399,48 +342,50 @@ def shard_main(
 ) -> str:
     """Print the engine-comparison sweep table.
 
-    ``run E3 --engine sharded`` compares sync vs the in-process sharded
-    engine; ``run E3 --engine multiproc`` adds the one-process-per-shard
-    engine as a third column group; ``run E3 --engine pooled`` additionally
-    re-runs the update ``repeats`` times on a cold multiproc session and on
+    ``run E3 --engine multiproc`` compares sync against the
+    one-process-per-shard engine; ``run E3 --engine pooled`` additionally
+    re-runs the update ``repeats`` times on the cold multiproc session and on
     a warm worker pool, so the amortised spawn/ship overhead is visible as
     the gap between the ``mp repeat wall`` and ``pool warm wall`` columns;
-    ``run E3 --engine socket`` instead adds the TCP shard-host engine,
-    dialing ``--hosts`` when given and auto-spawned localhost hosts
+    ``run E3 --engine socket`` compares against the TCP shard-host engine
+    instead, dialing ``--hosts`` when given and auto-spawned localhost hosts
     otherwise.  ``trace_path`` (the CLI's ``--trace out.json``) traces every
     run of the sweep into one timeline, writes it as Chrome trace-event JSON
     (open it at https://ui.perfetto.dev) and appends the per-phase summary
     table to the output.
     """
-    include_multiproc = engine in ("multiproc", "pooled")
-    include_pooled = engine == "pooled"
-    include_socket = engine == "socket"
     tracer = Tracer(process="coordinator") if trace_path else None
     comparisons = run_shard_scalability(
         sizes=sizes,
         shards=shards,
         records_per_node=records_per_node,
-        include_multiproc=include_multiproc,
-        include_pooled=include_pooled,
-        include_socket=include_socket,
+        engine=engine,
         hosts=hosts,
         repeats=repeats,
         tracer=tracer,
         faults=faults,
     )
+    partitioned = "socket" if engine == "socket" else "multiproc"
     headers = [
         "topology",
         "nodes",
         "sync time",
         "sync wall s",
         "sync msgs",
-        "sharded time",
-        "sharded wall s",
+        f"{partitioned} time",
+        f"{partitioned} wall s",
         "msgs/shard",
         "cross-shard",
         "cut ratio",
         "parity",
     ]
+    if engine == "pooled":
+        headers += [
+            "mp repeat wall s",
+            "pool first wall s",
+            "pool warm wall s",
+            "pool parity",
+        ]
     rows = []
     for c in comparisons:
         row = [
@@ -449,71 +394,29 @@ def shard_main(
             c.sync_time,
             f"{c.sync_wall:.2f}",
             c.sync_messages,
-            c.sharded_time,
-            f"{c.sharded_wall:.2f}",
+            c.engine_time,
+            f"{c.engine_wall:.2f}",
             c.per_shard_column,
             c.cross_shard_messages,
             f"{c.cut_ratio:.3f}",
             c.parity,
         ]
-        if include_multiproc:
-            row += [
-                c.multiproc_time,
-                f"{c.multiproc_wall:.2f}",
-                c.multiproc_cross_shard,
-                f"{c.multiproc_cut_ratio:.3f}",
-                c.multiproc_parity,
-            ]
-        if include_pooled:
+        if engine == "pooled":
             row += [
                 f"{c.multiproc_repeat_wall:.2f}",
                 f"{c.pooled_first_wall:.2f}",
                 f"{c.pooled_warm_wall:.3f}",
                 c.pooled_parity,
             ]
-        if include_socket:
-            row += [
-                c.socket_time,
-                f"{c.socket_wall:.2f}",
-                c.socket_cross_shard,
-                c.socket_parity,
-            ]
         rows.append(row)
-    if include_multiproc:
-        headers += [
-            "mp time",
-            "mp wall s",
-            "mp cross-shard",
-            "mp cut ratio",
-            "mp parity",
-        ]
-    if include_pooled:
-        headers += [
-            "mp repeat wall s",
-            "pool first wall s",
-            "pool warm wall s",
-            "pool parity",
-        ]
-    if include_socket:
-        headers += [
-            "socket time",
-            "socket wall s",
-            "socket cross-shard",
-            "socket parity",
-        ]
-    if include_pooled:
-        engines = "sync vs sharded vs multiproc vs pooled"
-    elif include_multiproc:
-        engines = "sync vs sharded vs multiproc"
-    elif include_socket:
-        engines = "sync vs sharded vs socket"
-    else:
-        engines = "sync vs sharded"
+    engines = f"sync vs {partitioned}"
+    if engine == "pooled":
+        engines += " vs pooled"
     title = (
         f"E3 — {engines} update ({shards} shards, "
         f"{records_per_node} records/node, discovery skipped"
     )
-    if include_pooled:
+    if engine == "pooled":
         title += f", {repeats} repeat runs"
     table = format_table(headers, rows, title=title + ")")
     print(table)

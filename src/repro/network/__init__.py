@@ -12,9 +12,9 @@ pipes.  This package provides exactly that slice as an in-process simulator:
   closed as coordination rules are added and dropped,
 * :mod:`repro.network.latency` — deterministic latency models used to assign
   a simulated delivery delay to every message,
-* :mod:`repro.network.transport` — :class:`SyncTransport`, a deterministic
-  discrete-event transport (virtual clock), and :class:`AsyncTransport`, an
-  asyncio transport exercising the same handlers concurrently,
+* :mod:`repro.network.transport` — :class:`SyncTransport`, the
+  discrete-event transport (virtual clock) whose latency model decides the
+  delivery order,
 * :mod:`repro.network.advertisement` — a minimal JXTA-like advertisement /
   discovery service for peers and their shared schemas.
 """
@@ -22,7 +22,7 @@ pipes.  This package provides exactly that slice as an in-process simulator:
 from repro.network.message import Message, MessageType
 from repro.network.pipe import Pipe, PipeTable
 from repro.network.latency import ConstantLatency, UniformLatency, PerHopLatency
-from repro.network.transport import SyncTransport, AsyncTransport, BaseTransport
+from repro.network.transport import SyncTransport, BaseTransport
 from repro.network.advertisement import Advertisement, DiscoveryService
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "PerHopLatency",
     "BaseTransport",
     "SyncTransport",
-    "AsyncTransport",
     "Advertisement",
     "DiscoveryService",
 ]

@@ -3,7 +3,9 @@
 Every message is assigned a delivery delay by a latency model.  The models are
 seeded and deterministic so that two runs of the same experiment produce the
 same simulated completion time and message ordering — essential for the
-regression tests and for comparing topologies fairly.
+regression tests and for comparing topologies fairly.  A seeded
+:class:`UniformLatency` is also the schedule explorer: each seed is one legal
+delivery order of the same network.
 """
 
 from __future__ import annotations
@@ -17,8 +19,12 @@ from repro.network.message import Message
 class LatencyModel(Protocol):
     """Anything that maps a message to a non-negative delivery delay."""
 
-    def delay_for(self, message: Message) -> float:
-        """Return the simulated delivery delay of ``message`` in time units."""
+    def delay_for(self, message: Message, index: int) -> float:
+        """Return the simulated delivery delay of ``message`` in time units.
+
+        ``index`` counts the messages the sending transport scheduled before
+        this one, so a seeded draw depends on the system's own traffic only.
+        """
         ...  # pragma: no cover - protocol definition
 
 
@@ -30,15 +36,16 @@ class ConstantLatency:
             raise ValueError("latency must be non-negative")
         self.delay = delay
 
-    def delay_for(self, message: Message) -> float:
+    def delay_for(self, message: Message, index: int) -> float:
         return self.delay
 
 
 class UniformLatency:
     """Delay drawn uniformly from ``[low, high]`` with a seeded generator.
 
-    The draw depends only on the seed and on the message sequence number, so
-    replaying the same message sequence reproduces the same delays.
+    The draw depends only on the seed and on the transport's send index, so
+    the same seed replays the same schedule of the same system, however much
+    other traffic the process has already made.
     """
 
     def __init__(self, low: float, high: float, seed: int = 0):
@@ -48,8 +55,8 @@ class UniformLatency:
         self.high = high
         self.seed = seed
 
-    def delay_for(self, message: Message) -> float:
-        generator = random.Random(f"{self.seed}-{message.sequence}")
+    def delay_for(self, message: Message, index: int) -> float:
+        generator = random.Random(f"{self.seed}-{index}")
         return generator.uniform(self.low, self.high)
 
 
@@ -70,5 +77,5 @@ class PerHopLatency:
         self.base = base
         self.overrides = dict(overrides or {})
 
-    def delay_for(self, message: Message) -> float:
+    def delay_for(self, message: Message, index: int) -> float:
         return self.overrides.get((message.sender, message.recipient), self.base)

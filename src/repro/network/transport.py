@@ -1,19 +1,17 @@
-"""Message transports: a deterministic discrete-event one and an asyncio one.
+"""Message transports: the discrete-event simulator and the shared base.
 
-The paper's algorithm "is based on an asynchronous model of communications
-(while also supporting a synchronous alternative)".  Both models are provided
-over the same handler interface so the protocol code in :mod:`repro.core` is
-transport-agnostic:
-
-* :class:`SyncTransport` — a discrete-event simulator with a virtual clock.
-  Messages are delivered in (delivery time, sequence) order, handlers run to
-  completion one at a time, and :meth:`SyncTransport.run` drains the network
-  until quiescence.  This is the deterministic mode used by tests and
-  benchmarks; the virtual clock at quiescence is the experiment's
-  "execution time".
-* :class:`AsyncTransport` — an asyncio implementation where every delivery is
-  a separate task and latency is an ``asyncio.sleep``.  It exercises genuinely
-  interleaved handler execution and is what the asynchronous examples use.
+The paper's algorithm "is based on an asynchronous model of communications".
+:class:`SyncTransport` simulates that model with a virtual clock: every
+message gets a delay from the transport's
+:class:`~repro.network.latency.LatencyModel`, messages are delivered in
+(delivery time, send index) order, handlers run to completion one at a time,
+and :meth:`SyncTransport.run` drains the network until quiescence; the
+virtual clock at quiescence is the experiment's "execution time".  Under the
+default constant latency this is the deterministic mode of the tests and
+benchmarks; under a seeded
+:class:`~repro.network.latency.UniformLatency` every seed is a different
+legal delivery order, which is how the test-suite checks that the fix-point
+does not depend on the schedule.
 
 Handlers are synchronous callables ``handler(message) -> None`` that may call
 ``transport.send`` while running; protocol state updates are local to a node,
@@ -22,7 +20,6 @@ so running one handler at a time per node is all the isolation needed.
 
 from __future__ import annotations
 
-import asyncio
 import heapq
 import time
 from types import MethodType
@@ -141,6 +138,7 @@ class SyncTransport(BaseTransport):
         self.clock = 0.0
         self.max_messages = max_messages
         self.delivered_count = 0
+        self._sent = 0
 
     def send(self, message: Message) -> None:
         """Schedule ``message`` for delivery ``latency`` time units from now."""
@@ -148,8 +146,10 @@ class SyncTransport(BaseTransport):
             raise UnknownPeerError(
                 f"cannot send {message}: recipient is not registered"
             )
-        delivery_time = self.clock + self.latency.delay_for(message)
-        heapq.heappush(self._queue, (delivery_time, message.sequence, message))
+        index = self._sent
+        self._sent = index + 1
+        delivery_time = self.clock + self.latency.delay_for(message, index)
+        heapq.heappush(self._queue, (delivery_time, index, message))
 
     @property
     def pending(self) -> int:
@@ -166,7 +166,7 @@ class SyncTransport(BaseTransport):
         """
         started = time.perf_counter()
         while self._queue:
-            delivery_time, _sequence, message = heapq.heappop(self._queue)
+            delivery_time, _index, message = heapq.heappop(self._queue)
             self.clock = max(self.clock, delivery_time)
             self.delivered_count += 1
             if self.delivered_count > self.max_messages:
@@ -182,116 +182,8 @@ class SyncTransport(BaseTransport):
         """Deliver exactly one message (or return None when quiescent)."""
         if not self._queue:
             return None
-        delivery_time, _sequence, message = heapq.heappop(self._queue)
+        delivery_time, _index, message = heapq.heappop(self._queue)
         self.clock = max(self.clock, delivery_time)
         self.delivered_count += 1
         self._deliver(message, self.clock)
         return message
-
-
-class AsyncTransport(BaseTransport):
-    """Asyncio transport: every delivery is an independent task.
-
-    ``time_scale`` converts simulated latency units into wall-clock seconds so
-    that examples finish quickly (the default makes one latency unit one
-    millisecond).
-    """
-
-    kind = "async"
-
-    def __init__(
-        self,
-        latency: LatencyModel | None = None,
-        stats: StatisticsCollector | None = None,
-        time_scale: float = 0.001,
-        max_messages: int = 1_000_000,
-    ):
-        super().__init__(latency=latency, stats=stats)
-        self.time_scale = time_scale
-        self.max_messages = max_messages
-        self.delivered_count = 0
-        self._in_flight = 0
-        self._quiescent = asyncio.Event()
-        self._quiescent.set()
-        self._event_loop: asyncio.AbstractEventLoop | None = None
-        self._start_time: float | None = None
-        self._sim_clock_offset = 0.0
-
-    def _quiescent_event(self) -> asyncio.Event:
-        """The quiescence event, re-bound when a new event loop takes over.
-
-        Each ``asyncio.run`` creates a fresh loop; an ``asyncio.Event`` binds
-        to the loop it is first awaited on, so a transport driven by several
-        consecutive ``asyncio.run`` calls (one per façade run) needs a fresh
-        event per loop.  Re-binding is only legal while nothing is in flight.
-        The simulated clock is frozen across the idle gap between loops —
-        like the synchronous transport's, it only advances with deliveries —
-        by restarting the wall-clock anchor from the time already simulated.
-        """
-        loop = asyncio.get_running_loop()
-        if self._event_loop is not loop:
-            if self._in_flight:
-                raise NetworkError(
-                    "the transport has deliveries in flight on another event loop"
-                )
-            self._event_loop = loop
-            self._quiescent = asyncio.Event()
-            self._quiescent.set()
-            if self._start_time is not None:
-                self._sim_clock_offset = self.stats.simulated_time
-                self._start_time = None
-        return self._quiescent
-
-    def send(self, message: Message) -> None:
-        """Schedule an asynchronous delivery of ``message``."""
-        if message.recipient not in self._handlers:
-            raise UnknownPeerError(
-                f"cannot send {message}: recipient is not registered"
-            )
-        loop = asyncio.get_running_loop()
-        event = self._quiescent_event()
-        self._in_flight += 1
-        event.clear()
-        loop.create_task(self._deliver_later(message))
-
-    async def _deliver_later(self, message: Message) -> None:
-        delay = self.latency.delay_for(message)
-        await asyncio.sleep(delay * self.time_scale)
-        try:
-            self.delivered_count += 1
-            if self.delivered_count > self.max_messages:
-                raise NetworkError(
-                    f"exceeded {self.max_messages} deliveries; "
-                    "the protocol does not appear to terminate"
-                )
-            now = time.perf_counter()
-            if self._start_time is None:
-                self._start_time = now
-            simulated = (
-                self._sim_clock_offset + (now - self._start_time) / self.time_scale
-            )
-            self._deliver(message, simulated)
-        finally:
-            self._in_flight -= 1
-            if self._in_flight == 0:
-                self._quiescent_event().set()
-
-    async def wait_quiescent(self, timeout: float | None = None) -> None:
-        """Wait until no message is in flight (poll-free via an event)."""
-        while True:
-            event = self._quiescent_event()
-            if timeout is None:
-                await event.wait()
-            else:
-                await asyncio.wait_for(event.wait(), timeout)
-            # A handler triggered by the last delivery may have sent new
-            # messages between the event being set and us waking up; loop
-            # until the event is still set after a zero-length yield.
-            await asyncio.sleep(0)
-            if self._in_flight == 0:
-                return
-
-    @property
-    def pending(self) -> int:
-        """Number of deliveries currently in flight."""
-        return self._in_flight

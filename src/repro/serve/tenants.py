@@ -215,12 +215,12 @@ def warm_spec(spec: ScenarioSpec) -> ScenarioSpec:
     """Re-target a spec onto a warm (persistent-worker) transport.
 
     Served tenants answer many requests over one network, so the cold
-    engines make no sense behind the front-end: ``sync``/``async``/``sharded``
-    become the pooled multiproc engine; the process-backed transports keep
+    engines make no sense behind the front-end: ``sync`` becomes the pooled
+    multiproc engine; the process-backed transports keep
     their kind (and ``socket`` its fleet) and gain ``pool=True``.
     Specs already warm pass through unchanged.
     """
-    if spec.transport in transport_names(process_backed=True):
+    if spec.transport in transport_names(partitioned=True):
         warm = spec.pool or spec.transport == "pooled"
         return spec if warm else spec.with_(pool=True)
     shards = spec.shards if spec.shards else min(2, max(1, spec.node_count))

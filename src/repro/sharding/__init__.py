@@ -6,43 +6,36 @@ always the same — :class:`~repro.sharding.planner.ShardPlanner` greedily cuts
 the coordination-rule import graph so chatty neighbours co-locate
 (:class:`~repro.sharding.planner.ShardPlan` is the assignment,
 :func:`~repro.sharding.planner.round_robin_plan` the locality-blind
-baseline) — and there are two ways to run it:
+baseline) — and the shards run in real workers: one loop, one pool, two
+channels, one engine.
 
-* **in one interpreter** — :class:`~repro.sharding.transport.ShardedTransport`
-  (K per-shard event queues, inter-shard mailboxes, a quiescence barrier)
-  driven by :class:`~repro.sharding.engine.ShardedEngine`
-  (``ScenarioSpec(transport="sharded", shards=K)``);
-* **in real workers** — one loop, one pool, two channels, one engine:
-
-  - :func:`~repro.sharding.worker.shard_worker_loop` is the one persistent
-    shard-worker command loop, rebuilt from a picklable
-    :class:`~repro.sharding.worker.ShardWorld`;
-  - :class:`~repro.sharding.pool.ShardPool` is the one coordinator-side
-    driver (delta sync, the cumulative-counter quiescence barrier, collect,
-    mirror bookkeeping), talking to shard *s* through a
-    :class:`~repro.sharding.pool.Channel`;
-  - the two channels are :class:`~repro.sharding.pool.ProcessChannel`
-    (a fork-server child and its queue — :class:`~repro.sharding.pool.WorkerPool`)
-    and :class:`~repro.sharding.sockets.HostChannel` (a TCP link to a
-    ``python -m repro.shardhost`` :class:`~repro.sharding.sockets.ShardHost`
-    plus a shard id — :class:`~repro.sharding.sockets.SocketPool`, with
-    :class:`~repro.sharding.sockets.LocalHostCluster` auto-spawning localhost
-    hosts so tests and CI stay cluster-free);
-  - :class:`~repro.sharding.process.ProcessEngine` over a
-    :class:`~repro.sharding.process.ProcessTransport` is the one engine:
-    ``transport="multiproc"`` / ``"socket"`` close the pool after each run,
-    ``"pooled"`` (or ``pool=True``) keeps it warm and re-ships only deltas.
+* :func:`~repro.sharding.worker.shard_worker_loop` is the one persistent
+  shard-worker command loop, rebuilt from a picklable
+  :class:`~repro.sharding.worker.ShardWorld`;
+* :class:`~repro.sharding.pool.ShardPool` is the one coordinator-side
+  driver (delta sync, the cumulative-counter quiescence barrier, collect,
+  mirror bookkeeping), talking to shard *s* through a
+  :class:`~repro.sharding.pool.Channel`;
+* the two channels are :class:`~repro.sharding.pool.ProcessChannel`
+  (a fork-server child and its queue — :class:`~repro.sharding.pool.WorkerPool`)
+  and :class:`~repro.sharding.sockets.HostChannel` (a TCP link to a
+  ``python -m repro.shardhost`` :class:`~repro.sharding.sockets.ShardHost`
+  plus a shard id — :class:`~repro.sharding.sockets.SocketPool`, with
+  :class:`~repro.sharding.sockets.LocalHostCluster` auto-spawning localhost
+  hosts so tests and CI stay cluster-free);
+* :class:`~repro.sharding.process.ProcessEngine` over a
+  :class:`~repro.sharding.process.ProcessTransport` is the one engine:
+  ``transport="multiproc"`` / ``"socket"`` close the pool after each run,
+  ``"pooled"`` (or ``pool=True``) keeps it warm and re-ships only deltas.
 
 See ``docs/architecture.md`` for where this layer sits in the system and
 ``docs/engines.md`` for when to pick which engine.
 """
 
-from repro.sharding.engine import ShardedEngine
 from repro.sharding.planner import ShardPlan, ShardPlanner, round_robin_plan
 from repro.sharding.pool import ShardPool, SyncDelta, WorkerPool, WorldMirror
 from repro.sharding.process import ProcessEngine, ProcessTransport
 from repro.sharding.sockets import LocalHostCluster, ShardHost, SocketPool
-from repro.sharding.transport import ShardedTransport
 
 __all__ = [
     "LocalHostCluster",
@@ -52,8 +45,6 @@ __all__ = [
     "ShardPlan",
     "ShardPlanner",
     "ShardPool",
-    "ShardedEngine",
-    "ShardedTransport",
     "SocketPool",
     "SyncDelta",
     "WorkerPool",

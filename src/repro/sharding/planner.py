@@ -1,6 +1,6 @@
 """Partitioning peers across shards by cutting the coordination-rule graph.
 
-The sharded transport runs one worker (an asyncio task) per shard, so every
+The partitioned engines run one worker process per shard, so every
 coordination-rule edge whose two endpoints live in different shards becomes
 *cross-shard* traffic through the inter-shard mailboxes.  The planner's job is
 to keep chatty neighbours co-located: it partitions the peers into K balanced

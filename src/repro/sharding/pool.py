@@ -43,8 +43,8 @@ Per-run accounting: each worker resets its delivery/cross-shard counters and
 statistics after every ``collect``, so a warm run reports the same per-run
 numbers a cold run would — merge, traffic stats and the regression gates
 read identically over both.  Worker virtual clocks are *not* reset: like the
-in-process transports' persistent clocks, simulated completion times stay
-monotone across consecutive runs.
+simulator's persistent clock, simulated completion times stay monotone
+across consecutive runs.
 """
 
 from __future__ import annotations

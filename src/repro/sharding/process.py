@@ -8,9 +8,7 @@ What differs between them is data on the coordinator's transport handle:
   children on this box; ``"socket"``: TCP shard hosts, with ``hosts`` and
   ``max_frame``), ``pool`` says whether the workers outlive a run — adopts
   the shard plan, and after a run exposes the merged per-shard counters
-  through the same surface as the in-process
-  :class:`~repro.sharding.transport.ShardedTransport`.  It never delivers a
-  message itself.
+  (:func:`traffic_stats`).  It never delivers a message itself.
 * :class:`ProcessEngine` implements the
   :class:`~repro.api.engine.ExecutionEngine` protocol: it plans the
   partition, brings a :class:`~repro.sharding.pool.ShardPool` up over the
@@ -47,7 +45,6 @@ from repro.network.latency import LatencyModel
 from repro.network.message import Message
 from repro.network.transport import BaseTransport
 from repro.obs import get_logger, tracer_of
-from repro.sharding.engine import traffic_stats
 from repro.sharding.planner import ShardPlan, ShardPlanner
 from repro.sharding.pool import ShardPool, WorkerPool
 from repro.sharding.sockets import (
@@ -56,7 +53,7 @@ from repro.sharding.sockets import (
     SocketPool,
     parse_address,
 )
-from repro.stats.collector import StatisticsCollector, StatsSnapshot
+from repro.stats.collector import ShardTrafficStats, StatisticsCollector, StatsSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports us)
     from repro.core.system import P2PSystem
@@ -200,6 +197,22 @@ class ProcessTransport(BaseTransport):
         )
 
 
+def traffic_stats(
+    transport: ProcessTransport, snapshot: StatsSnapshot
+) -> ShardTrafficStats:
+    """The per-shard traffic view of the runs so far over ``transport``."""
+    tuples_by_shard = {shard: 0 for shard in range(transport.shard_count)}
+    for node_id, node_stats in snapshot.nodes.items():
+        tuples_by_shard[transport.shard_of(node_id)] += node_stats.tuples_received
+    return ShardTrafficStats(
+        shard_count=transport.shard_count,
+        messages_by_shard=transport.shard_message_counts(),
+        tuples_by_shard=tuples_by_shard,
+        cross_shard_messages=transport.cross_shard_messages,
+        intra_shard_messages=transport.intra_shard_messages,
+    )
+
+
 class ProcessEngine:
     """Engine for every process-backed transport (see the module docstring).
 
@@ -337,13 +350,6 @@ class ProcessEngine:
         return completion, replace(
             snapshot, sharding=traffic_stats(transport, snapshot)
         )
-
-    async def run_async(
-        self, system, phase: str, origins: Iterable[NodeId] | None = None
-    ) -> tuple[float, StatsSnapshot]:
-        # The run blocks on worker replies, not on this loop's I/O; like
-        # SyncEngine, the awaitable form simply wraps the blocking one.
-        return self.run(system, phase, origins)
 
     # ------------------------------------------------------------ internals
 

@@ -1,13 +1,10 @@
 """The worker side of every process-backed engine: one shard, one loop.
 
-:class:`~repro.sharding.transport.ShardedTransport` runs its K shard workers
-as asyncio tasks inside one interpreter, so the 500+-node sweeps gain no
-wall-clock parallelism from the partition.  The process-backed engines keep
-the exact same shard boundary — the :class:`~repro.sharding.planner.ShardPlanner`
-partition, inter-shard mailboxes, per-shard clocks, a distributed-quiescence
-barrier — but give every shard a worker with its own event queue, and this
-module is everything that runs *inside* such a worker, whatever carries its
-commands:
+The process-backed engines partition the peers with the
+:class:`~repro.sharding.planner.ShardPlanner` and give every shard a worker
+with its own event queue and virtual clock, joined by inter-shard mailboxes
+and a distributed-quiescence barrier.  This module is everything that runs
+*inside* such a worker, whatever carries its commands:
 
 * :class:`ShardWorld` is the picklable payload a worker rebuilds its shard
   from (schemas, rules, its data slice); :func:`_worlds_from_system` slices a
@@ -16,7 +13,7 @@ commands:
   intra-shard traffic plus outboxes for messages whose recipient lives in
   another shard.  Cross-shard messages are stamped ``sender shard clock +
   latency`` by the sender and advance the receiving shard's clock on
-  delivery, mirroring the in-process semantics.
+  delivery.
 * :func:`shard_worker_loop` is the one persistent command loop (``start`` /
   ``msg`` / ``ping`` / ``sync`` / ``collect`` / ``stop``).  ``collect`` ships
   home what the coordinator does not hold yet (:class:`_Shipped`), never the
@@ -27,9 +24,10 @@ commands:
   after its first ``collect``.
 
 Clock caveat: each worker drains its local queue to exhaustion between
-stimuli, so per-shard virtual clocks run further ahead than the in-process
-sharded transport's interleaved workers — the *simulated* completion time of
-a process-backed run over-approximates the sharded one on dense cuts.
+stimuli and there is no global time synchronisation between shards, so a
+shard whose local chain ran ahead stamps late cross-shard arrivals at its
+already-advanced clock — the *simulated* completion time of a process-backed
+run over-approximates the single-queue ``sync`` one on dense cuts.
 Wall-clock time is these engines' honest metric; the simulated clocks exist
 so traffic ordering stays causally sane.
 """
@@ -89,7 +87,7 @@ class ShardWorld:
     max_messages: int
     #: Simulated time already accumulated by earlier phases on this system;
     #: worker clocks start here so completion times stay monotone across
-    #: consecutive runs, like the in-process transports' persistent clocks.
+    #: consecutive runs, like the simulator's persistent clock.
     clock_start: float = 0.0
     #: Trace id of the coordinator's tracer, or None when tracing is off;
     #: a worker that receives one records spans and ships them home in its
@@ -171,6 +169,7 @@ class _WorkerTransport(BaseTransport):
         self.cross_received = 0
         self._queue: list[tuple[float, int, Message]] = []
         self._tiebreak = 0
+        self._sent = 0
         #: Worker-side frame injector (set by the worker loop when the
         #: shipped world carries a fault plan); None keeps sends untouched.
         self.fault_injector: WorkerFrameInjector | None = None
@@ -192,7 +191,8 @@ class _WorkerTransport(BaseTransport):
             raise NetworkError(
                 f"cannot send {message}: recipient is outside the shard plan"
             )
-        deliver_at = self.clock + self.latency.delay_for(message)
+        deliver_at = self.clock + self.latency.delay_for(message, self._sent)
+        self._sent += 1
         if target == self.shard_index:
             self._push(deliver_at, message)
         else:

@@ -97,7 +97,7 @@ class StatsSnapshot:
     nodes: dict[str, NodeStats]
     simulated_time: float
     elapsed_wall_seconds: float
-    #: Filled by the sharded engine only; None for unsharded runs.
+    #: Filled by the partitioned engines only; None for sync runs.
     sharding: ShardTrafficStats | None = None
 
     @property

@@ -80,19 +80,21 @@ class TestE3Scalability:
 
 
 class TestE3ShardSweep:
-    def test_sync_and_sharded_agree_at_reduced_scale(self):
+    def test_sync_and_multiproc_agree_at_reduced_scale(self):
         comparisons = run_shard_scalability(
             sizes=(15,), shards=2, records_per_node=3
         )
         assert len(comparisons) == 2  # one tree + one layered DAG
         for comparison in comparisons:
+            assert comparison.engine == "multiproc"
             assert comparison.parity
             assert comparison.shards == 2
-            assert comparison.sharded_messages > 0
+            assert comparison.engine_messages > 0
             assert sum(comparison.messages_by_shard.values()) == (
-                comparison.sharded_messages
+                comparison.engine_messages
             )
             assert 0.0 <= comparison.cut_ratio <= 1.0
+            assert comparison.pooled_warm_wall is None
 
 
 class TestE4DepthLinearity:

@@ -32,7 +32,7 @@ from repro.workloads.topologies import layered_topology, tree_topology
 #: Engine configurations compared against the synchronous reference.  The
 #: pooled engines keep worker processes warm across the two updates (the
 #: incremental path); the rest re-run naively and double as the control.
-ENGINES = ["sync", "async", "sharded", "multiproc", "pooled", "socket-pooled"]
+ENGINES = ["sync", "multiproc", "pooled", "socket-pooled"]
 
 
 @pytest.fixture(scope="module")
@@ -45,10 +45,6 @@ def cluster():
 def _spec_for(engine: str, spec: ScenarioSpec, cluster) -> ScenarioSpec:
     if engine == "sync":
         return spec
-    if engine == "async":
-        return spec.with_(transport="async")
-    if engine == "sharded":
-        return spec.with_(transport="sharded", shards=2)
     if engine == "multiproc":
         return spec.with_(transport="multiproc", shards=2)
     if engine == "pooled":
@@ -209,7 +205,7 @@ class TestIncrementalWork:
             session.run("discovery")
             session.run("update")
             # Coordinator counters are cumulative across runs (like the
-            # in-process transports), so the no-op is asserted as a zero
+            # simulator's), so the no-op is asserted as a zero
             # *delta* in total messages.
             before = session.snapshot_stats().total_messages
             session.run("update")

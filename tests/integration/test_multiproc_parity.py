@@ -1,20 +1,19 @@
 """State parity of the multi-process engine against the synchronous reference.
 
-The acceptance bar of the multiproc subsystem mirrors the sharded one:
-whatever the partitioning and however the OS schedules the shard workers,
+The acceptance bar of the multiproc subsystem: whatever the partitioning and however the OS schedules the shard workers,
 the ``multiproc`` ``ProcessEngine`` must drive the update protocol to the same per-node
 ground state as ``SyncEngine`` on the paper's three topology families and
 the Section 2 example, at K=1 (one worker process) and K=4 (real
-cross-process traffic).  The cross-shard counters must also stay consistent
-with the in-process ``ShardedEngine``'s view of the same shard plan.
+cross-process traffic).  The per-shard counters must also tell the story of
+the shard plan the engine applied.
 
-These tests spawn real worker processes (``multiprocessing`` spawn), so each
-run pays interpreter start-up; topologies are kept small.
+These tests fork real worker processes, so topologies are kept small.
 """
 
 import pytest
 
 from repro.api import ScenarioSpec, Session
+from repro.sharding import ShardPlanner
 from repro.workloads.scenarios import (
     paper_example_data,
     paper_example_rules,
@@ -86,33 +85,54 @@ class TestMultiprocParity:
             multiproc_result.ground_databases() == sync_result.ground_databases()
         )
 
-    def test_cross_shard_counters_consistent_with_sharded_engine(self):
-        # Both partitioned engines plan with the same ShardPlanner, so they
-        # agree on the cut; their cross-shard traffic must tell the same
-        # story — real traffic crosses the cut, but most deliveries stay
-        # local in both views.
+    def test_cross_shard_traffic_follows_the_shard_plan_cut(self):
+        # The engine partitions with the ShardPlanner; each worker delivers
+        # exactly the messages addressed to the peers the plan gave it, and
+        # real traffic crosses the plan's cut while most stays local.
         spec = ScenarioSpec.from_topology(
             tree_topology(3, 2), records_per_node=3, seed=0
         )
-        sharded_session = Session.from_spec(spec.with_(shards=4), capture_deltas=False)
-        sharded_result = sharded_session.run("update")
-        multiproc_session = Session.from_spec(
+        session = Session.from_spec(
             spec.with_(transport="multiproc", shards=4), capture_deltas=False
         )
-        multiproc_result = multiproc_session.run("update")
+        result = session.run("update")
 
-        sharded_traffic = sharded_result.stats.sharding
-        multiproc_traffic = multiproc_result.stats.sharding
-        assert sharded_traffic.shard_count == multiproc_traffic.shard_count
-        assert multiproc_traffic.cross_shard_messages > 0
-        assert multiproc_traffic.cut_ratio < 0.5
-        assert sharded_traffic.cut_ratio < 0.5
-        # Same fix-point through either partitioned engine.
-        from repro.core.fixpoint import ground_part
+        plan = session.system.transport.plan
+        assert plan.shard_of == ShardPlanner(4).plan_system(session.system).shard_of
+        assert plan.cut_edges()
+        traffic = result.stats.sharding
+        assert traffic.shard_count == plan.shard_count
+        for shard in range(plan.shard_count):
+            assert traffic.messages_by_shard[shard] == sum(
+                result.stats.nodes[node].messages_received
+                for node in plan.members(shard)
+            )
+        assert 0 < traffic.cross_shard_messages < traffic.total_messages
+        assert traffic.cut_ratio < 0.5
 
-        assert ground_part(sharded_session.databases()) == ground_part(
-            multiproc_session.databases()
+    def test_discovery_parity_under_multiproc(self):
+        # Topology discovery also runs across the cut; the Paths relations
+        # the workers materialise must match the synchronous run.
+        spec = ScenarioSpec.of(
+            paper_example_schemas(),
+            paper_example_rules(),
+            paper_example_data(),
+            super_peer="A",
         )
+        sessions = [
+            Session.from_spec(spec),
+            Session.from_spec(spec.with_(transport="multiproc", shards=3)),
+        ]
+        paths = []
+        for session in sessions:
+            session.run("discovery")
+            paths.append(
+                {
+                    node_id: node.state.maximal_paths()
+                    for node_id, node in session.system.nodes.items()
+                }
+            )
+        assert paths[0] == paths[1]
 
     def test_multiproc_reaches_closure_and_satisfies_rules(self):
         from repro.core.fixpoint import all_nodes_closed, satisfies_all_rules

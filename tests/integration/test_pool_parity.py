@@ -176,7 +176,7 @@ class TestPooledParity:
             assert session.engine.pool.alive
 
     def test_completion_times_stay_monotone_across_warm_runs(self):
-        # Worker virtual clocks persist like the in-process transports', so
+        # Worker virtual clocks persist like the simulator's, so
         # consecutive runs report non-decreasing simulated completion times.
         spec = ScenarioSpec.from_topology(
             tree_topology(2, 2), records_per_node=3, seed=0

@@ -5,14 +5,15 @@ Two satellite guarantees of the façade refactor:
 * *strategy parity* — ``distributed``, ``centralized`` and (on acyclic
   topologies) ``acyclic`` reach the same ground fix-point on the same
   scenario (Lemma 1's soundness/completeness, now checked through one API),
-* *engine parity* — the same scenario converges to the same ground fix-point
-  whether the distributed protocol runs on the synchronous discrete-event
-  transport or the asyncio transport.
+* *schedule parity* — the same scenario converges to the same ground
+  fix-point whether the simulator delivers under the default constant
+  latency or under a seeded uniform one (another legal delivery order).
 """
 
 import pytest
 
 from repro.api import ScenarioSpec, Session
+from repro.network.latency import UniformLatency
 from repro.workloads.scenarios import (
     paper_example_data,
     paper_example_rules,
@@ -68,29 +69,32 @@ class TestStrategyParity:
         assert result.ground_databases()["A"] == reference["A"]
 
 
-class TestEngineParity:
-    def test_sync_and_async_engines_reach_same_fixpoint(self):
-        # Identical seeds and data; only the transport (and hence the engine
-        # and delivery interleaving) differs.
-        sync_session = Session.from_spec(paper_spec(transport="sync"))
-        sync_session.run("discovery")
-        sync_result = sync_session.update()
+class TestScheduleParity:
+    def test_constant_and_seeded_latency_reach_same_fixpoint(self):
+        # Identical data; only the latency model (and hence the delivery
+        # interleaving) differs.
+        constant_session = Session.from_spec(paper_spec())
+        constant_session.run("discovery")
+        constant_result = constant_session.update()
 
-        async_session = Session.from_spec(paper_spec(transport="async"))
-        async_session.run("discovery")
-        async_result = async_session.update()
+        seeded_session = Session.from_spec(
+            paper_spec(latency=UniformLatency(0.2, 2.0, seed=11))
+        )
+        seeded_session.run("discovery")
+        seeded_result = seeded_session.update()
 
-        assert sync_result.ground_databases() == async_result.ground_databases()
-        assert sync_result.engine == "sync"
-        assert async_result.engine == "async"
+        assert (
+            constant_result.ground_databases() == seeded_result.ground_databases()
+        )
+        assert constant_result.engine == seeded_result.engine == "sync"
 
-    def test_dblp_workload_engine_parity_on_identical_seeds(self):
+    def test_dblp_workload_schedule_parity_on_identical_seeds(self):
         base = ScenarioSpec.from_topology(
             tree_topology(1, 2), records_per_node=5, seed=11
         )
-        results = {}
-        for transport in ("sync", "async"):
-            session = Session.from_spec(base.with_(transport=transport))
+        results = []
+        for latency in (None, UniformLatency(0.1, 1.0, seed=3)):
+            session = Session.from_spec(base.with_(latency=latency))
             session.run("discovery")
-            results[transport] = session.update().ground_databases()
-        assert results["sync"] == results["async"]
+            results.append(session.update().ground_databases())
+        assert results[0] == results[1]

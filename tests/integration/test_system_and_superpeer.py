@@ -67,7 +67,7 @@ class TestSystemAssembly:
             chain_system.node("zzz")
 
     def test_sync_methods_require_sync_transport(self):
-        system = build_paper_example(transport="async")
+        system = build_paper_example(transport="multiproc")
         session = Session(system, engine=SyncEngine())
         with pytest.raises(ReproError):
             session.run("discovery")

@@ -1,19 +1,18 @@
 """Tracing must be a pure observer: traced and untraced runs are identical.
 
 Two guarantees ride on this suite.  First, opening a session with
-``trace=True`` changes *nothing* about a run's outcome on any of the five
-engines — same final databases, same statistics — the only difference being
+``trace=True`` changes *nothing* about a run's outcome on any engine — same
+final databases, same statistics — the only difference being
 the trace document on ``RunResult.extras["trace"]``.  Second (the other half
 of the same refactor), every engine assembles its :class:`StatsSnapshot`
-through the one :class:`~repro.obs.metrics.MetricsRegistry` code path, so
-engines whose execution is deterministic produce *equal* snapshots, not just
-similar ones.
+through the one :class:`~repro.obs.metrics.MetricsRegistry` code path, so a
+deterministic run produces *equal* snapshots, not just similar ones.
 
-The deterministic engines (sync, sharded) are compared bit-for-bit; the
-process-backed engines (multiproc, pooled, socket) schedule deliveries at
-the mercy of the OS, so their message accounting legitimately varies between
-runs — for those the suite pins the ground state and the convergence
-invariant (per-node ``tuples_inserted``) instead.
+The deterministic runs (sync, under constant or seeded latency) are compared
+bit-for-bit; the process-backed engines (multiproc, pooled, socket) schedule
+deliveries at the mercy of the OS, so their message accounting legitimately
+varies between runs — for those the suite pins the ground state and the
+convergence invariant (per-node ``tuples_inserted``) instead.
 """
 
 from dataclasses import replace
@@ -22,6 +21,7 @@ import pytest
 
 from repro.api import ScenarioSpec, Session
 from repro.core.fixpoint import ground_part
+from repro.network.latency import UniformLatency
 from repro.obs.export import trace_to_chrome, validate_chrome_trace
 from repro.workloads.topologies import tree_topology
 
@@ -29,15 +29,15 @@ from repro.workloads.topologies import tree_topology
 #: OS processes (and "socket" a TCP host fleet) per run.
 ENGINES = {
     "sync": lambda spec: spec,
-    "sharded": lambda spec: spec.with_(shards=2),
+    "sync-seeded": lambda spec: spec.with_(latency=UniformLatency(0, 1, seed=5)),
     "multiproc": lambda spec: spec.with_(transport="multiproc", shards=2),
     "pooled": lambda spec: spec.with_(transport="pooled", shards=2),
     "socket": lambda spec: spec.with_(transport="socket", shards=2),
 }
 
-#: Engines whose runs are deterministic end to end (single-threaded
-#: scheduling), so even the message counters must match exactly.
-DETERMINISTIC = ("sync", "sharded")
+#: Runs that are deterministic end to end (single-threaded scheduling, a
+#: seeded schedule replays), so even the message counters must match exactly.
+DETERMINISTIC = ("sync", "sync-seeded")
 
 
 def base_spec() -> ScenarioSpec:
@@ -118,23 +118,12 @@ class TestTraceParity:
 class TestOneSnapshotCodePath:
     """All engines assemble their snapshot through the metrics registry."""
 
-    def test_sync_and_sharded_snapshots_are_equal(self):
-        _dbs, sync_result = _run(base_spec(), trace=False)
-        _dbs, sharded_result = _run(ENGINES["sharded"](base_spec()), trace=False)
-        sharded = replace(_comparable(sharded_result.stats), sharding=None)
-        assert sharded == _comparable(sync_result.stats)
-
-    def test_async_snapshot_matches_on_everything_but_the_clock(self):
-        _dbs, sync_result = _run(base_spec(), trace=False)
-        _dbs, async_result = _run(
-            base_spec().with_(transport="async"), trace=False
-        )
-        sync_view = replace(_comparable(sync_result.stats), simulated_time=0.0)
-        async_view = replace(_comparable(async_result.stats), simulated_time=0.0)
-        assert async_view == sync_view
-
-    @pytest.mark.parametrize("engine", ("multiproc", "pooled", "socket"))
-    def test_process_engines_agree_on_tuples_inserted(self, engine):
+    @pytest.mark.parametrize(
+        "engine", ("sync-seeded", "multiproc", "pooled", "socket")
+    )
+    def test_other_schedules_agree_on_tuples_inserted(self, engine):
+        # Message counts depend on the delivery order even on the simulator;
+        # the rows each node gains do not.
         _dbs, sync_result = _run(base_spec(), trace=False)
         _dbs, other_result = _run(ENGINES[engine](base_spec()), trace=False)
         inserted = {

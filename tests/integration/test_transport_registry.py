@@ -13,7 +13,7 @@ import multiprocessing
 
 import pytest
 
-from repro.api import ScenarioSpec, Session
+from repro.api import NetworkBuilder, ScenarioSpec, Session
 from repro.api.engine import (
     engine_for,
     transport_kind,
@@ -21,6 +21,7 @@ from repro.api.engine import (
     transport_names,
 )
 from repro.cli import build_parser
+from repro.core.system import P2PSystem
 from repro.errors import NetworkError, ReproError
 from repro.faults import FaultPlan, FaultSpec
 from repro.workloads.scenarios import (
@@ -32,8 +33,6 @@ from repro.workloads.scenarios import (
 #: (transport name, pool flag) -> the ``engine.name`` docs/engines.md promises.
 DOCUMENTED_NAMES = {
     ("sync", False): "sync",
-    ("async", False): "async",
-    ("sharded", False): "sharded",
     ("multiproc", False): "multiproc",
     ("multiproc", True): "pooled",
     ("pooled", False): "pooled",
@@ -45,7 +44,7 @@ DOCUMENTED_NAMES = {
 CASES = [
     (kind.name, pool)
     for kind in transport_kinds().values()
-    for pool in ((False, True) if kind.process_backed else (False,))
+    for pool in ((False, True) if kind.partitioned else (False,))
 ]
 ONE_SHOT = [
     case for case in CASES if DOCUMENTED_NAMES.get(case) in ("multiproc", "socket")
@@ -107,8 +106,8 @@ def test_builds_runs_to_the_sync_fixpoint_and_closes_clean(
         DOCUMENTED_NAMES[transport, pool]
     )
     session = Session.from_spec(spec)
-    process_backed = transport_kind(transport).process_backed
-    pools = record_pools(session.engine) if process_backed else []
+    partitioned = transport_kind(transport).partitioned
+    pools = record_pools(session.engine) if partitioned else []
     try:
         assert session.engine.name == DOCUMENTED_NAMES[transport, pool]
         session.run("discovery")
@@ -162,3 +161,47 @@ def test_cli_engine_choices_come_from_the_registry():
         action for action in run_parser._actions if "--engine" in action.option_strings
     )
     assert tuple(engine_flag.choices) == ("sync", *transport_names(partitioned=True))
+
+
+def test_the_registry_is_sync_plus_the_process_engines():
+    assert tuple(transport_kinds()) == ("sync", "multiproc", "pooled", "socket")
+
+
+#: Removed transport name -> a word of the replacement its error must name.
+RETIRED = {"async": "latency=", "sharded": "multiproc"}
+
+
+@pytest.mark.parametrize("name", sorted(RETIRED))
+def test_a_spec_naming_a_removed_transport_is_refused(name):
+    with pytest.raises(ReproError, match=RETIRED[name]):
+        paper_spec(name)
+    with pytest.raises(ReproError, match=RETIRED[name]):
+        paper_spec().with_(transport=name)
+
+
+@pytest.mark.parametrize("name", sorted(RETIRED))
+def test_a_spec_file_naming_a_removed_transport_is_refused(name):
+    document = paper_spec().dump_json().replace('"sync"', f'"{name}"', 1)
+    with pytest.raises(ReproError, match=RETIRED[name]):
+        ScenarioSpec.load_json(document)
+
+
+@pytest.mark.parametrize("name", sorted(RETIRED))
+def test_building_a_removed_transport_is_refused(name):
+    with pytest.raises(ReproError, match=RETIRED[name]):
+        P2PSystem.build({"a": []}, transport=name)
+
+
+@pytest.mark.parametrize("name", sorted(RETIRED))
+def test_the_builder_refuses_a_removed_transport(name):
+    with pytest.raises(ReproError, match=RETIRED[name]):
+        NetworkBuilder().transport(name)
+
+
+def test_shards_on_the_sync_transport_is_refused():
+    # A shard count used to pick an in-process partitioned engine silently.
+    with pytest.raises(ReproError, match="needs a partitioned transport"):
+        paper_spec().with_(shards=2).build_system()
+    builder = NetworkBuilder().node("a").shards(2)
+    with pytest.raises(ReproError, match="needs a partitioned transport"):
+        builder.session()

@@ -6,7 +6,6 @@ import sys
 import pytest
 
 from repro.api import (
-    AsyncEngine,
     NetworkBuilder,
     RunResult,
     ScenarioSpec,
@@ -22,7 +21,7 @@ from repro.cli import build_parser
 from repro.core.system import P2PSystem
 from repro.database.schema import DatabaseSchema, RelationSchema
 from repro.errors import ReproError
-from repro.network.transport import AsyncTransport, SyncTransport
+from repro.network.transport import SyncTransport
 from repro.workloads.scenarios import (
     paper_example_data,
     paper_example_rules,
@@ -81,8 +80,8 @@ class TestScenarioSpec:
         assert spec.rules[0].rule_id == "ab"
 
     def test_with_overrides_settings(self):
-        spec = small_builder().build().with_(transport="async", strategy="centralized")
-        assert spec.transport == "async"
+        spec = small_builder().build().with_(transport="pooled", strategy="centralized")
+        assert spec.transport == "pooled"
         assert spec.strategy == "centralized"
 
     def test_build_system_assembles_p2psystem(self):
@@ -149,11 +148,10 @@ class TestStrategyRegistry:
 class TestEngines:
     def test_engine_for_matches_transport(self):
         assert isinstance(engine_for(SyncTransport()), SyncEngine)
-        assert isinstance(engine_for(AsyncTransport()), AsyncEngine)
 
-    def test_sync_engine_rejects_async_transport(self):
+    def test_sync_engine_rejects_a_process_transport(self):
         session = Session.of(
-            small_builder().build().with_(transport="async").build_system()
+            small_builder().build().with_(transport="multiproc").build_system()
         )
         with pytest.raises(ReproError):
             SyncEngine().run(session.system, "discovery")

@@ -99,7 +99,7 @@ class TestLatencyModels:
         return Message("A", "B", MessageType.QUERY, {})
 
     def test_constant_latency(self):
-        assert ConstantLatency(2.5).delay_for(self._message()) == 2.5
+        assert ConstantLatency(2.5).delay_for(self._message(), 0) == 2.5
 
     def test_constant_latency_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -107,10 +107,10 @@ class TestLatencyModels:
 
     def test_uniform_latency_within_bounds_and_deterministic(self):
         model = UniformLatency(1.0, 2.0, seed=42)
-        message = self._message()
-        delay = model.delay_for(message)
+        delay = model.delay_for(self._message(), 3)
         assert 1.0 <= delay <= 2.0
-        assert model.delay_for(message) == delay
+        # The draw is keyed by the send index, not by the message object.
+        assert model.delay_for(self._message(), 3) == delay
 
     def test_uniform_latency_validates_bounds(self):
         with pytest.raises(ValueError):
@@ -118,8 +118,8 @@ class TestLatencyModels:
 
     def test_per_hop_latency_override(self):
         model = PerHopLatency(base=1.0, overrides={("A", "B"): 5.0})
-        assert model.delay_for(self._message()) == 5.0
-        assert model.delay_for(Message("B", "A", MessageType.QUERY, {})) == 1.0
+        assert model.delay_for(self._message(), 0) == 5.0
+        assert model.delay_for(Message("B", "A", MessageType.QUERY, {}), 1) == 1.0
 
 
 class TestDiscoveryService:

@@ -345,7 +345,7 @@ class TestPoolLifecycle:
             assert session.engine.pool is None
             session.run("update")  # respawns cold, transparently
             assert session.engine.pool is not pool and session.engine.pool.alive
-            with Session.from_spec(spec.with_(transport="sync")) as oracle:
+            with Session.from_spec(spec.with_(transport="sync", shards=None)) as oracle:
                 oracle.system.load_data(inserted)
                 expected = oracle.run("update").ground_databases()
             assert ground_part(session.databases()) == expected

@@ -193,6 +193,9 @@ class TestParseChanges:
         assert warm_spec(warmed) is warmed
         socket_spec = spec.with_(transport="socket", shards=2)
         assert warm_spec(socket_spec).pool is True
+        # A shard count the sync transport refuses still serves, pooled.
+        sharded = warm_spec(spec.with_(shards=3))
+        assert (sharded.transport, sharded.shards) == ("pooled", 3)
 
 
 # ------------------------------------------------------------------- endpoints

@@ -1,13 +1,11 @@
-"""Unit tests for the synchronous (discrete-event) and asyncio transports."""
-
-import asyncio
+"""Unit tests for the discrete-event transport."""
 
 import pytest
 
 from repro.errors import NetworkError, UnknownPeerError
 from repro.network.latency import ConstantLatency, PerHopLatency
 from repro.network.message import Message, MessageType
-from repro.network.transport import AsyncTransport, SyncTransport
+from repro.network.transport import SyncTransport
 
 
 def make_message(sender, recipient, payload=None):
@@ -142,59 +140,3 @@ class TestSyncTransport:
         at_time, message = transport.trace[0]
         assert message.recipient == "B"
         assert at_time == 1.0
-
-
-class TestAsyncTransport:
-    def test_async_delivery_and_quiescence(self):
-        async def scenario():
-            transport = AsyncTransport(time_scale=0.0001)
-            received = []
-            transport.register("A", lambda m: None)
-            transport.register("B", received.append)
-            transport.send(make_message("A", "B"))
-            await transport.wait_quiescent(timeout=5)
-            return received
-
-        received = asyncio.run(scenario())
-        assert len(received) == 1
-
-    def test_async_handler_chaining(self):
-        async def scenario():
-            transport = AsyncTransport(time_scale=0.0001)
-            log = []
-
-            def relay(message):
-                log.append(message.recipient)
-                if message.recipient == "B":
-                    transport.send(make_message("B", "C"))
-
-            for node in ("A", "B", "C"):
-                transport.register(node, relay)
-            transport.send(make_message("A", "B"))
-            await transport.wait_quiescent(timeout=5)
-            return log
-
-        assert asyncio.run(scenario()) == ["B", "C"]
-
-    def test_async_send_to_unknown_peer(self):
-        async def scenario():
-            transport = AsyncTransport()
-            transport.register("A", lambda m: None)
-            with pytest.raises(UnknownPeerError):
-                transport.send(make_message("A", "B"))
-
-        asyncio.run(scenario())
-
-    def test_async_pending_counter(self):
-        async def scenario():
-            transport = AsyncTransport(time_scale=0.0001)
-            transport.register("A", lambda m: None)
-            transport.register("B", lambda m: None)
-            transport.send(make_message("A", "B"))
-            pending_before = transport.pending
-            await transport.wait_quiescent(timeout=5)
-            return pending_before, transport.pending
-
-        before, after = asyncio.run(scenario())
-        assert before == 1
-        assert after == 0
