@@ -21,6 +21,7 @@ import pytest
 
 from repro.api import ScenarioSpec, Session
 from repro.core.fixpoint import ground_part
+from repro.network.latency import UniformLatency
 from repro.sharding.sockets import LocalHostCluster
 from repro.workloads.scenarios import (
     paper_example_data,
@@ -32,7 +33,8 @@ from repro.workloads.topologies import layered_topology, tree_topology
 #: Engine configurations compared against the synchronous reference.  The
 #: pooled engines keep worker processes warm across the two updates (the
 #: incremental path); the rest re-run naively and double as the control.
-ENGINES = ["sync", "multiproc", "pooled", "socket-pooled"]
+#: "sync-seeded" is the simulator under another legal delivery order.
+ENGINES = ["sync", "sync-seeded", "multiproc", "pooled", "socket-pooled"]
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +47,8 @@ def cluster():
 def _spec_for(engine: str, spec: ScenarioSpec, cluster) -> ScenarioSpec:
     if engine == "sync":
         return spec
+    if engine == "sync-seeded":
+        return spec.with_(latency=UniformLatency(0, 1, seed=5))
     if engine == "multiproc":
         return spec.with_(transport="multiproc", shards=2)
     if engine == "pooled":

@@ -23,6 +23,7 @@ from repro.cli import main
 from repro.coordination.rule import rule_from_text
 from repro.database.schema import DatabaseSchema, RelationSchema
 from repro.errors import ReproError
+from repro.network.latency import UniformLatency
 from repro.workloads.scenarios import (
     paper_example_data,
     paper_example_rules,
@@ -426,6 +427,25 @@ class TestLintCli:
         assert main(["lint", str(path)]) == 0
         assert main(["lint", "--strict", str(path)]) == 1
         assert "R001" in capsys.readouterr().out
+
+    def test_lint_accepts_a_seeded_latency_scenario(self, tmp_path, capsys):
+        path = tmp_path / "seeded.json"
+        clean_spec(name="seeded", latency=UniformLatency(0, 1, seed=3)).dump_json(
+            path
+        )
+        assert main(["lint", str(path)]) == 0
+        assert "seeded" in capsys.readouterr().out
+
+    def test_lint_names_the_replacement_of_a_removed_transport(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "retired.json"
+        path.write_text(
+            clean_spec().dump_json().replace('"sync"', '"async"', 1),
+            encoding="utf-8",
+        )
+        assert main(["lint", str(path)]) == 1
+        assert "latency=" in capsys.readouterr().err
 
     def test_lint_unreadable_file_fails_without_crashing(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

@@ -112,6 +112,19 @@ class TestLatencyModels:
         # The draw is keyed by the send index, not by the message object.
         assert model.delay_for(self._message(), 3) == delay
 
+    def test_uniform_latency_seeds_give_different_draws(self):
+        draws = {
+            UniformLatency(0.0, 1.0, seed=seed).delay_for(self._message(), 0)
+            for seed in range(5)
+        }
+        assert len(draws) == 5
+
+    def test_zero_width_uniform_latency_is_constant(self):
+        model = UniformLatency(2.0, 2.0, seed=1)
+        assert {model.delay_for(self._message(), index) for index in range(5)} == {
+            2.0
+        }
+
     def test_uniform_latency_validates_bounds(self):
         with pytest.raises(ValueError):
             UniformLatency(3.0, 1.0)

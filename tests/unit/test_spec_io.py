@@ -101,6 +101,24 @@ class TestSpecRoundTrip:
             9,
         )
 
+    def test_a_seeded_spec_file_replays_its_schedule(self, tmp_path):
+        # A schedule found by the seeded explorer is reproduced from its file.
+        original = paper_spec(latency=UniformLatency(0, 1, seed=5))
+        path = tmp_path / "schedule.json"
+        original.dump_json(path)
+
+        def observe(spec):
+            session = Session.from_spec(spec)
+            session.run("discovery")
+            result = session.update()
+            return (
+                result.stats.total_messages,
+                result.completion_time,
+                session.databases(),
+            )
+
+        assert observe(ScenarioSpec.load_json(path)) == observe(original)
+
     def test_comparison_rules_survive(self):
         # r4 carries the built-in X != Z; the textual form must reparse.
         original = paper_spec()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import NetworkError, UnknownPeerError
-from repro.network.latency import ConstantLatency, PerHopLatency
+from repro.network.latency import ConstantLatency, PerHopLatency, UniformLatency
 from repro.network.message import Message, MessageType
 from repro.network.transport import SyncTransport
 
@@ -140,3 +140,139 @@ class TestSyncTransport:
         at_time, message = transport.trace[0]
         assert message.recipient == "B"
         assert at_time == 1.0
+
+    def test_equal_delivery_times_keep_send_order(self):
+        transport = SyncTransport()
+        order = []
+        transport.register("A", lambda m: None)
+        for node in ("C", "B", "D"):
+            transport.register(node, lambda m: order.append(m.recipient))
+        for node in ("C", "B", "D"):
+            transport.send(make_message("A", node))
+        transport.run()
+        assert order == ["C", "B", "D"]
+
+
+class RecordingLatency:
+    """Constant delay that remembers the send index of every draw."""
+
+    def __init__(self):
+        self.indices = []
+
+    def delay_for(self, message, index):
+        self.indices.append(index)
+        return 1.0
+
+
+def relay_network(latency):
+    """A -> B -> C -> D relay plus a direct A -> D message; returns the trace."""
+    transport = SyncTransport(latency=latency)
+    transport.enable_trace()
+    hops = {"B": "C", "C": "D"}
+
+    def relay(message):
+        if message.recipient in hops:
+            transport.send(make_message(message.recipient, hops[message.recipient]))
+
+    for node in ("A", "B", "C", "D"):
+        transport.register(node, relay)
+    transport.send(make_message("A", "B"))
+    transport.send(make_message("A", "D"))
+    completion = transport.run()
+    trace = [(at, m.sender, m.recipient) for at, m in transport.trace]
+    return completion, trace
+
+
+class TestSeededSchedules:
+    """A seeded UniformLatency makes the simulator a schedule explorer."""
+
+    def test_same_seed_replays_the_same_deliveries(self):
+        first = relay_network(UniformLatency(0, 1, seed=4))
+        assert relay_network(UniformLatency(0, 1, seed=4)) == first
+
+    def test_other_transports_traffic_does_not_shift_the_schedule(self):
+        model = UniformLatency(0, 1, seed=7)
+        first = relay_network(model)
+        # Unrelated traffic, even through the same model instance.
+        relay_network(model)
+        relay_network(UniformLatency(0, 1, seed=8))
+        assert relay_network(model) == first
+
+    def test_seeds_reorder_concurrent_deliveries(self):
+        orders = set()
+        for seed in range(20):
+            transport = SyncTransport(latency=UniformLatency(0, 1, seed))
+            order = []
+            transport.register("A", lambda m: None)
+            transport.register("B", lambda m: order.append("B"))
+            transport.register("C", lambda m: order.append("C"))
+            transport.send(make_message("A", "B"))
+            transport.send(make_message("A", "C"))
+            transport.run()
+            orders.add(tuple(order))
+        assert orders == {("B", "C"), ("C", "B")}
+
+    def test_delivery_times_stay_within_the_latency_bounds(self):
+        transport = SyncTransport(latency=UniformLatency(2.0, 3.0, seed=1))
+        transport.enable_trace()
+        transport.register("A", lambda m: None)
+        transport.register("B", lambda m: None)
+        for _ in range(10):
+            transport.send(make_message("A", "B"))
+        completion = transport.run()
+        times = [at for at, _message in transport.trace]
+        assert all(2.0 <= at <= 3.0 for at in times)
+        assert times == sorted(times)
+        assert completion == max(times)
+
+    def test_handler_chaining_completes_at_the_sum_of_the_draws(self):
+        model = UniformLatency(0.5, 1.5, seed=3)
+        transport = SyncTransport(latency=model)
+        log = []
+
+        def relay(message):
+            log.append(message.recipient)
+            if message.recipient == "B":
+                transport.send(make_message("B", "C"))
+
+        for node in ("A", "B", "C"):
+            transport.register(node, relay)
+        transport.send(make_message("A", "B"))
+        completion = transport.run()
+        assert log == ["B", "C"]
+        expected = model.delay_for(make_message("A", "B"), 0) + model.delay_for(
+            make_message("B", "C"), 1
+        )
+        assert completion == pytest.approx(expected)
+
+    def test_pending_counts_queued_messages_until_quiescence(self):
+        transport = SyncTransport(latency=UniformLatency(0, 1, seed=2))
+        transport.register("A", lambda m: None)
+        transport.register("B", lambda m: None)
+        transport.send(make_message("A", "B"))
+        transport.send(make_message("B", "A"))
+        assert transport.pending == 2
+        transport.run()
+        assert transport.pending == 0
+        assert transport.delivered_count == 2
+
+    def test_send_index_continues_across_runs(self):
+        latency = RecordingLatency()
+        transport = SyncTransport(latency=latency)
+        transport.register("A", lambda m: None)
+        transport.register("B", lambda m: None)
+        transport.send(make_message("A", "B"))
+        transport.send(make_message("A", "B"))
+        transport.run()
+        transport.send(make_message("B", "A"))
+        transport.run()
+        assert latency.indices == [0, 1, 2]
+
+    def test_a_refused_send_does_not_consume_a_draw(self):
+        latency = RecordingLatency()
+        transport = SyncTransport(latency=latency)
+        transport.register("A", lambda m: None)
+        with pytest.raises(UnknownPeerError):
+            transport.send(make_message("A", "B"))
+        transport.send(make_message("A", "A"))
+        assert latency.indices == [0]
