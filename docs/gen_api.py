@@ -40,8 +40,8 @@ TARGETS: list[tuple[str, str, str]] = [
     ),
     (
         "repro.coordination.changeset",
-        "ChangeSet",
-        "the per-run change record behind deltas and reconciliation",
+        "Change",
+        "the one change record: pool sync, collect, served updates, reconciliation",
     ),
     (
         "repro.serve.client",
@@ -75,8 +75,9 @@ seam's docstrings — do not edit by hand; CI regenerates it with
 The seam in one breath: build a [`ScenarioSpec`](#scenariospec)
 ([scenarios.md](scenarios.md)), open a [`Session`](#session) on it
 ([engines.md](engines.md) explains which engine you get), run phases
-and read [`RunResult`](#runresult)s; what changed between runs is a
-[`ChangeSet`](#changeset) ([incremental.md](incremental.md)); put the
+and read [`RunResult`](#runresult)s; what changes — between runs, across
+the worker boundary, in a served update — is a [`Change`](#change)
+([incremental.md](incremental.md)); put the
 network behind the serving front-end ([serving.md](serving.md)) and
 drive it with [`ServeClient`](#serveclient).
 """

@@ -1,17 +1,10 @@
-"""Per-run change sets and the shared structural digest.
+"""The one change record and the shared structural digest.
 
-Two previously-independent pieces of bookkeeping meet here:
-
-* :class:`ChangeSet` describes *what changed* in a system between two runs —
-  the rows inserted per node and relation, plus two coarse flags (rows were
-  removed / the rule set changed).  The warm engines build one from the
-  structural sync delta they ship to their workers and use
-  :attr:`ChangeSet.incremental_ok` to decide whether the next update run can
-  be *delta-driven* (semi-naive: seed the chase with the inserted rows and
-  propagate only new derivations) or must fall back to the naive full
-  re-pull.  Workers accumulate shipped deltas in a :class:`ChangeAccumulator`
-  and seed the update protocol from the resulting change set
-  (:meth:`repro.core.system.P2PSystem.seed_update_delta`).
+* :class:`Change` is *what changed* in a network, and the one shape every
+  boundary speaks: pool sync and collect (:meth:`Change.read`), a worker's
+  pending syncs (:meth:`Change.union`), the incremental seed, the served
+  update document (:meth:`Change.from_json`) and reconciliation logs
+  (:meth:`Change.between`).  It is checked before it mutates anything.
 
 * :class:`StructuralDigest` is the *one* fingerprint of a system's logical
   state — the rule set plus every relation's contents — and the memo key of
@@ -25,149 +18,342 @@ Two previously-independent pieces of bookkeeping meet here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Container, Iterable, Mapping
 
-from repro.coordination.rule import CoordinationRule, NodeId
-from repro.database.relation import Row
+from repro.coordination.rule import CoordinationRule, NodeId, rule_from_text
+from repro.database.relation import Mark, Row
+from repro.database.schema import RelationSchema
+from repro.errors import ChangeError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.core.system import P2PSystem
 
+#: node → relation → rows.
+Rows = Mapping[NodeId, Mapping[str, tuple[Row, ...]]]
+#: The database-snapshot shape produced by ``P2PSystem.databases()``.
+Snapshot = Mapping[NodeId, Mapping[str, frozenset[Row]]]
 
-# ----------------------------------------------------------------- change sets
+
+# --------------------------------------------------------------------- changes
+
+
+def _canonical(rows: Iterable[Row]) -> tuple[Row, ...]:
+    return tuple(sorted(set(rows), key=repr))
+
+
+def _union_rows(*sources: Rows) -> dict[NodeId, dict[str, tuple[Row, ...]]]:
+    merged: dict[NodeId, dict[str, set[Row]]] = {}
+    for source in sources:
+        for node_id, relations in source.items():
+            per_node = merged.setdefault(node_id, {})
+            for name, rows in relations.items():
+                per_node.setdefault(name, set()).update(rows)
+    return {
+        node_id: {name: _canonical(rows) for name, rows in relations.items()}
+        for node_id, relations in merged.items()
+    }
+
+
+def _parse_rows(document: object, what: str) -> dict[NodeId, dict[str, tuple]]:
+    if not isinstance(document, Mapping) or not all(
+        isinstance(relations, Mapping) for relations in document.values()
+    ):
+        raise ChangeError(f"{what} must be an object of node -> relation -> rows")
+    parsed: dict[NodeId, dict[str, tuple]] = {}
+    for node_id, relations in document.items():
+        for name, rows in relations.items():
+            where = f"{what}[{node_id!r}][{name!r}]"
+            if not isinstance(rows, (list, tuple)):
+                raise ChangeError(f"{where} must be a list of rows")
+            for row in rows:
+                if not isinstance(row, (list, tuple)) or any(
+                    isinstance(value, (list, dict)) for value in row
+                ):
+                    raise ChangeError(f"{where} rows must be arrays, got {row!r}")
+            parsed.setdefault(str(node_id), {})[str(name)] = tuple(map(tuple, rows))
+    return parsed
+
+
+def _parse_rule(text: object) -> CoordinationRule:
+    rule_id, separator, remainder = str(text).partition(":")
+    if not isinstance(text, str) or not separator or not remainder.strip():
+        raise ChangeError(
+            f"cannot parse rule {text!r}; expected 'rule_id: body -> target: head'"
+        )
+    return rule_from_text(rule_id.strip(), remainder.strip())
 
 
 @dataclass(frozen=True)
-class ChangeSet:
-    """What changed in a system between two runs, from the protocol's view.
+class Change:
+    """What changed in a network: the record every boundary ships.
 
-    ``inserts`` maps node ids to per-relation tuples of rows that *appeared*
-    since the last run; ``removals`` is set when any relation lost rows or
-    was rewritten wholesale; ``rule_changes`` when rules were added, removed
-    or edited.  Only pure-insert change sets are eligible for delta-driven
-    (semi-naive) evaluation — the chase is monotone, so there is no
-    incremental story for retractions or rule edits, and those fall back to
-    the naive full re-pull.
+    ``inserts`` and ``removes`` map node → relation → rows.  ``replaces``
+    maps node → relation → the relation's whole new content; only
+    :meth:`read` emits it, because a mark that no longer validates cannot
+    name the rows that vanished.  ``relations`` lists per node the schemas
+    of relations new to the receiving side.  ``add_rules`` are rules to
+    install, ``remove_rules`` ids of rules to uninstall; an edit is both.
+
+    :meth:`apply` checks first, then mutates in one canonical order — rules
+    out, rules in, relations created, rows out, rows in, replaces — so a
+    change applies whole or not at all.  :meth:`union` and :meth:`between`
+    return rows in canonical (sorted) order.
     """
 
-    inserts: Mapping[NodeId, Mapping[str, tuple[Row, ...]]] = field(
+    inserts: Rows = field(default_factory=dict)
+    removes: Rows = field(default_factory=dict)
+    replaces: Rows = field(default_factory=dict)
+    relations: Mapping[NodeId, tuple[RelationSchema, ...]] = field(
         default_factory=dict
     )
-    removals: bool = False
-    rule_changes: bool = False
+    add_rules: tuple[CoordinationRule, ...] = ()
+    remove_rules: tuple[str, ...] = ()
+
+    @property
+    def insert_only(self) -> bool:
+        """True when the change only adds rows: the delta path's eligibility.
+
+        The chase is monotone, so removals, rewrites and rule edits have no
+        incremental story and take the naive full re-pull.  An *empty*
+        change qualifies: an incremental run seeded with nothing is a
+        legitimate no-op (the network is already at its fix-point, Lemma 1).
+        """
+        edits = self.removes, self.replaces, self.relations, self.add_rules
+        return not (any(edits) or self.remove_rules)
 
     @property
     def empty(self) -> bool:
         """True when nothing changed at all."""
-        return not (self.inserts or self.removals or self.rule_changes)
-
-    @property
-    def incremental_ok(self) -> bool:
-        """True when the change is pure row insertion (delta path eligible).
-
-        An *empty* change set is also eligible: an incremental run seeded
-        with nothing is a legitimate no-op (the network is already at its
-        fix-point by Lemma 1).
-        """
-        return not (self.removals or self.rule_changes)
+        return not self.inserts and self.insert_only
 
     @property
     def inserted_rows(self) -> int:
         """Total number of inserted rows across all nodes and relations."""
-        return sum(
-            len(rows)
-            for relations in self.inserts.values()
-            for rows in relations.values()
-        )
-
-    def union(self, other: "ChangeSet") -> "ChangeSet":
-        """Merge two change logs into one canonical set.
-
-        Inserts union set-wise per node and relation and come back in a
-        canonical sorted order, so the merge is idempotent, commutative and
-        associative — the properties the post-partition reconciliation pass
-        (:mod:`repro.faults.reconcile`) is built on.  The coarse flags OR.
-        """
-        merged: dict[NodeId, dict[str, tuple[Row, ...]]] = {}
-        for source in (self.inserts, other.inserts):
-            for node_id, relations in source.items():
-                per_node = merged.setdefault(node_id, {})
-                for relation_name, rows in relations.items():
-                    existing = per_node.get(relation_name, ())
-                    per_node[relation_name] = tuple(
-                        sorted(set(existing) | set(rows), key=repr)
-                    )
-        return ChangeSet(
-            inserts={
-                node_id: dict(sorted(relations.items()))
-                for node_id, relations in sorted(merged.items())
-            },
-            removals=self.removals or other.removals,
-            rule_changes=self.rule_changes or other.rule_changes,
-        )
+        return sum(len(rows) for by in self.inserts.values() for rows in by.values())
 
     @classmethod
-    def from_sync_delta(cls, delta: Any) -> "ChangeSet":
-        """Build from a :class:`repro.sharding.pool.SyncDelta`.
+    def read(
+        cls,
+        system: "P2PSystem",
+        marks: dict[tuple[NodeId, str], Mark],
+        nodes: Iterable[NodeId],
+    ) -> "Change":
+        """What ``nodes``' relations hold beyond ``marks``; moves the marks up.
 
-        Duck-typed (``inserts`` / ``replaces`` / ``add_rules`` /
-        ``remove_rules`` attributes) so this module stays import-cycle-free
-        below the sharding layer.
+        ``marks`` are :meth:`Relation.mark <repro.database.relation.Relation.mark>`
+        per ``(node, relation)`` of what the other side has.  A valid mark
+        ships the rows appended since, in insertion order; a failed one (a
+        delete, a clear, a swapped relation) a whole-relation replace; a
+        missing one the replace plus the schema.
         """
+        inserts: dict[NodeId, dict[str, tuple[Row, ...]]] = {}
+        replaces: dict[NodeId, dict[str, tuple[Row, ...]]] = {}
+        relations: dict[NodeId, tuple[RelationSchema, ...]] = {}
+        for node_id in nodes:
+            for relation in system.node(node_id).database.relations():
+                key = (node_id, relation.name)
+                rows = relation.since(marks.get(key))
+                if rows is None:
+                    if key not in marks:
+                        schemas = relations.get(node_id, ())
+                        relations[node_id] = (*schemas, relation.schema)
+                    replaces.setdefault(node_id, {})[relation.name] = tuple(relation)
+                elif rows:
+                    inserts.setdefault(node_id, {})[relation.name] = tuple(rows)
+                marks[key] = relation.mark()
+        return cls(inserts=inserts, replaces=replaces, relations=relations)
+
+    @classmethod
+    def between(cls, baseline: Snapshot, current: Snapshot) -> "Change":
+        """The rows taking snapshot ``baseline`` to ``current`` (absent = empty)."""
+        inserts: dict[NodeId, dict[str, tuple[Row, ...]]] = {}
+        removes: dict[NodeId, dict[str, tuple[Row, ...]]] = {}
+        for node_id in {*baseline, *current}:
+            before, after = baseline.get(node_id, {}), current.get(node_id, {})
+            for name in {*before, *after}:
+                old = frozenset(before.get(name, ()))
+                new = frozenset(after.get(name, ()))
+                if new - old:
+                    inserts.setdefault(node_id, {})[name] = _canonical(new - old)
+                if old - new:
+                    removes.setdefault(node_id, {})[name] = _canonical(old - new)
+        return cls(inserts=inserts, removes=removes)
+
+    def union(self, other: "Change") -> "Change":
+        """Both changes as one, set-wise on every row and rule field.
+
+        The result is canonical, so union is idempotent, commutative and
+        associative (what :mod:`repro.faults.reconcile` relies on), and a
+        worker's fold of its syncs keeps their ``inserts`` and
+        :attr:`insert_only` exactly.
+        """
+        rules = {rule.text: rule for rule in (*self.add_rules, *other.add_rules)}
+        relations: dict[NodeId, set[RelationSchema]] = {}
+        for source in (self.relations, other.relations):
+            for node_id, schemas in source.items():
+                relations.setdefault(node_id, set()).update(schemas)
+        return Change(
+            inserts=_union_rows(self.inserts, other.inserts),
+            removes=_union_rows(self.removes, other.removes),
+            replaces=_union_rows(self.replaces, other.replaces),
+            relations={
+                node_id: tuple(sorted(schemas, key=repr))
+                for node_id, schemas in relations.items()
+            },
+            add_rules=tuple(rules[text] for text in sorted(rules)),
+            remove_rules=tuple(sorted({*self.remove_rules, *other.remove_rules})),
+        )
+
+    def only(self, nodes: Container[NodeId]) -> "Change":
+        """The slice of ``nodes``' rows and relations; rule changes stay whole."""
+        sliced = {
+            name: {n: v for n, v in getattr(self, name).items() if n in nodes}
+            for name in ("inserts", "removes", "replaces", "relations")
+        }
+        return replace(self, **sliced)
+
+    @classmethod
+    def from_json(cls, document: object) -> "Change":
+        """Parse a served ``{inserts, removes, add_rules, remove_rules}`` document.
+
+        Unknown fields are rejected (the same strictness as the fault-plan
+        and scenario loaders): a typo like ``"insert"`` silently doing
+        nothing would be the worst failure mode for a write API.
+        """
+        if not isinstance(document, Mapping):
+            raise ChangeError("update body must be a JSON object")
+        fields = {"inserts", "removes", "add_rules", "remove_rules"}
+        unknown = set(document) - fields
+        if unknown:
+            raise ChangeError(
+                f"unknown update field(s) {sorted(unknown)}; expected {sorted(fields)}"
+            )
         return cls(
-            inserts={
-                node_id: dict(relations)
-                for node_id, relations in delta.inserts.items()
-            },
-            removals=bool(delta.replaces),
-            rule_changes=bool(delta.add_rules or delta.remove_rules),
+            inserts=_parse_rows(document.get("inserts", {}), "inserts"),
+            removes=_parse_rows(document.get("removes", {}), "removes"),
+            add_rules=tuple(map(_parse_rule, document.get("add_rules", ()))),
+            remove_rules=tuple(map(str, document.get("remove_rules", ()))),
         )
 
+    def to_json(self) -> dict:
+        """The served update document; :meth:`from_json` reads it back."""
+        if self.replaces or self.relations:
+            raise ChangeError("replaces and new relations have no document form")
+        return {
+            "inserts": self._rows_json(self.inserts),
+            "removes": self._rows_json(self.removes),
+            "add_rules": [rule.text for rule in self.add_rules],
+            "remove_rules": list(self.remove_rules),
+        }
 
-class ChangeAccumulator:
-    """Folds shipped sync deltas into one :class:`ChangeSet` between runs.
+    @staticmethod
+    def _rows_json(by_node: Rows) -> dict:
+        return {
+            node_id: {name: list(map(list, rows)) for name, rows in rels.items()}
+            for node_id, rels in by_node.items()
+        }
 
-    Lives inside a persistent worker: every ``sync`` command notes its
-    payload here, and the next *update* start takes the accumulated change
-    set (clearing the accumulator).  Discovery starts leave it untouched, so
-    an insert shipped before a discovery run still seeds the following
-    incremental update.
-    """
+    def check(self, system: "P2PSystem") -> None:
+        """Raise :class:`~repro.errors.ChangeError` unless all of it applies.
 
-    def __init__(self) -> None:
-        self._inserts: dict[NodeId, dict[str, list[Row]]] = {}
-        self._removals = False
-        self._rule_changes = False
+        Only what this change can break is checked (Decker's discipline): the
+        names it uses, row arity, a row both inserted and removed, rule ids
+        unique after its removals and — when it adds rules — weak acyclicity
+        of the result (``T001``: else the chase may never stop; a rule set
+        that was not weakly acyclic before is let through).
+        """
+        removed: set[str] = set()
+        for rule_id in self.remove_rules:
+            if rule_id not in system.registry or rule_id in removed:
+                raise ChangeError(f"unknown rule id {rule_id!r}")
+            removed.add(rule_id)
+        if self.add_rules:
+            # Imported here: the analysis package imports the sharding layer,
+            # which imports this module.
+            from repro.analysis.positions import existential_cycles, is_weakly_acyclic
 
-    def note_sync_payload(self, payload: Mapping[str, Any]) -> None:
-        """Fold one shipped delta (a ``SyncDelta.for_shard`` dict) in."""
-        if payload.get("add_rules") or payload.get("remove_rules"):
-            self._rule_changes = True
-        if payload.get("replaces"):
-            self._removals = True
-        for node_id, relations in (payload.get("inserts") or {}).items():
-            per_node = self._inserts.setdefault(node_id, {})
-            for relation_name, rows in relations.items():
-                per_node.setdefault(relation_name, []).extend(rows)
+            kept = [rule for rule in system.registry if rule.rule_id not in removed]
+            taken = {rule.rule_id for rule in kept}
+            for rule in self.add_rules:
+                if rule.rule_id in taken:
+                    raise ChangeError(f"rule id {rule.rule_id!r} already registered")
+                taken.add(rule.rule_id)
+                for node_id in (rule.target, *rule.sources):
+                    if node_id not in system.nodes:
+                        raise ChangeError(
+                            f"rule {rule.rule_id!r} mentions unknown node {node_id!r}"
+                        )
+            cycles = existential_cycles([*kept, *self.add_rules])
+            if cycles and is_weakly_acyclic(kept):
+                culprits = ", ".join(sorted({edge.rule_id for edge in cycles}))
+                raise ChangeError(
+                    f"T001: the added rules close an existential cycle (rules "
+                    f"{culprits}), so the chase may never terminate"
+                )
+        named = {*self.inserts, *self.removes, *self.replaces, *self.relations}
+        for node_id in sorted(named):
+            if node_id not in system.nodes:
+                raise ChangeError(f"change references unknown node {node_id!r}")
+            database = system.nodes[node_id].database
+            arity = {schema.name: schema.arity for schema in database.schema}
+            for schema in self.relations.get(node_id, ()):
+                arity.setdefault(schema.name, schema.arity)
+            for what in ("inserts", "removes", "replaces"):
+                for name, rows in getattr(self, what).get(node_id, {}).items():
+                    if name not in arity:
+                        raise ChangeError(
+                            f"{what} reference unknown relation {name!r} at "
+                            f"node {node_id!r}"
+                        )
+                    for row in rows:
+                        if len(row) != arity[name]:
+                            raise ChangeError(
+                                f"{what}[{node_id!r}][{name!r}] row {row!r} has "
+                                f"arity {len(row)}, schema wants {arity[name]}"
+                            )
+            inserted = self.inserts.get(node_id, {})
+            for name, rows in self.removes.get(node_id, {}).items():
+                both = set(rows).intersection(inserted.get(name, ()))
+                if both:
+                    raise ChangeError(
+                        f"rows {sorted(both, key=repr)} of {name!r} at node "
+                        f"{node_id!r} are both inserted and removed"
+                    )
 
-    def take(self) -> ChangeSet:
-        """Return the accumulated change set and reset the accumulator."""
-        changes = ChangeSet(
-            inserts={
-                node_id: {
-                    relation_name: tuple(rows)
-                    for relation_name, rows in relations.items()
-                }
-                for node_id, relations in self._inserts.items()
-            },
-            removals=self._removals,
-            rule_changes=self._rule_changes,
-        )
-        self._inserts = {}
-        self._removals = False
-        self._rule_changes = False
-        return changes
+    def apply(self, system: "P2PSystem") -> int:
+        """:meth:`check`, then mutate ``system``; returns the rows changed.
+
+        The order is rules out, rules in, relations created, rows out, rows
+        in, replaces.  A replace inserts the shipped rows and then deletes
+        the rest, so a relation that only grew keeps its mark and indexes.
+        """
+        self.check(system)
+        for rule_id in self.remove_rules:
+            system.remove_rule(rule_id)
+        for rule in self.add_rules:
+            system.add_rule(rule)
+        for node_id, schemas in self.relations.items():
+            database = system.node(node_id).database
+            for schema in schemas:
+                if schema.name not in database:
+                    database.add_relation(schema)
+        changed = 0
+        for node_id, relations in self.removes.items():
+            for name, rows in relations.items():
+                relation = system.node(node_id).database.relation(name)
+                changed += sum(relation.delete(row) for row in rows)
+        for node_id, relations in self.inserts.items():
+            for name, rows in relations.items():
+                changed += system.node(node_id).database.insert_many(name, rows)
+        for node_id, relations in self.replaces.items():
+            for name, rows in relations.items():
+                relation = system.node(node_id).database.relation(name)
+                changed += relation.insert_many(rows)
+                if len(relation) > len(rows):
+                    for row in set(relation).difference(rows):
+                        changed += relation.delete(row)
+        return changed
 
 
 # ------------------------------------------------------------------- digests

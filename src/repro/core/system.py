@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from repro.coordination.changeset import ChangeSet, StructuralDigest, digest_system
+from repro.coordination.changeset import Change, StructuralDigest, digest_system
 from repro.coordination.depgraph import DependencyGraph
 from repro.coordination.registry import RuleRegistry
 from repro.coordination.rule import CoordinationRule, NodeId
@@ -194,9 +194,9 @@ class P2PSystem:
         return digest_system(self)
 
     def seed_update_delta(
-        self, changes: ChangeSet, *, nodes: Iterable[NodeId] | None = None
+        self, changes: Change, *, nodes: Iterable[NodeId] | None = None
     ) -> int:
-        """Start the incremental update at every node ``changes`` touched.
+        """Start the incremental update at every node ``changes`` inserted into.
 
         The delta-driven counterpart of starting a naive update at every
         origin: each node with inserted base rows seeds its delta frontier

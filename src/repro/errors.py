@@ -92,9 +92,11 @@ class PartitionError(NetworkError):
 
 
 class ChangeError(ReproError):
-    """An atomic network change (addLink/deleteLink) is invalid.
+    """A network change (addLink/deleteLink, a change document) is invalid.
 
     Raised for deleting a rule id that does not exist between the given pair
     of nodes, or adding a rule with an id already used for that pair
-    (Definition 8 requires per-pair unique rule names).
+    (Definition 8 requires per-pair unique rule names), and by
+    :meth:`~repro.coordination.changeset.Change.check` for any change that
+    cannot apply whole — nothing has been mutated when it is raised.
     """

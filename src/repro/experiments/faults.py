@@ -12,7 +12,7 @@ counters the injectors left behind.
 
 The final scenario demonstrates log-based reconciliation: two replicas of
 one scenario diverge behind a simulated partition, then
-:func:`repro.faults.reconcile` merges their :class:`ChangeSet` logs and both
+:func:`repro.faults.reconcile` merges their :class:`Change` logs and both
 converge to the union state.
 
 ``python -m repro run E11`` runs the built-in matrix;
@@ -135,16 +135,11 @@ def _reconcile_row(scenario: ScenarioSpec, seed: int) -> FaultRunRow:
 
     merged = reconcile([first, second], baseline)
     converged = first.system.databases() == second.system.databases()
-    inserted = sum(
-        len(rows)
-        for relations in merged.inserts.values()
-        for rows in relations.values()
-    )
     return FaultRunRow(
         label="partition log reconciliation",
         engine="sync",
         faults="divergent inserts",
-        outcome=f"merged {inserted} row(s)",
+        outcome=f"merged {merged.inserted_rows} row(s)",
         parity=converged,
         detected=0,
         cold_reruns=0,

@@ -5,7 +5,7 @@ reconciliation scenarios" item): seeded :class:`FaultPlan`s describe worker
 kills, frame drops/delays and host partitions; :class:`FaultInjector` fires
 them at the engines' phase hook points and owns the recovery budget
 (bounded send retries, cold re-runs); :mod:`repro.faults.reconcile` merges
-divergent databases after a heal from their :class:`ChangeSet` logs.  See
+divergent databases after a heal from their :class:`Change` logs.  See
 ``docs/faults.md`` for the plan format and the recovery guarantees.
 """
 
@@ -23,12 +23,7 @@ from repro.faults.plan import (
     FaultPlan,
     FaultSpec,
 )
-from repro.faults.reconcile import (
-    apply_changeset,
-    changes_since,
-    merge_changesets,
-    reconcile,
-)
+from repro.faults.reconcile import reconcile
 from repro.faults.recovery import RetryPolicy, retry_after_hint, retry_call
 
 __all__ = [
@@ -42,10 +37,7 @@ __all__ = [
     "NullFaultInjector",
     "RetryPolicy",
     "WorkerFrameInjector",
-    "apply_changeset",
-    "changes_since",
     "injector_of",
-    "merge_changesets",
     "reconcile",
     "retry_after_hint",
     "retry_call",

@@ -1,107 +1,28 @@
 """Log-based reconciliation of divergent node databases after a heal.
 
 While a partition is up, the two sides of a network accept different base
-inserts and chase them to different fix-points.  Reconciliation treats each
-side's divergence as a *change log* — a
-:class:`~repro.coordination.changeset.ChangeSet` computed against the common
-pre-partition baseline — merges the logs with :meth:`ChangeSet.union`
-(idempotent, commutative, associative; see
-``tests/property/test_property_reconcile.py``), replays the merged log into
-every side, and re-runs the update protocol so the coordination rules close
-over the merged base facts.  Because the chase is monotone and confluent
-(Lemma 1), the reconciled sides converge to the *same* fix-point the network
-would have reached had the partition never happened — which is exactly what
-the chaos suite asserts via :func:`~repro.coordination.changeset.digest_system`.
-
-The model is insert-only: logs that record removals or rule edits cannot be
-merged order-insensitively (retraction is not monotone) and raise a typed
+inserts and chase them to different fix-points.  Each side's divergence is a
+change log — :meth:`Change.between
+<repro.coordination.changeset.Change.between>` the common pre-partition
+baseline and that side — and the logs merge with :meth:`Change.union
+<repro.coordination.changeset.Change.union>` (idempotent, commutative,
+associative).  The merged log is applied to every side and the update
+re-run; the chase is monotone and confluent (Lemma 1), so the sides meet at
+the fix-point the network would have reached had the partition never
+happened.  The model is insert-only: logs carrying removed rows or rule
+edits cannot be merged order-insensitively and raise a typed
 :class:`~repro.errors.FaultError` instead of guessing.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
-from repro.coordination.changeset import ChangeSet
-from repro.coordination.rule import NodeId
-from repro.database.relation import Row
+from repro.coordination.changeset import Change, Snapshot
 from repro.errors import FaultError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api.session import Session
-    from repro.core.system import P2PSystem
-
-#: The database-snapshot shape produced by ``P2PSystem.databases()``.
-Snapshot = Mapping[NodeId, Mapping[str, frozenset[Row]]]
-
-
-def changes_since(baseline: Snapshot, current: Snapshot) -> ChangeSet:
-    """The change log that takes ``baseline`` to ``current``.
-
-    Rows present in ``current`` but not in ``baseline`` become inserts (in
-    canonical sorted order); any row or relation that *disappeared* sets the
-    ``removals`` flag, which :func:`reconcile` then refuses to merge.
-    """
-    inserts: dict[NodeId, dict[str, tuple[Row, ...]]] = {}
-    removals = False
-    for node_id, relations in current.items():
-        base_relations = baseline.get(node_id, {})
-        for relation_name, rows in relations.items():
-            base_rows = base_relations.get(relation_name, frozenset())
-            new_rows = set(rows) - set(base_rows)
-            if set(base_rows) - set(rows):
-                removals = True
-            if new_rows:
-                inserts.setdefault(node_id, {})[relation_name] = tuple(
-                    sorted(new_rows, key=repr)
-                )
-    for node_id, relations in baseline.items():
-        current_relations = current.get(node_id, {})
-        for relation_name, rows in relations.items():
-            if rows and relation_name not in current_relations:
-                removals = True
-        if relations and node_id not in current:
-            removals = True
-    return ChangeSet(
-        inserts={
-            node_id: dict(sorted(relations.items()))
-            for node_id, relations in sorted(inserts.items())
-        },
-        removals=removals,
-    )
-
-
-def merge_changesets(*logs: ChangeSet) -> ChangeSet:
-    """Fold any number of change logs into one canonical merged log."""
-    merged = ChangeSet()
-    for log in logs:
-        merged = merged.union(log)
-    return merged
-
-
-def apply_changeset(system: "P2PSystem", changes: ChangeSet) -> int:
-    """Insert the log's rows into ``system``; returns rows genuinely new.
-
-    Only touches nodes and relations the system actually has — a log may
-    legitimately mention rows a side already derived on its own.
-    """
-    applied = 0
-    for node_id, relations in changes.inserts.items():
-        if node_id not in system.nodes:
-            raise FaultError(
-                f"reconciliation log mentions unknown node {node_id!r}"
-            )
-        database = system.nodes[node_id].database
-        for relation_name, rows in relations.items():
-            if relation_name not in database:
-                raise FaultError(
-                    f"reconciliation log mentions unknown relation "
-                    f"{relation_name!r} on node {node_id!r}"
-                )
-            for row in rows:
-                if database.insert(relation_name, row):
-                    applied += 1
-    return applied
 
 
 def reconcile(
@@ -109,28 +30,27 @@ def reconcile(
     baseline: Snapshot,
     *,
     run: bool = True,
-) -> ChangeSet:
+) -> Change:
     """Merge the sessions' divergence logs and bring every side up to date.
 
     ``baseline`` is the common pre-partition snapshot.  Each session's log is
-    derived with :func:`changes_since`, the logs are merged, the merged base
-    rows are replayed into every session's system (counted as
-    ``repro_fault_reconciled_rows_total``), and — unless ``run=False`` —
-    each session re-runs the update protocol to close the fix-point.
-    Returns the merged log.
+    :meth:`Change.between` the baseline and its databases, the logs are
+    merged, the merged log is applied to every session's system (the rows
+    new there counted as ``repro_fault_reconciled_rows_total``), and —
+    unless ``run=False`` — each session re-runs the update protocol to close
+    the fix-point.  Returns the merged log.
     """
-    logs = [
-        changes_since(baseline, session.system.databases()) for session in sessions
-    ]
-    merged = merge_changesets(*logs)
-    if merged.removals or merged.rule_changes:
+    merged = Change()
+    for session in sessions:
+        merged = merged.union(Change.between(baseline, session.system.databases()))
+    if not merged.insert_only:
         raise FaultError(
             "log-based reconciliation is insert-only: the divergence logs "
-            "record removals or rule changes, which cannot be merged "
+            "record removed rows or rule changes, which cannot be merged "
             "order-insensitively"
         )
     for session in sessions:
-        applied = apply_changeset(session.system, merged)
+        applied = merged.apply(session.system)
         if applied:
             session.system.stats.registry.counter(
                 "repro_fault_reconciled_rows_total"

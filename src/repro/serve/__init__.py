@@ -26,7 +26,6 @@ from repro.serve.server import ServerHandle, parse_bind, serve_forever
 from repro.serve.tenants import (
     AdmissionError,
     Tenant,
-    TenantChanges,
     TenantManager,
     parse_changes,
     warm_spec,
@@ -44,7 +43,6 @@ __all__ = [
     "ServerConfig",
     "ServerHandle",
     "Tenant",
-    "TenantChanges",
     "TenantManager",
     "parse_bind",
     "parse_changes",

@@ -166,15 +166,11 @@ class ServeClient:
         add_rules: list[str] | None = None,
         remove_rules: list[str] | None = None,
     ) -> dict[str, Any]:
-        body: dict[str, Any] = {}
-        if inserts:
-            body["inserts"] = inserts
-        if removes:
-            body["removes"] = removes
-        if add_rules:
-            body["add_rules"] = add_rules
-        if remove_rules:
-            body["remove_rules"] = remove_rules
+        fields = zip(
+            ("inserts", "removes", "add_rules", "remove_rules"),
+            (inserts, removes, add_rules, remove_rules),
+        )
+        body = {key: value for key, value in fields if value}
         return self.request("POST", f"/tenants/{name}/update", body)
 
     def query(self, name: str, node: str, query_text: str) -> dict[str, Any]:

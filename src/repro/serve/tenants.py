@@ -27,15 +27,15 @@ import asyncio
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 from repro.api.engine import transport_names
 from repro.api.session import Session
 from repro.api.spec import ScenarioSpec
-from repro.coordination.rule import CoordinationRule, NodeId, rule_from_text
-from repro.database.relation import Row
+from repro.coordination.changeset import Change
+from repro.coordination.rule import NodeId
 from repro.errors import NetworkError, PartitionError, ReproError
 from repro.faults.recovery import RetryPolicy, retry_after_hint, retry_call
 from repro.obs.logs import get_logger
@@ -105,110 +105,8 @@ class _ReadWriteLock:
 
 # ------------------------------------------------------------------- changes
 
-
-@dataclass(frozen=True)
-class TenantChanges:
-    """One update request's parsed change set (the wire ChangeSet JSON).
-
-    ``inserts``/``removes`` map node → relation → rows; ``add_rules`` are
-    parsed coordination rules and ``remove_rules`` rule ids.  Insert-only
-    changes keep a warm tenant on the delta-driven evaluation path; any
-    removal or rule edit sends the next run down the naive full re-pull —
-    exactly the :attr:`~repro.coordination.changeset.ChangeSet.incremental_ok`
-    gate, applied at the serving seam.
-    """
-
-    inserts: Mapping[NodeId, Mapping[str, tuple[Row, ...]]] = field(
-        default_factory=dict
-    )
-    removes: Mapping[NodeId, Mapping[str, tuple[Row, ...]]] = field(
-        default_factory=dict
-    )
-    add_rules: tuple[CoordinationRule, ...] = ()
-    remove_rules: tuple[str, ...] = ()
-
-    @property
-    def empty(self) -> bool:
-        return not (
-            self.inserts or self.removes or self.add_rules or self.remove_rules
-        )
-
-    @property
-    def insert_only(self) -> bool:
-        return not (self.removes or self.add_rules or self.remove_rules)
-
-    @property
-    def inserted_rows(self) -> int:
-        return sum(
-            len(rows)
-            for relations in self.inserts.values()
-            for rows in relations.values()
-        )
-
-
-def _parse_rows(document: object, *, what: str) -> dict[NodeId, dict[str, tuple]]:
-    if not isinstance(document, Mapping):
-        raise ReproError(f"{what} must be an object of node -> relation -> rows")
-    parsed: dict[NodeId, dict[str, tuple]] = {}
-    for node_id, relations in document.items():
-        if not isinstance(relations, Mapping):
-            raise ReproError(
-                f"{what}[{node_id!r}] must be an object of relation -> rows"
-            )
-        per_node: dict[str, tuple] = {}
-        for relation_name, rows in relations.items():
-            if not isinstance(rows, (list, tuple)):
-                raise ReproError(
-                    f"{what}[{node_id!r}][{relation_name!r}] must be a list of rows"
-                )
-            coerced = []
-            for row in rows:
-                if not isinstance(row, (list, tuple)):
-                    raise ReproError(
-                        f"{what}[{node_id!r}][{relation_name!r}] rows must be "
-                        f"arrays, got {row!r}"
-                    )
-                coerced.append(tuple(row))
-            per_node[str(relation_name)] = tuple(coerced)
-        parsed[str(node_id)] = per_node
-    return parsed
-
-
-def parse_changes(document: object) -> TenantChanges:
-    """Parse an update request body into a :class:`TenantChanges`.
-
-    Unknown fields are rejected (the same strictness as the fault-plan and
-    scenario loaders): a typo like ``"insert"`` silently doing nothing would
-    be the worst failure mode for a write API.
-    """
-    if not isinstance(document, Mapping):
-        raise ReproError("update body must be a JSON object")
-    known = {"inserts", "removes", "add_rules", "remove_rules"}
-    unknown = set(document) - known
-    if unknown:
-        raise ReproError(
-            f"unknown update field(s) {sorted(unknown)}; expected {sorted(known)}"
-        )
-    add_rules = []
-    for rule_text in document.get("add_rules", ()):
-        if not isinstance(rule_text, str):
-            raise ReproError(f"add_rules entries must be strings, got {rule_text!r}")
-        rule_id, separator, remainder = rule_text.partition(":")
-        if not separator or not remainder.strip():
-            raise ReproError(
-                f"cannot parse rule {rule_text!r}; expected "
-                "'rule_id: body -> target: head'"
-            )
-        add_rules.append(rule_from_text(rule_id.strip(), remainder.strip()))
-    remove_rules = tuple(
-        str(rule_id) for rule_id in document.get("remove_rules", ())
-    )
-    return TenantChanges(
-        inserts=_parse_rows(document.get("inserts", {}), what="inserts"),
-        removes=_parse_rows(document.get("removes", {}), what="removes"),
-        add_rules=tuple(add_rules),
-        remove_rules=remove_rules,
-    )
+#: An update request body → its :class:`~repro.coordination.changeset.Change`.
+parse_changes = Change.from_json
 
 
 def warm_spec(spec: ScenarioSpec) -> ScenarioSpec:
@@ -309,41 +207,17 @@ class Tenant:
             document["last_error"] = self.last_error
         return document
 
-    def validate_changes(self, changes: TenantChanges) -> None:
+    def validate_changes(self, changes: Change) -> None:
         """Reject changes that cannot apply, before they are queued.
 
-        Arity/schema violations surface as a synchronous 400 at admission
-        time instead of failing deep inside the serialized worker — an
-        update that *enters* the queue is expected to run.
+        A failed :meth:`Change.check <repro.coordination.changeset.Change.check>`
+        (``T001`` included) is a synchronous 400 at admission, not a failure
+        deep inside the serialized worker.
         """
         session = self.session
         if session is None:
             raise AdmissionError(503, "not_ready", f"tenant {self.name} not ready")
-        schemas = session.schemas()
-        for what, per_node in (
-            ("inserts", changes.inserts),
-            ("removes", changes.removes),
-        ):
-            for node_id, relations in per_node.items():
-                schema = schemas.get(node_id)
-                if schema is None:
-                    raise ReproError(
-                        f"{what} reference unknown node {node_id!r}"
-                    )
-                for relation_name, rows in relations.items():
-                    if relation_name not in schema:
-                        raise ReproError(
-                            f"{what} reference unknown relation "
-                            f"{relation_name!r} at node {node_id!r}"
-                        )
-                    arity = len(schema.get(relation_name).attributes)
-                    for row in rows:
-                        if len(row) != arity:
-                            raise ReproError(
-                                f"{what}[{node_id!r}][{relation_name!r}] row "
-                                f"{row!r} has arity {len(row)}, schema wants "
-                                f"{arity}"
-                            )
+        changes.check(session.system)
 
     # ------------------------------------------------- blocking work (threads)
 
@@ -362,12 +236,12 @@ class Tenant:
             raise
         self.session = session
 
-    def run_update(
-        self, changes: TenantChanges, retry_policy: RetryPolicy
-    ) -> UpdateOutcome:
+    def run_update(self, changes: Change, retry_policy: RetryPolicy) -> UpdateOutcome:
         """Apply ``changes`` and drive the network back to its fix-point.
 
-        Runs in a worker thread under the tenant's *write* lock.  Transient
+        Runs in a worker thread under the tenant's *write* lock.  The change
+        applies whole or not at all (a rejected one raises
+        :class:`~repro.errors.ChangeError` before any mutation).  Transient
         :class:`NetworkError`\\ s retry per ``retry_policy`` on top of
         whatever cold-re-run budget the engine itself holds; the typed
         final failure propagates to the handler (a
@@ -381,20 +255,7 @@ class Tenant:
         self.lock.acquire_write()
         try:
             system = session.system
-            for node_id, relations in changes.inserts.items():
-                database = system.node(node_id).database
-                for relation_name, rows in relations.items():
-                    database.insert_many(relation_name, rows)
-            for node_id, relations in changes.removes.items():
-                database = system.node(node_id).database
-                for relation_name, rows in relations.items():
-                    for row in rows:
-                        database.delete(relation_name, row)
-            for rule in changes.add_rules:
-                system.add_rule(rule)
-            for rule_id in changes.remove_rules:
-                system.remove_rule(rule_id)
-
+            changes.apply(system)
             before = system.stats.incremental_totals()
             result = retry_call(
                 lambda: session.run("update"),
@@ -591,7 +452,7 @@ class TenantManager:
 
     # ----------------------------------------------------- updates and queries
 
-    def submit_update(self, name: str, changes: TenantChanges) -> asyncio.Future:
+    def submit_update(self, name: str, changes: Change) -> asyncio.Future:
         """Enqueue one update; returns the future its outcome resolves.
 
         Raises a typed 429 :class:`AdmissionError` when the tenant's bounded

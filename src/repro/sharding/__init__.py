@@ -33,7 +33,7 @@ See ``docs/architecture.md`` for where this layer sits in the system and
 """
 
 from repro.sharding.planner import ShardPlan, ShardPlanner, round_robin_plan
-from repro.sharding.pool import ShardPool, SyncDelta, WorkerPool, WorldMirror
+from repro.sharding.pool import ShardPool, WorkerPool, WorldMirror
 from repro.sharding.process import ProcessEngine, ProcessTransport
 from repro.sharding.sockets import LocalHostCluster, ShardHost, SocketPool
 
@@ -46,7 +46,6 @@ __all__ = [
     "ShardPlanner",
     "ShardPool",
     "SocketPool",
-    "SyncDelta",
     "WorkerPool",
     "WorldMirror",
     "round_robin_plan",

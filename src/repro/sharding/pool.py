@@ -21,10 +21,12 @@ as peers' data shifts.  So the workers are *persistent* (the loop in
   move only **deltas**, in both directions: out go the rows inserted into
   the coordinator since the last run, relations whose contents were
   rewritten, and ``addLink``/``deleteLink`` rule changes; home come the
-  rows each shard gained — never the schemas or the unchanged data.  The
-  outgoing delta is read structurally, off the live relations against the
-  mirror's marks on them (state is compared, not change notifications
-  trusted), at a cost proportional to the change, not to the world.
+  rows each shard gained — never the schemas or the unchanged data.  Both
+  directions are one :class:`~repro.coordination.changeset.Change`, read
+  structurally off the live relations against marks on them
+  (:meth:`Change.read <repro.coordination.changeset.Change.read>`: state is
+  compared, not change notifications trusted), at a cost proportional to
+  the change, not to the world.
 * :class:`WorkerPool` and :class:`~repro.sharding.sockets.SocketPool` are
   reduced to how their channels are made: start one process per shard, or
   dial a host fleet and ship it the worlds.  :func:`_worker_context` decides
@@ -54,13 +56,13 @@ import os
 import queue as queue_module
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Protocol
+from typing import TYPE_CHECKING, Any, Iterable, Protocol
 
-from repro.coordination.changeset import rules_fingerprint
-from repro.coordination.rule import CoordinationRule, NodeId
-from repro.database.relation import Mark, Row
+from repro.coordination.changeset import Change, rules_fingerprint
+from repro.coordination.rule import NodeId
+from repro.database.relation import Mark
 from repro.errors import NetworkError, ReproError
 from repro.faults.injector import NULL_INJECTOR, injector_of
 from repro.obs import NULL_TRACER, get_logger
@@ -132,52 +134,6 @@ def _worker_context():
 # ------------------------------------------------------------------- deltas
 
 
-@dataclass(frozen=True)
-class SyncDelta:
-    """What changed in the coordinator since the workers last synced.
-
-    ``inserts`` carries rows that only *appeared* in a relation (the common
-    case: the chase and bulk loads insert, never delete), ``replaces``
-    rewrites a relation wholesale — used when rows vanished, or when the
-    relation itself is new to the workers (then ``schema`` rides along so
-    the worker can create it).  ``remove_rules`` are applied before
-    ``add_rules`` so a changed rule body (same id) re-installs cleanly.
-    """
-
-    add_rules: tuple[CoordinationRule, ...] = ()
-    remove_rules: tuple[str, ...] = ()
-    inserts: Mapping[NodeId, Mapping[str, tuple[Row, ...]]] = field(
-        default_factory=dict
-    )
-    replaces: Mapping[NodeId, Mapping[str, tuple[object, tuple[Row, ...]]]] = field(
-        default_factory=dict
-    )
-
-    @property
-    def empty(self) -> bool:
-        """True when there is nothing to ship."""
-        return not (
-            self.add_rules or self.remove_rules or self.inserts or self.replaces
-        )
-
-    def for_shard(self, plan: ShardPlan, shard: int) -> dict:
-        """The slice one worker needs: global rule changes + its owned data."""
-        return {
-            "add_rules": self.add_rules,
-            "remove_rules": self.remove_rules,
-            "inserts": {
-                node: dict(relations)
-                for node, relations in self.inserts.items()
-                if plan.shard(node) == shard
-            },
-            "replaces": {
-                node: dict(relations)
-                for node, relations in self.replaces.items()
-                if plan.shard(node) == shard
-            },
-        }
-
-
 class WorldMirror:
     """What a pool's workers hold, as marks on the coordinator's own relations.
 
@@ -197,32 +153,17 @@ class WorldMirror:
         """Record that the workers hold the coordinator's current facts."""
         self.marks = relation_marks(system, system.nodes)
 
-    def advance(self, system: P2PSystem) -> SyncDelta:
-        """What changed in the coordinator since the marks were taken — rows
-        in insertion order — with the marks moved up to now.
+    def advance(self, system: P2PSystem) -> Change:
+        """What changed in the coordinator since the marks were taken
+        (:meth:`Change.read` plus the rule edits), with the marks moved up.
 
         Structural by construction: whatever mutated the system —
         ``load_data``, ``addLink``/``deleteLink``, a direct relation write —
         shows up, with no change-notification protocol to forget to call.
         """
         known, self.rules = self.rules, rules_fingerprint(system.registry)
-        inserts: dict[NodeId, dict[str, tuple[Row, ...]]] = {}
-        replaces: dict[NodeId, dict[str, tuple[object, tuple[Row, ...]]]] = {}
-        for node_id, node in system.nodes.items():
-            for relation in node.database.relations():
-                rows = relation.since(self.marks.get((node_id, relation.name)))
-                if rows is None:
-                    # Rows vanished, or the relation is new to the workers:
-                    # the only always-correct move is a wholesale rewrite
-                    # (with the schema along, so it can be created there).
-                    replaces.setdefault(node_id, {})[relation.name] = (
-                        relation.schema,
-                        tuple(relation),
-                    )
-                elif rows:
-                    inserts.setdefault(node_id, {})[relation.name] = tuple(rows)
-        self.mark(system)
-        return SyncDelta(
+        return replace(
+            Change.read(system, self.marks, system.nodes),
             add_rules=tuple(
                 rule
                 for rule in system.registry
@@ -233,8 +174,6 @@ class WorldMirror:
                 for rule_id, text in known.items()
                 if self.rules.get(rule_id) != text
             ),
-            inserts=inserts,
-            replaces=replaces,
         )
 
 
@@ -526,17 +465,18 @@ class ShardPool:
 
     # ------------------------------------------------------------------ runs
 
-    def sync(self, system: P2PSystem) -> SyncDelta:
+    def sync(self, system: P2PSystem) -> Change:
         """Ship the coordinator's changes since the last run to the workers.
 
-        Returns the delta that was shipped (empty deltas ship nothing), so
-        callers and tests can observe exactly what went over the wire.
+        Each worker gets the rule changes and its own shard's rows.  Returns
+        the change that was shipped (an empty one ships nothing), so callers
+        and tests can observe exactly what went over the wire.
         """
         self._require_open()
         delta = self._mirror.advance(system)
         if not delta.empty:
             for shard, channel in enumerate(self._channels):
-                channel.put(("sync", delta.for_shard(self.plan, shard)))
+                channel.put(("sync", delta.only(self.plan.members(shard))))
         # A sync-phase kill lands here: the dead worker is detected by the
         # next run_phase's liveness check, never by a wedged barrier.
         self.injector.fire("sync", self)

@@ -37,7 +37,6 @@ import time
 from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from repro.coordination.changeset import ChangeSet
 from repro.coordination.rule import NodeId
 from repro.errors import NetworkError, ReproError
 from repro.faults.injector import injector_of
@@ -392,12 +391,8 @@ class ProcessEngine:
                 with tracer.span("sync") as sync_span:
                     delta = self._pool.sync(system)
                     sync_span.set(empty=delta.empty)
-                if (
-                    phase == "update"
-                    and self.incremental
-                    and self._primed
-                    and ChangeSet.from_sync_delta(delta).incremental_ok
-                ):
+                eligible = self.incremental and self._primed and delta.insert_only
+                if phase == "update" and eligible:
                     # Coordinator-side gate only: each worker re-checks
                     # against the deltas it actually accumulated (a sync may
                     # have been shipped before a discovery run) and falls
@@ -440,15 +435,11 @@ class ProcessEngine:
     ) -> float:
         """Fold what the workers shipped home into the coordinator system.
 
-        Payloads are deltas (:func:`repro.sharding.worker._worker_payload`):
-        rows are inserted, so the coordinator's indexes and ``removals``
-        survive an insert-only run.  A relation flagged ``whole`` is brought
-        to exactly the shipped rows by inserting them first and deleting the
-        rest after, so a merge that fails half-way has lost no row the next
-        (cold) world would need.
+        Each payload's :class:`~repro.coordination.changeset.Change` is
+        applied as is: rows are inserted, so the coordinator's indexes and
+        ``removals`` survive an insert-only run.
         """
         from repro.core.state import UpdateState
-        from repro.database.schema import RelationSchema
 
         delivered_by_shard = {
             shard: payload["delivered"] for shard, payload in enumerate(payloads)
@@ -466,25 +457,8 @@ class ProcessEngine:
         for payload in payloads:
             cross_shard += payload["cross_received"]
             completion = max(completion, payload["clock"])
-            # --- databases: relations new to the coordinator, then the rows.
-            for node_id, schemas in payload["schemas"].items():
-                database = system.node(node_id).database
-                for relation_schema in schemas:
-                    if relation_schema.name not in database:
-                        database.add_relation(
-                            RelationSchema(
-                                relation_schema.name,
-                                list(relation_schema.attributes),
-                            )
-                        )
-            for node_id, facts in payload["facts"].items():
-                database = system.node(node_id).database
-                for relation_name, (whole, rows) in facts.items():
-                    relation = database.relation(relation_name)
-                    relation.insert_many(rows)
-                    if whole and len(relation) > len(rows):
-                        for row in set(relation).difference(rows):
-                            relation.delete(row)
+            # --- databases: the rows and relations the shard gained.
+            payload["change"].apply(system)
             # --- protocol state: closed flags and discovery paths/edges.
             for node_id, state in payload["node_state"].items():
                 node = system.node(node_id)

@@ -16,12 +16,11 @@ and a distributed-quiescence barrier.  This module is everything that runs
   delivery.
 * :func:`shard_worker_loop` is the one persistent command loop (``start`` /
   ``msg`` / ``ping`` / ``sync`` / ``collect`` / ``stop``).  ``collect`` ships
-  home what the coordinator does not hold yet (:class:`_Shipped`), never the
-  world.  A
-  :class:`~repro.sharding.pool.WorkerPool` runs it as the target of one
-  fork-server child per shard, a :class:`~repro.sharding.sockets.ShardHost`
-  as one thread per hosted shard; a one-shot run is the same loop stopped
-  after its first ``collect``.
+  home what the coordinator does not hold yet (:func:`_worker_payload`),
+  never the world.  A :class:`~repro.sharding.pool.WorkerPool` runs it as
+  the target of one fork-server child per shard, a
+  :class:`~repro.sharding.sockets.ShardHost` as one thread per hosted shard;
+  a one-shot run is the same loop stopped after its first ``collect``.
 
 Clock caveat: each worker drains its local queue to exhaustion between
 stimuli and there is no global time synchronisation between shards, so a
@@ -38,10 +37,10 @@ import heapq
 import queue as queue_module
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from repro.coordination.changeset import ChangeAccumulator, ChangeSet
+from repro.coordination.changeset import Change
 from repro.coordination.rule import CoordinationRule, NodeId
 from repro.database.relation import Mark
 from repro.errors import NetworkError, ReproError
@@ -294,63 +293,39 @@ def relation_marks(
     }
 
 
-@dataclass
-class _Shipped:
-    """What the coordinator already holds of this worker's shard.
-
-    ``marks`` keeps, per owned relation, the mark taken when it was last
-    shipped home — or when the world was built, since those rows came from
-    the coordinator; ``node_state`` the protocol state as last shipped.
-    """
-
-    marks: dict[tuple[NodeId, str], Mark]
-    node_state: dict[NodeId, dict] = field(default_factory=dict)
-
-
 def _worker_payload(
     system: P2PSystem,
     world: ShardWorld,
     transport: _WorkerTransport,
     phase: str,
-    shipped: _Shipped,
+    marks: dict[tuple[NodeId, str], Mark],
+    shipped_state: dict[NodeId, dict],
 ) -> dict:
     """What one worker ships back: new facts, changed protocol state, stats.
 
-    Per owned relation ``facts`` carries ``(whole, rows)``: the rows appended
-    since the relation was last shipped, in insertion order, or — when its
-    mark does not validate (a ``delete`` / ``clear`` / replace, a new or
-    swapped relation) — every row, flagged ``whole``.  A relation the
-    coordinator has never been sent brings its schema; a node's protocol
-    state rides along when it changed.
+    What the coordinator already holds of the shard is ``marks`` — per owned
+    relation, the mark taken when it was last shipped home, or when the
+    world was built (those rows came from the coordinator) — and
+    ``shipped_state``, the protocol state as last shipped.  ``change`` is
+    :meth:`Change.read <repro.coordination.changeset.Change.read>` over the
+    marks; a node's protocol state rides along when it changed.
     """
     if phase == "discovery":
         for node_id in world.owned:
             system.node(node_id).discovery.finalize_paths()
-    facts: dict[NodeId, dict] = {}
-    schemas: dict[NodeId, list] = {}
+    change = Change.read(system, marks, world.owned)
     node_state = {}
     for node_id in world.owned:
         node = system.node(node_id)
-        for relation in node.database.relations():
-            key = (node_id, relation.name)
-            rows = relation.since(shipped.marks.get(key))
-            if rows is None:
-                if key not in shipped.marks:
-                    schemas.setdefault(node_id, []).append(relation.schema)
-                facts.setdefault(node_id, {})[relation.name] = (True, tuple(relation))
-            elif rows:
-                facts.setdefault(node_id, {})[relation.name] = (False, tuple(rows))
-            shipped.marks[key] = relation.mark()
         state = {
             "closed": node.is_update_closed,
             "edges": set(node.state.edges),
             "paths": dict(node.state.paths),
         }
-        if shipped.node_state.get(node_id) != state:
-            shipped.node_state[node_id] = node_state[node_id] = state
+        if shipped_state.get(node_id) != state:
+            shipped_state[node_id] = node_state[node_id] = state
     payload = {
-        "facts": facts,
-        "schemas": schemas,
+        "change": change,
         "node_state": node_state,
         # One aggregation code path for every engine: the worker ships its
         # whole metrics registry; the coordinator folds it in with
@@ -372,49 +347,6 @@ def _worker_payload(
         for name, value in vars(chase).items():
             setattr(chase, name, type(value)())
     return payload
-
-
-def _apply_sync(system: P2PSystem, world: ShardWorld, delta: dict) -> None:
-    """Apply one coordinator delta inside a worker process."""
-    from repro.database.schema import RelationSchema
-
-    for rule_id in delta["remove_rules"]:
-        system.remove_rule(rule_id)
-    for rule in delta["add_rules"]:
-        system.add_rule(rule)
-    for node_id, relations in delta["replaces"].items():
-        node = system.node(node_id)
-        for relation_name, (schema, rows) in relations.items():
-            if relation_name not in node.database:
-                node.database.add_relation(
-                    RelationSchema(schema.name, list(schema.attributes))
-                )
-            relation = node.database.relation(relation_name)
-            relation.clear()
-            relation.insert_many(rows)
-    for node_id, relations in delta["inserts"].items():
-        node = system.node(node_id)
-        for relation_name, rows in relations.items():
-            node.database.relation(relation_name).insert_many(rows)
-
-
-def _start_incremental_phase(
-    system: P2PSystem,
-    world: ShardWorld,
-    changes: ChangeSet,
-    origins: Iterable[NodeId],
-) -> None:
-    """Kick an incremental update off inside a worker: seed owned dirty nodes.
-
-    The delta-driven counterpart of :func:`_start_worker_phase`: instead of opening
-    every owned origin for naive pull rounds, only the owned nodes that
-    actually received inserts since the last converged run seed their delta
-    frontier (see :meth:`repro.core.update.UpdateProtocol.start_incremental`).
-    Nodes untouched by the delta do nothing until a fragment push reaches
-    them — that is the whole point of the incremental mode.
-    """
-    allowed = set(world.owned) & set(origins)
-    system.seed_update_delta(changes, nodes=allowed)
 
 
 def _reset_run_counters(transport: _WorkerTransport) -> None:
@@ -439,7 +371,7 @@ def shard_worker_loop(world: ShardWorld, outboxes: list, results) -> None:
     kicks the phase off at the owned origins, ``msg`` is a cross-shard
     delivery, ``ping`` answers a quiescence round (with an ``idle`` flag
     saying whether the local queue was empty), ``sync`` applies a
-    coordinator delta between runs (rule changes first, then data),
+    coordinator :class:`~repro.coordination.changeset.Change` between runs,
     ``collect`` ships home what the shard gained since its last collect
     (:func:`_worker_payload`) *without* exiting, resetting the per-run
     counters so the next run starts from a clean ledger, and ``stop`` ends
@@ -449,19 +381,18 @@ def shard_worker_loop(world: ShardWorld, outboxes: list, results) -> None:
     pings are answered promptly however long the local chain is — the
     coordinator can always tell a busy shard from a stalled one.
 
-    Every ``sync`` delta is also folded into a worker-side
-    :class:`~repro.coordination.changeset.ChangeAccumulator`.  When a
-    ``start`` arrives for the update phase, the accumulated changes are
-    consumed: if the coordinator requested ``mode="incremental"`` *and* the
-    worker's own accumulator agrees the changes were insert-only
-    (``incremental_ok``), the owned dirty nodes seed their delta frontier
-    instead of re-opening for naive pull rounds.  The worker-side check is
+    Every ``sync`` change is also folded into the worker's pending
+    :class:`~repro.coordination.changeset.Change` (with ``union``), which an
+    update ``start`` consumes: if the coordinator asked for
+    ``mode="incremental"`` *and* the pending change is ``insert_only``, the
+    owned nodes it inserted into seed their delta frontier instead of
+    re-opening for naive pull rounds.  The worker-side check is
     authoritative — a coordinator that over-asks (say, after a rule change
     it did not notice) still gets a correct naive run.
     """
     inbox = outboxes[world.shard_index]
     phase = "update"
-    pending = ChangeAccumulator()
+    pending = Change()
     try:
         transport = _WorkerTransport(
             world.shard_index,
@@ -485,7 +416,7 @@ def shard_worker_loop(world: ShardWorld, outboxes: list, results) -> None:
             )
         with tracer.span("build", shard=world.shard_index):
             system = _build_worker_system(world, transport)
-        shipped = _Shipped(relation_marks(system, world.owned))
+        marks, shipped_state = relation_marks(system, world.owned), {}
         if tracer.enabled:
             for node in system.nodes.values():
                 node.database.profile = tracer.chase
@@ -517,9 +448,11 @@ def shard_worker_loop(world: ShardWorld, outboxes: list, results) -> None:
                     transport.fault_injector.start_run()
                 _kind, phase, origins, mode = item
                 if phase == "update":
-                    changes = pending.take()
-                    if mode == "incremental" and changes.incremental_ok:
-                        _start_incremental_phase(system, world, changes, origins)
+                    changes, pending = pending, Change()
+                    if mode == "incremental" and changes.insert_only:
+                        system.seed_update_delta(
+                            changes, nodes=set(world.owned) & set(origins)
+                        )
                     else:
                         _start_worker_phase(system, world, phase, origins)
                 else:
@@ -535,10 +468,12 @@ def shard_worker_loop(world: ShardWorld, outboxes: list, results) -> None:
                 results.put(("status", world.shard_index, transport.status()))
             elif kind == "sync":
                 with tracer.span("sync", shard=world.shard_index):
-                    _apply_sync(system, world, item[1])
-                    pending.note_sync_payload(item[1])
+                    item[1].apply(system)
+                    pending = pending.union(item[1])
             elif kind == "collect":
-                payload = _worker_payload(system, world, transport, phase, shipped)
+                payload = _worker_payload(
+                    system, world, transport, phase, marks, shipped_state
+                )
                 results.put(("collected", world.shard_index, payload))
                 _reset_run_counters(transport)
             elif kind == "stop":

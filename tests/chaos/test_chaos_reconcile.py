@@ -3,7 +3,7 @@
 The end of a partition's life: two replicas of one network diverged while
 the link was down — each accepted base inserts the other never saw and
 chased them to its own fix-point.  :func:`repro.faults.reconcile` computes
-each side's :class:`~repro.coordination.changeset.ChangeSet` against the
+each side's :class:`~repro.coordination.changeset.Change` from the
 common pre-partition baseline, merges the logs (order-insensitively — see
 ``tests/property/test_property_reconcile.py``), replays the merged base
 facts into both sides and re-runs the update protocol.  Afterwards the two
@@ -59,7 +59,7 @@ def test_diverged_replicas_reconcile_to_one_fixpoint(family, chaos_seed):
     merged = reconcile(sides, baseline)
 
     assert merged.inserted_rows >= 2
-    assert not merged.removals
+    assert not merged.removes
     assert digest_system(sides[0].system) == digest_system(sides[1].system)
     assert sides[0].system.databases() == sides[1].system.databases()
     for session in sides:

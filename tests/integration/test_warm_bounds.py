@@ -43,10 +43,14 @@ class Boundary:
     def shipped_home(self):
         """``(whole, rows)`` of every relation in the last run's payloads."""
         return [
-            entry
+            (whole, rows)
             for payload in self.payloads[-1]
-            for relations in payload["facts"].values()
-            for entry in relations.values()
+            for whole, by_node in (
+                (False, payload["change"].inserts),
+                (True, payload["change"].replaces),
+            )
+            for relations in by_node.values()
+            for rows in relations.values()
         ]
 
     @property
@@ -85,14 +89,14 @@ def test_a_warm_insert_moves_rows_not_the_world(warm):
         result = session.run("update")
         assert boundary.modes[-1] == "incremental"
         delta = boundary.deltas[-1]
-        assert not delta.replaces and not delta.add_rules and not delta.remove_rules
+        assert delta.insert_only
         assert [len(rows) for rows in delta.inserts[node].values()] == [1]
         assert list(delta.inserts) == [node]
         shipped = boundary.shipped_home
         assert not any(whole for whole, _rows in shipped)
         # The inserted row comes back with the rows derived from it.
         assert result.tuples_added < sum(len(rows) for _, rows in shipped) <= 5
-        assert not any(payload["schemas"] for payload in boundary.payloads[-1])
+        assert not any(payload["change"].relations for payload in boundary.payloads[-1])
         sizes.append(boundary.payload_bytes)
 
     # Flat in world size: 200 inserts later a run ships what the first did.
@@ -115,8 +119,8 @@ def test_a_delete_still_rewrites_the_relation_both_ways(warm):
     assert boundary.modes[-1] is None  # no retraction: the naive re-run
     delta = boundary.deltas[-1]
     assert list(delta.replaces) == [node] and not delta.inserts
-    schema, rows = delta.replaces[node][relation_name]
-    assert schema.name == relation_name and set(rows) == set(site)
+    assert not delta.relations  # the workers have the relation already
+    assert set(delta.replaces[node][relation_name]) == set(site)
     # The worker's rewritten relation fails its own mark and comes home whole.
     assert [set(rows) for whole, rows in boundary.shipped_home if whole] == [set(site)]
     # ... after which the very next insert is a delta again.

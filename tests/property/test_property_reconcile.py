@@ -1,53 +1,78 @@
-"""Property-based tests: the reconciliation algebra is order-insensitive.
+"""Property-based tests: the change algebra reconciliation is built on.
 
-Post-partition reconciliation (:mod:`repro.faults.reconcile`) replays merged
-change logs into every diverged side and relies on three algebraic facts to
-be correct regardless of which side's log arrives first, how many sides
-there are, or whether a log is replayed twice:
+Post-partition reconciliation (:mod:`repro.faults.reconcile`) applies merged
+change logs to every diverged side and relies on algebraic facts of
+:class:`~repro.coordination.changeset.Change` to be correct regardless of
+which side's log arrives first, how many sides there are, or whether a log
+is applied twice:
 
-* :meth:`ChangeSet.union` is idempotent, commutative and associative (so
-  merging is insensitive to log ordering and duplication);
-* :func:`apply_changeset` is idempotent (replaying a merged log into a side
-  that already absorbed it inserts nothing new);
-* :func:`changes_since` of a snapshot against itself is empty (reconciling
-  identical databases is a no-op).
+* :meth:`Change.union` is idempotent, commutative and associative — on
+  removed rows and rule ids as on inserted rows — so merging is insensitive
+  to log ordering and duplication;
+* :meth:`Change.between` a snapshot and itself is empty, and applied to the
+  baseline it reconstructs the current state, removals included;
+* :meth:`Change.apply` is idempotent, and a change its check rejects leaves
+  the system's structural digest untouched;
+* the served document form round-trips: ``from_json(to_json(c)) == c``.
 
 These are generated-input counterparts to the single-scenario assertions in
-``tests/chaos/``.
+``tests/chaos/`` and ``tests/unit/test_changeset.py``.
 """
 
+import functools
 import itertools
+import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Session
-from repro.coordination.changeset import ChangeSet
+from repro.coordination.changeset import Change
+from repro.coordination.rule import rule_from_text
 from repro.core.system import P2PSystem
 from repro.database.schema import DatabaseSchema, RelationSchema
-from repro.faults import (
-    apply_changeset,
-    changes_since,
-    merge_changesets,
-    reconcile,
-)
+from repro.errors import ChangeError
+from repro.faults import reconcile
 
 NODE_NAMES = ["p0", "p1", "p2"]
+RULES = [
+    rule_from_text("c01", "p0: item(X, Y) -> p1: item(X, Y)"),
+    rule_from_text("c12", "p1: item(X, Y) -> p2: item(Y, X)"),
+    rule_from_text("c20", "p2: item(X, Y), X != Y -> p0: item(X, Y)"),
+]
 
 values = st.integers(min_value=0, max_value=4)
 rows = st.sets(st.tuples(values, values), max_size=6)
 node_rows = st.fixed_dictionaries({name: rows for name in NODE_NAMES})
+rule_picks = st.lists(st.sampled_from(RULES), max_size=3, unique=True)
+rule_ids = st.lists(st.sampled_from([rule.rule_id for rule in RULES]), max_size=3)
 
 
-def make_changeset(data):
-    """A ChangeSet over the shared single-relation schema (canonical order)."""
-    return ChangeSet(
-        inserts={
-            name: {"item": tuple(sorted(per_node, key=repr))}
-            for name, per_node in sorted(data.items())
-            if per_node
-        }
+def by_node(data):
+    """``{node: {"item": rows}}`` in canonical order, empty nodes dropped."""
+    return {
+        name: {"item": tuple(sorted(per_node, key=repr))}
+        for name, per_node in sorted(data.items())
+        if per_node
+    }
+
+
+def make_change(inserted, removed=None, add_rules=(), remove_rules=()):
+    """A canonical Change over the shared single-relation schema."""
+    return Change(
+        inserts=by_node(inserted),
+        removes=by_node(removed or {}),
+        add_rules=tuple(sorted(add_rules, key=lambda rule: rule.text)),
+        remove_rules=tuple(sorted(set(remove_rules))),
     )
+
+
+changes = st.builds(make_change, node_rows, node_rows, rule_picks, rule_ids)
+
+
+def merge(*logs):
+    return functools.reduce(Change.union, logs, Change())
 
 
 def build_system(data):
@@ -61,78 +86,102 @@ def build_system(data):
 
 
 class TestUnionAlgebra:
-    @given(data=node_rows)
+    @given(log=changes)
     @settings(max_examples=30, deadline=None)
-    def test_union_is_idempotent(self, data):
-        log = make_changeset(data)
+    def test_union_is_idempotent(self, log):
         assert log.union(log) == log
 
-    @given(a=node_rows, b=node_rows)
+    @given(left=changes, right=changes)
     @settings(max_examples=30, deadline=None)
-    def test_union_is_commutative(self, a, b):
-        left, right = make_changeset(a), make_changeset(b)
+    def test_union_is_commutative(self, left, right):
         assert left.union(right) == right.union(left)
 
-    @given(a=node_rows, b=node_rows, c=node_rows)
+    @given(a=changes, b=changes, c=changes)
     @settings(max_examples=20, deadline=None)
     def test_merge_is_insensitive_to_log_order(self, a, b, c):
-        logs = [make_changeset(d) for d in (a, b, c)]
-        reference = merge_changesets(*logs)
+        logs = [a, b, c]
+        reference = merge(*logs)
         for permutation in itertools.permutations(logs):
-            assert merge_changesets(*permutation) == reference
+            assert merge(*permutation) == reference
 
-    @given(a=node_rows, b=node_rows)
+    @given(left=changes, right=changes)
     @settings(max_examples=20, deadline=None)
-    def test_duplicated_logs_merge_to_the_same_set(self, a, b):
-        left, right = make_changeset(a), make_changeset(b)
-        assert merge_changesets(left, right, left, right) == left.union(right)
+    def test_duplicated_logs_merge_to_the_same_set(self, left, right):
+        assert merge(left, right, left, right) == left.union(right)
 
-    @given(data=node_rows)
+    @given(log=changes)
     @settings(max_examples=20, deadline=None)
-    def test_union_with_empty_canonicalises_only(self, data):
-        log = make_changeset(data)
-        merged = log.union(ChangeSet())
+    def test_union_with_empty_canonicalises_only(self, log):
+        merged = log.union(Change())
         assert merged == log
         assert merged.inserted_rows == log.inserted_rows
 
 
-class TestChangesSince:
+class TestBetween:
     @given(data=node_rows)
     @settings(max_examples=30, deadline=None)
     def test_snapshot_against_itself_is_empty(self, data):
         snapshot = build_system(data).databases()
-        changes = changes_since(snapshot, snapshot)
-        assert changes.empty
-        assert not changes.removals
+        assert Change.between(snapshot, snapshot).empty
 
-    @given(base=node_rows, extra=node_rows)
+    @given(base=node_rows, current=node_rows)
     @settings(max_examples=30, deadline=None)
-    def test_log_replays_the_baseline_to_the_current_state(self, base, extra):
-        grown = {name: base[name] | extra[name] for name in NODE_NAMES}
-        baseline = build_system(base).databases()
-        current = build_system(grown).databases()
-        changes = changes_since(baseline, current)
-        assert not changes.removals
-        # Replaying the log into a fresh copy of the baseline reconstructs
-        # the current state exactly.
+    def test_applied_to_the_baseline_it_yields_the_current_state(self, base, current):
+        # Removals included: rows only the baseline holds are removed.
+        change = Change.between(
+            build_system(base).databases(), build_system(current).databases()
+        )
         system = build_system(base)
-        apply_changeset(system, changes)
-        assert system.databases() == current
+        change.apply(system)
+        assert system.databases() == build_system(current).databases()
 
     @given(base=node_rows, extra=node_rows)
     @settings(max_examples=30, deadline=None)
     def test_apply_is_idempotent(self, base, extra):
         grown = {name: base[name] | extra[name] for name in NODE_NAMES}
-        baseline = build_system(base).databases()
-        changes = changes_since(baseline, build_system(grown).databases())
-        system = build_system(base)
-        first = apply_changeset(system, changes)
-        after_first = system.databases()
-        assert first == sum(
-            len(extra[name] - base[name]) for name in NODE_NAMES
+        change = Change.between(
+            build_system(base).databases(), build_system(grown).databases()
         )
-        assert apply_changeset(system, changes) == 0
+        system = build_system(base)
+        first = change.apply(system)
+        after_first = system.databases()
+        assert first == sum(len(extra[name] - base[name]) for name in NODE_NAMES)
+        assert change.apply(system) == 0
         assert system.databases() == after_first
+
+
+class TestDocumentAndCheck:
+    @given(change=changes)
+    @settings(max_examples=40, deadline=None)
+    def test_the_document_round_trips(self, change):
+        assert Change.from_json(json.loads(json.dumps(change.to_json()))) == change
+
+    @given(
+        data=node_rows,
+        change=changes,
+        flaw=st.sampled_from(
+            [
+                Change(remove_rules=("no-such-rule",)),
+                Change(inserts={"p0": {"item": ((1, 2, 3),)}}),
+                Change(removes={"ghost": {"item": ((1, 2),)}}),
+                Change(inserts={"p1": {"nope": ((1, 2),)}}),
+            ]
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_a_rejected_change_leaves_the_digest_unchanged(self, data, change, flaw):
+        system = P2PSystem.build(
+            {name: [RelationSchema("item", ["x", "y"])] for name in NODE_NAMES},
+            RULES[:2],
+            {name: {"item": sorted(per_node)} for name, per_node in data.items()},
+        )
+        before = system.structural_digest()
+        bad = change.union(flaw)
+        with pytest.raises(ChangeError):
+            bad.check(system)
+        with pytest.raises(ChangeError):
+            bad.apply(system)
+        assert system.structural_digest() == before
 
 
 class _SystemSession:

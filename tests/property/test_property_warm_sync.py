@@ -9,8 +9,9 @@ two runs (inserts anywhere, deletes, clears, rewritten and added relations,
 * after every update the coordinator's ground databases equal those of a
   *fresh* ``sync`` session that replays the same script on the same spec —
   an oracle that never crosses the process boundary;
-* every ``SyncDelta`` the pool ships is what the former set-difference sync
-  (``tests/sync_oracle.py``) computes from a full copy of the world.
+* every :class:`~repro.coordination.changeset.Change` the pool ships is what
+  the former set-difference sync (``tests/sync_oracle.py``) computes from a
+  full copy of the world.
 """
 
 from hypothesis import HealthCheck, settings

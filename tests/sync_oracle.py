@@ -5,7 +5,7 @@ frozenset copy of every relation its workers had and found what to re-ship
 by set difference against the live system.  That is O(world) per run, which
 is why production no longer does it — and exactly what makes it a good
 oracle: it shares no code with the marks it checks
-(:class:`repro.sharding.pool.WorldMirror`).
+(:class:`repro.sharding.pool.WorldMirror`, :meth:`Change.read`).
 
 ``snapshot_of`` takes the copy, ``set_difference_delta`` diffs against it,
 and ``assert_ships_what_the_oracle_ships`` states how the two may differ: a
@@ -14,8 +14,7 @@ by the marks, even where the set difference comes out smaller (the row was
 put back, or had never been shipped).
 """
 
-from repro.coordination.changeset import rules_fingerprint
-from repro.sharding.pool import SyncDelta
+from repro.coordination.changeset import Change, rules_fingerprint
 
 
 def snapshot_of(system):
@@ -25,7 +24,7 @@ def snapshot_of(system):
     }
 
 
-def set_difference_delta(system, known_rules, known_facts) -> SyncDelta:
+def set_difference_delta(system, known_rules, known_facts) -> Change:
     """Diff the live coordinator against a copy of what the workers hold."""
     current_rules = rules_fingerprint(system.registry)
     remove_rules = tuple(
@@ -41,6 +40,7 @@ def set_difference_delta(system, known_rules, known_facts) -> SyncDelta:
 
     inserts = {}
     replaces = {}
+    relations = {}
     for node_id, node in system.nodes.items():
         mirrored = known_facts.get(node_id, {})
         for relation_name, rows in node.database.facts().items():
@@ -49,28 +49,24 @@ def set_difference_delta(system, known_rules, known_facts) -> SyncDelta:
                 continue
             if old is not None and rows >= old:
                 inserts.setdefault(node_id, {})[relation_name] = tuple(rows - old)
-            else:
-                # Rows vanished, or the relation is new to the workers: the
-                # only always-correct move is a wholesale rewrite (with the
-                # schema along, so a brand-new relation can be created).
-                schema = next(
-                    relation_schema
-                    for relation_schema in node.database.schema
-                    if relation_schema.name == relation_name
-                )
-                replaces.setdefault(node_id, {})[relation_name] = (
-                    schema,
-                    tuple(rows),
-                )
-    return SyncDelta(
-        add_rules=add_rules,
-        remove_rules=remove_rules,
+                continue
+            # Rows vanished, or the relation is new to the workers: the
+            # only always-correct move is a wholesale rewrite (a brand-new
+            # relation with its schema, so it can be created).
+            replaces.setdefault(node_id, {})[relation_name] = tuple(rows)
+            if old is None:
+                schema = node.database.relation(relation_name).schema
+                relations[node_id] = (*relations.get(node_id, ()), schema)
+    return Change(
         inserts=inserts,
         replaces=replaces,
+        relations=relations,
+        add_rules=add_rules,
+        remove_rules=remove_rules,
     )
 
 
-def _flat(delta: SyncDelta) -> dict:
+def _flat(delta: Change) -> dict:
     """``(node, relation) -> ("insert" | "replace", row set)``."""
     flat = {}
     for node_id, relations in delta.inserts.items():
@@ -78,8 +74,8 @@ def _flat(delta: SyncDelta) -> dict:
             assert len(set(rows)) == len(rows)
             flat[node_id, name] = ("insert", frozenset(rows))
     for node_id, relations in delta.replaces.items():
-        for name, (schema, rows) in relations.items():
-            assert schema.name == name and (node_id, name) not in flat
+        for name, rows in relations.items():
+            assert (node_id, name) not in flat
             flat[node_id, name] = ("replace", frozenset(rows))
     return flat
 
@@ -89,10 +85,15 @@ def assert_ships_what_the_oracle_ships(system, shipped, oracle, shrunk=()) -> No
 
     ``shrunk`` names the ``(node, relation)`` pairs that lost a row since the
     last sync; those must go out as a whole-relation replace, every other
-    relation exactly as the oracle ships it.
+    relation exactly as the oracle ships it.  Schemas travel for exactly the
+    relations new to the workers.
     """
     assert shipped.add_rules == oracle.add_rules
     assert shipped.remove_rules == oracle.remove_rules
+    assert {node: set(schemas) for node, schemas in shipped.relations.items()} == {
+        node: set(schemas) for node, schemas in oracle.relations.items()
+    }
+    assert not shipped.removes
     got, expected = _flat(shipped), _flat(oracle)
     for key in shrunk:
         node_id, name = key

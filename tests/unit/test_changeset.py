@@ -1,28 +1,35 @@
-"""Unit tests for per-run change sets and the shared structural digest.
+"""Unit tests for the one change record and the shared structural digest.
 
-Covers the three pieces of :mod:`repro.coordination.changeset`: the
-:class:`ChangeSet` eligibility rules for the delta-driven update path, the
-worker-side :class:`ChangeAccumulator` that folds shipped sync deltas between
-runs, and the :class:`StructuralDigest` behind the ``Session.update``
-strategy-memo cache — next to the warm pools'
+Covers the two pieces of :mod:`repro.coordination.changeset`: the
+:class:`Change` record — its eligibility rule for the delta-driven update
+path, the set-wise fold a worker keeps of its pending syncs, the check that
+runs before every apply, the canonical apply order and the served document
+form — and the :class:`StructuralDigest` behind the ``Session.update``
+strategy-memo cache, next to the warm pools'
 :class:`~repro.sharding.pool.WorldMirror`, which tracks the same state by
 marks instead of a digest.
 """
 
+import pytest
+
 from repro.api import ScenarioSpec, Session
 from repro.coordination.changeset import (
-    ChangeAccumulator,
-    ChangeSet,
+    Change,
     rules_fingerprint,
     structural_digest,
 )
 from repro.coordination.rule import rule_from_text
-from repro.sharding.pool import SyncDelta, WorldMirror
+from repro.database.schema import RelationSchema
+from repro.errors import ChangeError
+from repro.sharding.pool import WorldMirror
 from repro.workloads.scenarios import (
     paper_example_data,
     paper_example_rules,
     paper_example_schemas,
 )
+
+#: Closes an existential cycle with the paper example's r1 (E.e -> B.b).
+T001_RULE = "x1: B: b(X, Y) -> E: e(Y, Z)"
 
 
 def _paper_session() -> Session:
@@ -36,79 +43,176 @@ def _paper_session() -> Session:
     )
 
 
-class TestChangeSet:
-    def test_empty_change_set(self):
-        changes = ChangeSet()
+class TestChange:
+    def test_empty_change(self):
+        changes = Change()
         assert changes.empty
-        assert changes.incremental_ok  # a no-op incremental run is legitimate
+        assert changes.insert_only  # a no-op incremental run is legitimate
         assert changes.inserted_rows == 0
 
-    def test_pure_inserts_are_incremental_ok(self):
-        changes = ChangeSet(inserts={"A": {"item": (("x", "y"),)}})
+    def test_pure_inserts_are_insert_only(self):
+        changes = Change(inserts={"A": {"item": (("x", "y"),)}})
         assert not changes.empty
-        assert changes.incremental_ok
+        assert changes.insert_only
         assert changes.inserted_rows == 1
 
-    def test_removals_disqualify(self):
-        assert not ChangeSet(removals=True).incremental_ok
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"removes": {"A": {"item": (("x", "y"),)}}},
+            {"replaces": {"A": {"item": ()}}},
+            {"relations": {"A": (RelationSchema("extra", ["k"]),)}},
+            {"remove_rules": ("r1",)},
+            {"add_rules": (rule_from_text("r1", "B: b(X, Y) -> A: a(X, Y)"),)},
+        ],
+    )
+    def test_anything_but_inserts_disqualifies(self, fields):
+        changes = Change(**fields)
+        assert not changes.empty
+        assert not changes.insert_only
 
-    def test_rule_changes_disqualify(self):
-        assert not ChangeSet(rule_changes=True).incremental_ok
-
-    def test_from_sync_delta(self):
-        rule = rule_from_text("r1", "B: item(X, Y) -> A: item(X, Y)")
-        delta = SyncDelta(
+    def test_only_keeps_rules_and_the_named_nodes_rows(self):
+        rule = rule_from_text("r9", "B: b(X, Y) -> A: a(X, Y)")
+        changes = Change(
+            inserts={"A": {"a": (("1", "2"),)}, "B": {"b": (("3", "4"),)}},
+            replaces={"B": {"b": ()}},
             add_rules=(rule,),
-            inserts={"B": {"item": (("1", "2"),)}},
         )
-        changes = ChangeSet.from_sync_delta(delta)
-        assert changes.inserts == {"B": {"item": (("1", "2"),)}}
-        assert changes.rule_changes
-        assert not changes.removals
-        assert not changes.incremental_ok
-
-    def test_from_sync_delta_replaces_read_as_removals(self):
-        delta = SyncDelta(replaces={"A": {"item": (object(), (("1", "2"),))}})
-        changes = ChangeSet.from_sync_delta(delta)
-        assert changes.removals
-        assert not changes.incremental_ok
+        sliced = changes.only(("A",))
+        assert sliced.inserts == {"A": {"a": (("1", "2"),)}}
+        assert not sliced.replaces
+        assert sliced.add_rules == (rule,)
 
 
-class TestChangeAccumulator:
-    def test_folds_inserts_across_payloads(self):
-        accumulator = ChangeAccumulator()
-        accumulator.note_sync_payload(
-            {"inserts": {"A": {"item": [("1", "2")]}}}
+class TestPendingFold:
+    """A worker folds its syncs with ``union``; only inserts and eligibility
+    are read from the fold."""
+
+    def test_folds_inserts_across_syncs(self):
+        pending = Change()
+        pending = pending.union(Change(inserts={"A": {"item": (("3", "4"),)}}))
+        pending = pending.union(
+            Change(inserts={"A": {"item": (("1", "2"),)}, "B": {"tag": (("t",),)}})
         )
-        accumulator.note_sync_payload(
-            {"inserts": {"A": {"item": [("3", "4")]}, "B": {"tag": [("t",)]}}}
+        assert pending.inserts["A"]["item"] == (("1", "2"), ("3", "4"))
+        assert pending.inserts["B"]["tag"] == (("t",),)
+        assert pending.insert_only
+
+    def test_rule_and_replace_changes_stick_in_the_fold(self):
+        pending = Change(remove_rules=("r1",)).union(
+            Change(inserts={"A": {"item": (("1",),)}})
         )
-        changes = accumulator.take()
-        assert changes.inserts["A"]["item"] == (("1", "2"), ("3", "4"))
-        assert changes.inserts["B"]["tag"] == (("t",),)
-        assert changes.incremental_ok
+        assert not pending.insert_only
+        assert not Change().union(Change(replaces={"A": {"item": ()}})).insert_only
 
-    def test_take_resets(self):
-        accumulator = ChangeAccumulator()
-        accumulator.note_sync_payload({"inserts": {"A": {"item": [("1",)]}}})
-        assert not accumulator.take().empty
-        assert accumulator.take().empty
+    def test_union_is_set_wise_on_removes_and_rules_too(self):
+        rule = rule_from_text("r9", "B: b(X, Y) -> A: a(X, Y)")
+        left = Change(removes={"A": {"a": (("2",), ("1",))}}, add_rules=(rule,))
+        right = Change(removes={"A": {"a": (("1",),)}}, remove_rules=("r2", "r1"))
+        merged = left.union(right)
+        assert merged.removes == {"A": {"a": (("1",), ("2",))}}
+        assert merged.add_rules == (rule,)
+        assert merged.remove_rules == ("r1", "r2")
+        assert merged == right.union(left) == merged.union(merged)
 
-    def test_rule_and_replace_flags_stick_until_taken(self):
-        accumulator = ChangeAccumulator()
-        accumulator.note_sync_payload({"remove_rules": ("r1",)})
-        accumulator.note_sync_payload({"inserts": {"A": {"item": [("1",)]}}})
-        changes = accumulator.take()
-        assert changes.rule_changes
-        assert not changes.incremental_ok
-        # After take(), a clean insert-only delta is eligible again.
-        accumulator.note_sync_payload({"inserts": {"A": {"item": [("2",)]}}})
-        assert accumulator.take().incremental_ok
 
-    def test_replaces_flag(self):
-        accumulator = ChangeAccumulator()
-        accumulator.note_sync_payload({"replaces": {"A": {"item": (None, ())}}})
-        assert accumulator.take().removals
+class TestCheckAndApply:
+    def test_a_rejected_change_mutates_nothing(self):
+        system = _paper_session().system
+        before = system.structural_digest()
+        bad = Change(
+            inserts={"E": {"e": (("s9", "t9"),)}}, remove_rules=("no-such-rule",)
+        )
+        with pytest.raises(ChangeError, match="unknown rule id"):
+            bad.apply(system)
+        assert system.structural_digest() == before
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (Change(inserts={"GHOST": {"e": (("a", "b"),)}}), "unknown node"),
+            (Change(inserts={"E": {"nope": (("a", "b"),)}}), "unknown relation"),
+            (Change(inserts={"E": {"e": (("a",),)}}), "arity"),
+            (Change(removes={"E": {"e": (("a", "b", "c"),)}}), "arity"),
+            (
+                Change(
+                    inserts={"E": {"e": (("a", "b"),)}},
+                    removes={"E": {"e": (("a", "b"),)}},
+                ),
+                "both inserted and removed",
+            ),
+            (Change(remove_rules=("r1", "r1")), "unknown rule id"),
+            (
+                Change(add_rules=(rule_from_text("r1", "E: e(X, Y) -> A: a(X, Y)"),)),
+                "already registered",
+            ),
+            (
+                Change(add_rules=(rule_from_text("r9", "E: e(X, Y) -> Q: a(X, Y)"),)),
+                "unknown node",
+            ),
+        ],
+    )
+    def test_check_rejects_before_any_mutation(self, changes, message):
+        system = _paper_session().system
+        before = system.structural_digest()
+        with pytest.raises(ChangeError, match=message):
+            changes.apply(system)
+        assert system.structural_digest() == before
+
+    def test_rules_go_out_before_they_come_in(self):
+        system = _paper_session().system
+        edited = rule_from_text("r1", "E: e(X, Y) -> B: b(Y, X)")
+        Change(remove_rules=("r1",), add_rules=(edited,)).apply(system)
+        assert system.registry.get("r1").text == edited.text
+
+    def test_a_rule_breaking_weak_acyclicity_is_rejected_as_t001(self):
+        system = _paper_session().system
+        before = system.structural_digest()
+        changes = Change.from_json({"add_rules": [T001_RULE]})
+        with pytest.raises(ChangeError, match="T001"):
+            changes.check(system)
+        with pytest.raises(ChangeError, match="T001"):
+            changes.apply(system)
+        assert system.structural_digest() == before
+        # Dropping r1 in the same change keeps the set weakly acyclic.
+        Change.from_json({"add_rules": [T001_RULE], "remove_rules": ["r1"]}).check(
+            system
+        )
+
+    def test_a_replace_inserts_then_deletes_the_rest(self):
+        system = _paper_session().system
+        relation = system.node("E").database.relation("e")
+        mark = relation.mark()
+        grown = (*relation, ("u", "v"))
+        assert Change(replaces={"E": {"e": grown}}).apply(system) == 1
+        assert relation.since(mark) == [("u", "v")]  # only grew: mark holds
+        assert Change(replaces={"E": {"e": (("u", "v"),)}}).apply(system) == 2
+        assert relation.rows() == {("u", "v")}
+
+    def test_new_relations_are_created_before_their_rows(self):
+        system = _paper_session().system
+        schema = RelationSchema("extra", ["k"])
+        Change(relations={"E": (schema,)}, replaces={"E": {"extra": (("v",),)}}).apply(
+            system
+        )
+        assert system.node("E").database.relation("extra").rows() == {("v",)}
+        # Creating a relation the receiver already has is a no-op.
+        Change(relations={"E": (schema,)}).apply(system)
+
+
+class TestDocument:
+    def test_round_trips_through_json(self):
+        changes = Change(
+            inserts={"E": {"e": (("x", "y"),)}},
+            removes={"B": {"b": (("m", "n"),)}},
+            add_rules=(rule_from_text("r9", "E: e(X, Y) -> B: b(X, Y)"),),
+            remove_rules=("r1",),
+        )
+        assert Change.from_json(changes.to_json()) == changes
+
+    def test_internal_fields_have_no_document_form(self):
+        with pytest.raises(ChangeError, match="no document form"):
+            Change(replaces={"E": {"e": ()}}).to_json()
 
 
 class TestStructuralDigest:
@@ -172,7 +276,7 @@ class TestStructuralDigest:
         assert system.structural_digest() != before
         delta = mirror.advance(system)
         assert delta.inserts == {node: {relation.name: (row,)}}
-        assert not delta.replaces and not delta.add_rules
+        assert delta.insert_only
         assert mirror.advance(system).empty
 
     def test_rules_fingerprint_reads_edits_as_remove_plus_add(self):

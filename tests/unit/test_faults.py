@@ -10,7 +10,7 @@ lives in ``tests/chaos/``.
 
 import pytest
 
-from repro.coordination.changeset import ChangeSet
+from repro.coordination.changeset import Change
 from repro.errors import FaultError, NetworkError, PartitionError
 from repro.faults import (
     NULL_INJECTOR,
@@ -338,20 +338,23 @@ class TestRetryCall:
         assert RetryPolicy(attempts=0).delays() == []
 
 
-class TestChangeSetUnion:
+class TestChangeUnion:
     def test_union_merges_and_canonicalises(self):
-        left = ChangeSet(inserts={"a": {"r": (("1",), ("2",))}})
-        right = ChangeSet(inserts={"a": {"r": (("2",), ("3",))}, "b": {"s": (("9",),)}})
+        left = Change(inserts={"a": {"r": (("1",), ("2",))}})
+        right = Change(inserts={"a": {"r": (("2",), ("3",))}, "b": {"s": (("9",),)}})
         merged = left.union(right)
         assert merged.inserts["a"]["r"] == (("1",), ("2",), ("3",))
         assert merged.inserts["b"]["s"] == (("9",),)
         assert left.union(right) == right.union(left)
         assert merged.union(merged) == merged
 
-    def test_union_ors_the_flags(self):
-        flagged = ChangeSet(removals=True).union(ChangeSet(rule_changes=True))
-        assert flagged.removals and flagged.rule_changes
-        assert not flagged.incremental_ok
+    def test_union_keeps_removed_rows_and_rule_ids(self):
+        merged = Change(removes={"a": {"r": (("1",),)}}).union(
+            Change(remove_rules=("r1",))
+        )
+        assert merged.removes == {"a": {"r": (("1",),)}}
+        assert merged.remove_rules == ("r1",)
+        assert not merged.insert_only
 
 
 class TestMetricsRegistryTotal:

@@ -7,6 +7,7 @@ lifecycle tests (spawn / crash / recover / close) use the smallest systems
 that exercise a real pool.
 """
 
+import dataclasses
 import os
 
 import pytest
@@ -85,8 +86,8 @@ class TestSyncDelta:
         system = small_system()
         relation = system.node("b").database.relation("item")
         delta = deltas_after(system, relation.clear, shrunk=[("b", "item")])
-        schema, rows = delta.replaces["b"]["item"]
-        assert schema.name == "item" and rows == ()
+        assert delta.replaces["b"]["item"] == ()
+        assert not delta.relations  # the workers have the relation already
 
     def test_a_row_deleted_and_put_back_still_fails_the_mark(self):
         # removals moved: the set difference sees nothing, the marks cannot
@@ -99,7 +100,7 @@ class TestSyncDelta:
             relation.insert(("1", "2"))
 
         delta = deltas_after(system, delete_and_reinsert, shrunk=[("b", "item")])
-        assert delta.replaces["b"]["item"][1] == (("1", "2"),)
+        assert delta.replaces["b"]["item"] == (("1", "2"),)
 
     def test_swapped_relation_object_ships_as_a_replace(self):
         system = small_system()
@@ -109,7 +110,7 @@ class TestSyncDelta:
             database._relations["item"] = database.relation("item").copy()
 
         delta = deltas_after(system, swap, shrunk=[("b", "item")])
-        assert delta.replaces["b"]["item"][1] == (("1", "2"),)
+        assert delta.replaces["b"]["item"] == (("1", "2"),)
 
     def test_new_relation_ships_replace_with_its_schema(self):
         system = small_system()
@@ -119,8 +120,8 @@ class TestSyncDelta:
             system.node("c").database.relation("extra").insert(("v",))
 
         delta = deltas_after(system, add_relation)
-        schema, rows = delta.replaces["c"]["extra"]
-        assert schema.name == "extra" and rows == (("v",),)
+        assert delta.replaces["c"]["extra"] == (("v",),)
+        assert [schema.name for schema in delta.relations["c"]] == ["extra"]
 
     def test_added_and_removed_rules_are_detected(self):
         system = small_system()
@@ -144,7 +145,7 @@ class TestSyncDelta:
         assert delta.remove_rules == ("r1",)
         assert [rule.rule_id for rule in delta.add_rules] == ["r1"]
 
-    def test_for_shard_slices_data_by_ownership_and_keeps_rules_global(self):
+    def test_only_slices_data_by_ownership_and_keeps_rules_global(self):
         system = small_system()
 
         def mutate():
@@ -155,11 +156,11 @@ class TestSyncDelta:
 
         delta = deltas_after(system, mutate)
         plan = ShardPlan(shard_count=2, shard_of={"a": 0, "b": 0, "c": 1})
-        shard0 = delta.for_shard(plan, 0)
-        shard1 = delta.for_shard(plan, 1)
-        assert set(shard0["inserts"]) == {"b"}
-        assert set(shard1["inserts"]) == {"c"}
-        assert shard0["add_rules"] == shard1["add_rules"] == delta.add_rules
+        shard0 = delta.only(plan.members(0))
+        shard1 = delta.only(plan.members(1))
+        assert set(shard0.inserts) == {"b"}
+        assert set(shard1.inserts) == {"c"}
+        assert shard0.add_rules == shard1.add_rules == delta.add_rules
 
     def test_marking_after_a_merge_stops_merged_rows_from_shipping_back(self):
         system = small_system()
@@ -334,8 +335,11 @@ class TestPoolLifecycle:
 
             def lose_the_second_payload(*args, **kwargs):
                 payloads = run_phase(*args, **kwargs)
-                assert any(payload["facts"] for payload in payloads)
-                payloads[1]["facts"] = {"no-such-node": {}, **payloads[1]["facts"]}
+                assert any(not payload["change"].empty for payload in payloads)
+                change = payloads[1]["change"]
+                payloads[1]["change"] = dataclasses.replace(
+                    change, inserts={"no-such-node": {}, **change.inserts}
+                )
                 return payloads
 
             pool.run_phase = lose_the_second_payload

@@ -430,6 +430,78 @@ class TestEndpoints:
 
         run(scenario())
 
+    def test_a_rejected_update_applies_nothing(self):
+        # Checked before anything mutates: the valid insert riding along
+        # with an unknown rule id must not stay behind.
+        async def scenario():
+            app = await booted_app()
+            system = app.manager.get("paper").session.system
+            before = system.structural_digest()
+            response = await app.handle(
+                request(
+                    "POST",
+                    "/tenants/paper/update",
+                    {
+                        "inserts": {"E": {"e": [["s9", "t9"]]}},
+                        "remove_rules": ["no-such-rule"],
+                    },
+                )
+            )
+            assert response.status == 400
+            assert body(response)["error"]["code"] == "bad_request"
+            assert "unknown rule id" in body(response)["error"]["message"]
+            assert system.structural_digest() == before
+            assert len(system.node("E").database.relation("e")) == 2
+            await app.shutdown()
+
+        run(scenario())
+
+    def test_a_rule_edit_in_one_document_applies(self):
+        # Rules go out before they come in, so an edit under the same id is
+        # one document, not two.
+        async def scenario():
+            app = await booted_app()
+            response = await app.handle(
+                request(
+                    "POST",
+                    "/tenants/paper/update",
+                    {
+                        "remove_rules": ["r1"],
+                        "add_rules": ["r1: E: e(X, Y) -> B: b(Y, X)"],
+                    },
+                )
+            )
+            assert response.status == 200, body(response)
+            assert body(response)["mode"] == "naive"
+            system = app.manager.get("paper").session.system
+            assert system.registry.get("r1").text == "r1: E:e(X, Y) -> B:b(Y, X)"
+            assert ("t", "s") in system.node("B").database.relation("b")
+            await app.shutdown()
+
+        run(scenario())
+
+    def test_a_rule_breaking_weak_acyclicity_is_rejected_at_admission(self):
+        # With r1 (E.e -> B.b) the added rule closes an existential cycle:
+        # installed, the chase would run until max_messages.
+        document = {"add_rules": ["x1: B: b(X, Y) -> E: e(Y, Z)"]}
+
+        async def scenario():
+            app = await booted_app()
+            tenant = app.manager.get("paper")
+            before = tenant.session.system.structural_digest()
+            with pytest.raises(ReproError, match="T001"):
+                tenant.validate_changes(parse_changes(document))
+            response = await app.handle(
+                request("POST", "/tenants/paper/update", document)
+            )
+            assert response.status == 400
+            assert body(response)["error"]["code"] == "bad_request"
+            assert "T001" in body(response)["error"]["message"]
+            assert tenant.session.system.structural_digest() == before
+            await app.shutdown()
+
+        run(scenario())
+
     def test_route_matching_rejects_wrong_methods(self):
         from repro.serve.app import match_route
 
