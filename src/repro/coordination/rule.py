@@ -152,14 +152,6 @@ class CoordinationRule:
         """Dependency edges induced by this rule: (target → each source)."""
         return tuple((self.target, source) for source in self.sources)
 
-    def body_relations_at(self, node: NodeId) -> tuple[str, ...]:
-        """Names of the body relations located at ``node``."""
-        seen: list[str] = []
-        for body_node, atom in self.body:
-            if body_node == node and atom.relation not in seen:
-                seen.append(atom.relation)
-        return tuple(seen)
-
     @cached_property
     def text(self) -> str:
         """The rule in arrow syntax: id, body, comparisons and head (``str``).

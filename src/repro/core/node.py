@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 from repro.coordination.rule import CoordinationRule, NodeId
 from repro.core.discovery import DiscoveryProtocol
 from repro.core.state import NodeState, UpdateState
-from repro.core.update import PROPAGATION_POLICIES, UpdateProtocol
+from repro.core.update import PROPAGATION_POLICIES, UpdateProtocol, fragment_body
 from repro.database.database import LocalDatabase
 from repro.database.query import ConjunctiveQuery
 from repro.errors import ProtocolError, RuleError
@@ -90,9 +90,17 @@ class PeerNode:
         self.state.forget_incoming_rule(rule_id)
 
     def remove_outgoing_rule(self, rule_id: str) -> None:
-        """Uninstall an outgoing rule and forget dependants registered through it."""
-        self.outgoing_rules.pop(rule_id, None)
-        self.state.forget_outgoing_rule(rule_id)
+        """Uninstall an outgoing rule and forget dependants registered through
+        it; its body's maintained fragment goes too unless another outgoing
+        rule reads the same body."""
+        rule = self.outgoing_rules.pop(rule_id, None)
+        body = None if rule is None else fragment_body(rule, self.node_id)[0]
+        if any(
+            fragment_body(other, self.node_id)[0] == body
+            for other in self.outgoing_rules.values()
+        ):
+            body = None
+        self.state.forget_outgoing_rule(rule_id, body)
 
     # -------------------------------------------------------------- messaging
 

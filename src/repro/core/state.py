@@ -15,7 +15,8 @@ This module holds those structures in dataclasses so the protocol code in
 the tests can inspect every flag the paper mentions.
 
 Two structures are ours, not the paper's: ``fragment_cache``, the fragments a
-peer maintains for its outgoing rules (:class:`MaintainedFragment`), and
+peer maintains for the bodies its outgoing rules read, one per distinct body
+(:class:`MaintainedFragment`), and
 ``fired``, what each incoming rule's stored fragments were last joined into
 (:class:`FiredMark`).  Both are derived from the local database alone and
 check themselves against it.
@@ -89,21 +90,23 @@ class OwnerEntry:
 
 @dataclass
 class MaintainedFragment:
-    """An outgoing rule's fragment and what it was computed from.
+    """The fragment of one body the peer's outgoing rules read, and what it
+    was computed from.
 
-    ``marks`` holds, per body relation at this node (in
-    ``rule.body_relations_at`` order), the ``Relation`` object that was read,
-    its ``removals`` counter and its row count at that moment — ``(None, 0,
-    0)`` for a relation the database did not have.  The entry is valid for as
-    long as the same rule object reads the same relation objects with the
-    same ``removals``; rows counted beyond ``marks`` are then exactly the
-    rows inserted since (:func:`repro.core.update.maintain_fragment`).
-    ``size`` is the modelled byte size of ``rows`` as a message payload value
+    The entry describes a body, not a rule: it is stored under the body's key
+    (:func:`repro.core.update.fragment_body`), and every outgoing rule with
+    that body shares it.  ``marks`` holds, per relation of the body (in the
+    order of its relation names), the ``Relation`` object that was read, its
+    ``removals`` counter and its row count at that moment — ``(None, 0, 0)``
+    for a relation the database did not have.  The entry is valid for as long
+    as the body's relations are the same objects with the same ``removals``;
+    rows counted beyond ``marks`` are then exactly the rows inserted since
+    (:func:`repro.core.update.maintain_fragment`).  ``size`` is the modelled
+    byte size of ``rows`` as a message payload value
     (:meth:`repro.network.message.Message.size_estimate`), kept up to date
     from the rows the fragment gains instead of being re-walked per send.
     """
 
-    rule: CoordinationRule
     rows: frozenset[tuple]
     marks: tuple[tuple[Relation | None, int, int], ...]
     size: int
@@ -160,8 +163,9 @@ class NodeState:
     pushed_fragments: dict[tuple[str, NodeId], frozenset[tuple]] = field(
         default_factory=dict
     )
-    # Each outgoing rule's fragment, maintained across answers, pushes and
-    # runs; entries validate themselves, nothing has to invalidate them.
+    # The fragment of each body the outgoing rules read, keyed by the body
+    # (rules with equal bodies share one), maintained across answers, pushes
+    # and runs; entries validate themselves, nothing has to invalidate them.
     fragment_cache: dict[str, MaintainedFragment] = field(default_factory=dict)
     # Per incoming rule, what its stored fragments were last fired into;
     # self-validating like the fragment cache.
@@ -204,12 +208,15 @@ class NodeState:
         for key in [key for key in self.fragments if key[0] == rule_id]:
             del self.fragments[key]
 
-    def forget_outgoing_rule(self, rule_id: str) -> None:
-        """Drop the dependants, ledger and fragment of a rule no longer read here."""
+    def forget_outgoing_rule(self, rule_id: str, body: str | None) -> None:
+        """Drop the dependants and ledger of a rule no longer read here, and
+        the fragment kept under ``body`` unless that is None (a remaining
+        outgoing rule still reads the body)."""
         self.update_owner = [
             entry for entry in self.update_owner if entry.rule_id != rule_id
         ]
-        self.fragment_cache.pop(rule_id, None)
+        if body is not None:
+            self.fragment_cache.pop(body, None)
         for key in [key for key in self.pushed_fragments if key[0] == rule_id]:
             del self.pushed_fragments[key]
 

@@ -50,13 +50,13 @@ Fragment maintenance
 --------------------
 A4 and A5 answer and push *whole* fragments, and a source is asked for the
 same fragment many times per run.  What goes on the wire stays whole, but
-both ends work on what is new.  A source evaluates each outgoing rule's
-fragment in full only once and then *maintains* it, rows and modelled byte
-size alike (:func:`maintain_fragment`, the one function cold and warm, naive
-and incremental runs all go through).  A head node joins and chases only the
-rows an answer adds to what it has stored (:meth:`UpdateProtocol._receive`);
-A5's "recompute the rule" survives as the fallback of a self-validating mark
-(:class:`~repro.core.state.FiredMark`).  :func:`fragment_for` itself stays
+both ends work on what is new.  A source evaluates each body its outgoing
+rules read in full only once — rules with equal bodies share it — and then
+*maintains* it, rows and modelled byte size alike (:func:`maintain_fragment`,
+the one function cold and warm, naive and incremental runs all go through).
+A head node joins and chases only the rows an answer adds to what it has
+stored (:meth:`UpdateProtocol._receive`); A5's "recompute the rule" survives
+as the fallback of a self-validating mark (:class:`~repro.core.state.FiredMark`).  :func:`fragment_for` itself stays
 pure, so the centralized baseline — the oracle the tests and the benchmark
 compare with — always recomputes.
 
@@ -151,41 +151,62 @@ def fragment_delta_for(
     )
 
 
+def fragment_body(
+    rule: CoordinationRule, node_id: NodeId
+) -> tuple[str, tuple[str, ...]]:
+    """The key ``rule``'s body at ``node_id`` is maintained under, and the
+    names of the relations it reads (:func:`maintain_fragment`).
+
+    Outgoing rules with equal bodies at one peer — a body exported to several
+    neighbours, or split by a neighbour's schema into several heads — get
+    equal keys and so share one maintained fragment.  The key is the body
+    query's ``repr``, equal only when the queries are; being a string, it
+    hashes once and compares without walking the query.  Built once per
+    (rule, node).
+    """
+    key = ("fragment_body", node_id)
+    body = rule.derived.get(key)
+    if body is None:
+        query = rule.body_query_for(node_id)
+        body = rule.derived[key] = (repr(query), query.relations)
+    return body
+
+
 def maintain_fragment(node: "PeerNode", rule: CoordinationRule) -> MaintainedFragment:
     """The part of ``rule``'s body stored at ``node`` (a peer), *maintained*.
 
-    The first call evaluates the fragment in full (:func:`fragment_for`) and
-    remembers, per body relation, which ``Relation`` object it read, its
-    ``removals`` counter and its row count.  A later call compares those
-    marks with the relations as they are now: nothing changed → the very same
-    frozenset; relations only gained rows → the remembered fragment plus
+    The entry is the body's, not the rule's: every outgoing rule with that
+    body at the peer gets the same one (:func:`fragment_body`).  The first
+    call evaluates the fragment in full (:func:`fragment_for`) and remembers,
+    per body relation, which ``Relation`` object it read, its ``removals``
+    counter and its row count.  A later call compares those marks with the
+    relations as they are now: nothing changed → the very same frozenset;
+    relations only gained rows → the remembered fragment plus
     :func:`fragment_delta_for` over exactly the rows inserted since; anything
-    else (a delete, clear or replace, a relation added or swapped, another
-    rule under the same id) → a full evaluation again.  The entry validates
-    itself against the data, so nobody has to invalidate it and a stale
-    fragment is never returned (``docs/incremental.md``).  Its modelled size
-    is maintained the same way: only rows new to the fragment are sized.
+    else (a delete, clear or replace, a relation added or swapped) → a full
+    evaluation again.  The entry validates itself against the data, so nobody
+    has to invalidate it and a stale fragment is never returned
+    (``docs/incremental.md``).  Its modelled size is maintained the same way:
+    only rows new to the fragment are sized.
     """
+    key, names = fragment_body(rule, node.node_id)
     database = node.database
-    marks = []
-    for name in rule.body_relations_at(node.node_id):
-        if name in database:
-            relation = database.relation(name)
-            marks.append((relation, relation.removals, len(relation)))
-        else:
-            marks.append((None, 0, 0))
     cache = node.state.fragment_cache
-    entry = cache.get(rule.rule_id)
+    entry = cache.get(key)
     rows = None
-    if entry is not None and entry.rule is rule:
+    if entry is not None:
         delta = {}
-        for (relation, removals, count), (seen, seen_removals, seen_count) in zip(
-            marks, entry.marks
-        ):
-            if relation is not seen or removals != seen_removals:
+        for name, (seen, seen_removals, seen_count) in zip(names, entry.marks):
+            relation = database.get(name)
+            if relation is not seen:
                 break
+            if relation is None:
+                continue
+            if relation.removals != seen_removals:
+                break
+            count = len(relation)
             if count > seen_count:
-                delta[relation.name] = relation.newest(count - seen_count)
+                delta[name] = relation.newest(count - seen_count)
         else:
             if not delta:
                 return entry
@@ -196,7 +217,11 @@ def maintain_fragment(node: "PeerNode", rule: CoordinationRule) -> MaintainedFra
     if rows is None:
         rows = fragment_for(database, rule, node.node_id)
         size = value_size(rows)
-    entry = cache[rule.rule_id] = MaintainedFragment(rule, rows, tuple(marks), size)
+    marks = []
+    for name in names:
+        relation = database.get(name)
+        marks.append((None, 0, 0) if relation is None else relation.mark())
+    entry = cache[key] = MaintainedFragment(rows, tuple(marks), size)
     return entry
 
 
@@ -652,22 +677,25 @@ class UpdateProtocol:
             fragment = maintained.rows
             key = (entry.rule_id, entry.requester)
             pushed = state.pushed_fragments.get(key)
+            if incremental:
+                tuples = fragment - pushed if pushed else fragment
+                if not tuples:
+                    continue
+            elif not force and (pushed is fragment or pushed == fragment):
+                continue
+            else:
+                tuples = fragment
+            state.pushed_fragments[key] = fragment
+            pushes += 1
             payload = {
                 "rule_id": entry.rule_id,
                 "source": node.node_id,
-                "tuples": fragment,
+                "tuples": tuples,
                 "complete": state.state_u == UpdateState.CLOSED,
                 "path": (node.node_id,),
             }
             if incremental:
-                fresh = fragment - pushed if pushed else fragment
-                if not fresh:
-                    continue
-                payload.update(tuples=fresh, incremental=True)
-            elif not force and (pushed is fragment or pushed == fragment):
-                continue
-            state.pushed_fragments[key] = fragment
-            pushes += 1
+                payload["incremental"] = True
             node.send(
                 entry.requester,
                 MessageType.ANSWER,

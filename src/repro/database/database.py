@@ -23,6 +23,40 @@ if TYPE_CHECKING:
     from repro.obs.metrics import ChaseProfile
 
 
+def _head_template(head: Atom, distinguished: tuple[Variable, ...]) -> tuple:
+    """A6's head template: every head position is a column of (answer
+    columns + head constants + invented nulls).
+
+    Returns the distinguished names, the head constants, the existential
+    names, the picker building a row from those columns, and the positions
+    filled by constants or distinguished variables.
+    """
+    names = tuple(variable.name for variable in distinguished)
+    width = len(names)
+    constants = tuple(term.value for term in head.terms if isinstance(term, Constant))
+    existentials = tuple(
+        dict.fromkeys(
+            term.name
+            for term in head.terms
+            if isinstance(term, Variable) and term.name not in names
+        )
+    )
+    columns: list[int] = []
+    known_positions: list[int] = []
+    next_constant = width
+    for position, term in enumerate(head.terms):
+        if isinstance(term, Constant):
+            columns.append(next_constant)
+            next_constant += 1
+        elif term.name in names:
+            columns.append(names.index(term.name))
+        else:
+            columns.append(width + len(constants) + existentials.index(term.name))
+            continue
+        known_positions.append(position)
+    return names, constants, existentials, row_picker(columns), known_positions
+
+
 class LocalDatabase:
     """An in-memory relational database for one peer."""
 
@@ -37,6 +71,9 @@ class LocalDatabase:
         #: A6 projection-check profiling sink; attached by traced sessions
         #: (None keeps the chase on the unprofiled fast path).
         self.profile: ChaseProfile | None = None
+        # rule id -> (head, distinguished, *_head_template(head, distinguished)),
+        # recompiled when the id presents another head or variable tuple.
+        self._head_templates: dict[str, tuple] = {}
 
     # ----------------------------------------------------------------- schema
 
@@ -51,6 +88,10 @@ class LocalDatabase:
             return self._relations[name]
         except KeyError:
             raise SchemaError(f"unknown relation {name!r}") from None
+
+    def get(self, name: str) -> Relation | None:
+        """The relation named ``name``, or None when there is none."""
+        return self._relations.get(name)
 
     def __contains__(self, name: str) -> bool:
         return name in self._relations
@@ -134,36 +175,17 @@ class LocalDatabase:
                 f"relation {head.relation!r}"
             )
 
-        # The head template, compiled once per call: every head position is a
-        # column of (answer columns + head constants + invented nulls).
-        names = tuple(variable.name for variable in distinguished)
-        width = len(names)
-        constants = [
-            term.value for term in head.terms if isinstance(term, Constant)
-        ]
-        existentials = list(
-            dict.fromkeys(
-                term.name
-                for term in head.terms
-                if isinstance(term, Variable) and term.name not in names
+        # The head template, compiled once per rule: the cached one holds for
+        # as long as the rule id comes with the same head and variable tuple.
+        template = self._head_templates.get(rule_id)
+        if template is None or template[:2] != (head, distinguished):
+            template = self._head_templates[rule_id] = (
+                head,
+                distinguished,
+                *_head_template(head, distinguished),
             )
-        )
-        columns: list[int] = []
-        known_positions: list[int] = []
-        next_constant = width
-        for position, term in enumerate(head.terms):
-            if isinstance(term, Constant):
-                columns.append(next_constant)
-                next_constant += 1
-            elif term.name in names:
-                columns.append(names.index(term.name))
-            else:
-                columns.append(
-                    width + len(constants) + existentials.index(term.name)
-                )
-                continue
-            known_positions.append(position)
-        build = row_picker(columns)
+        _, _, names, constants, existentials, build, known_positions = template
+        width = len(names)
         null_for = self.skolems.null_for
 
         profile = self.profile

@@ -56,10 +56,6 @@ GOLDEN = {
     ),
 }
 
-#: Bindings the parent's interpreter produced in one cold update of the tree.
-PARENT_TREE_BINDINGS = 84_750
-
-
 def spec_of(workload, seed):
     return ScenarioSpec.from_topology(
         TOPOLOGIES[workload](), records_per_node=10, seed=seed
@@ -91,17 +87,27 @@ def test_cold_update_matches_the_recorded_run(workload, seed):
 def test_each_fragment_is_evaluated_in_full_exactly_once(monkeypatch):
     """The machine-independent work bound of the cold path.
 
-    One cold update of the 63-node tree evaluates every (rule, source)
-    fragment in full once — everything after that is maintenance — and the
-    evaluator hands out at most a tenth of the bindings the parent's did.
+    One cold update evaluates each distinct (source, body) fragment in full
+    once — outgoing rules with equal bodies at a source share one maintained
+    fragment, and everything after that is maintenance.  That is 62 full
+    evaluations on the tree and 7 on the clique (122 and 78 while each rule
+    kept its own), and 412 and 78 delta evaluations (698 and 840).  The
+    tree's evaluator hands out at most 2 580 bindings (84 750 before the
+    evaluator became compiled and fragments maintained).
     """
     full = []
+    deltas = [0]
     bindings = [0]
     pure_fragment_for = update_module.fragment_for
+    pure_fragment_delta_for = update_module.fragment_delta_for
 
     def counting_fragment_for(database, rule, node_id):
-        full.append((rule.rule_id, node_id))
+        full.append((node_id, rule.body_query_for(node_id)))
         return pure_fragment_for(database, rule, node_id)
+
+    def counting_fragment_delta_for(*args):
+        deltas[0] += 1
+        return pure_fragment_delta_for(*args)
 
     def counted(evaluate):
         def counting(*args):
@@ -112,21 +118,36 @@ def test_each_fragment_is_evaluated_in_full_exactly_once(monkeypatch):
         return counting
 
     monkeypatch.setattr(update_module, "fragment_for", counting_fragment_for)
+    monkeypatch.setattr(
+        update_module, "fragment_delta_for", counting_fragment_delta_for
+    )
     for name in ("evaluate_body", "evaluate_body_delta"):
         monkeypatch.setattr(update_module, name, counted(getattr(update_module, name)))
 
-    spec = spec_of("cold_tree", 0)
-    with Session.from_spec(spec) as session:
-        session.run("update")
-    pairs = [(rule.rule_id, source) for rule in spec.rules for source in rule.sources]
-    assert len(pairs) == 122
-    assert sorted(full) == sorted(pairs)
-    assert 0 < bindings[0] <= PARENT_TREE_BINDINGS // 10
+    for workload, rule_pairs, body_pairs, delta_bound, bindings_bound in (
+        ("cold_tree", 122, 62, 412, 2_580),
+        ("cold_clique", 78, 7, 78, 490),
+    ):
+        full.clear()
+        deltas[0] = bindings[0] = 0
+        spec = spec_of(workload, 0)
+        with Session.from_spec(spec) as session:
+            session.run("update")
+        pairs = [
+            (source, rule.body_query_for(source))
+            for rule in spec.rules
+            for source in rule.sources
+        ]
+        assert len(pairs) == rule_pairs
+        assert len(full) == len(set(full)) == len(set(pairs)) == body_pairs
+        assert set(full) == set(pairs)
+        assert 0 < deltas[0] <= delta_bound
+        assert 0 < bindings[0] <= bindings_bound
 
 
 @pytest.mark.parametrize(
     ("workload", "rows_inserted", "offered_bound", "sized_bound"),
-    [("cold_tree", 4_740, 4_740, 4_740), ("cold_clique", 780, 5_460, 5_460)],
+    [("cold_tree", 4_740, 4_740, 2_580), ("cold_clique", 780, 5_460, 490)],
 )
 def test_only_new_rows_are_chased_and_sized(
     monkeypatch, workload, rows_inserted, offered_bound, sized_bound
@@ -136,10 +157,12 @@ def test_only_new_rows_are_chased_and_sized(
     A head node joins and chases only the rows an answer adds, and a
     maintained fragment's modelled size grows by the rows it gains: on the
     acyclic tree the chase is offered exactly the 4 740 rows it inserts
-    (37 370 before the receiver became semi-naive) and the size model walks
-    each of the 4 740 distinct fragment rows once (all 58 560 shipped rows
-    before); on the clique several rules derive the same head row, so more is
-    offered than inserted, but no more than 5 460 (21 840 before).
+    (37 370 before the receiver became semi-naive); on the clique several
+    rules derive the same head row, so more is offered than inserted, but no
+    more than 5 460 (21 840 before).  The size model walks each row of each
+    distinct maintained fragment once: 2 580 on the tree and 490 on the
+    clique (4 740 and 5 460 while every rule kept its own fragment, all
+    58 560 and 32 760 shipped rows before that).
     """
     offered, inserted, sized = [0], [0], [0]
     chase = LocalDatabase.apply_view_tuples

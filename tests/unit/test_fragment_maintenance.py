@@ -136,6 +136,31 @@ class TestEvaluateFragment:
         assert maintain_fragment(node, replaced).rows == {("1", "2"), ("2", "3")}
         assert calls == ["fragment_for", "fragment_for"]
 
+    def test_rules_with_one_body_share_one_fragment(self, node, calls):
+        # One body exported twice, to different heads at different peers.
+        first = rule_from_text("to_a", JOIN)
+        second = rule_from_text("to_c", "b: r(X, Y), s(Y, Z) -> c: g(Z, X)")
+        other = rule_from_text("other", "b: r(X, Y) -> a: h(X, Y)")
+        for rule in (first, second, other):
+            node.add_outgoing_rule(rule)
+        rows = maintain_fragment(node, first).rows
+        assert maintain_fragment(node, second).rows is rows
+        assert calls == ["fragment_for"]
+        node.database.insert("r", ("5", "2"))
+        grown = maintain_fragment(node, second).rows
+        assert maintain_fragment(node, first).rows is grown
+        assert calls == ["fragment_for", "fragment_delta_for"]
+        maintain_fragment(node, other)
+        assert len(node.state.fragment_cache) == 2
+
+        node.remove_outgoing_rule("to_a")
+        assert maintain_fragment(node, second).rows is grown
+        assert len(node.state.fragment_cache) == 2
+        node.remove_outgoing_rule("to_c")
+        assert len(node.state.fragment_cache) == 1
+        node.remove_outgoing_rule("other")
+        assert node.state.fragment_cache == {}
+
     def test_reset_update_drops_the_entries(self, node):
         rule = rule_from_text("out", JOIN)
         maintain_fragment(node, rule)

@@ -76,8 +76,8 @@ class TestDerivedProperties:
         rule = rule_from_text(
             "m", "B: b(X, Y), b(Y, Z), D: d(Z, W) -> C: c(X, W)"
         )
-        assert rule.body_relations_at("B") == ("b",)
-        assert rule.body_relations_at("D") == ("d",)
+        assert rule.body_query_for("B").relations == ("b",)
+        assert rule.body_query_for("D").relations == ("d",)
 
     def test_query_property_round_trips_head_and_body(self):
         rule = rule_from_text("r2", "B: b(X, Y), b(Y, Z) -> C: c(X, Z)")

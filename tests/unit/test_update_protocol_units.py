@@ -4,7 +4,12 @@ from repro.api import Session
 from repro.coordination.rule import rule_from_text
 from repro.core.state import UpdateState
 from repro.core.system import P2PSystem
-from repro.core.update import fragment_for, fragment_variables, join_fragments
+from repro.core.update import (
+    fragment_for,
+    fragment_variables,
+    join_fragments,
+    maintain_fragment,
+)
 from repro.database.database import LocalDatabase
 from repro.database.query import Variable
 from repro.database.schema import DatabaseSchema, RelationSchema
@@ -281,9 +286,10 @@ class TestIncrementalMode:
         relation.insert(row)
         system.node("c").update.start_incremental({"item": [row]})
         system.transport.run()
-        # Insert-only so far: one full evaluation per (rule, source), ever.
+        # Insert-only so far: one full evaluation per (source, body), ever.
         assert sorted(full_evaluations) == [("ab", "b"), ("bc", "c")]
-        assert row in system.node("c").state.fragment_cache["bc"].rows
+        source = system.node("c")
+        assert row in maintain_fragment(source, source.outgoing_rules["bc"]).rows
 
         relation.delete(row)
         sent = []
@@ -302,7 +308,10 @@ class TestIncrementalMode:
             if message.type == MessageType.ANSWER and message.sender == "c"
         ]
         assert answers and all(row not in tuples for tuples in answers)
-        assert system.node("c").state.fragment_cache["bc"].rows == {("1", "2")}
+        assert maintain_fragment(source, source.outgoing_rules["bc"]).rows == {
+            ("1", "2")
+        }
+        assert full_evaluations.count(("bc", "c")) == 2
 
     def test_incremental_matches_naive_rerun_bit_identically(self):
         # Same insert, one system takes the delta path, the other re-runs
