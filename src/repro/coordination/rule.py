@@ -15,18 +15,26 @@ its sources) to each body node.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
 from repro.database.parser import parse_rule_text
 from repro.database.query import Atom, Comparison, ConjunctiveQuery, Variable
-from repro.database.query import field_state
+from repro.database.query import constant_types, field_state
 from repro.errors import RuleError
 
 NodeId = str
 """Identifier of a peer node.  The paper uses integer indexes; strings are
 more readable in examples and traces and work identically."""
+
+#: Interned per-source body queries (:meth:`CoordinationRule.body_query_for`):
+#: one query per equal body, with constants told apart by type.  Weak values,
+#: so an entry goes with the last rule holding its query.
+_BODY_QUERIES: "weakref.WeakValueDictionary[tuple, ConjunctiveQuery]" = (
+    weakref.WeakValueDictionary()
+)
 
 
 @dataclass(frozen=True)
@@ -34,9 +42,10 @@ class CoordinationRule:
     """A single coordination rule ``body@sources ⇒ head@target``.
 
     Immutable, so the queries and variable tuples derived from it are built
-    once per instance (see :class:`~repro.database.query.ConjunctiveQuery`
-    for how the cached values stay out of ``==``, ``hash``, ``repr`` and
-    pickles).
+    once per instance — the per-source body queries once per equal body
+    (:meth:`body_query_for`) — see
+    :class:`~repro.database.query.ConjunctiveQuery` for how the cached
+    values stay out of ``==``, ``hash``, ``repr`` and pickles.
     """
 
     rule_id: str
@@ -112,9 +121,9 @@ class CoordinationRule:
 
     @cached_property
     def derived(self) -> dict:
-        """Where layers keep what they compile from this rule (per-source body
-        queries, :mod:`repro.core.update`'s join plans); same contract as
-        ``ConjunctiveQuery.derived``."""
+        """Where layers keep what they look up for this rule (its interned
+        per-source body queries, :mod:`repro.core.update`'s join shape); same
+        contract as ``ConjunctiveQuery.derived``."""
         return {}
 
     def body_query_for(self, node: NodeId) -> ConjunctiveQuery:
@@ -122,19 +131,34 @@ class CoordinationRule:
 
         This is what the head node sends to a source node when it evaluates a
         multi-source rule by fetching each source's fragment and joining
-        locally.  Built once per node.
+        locally.  Looked up once per node, and *interned*: every rule whose
+        body at its node is equal gets the same query object, so what is
+        compiled from a body (its evaluation plan, step lists and fragment
+        key) is compiled once per body, not once per rule.
         """
         key = ("body_query", node)
-        if key in self.derived:
-            return self.derived[key]
-        atoms = [atom for body_node, atom in self.body if body_node == node]
+        query = self.derived.get(key)
+        if query is not None:
+            return query
+        atoms = tuple(atom for body_node, atom in self.body if body_node == node)
         if not atoms:
             raise RuleError(f"rule {self.rule_id!r} has no body atom at {node!r}")
         relevant_vars = {v for atom in atoms for v in atom.variables}
         comparisons = tuple(
             c for c in self.comparisons if set(c.variables) <= relevant_vars
         )
-        query = self.derived[key] = ConjunctiveQuery(None, atoms, comparisons)
+        shape = (
+            atoms,
+            comparisons,
+            constant_types(
+                [term for atom in atoms for term in atom.terms]
+                + [term for c in comparisons for term in (c.left, c.right)]
+            ),
+        )
+        query = _BODY_QUERIES.get(shape)
+        if query is None:
+            query = _BODY_QUERIES[shape] = ConjunctiveQuery(None, atoms, comparisons)
+        self.derived[key] = query
         return query
 
     @cached_property

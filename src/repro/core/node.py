@@ -13,7 +13,7 @@ the architecture.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Callable
 
 from repro.coordination.rule import CoordinationRule, NodeId
 from repro.core.discovery import DiscoveryProtocol
@@ -108,21 +108,24 @@ class PeerNode:
         self,
         recipient: NodeId,
         message_type: MessageType,
-        payload: Mapping,
+        payload: dict,
         *,
         tuples_size: int | None = None,
     ) -> None:
         """Send one protocol message through the transport.
 
-        ``tuples_size`` is the modelled size of ``payload["tuples"]`` when
-        the caller already knows it (a maintained fragment's ``size``).
+        The message takes ownership of ``payload``: it is sent as it is, not
+        copied, so the caller builds a fresh dict per message and does not
+        touch it afterwards.  ``tuples_size`` is the modelled size of
+        ``payload["tuples"]`` when the caller already knows it (a maintained
+        fragment's ``size``).
         """
         self.transport.send(
             Message(
                 sender=self.node_id,
                 recipient=recipient,
                 type=message_type,
-                payload=dict(payload),
+                payload=payload,
                 tuples_size=tuples_size,
             )
         )

@@ -100,7 +100,7 @@ from repro.database.evaluate import (
     evaluate_body,
     evaluate_body_delta,
 )
-from repro.database.query import Variable
+from repro.database.query import Variable, constant_types
 from repro.database.relation import row_picker
 from repro.network.message import Message, MessageType, rows_size, value_size
 
@@ -162,13 +162,12 @@ def fragment_body(
     equal keys and so share one maintained fragment.  The key is the body
     query's ``repr``, equal only when the queries are; being a string, it
     hashes once and compares without walking the query.  Built once per
-    (rule, node).
+    interned body query, so once per distinct body.
     """
-    key = ("fragment_body", node_id)
-    body = rule.derived.get(key)
+    query = rule.body_query_for(node_id)
+    body = query.derived.get("fragment_body")
     if body is None:
-        query = rule.body_query_for(node_id)
-        body = rule.derived[key] = (repr(query), query.relations)
+        body = query.derived["fragment_body"] = (repr(query), query.relations)
     return body
 
 
@@ -225,34 +224,77 @@ def maintain_fragment(node: "PeerNode", rule: CoordinationRule) -> MaintainedFra
     return entry
 
 
-def _join_plan(rule: CoordinationRule, first: NodeId | None) -> tuple:
-    """The hash-join plan of ``rule``'s fragments with source ``first`` leading.
+class _JoinShape:
+    """The hash-join plans of every rule of one *shape*, one per leading
+    source position.
 
-    A partial binding is a tuple that grows by one source's new columns at a
-    time, so a variable's *slot* is its position in binding order.  Per source
-    the plan holds three pickers: the fragment columns of the variables bound
-    by earlier sources (the hash key), those variables' slots in the partial,
-    and the new fragment columns.  Compiled once per leading source.
+    A rule's shape is what its join depends on: the fragment columns of each
+    source (by position), the comparisons and the distinguished variables —
+    not its id, its node ids or its head relation.  A partial binding is a
+    tuple that grows by one source's new columns at a time, so a variable's
+    *slot* is its position in binding order.  Per source the plan holds its
+    position and three pickers: the fragment columns of the variables bound
+    by earlier sources (the hash key), those variables' slots in the
+    partial, and the new fragment columns.
     """
-    key = ("join", first)
-    plan = rule.derived.get(key)
-    if plan is not None:
-        return plan
-    slot_of: dict[Variable, int] = {}
-    steps = []
-    # Stable reorder: the leading (delta) source first, the rest in rule order.
-    for source in sorted(rule.sources, key=lambda source: source != first):
-        variables = fragment_variables(rule, source)
-        shared = [c for c, variable in enumerate(variables) if variable in slot_of]
-        bound = [slot_of[variables[c]] for c in shared]
-        fresh = [c for c, variable in enumerate(variables) if variable not in slot_of]
-        for column in fresh:
-            slot_of[variables[column]] = len(slot_of)
-        steps.append((source, row_picker(shared), row_picker(bound), row_picker(fresh)))
-    comparisons = compile_comparisons(rule.comparisons, slot_of)
-    project = row_picker([slot_of[v] for v in rule.distinguished_variables])
-    plan = rule.derived[key] = (tuple(steps), comparisons, project)
-    return plan
+
+    __slots__ = ("plans", "__weakref__")
+
+    def __init__(
+        self,
+        variables: tuple[tuple[Variable, ...], ...],
+        comparisons: tuple,
+        distinguished: tuple[Variable, ...],
+    ):
+        plans = []
+        for lead in range(len(variables)):
+            slot_of: dict[Variable, int] = {}
+            steps = []
+            # The leading (delta) source first, the rest in rule order.
+            for position in [lead, *(p for p in range(len(variables)) if p != lead)]:
+                columns = variables[position]
+                shared = [c for c, v in enumerate(columns) if v in slot_of]
+                bound = [slot_of[columns[c]] for c in shared]
+                fresh = [c for c, v in enumerate(columns) if v not in slot_of]
+                for column in fresh:
+                    slot_of[columns[column]] = len(slot_of)
+                steps.append(
+                    (position, row_picker(shared), row_picker(bound), row_picker(fresh))
+                )
+            comparisons_at = compile_comparisons(comparisons, slot_of)
+            project = row_picker([slot_of[v] for v in distinguished])
+            plans.append((tuple(steps), comparisons_at, project))
+        self.plans = tuple(plans)
+
+
+#: Interned join shapes (:func:`_join_shape`); weak values, so a shape goes
+#: with the last rule that holds it.
+_JOIN_SHAPES: "weakref.WeakValueDictionary[tuple, _JoinShape]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def _join_shape(rule: CoordinationRule) -> _JoinShape:
+    """``rule``'s join shape, looked up once per rule and compiled once per
+    shape."""
+    shape = rule.derived.get("join")
+    if shape is None:
+        variables = tuple(fragment_variables(rule, source) for source in rule.sources)
+        comparisons = rule.comparisons
+        distinguished = rule.distinguished_variables
+        key = (
+            variables,
+            comparisons,
+            constant_types(term for c in comparisons for term in (c.left, c.right)),
+            distinguished,
+        )
+        shape = _JOIN_SHAPES.get(key)
+        if shape is None:
+            shape = _JOIN_SHAPES[key] = _JoinShape(
+                variables, comparisons, distinguished
+            )
+        rule.derived["join"] = shape
+    return shape
 
 
 def join_fragments(
@@ -268,7 +310,7 @@ def join_fragments(
     ``rule.distinguished_variables``.  Sources with no fragment yet make the
     result empty — the rule simply cannot fire until every source answered at
     least once.  The join is a hash join per source, keyed on the columns
-    earlier sources already bound (:func:`_join_plan`); for a single-source
+    earlier sources already bound (:class:`_JoinShape`); for a single-source
     rule it is a plain projection of the fragment.
 
     With ``delta_source``/``delta_rows`` the join is *semi-naive*: the delta
@@ -277,20 +319,24 @@ def join_fragments(
     produced — the firings over the old rows were already computed when they
     arrived.
     """
-    for source in rule.sources:
+    sources = rule.sources
+    for source in sources:
         if source not in fragments:
             return set()
-    if delta_source is not None and delta_source not in rule.sources:
-        return set()
-    steps, comparisons, project = _join_plan(rule, delta_source)
+    lead = 0
+    if delta_source is not None:
+        if delta_source not in sources:
+            return set()
+        lead = sources.index(delta_source)
+    steps, comparisons, project = _join_shape(rule).plans[lead]
 
     partials: list[tuple] | None = None
-    for source, key_of_row, key_of_partial, fresh_of_row in steps:
-        rows = fragments[source]
-        if source == delta_source and delta_rows is not None:
-            rows = delta_rows
+    for position, key_of_row, key_of_partial, fresh_of_row in steps:
+        rows = fragments[sources[position]]
         if partials is None:
             # The leading source binds every one of its columns, in order.
+            if delta_source is not None and delta_rows is not None:
+                rows = delta_rows
             partials = list(rows)
         else:
             index: dict[tuple, list[tuple]] = defaultdict(list)
@@ -667,13 +713,20 @@ class UpdateProtocol:
         node = self.node
         state = node.state
         pushes = 0
+        # Entries whose rules read one body share its maintained fragment, and
+        # nothing the loop sends is delivered before it ends: maintain each
+        # body once per push.
+        maintained_by_body: dict[str, MaintainedFragment] = {}
         for entry in state.update_owner:
             if entry.requester is None or entry.rule_id is None:
                 continue
             rule = node.outgoing_rules.get(entry.rule_id)
             if rule is None:
                 continue
-            maintained = maintain_fragment(node, rule)
+            body = fragment_body(rule, node.node_id)[0]
+            maintained = maintained_by_body.get(body)
+            if maintained is None:
+                maintained = maintained_by_body[body] = maintain_fragment(node, rule)
             fragment = maintained.rows
             key = (entry.rule_id, entry.requester)
             pushed = state.pushed_fragments.get(key)

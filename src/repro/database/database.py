@@ -10,11 +10,13 @@ facts, inventing deterministic labelled nulls for existential variables.
 from __future__ import annotations
 
 import time
+import weakref
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from repro.database.evaluate import evaluate_body, evaluate_query
 from repro.database.nulls import SkolemFactory
 from repro.database.query import Atom, ConjunctiveQuery, Constant, Variable
+from repro.database.query import constant_types
 from repro.database.relation import Relation, Row, row_picker
 from repro.database.schema import DatabaseSchema, RelationSchema
 from repro.errors import QueryError, SchemaError
@@ -23,38 +25,71 @@ if TYPE_CHECKING:
     from repro.obs.metrics import ChaseProfile
 
 
-def _head_template(head: Atom, distinguished: tuple[Variable, ...]) -> tuple:
+class _HeadTemplate:
     """A6's head template: every head position is a column of (answer
     columns + head constants + invented nulls).
 
-    Returns the distinguished names, the head constants, the existential
+    Holds the distinguished names, the head constants, the existential
     names, the picker building a row from those columns, and the positions
-    filled by constants or distinguished variables.
+    filled by constants or distinguished variables.  One per (head,
+    distinguished) shape, shared by every database (:func:`_head_template`).
     """
-    names = tuple(variable.name for variable in distinguished)
-    width = len(names)
-    constants = tuple(term.value for term in head.terms if isinstance(term, Constant))
-    existentials = tuple(
-        dict.fromkeys(
-            term.name
-            for term in head.terms
-            if isinstance(term, Variable) and term.name not in names
-        )
+
+    __slots__ = (
+        "names",
+        "constants",
+        "existentials",
+        "build",
+        "known_positions",
+        "__weakref__",
     )
-    columns: list[int] = []
-    known_positions: list[int] = []
-    next_constant = width
-    for position, term in enumerate(head.terms):
-        if isinstance(term, Constant):
-            columns.append(next_constant)
-            next_constant += 1
-        elif term.name in names:
-            columns.append(names.index(term.name))
-        else:
-            columns.append(width + len(constants) + existentials.index(term.name))
-            continue
-        known_positions.append(position)
-    return names, constants, existentials, row_picker(columns), known_positions
+
+    def __init__(self, head: Atom, distinguished: tuple[Variable, ...]):
+        names = self.names = tuple(variable.name for variable in distinguished)
+        width = len(names)
+        constants = self.constants = tuple(
+            term.value for term in head.terms if isinstance(term, Constant)
+        )
+        existentials = self.existentials = tuple(
+            dict.fromkeys(
+                term.name
+                for term in head.terms
+                if isinstance(term, Variable) and term.name not in names
+            )
+        )
+        columns: list[int] = []
+        known_positions: list[int] = []
+        next_constant = width
+        for position, term in enumerate(head.terms):
+            if isinstance(term, Constant):
+                columns.append(next_constant)
+                next_constant += 1
+            elif term.name in names:
+                columns.append(names.index(term.name))
+            else:
+                columns.append(width + len(constants) + existentials.index(term.name))
+                continue
+            known_positions.append(position)
+        self.build = row_picker(columns)
+        self.known_positions = known_positions
+
+
+#: Interned head templates; weak values, so a template goes with the last
+#: database whose rule ids use it.
+_HEAD_TEMPLATES: "weakref.WeakValueDictionary[tuple, _HeadTemplate]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def _head_template(head: Atom, distinguished: tuple[Variable, ...]) -> _HeadTemplate:
+    """The template of ``head`` over ``distinguished``, compiled once per
+    shape; keyed with the head constants' types, since ``Constant(1) ==
+    Constant(True)`` but each head emits its own."""
+    key = (head, distinguished, constant_types(head.terms))
+    template = _HEAD_TEMPLATES.get(key)
+    if template is None:
+        template = _HEAD_TEMPLATES[key] = _HeadTemplate(head, distinguished)
+    return template
 
 
 class LocalDatabase:
@@ -71,8 +106,8 @@ class LocalDatabase:
         #: A6 projection-check profiling sink; attached by traced sessions
         #: (None keeps the chase on the unprofiled fast path).
         self.profile: ChaseProfile | None = None
-        # rule id -> (head, distinguished, *_head_template(head, distinguished)),
-        # recompiled when the id presents another head or variable tuple.
+        # rule id -> (head, distinguished, _head_template(head, distinguished)),
+        # looked up again when the id presents another head or variable tuple.
         self._head_templates: dict[str, tuple] = {}
 
     # ----------------------------------------------------------------- schema
@@ -175,16 +210,24 @@ class LocalDatabase:
                 f"relation {head.relation!r}"
             )
 
-        # The head template, compiled once per rule: the cached one holds for
-        # as long as the rule id comes with the same head and variable tuple.
-        template = self._head_templates.get(rule_id)
-        if template is None or template[:2] != (head, distinguished):
-            template = self._head_templates[rule_id] = (
+        # The head template, compiled once per shape: the one cached for the
+        # rule id holds for as long as the id comes with the very same head
+        # and variable tuple (identity: an equal head may differ in its
+        # constants' types).
+        cached = self._head_templates.get(rule_id)
+        if cached is None or cached[0] is not head or cached[1] is not distinguished:
+            cached = self._head_templates[rule_id] = (
                 head,
                 distinguished,
-                *_head_template(head, distinguished),
+                _head_template(head, distinguished),
             )
-        _, _, names, constants, existentials, build, known_positions = template
+        template = cached[2]
+        names, constants, existentials = (
+            template.names,
+            template.constants,
+            template.existentials,
+        )
+        build, known_positions = template.build, template.known_positions
         width = len(names)
         null_for = self.skolems.null_for
 

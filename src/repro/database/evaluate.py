@@ -4,7 +4,9 @@ A query body is compiled **once** into a :class:`_Plan` — every body variable
 becomes an integer *slot*, every atom a tuple of ``(slot, constant)`` columns
 — and the plan is kept on the query it describes
 (``ConjunctiveQuery.derived``), so it is shared by every evaluation of that
-query and dies with it.  One evaluation then
+query and dies with it.  Rules intern their per-source body queries
+(:meth:`~repro.coordination.rule.CoordinationRule.body_query_for`), so every
+rule with an equal body shares one plan.  One evaluation then
 
 1. binds the plan to the database (missing relation → no answers, arity
    mismatch → :class:`QueryError`),
@@ -12,7 +14,9 @@ query and dies with it.  One evaluation then
    is one, then greedily the atom that can be probed through an index (it
    has a constant or an already-bound variable) before one that has to be
    scanned, smaller relation first — so a delta-seeded join never opens with
-   a cross product,
+   a cross product.  The choice depends on the sizes only through their
+   ranking, so it is made once per (seed, size ranking) and looked up after
+   that (:meth:`_Plan.order`),
 3. looks the order's :class:`_Step` list up (compiled on first use: per atom
    the probe column that goes straight to ``Relation.lookup``, the slots the
    row fills, the equality checks left over, and the built-in comparisons
@@ -114,7 +118,7 @@ class _Step(NamedTuple):
 class _Plan:
     """A query body over slots; holds no reference to the query itself."""
 
-    __slots__ = ("variables", "slot_of", "atoms", "comparisons", "steps")
+    __slots__ = ("variables", "slot_of", "atoms", "comparisons", "orders", "steps")
 
     def __init__(self, query: ConjunctiveQuery):
         self.variables = query.body_variables
@@ -124,6 +128,8 @@ class _Plan:
             for atom in query.body
         )
         self.comparisons = compile_comparisons(query.comparisons, self.slot_of)
+        #: (seed, size ranking) -> greedy join order.
+        self.orders: dict[tuple[int | None, tuple[int, ...]], tuple[int, ...]] = {}
         #: (seeded, atom order) -> compiled steps.
         self.steps: dict[tuple[bool, tuple[int, ...]], tuple[_Step, ...]] = {}
 
@@ -150,7 +156,24 @@ class _Plan:
     def order(
         self, relations: Sequence["Relation"], seed: int | None = None
     ) -> tuple[int, ...]:
-        """Greedy join order for the current relation sizes (module docstring)."""
+        """:meth:`greedy`'s join order for the current relation sizes,
+        computed once per *size ranking*.
+
+        The greedy choice compares two atoms' relations only by (size, atom
+        index), so together with the seed and the plan's static probe
+        structure the stable argsort of the sizes decides it: the order
+        cached under ``(seed, ranking)`` is the one :meth:`greedy` would pick.
+        """
+        sizes = [len(relation) for relation in relations]
+        ranking = tuple(sorted(range(len(sizes)), key=sizes.__getitem__))
+        order = self.orders.get((seed, ranking))
+        if order is None:
+            order = self.orders[seed, ranking] = self.greedy(sizes, seed)
+        return order
+
+    def greedy(self, sizes: Sequence[int], seed: int | None = None) -> tuple[int, ...]:
+        """Greedy join order for relations of ``sizes`` (module docstring),
+        without the cache."""
         remaining = list(range(len(self.atoms)))
         order: list[int] = []
         bound: set[int] = set()
@@ -159,7 +182,7 @@ class _Plan:
             scanned = all(
                 slot >= 0 and slot not in bound for slot, _ in self.atoms[index][1]
             )
-            return (index != seed, scanned, len(relations[index]))
+            return (index != seed, scanned, sizes[index])
 
         while remaining:
             chosen = min(remaining, key=cost)

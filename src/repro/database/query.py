@@ -45,6 +45,17 @@ class Constant:
 
 Term = Union[Variable, Constant]
 
+
+def constant_types(terms: Iterable[Term]) -> tuple[type, ...]:
+    """The type of every constant among ``terms``, in order.
+
+    ``Constant(1) == Constant(True)`` (and they hash alike), but a head emits
+    the constant itself, so a key for what is compiled from terms carries
+    these types next to the terms.
+    """
+    return tuple(type(term.value) for term in terms if isinstance(term, Constant))
+
+
 #: Comparison operators supported in built-in predicates.
 COMPARISON_OPERATORS = ("!=", "<=", ">=", "=", "<", ">")
 

@@ -10,12 +10,15 @@ sorted ground fix-point and the run's exact message, row and modelled byte
 counts.  None of them may move.
 """
 
+import gc
 import hashlib
 import json
 
 import pytest
 
 import repro.core.update as update_module
+import repro.database.database as database_module
+import repro.database.evaluate as evaluate_module
 import repro.network.message as message_module
 from repro.api.session import Session
 from repro.api.spec import ScenarioSpec
@@ -93,13 +96,18 @@ def test_each_fragment_is_evaluated_in_full_exactly_once(monkeypatch):
     evaluations on the tree and 7 on the clique (122 and 78 while each rule
     kept its own), and 412 and 78 delta evaluations (698 and 840).  The
     tree's evaluator hands out at most 2 580 bindings (84 750 before the
-    evaluator became compiled and fragments maintained).
+    evaluator became compiled and fragments maintained).  A push maintains
+    each body once, however many owner entries read it: 926 fragment
+    lookups on the tree and 241 on the clique (1 242 and 1 074 with one
+    lookup per entry).
     """
     full = []
     deltas = [0]
     bindings = [0]
+    maintained = [0]
     pure_fragment_for = update_module.fragment_for
     pure_fragment_delta_for = update_module.fragment_delta_for
+    pure_maintain_fragment = update_module.maintain_fragment
 
     def counting_fragment_for(database, rule, node_id):
         full.append((node_id, rule.body_query_for(node_id)))
@@ -117,19 +125,26 @@ def test_each_fragment_is_evaluated_in_full_exactly_once(monkeypatch):
 
         return counting
 
+    def counting_maintain_fragment(*args):
+        maintained[0] += 1
+        return pure_maintain_fragment(*args)
+
     monkeypatch.setattr(update_module, "fragment_for", counting_fragment_for)
     monkeypatch.setattr(
         update_module, "fragment_delta_for", counting_fragment_delta_for
     )
+    monkeypatch.setattr(
+        update_module, "maintain_fragment", counting_maintain_fragment
+    )
     for name in ("evaluate_body", "evaluate_body_delta"):
         monkeypatch.setattr(update_module, name, counted(getattr(update_module, name)))
 
-    for workload, rule_pairs, body_pairs, delta_bound, bindings_bound in (
-        ("cold_tree", 122, 62, 412, 2_580),
-        ("cold_clique", 78, 7, 78, 490),
+    for workload, rule_pairs, body_pairs, delta_bound, bindings_bound, lookups in (
+        ("cold_tree", 122, 62, 412, 2_580, 926),
+        ("cold_clique", 78, 7, 78, 490, 241),
     ):
         full.clear()
-        deltas[0] = bindings[0] = 0
+        deltas[0] = bindings[0] = maintained[0] = 0
         spec = spec_of(workload, 0)
         with Session.from_spec(spec) as session:
             session.run("update")
@@ -143,6 +158,7 @@ def test_each_fragment_is_evaluated_in_full_exactly_once(monkeypatch):
         assert set(full) == set(pairs)
         assert 0 < deltas[0] <= delta_bound
         assert 0 < bindings[0] <= bindings_bound
+        assert maintained[0] == lookups
 
 
 @pytest.mark.parametrize(
@@ -188,3 +204,61 @@ def test_only_new_rows_are_chased_and_sized(
     assert stats.total_tuples_transferred == GOLDEN[workload, 0][2]
     assert rows_inserted == inserted[0] <= offered[0] <= offered_bound
     assert 0 < sized[0] <= sized_bound
+
+
+def test_each_shape_is_compiled_once(monkeypatch):
+    """What one cold update compiles, machine-independent.
+
+    Everything compiled from a rule belongs to its shape: one evaluation plan
+    per distinct body query (their step lists and join orders are chosen once
+    per order and size ranking), one set of hash-join plans per join shape
+    and one A6 head template per (head, distinguished) shape.  While each
+    rule compiled its own, a cold update compiled 62 plans, 122 step lists,
+    182 join plans, 122 head templates and 474 join orders on the tree, and
+    7 / 20 / 156 / 78 / 85 on the clique.
+    """
+    plans, joins, heads = [], [], []
+
+    def recording(cls, seen):
+        init = cls.__init__
+
+        def recording_init(self, *args):
+            seen.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", recording_init)
+
+    recording(evaluate_module._Plan, plans)
+    recording(update_module._JoinShape, joins)
+    recording(database_module._HeadTemplate, heads)
+
+    def compiled(workload):
+        """What one cold update of ``workload`` compiles, and how many
+        distinct bodies and head shapes its rules have."""
+        gc.collect()  # nothing left over from earlier runs may hold a shape
+        plans.clear(), joins.clear(), heads.clear()
+        spec = spec_of(workload, 0)
+        with Session.from_spec(spec) as session:
+            session.run("update")
+        rules = spec.rules
+        return (
+            len(rules),
+            len({rule.body_query_for(s) for rule in rules for s in rule.sources}),
+            len({(rule.head, rule.distinguished_variables) for rule in rules}),
+            len(plans),
+            sum(len(plan.steps) for plan in plans),
+            sum(len(plan.orders) for plan in plans),
+            sum(len(shape.plans) for shape in joins),
+            len(heads),
+        )
+
+    for workload, step_lists, join_plans, orders in (
+        ("cold_tree", 9, 11, 9),
+        ("cold_clique", 9, 15, 9),
+    ):
+        rules, bodies, head_shapes, *counts = compiled(workload)
+        assert rules > bodies == counts[0] == 3
+        assert 0 < counts[1] <= step_lists
+        assert 0 < counts[2] <= orders
+        assert 0 < counts[3] <= join_plans
+        assert head_shapes == counts[4] == 6

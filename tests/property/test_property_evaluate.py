@@ -7,7 +7,10 @@ it shares no code with :mod:`repro.database.evaluate` (not even
 one atom, constants, self-joins, relations the database does not have, atoms
 of the wrong arity, and comparisons over integers, strings and labelled
 nulls, including the rule that an ordered comparison between incomparable
-types is simply false.
+types is simply false.  Bodies are also evaluated as rules intern them —
+one query, plan and order cache shared by every rule with that body — and
+the join order cached per size ranking is checked against the greedy choice
+recomputed from the sizes themselves.
 """
 
 import itertools
@@ -17,8 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.coordination.rule import CoordinationRule
 from repro.database.database import LocalDatabase
 from repro.database.evaluate import (
+    _plan,
     evaluate_body,
     evaluate_body_delta,
     evaluate_query,
@@ -246,6 +251,51 @@ def test_delta_seeding_agrees_with_brute_force(query, facts, data):
             name: rows - delta.get(name, frozenset()) for name, rows in facts.items()
         }
         assert brute_force(before, query) | expected == brute_force(facts, query)
+
+
+@settings(max_examples=200, deadline=None)
+@given(query=queries(), first=databases, second=databases, data=st.data())
+def test_interned_bodies_agree_with_brute_force(query, first, second, data):
+    variables = variables_of(query)
+
+    def rule_at(rule_id, source):
+        body = [(source, atom) for atom in query.body]
+        return CoordinationRule(
+            rule_id, "a", Atom("h", variables), body, query.comparisons
+        )
+
+    rules = [rule_at("one", "b"), rule_at("two", "c")]
+    interned = rules[0].body_query_for("b")
+    assert rules[1].body_query_for("c") is interned
+    assert interned == query
+    # Two rules, one plan, evaluated against two databases in turn.
+    for rule, facts in zip(rules, (first, second)):
+        body = rule.body_query_for(rule.sources[0])
+        database = database_of(facts)
+        delta = {
+            name: data.draw(st.frozensets(st.sampled_from(sorted(rows, key=repr))))
+            for name, rows in facts.items()
+            if rows
+        }
+        assert outcome(
+            lambda: set(evaluate_body(database, body, variables))
+        ) == outcome(lambda: brute_force(facts, query))
+        assert outcome(
+            lambda: set(evaluate_body_delta(database, body, delta, variables))
+        ) == outcome(lambda: brute_force(facts, query, delta))
+
+
+@settings(max_examples=300, deadline=None)
+@given(query=queries(), data=st.data())
+def test_cached_order_is_the_greedy_order(query, data):
+    plan = _plan(query)
+    atoms = len(query.body)
+    for _ in range(data.draw(st.integers(1, 8))):
+        # Small sizes: ties, which the ranking breaks by atom index.
+        sizes = data.draw(st.lists(st.integers(0, 3), min_size=atoms, max_size=atoms))
+        seed = data.draw(st.one_of(st.none(), st.integers(0, atoms - 1)))
+        relations = [range(size) for size in sizes]
+        assert plan.order(relations, seed) == plan.greedy(sizes, seed)
 
 
 def test_unknown_projection_variable_is_refused():

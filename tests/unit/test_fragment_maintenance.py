@@ -6,13 +6,15 @@ import weakref
 
 import pytest
 
+import repro.coordination.rule as rule_module
 import repro.core.update as update_module
 from repro.api import Session
-from repro.coordination.rule import rule_from_text
+from repro.coordination.rule import CoordinationRule, rule_from_text
 from repro.core.node import PeerNode
 from repro.core.update import fragment_for, join_fragments, maintain_fragment
 from repro.database.database import LocalDatabase
 from repro.database.parser import parse_query
+from repro.database.query import Atom, Constant, Variable
 from repro.database.relation import Relation
 from repro.database.schema import DatabaseSchema, RelationSchema
 from repro.network.transport import SyncTransport
@@ -132,9 +134,11 @@ class TestEvaluateFragment:
     def test_rule_reinstalled_with_another_body_recomputes(self, node, calls):
         rule = rule_from_text("out", JOIN)
         maintain_fragment(node, rule)
+        plan = rule.body_query_for("b").derived["plan"]
         replaced = rule_from_text("out", "b: r(X, Y) -> a: h(X, Y)")
         assert maintain_fragment(node, replaced).rows == {("1", "2"), ("2", "3")}
         assert calls == ["fragment_for", "fragment_for"]
+        assert replaced.body_query_for("b").derived["plan"] is not plan
 
     def test_rules_with_one_body_share_one_fragment(self, node, calls):
         # One body exported twice, to different heads at different peers.
@@ -201,11 +205,14 @@ class TestCachesOnFrozenDataclasses:
         clone = pickle.loads(pickle.dumps(warm))
         assert clone == warm
         assert set(vars(clone)) == {"rule_id", "target", "head", "body", "comparisons"}
-        # ... and the clone rebuilds what it needs.
+        # ... and the clone rebuilds what it needs; in one process it interns
+        # to the very same body queries and join shape.
         assert clone.sources == ("b", "c")
         assert join_fragments(clone, {"b": {("1", "k")}, "c": {("k", "9")}}) == {
             ("1", "9")
         }
+        assert clone.body_query_for("b") is warm.body_query_for("b")
+        assert clone.derived["join"] is warm.derived["join"]
         query = warm.body_query_for("b")
         assert set(vars(pickle.loads(pickle.dumps(query)))) == {
             "head",
@@ -217,6 +224,85 @@ class TestCachesOnFrozenDataclasses:
         rule = self.warmed_rule()
         assert rule.body_query_for("b") is rule.body_query_for("b")
         assert rule.query is rule.query
+
+
+class TestOneCompilationPerShape:
+    def test_equal_bodies_at_different_peers_share_one_plan(self, node):
+        first = rule_from_text("to_a", "b: r(X, Y), s(Y, Z) -> a: h(X, Z)")
+        second = rule_from_text("to_c", "d: r(X, Y), s(Y, Z) -> c: g(Z)")
+        other = rule_from_text("to_e", "b: r(X, Y), s(Y, W) -> e: h(X, W)")
+        query = first.body_query_for("b")
+        assert second.body_query_for("d") is query
+        assert other.body_query_for("b") is not query
+        elsewhere = node.database.copy()
+        elsewhere.insert("s", ("3", "4"))
+        assert fragment_for(node.database, first, "b") == {("1", "2", "9")}
+        plan = query.derived["plan"]
+        assert fragment_for(elsewhere, second, "d") == {
+            ("1", "2", "9"),
+            ("2", "3", "4"),
+        }
+        assert second.body_query_for("d").derived["plan"] is plan
+        # ... and one fragment key, its repr built once.
+        assert update_module.fragment_body(first, "b") is update_module.fragment_body(
+            second, "d"
+        )
+
+    def test_one_join_shape_maps_positions_to_each_rules_nodes(self):
+        first = rule_from_text("r1", "b: p(X, Y), c: q(Y, Z) -> a: h(X, Z)")
+        second = rule_from_text("r2", "d: p(X, Y), e: q(Y, Z) -> f: g(X, Z)")
+        left, right = {("1", "k"), ("2", "j")}, {("k", "9")}
+        assert join_fragments(first, {"b": left, "c": right}) == {("1", "9")}
+        assert join_fragments(
+            second, {"d": left, "e": right}, delta_source="e", delta_rows=right
+        ) == {("1", "9")}
+        assert first.derived["join"] is second.derived["join"]
+
+    def test_dropping_every_rule_frees_the_interned_query(self):
+        text = "b: late(X, Y), late(Y, X) -> a: h(X)"
+        gc.collect()
+        gc.disable()
+        try:
+            rules = [rule_from_text("one", text), rule_from_text("two", text)]
+            query = rules[0].body_query_for("b")
+            assert rules[1].body_query_for("b") is query
+            join_fragments(rules[0], {"b": {("1", "1")}})
+            update_module.fragment_body(rules[1], "b")
+            entries = len(rule_module._BODY_QUERIES), len(update_module._JOIN_SHAPES)
+            alive = weakref.ref(query), weakref.ref(rules[0].derived["join"])
+            del query, rules
+            assert [ref() for ref in alive] == [None, None]
+            assert len(rule_module._BODY_QUERIES) == entries[0] - 1
+            assert len(update_module._JOIN_SHAPES) == entries[1] - 1
+        finally:
+            gc.enable()
+
+    def test_constants_are_told_apart_by_type(self):
+        x = Variable("X")
+
+        def rule(rule_id, value):
+            body = [("b", Atom("r", [x, Constant(value)]))]
+            return CoordinationRule(rule_id, "a", Atom("h", [x]), body)
+
+        one, true = rule("one", 1), rule("true", True)
+        assert one.body_query_for("b") == true.body_query_for("b")
+        assert one.body_query_for("b") is not true.body_query_for("b")
+        assert rule("again", 1).body_query_for("b") is one.body_query_for("b")
+
+    def test_heads_emit_their_own_constants(self):
+        database = LocalDatabase(DatabaseSchema([RelationSchema("r", ["x", "y"])]))
+        x = Variable("X")
+        by_one = Atom("r", [x, Constant(1)])
+        by_true = Atom("r", [x, Constant(True)])
+        assert by_one == by_true
+        assert database.apply_view_tuples("one", by_one, (x,), [("a",)]) == {("a", 1)}
+        assert database.apply_view_tuples("true", by_true, (x,), [("b",)]) == {
+            ("b", True)
+        }
+        # The same rule id presented with the other (equal) head.
+        database.apply_view_tuples("one", by_true, (x,), [("c",)])
+        rows = {repr(row) for row in database.relation("r")}
+        assert rows == {"('a', 1)", "('b', True)", "('c', True)"}
 
 
 class TestSessionLifetime:
