@@ -11,8 +11,9 @@ insert-only), the p50/p95 request latencies, and that admission control
 turned overload into typed rejections rather than errors — no 5xx under a
 fault-free run is part of the serving contract (``docs/serving.md``).
 
-``python -m repro run E12`` runs the sweep with small defaults;
-``benchmarks/bench_serve.py`` drives the same machinery at benchmark scale.
+``python -m repro run E12`` runs the sweep with small defaults; the
+``serve_mixed`` workload of ``benchmarks/perf`` measures a served tenant
+under closed-loop load.
 """
 
 from __future__ import annotations

@@ -312,6 +312,12 @@ class ShardHost:
                 conn, _peer = self._listener.accept()
             except OSError:
                 break  # listener closed by close()
+            try:
+                # Replies are small frames too: no Nagle on this end either.
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            except OSError:  # the coordinator reset before it was served
+                conn.close()
+                continue
             self._conn = conn
             try:
                 self._serve_connection(conn)
@@ -516,6 +522,9 @@ class _HostLink:
         # blocking forever.  Idle reads between frames are tolerated in
         # _read_loop — a warm pool legitimately sits quiet between runs.
         self._sock.settimeout(_WORKER_TIMEOUT)
+        # Frames are requests awaiting replies: send each at once rather
+        # than hold a small one back for the peer's delayed ACK (Nagle).
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._writer = _FrameWriter(self._sock, max_frame)
         self.alive = True
         _log.debug("connected to shard host %s", address)

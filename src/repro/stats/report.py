@@ -3,7 +3,7 @@
 The experiment harness prints the same kind of rows the paper reports
 (messages and execution time per topology / depth / distribution).  These
 helpers keep the formatting in one place and depend on nothing but the
-standard library, so benchmark output stays readable under pytest-benchmark.
+standard library.
 """
 
 from __future__ import annotations

@@ -171,8 +171,13 @@ class TestSeparationUnderChange:
 
 
 class TestExperimentLevelTheorems:
-    def test_theorem2_experiment(self):
-        result = run_dynamic_changes(records_per_node=8, depth=2)
+    @pytest.mark.parametrize(
+        "churn",
+        [{}, {"deletions": 4, "steps_between": 3}],
+        ids=["default", "longer-change-tighter-interleaving"],
+    )
+    def test_theorem2_experiment(self, churn):
+        result = run_dynamic_changes(records_per_node=8, depth=2, **churn)
         assert result.theorem2_holds
 
     def test_theorem3_experiment(self):
@@ -181,3 +186,10 @@ class TestExperimentLevelTheorems:
         assert all(
             [result.separated, result.a_terminated, result.a_matches_isolated_run]
         )
+
+    def test_churn_in_b_does_not_change_the_work_inside_a(self):
+        light, heavy = (
+            run_separation(records_per_node=6, clique_size=3, churn_rounds=rounds)
+            for rounds in (2, 8)
+        )
+        assert light.messages_within_a == heavy.messages_within_a

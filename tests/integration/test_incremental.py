@@ -78,7 +78,7 @@ def _insert_one_row(system):
     return node_id, relation, row
 
 
-def _insert_feeding_row(system):
+def _insert_feeding_row(system, tag="delta"):
     """Insert one fresh row guaranteed to have downstream consequences.
 
     Picks the first single-atom-body coordination rule (a plain copy rule,
@@ -92,7 +92,7 @@ def _insert_feeding_row(system):
         if len(rule.body) == 1
     )
     exporter, atom = rule.body[0]
-    row = tuple(f"delta{i}" for i in range(len(atom.terms)))
+    row = tuple(f"{tag}{i}" for i in range(len(atom.terms)))
     system.node(exporter).database.relation(atom.relation).insert(row)
     return exporter, atom.relation, row
 
@@ -200,6 +200,20 @@ class TestIncrementalWork:
                 for rows in relations.values()
             )
             assert rows_after >= rows_before + 1 + derived
+
+    @pytest.mark.slow
+    def test_every_warm_insert_seeds_one_row_at_511_nodes(self):
+        spec = ScenarioSpec.from_topology(
+            tree_topology(8, 2), records_per_node=3, seed=0
+        ).with_(transport="pooled", shards=2)
+        with Session.from_spec(spec, capture_deltas=False) as session:
+            session.run("update")
+            for rounds in range(1, 4):
+                _insert_feeding_row(session.system, f"delta{rounds}-")
+                assert session.run("update").engine == "pooled"
+                totals = session.system.stats.incremental_totals()
+                assert totals["repro_incremental_seed_rows_total"] == rounds
+                assert totals["repro_incremental_rows_derived_total"] >= rounds
 
     def test_warm_noop_repeat_is_message_free(self):
         spec = ScenarioSpec.from_topology(

@@ -6,6 +6,7 @@ the ``lint`` CLI front end.  The code reference lives in docs/analysis.md.
 """
 
 import time
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +20,7 @@ from repro.analysis import (
 )
 from repro.api.session import Session, preflight_enabled, set_default_preflight
 from repro.api.spec import ScenarioSpec
-from repro.cli import main
+from repro.cli import lint_scenarios, main
 from repro.coordination.rule import rule_from_text
 from repro.database.schema import DatabaseSchema, RelationSchema
 from repro.errors import ReproError
@@ -446,6 +447,12 @@ class TestLintCli:
         )
         assert main(["lint", str(path)]) == 1
         assert "latency=" in capsys.readouterr().err
+
+    def test_the_shipped_example_scenarios_lint_clean_under_strict(self, capsys):
+        examples = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
+        scenarios = sorted(str(path) for path in examples.glob("*.json"))
+        assert len(scenarios) == 3
+        assert lint_scenarios(scenarios, strict=True) == 0
 
     def test_lint_unreadable_file_fails_without_crashing(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

@@ -109,6 +109,14 @@ class TestApplyViewTuples:
         assert name == "ada"
         assert is_null(city)
 
+    def test_every_answer_gets_its_own_null(self, db):
+        head = parse_atom("person(X, C)")
+        answers = {(f"p{index}",) for index in range(200)}
+        inserted = db.apply_view_tuples("r", head, (Variable("X"),), answers)
+        assert {(name,) for name, _city in inserted} == answers
+        assert len({city for _name, city in inserted}) == len(answers)
+        assert all(is_null(city) for _name, city in inserted)
+
     def test_existential_null_is_deterministic(self, db):
         head = parse_atom("person(X, C)")
         db.apply_view_tuples("r", head, (Variable("X"),), {("ada",)})

@@ -181,6 +181,59 @@ class TestShardHost:
             link.close()
             server.close()
 
+    def test_both_ends_of_a_host_link_disable_nagle(self):
+        import queue
+        import time
+
+        from repro.sharding.sockets import _HostLink
+
+        def nodelay(sock):
+            return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+        with ShardHost().start() as host:
+            link = _HostLink(
+                f"127.0.0.1:{host.port}", queue.Queue(), lambda *args: None, 1 << 20
+            )
+            try:
+                deadline = time.monotonic() + 5.0
+                while host._conn is None and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert nodelay(link._sock) != 0
+                assert nodelay(host._conn) != 0
+            finally:
+                link.close()
+
+    def test_a_coordinator_reset_before_it_is_served_keeps_the_host_alive(self):
+        # Setting an option on a connection the peer already reset can fail
+        # (EINVAL on some platforms); the host drops it and accepts the next.
+        class ResetConnection:
+            closed = False
+
+            def setsockopt(self, *args):
+                raise OSError(22, "Invalid argument")
+
+            def close(self):
+                self.closed = True
+
+        reset = ResetConnection()
+        host = ShardHost()
+        listener = host._listener
+        pending = [(reset, None)]
+
+        class Listener:
+            def accept(self):
+                return pending.pop() if pending else listener.accept()
+
+            def close(self):
+                listener.close()
+
+        host._listener = Listener()
+        with host.start():
+            with socket.create_connection(host.address, timeout=5.0) as conn:
+                _FrameWriter(conn, host.max_frame).send(("bogus",))
+                assert recv_frame(conn)[0] == "error"
+        assert reset.closed
+
     def test_error_reply_to_a_vanished_coordinator_keeps_the_host_alive(self):
         # A client that sends garbage and disconnects before the error reply
         # can land must not take the host process down with a failed write.

@@ -42,6 +42,16 @@ class TestSyncTransport:
         completion = transport.run()
         assert completion == 2.0
 
+    def test_many_concurrent_messages_all_arrive_after_one_hop(self):
+        transport = SyncTransport()
+        received = []
+        transport.register("A", lambda m: None)
+        transport.register("B", received.append)
+        for _ in range(2000):
+            transport.send(make_message("A", "B", {"k": 1}))
+        assert transport.run() == 1.0
+        assert len(received) == 2000
+
     def test_handlers_can_send_more_messages(self):
         transport = SyncTransport()
         log = []

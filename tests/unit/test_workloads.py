@@ -3,6 +3,8 @@
 import pytest
 
 from repro.coordination.depgraph import DependencyGraph
+from repro.database.database import LocalDatabase
+from repro.database.parser import parse_query
 from repro.errors import ReproError
 from repro.workloads.dblp import (
     SCHEMA_VARIANTS,
@@ -60,6 +62,32 @@ class TestSchemaVariants:
         for relation_name, relation_rows in rows.items():
             arity = schema.get(relation_name).arity
             assert all(len(row) == arity for row in relation_rows)
+
+    @pytest.mark.parametrize(
+        "query, row, where",
+        [
+            (
+                "q(K, TI, AU, YR, VE) :- work(K, TI), venue_of(K, VE, YR), "
+                "author_of(K, AU)",
+                lambda record: record.as_tuple(),
+                lambda record: True,
+            ),
+            (
+                "q(K, TI) :- work(K, TI), venue_of(K, VE, YR), YR >= 2000",
+                lambda record: (record.key, record.title),
+                lambda record: record.year >= 2000,
+            ),
+        ],
+        ids=["three-way-join", "join-with-builtin"],
+    )
+    def test_normalised_rows_join_back_into_records(self, query, row, where):
+        records = DblpGenerator(seed=1).generate(100)
+        db = LocalDatabase(schema_for_variant("norm"))
+        for relation, rows in rows_for_variant(records, "norm").items():
+            db.insert_many(relation, rows)
+        expected = {row(record) for record in records if where(record)}
+        assert expected
+        assert db.query(parse_query(query)) == expected
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ReproError):
