@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import signal
 import threading
 from typing import Iterable
 
@@ -227,10 +228,23 @@ async def run_server(
 
 
 def serve_forever(config: ServerConfig) -> None:
-    """Blocking entry point of ``python -m repro.serve``."""
+    """Blocking entry point of ``python -m repro.serve``.
+
+    SIGTERM stops the server as Ctrl-C does: the listener closes and every
+    tenant drains, so no pool worker or fork server outlives the process.
+    """
     app = ServeApp(config)
+
+    async def until_terminated() -> None:
+        stop = asyncio.Event()
+        try:
+            asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, stop.set)
+        except NotImplementedError:  # pragma: no cover - Windows event loops
+            pass  # Ctrl-C still drains the tenants
+        await run_server(app, stop=stop)
+
     try:
-        asyncio.run(run_server(app))
+        asyncio.run(until_terminated())
     except KeyboardInterrupt:
         log.info("interrupted; draining tenants")
 

@@ -34,12 +34,17 @@ as peers' data shifts.  So the workers are *persistent* (the loop in
   modules once, so a worker costs a fork and an unpickle, not an interpreter
   boot and a re-import of the package.
 
-Quiescence uses the classic cumulative-counter double check: the coordinator
-pings every worker for ``(cross-sent per shard, cross-received, delivered)``;
-when two consecutive rounds report identical counters, every worker idle, and
-``sent == received`` for every shard, no message can still be in flight (a
-straggler would leave some shard's ``sent`` above its ``received``), so the
-network is quiescent.
+Quiescence is event-driven.  Each worker counts ``(cross-sent per shard,
+cross-received, delivered)`` and, whenever it runs out of work after a
+``start`` or a cross-shard message, reports those counters unasked.  Once
+every shard's latest report is idle and balanced (``sent == received`` for
+every shard), the coordinator pings every worker once; if each reply equals
+the report it confirms, nobody moved between the two and nothing is in
+flight, so the network is quiescent (Mattern's four-counter check).  The
+coordinator blocks on the results queue throughout — no sleep, no polling.
+It replaced rounds of pings with a 2 ms back-off between failed rounds: on a
+warm one-row insert into the 63-node tree the barrier went from 2–3 rounds
+and 5.9 ms to one confirming round after two reports and 1.3 ms.
 
 Per-run accounting: each worker resets its delivery/cross-shard counters and
 statistics after every ``collect``, so a warm run reports the same per-run
@@ -80,8 +85,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
 #: Seconds the coordinator waits for a worker to come up / answer before the
 #: run is declared stuck.  Generous: the first pool of a process boots the
 #: fork server, and on the spawn fallback every worker re-imports the package.
-#: This is a *stall* bound, not a run budget — the quiescence loop resets it
-#: whenever the counters show progress, so long phases are fine as long as
+#: This is a *stall* bound, not a run budget — the quiescence barrier resets
+#: it whenever the counters show progress, so long phases are fine as long as
 #: deliveries keep happening.
 _WORKER_TIMEOUT = 120.0
 
@@ -270,6 +275,9 @@ class ShardPool:
         #: (the null injector keeps every hook a no-op on fault-free runs).
         self.injector = injector
         self._max_messages = worlds[0].max_messages if worlds else 1_000_000
+        #: The last confirming wave's generation, monotone over the pool's
+        #: life so no run can mistake a reply from an earlier one.
+        self._generation = 0
         #: Set by :meth:`spawn`: marks need the system the worlds came from.
         self._mirror: WorldMirror | None = None
         self._results: Any = None
@@ -351,97 +359,136 @@ class ShardPool:
 
     # ---------------------------------------------------------------- awaits
 
+    def _next_reply(self, deadline: float, outstanding: Iterable[int]) -> tuple | None:
+        """The next item on the results queue, or None after an idle second.
+
+        An ``error`` item raises; so does a dead channel among the shards
+        whose reply is still ``outstanding`` once a second passes with no
+        item (a worker that already answered may be gone legitimately).
+        ``deadline`` only caps the wait — the caller decides what running
+        out of time means.
+        """
+        try:
+            item = self._results.get(
+                timeout=max(0.0, min(deadline - time.monotonic(), 1.0))
+            )
+        except queue_module.Empty:
+            for shard in outstanding:
+                channel = self._channels[shard]
+                if not channel.alive:
+                    raise NetworkError(
+                        f"shard {shard} worker died unexpectedly ({channel.reason})"
+                    ) from None
+            return None
+        if item[0] == "error":
+            raise NetworkError(f"shard {item[1]} worker failed:\n{item[2]}")
+        return item
+
     def _await_replies(self, kind: str) -> dict[int, object]:
         """Collect one ``kind`` reply per shard (raising on errors and crashes)."""
         collected: dict[int, object] = {}
         deadline = time.monotonic() + _WORKER_TIMEOUT
         while len(collected) < self.shard_count:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
+            if time.monotonic() >= deadline:
                 raise NetworkError(
                     f"timed out waiting for {self.shard_count - len(collected)} "
                     f"shard worker(s) to report {kind!r}"
                 )
-            try:
-                item = self._results.get(timeout=min(remaining, 1.0))
-            except queue_module.Empty:
-                # A worker that already answered may be gone legitimately;
-                # only a dead channel whose reply is still outstanding is a
-                # crash.
-                for shard, channel in enumerate(self._channels):
-                    if shard not in collected and not channel.alive:
-                        raise NetworkError(
-                            f"shard {shard} worker died unexpectedly "
-                            f"({channel.reason})"
-                        ) from None
-                continue
-            if item[0] == "error":
-                raise NetworkError(f"shard {item[1]} worker failed:\n{item[2]}")
-            if item[0] == kind:
+            item = self._next_reply(
+                deadline,
+                [shard for shard in range(self.shard_count) if shard not in collected],
+            )
+            if item is not None and item[0] == kind:
                 collected[item[1]] = item[2] if len(item) > 2 else None
         return collected
 
-    def _quiescence_rounds(self) -> int:
-        """Ping workers until two identical, balanced, all-idle rounds agree.
+    def _await_quiescence(self) -> tuple[int, int]:
+        """Block until the workers' idle reports are confirmed by one ping wave.
 
-        Counters are cumulative, so if round ``g`` equals round ``g-1`` with
-        every worker idle (empty local queue at reply time) and every shard's
-        received count matching the sum everyone sent to it, no delivery
-        happened between the rounds and nothing is in flight — the
-        distributed double check.
+        A worker reports its cumulative counters, unasked, each time it
+        runs out of work after a ``start`` or a ``msg``; the coordinator
+        keeps each shard's latest report.  Once every shard's latest status
+        is idle and *balanced* — each shard has received exactly what the
+        others say they sent it — it pings every worker once.  If every
+        reply equals the status it confirms, no shard sent, received or
+        delivered anything in between, so at the moment the wave started
+        every worker was idle and nothing was in flight: quiescence
+        (Mattern's four-counter check, the reports being the first wave).
+        Otherwise traffic moved; the replies join the latest statuses and
+        the coordinator keeps reading.  Replies carry their wave's
+        generation, so a reply to an earlier wave is dropped.
 
-        The stall deadline restarts whenever the counters move: a long phase
-        that keeps delivering is healthy however many rounds it takes; only
-        ``_WORKER_TIMEOUT`` seconds with *no* progress at all is a failure.
+        The stall deadline restarts whenever the delivery counts move: a
+        long phase that keeps delivering is healthy however long it takes;
+        only ``_WORKER_TIMEOUT`` seconds with *no* progress is a failure.
 
-        Returns the number of ping rounds it took to certify quiescence (the
-        "quiescence" span reports it as its ``rounds`` attribute).
+        Returns ``(rounds, reports)``: the confirming waves sent and the
+        unsolicited idle reports consumed (the "quiescence" span's
+        attributes).
         """
-        previous = None
-        last_progress = None
-        generation = 0
+        latest: dict[int, dict] = {}
+        # The statuses the outstanding wave must see again, or None.
+        confirming: dict[int, dict] | None = None
+        replies: dict[int, dict] = {}
+        rounds = reports = 0
+        progress = None
         deadline = time.monotonic() + _WORKER_TIMEOUT
         while True:
-            if time.monotonic() > deadline:
+            if time.monotonic() >= deadline:
                 raise NetworkError(
                     "the run stalled: no delivery progress for "
                     f"{_WORKER_TIMEOUT:.0f}s without reaching quiescence"
                 )
-            generation += 1
-            for channel in self._channels:
-                channel.put(("ping", generation))
-            replies = self._await_replies("status")
-            statuses = [replies[shard] for shard in sorted(replies)]
-            if sum(status["delivered"] for status in statuses) > self._max_messages:
+            item = self._next_reply(deadline, range(self.shard_count))
+            if item is None or item[0] != "status":
+                continue
+            _kind, shard, status, generation = item
+            if generation is None:
+                reports += 1
+            elif confirming is None or generation != self._generation:
+                continue  # a reply to a wave that was already decided
+            else:
+                replies[shard] = status
+            latest[shard] = status
+            delivered = sum(each["delivered"] for each in latest.values())
+            if delivered > self._max_messages:
                 raise NetworkError(
                     f"exceeded {self._max_messages} deliveries across shards; "
                     "the protocol does not appear to terminate"
                 )
-            all_idle = all(status["idle"] for status in statuses)
-            balanced = all(
-                sum(status["sent"][shard] for status in statuses)
-                == statuses[shard]["received"]
-                for shard in range(self.shard_count)
-            )
-            fingerprint = tuple(
-                (status["sent"], status["received"], status["delivered"])
-                for status in statuses
-            )
-            progress = tuple(status["delivered"] for status in statuses)
-            if progress != last_progress:
-                last_progress = progress
+            if delivered != progress:
+                progress = delivered
                 deadline = time.monotonic() + _WORKER_TIMEOUT
-            if all_idle and balanced and fingerprint == previous:
-                _log.debug(
-                    "quiescence certified after %d round(s), %d delivered",
-                    generation,
-                    sum(progress),
-                )
-                return generation
-            previous = fingerprint if (all_idle and balanced) else None
-            # A failed check means traffic is still moving; yield briefly so
-            # workers get scheduled before the next round.
-            time.sleep(0.002)
+            if confirming is not None:
+                if len(replies) < self.shard_count:
+                    continue
+                if replies == confirming:
+                    _log.debug(
+                        "quiescence certified after %d round(s) and %d "
+                        "report(s), %d delivered",
+                        rounds,
+                        reports,
+                        delivered,
+                    )
+                    return rounds, reports
+                confirming = None
+            if len(latest) == self.shard_count and self._settled(latest):
+                rounds += 1
+                self._generation += 1
+                confirming, replies = dict(latest), {}
+                for channel in self._channels:
+                    channel.put(("ping", self._generation))
+
+    @staticmethod
+    def _settled(statuses: dict[int, dict]) -> bool:
+        """Every shard idle, and each received exactly what was sent to it."""
+        if not all(status["idle"] for status in statuses.values()):
+            return False
+        return all(
+            sum(status["sent"][shard] for status in statuses.values())
+            == statuses[shard]["received"]
+            for shard in statuses
+        )
 
     # --------------------------------------------------------------- re-plan
 
@@ -510,7 +557,8 @@ class ShardPool:
                 channel.put(start)
             self.injector.fire("chase", self)
             with tracer.span("quiescence") as quiescence_span:
-                quiescence_span.set(rounds=self._quiescence_rounds())
+                rounds, reports = self._await_quiescence()
+                quiescence_span.set(rounds=rounds, reports=reports)
             self.injector.fire("quiescence", self)
             with tracer.span("collect"):
                 for channel in self._channels:

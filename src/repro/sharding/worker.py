@@ -237,11 +237,12 @@ class _WorkerTransport(BaseTransport):
             self._deliver(message, self.clock)
 
     def status(self) -> dict:
-        """The cumulative counters the quiescence rounds compare.
+        """The cumulative counters the quiescence barrier compares.
 
-        ``idle`` reports whether the local queue was empty at reply time —
-        required for quiescence, because with batched drains a worker can
-        answer a ping while deliveries are still pending locally.
+        ``idle`` reports whether the local queue was empty when the status
+        was taken — always true in an unsolicited report, but with batched
+        drains a worker can answer a ping while deliveries are still pending
+        locally.
         """
         return {
             "idle": not self._queue,
@@ -369,17 +370,25 @@ def shard_worker_loop(world: ShardWorld, outboxes: list, results) -> None:
     own entry is its inbox); replies go to ``results``.  Control and data
     share the single inbox, so the loop is fully event-driven: ``start``
     kicks the phase off at the owned origins, ``msg`` is a cross-shard
-    delivery, ``ping`` answers a quiescence round (with an ``idle`` flag
-    saying whether the local queue was empty), ``sync`` applies a
+    delivery, ``ping`` answers the coordinator's confirming wave with the
+    worker's counters and the ping's generation, ``sync`` applies a
     coordinator :class:`~repro.coordination.changeset.Change` between runs,
     ``collect`` ships home what the shard gained since its last collect
     (:func:`_worker_payload`) *without* exiting, resetting the per-run
     counters so the next run starts from a clean ledger, and ``stop`` ends
-    the worker.  Commands are FIFO per worker, so
-    a ``sync`` queued before a ``start`` is always applied before the phase
-    begins.  Local deliveries run in bounded batches between inbox polls, so
-    pings are answered promptly however long the local chain is — the
-    coordinator can always tell a busy shard from a stalled one.
+    the worker.  Commands are FIFO per worker, so a ``sync`` queued before
+    a ``start`` is always applied before the phase begins.  Local
+    deliveries run in bounded batches between inbox polls, so pings are
+    answered promptly however long the local chain is — the coordinator
+    can always tell a busy shard from a stalled one.
+
+    Quiescence is reported, not polled for: after a ``start`` or a ``msg``,
+    the first time the local queue and the inbox are both empty the worker
+    puts ``("status", shard, counters, None)`` on ``results`` and only then
+    blocks.  The coordinator pings once every shard's latest report is idle
+    and balanced, and certifies when every reply repeats its report — on a
+    warm one-row insert, one wave after two reports, where rounds of pings
+    with a 2 ms back-off took 2–3 rounds.
 
     Every ``sync`` change is also folded into the worker's pending
     :class:`~repro.coordination.changeset.Change` (with ``union``), which an
@@ -425,6 +434,9 @@ def shard_worker_loop(world: ShardWorld, outboxes: list, results) -> None:
         # appears, closed when the queue drains and the worker blocks again.
         chase_span = None
         delivered_mark = 0
+        # Set by a ``start`` or a ``msg``: the worker owes the coordinator an
+        # idle report once its local queue and its inbox are both empty.
+        report_due = False
         while True:
             if transport.has_local_work:
                 if chase_span is None and tracer.enabled:
@@ -441,9 +453,13 @@ def shard_worker_loop(world: ShardWorld, outboxes: list, results) -> None:
                         chase_span, delivered=transport.delivered - delivered_mark
                     )
                     chase_span = None
+                if report_due and inbox.empty():
+                    results.put(("status", world.shard_index, transport.status(), None))
+                    report_due = False
                 item = inbox.get()
             kind = item[0]
             if kind == "start":
+                report_due = True
                 if transport.fault_injector is not None:
                     transport.fault_injector.start_run()
                 _kind, phase, origins, mode = item
@@ -461,11 +477,11 @@ def shard_worker_loop(world: ShardWorld, outboxes: list, results) -> None:
                     _start_worker_phase(system, world, phase, origins)
             elif kind == "msg":
                 transport.receive_cross(item[1], item[2])
+                report_due = True
             elif kind == "ping":
-                # Pings are lockstep (the coordinator sends the next round
-                # only after every shard answered), so the reply does not
-                # need to echo the generation in item[1].
-                results.put(("status", world.shard_index, transport.status()))
+                # The echoed generation lets the coordinator drop replies
+                # to a wave it no longer waits for.
+                results.put(("status", world.shard_index, transport.status(), item[1]))
             elif kind == "sync":
                 with tracer.span("sync", shard=world.shard_index):
                     item[1].apply(system)

@@ -10,7 +10,14 @@ overload rejects typed 429s instead of hanging.
 """
 
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +25,7 @@ from repro.api.session import Session
 from repro.api.spec import ScenarioSpec
 from repro.experiments import serving
 from repro.serve import ServeClient, ServeError, ServerConfig, ServerHandle
+from repro.sharding.pool import package_pythonpath
 from repro.workloads.scenarios import (
     paper_example_data,
     paper_example_rules,
@@ -203,3 +211,67 @@ class TestServingExperiment:
         table = serving.main(records_per_node=2, clients=2, operations=1)
         assert "E12" in table
         assert "incremental" in table
+
+
+def session_members(session_id: int) -> list[int]:
+    """Live (non-zombie) processes whose session is ``session_id``."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path("/proc", entry, "stat").read_text()
+        except OSError:
+            continue  # exited while we were listing
+        state, _ppid, _pgrp, session = stat.rsplit(")", 1)[1].split()[:4]
+        if int(session) == session_id and state != "Z":
+            members.append(int(entry))
+    return members
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/stat"), reason="reads process sessions from /proc"
+)
+def test_sigterm_drains_the_tenants_and_leaves_no_process(tmp_path):
+    """``python -m repro serve`` stopped with SIGTERM takes its pool with it."""
+    (tmp_path / "paper.json").write_text(paper_spec().dump_json())
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--bind", f"127.0.0.1:{port}"]
+        + ["--tenants", str(tmp_path), "--preload", "paper"],
+        env=dict(
+            os.environ, PYTHONPATH=package_pythonpath(os.environ.get("PYTHONPATH"))
+        ),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        start_new_session=True,
+    )
+    try:
+        client = ServeClient("127.0.0.1", port, timeout=10.0)
+        deadline = time.monotonic() + 60.0
+        while True:
+            try:
+                health = client.healthz()
+                break
+            except OSError:
+                assert server.poll() is None, "the server exited during boot"
+                assert time.monotonic() < deadline, "the server never came up"
+                time.sleep(0.1)
+        client.close()
+        assert health["tenants"].get("ready") == 1
+        # The server, the fork server and the tenant's pool workers.
+        assert len(session_members(server.pid)) > 2
+        server.send_signal(signal.SIGTERM)
+        assert server.wait(timeout=30.0) == 0
+        deadline = time.monotonic() + 10.0
+        while session_members(server.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert session_members(server.pid) == []
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait()
+        for pid in session_members(server.pid):
+            os.kill(pid, signal.SIGKILL)

@@ -7,6 +7,10 @@ home in ``collect`` — however large the world has grown, and merging them
 neither clears a coordinator relation nor drops one of its indexes.  Before
 the boundary moved to cursors every run shipped ~150 KB of relations home
 and re-inserted all ~6 300 rows; the payload grew with every insert.
+
+The quiescence barrier is bounded the same way: each warm run certifies
+with one confirming ping wave, after the workers' unsolicited idle reports.
+Polled rounds with a back-off between them took 2–3 rounds per insert.
 """
 
 import pickle
@@ -128,3 +132,33 @@ def test_a_delete_still_rewrites_the_relation_both_ways(warm):
     session.run("update")
     assert boundary.modes[-1] == "incremental"
     assert not any(whole for whole, _rows in boundary.shipped_home)
+
+
+@pytest.fixture(scope="module")
+def traced():
+    spec = ScenarioSpec.from_topology(
+        tree_topology(5, 2), records_per_node=10, seed=0
+    ).with_(transport="pooled", shards=2)
+    with Session.from_spec(spec, trace=True) as session:
+        session.run("update")
+        yield session
+
+
+def test_every_warm_run_certifies_quiescence_in_one_round(traced):
+    session = traced
+    node, relation_name, arity = feeding_site(session.spec)
+    site = session.system.node(node).database.relation(relation_name)
+    shards = session.engine.pool.shard_count
+    for number in range(INSERTS // 4):
+        site.insert(tuple(f"q{number:04d}-{column}" for column in range(arity)))
+        inserted, unchanged = session.run("update"), session.run("update")
+        assert unchanged.tuples_added == 0
+        for result in (inserted, unchanged):
+            [barrier] = [
+                span["attributes"]
+                for span in result.extras["trace"]["spans"]
+                if span["name"] == "quiescence"
+            ]
+            assert barrier["rounds"] == 1
+            # Every worker reports at least once: after its ``start``.
+            assert barrier["reports"] >= shards
