@@ -30,7 +30,7 @@ def timed(label, action):
 
 def main(repeats: int = 3) -> None:
     spec = ScenarioSpec.from_topology(tree_topology(4, 2), records_per_node=3, seed=0)
-    sync_session = Session.from_spec(spec, capture_deltas=False)
+    sync_session = Session.from_spec(spec)
     leaf = sorted(spec.schemas)[-1]
     relation = sorted(spec.data[leaf])[0]
     arity = len(
@@ -46,9 +46,7 @@ def main(repeats: int = 3) -> None:
     )
 
     print(f"pooled engine over {spec.node_count} nodes, 2 worker processes:")
-    with Session.from_spec(
-        spec.with_(transport="pooled", shards=2), capture_deltas=False
-    ) as session:
+    with Session.from_spec(spec.with_(transport="pooled", shards=2)) as session:
         timed("cold first update (spawns pool)", lambda: session.run("update"))
         for round_index in range(repeats):
             rows = [

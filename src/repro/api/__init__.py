@@ -33,7 +33,7 @@ from repro.api.engine import (
     SyncEngine,
     engine_for,
 )
-from repro.api.result import RunResult, diff_snapshots
+from repro.api.result import RunResult
 from repro.api.session import Session, preflight_enabled, set_default_preflight
 from repro.api.spec import NetworkBuilder, ScenarioSpec
 from repro.api.strategies import (
@@ -49,7 +49,6 @@ __all__ = [
     "SyncEngine",
     "engine_for",
     "RunResult",
-    "diff_snapshots",
     "Session",
     "preflight_enabled",
     "set_default_preflight",

@@ -4,9 +4,10 @@ Whatever executes — the distributed protocol on a synchronous or asyncio
 transport, or one of the reference strategies (centralized, acyclic,
 query-time) — a :class:`RunResult` reports the same quantities: the simulated
 completion time, a :class:`~repro.stats.collector.StatsSnapshot`, the final
-per-node relation contents and the per-node relation *deltas* (rows the run
-added).  Experiments, benchmarks and tests can therefore compare strategies
-without knowing how each one executes.
+per-node relation contents and the run's *deltas*: the
+:class:`~repro.coordination.changeset.Change` it made.  Experiments,
+benchmarks and tests can therefore compare strategies without knowing how
+each one executes.
 """
 
 from __future__ import annotations
@@ -14,36 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from repro.coordination.changeset import Change, Snapshot
 from repro.coordination.rule import NodeId
 from repro.core.fixpoint import ground_part
 from repro.database.relation import Row
 from repro.stats.collector import StatsSnapshot
-
-Snapshot = Mapping[NodeId, Mapping[str, frozenset[Row]]]
-
-
-def diff_snapshots(
-    before: Snapshot, after: Snapshot
-) -> dict[NodeId, dict[str, frozenset[Row]]]:
-    """Per-node, per-relation rows present in ``after`` but not in ``before``.
-
-    An unchanged relation hands out the same snapshot object both times
-    (:meth:`repro.database.relation.Relation.rows`) and is skipped unread.
-    """
-    deltas: dict[NodeId, dict[str, frozenset[Row]]] = {}
-    for node_id, relations in after.items():
-        node_before = before.get(node_id, {})
-        node_delta: dict[str, frozenset[Row]] = {}
-        for relation, rows in relations.items():
-            seen = node_before.get(relation, frozenset())
-            if rows is seen:
-                continue
-            added = rows - seen
-            if added:
-                node_delta[relation] = added
-        if node_delta:
-            deltas[node_id] = node_delta
-    return deltas
 
 
 @dataclass(frozen=True)
@@ -53,8 +29,10 @@ class RunResult:
     ``completion_time`` is the simulated clock at quiescence for transport
     runs and ``0.0`` for the reference strategies, which do not exchange
     messages; ``wall_seconds`` is always the measured wall-clock duration.
-    ``extras`` carries strategy-specific metrics (rounds, rule applications,
-    query-time messages, ...).
+    ``deltas`` is the :class:`~repro.coordination.changeset.Change` the run
+    made; under the paper's update semantics a run only adds rows, so it
+    holds ``inserts`` alone.  ``extras`` carries strategy-specific metrics
+    (rounds, rule applications, query-time messages, ...).
     """
 
     phase: str
@@ -64,7 +42,7 @@ class RunResult:
     wall_seconds: float
     stats: StatsSnapshot
     databases: Snapshot
-    deltas: Snapshot
+    deltas: Change
     extras: Mapping[str, object] = field(default_factory=dict)
 
     @property
@@ -75,16 +53,7 @@ class RunResult:
     @property
     def tuples_added(self) -> int:
         """Total number of rows the run added across all nodes."""
-        return sum(
-            len(rows)
-            for relations in self.deltas.values()
-            for rows in relations.values()
-        )
-
-    @property
-    def nodes_changed(self) -> tuple[NodeId, ...]:
-        """The nodes whose databases grew during the run, sorted."""
-        return tuple(sorted(self.deltas))
+        return self.deltas.inserted_rows
 
     def ground_databases(self) -> dict[NodeId, dict[str, frozenset[Row]]]:
         """The final databases restricted to their null-free rows.

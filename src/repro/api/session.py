@@ -34,13 +34,14 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 from repro.analysis.analyzer import analyze
 from repro.analysis.diagnostics import AnalysisReport
 from repro.api.engine import ExecutionEngine, engine_for
-from repro.api.result import RunResult, diff_snapshots
+from repro.api.result import RunResult
 from repro.api.spec import ScenarioSpec
 from repro.api.strategies import get_strategy
+from repro.coordination.changeset import Change, relation_marks
 from repro.coordination.rule import CoordinationRule, NodeId
 from repro.database.parser import parse_query
 from repro.database.query import ConjunctiveQuery
-from repro.database.relation import Row
+from repro.database.relation import Mark, Row
 from repro.database.schema import DatabaseSchema
 from repro.errors import ReproError
 from repro.obs import Tracer
@@ -83,8 +84,6 @@ class Session:
         spec: ScenarioSpec | None = None,
         engine: ExecutionEngine | None = None,
         strategy: str | None = None,
-        capture_deltas: bool = True,
-        cache_strategies: bool = True,
         preflight: AnalysisReport | None = None,
         trace: bool = False,
         tracer: Tracer | None = None,
@@ -102,10 +101,6 @@ class Session:
             if strategy is not None
             else (spec.strategy if spec is not None else "distributed")
         )
-        # Live runs snapshot every database before and after to report the
-        # per-node deltas; timing-sensitive callers that only read the clock
-        # and the statistics can opt out of that copy work.
-        self.capture_deltas = capture_deltas
         # Reference strategies (everything but "distributed") are pure
         # functions of (rules, data, options): their results are memoized so
         # repeated comparisons — E9, parity sweeps — stop recomputing the
@@ -113,7 +108,6 @@ class Session:
         # every relation's contents, so dynamic changes (addLink/deleteLink,
         # any insertion, a distributed run) invalidate stale entries by
         # construction.
-        self.cache_strategies = cache_strategies
         self._strategy_cache: OrderedDict[tuple, RunResult] = OrderedDict()
         self._cache_hits = 0
         self._cache_misses = 0
@@ -161,9 +155,8 @@ class Session:
         :class:`~repro.api.result.RunResult` as
         ``extras["preflight_warnings"]``.  ``check=False`` skips the gate
         (``check=None`` follows the process default, see
-        :func:`set_default_preflight`); ``settings`` (e.g.
-        ``capture_deltas=False``) are forwarded to the :class:`Session`
-        constructor.
+        :func:`set_default_preflight`); ``settings`` (e.g. ``trace=True``)
+        are forwarded to the :class:`Session` constructor.
         """
         if check is None:
             check = _DEFAULT_PREFLIGHT
@@ -181,8 +174,6 @@ class Session:
     #: else goes to the ScenarioSpec.
     _SESSION_SETTINGS = (
         "engine",
-        "capture_deltas",
-        "cache_strategies",
         "check",
         "trace",
         "tracer",
@@ -200,8 +191,8 @@ class Session:
         """Build a session from loose parts (see :meth:`ScenarioSpec.of`).
 
         ``settings`` may mix spec fields (``transport=``, ``super_peer=``,
-        ``strategy=``, ...) with session options (``engine=``,
-        ``capture_deltas=``); each goes to the right constructor.
+        ``strategy=``, ...) with session options (``engine=``, ``trace=``);
+        each goes to the right constructor.
         """
         session_settings = {
             key: settings.pop(key) for key in cls._SESSION_SETTINGS if key in settings
@@ -308,17 +299,12 @@ class Session:
     def _package(
         self,
         phase: str,
-        before: Mapping | None,
+        marks: dict[tuple[NodeId, str], Mark],
         completion: float,
         snapshot: StatsSnapshot,
         started: float,
     ) -> RunResult:
-        if before is None:
-            after: Mapping = {}
-            deltas: Mapping = {}
-        else:
-            after = self.system.databases()
-            deltas = diff_snapshots(before, after)
+        system = self.system
         return self._attach_preflight(
             RunResult(
                 phase=phase,
@@ -327,8 +313,8 @@ class Session:
                 completion_time=completion,
                 wall_seconds=time.perf_counter() - started,
                 stats=snapshot,
-                databases=after,
-                deltas=deltas,
+                databases=system.databases(),
+                deltas=Change.read(system, marks, system.nodes),
             )
         )
 
@@ -356,13 +342,18 @@ class Session:
         initiating nodes (defaults: the super-peer for discovery, every node
         for the update).  On a traced session the run is wrapped in a ``run``
         span and the merged timeline lands on ``result.extras["trace"]``.
+
+        The result's ``deltas`` is :meth:`Change.read
+        <repro.coordination.changeset.Change.read>` over relation marks taken
+        before the engine starts: one ``(relation, removals, len)`` per
+        relation, no copy of any row.
         """
         started = time.perf_counter()
-        before = self.system.databases() if self.capture_deltas else None
+        marks = relation_marks(self.system, self.system.nodes)
         tracer = self.tracer
         if tracer is None:
             completion, snapshot = self.engine.run(self.system, phase, origins)
-            return self._package(phase, before, completion, snapshot, started)
+            return self._package(phase, marks, completion, snapshot, started)
         mark = tracer.mark()
         chase_before = tracer.chase.snapshot()
         with tracer.span("run", phase=phase, engine=self.engine.name) as span:
@@ -372,7 +363,7 @@ class Session:
                 messages=sum(snapshot.messages.by_type.values()),
                 **tracer.chase.delta_attributes(chase_before),
             )
-        result = self._package(phase, before, completion, snapshot, started)
+        result = self._package(phase, marks, completion, snapshot, started)
         return replace(
             result, extras={**result.extras, "trace": tracer.trace(since=mark)}
         )
@@ -436,7 +427,7 @@ class Session:
         live system, so rerunning it is the point); unhashable options (rare
         — e.g. a callable) simply bypass the cache.
         """
-        if not self.cache_strategies or name == "distributed":
+        if name == "distributed":
             return None
         try:
             key = (

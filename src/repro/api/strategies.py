@@ -29,10 +29,11 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Iterable, Protocol, runtime_checkable
 
-from repro.api.result import RunResult, Snapshot, diff_snapshots
+from repro.api.result import RunResult
 from repro.baselines.acyclic import acyclic_update
 from repro.baselines.centralized import centralized_update
 from repro.baselines.querytime import fetch_closure
+from repro.coordination.changeset import Change, Snapshot
 from repro.coordination.rule import NodeId
 from repro.database.parser import parse_query
 from repro.database.query import ConjunctiveQuery
@@ -92,9 +93,9 @@ def _reference_result(
     synthesised per-node statistics record the rows the reference computation
     added on top of it (no messages — reference strategies pay none).
     """
-    deltas = diff_snapshots(before, after)
+    deltas = Change.between(before, after)
     stats = StatisticsCollector()
-    for node_id, relations in deltas.items():
+    for node_id, relations in deltas.inserts.items():
         inserted = sum(len(rows) for rows in relations.values())
         stats.record_update(node_id, received=inserted, inserted=inserted)
     return RunResult(

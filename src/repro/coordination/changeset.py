@@ -1,9 +1,10 @@
 """The one change record and the shared structural digest.
 
 * :class:`Change` is *what changed* in a network, and the one shape every
-  boundary speaks: pool sync and collect (:meth:`Change.read`), a worker's
-  pending syncs (:meth:`Change.union`), the incremental seed, the served
-  update document (:meth:`Change.from_json`) and reconciliation logs
+  boundary speaks: a session run's deltas, pool sync and collect
+  (:meth:`Change.read` over :func:`relation_marks`), a worker's pending
+  syncs (:meth:`Change.union`), the incremental seed, the served update
+  document (:meth:`Change.from_json`) and reconciliation logs
   (:meth:`Change.between`).  It is checked before it mutates anything.
 
 * :class:`StructuralDigest` is the *one* fingerprint of a system's logical
@@ -84,6 +85,22 @@ def _parse_rule(text: object) -> CoordinationRule:
     return rule_from_text(rule_id.strip(), remainder.strip())
 
 
+def relation_marks(
+    system: "P2PSystem", node_ids: Iterable[NodeId]
+) -> dict[tuple[NodeId, str], Mark]:
+    """A :meth:`Relation.mark <repro.database.relation.Relation.mark>` per
+    relation of ``node_ids``: what :meth:`Change.read` later reads beyond.
+
+    Taken when both sides of a boundary (coordinator and worker, or a run's
+    start and end) hold the same rows of each relation.
+    """
+    return {
+        (node_id, relation.name): relation.mark()
+        for node_id in node_ids
+        for relation in system.node(node_id).database.relations()
+    }
+
+
 @dataclass(frozen=True)
 class Change:
     """What changed in a network: the record every boundary ships.
@@ -161,6 +178,8 @@ class Change:
                     replaces.setdefault(node_id, {})[relation.name] = tuple(relation)
                 elif rows:
                     inserts.setdefault(node_id, {})[relation.name] = tuple(rows)
+                else:
+                    continue  # nothing new: the mark still holds
                 marks[key] = relation.mark()
         return cls(inserts=inserts, replaces=replaces, relations=relations)
 

@@ -159,6 +159,8 @@ class Relation:
         grown = len(self._rows) - count
         if relation is not self or removals != self.removals or grown < 0:
             return None
+        if not grown:
+            return []
         fresh = list(self.newest(grown))
         fresh.reverse()
         return fresh

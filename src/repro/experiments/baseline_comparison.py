@@ -84,9 +84,8 @@ def run_baseline_comparison(
     query_text = _query_for_variant(spec.variant_of(query_node))
 
     # The paper's algorithm on the live system: pay messages once, then
-    # answer every subsequent query locally.  Only the statistics are read,
-    # so skip the façade's database-delta snapshots.
-    session = Session.from_spec(scenario, capture_deltas=False)
+    # answer every subsequent query locally.
+    session = Session.from_spec(scenario)
     discovery = session.run("discovery")
     distributed = session.update()
     update_messages = distributed.stats.total_messages - discovery.stats.total_messages

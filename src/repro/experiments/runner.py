@@ -99,10 +99,7 @@ def run_system_update(
     fix-point columns reflect that).
     """
     started = time.perf_counter()
-    # The runner reads the clock and the statistics module, as the paper's
-    # experiments did; skip the façade's delta snapshots so they don't count
-    # against the measured wall time.
-    session = Session.of(system, capture_deltas=False)
+    session = Session.of(system)
 
     discovery_time = 0.0
     discovery_messages = 0

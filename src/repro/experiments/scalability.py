@@ -247,9 +247,7 @@ def run_shard_scalability(
         label = f"{spec.name}/n={spec.node_count}"
 
         started = time.perf_counter()
-        sync_session = Session.from_spec(
-            scenario, capture_deltas=False, tracer=tracer
-        )
+        sync_session = Session.from_spec(scenario, tracer=tracer)
         sync_result = sync_session.run("update")
         sync_wall = time.perf_counter() - started
 
@@ -261,7 +259,6 @@ def run_shard_scalability(
                 hosts=tuple(hosts) if hosts and transport == "socket" else None,
                 faults=faults,
             ),
-            capture_deltas=False,
             tracer=tracer,
         )
         with partitioned_session:
@@ -287,7 +284,6 @@ def run_shard_scalability(
                     cold_walls.append(time.perf_counter() - started)
                 with Session.from_spec(
                     scenario.with_(transport="pooled", shards=shards, faults=faults),
-                    capture_deltas=False,
                     tracer=tracer,
                 ) as pooled_session:
                     started = time.perf_counter()

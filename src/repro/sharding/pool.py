@@ -65,7 +65,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Protocol
 
-from repro.coordination.changeset import Change, rules_fingerprint
+from repro.coordination.changeset import Change, relation_marks, rules_fingerprint
 from repro.coordination.rule import NodeId
 from repro.database.relation import Mark
 from repro.errors import NetworkError, ReproError
@@ -75,7 +75,6 @@ from repro.sharding.planner import ShardPlan, ShardPlanner
 from repro.sharding.worker import (
     ShardWorld,
     _worlds_from_system,
-    relation_marks,
     shard_worker_loop,
 )
 

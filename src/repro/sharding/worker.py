@@ -40,7 +40,7 @@ import traceback
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from repro.coordination.changeset import Change
+from repro.coordination.changeset import Change, relation_marks
 from repro.coordination.rule import CoordinationRule, NodeId
 from repro.database.relation import Mark
 from repro.errors import NetworkError, ReproError
@@ -279,19 +279,6 @@ def _start_worker_phase(
                 system.node(origin).update.start()
             else:  # pragma: no cover - the engine validates the phase
                 raise ReproError(f"unknown phase {phase!r}")
-
-
-def relation_marks(
-    system: P2PSystem, node_ids: Iterable[NodeId]
-) -> dict[tuple[NodeId, str], Mark]:
-    """A :meth:`Relation.mark <repro.database.relation.Relation.mark>` per
-    relation of ``node_ids``, taken when both sides of the coordinator↔worker
-    boundary hold the same rows of it."""
-    return {
-        (node_id, relation.name): relation.mark()
-        for node_id in node_ids
-        for relation in system.node(node_id).database.relations()
-    }
 
 
 def _worker_payload(

@@ -206,7 +206,7 @@ class TestIncrementalWork:
         spec = ScenarioSpec.from_topology(
             tree_topology(8, 2), records_per_node=3, seed=0
         ).with_(transport="pooled", shards=2)
-        with Session.from_spec(spec, capture_deltas=False) as session:
+        with Session.from_spec(spec) as session:
             session.run("update")
             for rounds in range(1, 4):
                 _insert_feeding_row(session.system, f"delta{rounds}-")
@@ -219,7 +219,7 @@ class TestIncrementalWork:
         spec = ScenarioSpec.from_topology(
             tree_topology(2, 2), records_per_node=3, seed=5
         ).with_(transport="pooled", shards=2)
-        with Session.from_spec(spec, capture_deltas=False) as session:
+        with Session.from_spec(spec) as session:
             session.run("discovery")
             session.run("update")
             # Coordinator counters are cumulative across runs (like the

@@ -92,9 +92,7 @@ class TestMultiprocParity:
         spec = ScenarioSpec.from_topology(
             tree_topology(3, 2), records_per_node=3, seed=0
         )
-        session = Session.from_spec(
-            spec.with_(transport="multiproc", shards=4), capture_deltas=False
-        )
+        session = Session.from_spec(spec.with_(transport="multiproc", shards=4))
         result = session.run("update")
 
         plan = session.system.transport.plan

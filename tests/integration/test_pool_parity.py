@@ -167,7 +167,7 @@ class TestPooledParity:
         spec = ScenarioSpec.from_topology(
             tree_topology(2, 2), records_per_node=3, seed=0
         ).with_(transport="pooled", shards=2)
-        with Session.from_spec(spec, capture_deltas=False) as session:
+        with Session.from_spec(spec) as session:
             session.run("update")
             pids = session.engine.pool.worker_pids
             session.run("update")
@@ -181,7 +181,7 @@ class TestPooledParity:
         spec = ScenarioSpec.from_topology(
             tree_topology(2, 2), records_per_node=3, seed=0
         ).with_(transport="pooled", shards=2)
-        with Session.from_spec(spec, capture_deltas=False) as session:
+        with Session.from_spec(spec) as session:
             first = session.run("update")
             second = session.run("update")
             assert second.completion_time >= first.completion_time

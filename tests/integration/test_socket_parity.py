@@ -191,7 +191,7 @@ class TestSocketParity:
             2,
             pool=True,
         )
-        with Session.from_spec(spec, capture_deltas=False) as session:
+        with Session.from_spec(spec) as session:
             session.run("update")
             pool = session.engine.pool
             assert pool is not None and pool.alive
@@ -209,7 +209,7 @@ class TestSocketParity:
             cluster,
             2,
         )
-        with Session.from_spec(spec, capture_deltas=False) as session:
+        with Session.from_spec(spec) as session:
             first = session.run("update")
             second = session.run("update")
             assert second.completion_time >= first.completion_time

@@ -45,7 +45,7 @@ def base_spec() -> ScenarioSpec:
 
 
 def _run(spec: ScenarioSpec, *, trace: bool):
-    with Session.from_spec(spec, capture_deltas=False, trace=trace) as session:
+    with Session.from_spec(spec, trace=trace) as session:
         result = session.run("update")
         return session.databases(), result
 

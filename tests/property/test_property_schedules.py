@@ -79,7 +79,7 @@ SCENARIOS = {
 
 def _run(spec: ScenarioSpec, discovery: bool):
     """One schedule: (session, update result, maximal paths per node)."""
-    session = Session.from_spec(spec, check=False, capture_deltas=False)
+    session = Session.from_spec(spec, check=False)
     paths = None
     if discovery:
         session.run("discovery")

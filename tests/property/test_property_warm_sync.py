@@ -109,9 +109,7 @@ class WarmSyncMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.session = Session.from_spec(
-            self.spec(transport="pooled", shards=2), capture_deltas=False
-        )
+        self.session = Session.from_spec(self.spec(transport="pooled", shards=2))
         self.session.engine.planner = PinnedPlanner(2)
         self.script = []
         #: The set-difference oracle's copy of what the workers hold, and the

@@ -383,6 +383,7 @@ class TestPreflightGate:
         checked, unchecked = results
         assert checked.databases == unchecked.databases
         assert checked.deltas == unchecked.deltas
+        assert checked.tuples_added > 0 and checked.deltas.insert_only
         assert checked.completion_time == unchecked.completion_time
         assert checked.extras == unchecked.extras
         assert (

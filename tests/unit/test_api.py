@@ -16,8 +16,8 @@ from repro.api import (
     get_strategy,
     register_strategy,
 )
-from repro.api.result import diff_snapshots
 from repro.cli import build_parser
+from repro.coordination.changeset import Change
 from repro.core.system import P2PSystem
 from repro.database.schema import DatabaseSchema, RelationSchema
 from repro.errors import ReproError
@@ -66,7 +66,9 @@ class TestNetworkBuilder:
         session = small_builder().session()
         session.run("discovery")
         result = session.update()
-        assert result.deltas["a"]["item"] == frozenset({("1", "2"), ("3", "4")})
+        deltas = result.deltas
+        assert set(deltas.inserts["a"]["item"]) == {("1", "2"), ("3", "4")}
+        assert not deltas.removes and not deltas.replaces
 
 
 class TestScenarioSpec:
@@ -182,13 +184,15 @@ class TestRunResult:
             assert result.completion_time >= 0.0
             assert result.stats.total_messages >= 0
             assert isinstance(result.databases, dict)
-            assert isinstance(result.deltas, dict)
+            assert isinstance(result.deltas, Change)
             assert result.tuples_added > 0, name
 
-    def test_diff_snapshots_reports_only_new_rows(self):
+    def test_change_between_reports_only_new_rows(self):
         before = {"a": {"item": frozenset({("1",)})}}
         after = {"a": {"item": frozenset({("1",), ("2",)}), "other": frozenset()}}
-        assert diff_snapshots(before, after) == {"a": {"item": frozenset({("2",)})}}
+        assert Change.between(before, after) == Change(
+            inserts={"a": {"item": (("2",),)}}
+        )
 
     def test_label_and_repr(self):
         session = small_builder().session()

@@ -234,7 +234,7 @@ class TestPoolLifecycle:
         spec = ScenarioSpec.from_topology(
             tree_topology(1, 2), records_per_node=2, seed=0
         ).with_(transport="pooled", shards=shards)
-        return Session.from_spec(spec, capture_deltas=False)
+        return Session.from_spec(spec)
 
     def test_close_stops_the_workers_and_is_idempotent(self):
         session = self._pooled_session()
@@ -327,7 +327,7 @@ class TestPoolLifecycle:
         # leave the coordinator behind its workers for good.  The engine
         # must drop the pool instead; the cold respawn re-derives the rest.
         spec = self._pooled_session().spec
-        with Session.from_spec(spec, capture_deltas=False) as session:
+        with Session.from_spec(spec) as session:
             session.run("update")
             pool = session.engine.pool
             inserted = self._insert_everywhere(session, "lost")
@@ -377,7 +377,7 @@ class TestReplanInvalidation:
             transport="pooled",
             shards=2,
         )
-        session = Session.from_spec(spec, capture_deltas=False)
+        session = Session.from_spec(spec)
         session.run("update")
         return session
 

@@ -60,7 +60,7 @@ def _pooled_session():
     spec = ScenarioSpec.from_topology(
         tree_topology(1, 2), records_per_node=2, seed=0
     ).with_(transport="pooled", shards=2)
-    return Session.from_spec(spec, capture_deltas=False)
+    return Session.from_spec(spec)
 
 
 def _exit_with_preload_status() -> None:

@@ -349,7 +349,7 @@ class TestHostDeath:
         spec = ScenarioSpec.from_topology(
             tree_topology(1, 2), records_per_node=2, seed=0
         ).with_(transport="socket", shards=2, hosts=tuple(addresses), pool=True)
-        return Session.from_spec(spec, capture_deltas=False)
+        return Session.from_spec(spec)
 
     def test_host_death_mid_barrier_raises_instead_of_stalling(self):
         # An in-process host that dies while the pool is between runs: the
@@ -447,7 +447,7 @@ class TestHostDeath:
         spec = ScenarioSpec.from_topology(
             tree_topology(1, 2), records_per_node=2, seed=0
         ).with_(transport="socket", shards=1, hosts=(f"127.0.0.1:{port}",))
-        with Session.from_spec(spec, capture_deltas=False) as session:
+        with Session.from_spec(spec) as session:
             with pytest.raises(NetworkError, match="cannot connect"):
                 session.run("update")
 
@@ -461,7 +461,7 @@ class TestLocalHostCluster:
         spec = ScenarioSpec.from_topology(
             tree_topology(1, 2), records_per_node=2, seed=0
         ).with_(transport="socket", shards=2, pool=True)
-        with Session.from_spec(spec, capture_deltas=False) as session:
+        with Session.from_spec(spec) as session:
             first = session.run("update")
             cluster = session.engine.cluster
             assert cluster is not None and cluster.alive

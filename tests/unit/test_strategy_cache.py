@@ -5,9 +5,9 @@ from repro.coordination.rule import rule_from_text
 from repro.workloads.topologies import tree_topology
 
 
-def tree_session(**settings) -> Session:
+def tree_session() -> Session:
     spec = ScenarioSpec.from_topology(tree_topology(2, 2), records_per_node=6, seed=3)
-    return Session.from_spec(spec, **settings)
+    return Session.from_spec(spec)
 
 
 class TestStrategyCache:
@@ -75,13 +75,6 @@ class TestStrategyCache:
         session.system.remove_rule(rule_id)
         recomputed = session.update("centralized")
         assert "cache_hit" not in recomputed.extras
-
-    def test_cache_can_be_disabled(self):
-        session = tree_session(cache_strategies=False)
-        session.update("centralized")
-        second = session.update("centralized")
-        assert "cache_hit" not in second.extras
-        assert session.cache_info()["size"] == 0
 
     def test_clear_strategy_cache(self):
         session = tree_session()
