@@ -128,16 +128,32 @@ class Change:
     remove_rules: tuple[str, ...] = ()
 
     @property
-    def insert_only(self) -> bool:
-        """True when the change only adds rows: the delta path's eligibility.
+    def rows_only(self) -> bool:
+        """True when the change only inserts and removes rows: the warm
+        engines' delta-path eligibility.
 
-        The chase is monotone, so removals, rewrites and rule edits have no
-        incremental story and take the naive full re-pull.  An *empty*
-        change qualifies: an incremental run seeded with nothing is a
-        legitimate no-op (the network is already at its fix-point, Lemma 1).
+        No rule is edited, no relation is new and none is rewritten whole.
+        A removal retracts nothing already derived (``deleteLink`` keeps
+        imported data, paper Section 4), so every rule is monotone and a
+        removal can only unsatisfy the rules whose head wrote the row: the
+        delta path re-fires exactly those (``docs/incremental.md``).  An
+        *empty* change qualifies: an incremental run seeded with nothing is
+        a legitimate no-op (the network is already at its fix-point,
+        Lemma 1).
         """
-        edits = self.removes, self.replaces, self.relations, self.add_rules
-        return not (any(edits) or self.remove_rules)
+        return not any(
+            (self.replaces, self.relations, self.add_rules, self.remove_rules)
+        )
+
+    @property
+    def insert_only(self) -> bool:
+        """True when the change only adds rows.
+
+        What :mod:`repro.faults.reconcile` needs to merge logs
+        order-insensitively; the delta path takes any :attr:`rows_only`
+        change.
+        """
+        return self.rows_only and not self.removes
 
     @property
     def empty(self) -> bool:
@@ -156,32 +172,41 @@ class Change:
         marks: dict[tuple[NodeId, str], Mark],
         nodes: Iterable[NodeId],
     ) -> "Change":
-        """What ``nodes``' relations hold beyond ``marks``; moves the marks up.
+        """How ``nodes``' relations moved since ``marks``; moves the marks up.
 
         ``marks`` are :meth:`Relation.mark <repro.database.relation.Relation.mark>`
         per ``(node, relation)`` of what the other side has.  A valid mark
-        ships the rows appended since, in insertion order; a failed one (a
-        delete, a clear, a swapped relation) a whole-relation replace; a
-        missing one the replace plus the schema.
+        ships the rows appended since, in insertion order, and the rows a
+        ``delete`` took since as ``removes`` (a row deleted and put back, or
+        inserted and deleted, ships as neither); a failed one (a clear, a
+        swapped relation, deletes older than the relation's delete log) a
+        whole-relation replace; a missing one the replace plus the schema.
         """
         inserts: dict[NodeId, dict[str, tuple[Row, ...]]] = {}
+        removes: dict[NodeId, dict[str, tuple[Row, ...]]] = {}
         replaces: dict[NodeId, dict[str, tuple[Row, ...]]] = {}
         relations: dict[NodeId, tuple[RelationSchema, ...]] = {}
         for node_id in nodes:
             for relation in system.node(node_id).database.relations():
                 key = (node_id, relation.name)
-                rows = relation.since(marks.get(key))
-                if rows is None:
+                moved = relation.since(marks.get(key))
+                if moved is None:
                     if key not in marks:
                         schemas = relations.get(node_id, ())
                         relations[node_id] = (*schemas, relation.schema)
                     replaces.setdefault(node_id, {})[relation.name] = tuple(relation)
-                elif rows:
-                    inserts.setdefault(node_id, {})[relation.name] = tuple(rows)
                 else:
-                    continue  # nothing new: the mark still holds
+                    added, removed = moved
+                    if not (added or removed):
+                        continue  # nothing moved: the mark still holds
+                    if added:
+                        inserts.setdefault(node_id, {})[relation.name] = added
+                    if removed:
+                        removes.setdefault(node_id, {})[relation.name] = removed
                 marks[key] = relation.mark()
-        return cls(inserts=inserts, replaces=replaces, relations=relations)
+        return cls(
+            inserts=inserts, removes=removes, replaces=replaces, relations=relations
+        )
 
     @classmethod
     def between(cls, baseline: Snapshot, current: Snapshot) -> "Change":
@@ -204,8 +229,8 @@ class Change:
 
         The result is canonical, so union is idempotent, commutative and
         associative (what :mod:`repro.faults.reconcile` relies on), and a
-        worker's fold of its syncs keeps their ``inserts`` and
-        :attr:`insert_only` exactly.
+        worker's fold of its syncs keeps their ``inserts``, ``removes`` and
+        :attr:`rows_only` exactly.
         """
         rules = {rule.text: rule for rule in (*self.add_rules, *other.add_rules)}
         relations: dict[NodeId, set[RelationSchema]] = {}

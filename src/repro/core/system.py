@@ -196,23 +196,26 @@ class P2PSystem:
     def seed_update_delta(
         self, changes: Change, *, nodes: Iterable[NodeId] | None = None
     ) -> int:
-        """Start the incremental update at every node ``changes`` inserted into.
+        """Start the incremental update at every node ``changes`` moved rows at.
 
         The delta-driven counterpart of starting a naive update at every
-        origin: each node with inserted base rows seeds its delta frontier
-        and pushes semi-naive fragment deltas to its registered dependants
-        (see :meth:`repro.core.update.UpdateProtocol.start_incremental`).
+        origin: each node with inserted or removed rows re-fires the rules
+        whose head lost rows, then pushes semi-naive fragment deltas to its
+        registered dependants (see
+        :meth:`repro.core.update.UpdateProtocol.start_incremental`).
         ``nodes`` restricts seeding (the shard workers pass their owned
         peers).  Returns the number of nodes seeded.
         """
         allowed = None if nodes is None else set(nodes)
         seeded = 0
-        for node_id, relations in sorted(changes.inserts.items()):
+        for node_id in sorted({*changes.inserts, *changes.removes}):
             if allowed is not None and node_id not in allowed:
                 continue
             if node_id not in self.nodes:
                 continue
-            self.nodes[node_id].update.start_incremental(relations)
+            self.nodes[node_id].update.start_incremental(
+                changes.inserts.get(node_id, {}), changes.removes.get(node_id)
+            )
             seeded += 1
         return seeded
 

@@ -64,15 +64,17 @@ Incremental (delta-driven) mode
 -------------------------------
 On top of the naive pull rounds, the protocol supports an *incremental* mode
 used by the warm engines for repeat runs whose only change since the last
-converged run is row insertion (see ``docs/incremental.md``).  No queries are
-sent at all: a node whose base data changed calls :meth:`start_incremental`,
-which pushes what its maintained fragments gained — fragment *deltas* — to the
-dependants already registered in its ``owner`` table by the previous run.  A
-receiver handles such an answer (payload flag ``incremental``) like any
-other — joining only the fresh rows against its stored fragments
-(:func:`join_fragments` with a delta source) and applying the result through
-the same A6 chase step — and cascades its own incremental pushes when rows
-were actually inserted.  Nodes stay ``closed`` throughout — the previous
+converged run is rows inserted or removed (see ``docs/incremental.md``).  No
+queries are sent at all: a node whose base data changed calls
+:meth:`start_incremental`, which re-fires the incoming rules whose head
+relation lost rows (a removal retracts nothing derived, so those are the only
+rules it can unsatisfy) and pushes what its maintained fragments gained —
+fragment *deltas* — to the dependants already registered in its ``owner``
+table by the previous run.  A receiver handles such an answer (payload flag
+``incremental``) like any other — joining only the fresh rows against its
+stored fragments (:func:`join_fragments` with a delta source) and applying
+the result through the same A6 chase step — and cascades its own incremental
+pushes when rows were actually inserted.  Nodes stay ``closed`` throughout — the previous
 run's fix-point plus the monotone delta propagation is the new fix-point
 (Lemma 1), and quiescence is detected by the engines' existing barriers.
 The mode changes *work*, never *results*: deterministic labelled nulls make
@@ -219,7 +221,11 @@ def maintain_fragment(node: "PeerNode", rule: CoordinationRule) -> MaintainedFra
     marks = []
     for name in names:
         relation = database.get(name)
-        marks.append((None, 0, 0) if relation is None else relation.mark())
+        marks.append(
+            (None, 0, 0)
+            if relation is None
+            else (relation, relation.removals, len(relation))
+        )
     entry = cache[key] = MaintainedFragment(rows, tuple(marks), size)
     return entry
 
@@ -442,25 +448,68 @@ class UpdateProtocol:
 
     # ------------------------------------------------------- incremental mode
 
-    def start_incremental(self, changes: Mapping[str, Iterable[tuple]]) -> None:
+    def start_incremental(
+        self,
+        inserted: Mapping[str, Iterable[tuple]],
+        removed: Mapping[str, Iterable[tuple]] | None = None,
+    ) -> None:
         """Seed the delta frontier at this node (incremental update run).
 
-        ``changes`` maps relation names to rows *already inserted* into this
-        node's database (the warm engines apply the sync delta before
-        starting the phase).  No queries are sent and the node stays in
-        whatever ``state_u`` the previous converged run left it in: the
-        maintained fragments (:func:`maintain_fragment`) pick the new rows up
-        from the relations themselves, and what they add is pushed to the
+        ``inserted`` and ``removed`` map relation names to rows *already*
+        inserted into / deleted from this node's database (the warm engines
+        apply the sync delta before starting the phase).  No queries are
+        sent and the node stays in whatever ``state_u`` the previous
+        converged run left it in.
+
+        A removal retracts nothing derived from the row, so it can only
+        unsatisfy the incoming rules whose head relation lost it: those are
+        fired in full from the stored fragments, exactly as the first answer
+        of a naive re-run would fire them (their :class:`FiredMark` fails),
+        and re-derive what the remaining data still implies.  Then the
+        maintained fragments (:func:`maintain_fragment`) pick the new rows
+        up from the relations themselves, and what they add is pushed to the
         dependants registered in ``owner`` by the previous run.  Receivers
         cascade through :meth:`on_answer`'s incremental branch until the
         frontier is empty — the engines' quiescence barriers detect exactly
         that.
         """
         node = self.node
-        seeded = sum(len(tuple(rows)) for rows in changes.values())
+        seeded = sum(len(tuple(rows)) for rows in inserted.values())
+        if removed:
+            seeded += sum(len(tuple(rows)) for rows in removed.values())
+            for rule in node.incoming_rules.values():
+                if rule.head.relation in removed and not self._fired_holds(rule):
+                    derived = self._fire_in_full(rule)
+                    if derived:
+                        node.stats.record_incremental(
+                            node.node_id, rules_fired=1, rows_derived=len(derived)
+                        )
         if seeded:
             node.stats.record_incremental(node.node_id, seed_rows=seeded)
         self._push_to_owners(incremental=True)
+
+    def _fired_holds(self, rule: CoordinationRule) -> bool:
+        """True while ``rule``'s :class:`FiredMark` says every firing over
+        its stored fragments has been offered to the head relation."""
+        mark = self.node.state.fired.get(rule.rule_id)
+        if mark is None or mark.rule is not rule:
+            return False
+        # No such relation: no mark can match, and `_fire` reports it.
+        relation = self.node.database.get(rule.head.relation)
+        return (
+            relation is not None
+            and mark.relation is relation
+            and mark.removals == relation.removals
+        )
+
+    def _fire_in_full(self, rule: CoordinationRule) -> set[tuple]:
+        """Fire ``rule`` over all its stored fragments and mark it fired."""
+        inserted = self._fire(rule)
+        relation = self.node.database.relation(rule.head.relation)
+        self.node.state.fired[rule.rule_id] = FiredMark(
+            rule, relation, relation.removals
+        )
+        return inserted
 
     def _receive(
         self, rule: CoordinationRule, source: NodeId, tuples: Fragment
@@ -476,12 +525,10 @@ class UpdateProtocol:
         another rule under the same id — the rule is fired in full.
         """
         state = self.node.state
-        database = self.node.database
         mark = state.fired.get(rule.rule_id)
         if mark is not None and mark.rule is not rule:
             # Stored under this id by another rule: rows of another shape.
             state.forget_incoming_rule(rule.rule_id)
-            mark = None
         key = (rule.rule_id, source)
         previous = state.fragments.get(key)
         if previous is None:
@@ -496,20 +543,11 @@ class UpdateProtocol:
                 state.fragments[key] = tuples
             elif fresh:
                 state.fragments[key] = previous | fresh
-        head = rule.head.relation
-        # No such relation: no mark can match, and `_fire` reports it.
-        relation = database.relation(head) if head in database else None
-        if (
-            mark is not None
-            and mark.relation is relation
-            and mark.removals == relation.removals
-        ):
+        if self._fired_holds(rule):
             if not fresh:
                 return set()
             return self._fire(rule, delta_source=source, delta_rows=fresh)
-        inserted = self._fire(rule)
-        state.fired[rule.rule_id] = FiredMark(rule, relation, relation.removals)
-        return inserted
+        return self._fire_in_full(rule)
 
     def _fire(self, rule: CoordinationRule, **delta) -> set[tuple]:
         """Join ``rule``'s stored fragments (``delta`` as for

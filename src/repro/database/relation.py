@@ -16,7 +16,10 @@ rows added since I last looked" is :meth:`Relation.newest`, and
 ``removals`` stands still, the relation has only grown.  :meth:`Relation.mark`
 and :meth:`Relation.since` are that test written once, for readers that
 remember one relation at a time (the warm pools' cursors on both sides of the
-coordinator↔worker boundary).
+coordinator↔worker boundary).  ``since`` also names the rows a ``delete``
+took: each row remembers the mark *epoch* it was inserted in, and a short log
+keeps the rows deleted lately, so a row deleted and put back — or inserted
+and deleted — between two reads nets to nothing.
 """
 
 from __future__ import annotations
@@ -32,8 +35,17 @@ from repro.errors import SchemaError
 Row = tuple
 """A database tuple; values are strings, ints or :class:`LabeledNull`."""
 
-Mark = tuple["Relation", int, int]
-"""What a reader saw of a relation: the object, its ``removals``, its row count."""
+Mark = tuple["Relation", int, int, int]
+"""What a reader saw of a relation: the object, its ``removals``, its row count
+and its epoch (rows inserted later carry a larger one)."""
+
+
+#: How many deletes the log keeps beyond the relation's row count: enough that
+#: emptying a small relation between two reads still names its rows.
+_LOG_SLACK = 16
+
+#: What :meth:`Relation.since` answers for a relation that did not move.
+_UNMOVED: tuple[tuple[Row, ...], tuple[Row, ...]] = ((), ())
 
 
 def row_picker(columns: Sequence[int]) -> Callable[[Sequence], Row]:
@@ -49,10 +61,17 @@ class Relation:
 
     def __init__(self, schema: RelationSchema, rows: Iterable[Row] = ()):
         self.schema = schema
-        # A dict used as an insertion-ordered set.
-        self._rows: dict[Row, None] = {}
+        # An insertion-ordered set; each row maps to the epoch it came in.
+        self._rows: dict[Row, int] = {}
         #: Number of non-monotone changes (deletes and clears) so far.
         self.removals = 0
+        # Moved on by every mark(), so the rows a mark has not seen are the
+        # ones with a larger epoch: a suffix of the insertion order.
+        self._epoch = 0
+        # (row, its epoch) per delete, oldest first; entry i is removal
+        # number _log_start + i.  A clear empties it.
+        self._deleted: list[tuple[Row, int]] = []
+        self._log_start = 0
         # position -> value -> set of rows; built lazily per position.
         self._indexes: dict[int, dict[object, set[Row]]] = {}
         # rows() as last taken; None once the relation changed.
@@ -95,7 +114,7 @@ class Relation:
         if row in self._rows:
             return False
         self.schema.validate_tuple(row)
-        self._rows[row] = None
+        self._rows[row] = self._epoch
         self._snapshot = None
         for position, index in self._indexes.items():
             index[row[position]].add(row)
@@ -108,11 +127,19 @@ class Relation:
     def delete(self, row: Row) -> bool:
         """Delete ``row``; return True if it was present."""
         row = tuple(row)
-        if row not in self._rows:
+        epoch = self._rows.pop(row, None)
+        if epoch is None:
             return False
-        del self._rows[row]
         self._snapshot = None
         self.removals += 1
+        deleted = self._deleted
+        deleted.append((row, epoch))
+        if len(deleted) > len(self._rows) + _LOG_SLACK:
+            # Bounded by the relation: forget the older half.  A reader
+            # whose mark is older than the log takes the relation whole.
+            forgotten = len(deleted) // 2
+            del deleted[:forgotten]
+            self._log_start += forgotten
         for position, index in self._indexes.items():
             bucket = index.get(row[position])
             if bucket is not None:
@@ -127,6 +154,8 @@ class Relation:
         self._indexes.clear()
         self._snapshot = None
         self.removals += 1
+        self._deleted = []
+        self._log_start = self.removals
 
     # ---------------------------------------------------------------- lookups
 
@@ -143,27 +172,53 @@ class Relation:
         return islice(reversed(self._rows), count)
 
     def mark(self) -> Mark:
-        """What to remember now to ask :meth:`since` for the rows added later."""
-        return (self, self.removals, len(self._rows))
+        """What to remember now to ask :meth:`since` for the changes made later."""
+        epoch = self._epoch
+        self._epoch = epoch + 1
+        return (self, self.removals, len(self._rows), epoch)
 
-    def since(self, mark: Mark | None) -> list[Row] | None:
-        """The rows inserted since ``mark`` was taken, in insertion order.
+    def since(
+        self, mark: Mark | None
+    ) -> tuple[tuple[Row, ...], tuple[Row, ...]] | None:
+        """``(inserted, removed)``: how the rows changed since ``mark`` was taken.
 
-        ``None`` when the mark does not validate — no mark, taken on another
-        ``Relation`` object, or a ``delete`` / ``clear`` happened since — and
-        the reader has to take the relation whole.
+        ``inserted`` are the rows present now and absent at the mark, in
+        insertion order; ``removed`` the rows present at the mark that a
+        ``delete`` took.  A row deleted and put back, or inserted and
+        deleted, is in neither.  ``None`` when the mark does not validate —
+        no mark, taken on another ``Relation`` object, a ``clear`` since, or
+        deletes older than the log reaches — and the reader has to take the
+        relation whole.
         """
         if mark is None:
             return None
-        relation, removals, count = mark
-        grown = len(self._rows) - count
-        if relation is not self or removals != self.removals or grown < 0:
+        relation, removals, count, epoch = mark
+        rows = self._rows
+        if relation is not self or removals > self.removals:
             return None
-        if not grown:
-            return []
-        fresh = list(self.newest(grown))
-        fresh.reverse()
-        return fresh
+        if removals == self.removals:
+            # Only grown: the rows inserted after the mark are the newest.
+            grown = len(rows) - count
+            if grown > 0:
+                return tuple(islice(reversed(rows), grown))[::-1], ()
+            return _UNMOVED if not grown else None
+        start = removals - self._log_start
+        if start < 0:
+            return None
+        # Only deletes of rows inserted by the mark's time count: an
+        # incarnation inserted after it was never seen by the reader.
+        old = [row for row, born in self._deleted[start:] if born <= epoch]
+        grown = len(rows) - count + len(old)
+        if grown < 0:
+            return None
+        inserted = tuple(islice(reversed(rows), grown))[::-1]
+        if not old:
+            return inserted, ()
+        gone = set(old)
+        return (
+            tuple(row for row in inserted if row not in gone),
+            tuple(row for row in old if row not in rows),
+        )
 
     def lookup(self, position: int, value: object) -> Iterator[Row]:
         """Iterate over rows whose attribute at ``position`` equals ``value``.
@@ -202,7 +257,7 @@ class Relation:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Relation):
             return NotImplemented
-        return self.schema == other.schema and self._rows == other._rows
+        return self.schema == other.schema and self._rows.keys() == other._rows.keys()
 
     def __repr__(self) -> str:
         return f"Relation({self.name}, {len(self._rows)} rows)"

@@ -3,9 +3,10 @@
 ``python -m repro.serve --bind 127.0.0.1:8750 --tenants scenarios/`` turns
 the library into a long-running service: each *tenant* is one named
 :class:`~repro.api.spec.ScenarioSpec` network kept warm behind a pooled
-engine, updated through ``POST /tenants/{name}/update`` (insert-only change
-sets ride the incremental evaluation path), queried concurrently through
-``/tenants/{name}/query``, observed via ``/metrics`` (Prometheus, one
+engine, updated through ``POST /tenants/{name}/update`` (change sets
+that only insert or remove rows ride the incremental evaluation path),
+queried concurrently through ``/tenants/{name}/query``, observed via
+``/metrics`` (Prometheus, one
 ``tenant`` label per fleet member) and a per-tenant WebSocket event channel.
 The full endpoint reference, the admission-control contract and a curl
 walkthrough live in ``docs/serving.md``.

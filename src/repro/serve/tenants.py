@@ -3,7 +3,8 @@
 A :class:`Tenant` wraps one :class:`~repro.api.session.Session` — by default
 re-targeted onto a warm :class:`~repro.sharding.process.ProcessEngine`
 (``pooled`` or ``socket-pooled``), so worker processes persist between requests
-and insert-only updates take the delta-driven path of ``docs/incremental.md``.
+and updates that only insert or remove rows take the delta-driven path of
+``docs/incremental.md``.
 A :class:`TenantManager` owns the fleet: lifecycle (``available`` → ``loading``
 → ``ready`` → ``closed``), the per-tenant serialized update queue with its
 bounded depth, the global worker-budget semaphore, and the per-tenant event
@@ -226,7 +227,7 @@ class Tenant:
         session = Session.from_spec(self.spec, trace=True)
         try:
             # One cold run brings every relation to its fix-point and leaves
-            # the pool's mirror primed, so the next insert-only update can
+            # the pool's mirror primed, so the next rows-only update can
             # take the delta path.
             session.run("update")
             if session.tracer is not None:
@@ -266,8 +267,10 @@ class Tenant:
             incremental = {
                 name: int(after[name] - before.get(name, 0)) for name in after
             }
+            # Read from what the engine did, not from the document: only the
+            # delta path seeds rows, inserted or removed.
             seeded = incremental.get("repro_incremental_seed_rows_total", 0)
-            mode = "incremental" if changes.insert_only and seeded else "naive"
+            mode = "incremental" if seeded else "naive"
             spans = []
             if session.tracer is not None:
                 spans = [

@@ -366,8 +366,10 @@ class ProcessEngine:
         re-partitions the network (:meth:`ShardPool.plan_if_stale`).  Warm
         path: ship the delta, run the phase — as a delta-driven incremental
         update when the pool is primed (previous update converged) and the
-        delta is insert-only, naively otherwise.  Any failure drops the
-        pool, so the next run (or fault-budgeted re-run) starts cold.
+        delta only moves rows (:attr:`Change.rows_only
+        <repro.coordination.changeset.Change.rows_only>`), naively otherwise.
+        Any failure drops the pool, so the next run (or fault-budgeted
+        re-run) starts cold.
         """
         tracer = tracer_of(system)
         mode: str | None = None
@@ -391,7 +393,7 @@ class ProcessEngine:
                 with tracer.span("sync") as sync_span:
                     delta = self._pool.sync(system)
                     sync_span.set(empty=delta.empty)
-                eligible = self.incremental and self._primed and delta.insert_only
+                eligible = self.incremental and self._primed and delta.rows_only
                 if phase == "update" and eligible:
                     # Coordinator-side gate only: each worker re-checks
                     # against the deltas it actually accumulated (a sync may

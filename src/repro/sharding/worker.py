@@ -337,6 +337,30 @@ def _worker_payload(
     return payload
 
 
+def _remark(
+    system: P2PSystem, marks: dict[tuple[NodeId, str], Mark], change: Change
+) -> None:
+    """Mark the relations a coordinator ``change`` touched: both sides hold
+    the same rows of them now.
+
+    Nothing else moved since the last collect (syncs arrive between runs),
+    so this only drops what the coordinator already has from the next
+    collect.  Without it a row the coordinator deleted and this worker
+    derives again would read as deleted and put back — no change — and
+    never ship home.
+    """
+    touched = {
+        (node_id, name)
+        for rows in (change.inserts, change.removes, change.replaces)
+        for node_id, relations in rows.items()
+        for name in relations
+    }
+    for node_id, schemas in change.relations.items():
+        touched.update((node_id, schema.name) for schema in schemas)
+    for node_id, name in touched:
+        marks[node_id, name] = system.node(node_id).database.relation(name).mark()
+
+
 def _reset_run_counters(transport: _WorkerTransport) -> None:
     """Zero the per-run counters after a collect (the clock stays).
 
@@ -380,11 +404,12 @@ def shard_worker_loop(world: ShardWorld, outboxes: list, results) -> None:
     Every ``sync`` change is also folded into the worker's pending
     :class:`~repro.coordination.changeset.Change` (with ``union``), which an
     update ``start`` consumes: if the coordinator asked for
-    ``mode="incremental"`` *and* the pending change is ``insert_only``, the
-    owned nodes it inserted into seed their delta frontier instead of
-    re-opening for naive pull rounds.  The worker-side check is
-    authoritative — a coordinator that over-asks (say, after a rule change
-    it did not notice) still gets a correct naive run.
+    ``mode="incremental"`` *and* the pending change is ``rows_only``, the
+    owned nodes it inserted into or removed from seed their delta frontier
+    instead of re-opening for naive pull rounds.  After applying a ``sync``
+    the worker re-marks the relations it touched (:func:`_remark`).  The
+    worker-side check is authoritative — a coordinator that over-asks (say,
+    after a rule change it did not notice) still gets a correct naive run.
     """
     inbox = outboxes[world.shard_index]
     phase = "update"
@@ -452,7 +477,7 @@ def shard_worker_loop(world: ShardWorld, outboxes: list, results) -> None:
                 _kind, phase, origins, mode = item
                 if phase == "update":
                     changes, pending = pending, Change()
-                    if mode == "incremental" and changes.insert_only:
+                    if mode == "incremental" and changes.rows_only:
                         system.seed_update_delta(
                             changes, nodes=set(world.owned) & set(origins)
                         )
@@ -471,8 +496,10 @@ def shard_worker_loop(world: ShardWorld, outboxes: list, results) -> None:
                 results.put(("status", world.shard_index, transport.status(), item[1]))
             elif kind == "sync":
                 with tracer.span("sync", shard=world.shard_index):
-                    item[1].apply(system)
-                    pending = pending.union(item[1])
+                    change = item[1]
+                    change.apply(system)
+                    pending = pending.union(change)
+                    _remark(system, marks, change)
             elif kind == "collect":
                 payload = _worker_payload(
                     system, world, transport, phase, marks, shipped_state

@@ -140,10 +140,11 @@ _MESSAGES_TOTAL = "repro_messages_total"
 _MESSAGE_BYTES_TOTAL = "repro_message_bytes_total"
 
 #: Counters of the incremental (delta-driven) update mode, labelled by node.
-#: ``seed_rows`` counts base rows that seeded the delta frontier,
-#: ``rows_derived`` the rows the incremental chase derived (the frontier's
-#: growth), ``rules_fired`` the delta joins that inserted at least one row,
-#: and ``pushes`` the fragment-delta messages sent to dependants.  Naive runs
+#: ``seed_rows`` counts the rows inserted or removed that seeded the delta
+#: frontier, ``rows_derived`` the rows the incremental chase derived (the
+#: frontier's growth), ``rules_fired`` the delta joins — and the re-firings
+#: at a relation that lost rows — that inserted at least one row, and
+#: ``pushes`` the fragment-delta messages sent to dependants.  Naive runs
 #: never touch these, so a zero total means "took the naive path".
 _INCREMENTAL_METRICS: tuple[str, ...] = (
     "repro_incremental_seed_rows_total",

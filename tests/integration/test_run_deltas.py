@@ -5,7 +5,7 @@ marks back afterwards (:meth:`Change.read`); the reference strategies diff
 their own snapshots (:meth:`Change.between`).  Both are checked here against
 a set-difference oracle of the world before and after the run, over the run
 kinds a warm network sees: a cold update, a one-row insert, a run with
-nothing to do and a naive re-run after a delete.
+nothing to do and a run after a delete (on ``pooled``, the delta path).
 """
 
 import pytest

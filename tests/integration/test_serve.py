@@ -142,6 +142,26 @@ class TestServing:
         assert 'repro_serve_requests_total{' in text
         assert 'repro_serve_tenants{state="ready"} 2' in text
 
+    def test_a_removal_reports_the_path_the_engine_took(self, server):
+        # The mode is read from what the engine did, not inferred from the
+        # document: a warm rows-only removal rides the delta path too.
+        handle, client = server
+        document = _tree_insert(client, tag="removed")
+        assert client.update("tree", inserts=document)["mode"] == "incremental"
+        outcome = client.update("tree", removes=document)
+        assert outcome["mode"] == "incremental", outcome
+        assert outcome["incremental"]["repro_incremental_seed_rows_total"] == 1
+        [(node, relations)] = document.items()
+        [(relation, [row])] = relations.items()
+        system = handle.app.manager.get("tree").session.system
+        assert tuple(row) not in system.node(node).database.relation(relation)
+        # A rule change still re-runs naively, and says so.
+        rule = next(iter(system.registry))
+        outcome = client.update(
+            "tree", remove_rules=[rule.rule_id], add_rules=[rule.text]
+        )
+        assert outcome["mode"] == "naive"
+
     def test_event_channel_streams_runs(self, server):
         handle, client = server
         with client.events("paper") as events:

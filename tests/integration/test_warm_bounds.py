@@ -4,7 +4,9 @@ Host-independent counterparts of the benchmark's timings, in the manner of
 ``test_cold_golden``'s evaluation counts: a warm one-row insert moves a
 handful of rows across the coordinator↔worker boundary — out in ``sync``,
 home in ``collect`` — however large the world has grown, and merging them
-neither clears a coordinator relation nor drops one of its indexes.  Before
+neither clears a coordinator relation nor drops one of its indexes.  A warm
+one-row delete takes the same delta path and ships the removed row, not the
+relation.  Before
 the boundary moved to cursors every run shipped ~150 KB of relations home
 and re-inserted all ~6 300 rows; the payload grew with every insert.
 
@@ -98,8 +100,9 @@ def test_a_warm_insert_moves_rows_not_the_world(warm):
         assert list(delta.inserts) == [node]
         shipped = boundary.shipped_home
         assert not any(whole for whole, _rows in shipped)
-        # The inserted row comes back with the rows derived from it.
-        assert result.tuples_added < sum(len(rows) for _, rows in shipped) <= 5
+        # Only the rows derived from it come home: the workers re-mark what
+        # a sync touched, so the inserted row is not echoed back.
+        assert result.tuples_added == sum(len(rows) for _, rows in shipped) <= 5
         assert not any(payload["change"].relations for payload in boundary.payloads[-1])
         sizes.append(boundary.payload_bytes)
 
@@ -113,25 +116,49 @@ def test_a_warm_insert_moves_rows_not_the_world(warm):
     assert len(list(root.lookup(0, "w0199-0"))) == 1
 
 
-def test_a_delete_still_rewrites_the_relation_both_ways(warm):
+def messages_of(session, run):
+    """The messages one ``run()`` on ``session`` delivered."""
+    before = session.snapshot_stats().total_messages
+    run()
+    return session.snapshot_stats().total_messages - before
+
+
+def test_a_warm_delete_moves_the_removed_row_not_the_relation(warm):
     session, boundary = warm
-    node, relation_name, _arity = feeding_site(session.spec)
-    site = session.system.node(node).database.relation(relation_name)
-    victim = next(iter(site))
-    site.delete(victim)
-    session.run("update")
-    assert boundary.modes[-1] is None  # no retraction: the naive re-run
-    delta = boundary.deltas[-1]
-    assert list(delta.replaces) == [node] and not delta.inserts
-    assert not delta.relations  # the workers have the relation already
-    assert set(delta.replaces[node][relation_name]) == set(site)
-    # The worker's rewritten relation fails its own mark and comes home whole.
-    assert [set(rows) for whole, rows in boundary.shipped_home if whole] == [set(site)]
-    # ... after which the very next insert is a delta again.
-    site.insert(victim)
+    system = session.system
+    node, relation_name, arity = feeding_site(session.spec)
+    site = system.node(node).database.relation(relation_name)
+    site.insert(tuple(f"probe-{column}" for column in range(arity)))
+    insert_messages = messages_of(session, lambda: session.run("update"))
+    assert boundary.modes[-1] == "incremental" and insert_messages > 0
+
+    # The base rows the insert test added: nothing derives them again.
+    victims = [row for row in site if row[0].startswith("w0")]
+    assert len(victims) == INSERTS
+    sizes = []
+    for victim in victims:
+        site.delete(victim)
+        messages = messages_of(session, lambda: session.run("update"))
+        assert boundary.modes[-1] == "incremental"  # no naive re-run
+        delta = boundary.deltas[-1]
+        assert delta.removes == {node: {relation_name: (victim,)}}
+        assert not (delta.inserts or delta.replaces or delta.relations)
+        assert not any(
+            payload["change"].replaces or payload["change"].removes
+            for payload in boundary.payloads[-1]
+        )
+        assert messages <= insert_messages
+        sizes.append(boundary.payload_bytes)
+    # Flat in world size: the last delete ships what the first did.
+    assert sizes[-1] == sizes[0] <= 8 * 1024
+    assert session.system.stats.incremental_totals()[
+        "repro_incremental_seed_rows_total"
+    ] >= INSERTS
+    # ... and an insert after them is still a delta.
+    site.insert(victims[0])
     session.run("update")
     assert boundary.modes[-1] == "incremental"
-    assert not any(whole for whole, _rows in boundary.shipped_home)
+    assert boundary.deltas[-1].inserts == {node: {relation_name: (victims[0],)}}
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,10 @@
 """Stateful test: a warm pooled session never drifts from a cold replay.
 
 The coordinator and its workers exchange cursors' worth of rows — what each
-side appended since the other last saw the relation — and fall back to whole
-relations when a mark does not validate.  Whatever the script does between
-two runs (inserts anywhere, deletes, clears, rewritten and added relations,
+side appended or deleted since the other last saw the relation — and fall
+back to whole relations when a mark does not validate.  Whatever the script
+does between two runs (inserts anywhere, deletes, rows deleted and put back
+or inserted and deleted again, clears, rewritten and added relations,
 ``addLink`` / ``deleteLink``, discovery runs), two things must hold:
 
 * after every update the coordinator's ground databases equal those of a
@@ -64,7 +65,7 @@ def pick_relation(session, node_pick, relation_pick):
 
 
 def apply(session, step):
-    """Play one script step on ``session``; returns True if a row was lost."""
+    """Play one script step on ``session``; True if it rewrote a relation."""
     kind, *arguments = step
     if kind == "run":
         session.run(*arguments)
@@ -86,10 +87,21 @@ def apply(session, step):
     else:
         node_pick, relation_pick, payload = arguments
         _node_id, relation = pick_relation(session, node_pick, relation_pick)
-        if kind == "delete":
+        if kind in ("delete", "put_back"):
             rows = sorted(relation, key=repr)
-            return bool(rows) and relation.delete(rows[payload % len(rows)])
+            if rows:
+                row = rows[payload % len(rows)]
+                relation.delete(row)
+                if kind == "put_back":
+                    relation.insert(row)
+            return False
         rows = [tuple(seed[: relation.schema.arity]) for seed in payload]
+        if kind == "transient":
+            fresh = [row for row in rows if row not in relation]
+            relation.insert_many(fresh)
+            for row in fresh:
+                relation.delete(row)
+            return False
         if kind == "replace":
             relation.clear()
         relation.insert_many(rows)
@@ -113,15 +125,17 @@ class WarmSyncMachine(RuleBasedStateMachine):
         self.session.engine.planner = PinnedPlanner(2)
         self.script = []
         #: The set-difference oracle's copy of what the workers hold, and the
-        #: relations that lost a row since it was taken.
+        #: relations cleared since it was taken.
         self.known = snapshot_of(self.session.system)
-        self.shrunk = set()
+        self.rewritten = set()
         machine, self._sync = self, ShardPool.sync
 
         def checked_sync(pool, system):
             oracle = set_difference_delta(system, *machine.known)
             delta = machine._sync(pool, system)
-            assert_ships_what_the_oracle_ships(system, delta, oracle, machine.shrunk)
+            assert_ships_what_the_oracle_ships(
+                system, delta, oracle, machine.known[1], machine.rewritten
+            )
             return delta
 
         ShardPool.sync = checked_sync
@@ -140,7 +154,7 @@ class WarmSyncMachine(RuleBasedStateMachine):
     def change(self, kind, node_pick, relation_pick, payload):
         node_id, relation = pick_relation(self.session, node_pick, relation_pick)
         if self.play(kind, node_pick, relation_pick, payload):
-            self.shrunk.add((node_id, relation.name))
+            self.rewritten.add((node_id, relation.name))
 
     @rule(node=picks, relation=picks, rows=row_seeds)
     def insert(self, node, relation, rows):
@@ -149,6 +163,14 @@ class WarmSyncMachine(RuleBasedStateMachine):
     @rule(node=picks, relation=picks, row=picks)
     def delete(self, node, relation, row):
         self.change("delete", node, relation, row)
+
+    @rule(node=picks, relation=picks, row=picks)
+    def put_back(self, node, relation, row):
+        self.change("put_back", node, relation, row)
+
+    @rule(node=picks, relation=picks, rows=row_seeds)
+    def transient(self, node, relation, rows):
+        self.change("transient", node, relation, rows)
 
     @rule(node=picks, relation=picks)
     def clear(self, node, relation):
@@ -174,7 +196,7 @@ class WarmSyncMachine(RuleBasedStateMachine):
         self.play("run", phase)
         # Coordinator and workers agree again: the oracle takes a new copy.
         self.known = snapshot_of(self.session.system)
-        self.shrunk.clear()
+        self.rewritten.clear()
 
     @rule()
     def discovery(self):

@@ -9,9 +9,10 @@ oracle: it shares no code with the marks it checks
 
 ``snapshot_of`` takes the copy, ``set_difference_delta`` diffs against it,
 and ``assert_ships_what_the_oracle_ships`` states how the two may differ: a
-relation that lost a row since the copy was taken is always rewritten whole
-by the marks, even where the set difference comes out smaller (the row was
-put back, or had never been shipped).
+relation that was cleared or swapped since the copy was taken is rewritten
+whole by the marks, even where the set difference comes out smaller (the rows
+were put back, or had never been shipped).  Rows a ``delete`` took ship as
+exactly the rows the set difference finds gone.
 """
 
 from repro.coordination.changeset import Change, rules_fingerprint
@@ -39,26 +40,27 @@ def set_difference_delta(system, known_rules, known_facts) -> Change:
     )
 
     inserts = {}
+    removes = {}
     replaces = {}
     relations = {}
     for node_id, node in system.nodes.items():
         mirrored = known_facts.get(node_id, {})
         for relation_name, rows in node.database.facts().items():
             old = mirrored.get(relation_name)
-            if old is not None and rows == old:
+            if old is not None:
+                if rows - old:
+                    inserts.setdefault(node_id, {})[relation_name] = tuple(rows - old)
+                if old - rows:
+                    removes.setdefault(node_id, {})[relation_name] = tuple(old - rows)
                 continue
-            if old is not None and rows >= old:
-                inserts.setdefault(node_id, {})[relation_name] = tuple(rows - old)
-                continue
-            # Rows vanished, or the relation is new to the workers: the
-            # only always-correct move is a wholesale rewrite (a brand-new
-            # relation with its schema, so it can be created).
+            # The relation is new to the workers: ship it whole with its
+            # schema, so it can be created.
             replaces.setdefault(node_id, {})[relation_name] = tuple(rows)
-            if old is None:
-                schema = node.database.relation(relation_name).schema
-                relations[node_id] = (*relations.get(node_id, ()), schema)
+            schema = node.database.relation(relation_name).schema
+            relations[node_id] = (*relations.get(node_id, ()), schema)
     return Change(
         inserts=inserts,
+        removes=removes,
         replaces=replaces,
         relations=relations,
         add_rules=add_rules,
@@ -67,37 +69,63 @@ def set_difference_delta(system, known_rules, known_facts) -> Change:
 
 
 def _flat(delta: Change) -> dict:
-    """``(node, relation) -> ("insert" | "replace", row set)``."""
+    """``(node, relation) -> {"insert" | "remove" | "replace": row set}``."""
     flat = {}
-    for node_id, relations in delta.inserts.items():
-        for name, rows in relations.items():
-            assert len(set(rows)) == len(rows)
-            flat[node_id, name] = ("insert", frozenset(rows))
-    for node_id, relations in delta.replaces.items():
-        for name, rows in relations.items():
-            assert (node_id, name) not in flat
-            flat[node_id, name] = ("replace", frozenset(rows))
+    for kind, by_node in (
+        ("insert", delta.inserts),
+        ("remove", delta.removes),
+        ("replace", delta.replaces),
+    ):
+        for node_id, relations in by_node.items():
+            for name, rows in relations.items():
+                assert len(set(rows)) == len(rows)
+                flat.setdefault((node_id, name), {})[kind] = frozenset(rows)
     return flat
 
 
-def assert_ships_what_the_oracle_ships(system, shipped, oracle, shrunk=()) -> None:
+def assert_ships_what_the_oracle_ships(
+    system, shipped, oracle, known_facts, rewritten=()
+) -> None:
     """``shipped`` (from the marks) against ``oracle`` (the set difference).
 
-    ``shrunk`` names the ``(node, relation)`` pairs that lost a row since the
-    last sync; those must go out as a whole-relation replace, every other
-    relation exactly as the oracle ships it.  Schemas travel for exactly the
-    relations new to the workers.
+    ``rewritten`` names the ``(node, relation)`` pairs cleared or swapped
+    since the last sync; those must go out as a whole-relation replace,
+    every other relation exactly as the oracle ships it — inserted rows as
+    ``inserts``, the rows a delete took as ``removes``.  Schemas travel for
+    exactly the relations new to the workers.  Whatever it ships, the change
+    must rebuild the coordinator's facts from ``known_facts``, the copy of
+    what the workers held.
     """
     assert shipped.add_rules == oracle.add_rules
     assert shipped.remove_rules == oracle.remove_rules
     assert {node: set(schemas) for node, schemas in shipped.relations.items()} == {
         node: set(schemas) for node, schemas in oracle.relations.items()
     }
-    assert not shipped.removes
     got, expected = _flat(shipped), _flat(oracle)
-    for key in shrunk:
+    for key in rewritten:
         node_id, name = key
         rows = system.node(node_id).database.relation(name).rows()
-        assert got.pop(key) == ("replace", rows)
+        assert got.pop(key) == {"replace": rows}
         expected.pop(key, None)
     assert got == expected
+
+    rebuilt = {
+        (node_id, name): set(rows)
+        for node_id, relations in known_facts.items()
+        for name, rows in relations.items()
+    }
+    for kind in ("removes", "inserts", "replaces"):
+        for node_id, relations in getattr(shipped, kind).items():
+            for name, rows in relations.items():
+                if kind == "removes":
+                    rebuilt[node_id, name].difference_update(rows)
+                elif kind == "inserts":
+                    rebuilt[node_id, name].update(rows)
+                else:
+                    rebuilt[node_id, name] = set(rows)
+    assert {key: rows for key, rows in rebuilt.items() if rows} == {
+        (node_id, name): set(rows)
+        for node_id, node in system.nodes.items()
+        for name, rows in node.database.facts().items()
+        if rows
+    }

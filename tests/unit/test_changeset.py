@@ -70,6 +70,8 @@ class TestChange:
         changes = Change(**fields)
         assert not changes.empty
         assert not changes.insert_only
+        # Removed rows still only move rows: the delta path takes them.
+        assert changes.rows_only == ("removes" in fields)
 
     def test_only_keeps_rules_and_the_named_nodes_rows(self):
         rule = rule_from_text("r9", "B: b(X, Y) -> A: a(X, Y)")
@@ -85,8 +87,8 @@ class TestChange:
 
 
 class TestPendingFold:
-    """A worker folds its syncs with ``union``; only inserts and eligibility
-    are read from the fold."""
+    """A worker folds its syncs with ``union``; only the moved rows and
+    eligibility are read from the fold."""
 
     def test_folds_inserts_across_syncs(self):
         pending = Change()
@@ -102,8 +104,16 @@ class TestPendingFold:
         pending = Change(remove_rules=("r1",)).union(
             Change(inserts={"A": {"item": (("1",),)}})
         )
-        assert not pending.insert_only
-        assert not Change().union(Change(replaces={"A": {"item": ()}})).insert_only
+        assert not pending.insert_only and not pending.rows_only
+        assert not Change().union(Change(replaces={"A": {"item": ()}})).rows_only
+
+    def test_a_removal_folded_with_inserts_keeps_both_and_rows_only(self):
+        pending = Change(removes={"A": {"item": (("1",),)}}).union(
+            Change(inserts={"B": {"item": (("2",),)}})
+        )
+        assert pending.removes == {"A": {"item": (("1",),)}}
+        assert pending.inserts == {"B": {"item": (("2",),)}}
+        assert pending.rows_only and not pending.insert_only
 
     def test_union_is_set_wise_on_removes_and_rules_too(self):
         rule = rule_from_text("r9", "B: b(X, Y) -> A: a(X, Y)")
@@ -185,9 +195,11 @@ class TestCheckAndApply:
         mark = relation.mark()
         grown = (*relation, ("u", "v"))
         assert Change(replaces={"E": {"e": grown}}).apply(system) == 1
-        assert relation.since(mark) == [("u", "v")]  # only grew: mark holds
+        assert relation.since(mark) == ((("u", "v"),), ())  # only grew
         assert Change(replaces={"E": {"e": (("u", "v"),)}}).apply(system) == 2
         assert relation.rows() == {("u", "v")}
+        inserted, removed = relation.since(mark)
+        assert inserted == (("u", "v"),) and set(removed) == set(grown[:-1])
 
     def test_new_relations_are_created_before_their_rows(self):
         system = _paper_session().system

@@ -51,14 +51,14 @@ def _parents_of(pids):
     return {parent_of(pid) for pid in pids} if FORK_SERVER_VISIBLE else set()
 
 
-def deltas_after(system, mutate, shrunk=()):
+def deltas_after(system, mutate, rewritten=()):
     """Mutate ``system``; return what the marks ship, checked against the oracle."""
     mirror = WorldMirror(system)
     rules, facts = snapshot_of(system)
     mutate()
     oracle = set_difference_delta(system, rules, facts)
     shipped = mirror.advance(system)
-    assert_ships_what_the_oracle_ships(system, shipped, oracle, shrunk)
+    assert_ships_what_the_oracle_ships(system, shipped, oracle, facts, rewritten)
     assert mirror.advance(system).empty  # the marks moved up with the delta
     return shipped
 
@@ -85,13 +85,27 @@ class TestSyncDelta:
     def test_removed_rows_ship_as_a_wholesale_replace(self):
         system = small_system()
         relation = system.node("b").database.relation("item")
-        delta = deltas_after(system, relation.clear, shrunk=[("b", "item")])
+        delta = deltas_after(system, relation.clear, rewritten=[("b", "item")])
         assert delta.replaces["b"]["item"] == ()
         assert not delta.relations  # the workers have the relation already
 
-    def test_a_row_deleted_and_put_back_still_fails_the_mark(self):
-        # removals moved: the set difference sees nothing, the marks cannot
-        # know the rows are the same ones and rewrite the relation.
+    def test_deleted_rows_ship_as_removes_of_exactly_those_rows(self):
+        system = small_system()
+        system.load_data({"b": {"item": [("3", "4"), ("5", "6")]}})
+        relation = system.node("b").database.relation("item")
+
+        def delete_and_insert():
+            relation.delete(("3", "4"))
+            relation.insert(("7", "8"))
+
+        delta = deltas_after(system, delete_and_insert)
+        assert delta.removes == {"b": {"item": (("3", "4"),)}}
+        assert delta.inserts == {"b": {"item": (("7", "8"),)}}
+        assert not delta.replaces and delta.rows_only
+
+    def test_a_row_deleted_and_put_back_ships_nothing(self):
+        # The marks know the row is the one the workers already hold, as the
+        # set difference does: no replace, no remove, no insert.
         system = small_system()
         relation = system.node("b").database.relation("item")
 
@@ -99,8 +113,17 @@ class TestSyncDelta:
             relation.delete(("1", "2"))
             relation.insert(("1", "2"))
 
-        delta = deltas_after(system, delete_and_reinsert, shrunk=[("b", "item")])
-        assert delta.replaces["b"]["item"] == (("1", "2"),)
+        assert deltas_after(system, delete_and_reinsert).empty
+
+    def test_a_row_inserted_and_deleted_ships_nothing(self):
+        system = small_system()
+        relation = system.node("b").database.relation("item")
+
+        def insert_and_delete():
+            relation.insert(("3", "4"))
+            relation.delete(("3", "4"))
+
+        assert deltas_after(system, insert_and_delete).empty
 
     def test_swapped_relation_object_ships_as_a_replace(self):
         system = small_system()
@@ -109,7 +132,7 @@ class TestSyncDelta:
         def swap():
             database._relations["item"] = database.relation("item").copy()
 
-        delta = deltas_after(system, swap, shrunk=[("b", "item")])
+        delta = deltas_after(system, swap, rewritten=[("b", "item")])
         assert delta.replaces["b"]["item"] == (("1", "2"),)
 
     def test_new_relation_ships_replace_with_its_schema(self):
@@ -297,17 +320,20 @@ class TestPoolLifecycle:
 
     @staticmethod
     def _insert_everywhere(session, tag, count=1):
-        """``count`` fresh rows into every node's first relation, in order."""
+        """``count`` fresh rows into every relation of every node, in order.
+
+        Row ``i`` starts with the same key everywhere, so the rules' joins
+        derive rows from it."""
         inserted = {}
         for node_id, node in sorted(session.system.nodes.items()):
-            relation = next(node.database.relations())
-            arity = relation.schema.arity
-            rows = [
-                tuple(f"{tag}{index}-{column}" for column in range(arity))
-                for index in range(count)
-            ]
-            relation.insert_many(rows)
-            inserted[node_id] = {relation.name: tuple(rows)}
+            for relation in node.database.relations():
+                arity = relation.schema.arity
+                rows = [
+                    tuple(f"{tag}{index}-{column}" for column in range(arity))
+                    for index in range(count)
+                ]
+                relation.insert_many(rows)
+                inserted.setdefault(node_id, {})[relation.name] = tuple(rows)
         return inserted
 
     def test_sync_ships_a_multi_row_insert_in_insertion_order(self):

@@ -125,41 +125,104 @@ class TestCopyAndEquality:
 
 
 class TestMarkAndSince:
-    """``since(mark)``: the rows added, in order — or None, take it whole."""
+    """``since(mark)``: the rows added, in order, and the rows a delete took —
+    or None, take it whole."""
 
     def test_rows_added_since_the_mark_come_in_insertion_order(self, pair_relation):
         pair_relation.insert(("a", "b"))
         mark = pair_relation.mark()
-        assert pair_relation.since(mark) == []
+        assert pair_relation.since(mark) == ((), ())
         added = [(str(i), "x") for i in (7, 3, 9, 1, 5)]
         pair_relation.insert_many(added)
-        assert pair_relation.since(mark) == added
-        assert pair_relation.since(pair_relation.mark()) == []
+        assert pair_relation.since(mark) == (tuple(added), ())
+        assert pair_relation.since(pair_relation.mark()) == ((), ())
 
     def test_no_mark_does_not_validate(self, pair_relation):
         assert pair_relation.since(None) is None
 
-    def test_a_delete_or_clear_fails_the_mark(self, pair_relation):
+    def test_a_delete_names_exactly_the_rows_it_took(self, pair_relation):
+        pair_relation.insert_many([("a", "b"), ("c", "d"), ("e", "f")])
+        mark = pair_relation.mark()
+        pair_relation.delete(("c", "d"))
+        pair_relation.insert(("g", "h"))
+        pair_relation.delete(("a", "b"))
+        assert pair_relation.since(mark) == ((("g", "h"),), (("c", "d"), ("a", "b")))
+
+    def test_a_row_deleted_and_put_back_nets_to_nothing(self, pair_relation):
         pair_relation.insert_many([("a", "b"), ("c", "d")])
         mark = pair_relation.mark()
         pair_relation.delete(("a", "b"))
-        pair_relation.insert(("a", "b"))  # same rows, same count: still moved
-        assert pair_relation.since(mark) is None
+        pair_relation.insert(("a", "b"))  # same rows, same count
+        assert pair_relation.since(mark) == ((), ())
+        pair_relation.insert(("e", "f"))
+        assert pair_relation.since(mark) == ((("e", "f"),), ())
+
+    def test_a_row_inserted_and_deleted_nets_to_nothing(self, pair_relation):
+        pair_relation.insert(("a", "b"))
+        mark = pair_relation.mark()
+        pair_relation.insert(("c", "d"))
+        pair_relation.insert(("e", "f"))
+        pair_relation.delete(("c", "d"))
+        assert pair_relation.since(mark) == ((("e", "f"),), ())
+        pair_relation.delete(("e", "f"))
+        assert pair_relation.since(mark) == ((), ())
+
+    def test_a_row_put_back_and_deleted_again_is_removed(self, pair_relation):
+        pair_relation.insert_many([("a", "b"), ("c", "d")])
+        mark = pair_relation.mark()
+        pair_relation.delete(("a", "b"))
+        pair_relation.insert(("a", "b"))
+        pair_relation.delete(("a", "b"))
+        assert pair_relation.since(mark) == ((), (("a", "b"),))
+
+    def test_each_mark_reads_its_own_window(self, pair_relation):
+        pair_relation.insert_many([("a", "b"), ("c", "d")])
+        early = pair_relation.mark()
+        pair_relation.delete(("a", "b"))
+        pair_relation.insert(("e", "f"))
+        late = pair_relation.mark()
+        pair_relation.insert(("a", "b"))
+        pair_relation.delete(("e", "f"))
+        assert pair_relation.since(early) == ((), ())
+        assert pair_relation.since(late) == ((("a", "b"),), (("e", "f"),))
+
+    def test_a_clear_fails_the_mark(self, pair_relation):
+        pair_relation.insert_many([("a", "b"), ("c", "d")])
         mark = pair_relation.mark()
         pair_relation.clear()
+        pair_relation.insert(("a", "b"))
         assert pair_relation.since(mark) is None
+        assert pair_relation.since(pair_relation.mark()) == ((), ())
+
+    def test_the_delete_log_is_bounded_by_the_relation(self, pair_relation):
+        rows = [(str(i), "x") for i in range(100)]
+        pair_relation.insert_many(rows)
+        first = pair_relation.mark()
+        for row in rows[:50]:
+            mark = pair_relation.mark()
+            pair_relation.delete(row)
+            assert pair_relation.since(mark) == ((), (row,))
+        assert pair_relation.since(first) == ((), tuple(rows[:50]))
+        for row in rows[50:]:
+            pair_relation.delete(row)
+        # A hundred deletes from a hundred rows: the log outgrew the relation
+        # and forgot its older part, so a mark older than what it still
+        # holds no longer validates.
+        assert len(pair_relation._deleted) < 50
+        assert pair_relation.since(first) is None
 
     def test_a_missed_delete_does_not_move_removals(self, pair_relation):
         pair_relation.insert(("a", "b"))
         mark = pair_relation.mark()
         pair_relation.delete(("x", "y"))
-        assert pair_relation.since(mark) == []
+        assert pair_relation.since(mark) == ((), ())
 
     def test_a_mark_of_another_relation_object_does_not_validate(self, pair_relation):
         pair_relation.insert(("a", "b"))
         assert pair_relation.copy().since(pair_relation.mark()) is None
 
-    def test_a_mark_ahead_of_the_row_count_does_not_validate(self, pair_relation):
+    def test_a_mark_ahead_of_the_relation_does_not_validate(self, pair_relation):
         pair_relation.insert(("a", "b"))
-        ahead = (pair_relation, pair_relation.removals, len(pair_relation) + 1)
-        assert pair_relation.since(ahead) is None
+        relation, removals, count, epoch = pair_relation.mark()
+        assert pair_relation.since((relation, removals, count + 1, epoch)) is None
+        assert pair_relation.since((relation, removals + 1, count, epoch)) is None
