@@ -37,11 +37,11 @@ from repro.api.engine import ExecutionEngine, engine_for
 from repro.api.result import RunResult
 from repro.api.spec import ScenarioSpec
 from repro.api.strategies import get_strategy
-from repro.coordination.changeset import Change, relation_marks
+from repro.coordination.changeset import Change, RelationMarks
 from repro.coordination.rule import CoordinationRule, NodeId
 from repro.database.parser import parse_query
 from repro.database.query import ConjunctiveQuery
-from repro.database.relation import Mark, Row
+from repro.database.relation import Row
 from repro.database.schema import DatabaseSchema
 from repro.errors import ReproError
 from repro.obs import Tracer
@@ -109,6 +109,9 @@ class Session:
         # any insertion, a distributed run) invalidate stale entries by
         # construction.
         self._strategy_cache: OrderedDict[tuple, RunResult] = OrderedDict()
+        # A run's deltas: marks on every relation, moved up at each run's
+        # start past the writes made between runs (built by the first run).
+        self._marks: RelationMarks | None = None
         self._cache_hits = 0
         self._cache_misses = 0
         # Tracing: off (the default) leaves every run bit-identical — no
@@ -299,7 +302,6 @@ class Session:
     def _package(
         self,
         phase: str,
-        marks: dict[tuple[NodeId, str], Mark],
         completion: float,
         snapshot: StatsSnapshot,
         started: float,
@@ -314,7 +316,7 @@ class Session:
                 wall_seconds=time.perf_counter() - started,
                 stats=snapshot,
                 databases=system.databases(),
-                deltas=Change.read(system, marks, system.nodes),
+                deltas=Change.read(system, self._marks),
             )
         )
 
@@ -344,16 +346,20 @@ class Session:
         span and the merged timeline lands on ``result.extras["trace"]``.
 
         The result's ``deltas`` is :meth:`Change.read
-        <repro.coordination.changeset.Change.read>` over relation marks taken
-        before the engine starts: one ``(relation, removals, len)`` per
-        relation, no copy of any row.
+        <repro.coordination.changeset.Change.read>` over relation marks moved
+        up before the engine starts: one ``(relation, removals, len)`` per
+        relation, no copy of any row, and only the relations written since
+        are visited.
         """
         started = time.perf_counter()
-        marks = relation_marks(self.system, self.system.nodes)
+        if self._marks is None:
+            self._marks = RelationMarks(self.system)
+        else:
+            self._marks.mark(self.system)
         tracer = self.tracer
         if tracer is None:
             completion, snapshot = self.engine.run(self.system, phase, origins)
-            return self._package(phase, marks, completion, snapshot, started)
+            return self._package(phase, completion, snapshot, started)
         mark = tracer.mark()
         chase_before = tracer.chase.snapshot()
         with tracer.span("run", phase=phase, engine=self.engine.name) as span:
@@ -363,7 +369,7 @@ class Session:
                 messages=sum(snapshot.messages.by_type.values()),
                 **tracer.chase.delta_attributes(chase_before),
             )
-        result = self._package(phase, marks, completion, snapshot, started)
+        result = self._package(phase, completion, snapshot, started)
         return replace(
             result, extras={**result.extras, "trace": tracer.trace(since=mark)}
         )

@@ -2,7 +2,7 @@
 
 * :class:`Change` is *what changed* in a network, and the one shape every
   boundary speaks: a session run's deltas, pool sync and collect
-  (:meth:`Change.read` over :func:`relation_marks`), a worker's pending
+  (:meth:`Change.read` over :class:`RelationMarks`), a worker's pending
   syncs (:meth:`Change.union`), the incremental seed, the served update
   document (:meth:`Change.from_json`) and reconciliation logs
   (:meth:`Change.between`).  It is checked before it mutates anything.
@@ -13,8 +13,9 @@
   keys) and structural by construction: ``addLink``/``deleteLink`` changes
   the rules part, any insertion changes the data part.  (The warm pools'
   :class:`repro.sharding.pool.WorldMirror` shares the rules half,
-  :func:`rules_fingerprint`; for the data it keeps marks on the live
-  relations instead of a second copy of them.)
+  :func:`rules_fingerprint`, built only when the registry's version moved;
+  for the data it keeps marks on the live relations instead of a second copy
+  of them.)
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Container, Iterable, Mapping
 
 from repro.coordination.rule import CoordinationRule, NodeId, rule_from_text
-from repro.database.relation import Mark, Row
+from repro.database.relation import Mark, Relation, Row
 from repro.database.schema import RelationSchema
 from repro.errors import ChangeError
 
@@ -85,20 +86,50 @@ def _parse_rule(text: object) -> CoordinationRule:
     return rule_from_text(rule_id.strip(), remainder.strip())
 
 
-def relation_marks(
-    system: "P2PSystem", node_ids: Iterable[NodeId]
-) -> dict[tuple[NodeId, str], Mark]:
-    """A :meth:`Relation.mark <repro.database.relation.Relation.mark>` per
-    relation of ``node_ids``: what :meth:`Change.read` later reads beyond.
+class RelationMarks:
+    """What one reader has seen of a system's relations: a mark on each.
 
-    Taken when both sides of a boundary (coordinator and worker, or a run's
-    start and end) hold the same rows of each relation.
+    Built with a :meth:`Relation.mark <repro.database.relation.Relation.mark>`
+    on every relation of ``nodes`` (default: all of them), taken when both
+    sides of a boundary (coordinator and worker, or a run's start and end)
+    hold the same rows.  After that the reader visits only the relations the
+    system's :class:`~repro.database.relation.Touched` set reports written
+    since its previous visit: :meth:`mark` moves their marks up,
+    :meth:`Change.read` reads beyond them.  A relation nobody wrote keeps a
+    mark that still holds.
     """
-    return {
-        (node_id, relation.name): relation.mark()
-        for node_id in node_ids
-        for relation in system.node(node_id).database.relations()
-    }
+
+    def __init__(self, system: "P2PSystem", nodes: Iterable[NodeId] | None = None):
+        self.nodes = None if nodes is None else frozenset(nodes)
+        self._since = system.touched.read()
+        self.marks: dict[tuple[NodeId, str], Mark] = {
+            (node_id, relation.name): relation.mark()
+            for node_id in (system.nodes if self.nodes is None else self.nodes)
+            for relation in system.node(node_id).database.relations()
+        }
+
+    def touched(self, system: "P2PSystem") -> list[tuple[tuple[NodeId, str], Relation]]:
+        """``(key, relation)`` of ``nodes``' relations written since the last
+        visit, oldest write first; calling it is the next visit."""
+        nodes = self.nodes
+        keys = system.touched.since(self._since)
+        self._since = system.touched.read()
+        touched = []
+        for key in reversed(keys):
+            node = system.nodes.get(key[0])
+            if node is None or (nodes is not None and key[0] not in nodes):
+                continue
+            relation = node.database.get(key[1])
+            if relation is not None:
+                touched.append((key, relation))
+        return touched
+
+    def mark(self, system: "P2PSystem") -> None:
+        """Record that the other side holds what the relations written since
+        the last visit hold now."""
+        marks = self.marks
+        for key, relation in self.touched(system):
+            marks[key] = relation.mark()
 
 
 @dataclass(frozen=True)
@@ -166,16 +197,13 @@ class Change:
         return sum(len(rows) for by in self.inserts.values() for rows in by.values())
 
     @classmethod
-    def read(
-        cls,
-        system: "P2PSystem",
-        marks: dict[tuple[NodeId, str], Mark],
-        nodes: Iterable[NodeId],
-    ) -> "Change":
-        """How ``nodes``' relations moved since ``marks``; moves the marks up.
+    def read(cls, system: "P2PSystem", marks: RelationMarks) -> "Change":
+        """How ``system``'s relations moved since ``marks``; moves the marks up.
 
-        ``marks`` are :meth:`Relation.mark <repro.database.relation.Relation.mark>`
-        per ``(node, relation)`` of what the other side has.  A valid mark
+        ``marks`` hold a :meth:`Relation.mark
+        <repro.database.relation.Relation.mark>` per ``(node, relation)`` of
+        what the other side has; only the relations written since their last
+        visit are read (:meth:`RelationMarks.touched`).  A valid mark
         ships the rows appended since, in insertion order, and the rows a
         ``delete`` took since as ``removes`` (a row deleted and put back, or
         inserted and deleted, ships as neither); a failed one (a clear, a
@@ -186,24 +214,23 @@ class Change:
         removes: dict[NodeId, dict[str, tuple[Row, ...]]] = {}
         replaces: dict[NodeId, dict[str, tuple[Row, ...]]] = {}
         relations: dict[NodeId, tuple[RelationSchema, ...]] = {}
-        for node_id in nodes:
-            for relation in system.node(node_id).database.relations():
-                key = (node_id, relation.name)
-                moved = relation.since(marks.get(key))
-                if moved is None:
-                    if key not in marks:
-                        schemas = relations.get(node_id, ())
-                        relations[node_id] = (*schemas, relation.schema)
-                    replaces.setdefault(node_id, {})[relation.name] = tuple(relation)
-                else:
-                    added, removed = moved
-                    if not (added or removed):
-                        continue  # nothing moved: the mark still holds
-                    if added:
-                        inserts.setdefault(node_id, {})[relation.name] = added
-                    if removed:
-                        removes.setdefault(node_id, {})[relation.name] = removed
-                marks[key] = relation.mark()
+        known = marks.marks
+        for key, relation in marks.touched(system):
+            node_id, name = key
+            moved = relation.since(known.get(key))
+            if moved is None:
+                if key not in known:
+                    relations[node_id] = (*relations.get(node_id, ()), relation.schema)
+                replaces.setdefault(node_id, {})[name] = tuple(relation)
+            else:
+                added, removed = moved
+                if not (added or removed):
+                    continue  # nothing moved: the mark still holds
+                if added:
+                    inserts.setdefault(node_id, {})[name] = added
+                if removed:
+                    removes.setdefault(node_id, {})[name] = removed
+            known[key] = relation.mark()
         return cls(
             inserts=inserts, removes=removes, replaces=replaces, relations=relations
         )

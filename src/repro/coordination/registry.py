@@ -11,6 +11,7 @@ per-node rule views are derived.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Iterable, Iterator
 
 from repro.coordination.depgraph import DependencyGraph
@@ -18,10 +19,17 @@ from repro.coordination.rule import CoordinationRule, NodeId
 from repro.errors import ChangeError, RuleError
 
 
+#: Rule-set versions, drawn process-wide so no two registries share one.
+_VERSIONS = count(1)
+
+
 class RuleRegistry:
     """All coordination rules of a P2P system, with add/delete semantics."""
 
     def __init__(self, rules: Iterable[CoordinationRule] = ()):
+        #: Moves on every add and remove: a reader that remembers it knows
+        #: the rule set is unchanged without comparing a single rule.
+        self.version = next(_VERSIONS)
         self._rules: dict[str, CoordinationRule] = {}
         self._by_target: dict[NodeId, set[str]] = {}
         self._by_source: dict[NodeId, set[str]] = {}
@@ -40,6 +48,7 @@ class RuleRegistry:
         if rule.rule_id in self._rules:
             raise ChangeError(f"rule id {rule.rule_id!r} already registered")
         self._rules[rule.rule_id] = rule
+        self.version = next(_VERSIONS)
         self._by_target.setdefault(rule.target, set()).add(rule.rule_id)
         for source in rule.sources:
             self._by_source.setdefault(source, set()).add(rule.rule_id)
@@ -49,6 +58,7 @@ class RuleRegistry:
         rule = self._rules.pop(rule_id, None)
         if rule is None:
             raise ChangeError(f"unknown rule id {rule_id!r}")
+        self.version = next(_VERSIONS)
         self._by_target[rule.target].discard(rule_id)
         for source in rule.sources:
             self._by_source[source].discard(rule_id)

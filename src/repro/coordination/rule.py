@@ -180,8 +180,9 @@ class CoordinationRule:
     def text(self) -> str:
         """The rule in arrow syntax: id, body, comparisons and head (``str``).
 
-        Built once — the warm engines compare every rule's text on every run
-        (:func:`repro.coordination.changeset.rules_fingerprint`).
+        Built once — the warm engines compare rule texts
+        (:func:`repro.coordination.changeset.rules_fingerprint`) whenever
+        the registry's version says the rule set changed.
         """
         body = ", ".join(f"{node}:{atom}" for node, atom in self.body)
         if self.comparisons:

@@ -21,7 +21,7 @@ from repro.coordination.rule import CoordinationRule, NodeId
 from repro.core.node import PeerNode
 from repro.database.database import LocalDatabase
 from repro.database.query import ConjunctiveQuery
-from repro.database.relation import Row
+from repro.database.relation import Row, Touched
 from repro.database.schema import DatabaseSchema, RelationSchema
 from repro.errors import ReproError
 from repro.network.advertisement import Advertisement, DiscoveryService
@@ -51,6 +51,9 @@ class P2PSystem:
         #: (engines resolve this via repro.faults.injector_of).
         self.fault_injector = None
         self.registry = RuleRegistry()
+        #: The relations written since a reader's read: what a run's deltas,
+        #: the warm pools' syncs and collects visit instead of every relation.
+        self.touched = Touched()
         self.nodes: dict[NodeId, PeerNode] = {}
         self.pipes = PipeTable()
         self.discovery_service = DiscoveryService()
@@ -130,6 +133,7 @@ class P2PSystem:
         if node_id in self.nodes:
             raise ReproError(f"node {node_id!r} already exists")
         database = LocalDatabase(schema)
+        database.attach(self.touched, node_id)
         node = PeerNode(
             node_id,
             database,
@@ -195,7 +199,7 @@ class P2PSystem:
 
     def seed_update_delta(
         self, changes: Change, *, nodes: Iterable[NodeId] | None = None
-    ) -> int:
+    ) -> list[NodeId]:
         """Start the incremental update at every node ``changes`` moved rows at.
 
         The delta-driven counterpart of starting a naive update at every
@@ -204,10 +208,10 @@ class P2PSystem:
         registered dependants (see
         :meth:`repro.core.update.UpdateProtocol.start_incremental`).
         ``nodes`` restricts seeding (the shard workers pass their owned
-        peers).  Returns the number of nodes seeded.
+        peers).  Returns the nodes seeded.
         """
         allowed = None if nodes is None else set(nodes)
-        seeded = 0
+        seeded = []
         for node_id in sorted({*changes.inserts, *changes.removes}):
             if allowed is not None and node_id not in allowed:
                 continue
@@ -216,7 +220,7 @@ class P2PSystem:
             self.nodes[node_id].update.start_incremental(
                 changes.inserts.get(node_id, {}), changes.removes.get(node_id)
             )
-            seeded += 1
+            seeded.append(node_id)
         return seeded
 
     # ------------------------------------------------------------- properties

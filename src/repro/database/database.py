@@ -17,7 +17,7 @@ from repro.database.evaluate import evaluate_body, evaluate_query
 from repro.database.nulls import SkolemFactory
 from repro.database.query import Atom, ConjunctiveQuery, Constant, Variable
 from repro.database.query import constant_types
-from repro.database.relation import Relation, Row, row_picker
+from repro.database.relation import Relation, Row, Touched, row_picker
 from repro.database.schema import DatabaseSchema, RelationSchema
 from repro.errors import QueryError, SchemaError
 
@@ -92,6 +92,26 @@ def _head_template(head: Atom, distinguished: tuple[Variable, ...]) -> _HeadTemp
     return template
 
 
+class _Relations(dict):
+    """A database's ``name -> Relation`` table, attaching whatever it holds.
+
+    Any relation put in — created by :meth:`LocalDatabase.add_relation` or
+    swapped in behind the database's back — reports its changes to the
+    system's :class:`~repro.database.relation.Touched` set under the key
+    ``(node_id, name)``, and the putting-in is its first report.
+    """
+
+    #: Where the relations report, and the node they belong to; class-level
+    #: defaults, so a table being unpickled attaches nothing.
+    touched: Touched | None = None
+    node_id: str | None = None
+
+    def __setitem__(self, name: str, relation: Relation) -> None:
+        super().__setitem__(name, relation)
+        if self.touched is not None:
+            relation.attach(self.touched, (self.node_id, name))
+
+
 class LocalDatabase:
     """An in-memory relational database for one peer."""
 
@@ -99,9 +119,7 @@ class LocalDatabase:
         # A copy, also of a DatabaseSchema: add_relation mutates it, and the
         # caller's object (a ScenarioSpec's, say) may build other databases.
         self.schema = DatabaseSchema(schema)
-        self._relations: dict[str, Relation] = {
-            rel.name: Relation(rel) for rel in self.schema
-        }
+        self._relations = _Relations({rel.name: Relation(rel) for rel in self.schema})
         self.skolems = SkolemFactory()
         #: A6 projection-check profiling sink; attached by traced sessions
         #: (None keeps the chase on the unprofiled fast path).
@@ -111,6 +129,15 @@ class LocalDatabase:
         self._head_templates: dict[str, tuple] = {}
 
     # ----------------------------------------------------------------- schema
+
+    def attach(self, touched: Touched, node_id: str) -> None:
+        """Make every relation, now and later, report its changes to
+        ``touched`` under ``(node_id, relation name)`` (done by the system
+        the database joins)."""
+        relations = self._relations
+        relations.touched, relations.node_id = touched, node_id
+        for name, relation in relations.items():
+            relation.attach(touched, (node_id, name))
 
     def add_relation(self, relation_schema: RelationSchema) -> None:
         """Add a new (empty) relation to the database."""

@@ -20,6 +20,11 @@ coordinator↔worker boundary).  ``since`` also names the rows a ``delete``
 took: each row remembers the mark *epoch* it was inserted in, and a short log
 keeps the rows deleted lately, so a row deleted and put back — or inserted
 and deleted — between two reads nets to nothing.
+
+Which relations a reader has to ask at all is :class:`Touched`: a relation
+attached to a system reports itself there on its first change after any
+reader's read, so a reader that remembers marks on every relation visits only
+the ones written since its last visit (``docs/incremental.md``).
 """
 
 from __future__ import annotations
@@ -46,6 +51,53 @@ _LOG_SLACK = 16
 
 #: What :meth:`Relation.since` answers for a relation that did not move.
 _UNMOVED: tuple[tuple[Row, ...], tuple[Row, ...]] = ((), ())
+
+
+class Touched:
+    """The relations of one system written since a reader's read.
+
+    A relation attached with :meth:`Relation.attach` reports its key on its
+    first change of each *generation*; every :meth:`read` starts a new one,
+    so a relation reports at most once between two reads, whoever the reader.
+    The log keeps one entry per key, the latest report last; a reader asks
+    :meth:`since` for the keys reported from the generation its previous read
+    returned.  It holds at most one entry per relation of the system.
+    """
+
+    __slots__ = ("generation", "_log")
+
+    def __init__(self) -> None:
+        self.generation = 1
+        # key -> generation of its latest report, oldest report first.
+        self._log: dict[tuple, int] = {}
+
+    def report(self, relation: "Relation") -> None:
+        """Log ``relation``'s key in the current generation (its mutators call
+        this at most once per generation)."""
+        relation._reported = generation = self.generation
+        log = self._log
+        log.pop(relation._key, None)
+        log[relation._key] = generation
+
+    def read(self) -> int:
+        """Start a new generation and return it: a reader passes it to
+        :meth:`since` to get what was written after this call."""
+        self.generation += 1
+        return self.generation
+
+    def since(self, generation: int) -> list[tuple]:
+        """The keys reported in ``generation`` or later, latest first."""
+        keys = []
+        for key, reported in reversed(self._log.items()):
+            if reported < generation:
+                break
+            keys.append(key)
+        return keys
+
+
+#: Where relations report that belong to no system: its generation never
+#: moves, so a detached relation never reports.
+_DETACHED = Touched()
 
 
 def row_picker(columns: Sequence[int]) -> Callable[[Sequence], Row]:
@@ -76,6 +128,11 @@ class Relation:
         self._indexes: dict[int, dict[object, set[Row]]] = {}
         # rows() as last taken; None once the relation changed.
         self._snapshot: frozenset[Row] | None = None
+        # Where a change is reported, under which key, and the generation of
+        # the last report; a change reports when that generation is stale.
+        self._touched = _DETACHED
+        self._key: tuple = ()
+        self._reported = _DETACHED.generation
         for row in rows:
             self.insert(row)
 
@@ -102,6 +159,12 @@ class Relation:
             snapshot = self._snapshot = frozenset(self._rows)
         return snapshot
 
+    def attach(self, touched: Touched, key: tuple) -> None:
+        """Report changes to ``touched`` under ``key`` from now on; this
+        attaching counts as the first."""
+        self._touched, self._key = touched, key
+        touched.report(self)
+
     # ---------------------------------------------------------------- updates
 
     def insert(self, row: Row) -> bool:
@@ -116,6 +179,8 @@ class Relation:
         self.schema.validate_tuple(row)
         self._rows[row] = self._epoch
         self._snapshot = None
+        if self._reported != self._touched.generation:
+            self._touched.report(self)
         for position, index in self._indexes.items():
             index[row[position]].add(row)
         return True
@@ -131,6 +196,8 @@ class Relation:
         if epoch is None:
             return False
         self._snapshot = None
+        if self._reported != self._touched.generation:
+            self._touched.report(self)
         self.removals += 1
         deleted = self._deleted
         deleted.append((row, epoch))
@@ -153,6 +220,8 @@ class Relation:
         self._rows.clear()
         self._indexes.clear()
         self._snapshot = None
+        if self._reported != self._touched.generation:
+            self._touched.report(self)
         self.removals += 1
         self._deleted = []
         self._log_start = self.removals

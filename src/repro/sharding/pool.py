@@ -23,10 +23,10 @@ as peers' data shifts.  So the workers are *persistent* (the loop in
   rewritten, and ``addLink``/``deleteLink`` rule changes; home come the
   rows each shard gained — never the schemas or the unchanged data.  Both
   directions are one :class:`~repro.coordination.changeset.Change`, read
-  structurally off the live relations against marks on them
-  (:meth:`Change.read <repro.coordination.changeset.Change.read>`: state is
-  compared, not change notifications trusted), at a cost proportional to
-  the change, not to the world.
+  structurally off the relations written since, against marks on them
+  (:meth:`Change.read <repro.coordination.changeset.Change.read>`: a
+  relation reports its own writes, so no caller can forget to), at a cost
+  proportional to the change, not to the world.
 * :class:`WorkerPool` and :class:`~repro.sharding.sockets.SocketPool` are
   reduced to how their channels are made: start one process per shard, or
   dial a host fleet and ship it the worlds.  :func:`_worker_context` decides
@@ -65,9 +65,8 @@ from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Protocol
 
-from repro.coordination.changeset import Change, relation_marks, rules_fingerprint
+from repro.coordination.changeset import Change, RelationMarks, rules_fingerprint
 from repro.coordination.rule import NodeId
-from repro.database.relation import Mark
 from repro.errors import NetworkError, ReproError
 from repro.faults.injector import NULL_INJECTOR, injector_of
 from repro.obs import NULL_TRACER, get_logger
@@ -144,18 +143,27 @@ class WorldMirror:
     Per relation the mirror keeps the :meth:`Relation.mark
     <repro.database.relation.Relation.mark>` taken when coordinator and
     workers last agreed on it — at spawn, after every sync, after every
-    merge — plus the rule texts the workers run.  What a warm run must
-    re-ship is then whatever the live relations hold beyond their marks.
+    merge — plus the rule texts the workers run and the registry version
+    they were read at.  What a warm run must re-ship is then whatever the
+    relations written since hold beyond their marks, and the rule texts are
+    compared only when the version moved.
     """
 
     def __init__(self, system: P2PSystem):
+        self.version = system.registry.version
         self.rules: dict[str, str] = rules_fingerprint(system.registry)
-        self.marks: dict[tuple[NodeId, str], Mark] = {}
-        self.mark(system)
+        self.marks = RelationMarks(system)
 
     def mark(self, system: P2PSystem) -> None:
         """Record that the workers hold the coordinator's current facts."""
-        self.marks = relation_marks(system, system.nodes)
+        self.marks.mark(system)
+
+    def rules_changed(self, system: P2PSystem) -> bool:
+        """Whether the rule set differs from the one the workers run."""
+        registry = system.registry
+        return registry.version != self.version and (
+            rules_fingerprint(registry) != self.rules
+        )
 
     def advance(self, system: P2PSystem) -> Change:
         """What changed in the coordinator since the marks were taken
@@ -163,15 +171,19 @@ class WorldMirror:
 
         Structural by construction: whatever mutated the system —
         ``load_data``, ``addLink``/``deleteLink``, a direct relation write —
-        shows up, with no change-notification protocol to forget to call.
+        shows up, because a relation reports its own writes and the registry
+        its own version; there is no notification for a caller to forget.
         """
-        known, self.rules = self.rules, rules_fingerprint(system.registry)
+        change = Change.read(system, self.marks)
+        registry = system.registry
+        if registry.version == self.version:
+            return change
+        known, self.rules = self.rules, rules_fingerprint(registry)
+        self.version = registry.version
         return replace(
-            Change.read(system, self.marks, system.nodes),
+            change,
             add_rules=tuple(
-                rule
-                for rule in system.registry
-                if known.get(rule.rule_id) != rule.text
+                rule for rule in registry if known.get(rule.rule_id) != rule.text
             ),
             remove_rules=tuple(
                 rule_id
@@ -269,6 +281,8 @@ class ShardPool:
                 f"worlds for {plan.shard_count} shards"
             )
         self.plan = plan
+        # Each shard's peers: what a sync slices the change by.
+        self._members = [frozenset(plan.members(s)) for s in range(plan.shard_count)]
         self.closed = False
         #: Fault injector firing kill faults at this pool's phase hook points
         #: (the null injector keeps every hook a no-op on fault-free runs).
@@ -502,7 +516,7 @@ class ShardPool:
         would move — the caller must close this pool and spawn a new one over
         the new partition, because data slices live in worker memory.
         """
-        if rules_fingerprint(system.registry) == self._mirror.rules:
+        if not self._mirror.rules_changed(system):
             return None
         fresh = planner.plan_system(system)
         if dict(fresh.shard_of) == dict(self.plan.shard_of):
@@ -522,7 +536,7 @@ class ShardPool:
         delta = self._mirror.advance(system)
         if not delta.empty:
             for shard, channel in enumerate(self._channels):
-                channel.put(("sync", delta.only(self.plan.members(shard))))
+                channel.put(("sync", delta.only(self._members[shard])))
         # A sync-phase kill lands here: the dead worker is detected by the
         # next run_phase's liveness check, never by a wedged barrier.
         self.injector.fire("sync", self)
@@ -531,16 +545,17 @@ class ShardPool:
     def run_phase(
         self,
         phase: str,
-        origins: Iterable[NodeId],
+        origins: Iterable[NodeId] | None,
         *,
         tracer=None,
         mode: str | None = None,
     ) -> list[dict]:
         """Drive one phase over the warm workers and collect their payloads.
 
-        The run starts at the owned origins, reaches distributed quiescence
-        through the cumulative-counter barrier, then ``collect`` ships home
-        what every shard gained (the workers keep running).  Once the caller
+        The run starts at the owned origins (``None``: at every peer),
+        reaches distributed quiescence through the cumulative-counter
+        barrier, then ``collect`` ships home what every shard gained (the
+        workers keep running).  Once the caller
         has merged the payloads it calls :meth:`note_merged`.
         ``mode="incremental"`` asks the workers for the delta-driven update
         path; each worker double-checks eligibility against its own
@@ -551,7 +566,7 @@ class ShardPool:
         tracer = tracer if tracer is not None else NULL_TRACER
         try:
             self._require_open()
-            start = ("start", phase, tuple(origins), mode)
+            start = ("start", phase, None if origins is None else tuple(origins), mode)
             for channel in self._channels:
                 channel.put(start)
             self.injector.fire("chase", self)

@@ -306,12 +306,12 @@ class ProcessEngine:
             if transport.plan is None:
                 planner = self.planner or ShardPlanner(transport.shard_count)
                 transport.apply_plan(planner.plan_system(system))
+        # None starts the update at every peer: each worker knows its own.
+        origin_list: list[NodeId] | None = None
         if origins is not None:
             origin_list = list(origins)
         elif phase == "discovery":
             origin_list = [system.super_peer]
-        else:
-            origin_list = sorted(system.nodes)
 
         started = time.perf_counter()
         # Fault-injected runs may degrade to a cold re-run: the injector
@@ -357,7 +357,7 @@ class ProcessEngine:
         system: P2PSystem,
         transport: ProcessTransport,
         phase: str,
-        origins: list[NodeId],
+        origins: list[NodeId] | None,
     ) -> list[dict]:
         """Reuse the warm pool when possible; (re)spawn when it is not.
 

@@ -38,11 +38,11 @@ import queue as queue_module
 import time
 import traceback
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from repro.coordination.changeset import Change, relation_marks
+from repro.coordination.changeset import Change, RelationMarks
 from repro.coordination.rule import CoordinationRule, NodeId
-from repro.database.relation import Mark
 from repro.errors import NetworkError, ReproError
 from repro.faults.injector import WorkerFrameInjector, injector_of
 from repro.network.latency import LatencyModel
@@ -99,9 +99,9 @@ class ShardWorld:
     #: run index counts ``start`` commands within its generation.
     fault_plan: "FaultPlan | None" = None
 
-    @property
+    @cached_property
     def owned(self) -> tuple[NodeId, ...]:
-        """The peers this shard's worker executes."""
+        """The peers this shard's worker executes, sorted."""
         return tuple(
             sorted(n for n, s in self.shard_of.items() if s == self.shard_index)
         )
@@ -166,6 +166,10 @@ class _WorkerTransport(BaseTransport):
         self.delivered = 0
         self.cross_sent = [0] * len(outboxes)
         self.cross_received = 0
+        #: The owned peers that ran since the last collect: the recipients
+        #: of deliveries and the origins a ``start`` kicked off or seeded.
+        #: Only their protocol state can have moved.
+        self.ran: set[NodeId] = set()
         self._queue: list[tuple[float, int, Message]] = []
         self._tiebreak = 0
         self._sent = 0
@@ -229,6 +233,7 @@ class _WorkerTransport(BaseTransport):
             deliver_at, _tiebreak, message = heapq.heappop(self._queue)
             self.clock = max(self.clock, deliver_at)
             self.delivered += 1
+            self.ran.add(message.recipient)
             if self.delivered > self.max_messages:
                 raise NetworkError(
                     f"shard {self.shard_index} exceeded {self.max_messages} "
@@ -267,18 +272,26 @@ def _build_worker_system(world: ShardWorld, transport: _WorkerTransport) -> P2PS
     return system
 
 
-def _start_worker_phase(
-    system: P2PSystem, world: ShardWorld, phase: str, origins: Iterable[NodeId]
-) -> None:
+def _owned_origins(
+    world: ShardWorld, origins: Iterable[NodeId] | None
+) -> tuple[NodeId, ...]:
+    """The origins this shard starts, in order; ``None`` means every peer."""
+    if origins is None:
+        return world.owned
     owned = set(world.owned)
+    return tuple(origin for origin in origins if origin in owned)
+
+
+def _start_worker_phase(
+    system: P2PSystem, phase: str, origins: Iterable[NodeId]
+) -> None:
     for origin in origins:
-        if origin in owned:
-            if phase == "discovery":
-                system.node(origin).discovery.start()
-            elif phase == "update":
-                system.node(origin).update.start()
-            else:  # pragma: no cover - the engine validates the phase
-                raise ReproError(f"unknown phase {phase!r}")
+        if phase == "discovery":
+            system.node(origin).discovery.start()
+        elif phase == "update":
+            system.node(origin).update.start()
+        else:  # pragma: no cover - the engine validates the phase
+            raise ReproError(f"unknown phase {phase!r}")
 
 
 def _worker_payload(
@@ -286,7 +299,7 @@ def _worker_payload(
     world: ShardWorld,
     transport: _WorkerTransport,
     phase: str,
-    marks: dict[tuple[NodeId, str], Mark],
+    marks: RelationMarks,
     shipped_state: dict[NodeId, dict],
 ) -> dict:
     """What one worker ships back: new facts, changed protocol state, stats.
@@ -296,14 +309,19 @@ def _worker_payload(
     world was built (those rows came from the coordinator) — and
     ``shipped_state``, the protocol state as last shipped.  ``change`` is
     :meth:`Change.read <repro.coordination.changeset.Change.read>` over the
-    marks; a node's protocol state rides along when it changed.
+    marks, so only the relations written since are visited; the protocol
+    state of a node that ran (every owned node, after a discovery) rides
+    along when it changed.
     """
+    ran = world.owned
     if phase == "discovery":
         for node_id in world.owned:
             system.node(node_id).discovery.finalize_paths()
-    change = Change.read(system, marks, world.owned)
+    else:
+        ran = sorted(transport.ran)
+    change = Change.read(system, marks)
     node_state = {}
-    for node_id in world.owned:
+    for node_id in ran:
         node = system.node(node_id)
         state = {
             "closed": node.is_update_closed,
@@ -337,9 +355,7 @@ def _worker_payload(
     return payload
 
 
-def _remark(
-    system: P2PSystem, marks: dict[tuple[NodeId, str], Mark], change: Change
-) -> None:
+def _remark(system: P2PSystem, marks: RelationMarks, change: Change) -> None:
     """Mark the relations a coordinator ``change`` touched: both sides hold
     the same rows of them now.
 
@@ -358,7 +374,7 @@ def _remark(
     for node_id, schemas in change.relations.items():
         touched.update((node_id, schema.name) for schema in schemas)
     for node_id, name in touched:
-        marks[node_id, name] = system.node(node_id).database.relation(name).mark()
+        marks.marks[node_id, name] = system.node(node_id).database.relation(name).mark()
 
 
 def _reset_run_counters(transport: _WorkerTransport) -> None:
@@ -369,6 +385,7 @@ def _reset_run_counters(transport: _WorkerTransport) -> None:
     balanced — the next run's quiescence check starts from zeros everywhere.
     """
     transport.stats.reset()
+    transport.ran = set()
     transport.delivered = 0
     transport.cross_sent = [0] * len(transport.cross_sent)
     transport.cross_received = 0
@@ -437,7 +454,7 @@ def shard_worker_loop(world: ShardWorld, outboxes: list, results) -> None:
             )
         with tracer.span("build", shard=world.shard_index):
             system = _build_worker_system(world, transport)
-        marks, shipped_state = relation_marks(system, world.owned), {}
+        marks, shipped_state = RelationMarks(system, world.owned), {}
         if tracer.enabled:
             for node in system.nodes.values():
                 node.database.profile = tracer.chase
@@ -475,18 +492,18 @@ def shard_worker_loop(world: ShardWorld, outboxes: list, results) -> None:
                 if transport.fault_injector is not None:
                     transport.fault_injector.start_run()
                 _kind, phase, origins, mode = item
+                started = _owned_origins(world, origins)
                 if phase == "update":
                     changes, pending = pending, Change()
                     if mode == "incremental" and changes.rows_only:
-                        system.seed_update_delta(
-                            changes, nodes=set(world.owned) & set(origins)
-                        )
+                        started = system.seed_update_delta(changes, nodes=started)
                     else:
-                        _start_worker_phase(system, world, phase, origins)
+                        _start_worker_phase(system, phase, started)
                 else:
                     # Discovery runs neither consume nor stale the pending
                     # delta; it still belongs to the next update start.
-                    _start_worker_phase(system, world, phase, origins)
+                    _start_worker_phase(system, phase, started)
+                transport.ran.update(started)
             elif kind == "msg":
                 transport.receive_cross(item[1], item[2])
                 report_due = True

@@ -12,7 +12,11 @@ in-process engines bump registry counters through cached handles, worker
 processes ship their registries home as :meth:`dump_counters` payloads, and
 the coordinator folds them in with :meth:`merge_counters` — one aggregation
 code path for all engines, with :meth:`snapshot` assembling the familiar
-:class:`StatsSnapshot` view from the registry on demand.
+:class:`StatsSnapshot` view from the registry on demand.  A snapshot
+re-assembles only the nodes whose counters moved since the previous one —
+those handed a recording handle, or named by a merged dump — and reuses the
+:class:`NodeStats` of every other node, so its cost follows the run, not the
+network.
 """
 
 from __future__ import annotations
@@ -176,19 +180,41 @@ class StatisticsCollector:
         )
         self.simulated_time = 0.0
         self.elapsed_wall_seconds = 0.0
-        # Hot-path handle caches; dropped (and lazily re-created) on reset().
+        # Handle caches, dropped (and lazily re-created) on reset().  Every
+        # message-type counter has its pair here, merged ones included.
         self._type_handles: dict[str, tuple[MetricCounter, MetricCounter]] = {}
         self._node_handles: dict[str, _NodeHandles] = {}
+        # The nodes whose counters moved since the last snapshot — handed a
+        # recording handle (kept here) or named by a merge (None): the only
+        # ones whose NodeStats can be stale.
+        self._moved: dict[str, _NodeHandles | None] = {}
+        # NodeStats per node as last assembled; never mutated once shared.
+        self._nodes: dict[str, NodeStats] = {}
+        self._incremental: dict[str, int] = dict.fromkeys(_INCREMENTAL_METRICS, 0)
 
     # --------------------------------------------------------------- recording
 
     def _handles(self, node_id: str) -> _NodeHandles:
-        handles = self._node_handles.get(node_id)
+        handles = self._moved.get(node_id)
         if handles is None:
-            handles = self._node_handles[node_id] = _NodeHandles(
-                self.registry, node_id
-            )
+            handles = self._node_handles.get(node_id)
+            if handles is None:
+                handles = self._node_handles[node_id] = _NodeHandles(
+                    self.registry, node_id
+                )
+            self._moved[node_id] = handles
         return handles
+
+    def _message_handles(
+        self, message_type: str
+    ) -> tuple[MetricCounter, MetricCounter]:
+        type_handles = self._type_handles.get(message_type)
+        if type_handles is None:
+            type_handles = self._type_handles[message_type] = (
+                self.registry.counter(_MESSAGES_TOTAL, {"type": message_type}),
+                self.registry.counter(_MESSAGE_BYTES_TOTAL, {"type": message_type}),
+            )
+        return type_handles
 
     def record_message(
         self, message_type: str, sender: str, recipient: str, size: int
@@ -196,10 +222,7 @@ class StatisticsCollector:
         """Record one message delivery (called by the transport)."""
         type_handles = self._type_handles.get(message_type)
         if type_handles is None:
-            type_handles = self._type_handles[message_type] = (
-                self.registry.counter(_MESSAGES_TOTAL, {"type": message_type}),
-                self.registry.counter(_MESSAGE_BYTES_TOTAL, {"type": message_type}),
-            )
+            type_handles = self._message_handles(message_type)
         type_handles[0].value += 1
         type_handles[1].value += size
         self._handles(sender).messages_sent.value += 1
@@ -244,14 +267,12 @@ class StatisticsCollector:
         ):
             if amount:
                 self.registry.counter(name, labels).value += amount
+                self._incremental[name] += amount
 
     def incremental_totals(self) -> dict[str, int]:
-        """The incremental counters summed over all nodes (zero-filled)."""
-        totals = {name: 0 for name in _INCREMENTAL_METRICS}
-        for counter in self.registry.counters.values():
-            if counter.name in totals:
-                totals[counter.name] += counter.value
-        return totals
+        """The incremental counters summed over all nodes (zero-filled);
+        kept as they are recorded and merged, so reading them is O(1)."""
+        return dict(self._incremental)
 
     def advance_time(self, simulated_time: float) -> None:
         """Advance the simulated clock to ``simulated_time`` (monotonic)."""
@@ -265,8 +286,22 @@ class StatisticsCollector:
         return self.registry.dump()
 
     def merge_counters(self, dump: Mapping) -> None:
-        """Fold a worker's :meth:`dump_counters` payload into this collector."""
+        """Fold a worker's :meth:`dump_counters` payload into this collector.
+
+        The dump names what moved: its node counters mark their nodes for
+        the next snapshot, its message and incremental counters join the
+        collector's handles and totals.
+        """
         self.registry.merge(dump)
+        for name, labels, value in dump.get("counters", ()):
+            if name in self._incremental:
+                self._incremental[name] += value
+            elif not labels:
+                continue
+            elif name in _NODE_METRICS:
+                self._moved.setdefault(labels[0][1], None)
+            elif name == _MESSAGES_TOTAL:
+                self._message_handles(labels[0][1])
 
     # ------------------------------------------------------------- inspection
 
@@ -274,40 +309,36 @@ class StatisticsCollector:
     def messages(self) -> MessageStats:
         """The message-level counters, assembled from the registry."""
         messages = MessageStats()
-        for counter in self.registry.counters.values():
-            if not counter.labels:
-                continue
-            label_value = counter.labels[0][1]
-            if counter.name == _MESSAGES_TOTAL:
-                messages.total_messages += counter.value
-                messages.by_type[label_value] += counter.value
-            elif counter.name == _MESSAGE_BYTES_TOTAL:
-                messages.total_bytes += counter.value
-                messages.bytes_by_type[label_value] += counter.value
+        for message_type, (count, size) in self._type_handles.items():
+            messages.total_messages += count.value
+            messages.by_type[message_type] += count.value
+            messages.total_bytes += size.value
+            messages.bytes_by_type[message_type] += size.value
         return messages
 
     def node(self, node_id: str) -> NodeStats:
         """The per-node counters for ``node_id``, assembled from the registry."""
-        return self._assemble_nodes().get(node_id, NodeStats())
-
-    def _assemble_nodes(self) -> dict[str, NodeStats]:
-        nodes: dict[str, NodeStats] = {}
-        for counter in self.registry.counters.values():
-            attr = _NODE_METRICS.get(counter.name)
-            if attr is None or not counter.labels:
-                continue
-            node_id = counter.labels[0][1]
-            stats = nodes.get(node_id)
-            if stats is None:
-                stats = nodes[node_id] = NodeStats()
-            setattr(stats, attr, getattr(stats, attr) + counter.value)
-        return nodes
+        stats = NodeStats()
+        counters, labels = self.registry.counters, (("node", node_id),)
+        for name, attr in _NODE_METRICS.items():
+            counter = counters.get((name, labels))
+            if counter is not None:
+                setattr(stats, attr, counter.value)
+        return stats
 
     def snapshot(self) -> StatsSnapshot:
-        """An immutable copy of all counters."""
+        """An immutable copy of all counters.
+
+        Only the nodes whose counters moved since the last snapshot are
+        assembled again; the others keep their :class:`NodeStats`.
+        """
+        nodes = self._nodes
+        for node_id in self._moved:
+            nodes[node_id] = self.node(node_id)
+        self._moved = {}
         return StatsSnapshot(
             messages=self.messages,
-            nodes=self._assemble_nodes(),
+            nodes=dict(nodes),
             simulated_time=self.simulated_time,
             elapsed_wall_seconds=self.elapsed_wall_seconds,
         )
@@ -317,5 +348,7 @@ class StatisticsCollector:
         self.registry.reset()
         self._type_handles.clear()
         self._node_handles.clear()
+        self._moved, self._nodes = {}, {}
+        self._incremental = dict.fromkeys(_INCREMENTAL_METRICS, 0)
         self.simulated_time = 0.0
         self.elapsed_wall_seconds = 0.0

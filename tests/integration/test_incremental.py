@@ -32,6 +32,7 @@ from repro.workloads.scenarios import (
     paper_example_schemas,
 )
 from repro.workloads.topologies import layered_topology, tree_topology
+from test_warm_bounds import spied_warm_insert
 
 #: Engine configurations compared against the synchronous reference.  The
 #: pooled engines keep worker processes warm across the two updates (the
@@ -361,19 +362,25 @@ class TestIncrementalWork:
             )
             assert rows_after >= rows_before + 1 + derived
 
-    @pytest.mark.slow
-    def test_every_warm_insert_seeds_one_row_at_511_nodes(self):
-        spec = ScenarioSpec.from_topology(
-            tree_topology(8, 2), records_per_node=3, seed=0
-        ).with_(transport="pooled", shards=2)
-        with Session.from_spec(spec) as session:
-            session.run("update")
-            for rounds in range(1, 4):
-                _insert_feeding_row(session.system, f"delta{rounds}-")
-                assert session.run("update").engine == "pooled"
-                totals = session.system.stats.incremental_totals()
-                assert totals["repro_incremental_seed_rows_total"] == rounds
-                assert totals["repro_incremental_rows_derived_total"] >= rounds
+    def test_every_warm_insert_seeds_one_row_at_511_nodes(self, monkeypatch):
+        visits = {}
+        for depth in (5, 8):
+            spec = ScenarioSpec.from_topology(
+                tree_topology(depth, 2), records_per_node=3, seed=0
+            ).with_(transport="pooled", shards=2)
+            with Session.from_spec(spec) as session:
+                session.run("update")
+                for rounds in range(1, 4):
+                    _insert_feeding_row(session.system, f"delta{rounds}-")
+                    assert session.run("update").engine == "pooled"
+                    totals = session.system.stats.incremental_totals()
+                    assert totals["repro_incremental_seed_rows_total"] == rounds
+                    assert totals["repro_incremental_rows_derived_total"] >= rounds
+                counts = spied_warm_insert(session, monkeypatch, "gate")
+                assert counts["texts"] == 0
+                visits[len(session.system.nodes)] = counts["visits"]
+        # The coordinator's bookkeeping does not grow with the network.
+        assert visits[511] == visits[63]
 
     def test_warm_noop_repeat_is_message_free(self):
         spec = ScenarioSpec.from_topology(

@@ -13,15 +13,26 @@ and re-inserted all ~6 300 rows; the payload grew with every insert.
 The quiescence barrier is bounded the same way: each warm run certifies
 with one confirming ping wave, after the workers' unsolicited idle reports.
 Polled rounds with a back-off between them took 2–3 rounds per insert.
+
+So is the coordinator's bookkeeping around the rows: a warm one-row insert
+marks and reads only the relations written since the last visit, assembles
+statistics only for the nodes whose counters moved, and reads no rule text
+while the rule set stands still — the same counts on a 15-node and a 63-node
+tree.  Each run used to visit every relation four times (504 visits at 63
+nodes), build a ``NodeStats`` per node and compare every rule's text twice.
 """
 
 import pickle
+from collections import Counter
 
 import pytest
 
 from repro.api.session import Session
 from repro.api.spec import ScenarioSpec
+from repro.coordination.rule import CoordinationRule
+from repro.database.relation import Relation
 from repro.experiments.serving import feeding_site
+from repro.stats.collector import NodeStats
 from repro.workloads.topologies import tree_topology
 
 INSERTS = 200
@@ -189,3 +200,82 @@ def test_every_warm_run_certifies_quiescence_in_one_round(traced):
             assert barrier["rounds"] == 1
             # Every worker reports at least once: after its ``start``.
             assert barrier["reports"] >= shards
+
+
+def spied_warm_insert(session, monkeypatch, tag):
+    """Insert one row at the feeding site and run a warm update under spies.
+
+    Returns what the coordinator did during the run: ``visits`` (calls of
+    ``Relation.mark`` and ``Relation.since``), ``assembled`` (``NodeStats``
+    built), ``texts`` (``CoordinationRule.text`` reads), plus ``moved``, the
+    nodes whose statistics differ from the snapshot before the run, and
+    ``touched``, the relations the run's deltas or the insert wrote.
+    """
+    node, relation_name, arity = feeding_site(session.spec)
+    site = session.system.node(node).database.relation(relation_name)
+    before = session.snapshot_stats().nodes
+    site.insert(tuple(f"{tag}-{column}" for column in range(arity)))
+    counts = Counter()
+
+    def counting(name, function):
+        def spy(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+
+        return spy
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Relation, "mark", counting("visits", Relation.mark))
+        patch.setattr(Relation, "since", counting("visits", Relation.since))
+        patch.setattr(NodeStats, "__init__", counting("assembled", NodeStats.__init__))
+        text = CoordinationRule.__dict__["text"].func
+        patch.setattr(CoordinationRule, "text", property(counting("texts", text)))
+        result = session.run("update")
+    assert result.tuples_added > 0
+    counts["moved"] = {
+        node_id
+        for node_id, stats in result.stats.nodes.items()
+        if before.get(node_id) != stats
+    }
+    counts["touched"] = 1 + sum(
+        len(relations) for relations in result.deltas.inserts.values()
+    )
+    return counts
+
+
+@pytest.fixture(scope="module")
+def warm_trees():
+    """Warm pooled sessions on the 15- and 63-node trees, past their first
+    warm insert."""
+    sessions = {}
+    try:
+        for depth in (3, 5):
+            spec = ScenarioSpec.from_topology(
+                tree_topology(depth, 2), records_per_node=3, seed=0
+            ).with_(transport="pooled", shards=2)
+            session = sessions[depth] = Session.from_spec(spec)
+            session.run("update")
+            node, relation_name, arity = feeding_site(spec)
+            session.system.node(node).database.relation(relation_name).insert(
+                tuple(f"first-{column}" for column in range(arity))
+            )
+            session.run("update")
+        yield sessions
+    finally:
+        for session in sessions.values():
+            session.close()
+
+
+def test_a_warm_insert_visits_what_it_touched_not_the_network(warm_trees, monkeypatch):
+    small, large = (
+        spied_warm_insert(warm_trees[depth], monkeypatch, "gate") for depth in (3, 5)
+    )
+    # Relations: flat in network size, at most four visits per relation
+    # written (run start, sync, merge, the run's deltas).
+    assert small["visits"] == large["visits"] <= 4 * large["touched"]
+    for counts in (small, large):
+        # Statistics: one NodeStats per node whose counters moved, no more.
+        assert counts["moved"] and counts["assembled"] == len(counts["moved"])
+        # Rules: the registry version says nothing changed.
+        assert counts["texts"] == 0
+    assert len(large["moved"]) < len(warm_trees[5].system.nodes)

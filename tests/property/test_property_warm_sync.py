@@ -4,8 +4,9 @@ The coordinator and its workers exchange cursors' worth of rows — what each
 side appended or deleted since the other last saw the relation — and fall
 back to whole relations when a mark does not validate.  Whatever the script
 does between two runs (inserts anywhere, deletes, rows deleted and put back
-or inserted and deleted again, clears, rewritten and added relations,
-``addLink`` / ``deleteLink``, discovery runs), two things must hold:
+or inserted and deleted again, clears, rewritten, swapped and added
+relations, ``addLink`` / ``deleteLink``, discovery runs), two things must
+hold:
 
 * after every update the coordinator's ground databases equal those of a
   *fresh* ``sync`` session that replays the same script on the same spec —
@@ -86,7 +87,7 @@ def apply(session, step):
         database.insert("extra", ("k1", node_id))
     else:
         node_pick, relation_pick, payload = arguments
-        _node_id, relation = pick_relation(session, node_pick, relation_pick)
+        node_id, relation = pick_relation(session, node_pick, relation_pick)
         if kind in ("delete", "put_back"):
             rows = sorted(relation, key=repr)
             if rows:
@@ -96,6 +97,13 @@ def apply(session, step):
                     relation.insert(row)
             return False
         rows = [tuple(seed[: relation.schema.arity]) for seed in payload]
+        if kind == "swap":
+            # A relation object put in behind the database's back reports
+            # itself, like a write to the one it replaced.
+            database = session.system.node(node_id).database
+            database._relations[relation.name] = relation.copy()
+            database.insert_many(relation.name, rows)
+            return True
         if kind == "transient":
             fresh = [row for row in rows if row not in relation]
             relation.insert_many(fresh)
@@ -179,6 +187,10 @@ class WarmSyncMachine(RuleBasedStateMachine):
     @rule(node=picks, relation=picks, rows=row_seeds)
     def replace(self, node, relation, rows):
         self.change("replace", node, relation, rows)
+
+    @rule(node=picks, relation=picks, rows=row_seeds)
+    def swap(self, node, relation, rows):
+        self.change("swap", node, relation, rows)
 
     @rule(node=picks)
     def add_relation(self, node):

@@ -1,11 +1,14 @@
 """Unit tests for LocalDatabase, including the chase step (algorithm A6)."""
 
+import pickle
+
 import pytest
 
 from repro.database.database import LocalDatabase
 from repro.database.nulls import is_null
 from repro.database.parser import parse_atom, parse_query
 from repro.database.query import Variable
+from repro.database.relation import Touched
 from repro.database.schema import DatabaseSchema, RelationSchema
 from repro.errors import QueryError, SchemaError
 
@@ -164,3 +167,32 @@ class TestApplyViewTuples:
                 (Variable("X"), Variable("Y")),
                 {("only-one",)},
             )
+
+
+class TestAttached:
+    """Every relation a database holds reports to the touched set it joined."""
+
+    def test_created_and_swapped_relations_report(self, db):
+        touched = Touched()
+        db.attach(touched, "n")
+        assert set(touched.since(0)) == {("n", "person"), ("n", "knows")}
+        since = touched.read()
+        db.add_relation(RelationSchema("extra", ["k"]))
+        assert touched.since(since) == [("n", "extra")]
+        since = touched.read()
+        db._relations["knows"] = db.relation("knows").copy()
+        db.relation("knows").insert(("a", "b"))
+        assert touched.since(since) == [("n", "knows")]
+
+    def test_a_copy_and_an_unpickled_database_stay_detached(self, db):
+        touched = Touched()
+        db.insert("person", ("ada", "london"))
+        db.attach(touched, "n")
+        since = touched.read()
+        clone = db.copy()
+        clone.insert("person", ("bob", "paris"))
+        assert touched.since(since) == []
+        restored = pickle.loads(pickle.dumps(db))
+        restored.insert("person", ("cy", "rome"))
+        assert touched.since(since) == []
+        assert restored.facts()["person"] == {("ada", "london"), ("cy", "rome")}

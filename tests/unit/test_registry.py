@@ -36,6 +36,18 @@ class TestMutation:
         with pytest.raises(RuleError):
             registry.get("r99")
 
+    def test_version_moves_on_every_add_and_remove(self, registry):
+        versions = [registry.version]
+        registry.remove("r1")
+        versions.append(registry.version)
+        registry.add(rule_from_text("r1", "E: e(X, Y) -> B: b(X, Y)"))
+        versions.append(registry.version)
+        with pytest.raises(ChangeError):
+            registry.remove("r99")
+        assert registry.version == versions[-1]
+        assert len(set(versions)) == 3
+        assert registry.copy().version not in versions
+
     def test_copy_is_independent(self, registry):
         clone = registry.copy()
         clone.remove("r1")

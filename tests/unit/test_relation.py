@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.database.relation import Relation
+from repro.database.relation import Relation, Touched
 from repro.database.schema import RelationSchema
 from repro.errors import SchemaError
 
@@ -226,3 +226,48 @@ class TestMarkAndSince:
         relation, removals, count, epoch = pair_relation.mark()
         assert pair_relation.since((relation, removals, count + 1, epoch)) is None
         assert pair_relation.since((relation, removals + 1, count, epoch)) is None
+
+
+class TestTouched:
+    """A relation reports its first change after each read, wherever it is."""
+
+    def test_a_relation_reports_once_per_generation(self, pair_relation):
+        touched = Touched()
+        pair_relation.attach(touched, ("n", "edge"))
+        since = touched.read()
+        assert touched.since(since) == []
+        pair_relation.insert(("a", "b"))
+        pair_relation.insert(("c", "d"))
+        pair_relation.delete(("a", "b"))
+        assert touched.since(since) == [("n", "edge")]
+        later = touched.read()
+        assert touched.since(later) == []
+        pair_relation.clear()
+        assert touched.since(later) == [("n", "edge")]
+        # An earlier reader still sees it: one entry per relation.
+        assert touched.since(since) == [("n", "edge")]
+
+    def test_a_no_op_write_reports_nothing(self, pair_relation):
+        touched = Touched()
+        pair_relation.insert(("a", "b"))
+        pair_relation.attach(touched, ("n", "edge"))
+        since = touched.read()
+        pair_relation.insert(("a", "b"))
+        pair_relation.delete(("x", "y"))
+        assert touched.since(since) == []
+
+    def test_since_lists_the_latest_report_first(self):
+        touched = Touched()
+        first, second = (Relation(RelationSchema(name, ["x"])) for name in "pq")
+        first.attach(touched, ("n", "p"))
+        second.attach(touched, ("n", "q"))
+        since = touched.read()
+        second.insert(("1",))
+        first.insert(("1",))
+        assert touched.since(since) == [("n", "p"), ("n", "q")]
+
+    def test_a_detached_relation_reports_nowhere(self, pair_relation):
+        touched = Touched()
+        since = touched.read()
+        pair_relation.insert(("a", "b"))
+        assert touched.since(since) == []
