@@ -83,7 +83,6 @@ from repro.api import (
     SyncEngine,
     engine_for,
     UpdateStrategy,
-    register_strategy,
     get_strategy,
     available_strategies,
 )
@@ -163,7 +162,6 @@ __all__ = [
     "SyncEngine",
     "engine_for",
     "UpdateStrategy",
-    "register_strategy",
     "get_strategy",
     "available_strategies",
     # sharding

@@ -4,11 +4,11 @@ This package is the unified execution façade over the substrate in
 :mod:`repro.core`:
 
 * :class:`~repro.api.session.Session` — engine-agnostic runs
-  (``session.run("discovery")``) and strategy-pluggable updates
+  (``session.run("discovery")``) and updates by any of four strategies
   (``session.update(strategy="centralized")``),
 * :class:`~repro.api.engine.ExecutionEngine` with
   :class:`~repro.api.engine.SyncEngine`,
-* :class:`~repro.api.strategies.UpdateStrategy` and its string-keyed registry
+* :class:`~repro.api.strategies.UpdateStrategy` and its fixed table of four
   (``"distributed"``, ``"centralized"``, ``"acyclic"``, ``"querytime"``),
 * :class:`~repro.api.spec.ScenarioSpec` / :class:`~repro.api.spec.NetworkBuilder`
   — declarative and fluent network construction (JSON format in
@@ -40,7 +40,6 @@ from repro.api.strategies import (
     UpdateStrategy,
     available_strategies,
     get_strategy,
-    register_strategy,
 )
 
 __all__ = [
@@ -57,5 +56,4 @@ __all__ = [
     "UpdateStrategy",
     "available_strategies",
     "get_strategy",
-    "register_strategy",
 ]

@@ -7,9 +7,9 @@ exposes the library's operations uniformly:
 
 * ``session.run("discovery")`` / ``session.run("update")`` — the paper's two
   protocol phases, identical over the simulator and the process engines,
-* ``session.update(strategy="centralized")`` — any registered
-  :class:`~repro.api.strategies.UpdateStrategy` (the paper's algorithm or one
-  of the three baselines), always returning a uniform
+* ``session.update(strategy="centralized")`` — one of the four
+  :class:`~repro.api.strategies.UpdateStrategy` entries (the paper's algorithm
+  or one of the three baselines), always returning a uniform
   :class:`~repro.api.result.RunResult`,
 * ``session.query(node, "q(X) :- item(X, Y)")`` — local query answering.
 
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import time
-from collections import OrderedDict
 from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -48,7 +47,6 @@ from repro.obs import Tracer
 from repro.stats.collector import StatsSnapshot
 
 if TYPE_CHECKING:
-    from repro.coordination.changeset import StructuralDigest
     from repro.core.system import P2PSystem
     from repro.faults.plan import FaultPlan
 
@@ -72,10 +70,7 @@ def preflight_enabled() -> bool:
 
 
 class Session:
-    """Engine-agnostic, strategy-pluggable execution over one system."""
-
-    #: Bound on memoized reference fix-points kept per session (LRU evicted).
-    _CACHE_LIMIT = 32
+    """Engine-agnostic execution over one system, by any of four strategies."""
 
     def __init__(
         self,
@@ -101,19 +96,9 @@ class Session:
             if strategy is not None
             else (spec.strategy if spec is not None else "distributed")
         )
-        # Reference strategies (everything but "distributed") are pure
-        # functions of (rules, data, options): their results are memoized so
-        # repeated comparisons — E9, parity sweeps — stop recomputing the
-        # same fix-point.  The key embeds a fingerprint of the rule set and
-        # every relation's contents, so dynamic changes (addLink/deleteLink,
-        # any insertion, a distributed run) invalidate stale entries by
-        # construction.
-        self._strategy_cache: OrderedDict[tuple, RunResult] = OrderedDict()
         # A run's deltas: marks on every relation, moved up at each run's
         # start past the writes made between runs (built by the first run).
         self._marks: RelationMarks | None = None
-        self._cache_hits = 0
-        self._cache_misses = 0
         # Tracing: off (the default) leaves every run bit-identical — no
         # tracer object is created and no span ever opens.  ``trace=True``
         # (or a spec with trace=True) builds a fresh coordinator tracer;
@@ -387,91 +372,18 @@ class Session:
     ) -> RunResult:
         """Bring the network's data to a fix-point with the chosen strategy.
 
-        ``strategy`` names a registered :class:`UpdateStrategy` (default: the
+        ``strategy`` names one of the four strategies (default: the
         session's — usually ``"distributed"``); ``options`` are forwarded to
         it (e.g. ``force=True`` for ``"acyclic"``, ``node=``/``query=`` for
         ``"querytime"``).  The result's fields mean the same thing whichever
         strategy ran; a :class:`RunResult` with ``strategy`` set is returned.
-
-        Reference strategies are memoized per session (see
-        :meth:`cache_info`); a served entry carries ``extras["cache_hit"]``.
         """
         name = strategy if strategy is not None else self.default_strategy
-        # Materialise one-shot iterables first: the cache key and the
-        # strategy must both see the same origins.
-        origins = tuple(origins) if origins is not None else None
-        key = self._strategy_cache_key(name, origins, options)
-        if key is not None:
-            cached = self._strategy_cache.get(key)
-            if cached is not None:
-                self._cache_hits += 1
-                self._strategy_cache.move_to_end(key)
-                return replace(cached, extras={**cached.extras, "cache_hit": True})
         result = get_strategy(name).run(self, origins=origins, **options)
         if result.strategy is None:
             # The distributed strategy delegates to run(); tag its origin.
             result = replace(result, strategy=name)
-        result = self._attach_preflight(result)
-        if key is not None:
-            self._cache_misses += 1
-            self._strategy_cache[key] = result
-            while len(self._strategy_cache) > self._CACHE_LIMIT:
-                self._strategy_cache.popitem(last=False)
-        return result
-
-    # ------------------------------------------------------- strategy caching
-
-    def _strategy_cache_key(
-        self,
-        name: str,
-        origins: Iterable[NodeId] | None,
-        options: Mapping[str, object],
-    ) -> tuple | None:
-        """The memoization key, or None when the call must not be cached.
-
-        Only reference strategies cache (the distributed strategy mutates the
-        live system, so rerunning it is the point); unhashable options (rare
-        — e.g. a callable) simply bypass the cache.
-        """
-        if name == "distributed":
-            return None
-        try:
-            key = (
-                name,
-                origins,
-                tuple(sorted(options.items())),
-                self._state_fingerprint(),
-            )
-            hash(key)
-        except TypeError:
-            return None
-        return key
-
-    def _state_fingerprint(self) -> "StructuralDigest":
-        """A hashable digest of the rule set and every relation's contents.
-
-        This is what makes cache invalidation structural: ``addLink`` /
-        ``deleteLink`` changes the rule part, and any insertion — a chase, a
-        distributed run, a bulk load — changes the data part, so stale
-        entries can never be served.  The digest is the
-        :class:`~repro.coordination.changeset.StructuralDigest`; unchanged
-        relations hand it the snapshot they already hold
-        (:meth:`~repro.database.relation.Relation.rows`).
-        """
-        return self.system.structural_digest()
-
-    def cache_info(self) -> dict[str, int]:
-        """Hit/miss counters and current size of the strategy cache."""
-        return {
-            "hits": self._cache_hits,
-            "misses": self._cache_misses,
-            "size": len(self._strategy_cache),
-            "limit": self._CACHE_LIMIT,
-        }
-
-    def clear_strategy_cache(self) -> None:
-        """Drop every memoized reference fix-point (counters stay)."""
-        self._strategy_cache.clear()
+        return self._attach_preflight(result)
 
     # ---------------------------------------------------------------- queries
 

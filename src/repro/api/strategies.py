@@ -1,4 +1,4 @@
-"""Pluggable update strategies behind a string-keyed registry.
+"""The four update strategies, in a fixed name → strategy table.
 
 The paper positions one algorithm — the distributed materialised update —
 against three alternatives: a centralized global algorithm (Calvanese et al.),
@@ -20,14 +20,13 @@ function with a different result type; here all four implement the
 The reference strategies (everything but ``"distributed"``) are *simulations
 on the side*: they read the session's schemas, rules and current data but do
 not mutate its live databases, so a session can compare all four from the
-same starting state.  :func:`register_strategy` admits new strategies; the
-registry is what the CLI's ``--strategy`` flag is wired through.
+same starting state.  Experiment E9 is where the four are compared.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Iterable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Iterable, Protocol
 
 from repro.api.result import RunResult
 from repro.baselines.acyclic import acyclic_update
@@ -44,7 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (session imports us)
     from repro.api.session import Session
 
 
-@runtime_checkable
 class UpdateStrategy(Protocol):
     """One way of bringing a network's data to its fix-point."""
 
@@ -256,34 +254,22 @@ class QueryTimeStrategy:
         )
 
 
-# ------------------------------------------------------------------ registry
-
-_REGISTRY: dict[str, UpdateStrategy] = {}
-
-
-def register_strategy(
-    strategy: UpdateStrategy, *, replace: bool = False
-) -> UpdateStrategy:
-    """Add ``strategy`` to the registry under its ``name``.
-
-    Re-registering an existing name needs ``replace=True``; the function
-    returns the strategy so it can be used as a decorator-like one-liner.
-    """
-    name = getattr(strategy, "name", None)
-    if not name or not isinstance(name, str):
-        raise ReproError("an update strategy must have a non-empty string name")
-    if name in _REGISTRY and not replace:
-        raise ReproError(
-            f"strategy {name!r} is already registered; pass replace=True to override"
-        )
-    _REGISTRY[name] = strategy
-    return strategy
+#: The four strategies, by name: the paper's algorithm and its three baselines.
+_STRATEGIES: dict[str, UpdateStrategy] = {
+    strategy.name: strategy
+    for strategy in (
+        DistributedStrategy(),
+        CentralizedStrategy(),
+        AcyclicStrategy(),
+        QueryTimeStrategy(),
+    )
+}
 
 
 def get_strategy(name: str) -> UpdateStrategy:
     """Look up a strategy by name (raising with the available names)."""
     try:
-        return _REGISTRY[name]
+        return _STRATEGIES[name]
     except KeyError:
         raise ReproError(
             f"unknown update strategy {name!r}; "
@@ -292,14 +278,5 @@ def get_strategy(name: str) -> UpdateStrategy:
 
 
 def available_strategies() -> tuple[str, ...]:
-    """The registered strategy names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-for _strategy in (
-    DistributedStrategy(),
-    CentralizedStrategy(),
-    AcyclicStrategy(),
-    QueryTimeStrategy(),
-):
-    register_strategy(_strategy)
+    """The strategy names, sorted."""
+    return tuple(sorted(_STRATEGIES))

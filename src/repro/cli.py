@@ -2,9 +2,9 @@
 
 ``python -m repro list`` shows the available experiments;
 ``python -m repro run E4 --records 30`` regenerates one of them and prints
-the same table the corresponding module's ``main()`` produces, and
-``--strategy centralized`` reruns a workload experiment through any update
-strategy registered in :mod:`repro.api.strategies`.  The CLI is a thin veneer
+the same table the corresponding module's ``main()`` produces (E9 compares
+the paper's update with the three reference strategies of
+:mod:`repro.api.strategies`).  The CLI is a thin veneer
 over :mod:`repro.experiments`, so scripted runs (benchmarks, CI, notebooks)
 and interactive runs share exactly the same code paths.
 
@@ -29,7 +29,6 @@ from pathlib import Path
 from typing import Callable
 
 from repro.api.engine import transport_names
-from repro.api.strategies import available_strategies
 from repro.errors import ReproError
 from repro.experiments import (
     baseline_comparison,
@@ -100,32 +99,20 @@ _EXPERIMENTS: dict[str, tuple[str, Callable[[argparse.Namespace], str]]] = {
                 faults=_load_fault_plan(getattr(args, "faults", None)),
             )
             if getattr(args, "engine", "sync") in transport_names(partitioned=True)
-            else scalability.main(
-                records_per_node=args.records,
-                strategy=getattr(args, "strategy", "distributed"),
-            )
+            else scalability.main(records_per_node=args.records)
         ),
     ),
     "E4": (
         "execution time vs depth (linearity)",
-        lambda args: depth_linearity.main(
-            records_per_node=args.records,
-            strategy=getattr(args, "strategy", "distributed"),
-        ),
+        lambda args: depth_linearity.main(records_per_node=args.records),
     ),
     "E5": (
         "data distributions: disjoint vs 50% overlap",
-        lambda args: data_distribution.main(
-            records_per_node=args.records,
-            strategy=getattr(args, "strategy", "distributed"),
-        ),
+        lambda args: data_distribution.main(records_per_node=args.records),
     ),
     "E6": (
         "per-node statistics / duplicate queries on a clique",
-        lambda args: message_accounting.main(
-            records_per_node=args.records,
-            strategy=getattr(args, "strategy", "distributed"),
-        ),
+        lambda args: message_accounting.main(records_per_node=args.records),
     ),
     "E7": (
         "update interleaved with addLink/deleteLink (Theorem 2)",
@@ -188,12 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=40,
         help="number of trace rows to print for E2 (default 40)",
-    )
-    run_parser.add_argument(
-        "--strategy",
-        choices=available_strategies(),
-        default="distributed",
-        help="update strategy for the workload experiments (default distributed)",
     )
     run_parser.add_argument(
         "--engine",
@@ -300,9 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_all = subparsers.add_parser("run-all", help="run every experiment in order")
     run_all.add_argument("--records", type=int, default=20)
     run_all.add_argument("--limit", type=int, default=20)
-    run_all.add_argument(
-        "--strategy", choices=available_strategies(), default="distributed"
-    )
 
     lint_parser = subparsers.add_parser(
         "lint",
@@ -462,25 +440,10 @@ def main(argv: list[str] | None = None) -> int:
             from repro.api.session import set_default_preflight
 
             set_default_preflight(False)
-        if args.strategy != "distributed" and args.experiment not in (
-            "E3",
-            "E4",
-            "E5",
-            "E6",
-        ):
-            print(
-                f"note: {args.experiment} always runs the distributed protocol; "
-                f"--strategy {args.strategy} applies to E3-E6"
-            )
         if args.engine != "sync" and args.experiment != "E3":
             print(
                 f"note: --engine {args.engine} selects the E3 engine sweep; "
                 f"{args.experiment} runs its usual configuration"
-            )
-        if args.engine != "sync" and args.strategy != "distributed":
-            print(
-                "note: the engine sweep always runs the distributed protocol; "
-                f"--strategy {args.strategy} is ignored with --engine {args.engine}"
             )
         if getattr(args, "hosts", None) and (
             args.engine != "socket" or args.experiment != "E3"

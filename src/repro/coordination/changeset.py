@@ -1,4 +1,4 @@
-"""The one change record and the shared structural digest.
+"""The one change record, and the rules half of a system's fingerprint.
 
 * :class:`Change` is *what changed* in a network, and the one shape every
   boundary speaks: a session run's deltas, pool sync and collect
@@ -7,15 +7,10 @@
   document (:meth:`Change.from_json`) and reconciliation logs
   (:meth:`Change.between`).  It is checked before it mutates anything.
 
-* :class:`StructuralDigest` is the *one* fingerprint of a system's logical
-  state — the rule set plus every relation's contents — and the memo key of
-  :meth:`repro.api.session.Session.update`.  The digest is hashable (cache
-  keys) and structural by construction: ``addLink``/``deleteLink`` changes
-  the rules part, any insertion changes the data part.  (The warm pools'
-  :class:`repro.sharding.pool.WorldMirror` shares the rules half,
-  :func:`rules_fingerprint`, built only when the registry's version moved;
-  for the data it keeps marks on the live relations instead of a second copy
-  of them.)
+* :func:`rules_fingerprint` is ``rule_id -> text`` for a rule set; the warm
+  pools' :class:`repro.sharding.pool.WorldMirror` rebuilds it only when the
+  registry's version moved, and for the data keeps marks on the live
+  relations instead of a second copy of them.
 """
 
 from __future__ import annotations
@@ -427,7 +422,7 @@ class Change:
         return changed
 
 
-# ------------------------------------------------------------------- digests
+# ------------------------------------------------------------- fingerprints
 
 
 def rules_fingerprint(rules: Iterable[CoordinationRule]) -> dict[str, str]:
@@ -437,42 +432,3 @@ def rules_fingerprint(rules: Iterable[CoordinationRule]) -> dict[str, str]:
     the same id reads as remove + add.
     """
     return {rule.rule_id: rule.text for rule in rules}
-
-
-@dataclass(frozen=True)
-class StructuralDigest:
-    """A hashable digest of a system's rule set and relation contents.
-
-    Equality is structural: two digests are equal exactly when the systems
-    hold the same rules (by id and text) and the same rows in every node's
-    relations.  This is the fingerprint behind the ``Session.update``
-    strategy-memo cache.
-    """
-
-    rules: tuple[tuple[str, str], ...]
-    data: tuple[tuple[NodeId, tuple[tuple[str, frozenset[Row]], ...]], ...]
-
-
-def structural_digest(
-    rules: Mapping[str, str],
-    facts: Mapping[NodeId, Mapping[str, frozenset[Row]]],
-) -> StructuralDigest:
-    """Build the digest from a rules fingerprint and per-node fact sets."""
-    return StructuralDigest(
-        rules=tuple(sorted(rules.items())),
-        data=tuple(
-            (
-                node_id,
-                tuple(
-                    (relation_name, frozenset(rows))
-                    for relation_name, rows in sorted(relations.items())
-                ),
-            )
-            for node_id, relations in sorted(facts.items())
-        ),
-    )
-
-
-def digest_system(system: "P2PSystem") -> StructuralDigest:
-    """The live system's structural digest (rules + every relation's rows)."""
-    return structural_digest(rules_fingerprint(system.registry), system.databases())

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from repro.coordination.changeset import Change, StructuralDigest, digest_system
+from repro.coordination.changeset import Change
 from repro.coordination.depgraph import DependencyGraph
 from repro.coordination.registry import RuleRegistry
 from repro.coordination.rule import CoordinationRule, NodeId
@@ -186,16 +186,6 @@ class P2PSystem:
             node = self.node(node_id)
             for relation_name, rows in relations.items():
                 node.database.insert_many(relation_name, rows)
-
-    def structural_digest(self) -> StructuralDigest:
-        """One hashable digest of the rule set and every relation's contents.
-
-        This is the structural fingerprint the ``Session.update``
-        strategy-memo cache keys on: equal digests mean the same rules and
-        the same rows everywhere, and any ``addLink`` / ``deleteLink`` /
-        insertion changes it by construction.
-        """
-        return digest_system(self)
 
     def seed_update_delta(
         self, changes: Change, *, nodes: Iterable[NodeId] | None = None

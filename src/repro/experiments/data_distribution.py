@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.errors import ReproError
 from repro.experiments.runner import UpdateRunResult, run_dblp_update
 from repro.stats.report import format_table
 from repro.workloads.topologies import (
@@ -57,32 +56,18 @@ def run_data_distribution(
     overlap_probability: float = 0.5,
     overlap_fraction: float = 0.5,
     seed: int = 0,
-    strategy: str = "distributed",
 ) -> list[DistributionComparison]:
-    """Run every topology under the disjoint and the overlapping distribution.
-
-    ``strategy`` selects any registered update strategy (as E3's sweep does).
-    """
-    comparisons = []
-    for spec in specs if specs is not None else default_specs():
-        try:
-            comparisons.append(
-                _compare_distributions(
-                    spec,
-                    records_per_node=records_per_node,
-                    overlap_probability=overlap_probability,
-                    overlap_fraction=overlap_fraction,
-                    seed=seed,
-                    strategy=strategy,
-                )
-            )
-        except ReproError as error:
-            # Reference strategies may be inapplicable (e.g. acyclic on the
-            # clique spec); the distributed protocol must not fail.
-            if strategy == "distributed":
-                raise
-            print(f"skipping {spec.name} ({strategy}): {error}")
-    return comparisons
+    """Run every topology under the disjoint and the overlapping distribution."""
+    return [
+        _compare_distributions(
+            spec,
+            records_per_node=records_per_node,
+            overlap_probability=overlap_probability,
+            overlap_fraction=overlap_fraction,
+            seed=seed,
+        )
+        for spec in (specs if specs is not None else default_specs())
+    ]
 
 
 def _compare_distributions(
@@ -92,7 +77,6 @@ def _compare_distributions(
     overlap_probability: float,
     overlap_fraction: float,
     seed: int,
-    strategy: str,
 ) -> DistributionComparison:
     _, disjoint = run_dblp_update(
         spec,
@@ -100,7 +84,6 @@ def _compare_distributions(
         overlap_probability=0.0,
         seed=seed,
         label=f"{spec.name}/disjoint",
-        strategy=strategy,
     )
     _, overlapping = run_dblp_update(
         spec,
@@ -109,7 +92,6 @@ def _compare_distributions(
         overlap_fraction=overlap_fraction,
         seed=seed,
         label=f"{spec.name}/overlap",
-        strategy=strategy,
     )
     return DistributionComparison(
         topology=spec.name,
@@ -119,64 +101,37 @@ def _compare_distributions(
     )
 
 
-def main(records_per_node: int = 40, strategy: str = "distributed") -> str:
-    """Print the 0% vs 50% overlap comparison table.
-
-    With a non-distributed ``strategy`` the reference strategy runs the same
-    sweep and its message/tuple columns appear next to the distributed ones.
-    """
+def main(records_per_node: int = 40) -> str:
+    """Print the 0% vs 50% overlap comparison table."""
     comparisons = run_data_distribution(records_per_node=records_per_node)
-    reference = (
-        {
-            comparison.topology: comparison
-            for comparison in run_data_distribution(
-                records_per_node=records_per_node, strategy=strategy
-            )
-        }
-        if strategy != "distributed"
-        else None
-    )
-    rows = []
-    for comparison in comparisons:
-        ref = reference.get(comparison.topology) if reference is not None else None
-        for label, result, ref_result in (
-            ("0% overlap", comparison.disjoint, ref.disjoint if ref else None),
-            ("50% overlap", comparison.overlapping, ref.overlapping if ref else None),
-        ):
-            row = [
-                comparison.topology,
-                comparison.node_count,
-                label,
-                result.update_messages,
-                result.tuples_transferred,
-                result.tuples_inserted,
-                result.update_time,
-            ]
-            if reference is not None:
-                row += (
-                    [ref_result.update_messages, ref_result.tuples_inserted]
-                    if ref_result is not None
-                    else ["n/a", "n/a"]
-                )
-            rows.append(row)
-    headers = [
-        "topology",
-        "nodes",
-        "distribution",
-        "update msgs",
-        "tuples transferred",
-        "tuples inserted",
-        "update time",
+    rows = [
+        [
+            comparison.topology,
+            comparison.node_count,
+            label,
+            result.update_messages,
+            result.tuples_transferred,
+            result.tuples_inserted,
+            result.update_time,
+        ]
+        for comparison in comparisons
+        for label, result in (
+            ("0% overlap", comparison.disjoint),
+            ("50% overlap", comparison.overlapping),
+        )
     ]
-    if reference is not None:
-        headers += [f"msgs ({strategy})", f"tuples ins ({strategy})"]
     table = format_table(
-        headers,
+        [
+            "topology",
+            "nodes",
+            "distribution",
+            "update msgs",
+            "tuples transferred",
+            "tuples inserted",
+            "update time",
+        ],
         rows,
-        title=(
-            "E5 — data distributions: disjoint vs 50% overlap"
-            + (f" (distributed vs {strategy})" if reference is not None else "")
-        ),
+        title="E5 — data distributions: disjoint vs 50% overlap",
     )
     for comparison in comparisons:
         table += (

@@ -46,14 +46,8 @@ def run_depth_linearity(
     layered_width: int = 2,
     records_per_node: int = 20,
     seed: int = 0,
-    strategy: str = "distributed",
 ) -> dict[str, DepthSeries]:
-    """Sweep tree and layered-DAG depths and fit time = a·depth + b.
-
-    ``strategy`` selects any registered update strategy (as E3's sweep does);
-    for the reference strategies the fitted "time" is the modeled cost, not a
-    simulated clock.
-    """
+    """Sweep tree and layered-DAG depths and fit time = a·depth + b."""
     series: dict[str, DepthSeries] = {}
 
     for family in ("tree", "layered"):
@@ -71,7 +65,6 @@ def run_depth_linearity(
                 records_per_node=records_per_node,
                 seed=seed,
                 label=f"{family}/depth={depth}",
-                strategy=strategy,
             )
             depth_list.append(depth)
             times.append(result.update_time)
@@ -89,43 +82,20 @@ def run_depth_linearity(
     return series
 
 
-def main(records_per_node: int = 20, strategy: str = "distributed") -> str:
-    """Print update time per depth for trees and layered DAGs plus the fits.
-
-    With a non-distributed ``strategy`` the same sweep additionally runs the
-    reference strategy and the table shows the distributed and the reference
-    columns side by side.
-    """
+def main(records_per_node: int = 20) -> str:
+    """Print update time per depth for trees and layered DAGs plus the fits."""
     series = run_depth_linearity(records_per_node=records_per_node)
-    reference = (
-        run_depth_linearity(records_per_node=records_per_node, strategy=strategy)
-        if strategy != "distributed"
-        else None
-    )
-    rows = []
-    for family, data in series.items():
-        ref = reference[family] if reference is not None else None
-        for index, (depth, update_time, message_count) in enumerate(
-            zip(data.depths, data.update_times, data.update_messages)
-        ):
-            row = [family, depth, update_time, message_count,
-                   data.results[index].tuples_inserted]
-            if ref is not None:
-                row += [
-                    ref.update_messages[index],
-                    ref.results[index].tuples_inserted,
-                ]
-            rows.append(row)
-    headers = ["family", "depth", "update time", "update msgs", "tuples ins"]
-    if reference is not None:
-        headers += [f"msgs ({strategy})", f"tuples ins ({strategy})"]
+    rows = [
+        [family, depth, update_time, message_count, result.tuples_inserted]
+        for family, data in series.items()
+        for depth, update_time, message_count, result in zip(
+            data.depths, data.update_times, data.update_messages, data.results
+        )
+    ]
     table = format_table(
-        headers,
+        ["family", "depth", "update time", "update msgs", "tuples ins"],
         rows,
-        title=(
-            "E4 — execution time vs depth"
-            + (f" (distributed vs {strategy})" if reference is not None else "")
-        ),
+        title="E4 — execution time vs depth",
     )
     for family, data in series.items():
         fit = data.fit

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ReproError
 from repro.experiments.runner import UpdateRunResult, run_dblp_update
 from repro.stats.report import format_table
 from repro.workloads.topologies import clique_topology
@@ -29,9 +28,6 @@ class AccountingResult:
 
     per_path: UpdateRunResult
     once: UpdateRunResult
-    #: The same workload under a reference strategy (None when the strategy
-    #: is "distributed" or does not apply to the topology).
-    reference: UpdateRunResult | None = None
 
     @property
     def duplicate_query_ratio(self) -> float:
@@ -45,15 +41,8 @@ def run_message_accounting(
     clique_size: int = 5,
     records_per_node: int = 20,
     seed: int = 0,
-    strategy: str = "distributed",
 ) -> AccountingResult:
-    """Run the same clique under ``per_path`` and ``once`` propagation.
-
-    A non-distributed ``strategy`` additionally runs the workload through the
-    reference strategy so its per-node counters can sit next to the live
-    protocol's (strategies that refuse the topology — acyclic on a clique —
-    leave the reference column empty).
-    """
+    """Run the same clique under ``per_path`` and ``once`` propagation."""
     spec = clique_topology(clique_size)
     _, per_path = run_dblp_update(
         spec,
@@ -69,79 +58,41 @@ def run_message_accounting(
         propagation="once",
         label=f"clique{clique_size}/once",
     )
-    reference = None
-    if strategy != "distributed":
-        try:
-            _, reference = run_dblp_update(
-                spec,
-                records_per_node=records_per_node,
-                seed=seed,
-                label=f"clique{clique_size}/{strategy}",
-                strategy=strategy,
-            )
-        except ReproError as error:
-            print(f"skipping reference column ({strategy}): {error}")
-    return AccountingResult(per_path=per_path, once=once, reference=reference)
+    return AccountingResult(per_path=per_path, once=once)
 
 
-def main(
-    clique_size: int = 5,
-    records_per_node: int = 20,
-    strategy: str = "distributed",
-) -> str:
-    """Print the per-node statistics table for both propagation policies.
-
-    With a non-distributed ``strategy``, a reference column ("tuples ins")
-    from the same workload under that strategy sits next to the live counters.
-    """
+def main(clique_size: int = 5, records_per_node: int = 20) -> str:
+    """Print the per-node statistics table for both propagation policies."""
     result = run_message_accounting(
-        clique_size=clique_size,
-        records_per_node=records_per_node,
-        strategy=strategy,
+        clique_size=clique_size, records_per_node=records_per_node
     )
-    reference_nodes = (
-        result.reference.per_node if result.reference is not None else None
-    )
-    rows = []
-    for policy, run in (("per_path", result.per_path), ("once", result.once)):
-        for node_id, counters in sorted(run.per_node.items()):
-            row = [
-                policy,
-                node_id,
-                counters["queries_executed"],
-                counters["duplicate_queries"],
-                counters["updates_applied"],
-                counters["tuples_received"],
-                counters["tuples_inserted"],
-                counters["messages_sent"],
-            ]
-            if strategy != "distributed":
-                ref = (
-                    reference_nodes.get(node_id)
-                    if reference_nodes is not None
-                    else None
-                )
-                row.append(ref["tuples_inserted"] if ref is not None else "n/a")
-            rows.append(row)
-    headers = [
-        "policy",
-        "node",
-        "queries",
-        "dup queries",
-        "updates",
-        "tuples recv",
-        "tuples ins",
-        "msgs sent",
+    rows = [
+        [
+            policy,
+            node_id,
+            counters["queries_executed"],
+            counters["duplicate_queries"],
+            counters["updates_applied"],
+            counters["tuples_received"],
+            counters["tuples_inserted"],
+            counters["messages_sent"],
+        ]
+        for policy, run in (("per_path", result.per_path), ("once", result.once))
+        for node_id, counters in sorted(run.per_node.items())
     ]
-    if strategy != "distributed":
-        headers.append(f"tuples ins ({strategy})")
     table = format_table(
-        headers,
+        [
+            "policy",
+            "node",
+            "queries",
+            "dup queries",
+            "updates",
+            "tuples recv",
+            "tuples ins",
+            "msgs sent",
+        ],
         rows,
-        title=(
-            f"E6 — per-node statistics on a {clique_size}-clique"
-            + (f" (distributed vs {strategy})" if strategy != "distributed" else "")
-        ),
+        title=f"E6 — per-node statistics on a {clique_size}-clique",
     )
     table += (
         f"\ntotal messages: per_path={result.per_path.total_messages}, "

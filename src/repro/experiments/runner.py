@@ -2,10 +2,10 @@
 
 Every experiment module builds on :func:`run_dblp_update` (DBLP workload over
 a topology) or :func:`run_system_update` (an already assembled system).  Both
-execute through the unified :class:`repro.api.Session` façade, so the same
-harness can run the paper's distributed algorithm or any registered update
-strategy (``strategy="centralized"`` / ``"acyclic"`` / ``"querytime"``).  The
-returned :class:`UpdateRunResult` carries exactly the quantities the paper's
+run the paper's distributed algorithm through the unified
+:class:`repro.api.Session` façade; the reference strategies are compared in
+E9 (:mod:`repro.experiments.baseline_comparison`).  The returned
+:class:`UpdateRunResult` carries exactly the quantities the paper's
 statistics module accumulated: execution time (simulated and wall-clock),
 message counts by phase and type, data volumes, per-node counters, and the
 fix-point indicators.
@@ -49,7 +49,6 @@ class UpdateRunResult:
     fixpoint_reached: bool
     wall_seconds: float
     per_node: dict[str, dict[str, int]] = field(default_factory=dict)
-    strategy: str = "distributed"
 
     def as_row(self) -> list[object]:
         """The row most experiment tables print."""
@@ -89,15 +88,8 @@ def run_system_update(
     overlap_probability: float = 0.0,
     run_discovery: bool = True,
     check_fixpoint: bool = True,
-    strategy: str = "distributed",
 ) -> UpdateRunResult:
-    """Run discovery (optionally) and an update on an assembled system.
-
-    ``strategy`` selects any registered update strategy; the distributed
-    default runs the live protocol on the system's transport, the others are
-    reference computations that leave the system untouched (their message and
-    fix-point columns reflect that).
-    """
+    """Run discovery (optionally) and the paper's update on an assembled system."""
     started = time.perf_counter()
     session = Session.of(system)
 
@@ -108,18 +100,10 @@ def run_system_update(
         discovery_time = discovery.completion_time
         discovery_messages = discovery.stats.total_messages
 
-    distributed = strategy == "distributed"
     update_start_messages = session.snapshot_stats().total_messages
     update_clock_start = getattr(system.transport, "clock", 0.0)
-    result = session.update(strategy)
-    # Message-level counters reflect the live transport (for the reference
-    # strategies that is the discovery traffic only), except that the
-    # querytime strategy's *modeled* per-query message cost — its defining
-    # metric — is reported as the update cost.  Tuple and per-node counters
-    # come from whatever actually computed the update.
+    result = session.run("update")
     snapshot = session.snapshot_stats()
-    update_stats = result.stats if not distributed else snapshot
-    modeled_messages = int(result.extras.get("messages", 0))
 
     return UpdateRunResult(
         label=label,
@@ -129,38 +113,19 @@ def run_system_update(
         overlap_probability=overlap_probability,
         discovery_time=discovery_time,
         discovery_messages=discovery_messages,
-        update_time=(
-            result.completion_time - update_clock_start if distributed else 0.0
-        ),
-        update_messages=(
-            snapshot.total_messages - update_start_messages
-            if distributed
-            else modeled_messages
-        ),
+        update_time=result.completion_time - update_clock_start,
+        update_messages=snapshot.total_messages - update_start_messages,
         total_messages=snapshot.total_messages,
         total_bytes=snapshot.messages.total_bytes,
         query_messages=snapshot.messages.by_type.get(MessageType.QUERY.value, 0),
         answer_messages=snapshot.messages.by_type.get(MessageType.ANSWER.value, 0),
         duplicate_queries=snapshot.total_duplicate_queries,
-        tuples_transferred=update_stats.total_tuples_transferred,
-        tuples_inserted=(
-            snapshot.total_tuples_inserted if distributed else result.tuples_added
-        ),
-        # Closure/fix-point: computed for the live protocol; known by
-        # construction for centralized (the reference fix-point) and acyclic
-        # (which only runs where one pass is complete); honestly False for
-        # querytime, which materialises one node's closure only.
-        all_closed=(
-            all_nodes_closed(system) if distributed else strategy != "querytime"
-        ),
-        fixpoint_reached=(
-            (satisfies_all_rules(system) if check_fixpoint else True)
-            if distributed
-            else strategy != "querytime"
-        ),
+        tuples_transferred=snapshot.total_tuples_transferred,
+        tuples_inserted=snapshot.total_tuples_inserted,
+        all_closed=all_nodes_closed(system),
+        fixpoint_reached=satisfies_all_rules(system) if check_fixpoint else True,
         wall_seconds=time.perf_counter() - started,
-        per_node=_per_node_counters(update_stats),
-        strategy=strategy,
+        per_node=_per_node_counters(snapshot),
     )
 
 
@@ -174,7 +139,6 @@ def run_dblp_update(
     propagation: str = "once",
     label: str | None = None,
     check_fixpoint: bool = False,
-    strategy: str = "distributed",
 ) -> tuple[DblpNetwork, UpdateRunResult]:
     """Build the DBLP workload for a topology and run discovery + update."""
     network = build_dblp_network(
@@ -192,6 +156,5 @@ def run_dblp_update(
         records_per_node=records_per_node,
         overlap_probability=overlap_probability,
         check_fixpoint=check_fixpoint,
-        strategy=strategy,
     )
     return network, result

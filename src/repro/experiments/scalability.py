@@ -75,42 +75,24 @@ def run_scalability(
     records_per_node: int = 50,
     overlap_probability: float = 0.0,
     seed: int = 0,
-    strategy: str = "distributed",
 ) -> list[UpdateRunResult]:
-    """Run the scalability sweep over all three topology families.
-
-    ``strategy`` selects the registered update strategy the sweep measures
-    (the distributed protocol by default; see :mod:`repro.api.strategies`).
-    """
+    """Run the scalability sweep over all three topology families."""
     families = [
         ("tree", tree_specs(tree_sizes)),
         ("layered", layered_specs(layered_sizes, seed=seed)),
         ("clique", clique_specs(clique_sizes)),
     ]
-    results: list[UpdateRunResult] = []
-    for family, specs in families:
-        for spec in specs:
-            label = f"{family}/n={spec.node_count}"
-            try:
-                _, result = run_dblp_update(
-                    spec,
-                    records_per_node=records_per_node,
-                    overlap_probability=overlap_probability,
-                    seed=seed,
-                    label=label,
-                    strategy=strategy,
-                )
-            except ReproError as error:
-                # Reference strategies may be inapplicable (e.g. acyclic on a
-                # clique) — skip those rows.  A failure of the distributed
-                # protocol itself (divergence, exceeded message bound) is a
-                # real error and must not be swallowed.
-                if strategy == "distributed":
-                    raise
-                print(f"skipping {label} ({strategy}): {error}")
-                continue
-            results.append(result)
-    return results
+    return [
+        run_dblp_update(
+            spec,
+            records_per_node=records_per_node,
+            overlap_probability=overlap_probability,
+            seed=seed,
+            label=f"{family}/n={spec.node_count}",
+        )[1]
+        for family, specs in families
+        for spec in specs
+    ]
 
 
 # ----------------------------------------------------- the engine extension
@@ -433,22 +415,10 @@ def shard_main(
     return table
 
 
-def main(records_per_node: int = 50, strategy: str = "distributed") -> str:
+def main(records_per_node: int = 50) -> str:
     """Print the scalability table (one row per topology/size)."""
-    results = run_scalability(records_per_node=records_per_node, strategy=strategy)
-    rows = [
-        [
-            result.label,
-            result.node_count,
-            result.depth,
-            result.discovery_messages,
-            result.update_messages,
-            result.update_time,
-            result.tuples_inserted,
-            result.all_closed,
-        ]
-        for result in results
-    ]
+    results = run_scalability(records_per_node=records_per_node)
+    rows = [result.as_row() for result in results]
     table = format_table(
         [
             "topology",
@@ -461,10 +431,7 @@ def main(records_per_node: int = 50, strategy: str = "distributed") -> str:
             "closed",
         ],
         rows,
-        title=(
-            f"E3 — scalability sweep ({records_per_node} records/node, "
-            f"{strategy} strategy)"
-        ),
+        title=f"E3 — scalability sweep ({records_per_node} records/node)",
     )
     print(table)
     return table

@@ -409,7 +409,7 @@ class TenantManager:
         self.tenants[name] = tenant
         loop = asyncio.get_running_loop()
         try:
-            async with self._borrow_budget():
+            async with self._budget:
                 await loop.run_in_executor(self.executor, tenant.open_session)
         except BaseException as error:
             self.tenants.pop(name, None)
@@ -519,7 +519,7 @@ class TenantManager:
             if future.cancelled():
                 continue
             try:
-                async with self._borrow_budget():
+                async with self._budget:
                     outcome = await loop.run_in_executor(
                         self.executor,
                         tenant.run_update,
@@ -566,9 +566,6 @@ class TenantManager:
                 if not future.done():
                     future.set_result(outcome)
 
-    def _borrow_budget(self) -> "_BudgetSlot":
-        return _BudgetSlot(self._budget)
-
     # -------------------------------------------------------------- event bus
 
     def subscribe(self, name: str) -> asyncio.Queue:
@@ -595,16 +592,3 @@ class TenantManager:
                 queue.put_nowait(document)
             except asyncio.QueueFull:
                 pass
-
-
-class _BudgetSlot:
-    """``async with`` wrapper for the worker-budget semaphore."""
-
-    def __init__(self, semaphore: asyncio.Semaphore):
-        self._semaphore = semaphore
-
-    async def __aenter__(self) -> None:
-        await self._semaphore.acquire()
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        self._semaphore.release()

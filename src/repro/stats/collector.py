@@ -38,13 +38,6 @@ class MessageStats:
     by_type: Counter = field(default_factory=Counter)
     bytes_by_type: Counter = field(default_factory=Counter)
 
-    def record(self, message_type: str, size: int) -> None:
-        """Account for one delivered message of ``message_type`` and ``size`` bytes."""
-        self.total_messages += 1
-        self.total_bytes += size
-        self.by_type[message_type] += 1
-        self.bytes_by_type[message_type] += size
-
 
 @dataclass
 class NodeStats:

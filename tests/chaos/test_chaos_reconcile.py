@@ -15,9 +15,9 @@ produces, with the merge accounted in ``repro_fault_reconciled_rows_total``.
 import pytest
 
 from repro.api import ScenarioSpec, Session
-from repro.coordination.changeset import digest_system
 from repro.faults import reconcile
 from repro.workloads.topologies import TOPOLOGY_FAMILIES, topology_family
+from sync_oracle import snapshot_of
 
 
 def _divergent_insert(session, node, tag):
@@ -60,7 +60,7 @@ def test_diverged_replicas_reconcile_to_one_fixpoint(family, chaos_seed):
 
     assert merged.inserted_rows >= 2
     assert not merged.removes
-    assert digest_system(sides[0].system) == digest_system(sides[1].system)
+    assert snapshot_of(sides[0].system) == snapshot_of(sides[1].system)
     assert sides[0].system.databases() == sides[1].system.databases()
     for session in sides:
         registry = session.system.stats.registry

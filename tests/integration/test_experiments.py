@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import ScenarioSpec, Session
 from repro.experiments.baseline_comparison import run_baseline_comparison
 from repro.experiments.complexity_growth import run_change_growth, run_clique_growth
 from repro.experiments.data_distribution import run_data_distribution
@@ -145,6 +146,23 @@ class TestE4DepthLinearity:
             assert list(data.update_times) == sorted(data.update_times)
             assert list(data.update_messages) == sorted(data.update_messages)
 
+    def test_each_depth_inserts_the_centralized_tuples(self):
+        # E9 is where the strategies are compared; here E4's distributed
+        # counts are checked against the centralized fix-point of the same
+        # workload, reached through Session.update.
+        series = run_depth_linearity(depths=(1, 2), records_per_node=5)
+        topologies = {
+            "tree": lambda depth: tree_topology(depth, fanout=2),
+            "layered": lambda depth: layered_topology(depth, width=2, seed=0),
+        }
+        for family, data in series.items():
+            for depth, result in zip(data.depths, data.results):
+                spec = ScenarioSpec.from_topology(
+                    topologies[family](depth), records_per_node=5, seed=0
+                )
+                reference = Session.from_spec(spec).update("centralized")
+                assert result.tuples_inserted == reference.tuples_added > 0
+
 
 class TestE5DataDistribution:
     @pytest.mark.parametrize(
@@ -168,44 +186,15 @@ class TestE6MessageAccounting:
         assert result.per_path.duplicate_queries > result.once.duplicate_queries
         assert result.per_path.total_messages > result.once.total_messages
 
-
-class TestStrategyThreading:
-    """--strategy flows through E4/E5/E6 exactly as it does through E3."""
-
-    def test_depth_linearity_reference_matches_distributed_tuples(self):
-        distributed = run_depth_linearity(depths=(1, 2), records_per_node=5)
-        reference = run_depth_linearity(
-            depths=(1, 2), records_per_node=5, strategy="centralized"
+    def test_both_policies_insert_the_centralized_tuples(self):
+        result = run_message_accounting(clique_size=3, records_per_node=4)
+        spec = ScenarioSpec.from_topology(
+            clique_topology(3), records_per_node=4, seed=0
         )
-        for family in distributed:
-            for dist_run, ref_run in zip(
-                distributed[family].results, reference[family].results
-            ):
-                assert dist_run.tuples_inserted == ref_run.tuples_inserted
-                assert ref_run.strategy == "centralized"
-
-    def test_data_distribution_skips_inapplicable_strategy(self, capsys):
-        comparisons = run_data_distribution(
-            specs=[clique_topology(3)], records_per_node=4, strategy="acyclic"
-        )
-        assert comparisons == []
-        assert "skipping" in capsys.readouterr().out
-
-    def test_message_accounting_reference_column(self):
-        result = run_message_accounting(
-            clique_size=3, records_per_node=4, strategy="centralized"
-        )
-        assert result.reference is not None
-        assert result.reference.strategy == "centralized"
-        assert (
-            result.reference.tuples_inserted == result.once.tuples_inserted
-        )
-
-    def test_message_accounting_acyclic_on_clique_leaves_column_empty(self):
-        result = run_message_accounting(
-            clique_size=3, records_per_node=4, strategy="acyclic"
-        )
-        assert result.reference is None
+        reference = Session.from_spec(spec).update("centralized")
+        assert reference.tuples_added > 0
+        assert result.once.tuples_inserted == reference.tuples_added
+        assert result.per_path.tuples_inserted == reference.tuples_added
 
 
 class TestE9BaselineComparison:

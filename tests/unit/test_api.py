@@ -1,4 +1,4 @@
-"""Unit tests for the execution façade: builder, spec, registry, results."""
+"""Unit tests for the execution façade: builder, spec, strategies, results."""
 
 import subprocess
 import sys
@@ -14,10 +14,10 @@ from repro.api import (
     available_strategies,
     engine_for,
     get_strategy,
-    register_strategy,
 )
-from repro.cli import build_parser
+from repro.cli import build_parser, main
 from repro.coordination.changeset import Change
+from repro.coordination.rule import rule_from_text
 from repro.core.system import P2PSystem
 from repro.database.schema import DatabaseSchema, RelationSchema
 from repro.errors import ReproError
@@ -27,6 +27,7 @@ from repro.workloads.scenarios import (
     paper_example_rules,
     paper_example_schemas,
 )
+from sync_oracle import snapshot_of
 
 
 def small_builder() -> NetworkBuilder:
@@ -126,20 +127,6 @@ class TestStrategyRegistry:
         with pytest.raises(ReproError, match="distributed"):
             get_strategy("does-not-exist")
 
-    def test_duplicate_registration_needs_replace(self):
-        strategy = get_strategy("centralized")
-        with pytest.raises(ReproError):
-            register_strategy(strategy)
-        assert register_strategy(strategy, replace=True) is strategy
-
-    def test_nameless_strategy_rejected(self):
-        class Nameless:
-            def run(self, session, **kwargs):  # pragma: no cover
-                raise AssertionError
-
-        with pytest.raises(ReproError):
-            register_strategy(Nameless())
-
     def test_unknown_option_rejected_per_strategy(self):
         session = small_builder().session()
         for name in ("distributed", "centralized", "acyclic", "querytime"):
@@ -187,6 +174,37 @@ class TestRunResult:
             assert isinstance(result.deltas, Change)
             assert result.tuples_added > 0, name
 
+    @pytest.mark.parametrize("name", ["centralized", "acyclic", "querytime"])
+    def test_a_reference_strategy_simulates_on_the_side(self, name):
+        # The live system is untouched, so a second call from the same state
+        # computes the same fix-point and reports the same extras.
+        session = Session.from_spec(
+            ScenarioSpec.of(
+                paper_example_schemas(),
+                paper_example_rules(),
+                paper_example_data(),
+                super_peer="A",
+            )
+        )
+        options = {"force": True} if name == "acyclic" else {}
+        before = snapshot_of(session.system)
+        first = session.update(name, **options)
+        assert first.tuples_added > 0
+        assert snapshot_of(session.system) == before
+        second = session.update(name, **options)
+        assert second.ground_databases() == first.ground_databases()
+        assert second.extras == first.extras
+
+    def test_the_distributed_strategy_writes_the_live_system(self):
+        session = paper_session()
+        session.run("discovery")
+        before = snapshot_of(session.system)
+        first = session.update()
+        assert first.tuples_added > 0
+        assert snapshot_of(session.system) != before
+        assert session.system.databases() == first.databases
+        assert session.update().tuples_added == 0
+
     def test_change_between_reports_only_new_rows(self):
         before = {"a": {"item": frozenset({("1",)})}}
         after = {"a": {"item": frozenset({("1",), ("2",)}), "other": frozenset()}}
@@ -201,6 +219,83 @@ class TestRunResult:
         assert "centralized" in repr(result)
 
 
+REFERENCE_STRATEGIES = ["centralized", "acyclic", "querytime"]
+
+
+def paper_session() -> Session:
+    return Session.from_spec(
+        ScenarioSpec.of(
+            paper_example_schemas(),
+            paper_example_rules(),
+            paper_example_data(),
+            super_peer="A",
+        )
+    )
+
+
+def reference_update(session: Session, name: str) -> RunResult:
+    # The paper example is cyclic; the acyclic baseline only runs forced.
+    options = {"force": True} if name == "acyclic" else {}
+    return session.update(name, **options)
+
+
+class TestReferenceStrategiesReadTheLiveState:
+    """Each reference update recomputes from the session's current state."""
+
+    @pytest.mark.parametrize("name", REFERENCE_STRATEGIES)
+    def test_a_fix_point_left_by_a_distributed_run_adds_nothing(self, name):
+        session = paper_session()
+        assert reference_update(session, name).tuples_added > 0
+        session.run("discovery")
+        session.update()
+        after = reference_update(session, name)
+        assert after.deltas.empty
+        assert after.tuples_added == 0
+
+    @pytest.mark.parametrize("name", REFERENCE_STRATEGIES)
+    def test_a_direct_insert_is_seen_by_the_next_reference_update(self, name):
+        session = paper_session()
+        reference_update(session, name)
+        session.system.node("E").database.relation("e").insert(("x9", "y9"))
+        seen = reference_update(session, name).ground_databases()
+        assert ("x9", "y9") in seen["E"]["e"]
+        assert ("x9", "y9") in seen["B"]["b"]
+
+    @pytest.mark.parametrize("name", REFERENCE_STRATEGIES)
+    def test_an_added_rule_is_seen_by_the_next_reference_update(self, name):
+        session = paper_session()
+        before = reference_update(session, name)
+        session.system.add_rule(
+            rule_from_text("extra-link", "E: e(X, Y) -> B: b(Y, X)")
+        )
+        after = reference_update(session, name)
+        assert after.tuples_added > before.tuples_added
+        assert ("z", "t") in after.ground_databases()["B"]["b"]
+        assert ("z", "t") not in before.ground_databases()["B"]["b"]
+
+    @pytest.mark.parametrize("name", REFERENCE_STRATEGIES)
+    def test_a_removed_rule_is_seen_by_the_next_reference_update(self, name):
+        session = paper_session()
+        before = reference_update(session, name)
+        session.system.remove_rule("r1")
+        after = reference_update(session, name)
+        assert after.tuples_added < before.tuples_added
+        assert ("s", "t") in before.ground_databases()["B"]["b"]
+        assert ("s", "t") not in after.ground_databases()["B"]["b"]
+
+    def test_querytime_fetches_the_closure_of_the_node_it_is_given(self):
+        session = paper_session()
+        at_a = session.update("querytime", node="A")
+        # E imports from nobody, so its closure is E alone.
+        at_e = session.update("querytime", node="E")
+        assert at_a.extras["node"] == "A"
+        assert at_e.extras["node"] == "E"
+        assert at_a.extras["nodes_contacted"] == 4
+        assert at_e.extras["nodes_contacted"] == 0
+        assert at_e.deltas.empty
+        assert session.update("querytime", node="A").extras == at_a.extras
+
+
 class TestSystemSubstrate:
     def test_load_data_unknown_node_raises_repro_error(self):
         system = small_builder().build().build_system()
@@ -208,18 +303,25 @@ class TestSystemSubstrate:
             system.load_data({"ghost": {"item": [("1", "2")]}})
 
 
-class TestCliStrategyFlag:
-    def test_strategy_flag_accepts_registered_names(self):
-        args = build_parser().parse_args(["run", "E3", "--strategy", "centralized"])
-        assert args.strategy == "centralized"
+class TestCliReachesStrategiesThroughE9:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "E3", "--strategy", "centralized"],
+            ["run-all", "--strategy", "centralized"],
+        ],
+    )
+    def test_the_strategy_flag_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "--strategy" in capsys.readouterr().err
 
-    def test_strategy_flag_defaults_to_distributed(self):
-        args = build_parser().parse_args(["run", "E1"])
-        assert args.strategy == "distributed"
-
-    def test_unregistered_strategy_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "E3", "--strategy", "wishful"])
+    def test_run_e9_compares_the_reference_strategies(self, capsys):
+        assert main(["run", "E9", "--records", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "query-time" in out and "centralized" in out
+        assert "acyclic applicable" in out
 
 
 class TestPythonDashM:

@@ -1,23 +1,19 @@
-"""Unit tests for the one change record and the shared structural digest.
+"""Unit tests for the one change record and the rules fingerprint.
 
 Covers the two pieces of :mod:`repro.coordination.changeset`: the
 :class:`Change` record — its eligibility rule for the delta-driven update
 path, the set-wise fold a worker keeps of its pending syncs, the check that
 runs before every apply, the canonical apply order and the served document
-form — and the :class:`StructuralDigest` behind the ``Session.update``
-strategy-memo cache, next to the warm pools'
-:class:`~repro.sharding.pool.WorldMirror`, which tracks the same state by
-marks instead of a digest.
+form — and :func:`rules_fingerprint`, which the warm pools'
+:class:`~repro.sharding.pool.WorldMirror` keeps next to marks on the live
+relations.  "Unchanged" is checked against ``snapshot_of(system)``, the
+rules fingerprint plus every node's facts.
 """
 
 import pytest
 
 from repro.api import ScenarioSpec, Session
-from repro.coordination.changeset import (
-    Change,
-    rules_fingerprint,
-    structural_digest,
-)
+from repro.coordination.changeset import Change, rules_fingerprint
 from repro.coordination.rule import rule_from_text
 from repro.database.schema import RelationSchema
 from repro.errors import ChangeError
@@ -27,6 +23,7 @@ from repro.workloads.scenarios import (
     paper_example_rules,
     paper_example_schemas,
 )
+from sync_oracle import snapshot_of
 
 #: Closes an existential cycle with the paper example's r1 (E.e -> B.b).
 T001_RULE = "x1: B: b(X, Y) -> E: e(Y, Z)"
@@ -129,13 +126,13 @@ class TestPendingFold:
 class TestCheckAndApply:
     def test_a_rejected_change_mutates_nothing(self):
         system = _paper_session().system
-        before = system.structural_digest()
+        before = snapshot_of(system)
         bad = Change(
             inserts={"E": {"e": (("s9", "t9"),)}}, remove_rules=("no-such-rule",)
         )
         with pytest.raises(ChangeError, match="unknown rule id"):
             bad.apply(system)
-        assert system.structural_digest() == before
+        assert snapshot_of(system) == before
 
     @pytest.mark.parametrize(
         "changes, message",
@@ -164,10 +161,10 @@ class TestCheckAndApply:
     )
     def test_check_rejects_before_any_mutation(self, changes, message):
         system = _paper_session().system
-        before = system.structural_digest()
+        before = snapshot_of(system)
         with pytest.raises(ChangeError, match=message):
             changes.apply(system)
-        assert system.structural_digest() == before
+        assert snapshot_of(system) == before
 
     def test_rules_go_out_before_they_come_in(self):
         system = _paper_session().system
@@ -177,13 +174,13 @@ class TestCheckAndApply:
 
     def test_a_rule_breaking_weak_acyclicity_is_rejected_as_t001(self):
         system = _paper_session().system
-        before = system.structural_digest()
+        before = snapshot_of(system)
         changes = Change.from_json({"add_rules": [T001_RULE]})
         with pytest.raises(ChangeError, match="T001"):
             changes.check(system)
         with pytest.raises(ChangeError, match="T001"):
             changes.apply(system)
-        assert system.structural_digest() == before
+        assert snapshot_of(system) == before
         # Dropping r1 in the same change keeps the set weakly acyclic.
         Change.from_json({"add_rules": [T001_RULE], "remove_rules": ["r1"]}).check(
             system
@@ -227,65 +224,22 @@ class TestDocument:
             Change(replaces={"E": {"e": ()}}).to_json()
 
 
-class TestStructuralDigest:
-    def test_digest_is_hashable_and_order_insensitive(self):
-        digest_a = structural_digest(
-            {"r1": "text"}, {"A": {"item": frozenset({("1",)})}}
-        )
-        digest_b = structural_digest(
-            {"r1": "text"}, {"A": {"item": frozenset({("1",)})}}
-        )
-        assert digest_a == digest_b
-        assert hash(digest_a) == hash(digest_b)
-
-    def test_insertion_changes_the_digest(self):
-        session = _paper_session()
-        before = session.system.structural_digest()
-        node = sorted(session.system.nodes)[0]
-        relation = sorted(session.system.node(node).database.facts())[0]
-        arity = len(
-            next(
-                schema
-                for schema in session.system.node(node).database.schema
-                if schema.name == relation
-            ).attributes
-        )
-        session.system.node(node).database.relation(relation).insert(
-            tuple(f"fresh{i}" for i in range(arity))
-        )
-        assert session.system.structural_digest() != before
-
-    def test_add_and_delete_link_change_the_digest(self):
-        session = _paper_session()
-        before = session.system.structural_digest()
-        extra = rule_from_text("extra-link", "E: e(X, Y) -> B: b(Y, X)")
-        session.system.add_rule(extra)
-        with_rule = session.system.structural_digest()
-        assert with_rule != before
-        session.system.remove_rule("extra-link")
-        assert session.system.structural_digest() == before
-
-    def test_session_fingerprint_is_the_shared_digest(self):
-        # The memo cache of Session.update and the pool mirror must key off
-        # the *same* digest definition — this is the fingerprint unification.
-        session = _paper_session()
-        assert session._state_fingerprint() == session.system.structural_digest()
-
+class TestWorldMirror:
     def test_world_mirror_follows_the_live_system_without_a_copy_of_it(self):
         # The mirror keeps marks on the live relations, not their rows: what
-        # it ships after a mutation is exactly what moved the digest, and
+        # it ships after a mutation is exactly what moved the snapshot, and
         # once shipped the mirror is level with the system again.
         session = _paper_session()
         system = session.system
         mirror = WorldMirror(system)
         assert mirror.rules == rules_fingerprint(system.registry)
         assert mirror.advance(system).empty
-        before = system.structural_digest()
+        before = snapshot_of(system)
         node = sorted(system.nodes)[0]
         relation = next(system.node(node).database.relations())
         row = tuple(f"new{i}" for i in range(relation.schema.arity))
         relation.insert(row)
-        assert system.structural_digest() != before
+        assert snapshot_of(system) != before
         delta = mirror.advance(system)
         assert delta.inserts == {node: {relation.name: (row,)}}
         assert delta.insert_only
@@ -295,3 +249,28 @@ class TestStructuralDigest:
         rule_a = rule_from_text("r1", "B: item(X, Y) -> A: item(X, Y)")
         rule_b = rule_from_text("r1", "B: item(X, Y) -> A: item(Y, X)")
         assert rules_fingerprint([rule_a]) != rules_fingerprint([rule_b])
+
+
+class TestRulesFingerprint:
+    def test_rules_fingerprint_is_order_insensitive(self):
+        rule_a = rule_from_text("r1", "B: item(X, Y) -> A: item(X, Y)")
+        rule_b = rule_from_text("r2", "C: item(X, Y) -> A: item(X, Y)")
+        assert rules_fingerprint([rule_a, rule_b]) == rules_fingerprint(
+            [rule_b, rule_a]
+        )
+
+    def test_add_and_delete_link_change_the_rules_fingerprint(self):
+        system = _paper_session().system
+        before = rules_fingerprint(system.registry)
+        system.add_rule(rule_from_text("extra-link", "E: e(X, Y) -> B: b(Y, X)"))
+        assert rules_fingerprint(system.registry) != before
+        system.remove_rule("extra-link")
+        assert rules_fingerprint(system.registry) == before
+
+    def test_an_insertion_leaves_the_rules_fingerprint_alone(self):
+        system = _paper_session().system
+        before = snapshot_of(system)
+        system.node("E").database.relation("e").insert(("x9", "y9"))
+        after = snapshot_of(system)
+        assert after[0] == before[0] == rules_fingerprint(system.registry)
+        assert after[1] != before[1]

@@ -36,6 +36,7 @@ from repro.workloads.scenarios import (
     paper_example_rules,
     paper_example_schemas,
 )
+from sync_oracle import snapshot_of
 
 
 def paper_spec() -> ScenarioSpec:
@@ -436,7 +437,7 @@ class TestEndpoints:
         async def scenario():
             app = await booted_app()
             system = app.manager.get("paper").session.system
-            before = system.structural_digest()
+            before = snapshot_of(system)
             response = await app.handle(
                 request(
                     "POST",
@@ -450,8 +451,35 @@ class TestEndpoints:
             assert response.status == 400
             assert body(response)["error"]["code"] == "bad_request"
             assert "unknown rule id" in body(response)["error"]["message"]
-            assert system.structural_digest() == before
+            assert snapshot_of(system) == before
             assert len(system.node("E").database.relation("e")) == 2
+            await app.shutdown()
+
+        run(scenario())
+
+    def test_every_run_gives_its_worker_slot_back(self):
+        # One slot: a boot, an applied update and a rejected one each hold
+        # it in turn, and a query after them must still get it in time.
+        async def scenario():
+            app = await booted_app(max_workers=1, query_budget_timeout=0.5)
+            target = "/tenants/paper/update"
+            applied = await app.handle(
+                request("POST", target, {"inserts": {"E": {"e": [["s9", "t9"]]}}})
+            )
+            assert applied.status == 200
+            rejected = await app.handle(
+                request("POST", target, {"remove_rules": ["no-such-rule"]})
+            )
+            assert rejected.status == 400
+            answered = await app.handle(
+                request(
+                    "POST",
+                    "/tenants/paper/query",
+                    {"node": "E", "query": "q(X, Y) :- e(X, Y)"},
+                )
+            )
+            assert answered.status == 200, answered.body
+            assert ["s9", "t9"] in body(answered)["answers"]
             await app.shutdown()
 
         run(scenario())
@@ -488,7 +516,7 @@ class TestEndpoints:
         async def scenario():
             app = await booted_app()
             tenant = app.manager.get("paper")
-            before = tenant.session.system.structural_digest()
+            before = snapshot_of(tenant.session.system)
             with pytest.raises(ReproError, match="T001"):
                 tenant.validate_changes(parse_changes(document))
             response = await app.handle(
@@ -497,7 +525,7 @@ class TestEndpoints:
             assert response.status == 400
             assert body(response)["error"]["code"] == "bad_request"
             assert "T001" in body(response)["error"]["message"]
-            assert tenant.session.system.structural_digest() == before
+            assert snapshot_of(tenant.session.system) == before
             await app.shutdown()
 
         run(scenario())
