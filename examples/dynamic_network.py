@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from repro import (
     NetworkChange,
+    ScenarioSpec,
     SuperPeer,
     complete_envelope,
     is_complete_answer,
@@ -24,16 +25,14 @@ from repro import (
     sound_envelope,
 )
 from repro.core.dynamics import apply_change_interleaved
-from repro.workloads import build_dblp_network, tree_topology
+from repro.workloads import tree_topology
 
 
 def main() -> None:
     spec = tree_topology(depth=2, fanout=2)
-    network = build_dblp_network(spec, records_per_node=25)
-    system = network.system
-    schemas = network.schemas()
-    data = network.initial_data()
-    initial_rules = list(network.rules)
+    scenario = ScenarioSpec.from_topology(spec, records_per_node=25)
+    system = scenario.build_system()
+    schemas, data, initial_rules = scenario.schemas, scenario.data, scenario.rules
 
     # The change: while the update runs, the deepest leaf additionally starts
     # feeding the root directly (addLink), and one existing link disappears.

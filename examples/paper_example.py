@@ -44,7 +44,7 @@ def main() -> None:
     # Run both protocol phases with tracing enabled, through one session.
     system = build_paper_example(propagation="per_path")
     system.transport.enable_trace()
-    session = Session.of(system)
+    session = Session(system)
     session.run("discovery", origins=["A"])
     session.run("update")
 

@@ -6,8 +6,8 @@ coordination rules let the `portal` peer import every project of the two lab
 peers; after the global update, queries at the portal are answered locally,
 without contacting the labs again — the core promise of the paper.
 
-The network is assembled with the fluent :class:`repro.NetworkBuilder` and
-driven through the unified :class:`repro.Session` façade.
+The network is declared as one :class:`repro.ScenarioSpec` and driven through
+the unified :class:`repro.Session` façade.
 
 Run with::
 
@@ -16,31 +16,42 @@ Run with::
 
 from __future__ import annotations
 
-from repro import NetworkBuilder, RelationSchema
+from repro import RelationSchema, ScenarioSpec, Session
+
 
 def main() -> None:
     # 1. Declare each peer's shared schema (the paper's DBS), the rules that
     #    translate between them, and the initial data, then open a session.
     #    Note the existential year in the lab_b rule: lab_b does not track
     #    years, so the portal stores a labelled null for it.
-    session = (
-        NetworkBuilder("quickstart")
-        .node("lab_a", RelationSchema("project", ["name", "topic", "year"]))
-        .node("lab_b", RelationSchema("effort", ["acronym", "area"]))
-        .node("portal", RelationSchema("catalogue", ["name", "topic"]))
-        .rule("r_a: lab_a: project(N, T, Y) -> portal: catalogue(N, T)")
-        .rule("r_b: lab_b: effort(N, T) -> portal: catalogue(N, T)")
-        .data("lab_a", "project", [
-            ("hyperion", "p2p databases", 2003),
-            ("piazza", "schema mediation", 2003),
-        ])
-        .data("lab_b", "effort", [
-            ("edutella", "rdf p2p"),
-            ("gridvine", "semantic overlay"),
-        ])
-        .super_peer("portal")
-        .session()
+    spec = ScenarioSpec.of(
+        {
+            "lab_a": RelationSchema("project", ["name", "topic", "year"]),
+            "lab_b": RelationSchema("effort", ["acronym", "area"]),
+            "portal": RelationSchema("catalogue", ["name", "topic"]),
+        },
+        [
+            "r_a: lab_a: project(N, T, Y) -> portal: catalogue(N, T)",
+            "r_b: lab_b: effort(N, T) -> portal: catalogue(N, T)",
+        ],
+        {
+            "lab_a": {
+                "project": [
+                    ("hyperion", "p2p databases", 2003),
+                    ("piazza", "schema mediation", 2003),
+                ]
+            },
+            "lab_b": {
+                "effort": [
+                    ("edutella", "rdf p2p"),
+                    ("gridvine", "semantic overlay"),
+                ]
+            },
+        },
+        name="quickstart",
+        super_peer="portal",
     )
+    session = Session.from_spec(spec)
 
     # 2. Run topology discovery and the global update through the façade.
     discovery = session.run("discovery")

@@ -12,11 +12,16 @@ Quickstart::
 
     from repro import Session, build_paper_example
 
-    session = Session.of(build_paper_example())
+    session = Session(build_paper_example())
     session.run("discovery")
     result = session.update()          # or strategy="centralized" / "acyclic" / ...
     print(result.completion_time, result.tuples_added)
     print(session.query("A", "q(X, Y) :- a(X, Y)"))
+
+Every network is described by one :class:`ScenarioSpec` (schemas, rules,
+data and settings): ``Session.from_spec(spec)`` checks and opens it, and
+``spec.build_system()`` — the one assembler — only builds the system
+(``build_paper_example`` is the Section 2 example built that way).
 
 See README.md for the architecture overview, the new-API quickstart and the
 old → new migration table.
@@ -77,7 +82,6 @@ from repro.core import (
 from repro.api import (
     Session,
     ScenarioSpec,
-    NetworkBuilder,
     RunResult,
     ExecutionEngine,
     SyncEngine,
@@ -97,7 +101,6 @@ from repro.workloads import (
     star_topology,
     random_topology,
     build_paper_example,
-    build_dblp_network,
 )
 from repro.sharding import ShardPlan, ShardPlanner
 from repro.stats import StatisticsCollector, format_table
@@ -156,7 +159,6 @@ __all__ = [
     # api façade
     "Session",
     "ScenarioSpec",
-    "NetworkBuilder",
     "RunResult",
     "ExecutionEngine",
     "SyncEngine",
@@ -181,7 +183,6 @@ __all__ = [
     "star_topology",
     "random_topology",
     "build_paper_example",
-    "build_dblp_network",
     # stats
     "StatisticsCollector",
     "format_table",

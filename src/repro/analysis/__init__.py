@@ -22,8 +22,7 @@ Public surface:
   machinery, reusable on bare rule lists,
 * ``python -m repro lint scenario.json`` — the CLI front end;
   :meth:`Session.from_spec <repro.api.session.Session.from_spec>` runs the
-  same checks as a pre-run gate (disable with ``check=False`` or the CLI's
-  ``--no-preflight``).
+  same checks as a pre-run gate (disable with ``check=False``).
 
 The diagnostic-code reference lives in ``docs/analysis.md``.
 """

@@ -10,9 +10,9 @@ This package is the unified execution façade over the substrate in
   :class:`~repro.api.engine.SyncEngine`,
 * :class:`~repro.api.strategies.UpdateStrategy` and its fixed table of four
   (``"distributed"``, ``"centralized"``, ``"acyclic"``, ``"querytime"``),
-* :class:`~repro.api.spec.ScenarioSpec` / :class:`~repro.api.spec.NetworkBuilder`
-  — declarative and fluent network construction (JSON format in
-  ``docs/scenarios.md``),
+* :class:`~repro.api.spec.ScenarioSpec` — the one description of a network;
+  its ``build_system()`` is the one place a network is assembled (JSON format
+  in ``docs/scenarios.md``),
 * :class:`~repro.api.result.RunResult` — the uniform result of every run.
 
 The scaling engines (multiproc, pooled, socket) live in
@@ -34,8 +34,8 @@ from repro.api.engine import (
     engine_for,
 )
 from repro.api.result import RunResult
-from repro.api.session import Session, preflight_enabled, set_default_preflight
-from repro.api.spec import NetworkBuilder, ScenarioSpec
+from repro.api.session import Session
+from repro.api.spec import ScenarioSpec
 from repro.api.strategies import (
     UpdateStrategy,
     available_strategies,
@@ -49,9 +49,6 @@ __all__ = [
     "engine_for",
     "RunResult",
     "Session",
-    "preflight_enabled",
-    "set_default_preflight",
-    "NetworkBuilder",
     "ScenarioSpec",
     "UpdateStrategy",
     "available_strategies",

@@ -11,8 +11,9 @@ One :class:`ExecutionEngine` protocol — a blocking ``run`` — so
 
 Which transport a name builds and which engine drives it is one table,
 :func:`transport_kinds`; :func:`engine_for` and
-:meth:`P2PSystem.build <repro.core.system.P2PSystem.build>` look things up
-there, and the spec/CLI validation reads which names are partitioned from it.
+:meth:`ScenarioSpec.build_system <repro.api.spec.ScenarioSpec.build_system>`
+look things up there, and the spec/CLI validation reads which names are
+partitioned from it.
 ``docs/engines.md`` is the decision guide.
 """
 
@@ -130,7 +131,7 @@ _RETIRED = {
 
 @functools.cache
 def transport_kinds() -> dict[str, TransportKind]:
-    """The transport registry, keyed by the name a spec or ``build`` selects."""
+    """The transport registry, keyed by the name a spec selects."""
     # Imported lazily: repro.sharding imports this module for the phase
     # helpers, so a top-level import would be circular.
     from repro.sharding.process import ProcessEngine, ProcessTransport

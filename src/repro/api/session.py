@@ -14,8 +14,8 @@ exposes the library's operations uniformly:
 * ``session.query(node, "q(X) :- item(X, Y)")`` — local query answering.
 
 Sessions are built from a declarative :class:`~repro.api.spec.ScenarioSpec`
-(:meth:`Session.from_spec`), from loose parts (:meth:`Session.build`) or
-around an existing system (:meth:`Session.of`).  A session also owns its
+(:meth:`Session.from_spec`) or opened around an already assembled system
+(``Session(spec.build_system())``).  A session also owns its
 engine's resources: the pooled multiproc engine keeps worker OS processes
 warm across runs, so use the session as a context manager (or call
 :meth:`Session.close`) to stop them deterministically.  The layer map and
@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import replace
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable
 
 from repro.analysis.analyzer import analyze
 from repro.analysis.diagnostics import AnalysisReport
@@ -49,25 +49,6 @@ from repro.stats.collector import StatsSnapshot
 if TYPE_CHECKING:
     from repro.core.system import P2PSystem
     from repro.faults.plan import FaultPlan
-
-#: Process-wide default for the pre-flight gate of :meth:`Session.from_spec`.
-#: The CLI's ``--no-preflight`` flag flips it for experiment runs, which
-#: build their sessions several layers below the argument parser.
-_DEFAULT_PREFLIGHT = True
-
-
-def set_default_preflight(enabled: bool) -> bool:
-    """Set the process-wide pre-flight default; returns the previous value."""
-    global _DEFAULT_PREFLIGHT
-    previous = _DEFAULT_PREFLIGHT
-    _DEFAULT_PREFLIGHT = bool(enabled)
-    return previous
-
-
-def preflight_enabled() -> bool:
-    """The current process-wide pre-flight default."""
-    return _DEFAULT_PREFLIGHT
-
 
 class Session:
     """Engine-agnostic execution over one system, by any of four strategies."""
@@ -130,7 +111,7 @@ class Session:
 
     @classmethod
     def from_spec(
-        cls, spec: ScenarioSpec, *, check: bool | None = None, **settings: object
+        cls, spec: ScenarioSpec, *, check: bool = True, **settings: object
     ) -> "Session":
         """Assemble the spec's system and open a session on it.
 
@@ -141,13 +122,10 @@ class Session:
         letting the run discover them the hard way; warnings are kept on
         :attr:`Session.preflight` and tagged onto every
         :class:`~repro.api.result.RunResult` as
-        ``extras["preflight_warnings"]``.  ``check=False`` skips the gate
-        (``check=None`` follows the process default, see
-        :func:`set_default_preflight`); ``settings`` (e.g. ``trace=True``)
-        are forwarded to the :class:`Session` constructor.
+        ``extras["preflight_warnings"]``.  ``check=False`` skips the gate;
+        ``settings`` (e.g. ``trace=True``) are forwarded to the
+        :class:`Session` constructor.
         """
-        if check is None:
-            check = _DEFAULT_PREFLIGHT
         report: AnalysisReport | None = None
         if check:
             report = analyze(spec)
@@ -157,42 +135,6 @@ class Session:
                     f"pass check=False to run anyway\n{report.render()}"
                 )
         return cls(spec.build_system(), spec=spec, preflight=report, **settings)
-
-    #: Session.build settings consumed by the Session constructor; everything
-    #: else goes to the ScenarioSpec.
-    _SESSION_SETTINGS = (
-        "engine",
-        "check",
-        "trace",
-        "tracer",
-        "faults",
-    )
-
-    @classmethod
-    def build(
-        cls,
-        schemas: Mapping[NodeId, object],
-        rules: Iterable[CoordinationRule | str] = (),
-        data: Mapping[NodeId, Mapping[str, Iterable[Row]]] | None = None,
-        **settings: object,
-    ) -> "Session":
-        """Build a session from loose parts (see :meth:`ScenarioSpec.of`).
-
-        ``settings`` may mix spec fields (``transport=``, ``super_peer=``,
-        ``strategy=``, ...) with session options (``engine=``, ``trace=``);
-        each goes to the right constructor.
-        """
-        session_settings = {
-            key: settings.pop(key) for key in cls._SESSION_SETTINGS if key in settings
-        }
-        return cls.from_spec(
-            ScenarioSpec.of(schemas, rules, data, **settings), **session_settings
-        )
-
-    @classmethod
-    def of(cls, system: P2PSystem, **kwargs: object) -> "Session":
-        """Open a session around an already-assembled system."""
-        return cls(system, **kwargs)
 
     # -------------------------------------------------------------- lifecycle
 

@@ -1,22 +1,22 @@
-"""Declarative scenarios and a fluent network builder.
+"""Declarative scenarios: the one description of a network.
 
 A :class:`ScenarioSpec` is everything a run needs in one object — schemas,
 rules, initial data, transport, propagation policy, latency, super-peer and a
 default update strategy — so experiments reduce to *spec + run + report* and
-can be stored, varied and replayed.  :class:`NetworkBuilder` constructs a spec
-(or directly a session) fluently::
+can be stored, varied and replayed.  :meth:`ScenarioSpec.of` builds one from
+loose parts (schema lists, rule strings)::
 
-    session = (
-        NetworkBuilder("demo")
-        .node("a", RelationSchema("item", ["x", "y"]))
-        .node("b", RelationSchema("item", ["x", "y"]))
-        .rule("ab: b: item(X, Y) -> a: item(X, Y)")
-        .data("b", "item", [("1", "2")])
-        .super_peer("a")
-        .session()
+    spec = ScenarioSpec.of(
+        {"a": [RelationSchema("item", ["x", "y"])],
+         "b": [RelationSchema("item", ["x", "y"])]},
+        ["ab: b: item(X, Y) -> a: item(X, Y)"],
+        {"b": {"item": [("1", "2")]}},
+        super_peer="a",
     )
+    session = Session.from_spec(spec)   # or: system = spec.build_system()
 
-:meth:`ScenarioSpec.from_topology` packages the paper's DBLP workload (a
+:meth:`ScenarioSpec.build_system` is the only place a network is assembled,
+and :meth:`ScenarioSpec.from_topology` packages the paper's DBLP workload (a
 topology plus generated schemas, rules and records) as a spec, which is what
 the Section 5 experiments run on.
 """
@@ -37,7 +37,6 @@ from repro.network.latency import ConstantLatency, LatencyModel, UniformLatency
 from repro.network.transport import BaseTransport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
-    from repro.api.session import Session
     from repro.core.system import P2PSystem
     from repro.faults.plan import FaultPlan
     from repro.workloads.topologies import TopologySpec
@@ -198,25 +197,41 @@ class ScenarioSpec:
         seed: int = 0,
         **settings: object,
     ) -> "ScenarioSpec":
-        """The paper's DBLP sharing workload over a topology, as a spec."""
-        from repro.workloads.scenarios import dblp_workload_parts
+        """The paper's DBLP sharing workload over a topology, as a spec.
 
-        rules, _assignment, schemas, data = dblp_workload_parts(
+        Every node gets ``records_per_node`` synthetic publications rendered
+        in its schema variant, acquainted nodes may share data with
+        ``overlap_probability``, and the coordination rules translate between
+        the variants along every import edge.
+        """
+        from repro.workloads.dblp import rows_for_variant, schema_for_variant
+        from repro.workloads.distributions import distribute_records
+        from repro.workloads.topologies import coordination_rules_for
+
+        assignment = distribute_records(
             topology,
-            records_per_node=records_per_node,
+            records_per_node,
             overlap_probability=overlap_probability,
             overlap_fraction=overlap_fraction,
             seed=seed,
         )
         settings.setdefault("super_peer", topology.nodes[0])
         settings.setdefault("name", f"{topology.name}/n={topology.node_count}")
-        settings.setdefault("max_messages", 2_000_000)  # build_dblp_network's bound
+        settings.setdefault("max_messages", 2_000_000)
         return cls(
-            schemas=schemas,
-            rules=tuple(rules),
+            schemas={
+                node: schema_for_variant(topology.variant_of(node))
+                for node in topology.nodes
+            },
+            rules=tuple(coordination_rules_for(topology)),
             data={
-                node: {relation: tuple(rows) for relation, rows in relations.items()}
-                for node, relations in data.items()
+                node: {
+                    relation: tuple(rows)
+                    for relation, rows in rows_for_variant(
+                        records, topology.variant_of(node)
+                    ).items()
+                }
+                for node, records in assignment.items()
             },
             **settings,
         )
@@ -357,216 +372,83 @@ class ScenarioSpec:
     def build_system(self) -> P2PSystem:
         """Assemble the spec into a fresh :class:`~repro.core.system.P2PSystem`.
 
-        A spec is replayable — each call builds an independent system — except
-        when it holds a *transport instance*, which can only back one system
-        (its peer registry and statistics are per-system state); in that case
-        a second build raises :class:`ReproError`.  Pass a transport name
-        (``"sync"``, ``"multiproc"``, ...) to keep the spec fully replayable.
+        This is the one place a network is put together: every setting is
+        checked against the transport's kind, the transport is built from its
+        name, then the nodes, rules and data are added.  A spec is replayable
+        — each call builds an independent system — except when it holds a
+        *transport instance*, which can only back one system (its peer
+        registry and statistics are per-system state); in that case a second
+        build raises :class:`ReproError`.  Pass a transport name (``"sync"``,
+        ``"multiproc"``, ...) to keep the spec fully replayable.
         """
         from repro.core.system import P2PSystem
 
-        if isinstance(self.transport, BaseTransport) and self.transport.peers:
+        transport = self.transport
+        live = isinstance(transport, BaseTransport)
+        if live and transport.peers:
             raise ReproError(
                 "this spec holds a transport instance that already backs a "
                 "system; use a transport name for a replayable spec"
             )
-        transport = self.transport
+        # A live instance is judged by the kind it was built as.
+        kind = transport_kind(transport.kind if live else transport)
+        label = _transport_label(transport)
         partitioned = transport_names(partitioned=True)
-        if self.shards is not None and transport not in partitioned:
-            raise ReproError(
-                f"shards={self.shards} needs a partitioned transport, but "
-                f"the spec selects {_transport_label(transport)}; "
-                "drop the shards setting or use "
-                f"transport={_name_list(partitioned)}"
-            )
+        if self.shards is not None:
+            if not kind.partitioned:
+                raise ReproError(
+                    f"shards={self.shards} needs a partitioned transport, but "
+                    f"the spec selects {label}; drop the shards setting or use "
+                    f"transport={_name_list(partitioned)}"
+                )
+            if live and self.shards != transport.shard_count:
+                raise ReproError(
+                    f"shards={self.shards} differs from the "
+                    f"{transport.shard_count} shards of the transport "
+                    "instance; drop the shards setting"
+                )
         # A live process-backed transport instance already satisfies the pool
         # flag; everything else cannot pool.
-        if self.pool and getattr(transport, "kind", transport) not in partitioned:
+        if self.pool and not kind.partitioned:
             raise ReproError(
                 f"pool=True needs the multiproc or socket transport, but "
-                f"the spec selects {_transport_label(transport)}; "
+                f"the spec selects {label}; "
                 f"use transport={_name_list(partitioned)} with the pool flag"
             )
-        if self.hosts and transport != "socket":
+        if self.hosts and (live or kind.name != "socket"):
             # A transport *instance* carries its own hosts; spec-level hosts
             # only make sense when the spec builds the transport itself.
             raise ReproError(
-                f"hosts= needs transport='socket', but the spec selects "
-                f"{_transport_label(transport)}"
+                f"hosts= needs transport='socket', but the spec selects {label}"
             )
         if self.faults is not None:
-            if transport not in partitioned:
+            if not kind.partitioned:
                 raise ReproError(
                     "faults= needs a process-backed transport "
                     f"({_name_list(partitioned)}), but the spec selects "
-                    f"{_transport_label(transport)}; the in-process transport "
+                    f"{label}; the in-process transport "
                     "has no workers to kill or frames to drop"
                 )
-            if transport != "socket" and any(
+            if kind.name != "socket" and any(
                 fault.kind == "partition" for fault in self.faults.faults
             ):
                 raise ReproError(
                     "partition faults need transport='socket' (partitions cut "
                     "coordinator-to-host links), but the spec selects "
-                    f"{_transport_label(transport)}"
+                    f"{label}"
                 )
-        return P2PSystem.build(
-            self.schemas,
-            self.rules,
-            self.data or None,
-            transport=transport,
-            propagation=self.propagation,
-            latency=self.latency,
-            super_peer=self.super_peer,
-            max_messages=self.max_messages,
-            shards=self.shards,
-            pool=self.pool,
-            hosts=self.hosts,
-        )
-
-
-class NetworkBuilder:
-    """Fluent construction of a :class:`ScenarioSpec` (and of sessions)."""
-
-    def __init__(self, name: str = "network"):
-        self._name = name
-        self._schemas: dict[NodeId, DatabaseSchema] = {}
-        self._rules: list[CoordinationRule] = []
-        self._data: dict[NodeId, dict[str, list[Row]]] = {}
-        self._settings: dict[str, object] = {}
-
-    def node(
-        self,
-        node_id: NodeId,
-        *relations: RelationSchema | DatabaseSchema,
-    ) -> "NetworkBuilder":
-        """Declare a peer and its shared relations."""
-        if node_id in self._schemas:
-            raise ReproError(f"node {node_id!r} is already declared")
-        if len(relations) == 1 and isinstance(relations[0], DatabaseSchema):
-            schema = relations[0]
-        else:
-            schema = DatabaseSchema(relations)
-        self._schemas[node_id] = schema
-        return self
-
-    def rule(self, rule: CoordinationRule | str) -> "NetworkBuilder":
-        """Add a coordination rule (an object or ``'id: body -> target'`` text)."""
-        self._rules.append(_coerce_rule(rule))
-        return self
-
-    def rules(self, rules: Iterable[CoordinationRule | str]) -> "NetworkBuilder":
-        """Add several coordination rules at once."""
-        for rule in rules:
-            self.rule(rule)
-        return self
-
-    def data(
-        self, node_id: NodeId, relation: str, rows: Iterable[Row]
-    ) -> "NetworkBuilder":
-        """Load initial rows into one relation of one peer."""
-        self._data.setdefault(node_id, {}).setdefault(relation, []).extend(rows)
-        return self
-
-    def transport(self, kind: str | BaseTransport) -> "NetworkBuilder":
-        """Select the transport: ``"sync"``, ``"multiproc"``, ``"pooled"``,
-        ``"socket"`` or an instance."""
-        if isinstance(kind, str):
-            transport_kind(kind)  # unknown and removed names raise
-        self._settings["transport"] = kind
-        return self
-
-    def shards(self, count: int) -> "NetworkBuilder":
-        """Run over a partitioned transport with ``count`` shards.
-
-        Combine with ``.transport("multiproc")`` for one worker process per
-        shard, or call :meth:`pooled` to keep those processes warm between
-        runs; the ``"sync"`` transport refuses a shard count.
-        """
-        self._settings["shards"] = count
-        return self
-
-    def pooled(self, shards: int | None = None) -> "NetworkBuilder":
-        """Run over the persistent multi-process worker pool.
-
-        One worker OS process per shard, spawned on the session's first run
-        and kept warm for every later one (only data/rule deltas are
-        re-shipped).  ``shards`` optionally sets the shard count in the same
-        call; close the session (``session.close()`` or a ``with`` block) to
-        stop the workers.
-        """
-        self._settings["transport"] = "pooled"
-        if shards is not None:
-            self._settings["shards"] = shards
-        return self
-
-    def socketed(
-        self,
-        hosts: Iterable[str] | None = None,
-        *,
-        shards: int | None = None,
-        pooled: bool = False,
-    ) -> "NetworkBuilder":
-        """Run over TCP shard hosts (``python -m repro.shardhost`` servers).
-
-        ``hosts`` lists their ``"HOST:PORT"`` addresses — shards are assigned
-        round-robin across them, and the shard count defaults to one per
-        host; ``None`` auto-spawns localhost hosts on the first run (closed
-        with the session).  ``pooled=True`` keeps the host connections and
-        workers warm between runs, re-shipping only structural deltas, like
-        :meth:`pooled` does for the in-box worker pool.
-        """
-        self._settings["transport"] = "socket"
-        if hosts is not None:
-            self._settings["hosts"] = tuple(hosts)
-        if shards is not None:
-            self._settings["shards"] = shards
-        if pooled:
-            self._settings["pool"] = True
-        return self
-
-    def propagation(self, policy: str) -> "NetworkBuilder":
-        """Select the query propagation policy of every node."""
-        self._settings["propagation"] = policy
-        return self
-
-    def latency(self, model: LatencyModel) -> "NetworkBuilder":
-        """Select the latency model of the transport."""
-        self._settings["latency"] = model
-        return self
-
-    def super_peer(self, node_id: NodeId) -> "NetworkBuilder":
-        """Designate the super-peer."""
-        self._settings["super_peer"] = node_id
-        return self
-
-    def strategy(self, name: str) -> "NetworkBuilder":
-        """Select the default update strategy of sessions built from the spec."""
-        self._settings["strategy"] = name
-        return self
-
-    def max_messages(self, count: int) -> "NetworkBuilder":
-        """Bound the number of deliveries before a run is declared divergent."""
-        self._settings["max_messages"] = count
-        return self
-
-    def build(self) -> ScenarioSpec:
-        """Freeze the builder into a :class:`ScenarioSpec`."""
-        if not self._schemas:
-            raise ReproError("a network needs at least one node")
-        return ScenarioSpec(
-            schemas=dict(self._schemas),
-            rules=tuple(self._rules),
-            data={
-                node: {relation: tuple(rows) for relation, rows in relations.items()}
-                for node, relations in self._data.items()
-            },
-            name=self._name,
-            **self._settings,
-        )
-
-    def session(self) -> "Session":
-        """Build the spec and open a :class:`~repro.api.session.Session` on it."""
-        from repro.api.session import Session
-
-        return Session.from_spec(self.build())
+        if not live:
+            transport = kind.build(
+                latency=self.latency,
+                max_messages=self.max_messages,
+                shards=self.shards,
+                pool=self.pool,
+                hosts=self.hosts,
+            )
+        system = P2PSystem(transport, super_peer=self.super_peer)
+        for node_id, schema in self.schemas.items():
+            system.add_node(node_id, schema, propagation=self.propagation)
+        for rule in self.rules:
+            system.add_rule(rule)
+        system.load_data(self.data)
+        return system

@@ -11,8 +11,8 @@ and interactive runs share exactly the same code paths.
 ``python -m repro lint scenario.json`` statically analyzes scenario files
 (termination, safety, schema consistency — the checks of
 :mod:`repro.analysis`, codes in ``docs/analysis.md``) without running
-anything; ``run --no-preflight`` disables the same analyzer where it gates
-experiment sessions.
+anything; ``Session.from_spec`` runs the same analyzer before it opens a
+session.
 
 ``python -m repro serve --bind 127.0.0.1:8750 --tenants scenarios/`` boots
 the long-running multi-tenant HTTP/WebSocket front-end of
@@ -44,6 +44,7 @@ from repro.experiments import (
     serving,
     trace_example,
 )
+
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
     """Parse the --sizes flag ("127,511") into node counts."""
@@ -268,15 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="enable debug logging on the repro.obs logger hierarchy",
     )
-    run_parser.add_argument(
-        "--no-preflight",
-        dest="preflight",
-        action="store_false",
-        help=(
-            "skip the static pre-flight analysis that gates every session "
-            "built from a scenario spec (see 'repro lint')"
-        ),
-    )
 
     run_all = subparsers.add_parser("run-all", help="run every experiment in order")
     run_all.add_argument("--records", type=int, default=20)
@@ -436,10 +428,6 @@ def main(argv: list[str] | None = None) -> int:
             cut_threshold=args.cut_threshold,
         )
     if args.command == "run":
-        if not getattr(args, "preflight", True):
-            from repro.api.session import set_default_preflight
-
-            set_default_preflight(False)
         if args.engine != "sync" and args.experiment != "E3":
             print(
                 f"note: --engine {args.engine} selects the E3 engine sweep; "

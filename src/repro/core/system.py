@@ -4,8 +4,10 @@
 rule registry, builds one :class:`~repro.core.node.PeerNode` per participating
 peer, wires every rule to its target (incoming) and source (outgoing) nodes,
 opens the pipes the prototype would open, and applies dynamic-network changes.
-*Execution* lives one layer up: open a :class:`repro.api.Session` on the
-system (or build one with :class:`repro.api.NetworkBuilder` /
+*Assembly* and *execution* live one layer up: a
+:class:`repro.api.ScenarioSpec` describes a network and its
+:meth:`~repro.api.ScenarioSpec.build_system` is the one place a system is put
+together; open a :class:`repro.api.Session` on it (or use
 :meth:`repro.api.Session.from_spec`) and call ``session.run("discovery")`` /
 ``session.update(strategy=...)``.
 """
@@ -25,12 +27,10 @@ from repro.database.relation import Row, Touched
 from repro.database.schema import DatabaseSchema, RelationSchema
 from repro.errors import ReproError
 from repro.network.advertisement import Advertisement, DiscoveryService
-from repro.network.latency import LatencyModel
 from repro.network.pipe import PipeTable
 from repro.network.transport import BaseTransport
 from repro.stats.collector import StatisticsCollector, StatsSnapshot
 
-SchemaSpec = Mapping[NodeId, DatabaseSchema | Iterable[RelationSchema]]
 DataSpec = Mapping[NodeId, Mapping[str, Iterable[Row]]]
 
 
@@ -60,67 +60,6 @@ class P2PSystem:
         self._super_peer = super_peer
 
     # -------------------------------------------------------------- building
-
-    @classmethod
-    def build(
-        cls,
-        schemas: SchemaSpec,
-        rules: Iterable[CoordinationRule] = (),
-        data: DataSpec | None = None,
-        *,
-        transport: str | BaseTransport = "sync",
-        latency: LatencyModel | None = None,
-        propagation: str = "once",
-        super_peer: NodeId | None = None,
-        max_messages: int = 1_000_000,
-        shards: int | None = None,
-        pool: bool = False,
-        hosts: Iterable[str] | None = None,
-    ) -> "P2PSystem":
-        """Build a system from per-node schemas, rules and initial data.
-
-        ``transport`` is either an existing transport instance or the string
-        ``"sync"`` / ``"multiproc"`` / ``"pooled"`` / ``"socket"``;
-        ``shards`` sets the shard count of the partitioned transports
-        (default 2, ignored otherwise); ``pool=True``
-        upgrades the ``"multiproc"`` transport to the persistent worker pool
-        (equivalent to ``transport="pooled"``) and the ``"socket"`` transport
-        to the warm socket pool; ``hosts`` lists the ``"HOST:PORT"``
-        shard-host addresses of the ``"socket"`` transport (``None``
-        auto-spawns localhost hosts, and the shard count defaults to one per
-        host); ``propagation`` selects the query propagation policy of every
-        node (see :mod:`repro.core.update`).
-        """
-        # Imported lazily: the api layer sits above this module.
-        from repro.api.engine import transport_kind
-
-        if isinstance(transport, BaseTransport):
-            if hosts:
-                raise ReproError(
-                    "hosts= only applies when the transport is built here; "
-                    "pass them to the ProcessTransport instance instead"
-                )
-            transport_obj = transport
-        else:
-            kind = transport_kind(transport)
-            if hosts and transport != "socket":
-                raise ReproError(f"hosts= needs transport='socket', not {transport!r}")
-            transport_obj = kind.build(
-                latency=latency,
-                max_messages=max_messages,
-                shards=shards,
-                pool=pool,
-                hosts=tuple(hosts) if hosts else None,
-            )
-
-        system = cls(transport_obj, super_peer=super_peer)
-        for node_id, schema in schemas.items():
-            system.add_node(node_id, schema, propagation=propagation)
-        for rule in rules:
-            system.add_rule(rule)
-        if data:
-            system.load_data(data)
-        return system
 
     def add_node(
         self,

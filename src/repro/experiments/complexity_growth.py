@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.api.spec import ScenarioSpec
 from repro.core.dynamics import NetworkChange, apply_change_operation
 from repro.experiments.runner import run_dblp_update
 from repro.stats.report import format_table
-from repro.workloads.scenarios import build_dblp_network
 from repro.workloads.topologies import (
     clique_topology,
     coordination_rules_for,
@@ -94,10 +94,9 @@ def run_change_growth(
     points = []
     for length in lengths:
         spec = tree_topology(depth, fanout=2)
-        network = build_dblp_network(
+        system = ScenarioSpec.from_topology(
             spec, records_per_node=records_per_node, seed=seed
-        )
-        system = network.system
+        ).build_system()
         for node_id in sorted(system.nodes):
             system.node(node_id).update.start()
         system.transport.run()  # type: ignore[attr-defined]

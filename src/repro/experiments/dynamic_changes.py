@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.api.spec import ScenarioSpec
 from repro.core.dynamics import (
     NetworkChange,
     apply_change_interleaved,
@@ -26,7 +27,6 @@ from repro.core.dynamics import (
 )
 from repro.core.fixpoint import all_nodes_closed
 from repro.stats.report import format_table
-from repro.workloads.scenarios import build_dblp_network
 from repro.workloads.topologies import (
     TopologySpec,
     coordination_rules_for,
@@ -100,13 +100,10 @@ def run_dynamic_changes(
 ) -> DynamicChangeResult:
     """Run the update on a tree while a change sequence races with it."""
     spec = tree_topology(depth, fanout=fanout)
-    network = build_dblp_network(
+    scenario = ScenarioSpec.from_topology(
         spec, records_per_node=records_per_node, seed=seed
     )
-    system = network.system
-    initial_rules = list(network.rules)
-    schemas = network.schemas()
-    data = network.initial_data()
+    system = scenario.build_system()
     change = build_change_for(spec, deletions=deletions)
 
     # Start the update at every node, then interleave the change with delivery.
@@ -117,8 +114,8 @@ def run_dynamic_changes(
     )
 
     measured = system.databases()
-    upper = sound_envelope(schemas, initial_rules, change, data)
-    lower = complete_envelope(schemas, initial_rules, change, data)
+    upper = sound_envelope(scenario.schemas, scenario.rules, change, scenario.data)
+    lower = complete_envelope(scenario.schemas, scenario.rules, change, scenario.data)
     snapshot = system.snapshot_stats()
     return DynamicChangeResult(
         topology=spec.name,

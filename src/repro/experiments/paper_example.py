@@ -45,7 +45,7 @@ def run_paper_example() -> PaperExampleResult:
         for node in sorted(graph.nodes)
     }
 
-    session = Session.of(build_paper_example(with_data=False))
+    session = Session(build_paper_example(with_data=False))
     # Start discovery at every node so each one learns its own paths, then
     # compare with the static ground truth.
     discovery = session.run("discovery", origins=sorted(session.system.nodes))

@@ -1,7 +1,8 @@
 """Shared experiment runner: build a network, run both phases, collect metrics.
 
 Every experiment module builds on :func:`run_dblp_update` (DBLP workload over
-a topology) or :func:`run_system_update` (an already assembled system).  Both
+a topology, :meth:`~repro.api.ScenarioSpec.from_topology`) or
+:func:`run_system_update` (an already assembled system).  Both
 run the paper's distributed algorithm through the unified
 :class:`repro.api.Session` façade; the reference strategies are compared in
 E9 (:mod:`repro.experiments.baseline_comparison`).  The returned
@@ -17,11 +18,11 @@ import time
 from dataclasses import dataclass, field
 
 from repro.api.session import Session
+from repro.api.spec import ScenarioSpec
 from repro.core.fixpoint import all_nodes_closed, satisfies_all_rules
 from repro.core.system import P2PSystem
 from repro.network.message import MessageType
 from repro.stats.collector import StatsSnapshot
-from repro.workloads.scenarios import DblpNetwork, build_dblp_network
 from repro.workloads.topologies import TopologySpec
 
 
@@ -91,7 +92,7 @@ def run_system_update(
 ) -> UpdateRunResult:
     """Run discovery (optionally) and the paper's update on an assembled system."""
     started = time.perf_counter()
-    session = Session.of(system)
+    session = Session(system)
 
     discovery_time = 0.0
     discovery_messages = 0
@@ -130,7 +131,7 @@ def run_system_update(
 
 
 def run_dblp_update(
-    spec: TopologySpec,
+    topology: TopologySpec,
     *,
     records_per_node: int = 50,
     overlap_probability: float = 0.0,
@@ -139,10 +140,10 @@ def run_dblp_update(
     propagation: str = "once",
     label: str | None = None,
     check_fixpoint: bool = False,
-) -> tuple[DblpNetwork, UpdateRunResult]:
+) -> tuple[ScenarioSpec, UpdateRunResult]:
     """Build the DBLP workload for a topology and run discovery + update."""
-    network = build_dblp_network(
-        spec,
+    spec = ScenarioSpec.from_topology(
+        topology,
         records_per_node=records_per_node,
         overlap_probability=overlap_probability,
         overlap_fraction=overlap_fraction,
@@ -150,11 +151,11 @@ def run_dblp_update(
         propagation=propagation,
     )
     result = run_system_update(
-        network.system,
-        label=label or f"{spec.name}/n={spec.node_count}",
-        depth=spec.depth,
+        spec.build_system(),
+        label=label or spec.name,
+        depth=topology.depth,
         records_per_node=records_per_node,
         overlap_probability=overlap_probability,
         check_fixpoint=check_fixpoint,
     )
-    return network, result
+    return spec, result

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.api.spec import ScenarioSpec
 from repro.baselines.centralized import centralized_update
 from repro.core.dynamics import (
     NetworkChange,
@@ -25,7 +26,6 @@ from repro.core.dynamics import (
     is_separated_under_change,
 )
 from repro.core.fixpoint import ground_part
-from repro.core.system import P2PSystem
 from repro.stats.report import format_table
 from repro.workloads.dblp import rows_for_variant, schema_for_variant
 from repro.workloads.distributions import distribute_records
@@ -101,9 +101,9 @@ def run_separation(
     rules_a = coordination_rules_for(spec_a)
     rules_b = coordination_rules_for(spec_b)
 
-    system = P2PSystem.build(
-        schemas, rules_a + rules_b, data, transport="sync", super_peer=spec_a.nodes[0]
-    )
+    system = ScenarioSpec.of(
+        schemas, rules_a + rules_b, data, super_peer=spec_a.nodes[0]
+    ).build_system()
 
     # The churn: repeatedly delete and re-add rules of component B.
     churn = NetworkChange()

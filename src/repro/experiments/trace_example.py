@@ -53,7 +53,7 @@ def run_trace_example(*, propagation: str = "per_path") -> TraceResult:
     """Run discovery + update on the example with tracing enabled."""
     system = build_paper_example(propagation=propagation)
     system.transport.enable_trace()
-    session = Session.of(system)
+    session = Session(system)
     discovery_time = session.run("discovery", origins=["A"]).completion_time
     update_time = session.run("update").completion_time
 

@@ -14,8 +14,10 @@ synthetic equivalent:
   heterogeneous schemas,
 * :mod:`repro.workloads.distributions` — assignment of records to nodes with
   a configurable overlap probability along coordination edges,
-* :mod:`repro.workloads.scenarios` — packaged scenarios: the paper's 5-node
-  running example and ready-to-run DBLP sharing networks.
+* :mod:`repro.workloads.scenarios` — the paper's 5-node running example.
+
+:meth:`repro.api.ScenarioSpec.from_topology` puts a topology, its records and
+its rules together into the DBLP sharing network the experiments run.
 """
 
 from repro.workloads.dblp import (
@@ -41,8 +43,6 @@ from repro.workloads.scenarios import (
     paper_example_rules,
     paper_example_data,
     build_paper_example,
-    build_dblp_network,
-    DblpNetwork,
 )
 
 __all__ = [
@@ -64,6 +64,4 @@ __all__ = [
     "paper_example_rules",
     "paper_example_data",
     "build_paper_example",
-    "build_dblp_network",
-    "DblpNetwork",
 ]

@@ -1,31 +1,22 @@
-"""Packaged scenarios: the paper's running example and DBLP sharing networks.
+"""The paper's running example: the 5-node network of Section 2.
 
-Two scenario families are provided:
-
-* the 5-node example of Section 2 (nodes A–E, rules r1–r7), used by the
-  dependency-path experiment (E1), the execution-trace experiment (E2) and a
-  large part of the test-suite,
-* parametric DBLP sharing networks (:func:`build_dblp_network`) combining a
-  topology, the three schema variants, a data distribution and a ready
-  :class:`~repro.core.system.P2PSystem` — the configuration of the paper's
-  scalability experiments (E3–E6).
+Nodes A–E with rules r1–r7, used by the dependency-path experiment (E1), the
+execution-trace experiment (E2) and a large part of the test-suite.  The
+parametric DBLP sharing networks of the scalability experiments (E3–E6) are
+:meth:`repro.api.ScenarioSpec.from_topology`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.coordination.rule import CoordinationRule, NodeId, rule_from_text
-from repro.core.system import P2PSystem
 from repro.database.relation import Row
 from repro.database.schema import DatabaseSchema, RelationSchema
 from repro.network.latency import LatencyModel
-from repro.workloads.dblp import PublicationRecord, rows_for_variant, schema_for_variant
-from repro.workloads.distributions import distribute_records
-from repro.workloads.topologies import TopologySpec, coordination_rules_for
 
-
-# ----------------------------------------------------------- the paper example
+if TYPE_CHECKING:
+    from repro.core.system import P2PSystem
 
 
 def paper_example_schemas() -> dict[NodeId, DatabaseSchema]:
@@ -84,7 +75,10 @@ def build_paper_example(
     the example is small and the execution-trace experiment (Figure 1) wants
     the duplicate queries the paper's statistics module counts.
     """
-    return P2PSystem.build(
+    # Imported lazily: repro.api sits above the workloads.
+    from repro.api.spec import ScenarioSpec
+
+    return ScenarioSpec.of(
         paper_example_schemas(),
         paper_example_rules(),
         paper_example_data() if with_data else None,
@@ -92,122 +86,4 @@ def build_paper_example(
         propagation=propagation,
         latency=latency,
         super_peer="A",
-    )
-
-
-# -------------------------------------------------------------- DBLP networks
-
-
-@dataclass
-class DblpNetwork:
-    """A fully assembled DBLP sharing network plus its building blocks."""
-
-    system: P2PSystem
-    spec: TopologySpec
-    rules: list[CoordinationRule]
-    assignment: dict[NodeId, list[PublicationRecord]]
-    records_per_node: int
-    overlap_probability: float
-
-    @property
-    def total_records(self) -> int:
-        """Total number of records initially loaded (with duplicates)."""
-        return sum(len(records) for records in self.assignment.values())
-
-    def schemas(self) -> dict[NodeId, DatabaseSchema]:
-        """Per-node schemas (re-created; used by the verification helpers)."""
-        return {
-            node: schema_for_variant(self.spec.variant_of(node))
-            for node in self.spec.nodes
-        }
-
-    def initial_data(self) -> dict[NodeId, dict[str, list[Row]]]:
-        """Per-node initial rows (re-created; used by the verification helpers)."""
-        return {
-            node: rows_for_variant(records, self.spec.variant_of(node))
-            for node, records in self.assignment.items()
-        }
-
-
-def dblp_workload_parts(
-    spec: TopologySpec,
-    *,
-    records_per_node: int = 100,
-    overlap_probability: float = 0.0,
-    overlap_fraction: float = 0.5,
-    seed: int = 0,
-) -> tuple[
-    list[CoordinationRule],
-    dict[NodeId, list[PublicationRecord]],
-    dict[NodeId, DatabaseSchema],
-    dict[NodeId, dict[str, list[Row]]],
-]:
-    """The raw parts of a DBLP sharing workload: rules, assignment, schemas, data.
-
-    This is the single place the workload is assembled; both
-    :func:`build_dblp_network` and :meth:`repro.api.ScenarioSpec.from_topology`
-    build on it.
-    """
-    rules = coordination_rules_for(spec)
-    assignment = distribute_records(
-        spec,
-        records_per_node,
-        overlap_probability=overlap_probability,
-        overlap_fraction=overlap_fraction,
-        seed=seed,
-    )
-    schemas = {
-        node: schema_for_variant(spec.variant_of(node)) for node in spec.nodes
-    }
-    data = {
-        node: rows_for_variant(records, spec.variant_of(node))
-        for node, records in assignment.items()
-    }
-    return rules, assignment, schemas, data
-
-
-def build_dblp_network(
-    spec: TopologySpec,
-    *,
-    records_per_node: int = 100,
-    overlap_probability: float = 0.0,
-    overlap_fraction: float = 0.5,
-    seed: int = 0,
-    transport: str = "sync",
-    propagation: str = "once",
-    latency: LatencyModel | None = None,
-    max_messages: int = 2_000_000,
-) -> DblpNetwork:
-    """Assemble a DBLP sharing network for a given topology.
-
-    This is the workload of the paper's Section 5 experiments: every node gets
-    ``records_per_node`` synthetic publications rendered in its schema
-    variant, acquainted nodes may share data with ``overlap_probability``, and
-    the coordination rules translate between the variants along every import
-    edge.
-    """
-    rules, assignment, schemas, data = dblp_workload_parts(
-        spec,
-        records_per_node=records_per_node,
-        overlap_probability=overlap_probability,
-        overlap_fraction=overlap_fraction,
-        seed=seed,
-    )
-    system = P2PSystem.build(
-        schemas,
-        rules,
-        data,
-        transport=transport,
-        propagation=propagation,
-        latency=latency,
-        super_peer=spec.nodes[0],
-        max_messages=max_messages,
-    )
-    return DblpNetwork(
-        system=system,
-        spec=spec,
-        rules=rules,
-        assignment=assignment,
-        records_per_node=records_per_node,
-        overlap_probability=overlap_probability,
-    )
+    ).build_system()

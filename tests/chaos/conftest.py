@@ -18,6 +18,7 @@ import pytest
 from repro.api import ScenarioSpec, Session
 from repro.workloads.topologies import tree_topology
 
+
 @pytest.fixture
 def scenario(chaos_seed):
     """The 7-node tree scenario, seeded from --chaos-seed."""

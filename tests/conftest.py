@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.superpeer import SuperPeer
-from repro.core.system import P2PSystem
+from repro.api.spec import ScenarioSpec
 from repro.coordination.rule import rule_from_text
 from repro.database.schema import DatabaseSchema, RelationSchema
 from repro.workloads.scenarios import (
@@ -64,4 +64,4 @@ def chain_system():
         rule_from_text("bc", "c: item(X, Y) -> b: item(X, Y)"),
     ]
     data = {"c": {"item": [("1", "2"), ("3", "4")]}}
-    return P2PSystem.build(schemas, rules, data, super_peer="a")
+    return ScenarioSpec.of(schemas, rules, data, super_peer="a").build_system()

@@ -59,6 +59,7 @@ GOLDEN = {
     ),
 }
 
+
 def spec_of(workload, seed):
     return ScenarioSpec.from_topology(
         TOPOLOGIES[workload](), records_per_node=10, seed=seed

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import Session
+from repro.api import ScenarioSpec, Session
 from repro.coordination.rule import rule_from_text
 from repro.core.dynamics import (
     AddLink,
@@ -17,7 +17,6 @@ from repro.core.dynamics import (
     sound_envelope,
 )
 from repro.core.superpeer import SuperPeer
-from repro.core.system import P2PSystem
 from repro.database.schema import DatabaseSchema, RelationSchema
 from repro.errors import ChangeError
 from repro.experiments.dynamic_changes import run_dynamic_changes
@@ -73,7 +72,7 @@ class TestNetworkChangeObject:
 class TestApplyingChanges:
     def test_add_link_during_quiescence_triggers_import(self):
         schemas, rules, data = chain_setup()
-        system = P2PSystem.build(schemas, rules, data)
+        system = ScenarioSpec.of(schemas, rules, data).build_system()
         Session(system).run("update")
         # New rule: a also imports directly from c.
         new_rule = rule_from_text("ac", "c: item(X, Y) -> a: item(Y, X)")
@@ -83,7 +82,7 @@ class TestApplyingChanges:
 
     def test_delete_link_keeps_already_imported_data(self):
         schemas, rules, data = chain_setup()
-        system = P2PSystem.build(schemas, rules, data)
+        system = ScenarioSpec.of(schemas, rules, data).build_system()
         Session(system).run("update")
         apply_change_operation(system, DeleteLink("a", "b", "ab"))
         system.transport.run()
@@ -99,7 +98,7 @@ class TestApplyingChanges:
         schemas = item_schemas("a", "b")
         rules = [rule_from_text("ab", "b: item(X, Y) -> a: item(X, Y)")]
         data = {"b": {"item": [("1", "2"), ("2", "3")]}}
-        system = P2PSystem.build(schemas, rules, data)
+        system = ScenarioSpec.of(schemas, rules, data).build_system()
         super_peer = SuperPeer(system)
         super_peer.run_global_update()
         system.remove_rule("ab")
@@ -118,13 +117,13 @@ class TestApplyingChanges:
 
     def test_delete_mismatching_link_rejected(self):
         schemas, rules, data = chain_setup()
-        system = P2PSystem.build(schemas, rules, data)
+        system = ScenarioSpec.of(schemas, rules, data).build_system()
         with pytest.raises(ChangeError):
             apply_change_operation(system, DeleteLink("a", "c", "ab"))
 
     def test_interleaved_change_is_sound_and_complete(self):
         schemas, rules, data = chain_setup()
-        system = P2PSystem.build(schemas, rules, data)
+        system = ScenarioSpec.of(schemas, rules, data).build_system()
         change = (
             NetworkChange()
             .add_link(rule_from_text("ac", "c: item(X, Y) -> a: item(X, Y)"))

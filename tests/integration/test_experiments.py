@@ -18,7 +18,7 @@ from repro.workloads.topologies import clique_topology, layered_topology, tree_t
 
 class TestRunner:
     def test_run_dblp_update_metrics(self):
-        network, result = run_dblp_update(
+        spec, result = run_dblp_update(
             tree_topology(2, 2), records_per_node=10, check_fixpoint=True
         )
         assert result.node_count == 7
@@ -28,7 +28,7 @@ class TestRunner:
         assert result.all_closed
         assert result.fixpoint_reached
         assert result.tuples_inserted > 0
-        assert set(result.per_node) == set(network.spec.nodes)
+        assert set(result.per_node) == set(spec.schemas)
 
     def test_as_row_shape(self):
         _, result = run_dblp_update(tree_topology(1, 2), records_per_node=5)

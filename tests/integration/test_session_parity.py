@@ -16,7 +16,6 @@ import pytest
 from repro.api import ScenarioSpec, Session
 from repro.coordination.rule import rule_from_text
 from repro.core.fixpoint import all_nodes_closed, satisfies_all_rules
-from repro.core.system import P2PSystem
 from repro.database.schema import DatabaseSchema, RelationSchema
 from repro.network.latency import UniformLatency
 from repro.workloads.scenarios import (
@@ -151,9 +150,9 @@ class TestScheduleParity:
             rule_from_text("bc", "c: item(X, Y) -> b: item(X, Y)"),
         ]
         data = {"c": {"item": [("1", "2")]}}
-        system = P2PSystem.build(
+        system = ScenarioSpec.of(
             schemas, rules, data, latency=UniformLatency(0.1, 1.0, seed=3)
-        )
+        ).build_system()
         snapshot = Session(system).run("update").stats
         assert system.node("a").database.relation("item").rows() == {("1", "2")}
         assert snapshot.total_messages > 0

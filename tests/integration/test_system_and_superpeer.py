@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.api import Session, SyncEngine
+from repro.api import ScenarioSpec, Session, SyncEngine
 from repro.coordination.rule import rule_from_text
 from repro.core.superpeer import SuperPeer
-from repro.core.system import P2PSystem
 from repro.database.schema import DatabaseSchema, RelationSchema
 from repro.errors import ReproError
 from repro.workloads.scenarios import build_paper_example
@@ -51,7 +50,9 @@ class TestSystemAssembly:
 
     def test_unknown_transport_kind(self):
         with pytest.raises(ReproError):
-            P2PSystem.build(item_schemas("a"), transport="carrier-pigeon")
+            ScenarioSpec.of(
+                item_schemas("a"), transport="carrier-pigeon"
+            ).build_system()
 
     def test_super_peer_defaults_to_smallest_id(self, chain_system):
         assert chain_system.super_peer == "a"
@@ -75,16 +76,16 @@ class TestSystemAssembly:
             session.run("update")
 
     def test_dependency_graph_includes_isolated_nodes(self):
-        system = P2PSystem.build(
+        system = ScenarioSpec.of(
             item_schemas("a", "b", "solo"),
             [rule_from_text("ab", "b: item(X, Y) -> a: item(X, Y)")],
-        )
+        ).build_system()
         assert "solo" in system.dependency_graph().nodes
 
 
 class TestSuperPeer:
     def test_rule_file_broadcast(self):
-        system = P2PSystem.build(item_schemas("a", "b", "c"))
+        system = ScenarioSpec.of(item_schemas("a", "b", "c")).build_system()
         super_peer = SuperPeer(system, "a")
         rule_file = """
         # data flows towards a
@@ -138,12 +139,14 @@ class TestSuperPeer:
             rule_from_text("xy", "y: item(X, Y) -> x: item(X, Y)"),
         ]
         data = {"b": {"item": [("1", "2")]}, "y": {"item": [("3", "4")]}}
-        system = P2PSystem.build(schemas, rules, data, super_peer="a")
+        system = ScenarioSpec.of(schemas, rules, data, super_peer="a").build_system()
         SuperPeer(system, "a").run_global_update(everywhere=False)
         assert system.node("a").database.total_rows() == 1
         assert system.node("x").database.total_rows() == 0
 
-        system_full = P2PSystem.build(schemas, rules, data, super_peer="a")
+        system_full = ScenarioSpec.of(
+            schemas, rules, data, super_peer="a"
+        ).build_system()
         SuperPeer(system_full, "a").run_global_update(everywhere=True)
         assert system_full.node("x").database.total_rows() == 1
 

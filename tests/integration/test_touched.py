@@ -65,12 +65,13 @@ def engine_settings(engine, cluster):
 
 
 def open_session(engine, cluster):
-    session = Session.build(
+    spec = ScenarioSpec.of(
         {node: [RelationSchema("item", ["x", "y"])] for node in ("a", "b", "c")},
         ["r1: b: item(X, Y) -> a: item(X, Y)"],
         {"b": {"item": [("1", "2")]}},
         **engine_settings(engine, cluster),
     )
+    session = Session.from_spec(spec)
     if engine != "sync":
         session.engine.planner = PinnedPlanner(2)
     session.run("update")  # the priming run

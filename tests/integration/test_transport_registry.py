@@ -13,17 +13,12 @@ import multiprocessing
 
 import pytest
 
-from repro.api import NetworkBuilder, ScenarioSpec, Session
-from repro.api.engine import (
-    engine_for,
-    transport_kind,
-    transport_kinds,
-    transport_names,
-)
+from repro.api import ScenarioSpec, Session
+from repro.api.engine import engine_for, transport_kinds, transport_names
 from repro.cli import build_parser
-from repro.core.system import P2PSystem
 from repro.errors import NetworkError, ReproError
 from repro.faults import FaultPlan, FaultSpec
+from repro.sharding import ProcessTransport
 from repro.workloads.scenarios import (
     paper_example_data,
     paper_example_rules,
@@ -106,7 +101,7 @@ def test_builds_runs_to_the_sync_fixpoint_and_closes_clean(
         DOCUMENTED_NAMES[transport, pool]
     )
     session = Session.from_spec(spec)
-    partitioned = transport_kind(transport).partitioned
+    partitioned = transport in transport_names(partitioned=True)
     pools = record_pools(session.engine) if partitioned else []
     try:
         assert session.engine.name == DOCUMENTED_NAMES[transport, pool]
@@ -189,19 +184,30 @@ def test_a_spec_file_naming_a_removed_transport_is_refused(name):
 @pytest.mark.parametrize("name", sorted(RETIRED))
 def test_building_a_removed_transport_is_refused(name):
     with pytest.raises(ReproError, match=RETIRED[name]):
-        P2PSystem.build({"a": []}, transport=name)
-
-
-@pytest.mark.parametrize("name", sorted(RETIRED))
-def test_the_builder_refuses_a_removed_transport(name):
-    with pytest.raises(ReproError, match=RETIRED[name]):
-        NetworkBuilder().transport(name)
+        ScenarioSpec.of({"a": []}, transport=name).build_system()
 
 
 def test_shards_on_the_sync_transport_is_refused():
     # A shard count used to pick an in-process partitioned engine silently.
     with pytest.raises(ReproError, match="needs a partitioned transport"):
         paper_spec().with_(shards=2).build_system()
-    builder = NetworkBuilder().node("a").shards(2)
     with pytest.raises(ReproError, match="needs a partitioned transport"):
-        builder.session()
+        Session.from_spec(paper_spec().with_(shards=2))
+
+
+def live_spec(**settings):
+    """The paper example over a live two-shard multiproc transport instance."""
+    return paper_spec().with_(transport=ProcessTransport("multiproc", 2), **settings)
+
+
+def test_a_live_transport_is_judged_by_its_kind():
+    kill = FaultPlan(seed=0, faults=[FaultSpec(kind="kill_worker")])
+    assert live_spec(faults=kill).build_system().transport.kind == "multiproc"
+    assert live_spec(shards=2).build_system().transport.shard_count == 2
+    partition = FaultPlan(seed=0, faults=[FaultSpec(kind="partition")])
+    with pytest.raises(ReproError, match="partition faults need transport='socket'"):
+        live_spec(faults=partition).build_system()
+    with pytest.raises(ReproError, match="shards=3 differs from the 2 shards"):
+        live_spec(shards=3).build_system()
+    with pytest.raises(ReproError, match="hosts= needs transport='socket'"):
+        live_spec(hosts=("h1:9101",)).build_system()

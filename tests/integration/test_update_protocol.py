@@ -5,7 +5,7 @@ import time
 import pytest
 
 from repro.analysis import analyze_parts, is_weakly_acyclic
-from repro.api import Session
+from repro.api import ScenarioSpec, Session
 from repro.baselines.centralized import centralized_update
 from repro.coordination.rule import rule_from_text
 from repro.core.fixpoint import (
@@ -13,7 +13,6 @@ from repro.core.fixpoint import (
     ground_part,
     verify_against_centralized,
 )
-from repro.core.system import P2PSystem
 from repro.core.update import join_fragments
 from repro.database.nulls import is_null
 from repro.database.schema import DatabaseSchema, RelationSchema
@@ -62,7 +61,12 @@ class TestCyclicTwoNodeNetwork:
             rule_from_text("ba", "a: item(X, Y) -> b: item(X, Y)"),
         ]
         data = {"a": {"item": [("a1", "a2")]}, "b": {"item": [("b1", "b2")]}}
-        return P2PSystem.build(schemas, rules, data), schemas, rules, data
+        return (
+            ScenarioSpec.of(schemas, rules, data).build_system(),
+            schemas,
+            rules,
+            data,
+        )
 
     def test_both_nodes_get_both_facts(self):
         system, schemas, rules, data = self.build()
@@ -96,7 +100,12 @@ class TestMultiSourceRule:
             "b": {"left": [("1", "k"), ("2", "m")]},
             "c": {"right": [("k", "9"), ("k", "8")]},
         }
-        return P2PSystem.build(schemas, rules, data), schemas, rules, data
+        return (
+            ScenarioSpec.of(schemas, rules, data).build_system(),
+            schemas,
+            rules,
+            data,
+        )
 
     def test_cross_peer_join(self):
         system, *_ = self.build()
@@ -129,7 +138,7 @@ class TestExistentialRules:
         }
         rules = [rule_from_text("r", "b: author(X) -> a: person(X, O)")]
         data = {"b": {"author": [("ada",), ("bob",)]}}
-        system = P2PSystem.build(schemas, rules, data)
+        system = ScenarioSpec.of(schemas, rules, data).build_system()
         Session(system).run("update")
         rows = system.node("a").database.relation("person").rows()
         assert len(rows) == 2
@@ -156,7 +165,7 @@ class TestExistentialRules:
             rule_from_text("ba", "a: item(X, Y) -> b: item(Y, Z)"),
         ]
         data = {"a": {"item": [("x0", "x1")]}}
-        system = P2PSystem.build(schemas, rules, data)
+        system = ScenarioSpec.of(schemas, rules, data).build_system()
         Session(system).run("update")
         assert all_nodes_closed(system)
         # Ground part matches the centralized chase with the same check.
@@ -194,7 +203,7 @@ class TestExistentialRules:
         assert is_weakly_acyclic(rules)
         assert analyze_parts(schemas, rules).ok
         data = {"a": {"item": [("x0", "x1"), ("y0", "y1")]}}
-        system = P2PSystem.build(schemas, rules, data)
+        system = ScenarioSpec.of(schemas, rules, data).build_system()
         Session(system).run("update")
         assert all_nodes_closed(system)
         b_rows = system.node("b").database.relation("item").rows()
@@ -209,7 +218,7 @@ class TestBuiltinsInRules:
         schemas = item_schemas("a", "b")
         rules = [rule_from_text("r", "b: item(X, Y), X != Y -> a: item(X, Y)")]
         data = {"b": {"item": [("1", "1"), ("1", "2")]}}
-        system = P2PSystem.build(schemas, rules, data)
+        system = ScenarioSpec.of(schemas, rules, data).build_system()
         Session(system).run("update")
         assert system.node("a").database.relation("item").rows() == {("1", "2")}
 
@@ -220,7 +229,7 @@ class TestBuiltinsInRules:
         }
         rules = [rule_from_text("r", "b: pub(K, Y), Y >= 2000 -> a: recent(K, Y)")]
         data = {"b": {"pub": [("p1", 1998), ("p2", 2003)]}}
-        system = P2PSystem.build(schemas, rules, data)
+        system = ScenarioSpec.of(schemas, rules, data).build_system()
         Session(system).run("update")
         assert system.node("a").database.relation("recent").rows() == {("p2", 2003)}
 
@@ -230,7 +239,7 @@ class TestNodesWithoutRules:
         schemas = item_schemas("a", "b", "lonely")
         rules = [rule_from_text("ab", "b: item(X, Y) -> a: item(X, Y)")]
         data = {"b": {"item": [("1", "2")]}, "lonely": {"item": [("9", "9")]}}
-        system = P2PSystem.build(schemas, rules, data)
+        system = ScenarioSpec.of(schemas, rules, data).build_system()
         Session(system).run("update")
         assert system.node("lonely").is_update_closed
         assert system.node("lonely").database.relation("item").rows() == {("9", "9")}
@@ -238,13 +247,13 @@ class TestNodesWithoutRules:
     def test_mediator_node_with_empty_database(self):
         # b holds no data of its own but relays from c to a (the paper's
         # "node acts as a mediator" case: LDB may be absent, DBS must exist).
-        system = P2PSystem.build(
+        system = ScenarioSpec.of(
             item_schemas("a", "b", "c"),
             [
                 rule_from_text("ab", "b: item(X, Y) -> a: item(X, Y)"),
                 rule_from_text("bc", "c: item(X, Y) -> b: item(X, Y)"),
             ],
             {"c": {"item": [("1", "2")]}},
-        )
+        ).build_system()
         Session(system).run("update")
         assert system.node("a").database.relation("item").rows() == {("1", "2")}

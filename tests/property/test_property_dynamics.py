@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Session
+from repro.api import ScenarioSpec, Session
 from repro.coordination.rule import CoordinationRule
 from repro.core.dynamics import (
     NetworkChange,
@@ -13,7 +13,6 @@ from repro.core.dynamics import (
     is_sound_answer,
     sound_envelope,
 )
-from repro.core.system import P2PSystem
 from repro.database.parser import parse_atom
 from repro.database.schema import DatabaseSchema, RelationSchema
 
@@ -60,7 +59,7 @@ class TestTheorem2Properties:
         self, edges, data, added, delete_count, steps
     ):
         schemas, rules, initial = build_system(edges, data)
-        system = P2PSystem.build(schemas, rules, initial)
+        system = ScenarioSpec.of(schemas, rules, initial).build_system()
 
         change = NetworkChange()
         for index, (importer, exporter) in enumerate(added):
@@ -84,7 +83,7 @@ class TestTheorem2Properties:
     @settings(max_examples=20, deadline=None)
     def test_empty_change_envelopes_coincide_with_fixpoint(self, edges, data):
         schemas, rules, initial = build_system(edges, data)
-        system = P2PSystem.build(schemas, rules, initial)
+        system = ScenarioSpec.of(schemas, rules, initial).build_system()
         Session(system).run("update")
         change = NetworkChange()
         measured = system.databases()

@@ -27,10 +27,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Session
+from repro.api import ScenarioSpec, Session
 from repro.coordination.changeset import Change
 from repro.coordination.rule import rule_from_text
-from repro.core.system import P2PSystem
 from repro.database.schema import DatabaseSchema, RelationSchema
 from repro.errors import ChangeError
 from repro.faults import reconcile
@@ -83,7 +82,7 @@ def build_system(data):
         for name in NODE_NAMES
     }
     initial = {name: {"item": sorted(per_node)} for name, per_node in data.items()}
-    return P2PSystem.build(schemas, [], initial)
+    return ScenarioSpec.of(schemas, [], initial).build_system()
 
 
 class TestUnionAlgebra:
@@ -171,11 +170,11 @@ class TestDocumentAndCheck:
     )
     @settings(max_examples=40, deadline=None)
     def test_a_rejected_change_leaves_the_digest_unchanged(self, data, change, flaw):
-        system = P2PSystem.build(
+        system = ScenarioSpec.of(
             {name: [RelationSchema("item", ["x", "y"])] for name in NODE_NAMES},
             RULES[:2],
             {name: {"item": sorted(per_node)} for name, per_node in data.items()},
-        )
+        ).build_system()
         before = snapshot_of(system)
         bad = change.union(flaw)
         with pytest.raises(ChangeError):

@@ -10,11 +10,10 @@ closed under every coordination rule.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Session
+from repro.api import ScenarioSpec, Session
 from repro.baselines.centralized import centralized_update
 from repro.coordination.rule import CoordinationRule
 from repro.core.fixpoint import all_nodes_closed, ground_part, satisfies_all_rules
-from repro.core.system import P2PSystem
 from repro.database.parser import parse_atom
 from repro.database.schema import DatabaseSchema, RelationSchema
 
@@ -53,7 +52,7 @@ class TestDistributedMatchesCentralized:
     @settings(max_examples=30, deadline=None)
     def test_copy_networks_reach_the_centralized_fixpoint(self, edges, data):
         schemas, rules, initial = build_setup(edges, data)
-        system = P2PSystem.build(schemas, rules, initial)
+        system = ScenarioSpec.of(schemas, rules, initial).build_system()
         Session(system).run("update")
 
         reference = centralized_update(schemas, rules, initial).snapshot()
@@ -65,7 +64,9 @@ class TestDistributedMatchesCentralized:
     @settings(max_examples=15, deadline=None)
     def test_per_path_policy_reaches_the_same_fixpoint(self, edges, data):
         schemas, rules, initial = build_setup(edges, data)
-        system = P2PSystem.build(schemas, rules, initial, propagation="per_path")
+        system = ScenarioSpec.of(
+            schemas, rules, initial, propagation="per_path"
+        ).build_system()
         Session(system).run("update")
         reference = centralized_update(schemas, rules, initial).snapshot()
         assert ground_part(system.databases()) == ground_part(reference)
@@ -74,7 +75,7 @@ class TestDistributedMatchesCentralized:
     @settings(max_examples=15, deadline=None)
     def test_update_is_idempotent(self, edges, data):
         schemas, rules, initial = build_setup(edges, data)
-        system = P2PSystem.build(schemas, rules, initial)
+        system = ScenarioSpec.of(schemas, rules, initial).build_system()
         Session(system).run("update")
         snapshot_after_first = system.databases()
         for node in system.nodes.values():
@@ -86,7 +87,7 @@ class TestDistributedMatchesCentralized:
     @settings(max_examples=15, deadline=None)
     def test_every_node_keeps_its_initial_data(self, edges, data):
         schemas, rules, initial = build_setup(edges, data)
-        system = P2PSystem.build(schemas, rules, initial)
+        system = ScenarioSpec.of(schemas, rules, initial).build_system()
         Session(system).run("update")
         for name, node_rows in data.items():
             assert set(node_rows) <= system.node(name).database.relation("item").rows()
@@ -113,7 +114,7 @@ class TestTransformingRules:
         initial = {
             name: {"item": sorted(node_rows)} for name, node_rows in data.items()
         }
-        system = P2PSystem.build(schemas, rules, initial)
+        system = ScenarioSpec.of(schemas, rules, initial).build_system()
         Session(system).run("update")
         reference = centralized_update(schemas, rules, initial).snapshot()
         assert ground_part(system.databases()) == ground_part(reference)

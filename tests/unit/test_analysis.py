@@ -18,7 +18,7 @@ from repro.analysis import (
     existential_cycles,
     is_weakly_acyclic,
 )
-from repro.api.session import Session, preflight_enabled, set_default_preflight
+from repro.api.session import Session
 from repro.api.spec import ScenarioSpec
 from repro.cli import lint_scenarios, main
 from repro.coordination.rule import rule_from_text
@@ -363,17 +363,6 @@ class TestPreflightGate:
         result = session.update()
         assert result.extras["preflight_warnings"] == ("R001",)
 
-    def test_default_preflight_toggle(self):
-        assert preflight_enabled()
-        previous = set_default_preflight(False)
-        try:
-            assert previous is True
-            assert not preflight_enabled()
-            session = Session.from_spec(pathological_spec())
-            assert session.preflight is None
-        finally:
-            set_default_preflight(True)
-
     def test_preflight_parity_check_true_vs_false(self):
         # A spec passing pre-flight must produce identical results either way.
         results = []
@@ -459,17 +448,3 @@ class TestLintCli:
         missing = tmp_path / "nope.json"
         assert main(["lint", str(missing)]) == 1
         assert "error" in capsys.readouterr().err
-
-    def test_run_accepts_no_preflight_flag(self):
-        args = main.__globals__["build_parser"]().parse_args(
-            ["run", "E1", "--no-preflight"]
-        )
-        assert args.preflight is False
-
-    def test_no_preflight_flag_flips_the_default(self, capsys):
-        assert preflight_enabled()
-        try:
-            assert main(["run", "E1", "--no-preflight"]) == 0
-            assert not preflight_enabled()
-        finally:
-            set_default_preflight(True)

@@ -1,4 +1,4 @@
-"""Unit tests for the execution façade: builder, spec, strategies, results."""
+"""Unit tests for the execution façade: spec, strategies, results."""
 
 import subprocess
 import sys
@@ -6,7 +6,6 @@ import sys
 import pytest
 
 from repro.api import (
-    NetworkBuilder,
     RunResult,
     ScenarioSpec,
     Session,
@@ -30,49 +29,40 @@ from repro.workloads.scenarios import (
 from sync_oracle import snapshot_of
 
 
-def small_builder() -> NetworkBuilder:
-    return (
-        NetworkBuilder("unit")
-        .node("a", RelationSchema("item", ["x", "y"]))
-        .node("b", RelationSchema("item", ["x", "y"]))
-        .rule("ab: b: item(X, Y) -> a: item(X, Y)")
-        .data("b", "item", [("1", "2"), ("3", "4")])
-        .super_peer("a")
+def small_spec() -> ScenarioSpec:
+    return ScenarioSpec.of(
+        {
+            "a": RelationSchema("item", ["x", "y"]),
+            "b": RelationSchema("item", ["x", "y"]),
+        },
+        ["ab: b: item(X, Y) -> a: item(X, Y)"],
+        {"b": {"item": [("1", "2"), ("3", "4")]}},
+        name="unit",
+        super_peer="a",
     )
 
 
-class TestNetworkBuilder:
-    def test_builds_spec_with_all_parts(self):
-        spec = small_builder().build()
+class TestScenarioSpec:
+    def test_of_keeps_every_part(self):
+        spec = small_spec()
         assert spec.name == "unit"
         assert spec.node_count == 2
         assert len(spec.rules) == 1
         assert spec.data["b"]["item"] == (("1", "2"), ("3", "4"))
         assert spec.super_peer == "a"
 
-    def test_duplicate_node_rejected(self):
-        builder = small_builder()
-        with pytest.raises(ReproError):
-            builder.node("a", RelationSchema("other", ["x"]))
-
-    def test_empty_network_rejected(self):
-        with pytest.raises(ReproError):
-            NetworkBuilder().build()
-
     def test_bad_rule_text_rejected(self):
         with pytest.raises(ReproError):
-            NetworkBuilder().node("a", RelationSchema("item", ["x"])).rule("nonsense")
+            ScenarioSpec.of({"a": RelationSchema("item", ["x"])}, ["nonsense"])
 
     def test_session_runs_update(self):
-        session = small_builder().session()
+        session = Session.from_spec(small_spec())
         session.run("discovery")
         result = session.update()
         deltas = result.deltas
         assert set(deltas.inserts["a"]["item"]) == {("1", "2"), ("3", "4")}
         assert not deltas.removes and not deltas.replaces
 
-
-class TestScenarioSpec:
     def test_of_coerces_loose_parts(self):
         spec = ScenarioSpec.of(
             {"a": [RelationSchema("item", ["x"])], "b": RelationSchema("item", ["x"])},
@@ -83,19 +73,19 @@ class TestScenarioSpec:
         assert spec.rules[0].rule_id == "ab"
 
     def test_with_overrides_settings(self):
-        spec = small_builder().build().with_(transport="pooled", strategy="centralized")
+        spec = small_spec().with_(transport="pooled", strategy="centralized")
         assert spec.transport == "pooled"
         assert spec.strategy == "centralized"
 
     def test_build_system_assembles_p2psystem(self):
-        system = small_builder().build().build_system()
+        system = small_spec().build_system()
         assert isinstance(system, P2PSystem)
         assert set(system.nodes) == {"a", "b"}
 
     def test_sessions_of_one_spec_do_not_share_schemas(self):
         # LocalDatabase kept the DatabaseSchema it was given, so add_relation
         # in one session wrote into the spec and every session built after.
-        spec = small_builder().build()
+        spec = small_spec()
         first = Session.from_spec(spec)
         first.system.node("a").database.add_relation(RelationSchema("extra", ["k"]))
         second = Session.from_spec(spec).system.node("a").database
@@ -128,7 +118,7 @@ class TestStrategyRegistry:
             get_strategy("does-not-exist")
 
     def test_unknown_option_rejected_per_strategy(self):
-        session = small_builder().session()
+        session = Session.from_spec(small_spec())
         for name in ("distributed", "centralized", "acyclic", "querytime"):
             with pytest.raises(ReproError):
                 session.update(name, bogus_option=1)
@@ -139,14 +129,12 @@ class TestEngines:
         assert isinstance(engine_for(SyncTransport()), SyncEngine)
 
     def test_sync_engine_rejects_a_process_transport(self):
-        session = Session.of(
-            small_builder().build().with_(transport="multiproc").build_system()
-        )
+        session = Session(small_spec().with_(transport="multiproc").build_system())
         with pytest.raises(ReproError):
             SyncEngine().run(session.system, "discovery")
 
     def test_unknown_phase_rejected(self):
-        session = small_builder().session()
+        session = Session.from_spec(small_spec())
         with pytest.raises(ReproError, match="phase"):
             session.run("teleportation")
 
@@ -213,7 +201,7 @@ class TestRunResult:
         )
 
     def test_label_and_repr(self):
-        session = small_builder().session()
+        session = Session.from_spec(small_spec())
         result = session.update("centralized")
         assert result.label == "update/centralized"
         assert "centralized" in repr(result)
@@ -298,7 +286,7 @@ class TestReferenceStrategiesReadTheLiveState:
 
 class TestSystemSubstrate:
     def test_load_data_unknown_node_raises_repro_error(self):
-        system = small_builder().build().build_system()
+        system = small_spec().build_system()
         with pytest.raises(ReproError, match="ghost"):
             system.load_data({"ghost": {"item": [("1", "2")]}})
 

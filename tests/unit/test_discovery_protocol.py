@@ -1,9 +1,8 @@
 """Unit tests for the topology-discovery protocol (algorithms A1-A3)."""
 
-from repro.api import Session
+from repro.api import ScenarioSpec, Session
 from repro.coordination.rule import rule_from_text
 from repro.core.state import DiscoveryState
-from repro.core.system import P2PSystem
 from repro.database.schema import DatabaseSchema, RelationSchema
 from repro.network.message import MessageType
 
@@ -16,7 +15,7 @@ def item_schemas(*names):
 
 def build(rule_texts, nodes):
     rules = [rule_from_text(f"r{i}", text) for i, text in enumerate(rule_texts)]
-    return P2PSystem.build(item_schemas(*nodes), rules)
+    return ScenarioSpec.of(item_schemas(*nodes), rules).build_system()
 
 
 class TestDiscoverStart:
@@ -125,7 +124,7 @@ class TestFinalizePaths:
         assert node.state.maximal_paths() != first
 
     def test_path_limit_is_respected(self):
-        system = P2PSystem.build(item_schemas("a", "b", "c", "d"), [])
+        system = ScenarioSpec.of(item_schemas("a", "b", "c", "d"), []).build_system()
         node = system.node("a")
         node.path_limit = 2
         node.state.edges.update(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import errors
-from repro.api import Session
+from repro.api import ScenarioSpec, Session
 from repro.core.fixpoint import (
     all_nodes_closed,
     ground_part,
@@ -11,7 +11,6 @@ from repro.core.fixpoint import (
     verify_against_centralized,
 )
 from repro.coordination.rule import rule_from_text
-from repro.core.system import P2PSystem
 from repro.database.nulls import LabeledNull
 from repro.database.schema import DatabaseSchema, RelationSchema
 
@@ -45,27 +44,27 @@ class TestGroundPart:
 class TestFixpointChecks:
     def test_fresh_system_is_not_at_fixpoint(self):
         schemas, rules, data = chain()
-        system = P2PSystem.build(schemas, rules, data)
+        system = ScenarioSpec.of(schemas, rules, data).build_system()
         assert not satisfies_all_rules(system)
         assert not all_nodes_closed(system)
 
     def test_updated_system_is_at_fixpoint(self):
         schemas, rules, data = chain()
-        system = P2PSystem.build(schemas, rules, data)
+        system = ScenarioSpec.of(schemas, rules, data).build_system()
         Session(system).run("update")
         assert satisfies_all_rules(system)
         assert all_nodes_closed(system)
 
     def test_satisfies_all_rules_does_not_mutate(self):
         schemas, rules, data = chain()
-        system = P2PSystem.build(schemas, rules, data)
+        system = ScenarioSpec.of(schemas, rules, data).build_system()
         before = system.databases()
         satisfies_all_rules(system)
         assert system.databases() == before
 
     def test_verification_report_flags_missing_data(self):
         schemas, rules, data = chain()
-        system = P2PSystem.build(schemas, rules, data)
+        system = ScenarioSpec.of(schemas, rules, data).build_system()
         # No update run: node a is missing the imported tuple.
         report = verify_against_centralized(system, schemas, rules, data)
         assert not report.ok
@@ -75,7 +74,7 @@ class TestFixpointChecks:
 
     def test_verification_report_ok_after_update(self):
         schemas, rules, data = chain()
-        system = P2PSystem.build(schemas, rules, data)
+        system = ScenarioSpec.of(schemas, rules, data).build_system()
         Session(system).run("update")
         report = verify_against_centralized(system, schemas, rules, data)
         assert report.ok
@@ -83,7 +82,7 @@ class TestFixpointChecks:
 
     def test_verification_report_flags_extra_data(self):
         schemas, rules, data = chain()
-        system = P2PSystem.build(schemas, rules, data)
+        system = ScenarioSpec.of(schemas, rules, data).build_system()
         Session(system).run("update")
         system.node("a").database.insert("item", ("99", "99"))
         report = verify_against_centralized(system, schemas, rules, data)

@@ -10,7 +10,7 @@ The cross-process end-to-end behaviour lives in
 import pytest
 
 from repro.api.engine import engine_for
-from repro.core.system import P2PSystem
+from repro.api.spec import ScenarioSpec
 from repro.errors import NetworkError, ReproError
 from repro.network.message import Message, MessageType
 from repro.sharding import ProcessEngine, ProcessTransport, ShardPlan
@@ -42,9 +42,9 @@ class TestProcessTransport:
         assert engine_for(transport).name == "multiproc"
 
     def test_system_build_knows_the_multiproc_kind(self):
-        system = P2PSystem.build(
+        system = ScenarioSpec.of(
             _item_schemas("a", "b"), transport="multiproc", shards=3
-        )
+        ).build_system()
         assert (system.transport.kind, system.transport.pool) == ("multiproc", False)
         assert system.transport.shard_count == 3
 
@@ -89,9 +89,9 @@ class TestProcessTransport:
         assert transport.intra_shard_messages == 13
 
     def test_traffic_stats_group_counters_by_the_plan(self):
-        system = P2PSystem.build(
+        system = ScenarioSpec.of(
             _item_schemas("a", "b", "c"), transport="multiproc", shards=2
-        )
+        ).build_system()
         transport = system.transport
         transport.apply_plan(
             ShardPlan(shard_count=2, shard_of={"a": 0, "b": 1, "c": 1})
@@ -111,9 +111,9 @@ class TestProcessTransport:
             ProcessEngine().run(chain_system, "update")
 
     def test_engine_rejects_unknown_phase(self):
-        system = P2PSystem.build(
+        system = ScenarioSpec.of(
             _item_schemas("a"), transport="multiproc", shards=1
-        )
+        ).build_system()
         with pytest.raises(ReproError):
             ProcessEngine().run(system, "gossip")
 
@@ -185,13 +185,13 @@ class TestWorkerTransport:
 
 class TestShardWorlds:
     def test_worlds_slice_data_by_ownership(self):
-        system = P2PSystem.build(
+        system = ScenarioSpec.of(
             _item_schemas("a", "b"),
             [rule_from_text("ab", "b: item(X, Y) -> a: item(X, Y)")],
             {"a": {"item": [("1", "2")]}, "b": {"item": [("3", "4")]}},
             transport="multiproc",
             shards=2,
-        )
+        ).build_system()
         plan = ShardPlan(shard_count=2, shard_of={"a": 0, "b": 1})
         worlds = _worlds_from_system(system, plan)
         assert [world.owned for world in worlds] == [("a",), ("b",)]

@@ -15,7 +15,6 @@ import pytest
 from repro.api import ScenarioSpec, Session
 from repro.api.engine import engine_for
 from repro.core.fixpoint import ground_part
-from repro.core.system import P2PSystem
 from repro.coordination.rule import rule_from_text
 from repro.database.schema import RelationSchema
 from repro.errors import NetworkError, ReproError
@@ -33,7 +32,7 @@ RULE = "r1: b: item(X, Y) -> a: item(X, Y)"
 
 
 def small_system(transport="sync", **kwargs):
-    return P2PSystem.build(
+    return ScenarioSpec.of(
         {
             "a": [RelationSchema("item", ["x", "y"])],
             "b": [RelationSchema("item", ["x", "y"])],
@@ -43,7 +42,7 @@ def small_system(transport="sync", **kwargs):
         {"b": {"item": [("1", "2")]}},
         transport=transport,
         **kwargs,
-    )
+    ).build_system()
 
 
 def _parents_of(pids):
@@ -230,20 +229,6 @@ class TestWiring:
         )
         with pytest.raises(ReproError, match="pool=True needs the multiproc"):
             spec.build_system()
-
-    def test_network_builder_pooled_shorthand(self):
-        from repro.api.spec import NetworkBuilder
-
-        spec = (
-            NetworkBuilder("pooled-demo")
-            .node("a", RelationSchema("item", ["x", "y"]))
-            .node("b", RelationSchema("item", ["x", "y"]))
-            .rule(RULE)
-            .pooled(shards=2)
-            .build()
-        )
-        assert spec.transport == "pooled"
-        assert spec.shards == 2
 
     def test_session_close_is_a_noop_for_engines_without_pools(self):
         session = Session.from_spec(

@@ -15,8 +15,6 @@ import pytest
 
 from repro.api import ScenarioSpec, Session
 from repro.api.engine import engine_for
-from repro.api.spec import NetworkBuilder
-from repro.core.system import P2PSystem
 from repro.database.schema import RelationSchema
 from repro.errors import NetworkError, ReproError
 from repro.sharding.process import ProcessEngine, ProcessTransport
@@ -257,11 +255,11 @@ class TestShardHost:
 
 class TestWiring:
     def test_build_socket_transport_by_kind(self):
-        system = P2PSystem.build(
+        system = ScenarioSpec.of(
             {"a": [RelationSchema("item", ["x", "y"])]},
             transport="socket",
             hosts=["h1:9101", "h2:9102", "h3:9103"],
-        )
+        ).build_system()
         transport = system.transport
         assert (transport.kind, transport.pool) == ("socket", False)
         assert transport.hosts == ("h1:9101", "h2:9102", "h3:9103")
@@ -270,30 +268,30 @@ class TestWiring:
         assert engine_for(transport).name == "socket"
 
     def test_pool_flag_selects_the_pooled_socket_engine(self):
-        system = P2PSystem.build(
+        system = ScenarioSpec.of(
             {"a": [RelationSchema("item", ["x", "y"])]},
             transport="socket",
             pool=True,
             shards=2,
-        )
+        ).build_system()
         assert (system.transport.kind, system.transport.pool) == ("socket", True)
         assert engine_for(system.transport).name == "socket-pooled"
 
     def test_bad_host_address_fails_at_build_time(self):
         with pytest.raises(ReproError, match="expected 'HOST:PORT'"):
-            P2PSystem.build(
+            ScenarioSpec.of(
                 {"a": [RelationSchema("item", ["x", "y"])]},
                 transport="socket",
                 hosts=["no-port-here"],
-            )
+            ).build_system()
 
     def test_hosts_with_a_non_socket_transport_is_rejected(self):
         with pytest.raises(ReproError, match="needs transport='socket'"):
-            P2PSystem.build(
+            ScenarioSpec.of(
                 {"a": [RelationSchema("item", ["x", "y"])]},
                 transport="multiproc",
                 hosts=["h1:9101"],
-            )
+            ).build_system()
 
     def test_spec_hosts_with_a_non_socket_transport_is_rejected(self):
         spec = ScenarioSpec.of(
@@ -316,24 +314,10 @@ class TestWiring:
         assert loaded.hosts == ("h1:9101", "h2:9102")
         assert loaded.pool is True
 
-    def test_network_builder_socketed_shorthand(self):
-        spec = (
-            NetworkBuilder("socket-demo")
-            .node("a", RelationSchema("item", ["x", "y"]))
-            .node("b", RelationSchema("item", ["x", "y"]))
-            .rule(RULE)
-            .socketed(["h1:9101"], shards=2, pooled=True)
-            .build()
-        )
-        assert spec.transport == "socket"
-        assert spec.hosts == ("h1:9101",)
-        assert spec.shards == 2
-        assert spec.pool is True
-
     def test_socket_engine_rejects_foreign_transports(self):
-        system = P2PSystem.build(
+        system = ScenarioSpec.of(
             {"a": [RelationSchema("item", ["x", "y"])]}, transport="multiproc"
-        )
+        ).build_system()
         with pytest.raises(ReproError, match="needs a 'socket' ProcessTransport"):
             ProcessEngine("socket").run(system, "update")
 
@@ -396,7 +380,7 @@ class TestHostDeath:
 
         monkeypatch.setattr(worker_module, "_worker_payload", bloated)
 
-        system = P2PSystem.build(
+        system = ScenarioSpec.of(
             {
                 "a": [RelationSchema("item", ["x", "y"])],
                 "b": [RelationSchema("item", ["x", "y"])],
@@ -405,7 +389,7 @@ class TestHostDeath:
             {"b": {"item": [("1", "2")]}},
             transport="socket",
             shards=1,
-        )
+        ).build_system()
         plan = ShardPlanner(1).plan_system(system)
         worlds = _worlds_from_system(system, plan)
         max_frame = 256 * 1024  # worlds fit; the 1 MiB ballast cannot

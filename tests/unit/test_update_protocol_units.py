@@ -1,9 +1,8 @@
 """Unit tests for the update protocol internals: rounds, pushes, fragments."""
 
-from repro.api import Session
+from repro.api import ScenarioSpec, Session
 from repro.coordination.rule import rule_from_text
 from repro.core.state import UpdateState
-from repro.core.system import P2PSystem
 from repro.core.update import (
     fragment_for,
     fragment_variables,
@@ -27,11 +26,11 @@ def chain_system(data=None):
         rule_from_text("ab", "b: item(X, Y) -> a: item(X, Y)"),
         rule_from_text("bc", "c: item(X, Y) -> b: item(X, Y)"),
     ]
-    return P2PSystem.build(
+    return ScenarioSpec.of(
         item_schemas("a", "b", "c"),
         rules,
         data or {"c": {"item": [("1", "2")]}},
-    )
+    ).build_system()
 
 
 class TestFragments:
@@ -88,7 +87,7 @@ class TestRounds:
         assert system.node("a").database.relation("item").rows() == {("1", "2")}
 
     def test_node_without_rules_closes_on_start(self):
-        system = P2PSystem.build(item_schemas("solo"), [])
+        system = ScenarioSpec.of(item_schemas("solo"), []).build_system()
         system.node("solo").update.start()
         assert system.node("solo").is_update_closed
 
@@ -321,11 +320,11 @@ class TestIncrementalMode:
                 rule_from_text("ab", "b: item(X, Y) -> a: item(X, Z)"),
                 rule_from_text("bc", "c: item(X, Y) -> b: item(X, Y)"),
             ]
-            return P2PSystem.build(
+            return ScenarioSpec.of(
                 item_schemas("a", "b", "c"),
                 rules,
                 {"c": {"item": [("1", "2")]}},
-            )
+            ).build_system()
 
         incremental, naive = build(), build()
         converge_naive(incremental)

@@ -226,12 +226,12 @@ class TestWorkloadsPassStaticAnalysis:
     )
     def test_dblp_workload_is_schema_consistent(self, spec):
         from repro.analysis import Severity, analyze_parts
-        from repro.workloads.scenarios import dblp_workload_parts
+        from repro.api.spec import ScenarioSpec
 
-        rules, _assignment, schemas, data = dblp_workload_parts(
-            spec, records_per_node=2, seed=5
+        scenario = ScenarioSpec.from_topology(spec, records_per_node=2, seed=5)
+        report = analyze_parts(
+            scenario.schemas, scenario.rules, scenario.data, scenario=spec.name
         )
-        report = analyze_parts(schemas, rules, data, scenario=spec.name)
         assert report.ok, report.render()
         # Loaded workloads are also free of dead rules and unused peers.
         assert not report.by_severity(Severity.WARNING), report.render()
