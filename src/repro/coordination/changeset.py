@@ -1,9 +1,9 @@
 """The one change record, and the rules half of a system's fingerprint.
 
 * :class:`Change` is *what changed* in a network, and the one shape every
-  boundary speaks: a session run's deltas, pool sync and collect
-  (:meth:`Change.read` over :class:`RelationMarks`), a worker's pending
-  syncs (:meth:`Change.union`), the incremental seed, the served update
+  boundary speaks: a session run's deltas, pool sync and the workers'
+  reports (:meth:`Change.read` over :class:`RelationMarks`), a worker's
+  pending changes (:meth:`Change.union`), the incremental seed, the served update
   document (:meth:`Change.from_json`) and reconciliation logs
   (:meth:`Change.between`).  It is checked before it mutates anything.
 
@@ -251,7 +251,7 @@ class Change:
 
         The result is canonical, so union is idempotent, commutative and
         associative (what :mod:`repro.faults.reconcile` relies on), and a
-        worker's fold of its syncs keeps their ``inserts``, ``removes`` and
+        worker's fold of its changes keeps their ``inserts``, ``removes`` and
         :attr:`rows_only` exactly.
         """
         rules = {rule.text: rule for rule in (*self.add_rules, *other.add_rules)}

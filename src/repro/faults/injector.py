@@ -266,7 +266,7 @@ class WorkerFrameInjector:
 
         Consumes at most one armed fault.  A dropped frame is modelled as
         drop-plus-retransmit: the frame still arrives exactly once (keeping
-        the cumulative-counter barrier balanced) but pays the retransmit
+        the cross-shard ledgers balanced) but pays the retransmit
         delay, and both the drop and the retry are counted.
         """
         if not self._armed:

@@ -33,7 +33,6 @@ _PHASE_ORDER = (
     "chase",
     "sync",
     "quiescence",
-    "collect",
     "merge",
 )
 

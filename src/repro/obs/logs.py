@@ -8,7 +8,7 @@ default, exactly like the rest of the standard library's logging etiquette.
 
 The CLI's ``--verbose`` flag calls ``configure_logging(verbose=True)`` to
 stream DEBUG-level progress (plans computed, worlds shipped, workers
-respawned, quiescence rounds) to stderr; without it only WARNING and above
+respawned, quiescence certified) to stderr; without it only WARNING and above
 surface.
 """
 

@@ -3,7 +3,7 @@
 A :class:`Tracer` records *spans* — named intervals with a trace id, a span
 id, a parent, wall-aligned start/end times and free-form attributes — around
 the run phases of every engine: shard planning, world shipping, chase
-iterations, delta sync, quiescence-barrier rounds, merge.  Spans are measured
+iterations, delta sync, the quiescence barrier, merge.  Spans are measured
 with ``time.perf_counter`` (monotonic) and converted to an epoch-anchored
 wall timeline on export, so spans from different processes line up on one
 axis.

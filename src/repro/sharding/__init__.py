@@ -13,8 +13,8 @@ channels, one engine.
   shard-worker command loop, rebuilt from a picklable
   :class:`~repro.sharding.worker.ShardWorld`;
 * :class:`~repro.sharding.pool.ShardPool` is the one coordinator-side
-  driver (delta sync, the cumulative-counter quiescence barrier, collect,
-  mirror bookkeeping), talking to shard *s* through a
+  driver (delta sync, the cumulative-ledger quiescence barrier, mirror
+  bookkeeping), talking to shard *s* through a
   :class:`~repro.sharding.pool.Channel`;
 * the two channels are :class:`~repro.sharding.pool.ProcessChannel`
   (a fork-server child and its queue — :class:`~repro.sharding.pool.WorkerPool`)

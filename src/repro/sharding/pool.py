@@ -15,15 +15,16 @@ as peers' data shifts.  So the workers are *persistent* (the loop in
   inbox queue) here, and :class:`~repro.sharding.sockets.HostChannel` (a
   TCP link to a shard host plus the shard's id).
 * :class:`ShardPool` owns everything above the channels: awaiting replies
-  with crashed-worker detection, the cumulative-counter quiescence barrier,
-  delta :meth:`~ShardPool.sync`, :meth:`~ShardPool.run_phase`, re-plan
+  with crashed-worker detection, the quiescence barrier, the delta
+  :meth:`~ShardPool.sync`, :meth:`~ShardPool.run_phase`, re-plan
   invalidation and the :class:`WorldMirror` bookkeeping.  Successive runs
   move only **deltas**, in both directions: out go the rows inserted into
   the coordinator since the last run, relations whose contents were
-  rewritten, and ``addLink``/``deleteLink`` rule changes; home come the
-  rows each shard gained — never the schemas or the unchanged data.  Both
-  directions are one :class:`~repro.coordination.changeset.Change`, read
-  structurally off the relations written since, against marks on them
+  rewritten, and ``addLink``/``deleteLink`` rule changes, each shard's
+  slice riding on its ``start``; home come the rows each shard gained,
+  riding on its idle reports — never the schemas or the unchanged data.
+  Both directions are one :class:`~repro.coordination.changeset.Change`,
+  read structurally off the relations written since, against marks on them
   (:meth:`Change.read <repro.coordination.changeset.Change.read>`: a
   relation reports its own writes, so no caller can forget to), at a cost
   proportional to the change, not to the world.
@@ -34,24 +35,23 @@ as peers' data shifts.  So the workers are *persistent* (the loop in
   modules once, so a worker costs a fork and an unpickle, not an interpreter
   boot and a re-import of the package.
 
-Quiescence is event-driven.  Each worker counts ``(cross-sent per shard,
-cross-received, delivered)`` and, whenever it runs out of work after a
-``start`` or a cross-shard message, reports those counters unasked.  Once
-every shard's latest report is idle and balanced (``sent == received`` for
-every shard), the coordinator pings every worker once; if each reply equals
-the report it confirms, nobody moved between the two and nothing is in
-flight, so the network is quiescent (Mattern's four-counter check).  The
-coordinator blocks on the results queue throughout — no sleep, no polling.
-It replaced rounds of pings with a 2 ms back-off between failed rounds: on a
-warm one-row insert into the 63-node tree the barrier went from 2–3 rounds
-and 5.9 ms to one confirming round after two reports and 1.3 ms.
+A warm run is one command out per shard and the idle reports home.  Each
+worker keeps a cumulative ledger ``(cross-sent per shard, cross-received)``
+and, whenever it runs out of work after a ``start`` or a cross-shard
+message, reports unasked: the run id of its latest ``start``, the ledger,
+and what it gained since its previous report.  Once every shard's latest
+report belongs to this run and the ledgers balance (``sent == received``
+for every shard), the network is quiescent — every report was taken by a
+passive worker, so no confirming wave is needed
+(:meth:`ShardPool._await_quiescence` has the argument).  The coordinator
+blocks on the results queue throughout — no sleep, no polling.
 
-Per-run accounting: each worker resets its delivery/cross-shard counters and
-statistics after every ``collect``, so a warm run reports the same per-run
-numbers a cold run would — merge, traffic stats and the regression gates
-read identically over both.  Worker virtual clocks are *not* reset: like the
-simulator's persistent clock, simulated completion times stay monotone
-across consecutive runs.
+Per-run accounting: a report ships the deliveries, counters and spans since
+the worker's previous report, so the reports of one run add up to the
+per-run numbers a cold run would report — merge, traffic stats and the
+regression gates read identically over both.  The ledgers are never reset,
+and worker virtual clocks are not either: like the simulator's persistent
+clock, simulated completion times stay monotone across consecutive runs.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ class Channel(Protocol):
     """
 
     def put(self, command: tuple) -> None:
-        """Deliver one worker command (``start`` / ``msg`` / ``ping`` / ...)."""
+        """Deliver one worker command (``start`` / ``msg`` / ``stop``)."""
 
     @property
     def alive(self) -> bool:
@@ -264,7 +264,7 @@ class ShardPool:
 
     Spawn with :meth:`spawn` (ships each worker its world once), then call
     :meth:`sync` + :meth:`run_phase` per run.  The pool keeps marks on the
-    coordinator's relations of what its workers hold, so :meth:`sync` ships
+    coordinator's relations of what its workers hold, so :meth:`sync` reads
     only what changed in the coordinator since.  Any failure — a crashed
     worker, a dead host, a stall, an exceeded message bound — closes the
     pool; the engine respawns a fresh one on the next run.  Subclasses
@@ -288,16 +288,16 @@ class ShardPool:
         #: (the null injector keeps every hook a no-op on fault-free runs).
         self.injector = injector
         self._max_messages = worlds[0].max_messages if worlds else 1_000_000
-        #: The last confirming wave's generation, monotone over the pool's
-        #: life so no run can mistake a reply from an earlier one.
-        self._generation = 0
+        #: The current run's id, stamped on its ``start`` and on every report
+        #: a worker takes after that ``start``.
+        self._run = 0
         #: Set by :meth:`spawn`: marks need the system the worlds came from.
         self._mirror: WorldMirror | None = None
         self._results: Any = None
         self._channels: list[Channel] = []
         try:
             self._open(worlds)
-            self._await_replies("ready")
+            self._await_ready()
         except BaseException:
             self.close()
             raise
@@ -397,54 +397,60 @@ class ShardPool:
             raise NetworkError(f"shard {item[1]} worker failed:\n{item[2]}")
         return item
 
-    def _await_replies(self, kind: str) -> dict[int, object]:
-        """Collect one ``kind`` reply per shard (raising on errors and crashes)."""
-        collected: dict[int, object] = {}
+    def _await_ready(self) -> None:
+        """Wait for every worker's ``ready`` (raising on errors and crashes)."""
+        ready: set[int] = set()
         deadline = time.monotonic() + _WORKER_TIMEOUT
-        while len(collected) < self.shard_count:
+        while len(ready) < self.shard_count:
             if time.monotonic() >= deadline:
                 raise NetworkError(
-                    f"timed out waiting for {self.shard_count - len(collected)} "
-                    f"shard worker(s) to report {kind!r}"
+                    f"timed out waiting for {self.shard_count - len(ready)} "
+                    "shard worker(s) to report 'ready'"
                 )
             item = self._next_reply(
                 deadline,
-                [shard for shard in range(self.shard_count) if shard not in collected],
+                [shard for shard in range(self.shard_count) if shard not in ready],
             )
-            if item is not None and item[0] == kind:
-                collected[item[1]] = item[2] if len(item) > 2 else None
-        return collected
+            if item is not None and item[0] == "ready":
+                ready.add(item[1])
 
-    def _await_quiescence(self) -> tuple[int, int]:
-        """Block until the workers' idle reports are confirmed by one ping wave.
+    def _await_quiescence(self) -> list[dict]:
+        """Block until this run's idle reports prove termination.
 
-        A worker reports its cumulative counters, unasked, each time it
-        runs out of work after a ``start`` or a ``msg``; the coordinator
-        keeps each shard's latest report.  Once every shard's latest status
-        is idle and *balanced* — each shard has received exactly what the
-        others say they sent it — it pings every worker once.  If every
-        reply equals the status it confirms, no shard sent, received or
-        delivered anything in between, so at the moment the wave started
-        every worker was idle and nothing was in flight: quiescence
-        (Mattern's four-counter check, the reports being the first wave).
-        Otherwise traffic moved; the replies join the latest statuses and
-        the coordinator keeps reading.  Replies carry their wave's
-        generation, so a reply to an earlier wave is dropped.
+        A worker reports, unasked, each time it runs out of work after a
+        ``start`` or a ``msg``: the id of the latest run it started, its
+        cumulative cross-shard ledger, and a payload.  The barrier certifies
+        once every shard's latest report is tagged with this run and the
+        ledgers balance — each shard received exactly what the others say
+        they sent it.  That is sound because:
 
-        The stall deadline restarts whenever the delivery counts move: a
-        long phase that keeps delivering is healthy however long it takes;
-        only ``_WORKER_TIMEOUT`` seconds with *no* progress is a failure.
+        1. A report is taken only while its worker is passive (its local
+           queue and inbox are empty), and a report tagged with this run only
+           after the worker processed this run's ``start``.
+        2. Between runs nothing but a ``msg`` re-activates a passive worker:
+           the coordinator's change rides on the ``start``.
+        3. Suppose a worker were active after its report, and take the
+           earliest such re-activation.
+        4. It needs a message counted as sent but not yet received.
+        5. A per-receiver balance can offset that message only with one
+           counted as received but sent after its sender's report — and that
+           sender was active after its report even earlier, contradicting 3.
 
-        Returns ``(rounds, reports)``: the confirming waves sent and the
-        unsolicited idle reports consumed (the "quiescence" span's
-        attributes).
+        A report tagged with an earlier run (a worker that has not taken this
+        run's ``start`` yet) balances nothing, but its payload is this run's
+        work all the same.  The ledgers are never reset, so no run has to
+        wait for another's counters to settle.
+
+        The stall deadline restarts whenever deliveries are reported: a long
+        phase that keeps delivering is healthy however long it takes; only
+        ``_WORKER_TIMEOUT`` seconds with *no* progress is a failure.  The
+        message bound is per run: this run's reports' deliveries.
+
+        Returns every report's payload, in arrival order.
         """
-        latest: dict[int, dict] = {}
-        # The statuses the outstanding wave must see again, or None.
-        confirming: dict[int, dict] | None = None
-        replies: dict[int, dict] = {}
-        rounds = reports = 0
-        progress = None
+        ledgers: dict[int, tuple] = {}
+        payloads: list[dict] = []
+        delivered = 0
         deadline = time.monotonic() + _WORKER_TIMEOUT
         while True:
             if time.monotonic() >= deadline:
@@ -453,54 +459,34 @@ class ShardPool:
                     f"{_WORKER_TIMEOUT:.0f}s without reaching quiescence"
                 )
             item = self._next_reply(deadline, range(self.shard_count))
-            if item is None or item[0] != "status":
+            if item is None or item[0] != "report":
                 continue
-            _kind, shard, status, generation = item
-            if generation is None:
-                reports += 1
-            elif confirming is None or generation != self._generation:
-                continue  # a reply to a wave that was already decided
-            else:
-                replies[shard] = status
-            latest[shard] = status
-            delivered = sum(each["delivered"] for each in latest.values())
-            if delivered > self._max_messages:
-                raise NetworkError(
-                    f"exceeded {self._max_messages} deliveries across shards; "
-                    "the protocol does not appear to terminate"
-                )
-            if delivered != progress:
-                progress = delivered
-                deadline = time.monotonic() + _WORKER_TIMEOUT
-            if confirming is not None:
-                if len(replies) < self.shard_count:
-                    continue
-                if replies == confirming:
-                    _log.debug(
-                        "quiescence certified after %d round(s) and %d "
-                        "report(s), %d delivered",
-                        rounds,
-                        reports,
-                        delivered,
+            _kind, shard, run, ledger, payload = item
+            payloads.append(payload)
+            if run == self._run:
+                ledgers[shard] = ledger
+            if payload["delivered"]:
+                delivered += payload["delivered"]
+                if delivered > self._max_messages:
+                    raise NetworkError(
+                        f"exceeded {self._max_messages} deliveries across "
+                        "shards; the protocol does not appear to terminate"
                     )
-                    return rounds, reports
-                confirming = None
-            if len(latest) == self.shard_count and self._settled(latest):
-                rounds += 1
-                self._generation += 1
-                confirming, replies = dict(latest), {}
-                for channel in self._channels:
-                    channel.put(("ping", self._generation))
+                deadline = time.monotonic() + _WORKER_TIMEOUT
+            if len(ledgers) == self.shard_count and self._balanced(ledgers):
+                _log.debug(
+                    "quiescence certified after %d report(s), %d delivered",
+                    len(payloads),
+                    delivered,
+                )
+                return payloads
 
     @staticmethod
-    def _settled(statuses: dict[int, dict]) -> bool:
-        """Every shard idle, and each received exactly what was sent to it."""
-        if not all(status["idle"] for status in statuses.values()):
-            return False
+    def _balanced(ledgers: dict[int, tuple]) -> bool:
+        """Each shard received exactly what the others sent it."""
         return all(
-            sum(status["sent"][shard] for status in statuses.values())
-            == statuses[shard]["received"]
-            for shard in statuses
+            sum(sent[shard] for sent, _received in ledgers.values()) == received
+            for shard, (_sent, received) in ledgers.items()
         )
 
     # --------------------------------------------------------------- re-plan
@@ -526,17 +512,15 @@ class ShardPool:
     # ------------------------------------------------------------------ runs
 
     def sync(self, system: P2PSystem) -> Change:
-        """Ship the coordinator's changes since the last run to the workers.
+        """Read the coordinator's changes since the last run.
 
-        Each worker gets the rule changes and its own shard's rows.  Returns
-        the change that was shipped (an empty one ships nothing), so callers
-        and tests can observe exactly what went over the wire.
+        Returns the change — rule changes and rows, empty when nothing
+        moved.  The mirror counts it as shipped, so the next
+        :meth:`run_phase` must carry it: each worker's ``start`` brings its
+        own shard's slice.
         """
         self._require_open()
         delta = self._mirror.advance(system)
-        if not delta.empty:
-            for shard, channel in enumerate(self._channels):
-                channel.put(("sync", delta.only(self._members[shard])))
         # A sync-phase kill lands here: the dead worker is detected by the
         # next run_phase's liveness check, never by a wedged barrier.
         self.injector.fire("sync", self)
@@ -547,41 +531,45 @@ class ShardPool:
         phase: str,
         origins: Iterable[NodeId] | None,
         *,
+        change: Change | None = None,
         tracer=None,
         mode: str | None = None,
     ) -> list[dict]:
-        """Drive one phase over the warm workers and collect their payloads.
+        """Drive one phase over the warm workers and return their payloads.
 
-        The run starts at the owned origins (``None``: at every peer),
-        reaches distributed quiescence through the cumulative-counter
-        barrier, then ``collect`` ships home what every shard gained (the
-        workers keep running).  Once the caller
-        has merged the payloads it calls :meth:`note_merged`.
+        Every worker's ``start`` carries its slice of ``change`` (what
+        :meth:`sync` returned) and the owned origins (``None``: every peer);
+        the workers' idle reports carry home what each shard gained, and
+        the run ends when they certify quiescence.  Once the caller has
+        merged the payloads it calls :meth:`note_merged`.
         ``mode="incremental"`` asks the workers for the delta-driven update
         path; each worker double-checks eligibility against its own
-        accumulated sync deltas and falls back to naive when they disagree.
+        accumulated changes and falls back to naive when they disagree.
         Any error closes the pool — a half-synced pool must never serve
         another run.
         """
         tracer = tracer if tracer is not None else NULL_TRACER
         try:
             self._require_open()
-            start = ("start", phase, None if origins is None else tuple(origins), mode)
-            for channel in self._channels:
-                channel.put(start)
+            self._run += 1
+            origins = None if origins is None else tuple(origins)
+            for shard, channel in enumerate(self._channels):
+                sliced = None if change is None else change.only(self._members[shard])
+                if sliced is not None and sliced.empty:
+                    sliced = None
+                channel.put(("start", self._run, phase, origins, mode, sliced))
             self.injector.fire("chase", self)
             with tracer.span("quiescence") as quiescence_span:
-                rounds, reports = self._await_quiescence()
-                quiescence_span.set(rounds=rounds, reports=reports)
+                payloads = self._await_quiescence()
+                quiescence_span.set(reports=len(payloads))
             self.injector.fire("quiescence", self)
-            with tracer.span("collect"):
-                for channel in self._channels:
-                    channel.put(("collect",))
-                collected = self._await_replies("collected")
+            # Nothing goes out after the barrier, so a kill or a partition
+            # fired at the hook must fail the run here.
+            self._require_open()
         except BaseException:
             self.close()
             raise
-        return [payload for _shard, payload in sorted(collected.items())]
+        return payloads
 
     def note_merged(self, system: P2PSystem) -> None:
         """Record that ``system`` now holds what the workers shipped home.

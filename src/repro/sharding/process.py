@@ -34,6 +34,7 @@ is kept).
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -337,11 +338,14 @@ class ProcessEngine:
         wall = time.perf_counter() - started
         try:
             completion = self._merge(system, transport, payloads, wall)
+            if phase == "discovery":  # paths follow from the merged edges
+                for node in system.nodes.values():
+                    node.discovery.finalize_paths()
             if self._pool is not None:
                 self._pool.note_merged(system)
         except BaseException:
             # The workers only ship what they gained since their last
-            # collect, so a payload that was not merged in full is lost for
+            # report, so a payload that was not merged in full is lost for
             # good: drop the pool, the next run respawns from this state.
             self._close_pool()
             raise
@@ -389,6 +393,7 @@ class ProcessEngine:
                     _log.debug("rule graph re-partitioned the network; pool restarts")
                     self._close_pool()
                     transport.apply_plan(fresh_plan)
+            delta = None
             if self._pool is not None:
                 with tracer.span("sync") as sync_span:
                     delta = self._pool.sync(system)
@@ -407,7 +412,9 @@ class ProcessEngine:
                 with tracer.span("ship", shards=transport.shard_count):
                     self._pool = self._spawn_pool(system, transport)
                 injector_of(system).fire("ship", self._pool)
-            payloads = self._pool.run_phase(phase, origins, tracer=tracer, mode=mode)
+            payloads = self._pool.run_phase(
+                phase, origins, change=delta, tracer=tracer, mode=mode
+            )
         except BaseException:
             self._close_pool()
             raise
@@ -435,17 +442,17 @@ class ProcessEngine:
     def _merge(
         self, system, transport: ProcessTransport, payloads: list[dict], wall: float
     ) -> float:
-        """Fold what the workers shipped home into the coordinator system.
+        """Fold what the workers' reports shipped home into the coordinator.
 
         Each payload's :class:`~repro.coordination.changeset.Change` is
-        applied as is: rows are inserted, so the coordinator's indexes and
-        ``removals`` survive an insert-only run.
+        applied as is, in arrival order: rows are inserted, so the
+        coordinator's indexes and ``removals`` survive an insert-only run.
         """
         from repro.core.state import UpdateState
 
-        delivered_by_shard = {
-            shard: payload["delivered"] for shard, payload in enumerate(payloads)
-        }
+        delivered_by_shard: Counter[int] = Counter()
+        for payload in payloads:
+            delivered_by_shard[payload["shard"]] += payload["delivered"]
         if sum(delivered_by_shard.values()) > transport.max_messages:
             raise NetworkError(
                 f"exceeded {transport.max_messages} deliveries across shards; "
@@ -453,7 +460,7 @@ class ProcessEngine:
             )
         collector = system.stats
         tracer = tracer_of(system)
-        merge_span = tracer.start_span("merge", shards=len(payloads))
+        merge_span = tracer.start_span("merge", shards=transport.shard_count)
         cross_shard = 0
         completion = 0.0
         for payload in payloads:
@@ -461,13 +468,12 @@ class ProcessEngine:
             completion = max(completion, payload["clock"])
             # --- databases: the rows and relations the shard gained.
             payload["change"].apply(system)
-            # --- protocol state: closed flags and discovery paths/edges.
+            # --- protocol state: closed flags and discovery edges.
             for node_id, state in payload["node_state"].items():
                 node = system.node(node_id)
                 if state["closed"]:
                     node.state.state_u = UpdateState.CLOSED
                 node.state.edges |= state["edges"]
-                node.state.paths.update(state["paths"])
             # --- statistics: every delivery was recorded in exactly one
             # worker (the recipient's), so summing via the shared registry
             # merge path is double-count free.

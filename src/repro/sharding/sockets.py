@@ -3,7 +3,7 @@
 Spawned worker processes confine all K shards to one box's cores, which caps
 the sweeps near 1023 nodes.  The paper's coordination model is inherently
 distributed (peers on different machines exchanging update messages), and
-the pool's delta-sync protocol and cumulative-counter quiescence barrier are
+the pool's delta-sync protocol and cumulative-ledger quiescence barrier are
 already transport-shaped for the wire.  This module puts them on it:
 
 * :class:`ShardHost` is a standalone server process
@@ -24,7 +24,7 @@ already transport-shaped for the wire.  This module puts them on it:
   channels are made by dialing a list of hosts over TCP and shipping each
   its pickled :class:`~repro.sharding.worker.ShardWorld`\\ s with
   length-prefixed framing; everything above the channels (delta sync, the
-  barrier, collect) is the shared pool.
+  barrier) is the shared pool.
 * :class:`LocalHostCluster` auto-spawns K localhost hosts as subprocesses, so
   tests, benchmarks and CI need no real cluster: a system built with
   ``transport="socket"`` and no ``hosts`` list gets one spawned on demand
@@ -560,9 +560,17 @@ class _HostLink:
             self.alive = False
 
     def send(self, obj) -> None:
+        self._gated(lambda: self._send_raw(obj))
+
+    def reach(self) -> None:
+        """Raise unless a send could pass the partition gate now (no IPC)."""
+        self._gated(lambda: None)
+
+    def _gated(self, action) -> None:
+        """``action`` behind the injector's partition gate and retry policy."""
         injector = self.injector
         if not injector.enabled:
-            self._send_raw(obj)
+            action()
             return
 
         def attempt() -> None:
@@ -570,7 +578,7 @@ class _HostLink:
             # connection intact, so it must not flip ``alive`` — raising
             # before the raw send keeps the two failure modes distinct.
             injector.check_partition(self.address)
-            self._send_raw(obj)
+            action()
 
         policy = injector.retry_policy
         if policy is None:
@@ -669,6 +677,11 @@ class SocketPool(ShardPool):
                     ],
                 )
             )
+
+    def _require_open(self) -> None:
+        super()._require_open()
+        for link in self._links:
+            link.reach()
 
     def host_of(self, shard: int) -> str:
         """The host address a shard's worker runs on."""

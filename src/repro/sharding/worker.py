@@ -15,12 +15,13 @@ and a distributed-quiescence barrier.  This module is everything that runs
   latency`` by the sender and advance the receiving shard's clock on
   delivery.
 * :func:`shard_worker_loop` is the one persistent command loop (``start`` /
-  ``msg`` / ``ping`` / ``sync`` / ``collect`` / ``stop``).  ``collect`` ships
-  home what the coordinator does not hold yet (:func:`_worker_payload`),
-  never the world.  A :class:`~repro.sharding.pool.WorkerPool` runs it as
-  the target of one fork-server child per shard, a
-  :class:`~repro.sharding.sockets.ShardHost` as one thread per hosted shard;
-  a one-shot run is the same loop stopped after its first ``collect``.
+  ``msg`` / ``stop``).  Each time the worker runs out of work it reports
+  home unasked, and the report carries what the coordinator does not hold
+  yet (:func:`_report`), never the world.  A
+  :class:`~repro.sharding.pool.WorkerPool` runs it as the target of one
+  fork-server child per shard, a :class:`~repro.sharding.sockets.ShardHost`
+  as one thread per hosted shard; a one-shot run is the same loop stopped
+  after its first run.
 
 Clock caveat: each worker drains its local queue to exhaustion between
 stimuli and there is no global time synchronisation between shards, so a
@@ -57,8 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports us)
     from repro.faults.plan import FaultPlan
 
 #: Local deliveries a worker executes between inbox polls.  Bounded batches
-#: keep ping replies prompt (a worker never disappears into an unbounded
-#: drain), which is what lets the coordinator tell "stalled" from "busy".
+#: let cross-shard arrivals and a ``stop`` in while a long local chain runs.
 _DRAIN_BATCH = 500
 
 
@@ -163,14 +163,24 @@ class _WorkerTransport(BaseTransport):
         self.outboxes = outboxes
         self.max_messages = max_messages
         self.clock = clock_start
-        self.delivered = 0
+        #: The cross-shard ledger the quiescence barrier balances, kept over
+        #: the worker's whole life: messages sent to each shard, received.
         self.cross_sent = [0] * len(outboxes)
         self.cross_received = 0
-        #: The owned peers that ran since the last collect: the recipients
-        #: of deliveries and the origins a ``start`` kicked off or seeded.
-        #: Only their protocol state can have moved.
+        #: Deliveries over the worker's life; the current run fails once they
+        #: pass ``limit``, ``max_messages`` beyond where it started.
+        self.delivered = 0
+        self.limit = max_messages
+        #: The latest ``start``'s run id, stamped on every cross-shard send.
+        self.run = 0
+        #: ``(delivered, cross_received)`` as of the last report.
+        self.reported = (0, 0)
+        #: The owned peers that ran since the last report: the recipients of
+        #: deliveries and the origins a ``start`` kicked off or seeded.  Only
+        #: their protocol state can have moved.
         self.ran: set[NodeId] = set()
         self._queue: list[tuple[float, int, Message]] = []
+        self._held: list[tuple[int, float, Message]] = []
         self._tiebreak = 0
         self._sent = 0
         #: Worker-side frame injector (set by the worker loop when the
@@ -201,16 +211,36 @@ class _WorkerTransport(BaseTransport):
         else:
             if self.fault_injector is not None:
                 # Frame faults model drop-as-retransmit / delay: the frame
-                # still arrives exactly once (the cumulative-counter barrier
+                # still arrives exactly once (the cross-shard ledgers
                 # stays balanced) but pays extra simulated latency.
                 deliver_at += self.fault_injector.frame_fault()
-            self.outboxes[target].put(("msg", deliver_at, message))
+            self.outboxes[target].put(("msg", self.run, deliver_at, message))
             self.cross_sent[target] += 1
 
-    def receive_cross(self, deliver_at: float, message: Message) -> None:
-        """Accept one message from another shard's worker."""
+    def receive_cross(self, run: int, deliver_at: float, message: Message) -> bool:
+        """Accept one message from another shard's worker.
+
+        A message of a run whose ``start`` this worker has not taken yet is
+        held (False) until :meth:`start_run`: it must see the change that
+        ``start`` brings.
+        """
+        if run > self.run:
+            self._held.append((run, deliver_at, message))
+            return False
         self.cross_received += 1
         self._push(deliver_at, message)
+        return True
+
+    def start_run(self, run: int) -> None:
+        """Take run ``run``'s ``start``: stamp its sends, bound its
+        deliveries, and queue the messages held for it."""
+        self.run = run
+        self.limit = self.delivered + self.max_messages
+        if self.fault_injector is not None:
+            self.fault_injector.start_run()
+        held, self._held = self._held, []
+        for message in held:
+            self.receive_cross(*message)
 
     @property
     def has_local_work(self) -> bool:
@@ -221,7 +251,7 @@ class _WorkerTransport(BaseTransport):
         """Deliver queued local events (handlers may enqueue more).
 
         ``limit`` bounds the batch so the worker loop can interleave inbox
-        polls (control pings, cross-shard arrivals) with long local chains;
+        polls (cross-shard arrivals, a ``stop``) with long local chains;
         without it the drain runs to exhaustion (handlers may keep the queue
         alive, so exhaustion is only reached via the ``max_messages`` bound
         on divergent protocols).
@@ -234,28 +264,17 @@ class _WorkerTransport(BaseTransport):
             self.clock = max(self.clock, deliver_at)
             self.delivered += 1
             self.ran.add(message.recipient)
-            if self.delivered > self.max_messages:
+            if self.delivered > self.limit:
                 raise NetworkError(
                     f"shard {self.shard_index} exceeded {self.max_messages} "
-                    "deliveries; the protocol does not appear to terminate"
+                    "deliveries in one run; the protocol does not appear to "
+                    "terminate"
                 )
             self._deliver(message, self.clock)
 
-    def status(self) -> dict:
-        """The cumulative counters the quiescence barrier compares.
-
-        ``idle`` reports whether the local queue was empty when the status
-        was taken — always true in an unsolicited report, but with batched
-        drains a worker can answer a ping while deliveries are still pending
-        locally.
-        """
-        return {
-            "idle": not self._queue,
-            "sent": tuple(self.cross_sent),
-            "received": self.cross_received,
-            "delivered": self.delivered,
-            "clock": self.clock,
-        }
+    def ledger(self) -> tuple[tuple[int, ...], int]:
+        """``(sent per shard, received)``: what the quiescence barrier balances."""
+        return tuple(self.cross_sent), self.cross_received
 
 
 def _build_worker_system(world: ShardWorld, transport: _WorkerTransport) -> P2PSystem:
@@ -294,15 +313,15 @@ def _start_worker_phase(
             raise ReproError(f"unknown phase {phase!r}")
 
 
-def _worker_payload(
+def _report(
     system: P2PSystem,
     world: ShardWorld,
     transport: _WorkerTransport,
-    phase: str,
     marks: RelationMarks,
     shipped_state: dict[NodeId, dict],
-) -> dict:
-    """What one worker ships back: new facts, changed protocol state, stats.
+) -> tuple:
+    """One idle report: ``("report", shard, run, ledger, payload)``, the
+    payload being what moved since the previous report.
 
     What the coordinator already holds of the shard is ``marks`` — per owned
     relation, the mark taken when it was last shipped home, or when the
@@ -310,38 +329,34 @@ def _worker_payload(
     ``shipped_state``, the protocol state as last shipped.  ``change`` is
     :meth:`Change.read <repro.coordination.changeset.Change.read>` over the
     marks, so only the relations written since are visited; the protocol
-    state of a node that ran (every owned node, after a discovery) rides
-    along when it changed.
+    state of a peer that ran rides along when it changed.  Discovery paths
+    do not ship: they are a function of the edges, and the coordinator
+    derives them from its merged copy.  Counters, spans and the chase
+    profile ship and restart from zero.
     """
-    ran = world.owned
-    if phase == "discovery":
-        for node_id in world.owned:
-            system.node(node_id).discovery.finalize_paths()
-    else:
-        ran = sorted(transport.ran)
     change = Change.read(system, marks)
     node_state = {}
-    for node_id in ran:
+    for node_id in sorted(transport.ran):
         node = system.node(node_id)
-        state = {
-            "closed": node.is_update_closed,
-            "edges": set(node.state.edges),
-            "paths": dict(node.state.paths),
-        }
+        state = {"closed": node.is_update_closed, "edges": set(node.state.edges)}
         if shipped_state.get(node_id) != state:
             shipped_state[node_id] = node_state[node_id] = state
+    delivered, received = transport.delivered, transport.cross_received
     payload = {
+        "shard": world.shard_index,
         "change": change,
         "node_state": node_state,
         # One aggregation code path for every engine: the worker ships its
         # whole metrics registry; the coordinator folds it in with
         # StatisticsCollector.merge_counters.
         "counters": transport.stats.dump_counters(),
-        "delivered": transport.delivered,
-        "cross_sent": tuple(transport.cross_sent),
-        "cross_received": transport.cross_received,
+        "delivered": delivered - transport.reported[0],
+        "cross_received": received - transport.reported[1],
         "clock": transport.clock,
     }
+    transport.reported = (delivered, received)
+    transport.stats.reset()
+    transport.ran = set()
     tracer = tracer_of(transport)
     if tracer.enabled:
         payload["spans"] = tracer.drain()
@@ -352,18 +367,18 @@ def _worker_payload(
         payload["chase_profile"] = vars(chase).copy()
         for name, value in vars(chase).items():
             setattr(chase, name, type(value)())
-    return payload
+    return ("report", world.shard_index, transport.run, transport.ledger(), payload)
 
 
 def _remark(system: P2PSystem, marks: RelationMarks, change: Change) -> None:
     """Mark the relations a coordinator ``change`` touched: both sides hold
     the same rows of them now.
 
-    Nothing else moved since the last collect (syncs arrive between runs),
-    so this only drops what the coordinator already has from the next
-    collect.  Without it a row the coordinator deleted and this worker
-    derives again would read as deleted and put back — no change — and
-    never ship home.
+    A change arrives with a ``start``, after the worker's last report of
+    the run before, so nothing else moved since; this only drops what the
+    coordinator already has from the next report.  Without it a row the
+    coordinator deleted and this worker derives again would read as deleted
+    and put back — no change — and never ship home.
     """
     touched = {
         (node_id, name)
@@ -377,59 +392,40 @@ def _remark(system: P2PSystem, marks: RelationMarks, change: Change) -> None:
         marks.marks[node_id, name] = system.node(node_id).database.relation(name).mark()
 
 
-def _reset_run_counters(transport: _WorkerTransport) -> None:
-    """Zero the per-run counters after a collect (the clock stays).
-
-    Every worker resets while the network is provably quiescent (collect
-    follows the barrier), so the cross-shard sent/received ledgers stay
-    balanced — the next run's quiescence check starts from zeros everywhere.
-    """
-    transport.stats.reset()
-    transport.ran = set()
-    transport.delivered = 0
-    transport.cross_sent = [0] * len(transport.cross_sent)
-    transport.cross_received = 0
-
-
 def shard_worker_loop(world: ShardWorld, outboxes: list, results) -> None:
     """The command loop of one shard worker (a process target or a host thread).
 
     ``outboxes[s]`` is where a command for shard ``s`` goes (this worker's
     own entry is its inbox); replies go to ``results``.  Control and data
-    share the single inbox, so the loop is fully event-driven: ``start``
-    kicks the phase off at the owned origins, ``msg`` is a cross-shard
-    delivery, ``ping`` answers the coordinator's confirming wave with the
-    worker's counters and the ping's generation, ``sync`` applies a
-    coordinator :class:`~repro.coordination.changeset.Change` between runs,
-    ``collect`` ships home what the shard gained since its last collect
-    (:func:`_worker_payload`) *without* exiting, resetting the per-run
-    counters so the next run starts from a clean ledger, and ``stop`` ends
-    the worker.  Commands are FIFO per worker, so a ``sync`` queued before
-    a ``start`` is always applied before the phase begins.  Local
-    deliveries run in bounded batches between inbox polls, so pings are
-    answered promptly however long the local chain is — the coordinator
-    can always tell a busy shard from a stalled one.
+    share the single inbox, so the loop is fully event-driven:
+    ``("start", run, phase, origins, mode, change)`` applies the
+    coordinator's :class:`~repro.coordination.changeset.Change` for this
+    shard (``None`` when nothing changed) and kicks the phase off at the
+    owned origins, ``("msg", run, deliver_at, message)`` is a cross-shard
+    delivery (held until its run's ``start`` if it overtook it:
+    :meth:`_WorkerTransport.receive_cross`), and ``stop`` ends the worker.
 
     Quiescence is reported, not polled for: after a ``start`` or a ``msg``,
     the first time the local queue and the inbox are both empty the worker
-    puts ``("status", shard, counters, None)`` on ``results`` and only then
-    blocks.  The coordinator pings once every shard's latest report is idle
-    and balanced, and certifies when every reply repeats its report — on a
-    warm one-row insert, one wave after two reports, where rounds of pings
-    with a 2 ms back-off took 2–3 rounds.
+    puts ``("report", shard, run, ledger, payload)`` on ``results`` and only
+    then blocks.  ``run`` is the latest ``start``'s, ``ledger`` the
+    cumulative cross-shard counters (:meth:`_WorkerTransport.ledger`, never
+    reset) and ``payload`` what moved since the previous report
+    (:func:`_report`).  The coordinator certifies termination from
+    the reports alone (:meth:`ShardPool._await_quiescence
+    <repro.sharding.pool.ShardPool._await_quiescence>`).
 
-    Every ``sync`` change is also folded into the worker's pending
+    Every change is also folded into the worker's pending
     :class:`~repro.coordination.changeset.Change` (with ``union``), which an
     update ``start`` consumes: if the coordinator asked for
     ``mode="incremental"`` *and* the pending change is ``rows_only``, the
     owned nodes it inserted into or removed from seed their delta frontier
-    instead of re-opening for naive pull rounds.  After applying a ``sync``
+    instead of re-opening for naive pull rounds.  After applying a change
     the worker re-marks the relations it touched (:func:`_remark`).  The
     worker-side check is authoritative — a coordinator that over-asks (say,
     after a rule change it did not notice) still gets a correct naive run.
     """
     inbox = outboxes[world.shard_index]
-    phase = "update"
     pending = Change()
     try:
         transport = _WorkerTransport(
@@ -454,7 +450,7 @@ def shard_worker_loop(world: ShardWorld, outboxes: list, results) -> None:
             )
         with tracer.span("build", shard=world.shard_index):
             system = _build_worker_system(world, transport)
-        marks, shipped_state = RelationMarks(system, world.owned), {}
+        marks, shipped = RelationMarks(system, world.owned), {}
         if tracer.enabled:
             for node in system.nodes.values():
                 node.database.profile = tracer.chase
@@ -483,15 +479,21 @@ def shard_worker_loop(world: ShardWorld, outboxes: list, results) -> None:
                     )
                     chase_span = None
                 if report_due and inbox.empty():
-                    results.put(("status", world.shard_index, transport.status(), None))
+                    results.put(_report(system, world, transport, marks, shipped))
                     report_due = False
                 item = inbox.get()
             kind = item[0]
-            if kind == "start":
-                report_due = True
-                if transport.fault_injector is not None:
-                    transport.fault_injector.start_run()
-                _kind, phase, origins, mode = item
+            if kind == "msg":
+                if transport.receive_cross(*item[1:]):
+                    report_due = True
+            elif kind == "start":
+                _kind, run, phase, origins, mode, change = item
+                transport.start_run(run)
+                if change is not None:
+                    with tracer.span("sync", shard=world.shard_index):
+                        change.apply(system)
+                        pending = pending.union(change)
+                        _remark(system, marks, change)
                 started = _owned_origins(world, origins)
                 if phase == "update":
                     changes, pending = pending, Change()
@@ -504,30 +506,10 @@ def shard_worker_loop(world: ShardWorld, outboxes: list, results) -> None:
                     # delta; it still belongs to the next update start.
                     _start_worker_phase(system, phase, started)
                 transport.ran.update(started)
-            elif kind == "msg":
-                transport.receive_cross(item[1], item[2])
                 report_due = True
-            elif kind == "ping":
-                # The echoed generation lets the coordinator drop replies
-                # to a wave it no longer waits for.
-                results.put(("status", world.shard_index, transport.status(), item[1]))
-            elif kind == "sync":
-                with tracer.span("sync", shard=world.shard_index):
-                    change = item[1]
-                    change.apply(system)
-                    pending = pending.union(change)
-                    _remark(system, marks, change)
-            elif kind == "collect":
-                payload = _worker_payload(
-                    system, world, transport, phase, marks, shipped_state
-                )
-                results.put(("collected", world.shard_index, payload))
-                _reset_run_counters(transport)
             elif kind == "stop":
                 return
             else:  # pragma: no cover - coordinator never sends other kinds
                 raise NetworkError(f"unknown control message {kind!r}")
     except BaseException:  # noqa: BLE001 - shipped to the coordinator
         results.put(("error", world.shard_index, traceback.format_exc()))
-
-

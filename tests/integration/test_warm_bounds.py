@@ -2,17 +2,17 @@
 
 Host-independent counterparts of the benchmark's timings, in the manner of
 ``test_cold_golden``'s evaluation counts: a warm one-row insert moves a
-handful of rows across the coordinator↔worker boundary — out in ``sync``,
-home in ``collect`` — however large the world has grown, and merging them
-neither clears a coordinator relation nor drops one of its indexes.  A warm
-one-row delete takes the same delta path and ships the removed row, not the
-relation.  Before
-the boundary moved to cursors every run shipped ~150 KB of relations home
-and re-inserted all ~6 300 rows; the payload grew with every insert.
+handful of rows across the coordinator↔worker boundary — out on the
+``start`` commands, home on the workers' idle reports — however large the
+world has grown, and merging them neither clears a coordinator relation nor
+drops one of its indexes.  A warm one-row delete takes the same delta path
+and ships the removed row, not the relation.  Before the boundary moved to
+cursors every run shipped ~150 KB of relations home and re-inserted all
+~6 300 rows; the payload grew with every insert.
 
-The quiescence barrier is bounded the same way: each warm run certifies
-with one confirming ping wave, after the workers' unsolicited idle reports.
-Polled rounds with a back-off between them took 2–3 rounds per insert.
+The round trips are bounded the same way: per shard, one ``start`` out and
+its idle reports home — 4 items on two shards, where a separate ``sync``, a
+confirming ``ping`` wave and a ``collect`` round trip made it 14.
 
 So is the coordinator's bookkeeping around the rows: a warm one-row insert
 marks and reads only the relations written since the last visit, assembles
@@ -39,26 +39,48 @@ INSERTS = 200
 
 
 class Boundary:
-    """Records what crosses a warm pool's boundary, run by run."""
+    """Records what crosses a warm pool's boundary, run by run: the change
+    each ``sync`` read, the payloads of each run's reports, and the kinds of
+    the items each run put on the channels and took off the results queue."""
 
     def __init__(self, pool):
-        self.deltas, self.modes, self.payloads = [], [], []
-        sync, run_phase = pool.sync, pool.run_phase
+        self.deltas, self.modes, self.payloads, self.items = [], [], [], []
+        sync, run_phase, next_reply = pool.sync, pool.run_phase, pool._next_reply
 
         def recording_sync(system):
             self.deltas.append(sync(system))
             return self.deltas[-1]
 
         def recording_run_phase(*args, mode=None, **kwargs):
+            self.items.append(Counter())
             self.modes.append(mode)
             self.payloads.append(run_phase(*args, mode=mode, **kwargs))
             return self.payloads[-1]
 
+        def recording_next_reply(*args):
+            item = next_reply(*args)
+            if item is not None:
+                self.items[-1][item[0]] += 1
+            return item
+
+        for channel in pool._channels:
+            self._record_puts(channel)
         pool.sync, pool.run_phase = recording_sync, recording_run_phase
+        pool._next_reply = recording_next_reply
+
+    def _record_puts(self, channel):
+        put = channel.put
+
+        def recording_put(command):
+            if self.items:
+                self.items[-1][command[0]] += 1
+            put(command)
+
+        channel.put = recording_put
 
     @property
     def shipped_home(self):
-        """``(whole, rows)`` of every relation in the last run's payloads."""
+        """``(whole, rows)`` of every relation in the last run's reports."""
         return [
             (whole, rows)
             for payload in self.payloads[-1]
@@ -72,6 +94,7 @@ class Boundary:
 
     @property
     def payload_bytes(self):
+        """Pickled bytes of the last run's report payloads, together."""
         return sum(len(pickle.dumps(payload)) for payload in self.payloads[-1])
 
 
@@ -172,34 +195,42 @@ def test_a_warm_delete_moves_the_removed_row_not_the_relation(warm):
     assert boundary.deltas[-1].inserts == {node: {relation_name: (victims[0],)}}
 
 
-@pytest.fixture(scope="module")
-def traced():
-    spec = ScenarioSpec.from_topology(
-        tree_topology(5, 2), records_per_node=10, seed=0
-    ).with_(transport="pooled", shards=2)
-    with Session.from_spec(spec, trace=True) as session:
-        session.run("update")
-        yield session
-
-
-def test_every_warm_run_certifies_quiescence_in_one_round(traced):
-    session = traced
+def test_a_warm_insert_is_one_start_out_and_one_report_home_per_shard(warm):
+    session, boundary = warm
     node, relation_name, arity = feeding_site(session.spec)
     site = session.system.node(node).database.relation(relation_name)
     shards = session.engine.pool.shard_count
     for number in range(INSERTS // 4):
         site.insert(tuple(f"q{number:04d}-{column}" for column in range(arity)))
-        inserted, unchanged = session.run("update"), session.run("update")
+        inserted = session.run("update")
+        assert boundary.modes[-1] == "incremental"
+        assert inserted.tuples_added > 0
+        assert boundary.items[-1] == {"start": shards, "report": shards}
+        unchanged = session.run("update")
         assert unchanged.tuples_added == 0
-        for result in (inserted, unchanged):
-            [barrier] = [
-                span["attributes"]
-                for span in result.extras["trace"]["spans"]
-                if span["name"] == "quiescence"
-            ]
-            assert barrier["rounds"] == 1
-            # Every worker reports at least once: after its ``start``.
-            assert barrier["reports"] >= shards
+        assert boundary.items[-1] == {"start": shards, "report": shards}
+
+
+def test_the_message_bound_is_per_run():
+    # A long-lived warm pool delivers without end; only one run's deliveries
+    # may count against ``max_messages``.
+    spec = ScenarioSpec.from_topology(
+        tree_topology(3, 2), records_per_node=3, seed=0
+    ).with_(transport="pooled", shards=2)
+    with Session.from_spec(spec) as probe:
+        priming = probe.run("update").stats.total_messages
+    bound = priming + 5
+    with Session.from_spec(spec.with_(max_messages=bound)) as session:
+        session.run("update")
+        node, relation_name, arity = feeding_site(spec)
+        site = session.system.node(node).database.relation(relation_name)
+        pool = session.engine.pool
+        number = 0
+        while session.system.transport.delivered_count <= 2 * bound:
+            site.insert(tuple(f"b{number:04d}-{column}" for column in range(arity)))
+            session.run("update")
+            number += 1
+        assert session.engine.pool is pool and pool.alive
 
 
 def spied_warm_insert(session, monkeypatch, tag):

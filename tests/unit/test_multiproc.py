@@ -144,8 +144,8 @@ class TestWorkerTransport:
         transport, outboxes = self._transport()
         transport.send(Message(sender="a", recipient="b", type=MessageType.QUERY))
         assert transport.cross_sent == [0, 1]
-        kind, deliver_at, message = outboxes[1].items[0]
-        assert kind == "msg"
+        kind, run, deliver_at, message = outboxes[1].items[0]
+        assert (kind, run) == ("msg", transport.run)
         assert deliver_at == pytest.approx(1.0)  # clock 0 + constant latency
         assert message.recipient == "b"
         # Cross-shard messages are not delivered locally.
@@ -155,7 +155,7 @@ class TestWorkerTransport:
     def test_received_cross_message_advances_the_clock(self):
         transport, _outboxes = self._transport()
         transport.receive_cross(
-            7.5, Message(sender="b", recipient="a", type=MessageType.ANSWER)
+            0, 7.5, Message(sender="b", recipient="a", type=MessageType.ANSWER)
         )
         transport.drain()
         assert transport.clock == pytest.approx(7.5)

@@ -1,11 +1,11 @@
 """The pool's quiescence barrier, driven by a script instead of processes.
 
-Workers report their cumulative counters unasked whenever they run out of
-work; the coordinator pings once every latest report is idle and balanced,
-and certifies only when every ping reply equals the report it confirms.
-Here the results queue and the channels are scripted, so each test fixes the
-exact order in which reports and replies reach the coordinator — including
-orders a real run produces only rarely, or only through a bug.
+Workers report unasked whenever they run out of work: the id of the latest
+run they started, their cumulative cross-shard ledger and a payload.  The
+coordinator certifies once every shard's latest report belongs to the
+current run and the ledgers balance.  Here the results queue and the
+channels are scripted, so each test fixes the exact order in which reports
+reach the coordinator — including orders a real run produces only rarely.
 """
 
 import queue
@@ -14,26 +14,17 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.coordination.changeset import Change
 from repro.errors import NetworkError
 from repro.sharding.planner import ShardPlan
 from repro.sharding.pool import ShardPool
 
 
-def status(sent, received, delivered, idle=True):
-    """A worker's counters: cross-shard sends per target shard, receives,
-    local deliveries, and whether its local queue was empty."""
-    return {
-        "idle": idle,
-        "sent": tuple(sent),
-        "received": received,
-        "delivered": delivered,
-        "clock": float(delivered),
-    }
-
-
-def report(shard, counters):
-    """An unsolicited idle report, as a worker sends it before blocking."""
-    return ("status", shard, counters, None)
+def report(shard, run, sent, received, delivered=0):
+    """An idle report: run id, ledger (cross-shard sends per target shard,
+    receives), and a payload naming its shard and its deliveries."""
+    payload = {"shard": shard, "run": run, "delivered": delivered}
+    return ("report", shard, run, (tuple(sent), received), payload)
 
 
 class ScriptedResults:
@@ -52,29 +43,22 @@ class ScriptedResults:
 
 
 class ScriptedChannel:
-    """One shard's channel; its n-th ping enqueues the n-th scripted answer.
+    """One shard's channel; its n-th ``start`` enqueues the n-th scripted
+    list of what the coordinator reads next."""
 
-    An answer is a list of what the coordinator reads next from this shard,
-    in order: counters are the reply (tagged with the ping's generation),
-    tuples are queued as they are.
-    """
-
-    def __init__(self, shard, results, answers):
-        self.shard = shard
+    def __init__(self, results, answers):
         self.results = results
         self.answers = deque(answers)
-        self.pings = []
+        self.starts = []
         self.alive = True
         self.reason = "killed by the script"
 
     def put(self, command):
-        if command[0] != "ping":
+        if command[0] != "start":
             return
-        self.pings.append(command[1])
-        if self.alive:
+        self.starts.append(command)
+        if self.alive and self.answers:
             for entry in self.answers.popleft():
-                if isinstance(entry, dict):
-                    entry = ("status", self.shard, entry, command[1])
                 self.results.put(entry)
 
     def kill(self):
@@ -85,113 +69,144 @@ class ScriptedChannel:
 
 
 class ScriptedPool(ShardPool):
-    """A pool over scripted channels: ``answers[shard]`` scripts its pings."""
+    """A pool over scripted channels, in the middle of run ``run``:
+    ``answers[shard]`` scripts what each later ``start`` brings back."""
 
-    def __init__(self, answers, *, queued=(), max_messages=1_000):
+    def __init__(self, answers, *, queued=(), run=1, max_messages=1_000):
         self._script = answers
         shards = len(answers)
         plan = ShardPlan(shards, {f"n{shard}": shard for shard in range(shards)})
         worlds = [SimpleNamespace(max_messages=max_messages)] * shards
         super().__init__(plan, worlds)
+        self._run = run
         for item in queued:
             self._results.put(item)
 
     def _open(self, worlds):
         self._results = ScriptedResults()
         self._channels = [
-            ScriptedChannel(shard, self._results, answers)
-            for shard, answers in enumerate(self._script)
+            ScriptedChannel(self._results, answers) for answers in self._script
         ]
         for shard in range(len(worlds)):
             self._results.put(("ready", shard))
 
-    def pings(self):
-        return [channel.pings for channel in self._channels]
+
+def runs_of(payloads):
+    return [(payload["shard"], payload["run"]) for payload in payloads]
 
 
-def test_one_wave_confirms_settled_reports():
-    a, b = status([0, 1], 0, 3), status([0, 0], 1, 2)
-    pool = ScriptedPool([[[a]], [[b]]], queued=[report(0, a), report(1, b)])
-    assert pool._await_quiescence() == (1, 2)
-    assert pool.pings() == [[1], [1]]
-
-
-def test_unbalanced_reports_send_no_wave_until_the_receive_is_reported():
-    sender = status([0, 1], 0, 3)
-    early, late = status([0, 0], 0, 0), status([0, 0], 1, 2)
+def test_balanced_reports_of_this_run_certify():
     pool = ScriptedPool(
-        [[[sender]], [[late]]],
-        queued=[report(1, early), report(0, sender), report(1, late)],
+        [[], []],
+        queued=[report(0, 1, [0, 1], 0, 3), report(1, 1, [0, 0], 1, 2)],
     )
-    assert pool._await_quiescence() == (1, 3)
+    assert runs_of(pool._await_quiescence()) == [(0, 1), (1, 1)]
 
 
-def test_compensating_sends_are_not_certified_before_a_wave_matches():
-    # Shard 2's message to shard 1 is still in flight.  Shard 1's receive
-    # count already holds one message — from shard 0, which sent it after
-    # its own report.  The latest reports therefore balance for every shard.
-    # Only the confirming wave, where shard 0 answers with its new send
-    # count, shows that traffic moved.
-    reported = [
-        status([0, 0, 0], 0, 1),
-        status([0, 0, 0], 1, 1),
-        status([0, 1, 0], 0, 1),
-    ]
-    moved = status([0, 1, 0], 0, 2)
-    done = status([0, 0, 0], 2, 3)
-    queued = [report(shard, counters) for shard, counters in enumerate(reported)]
+def test_unbalanced_reports_wait_for_the_receive_to_be_reported():
+    pool = ScriptedPool(
+        [[], []],
+        queued=[
+            report(1, 1, [0, 0], 0),
+            report(0, 1, [0, 1], 0, 3),  # shard 1 has not reported the receive
+            report(1, 1, [0, 0], 1, 2),
+        ],
+    )
+    assert len(pool._await_quiescence()) == 3
+
+
+def test_a_report_of_the_previous_run_balances_the_set_but_is_not_counted():
+    # Shard 1's latest report is from run 1: it has not taken run 2's start.
+    # The ledgers balance all the same — they are cumulative, and nothing of
+    # run 2 crossed the cut yet — but shard 1 may still have run 2's work
+    # ahead of it.  Certification waits for its run-2 report.
+    pool = ScriptedPool(
+        [[], []],
+        run=2,
+        queued=[
+            report(0, 2, [0, 1], 4, 2),
+            report(1, 1, [4, 0], 1, 0),
+            report(1, 2, [5, 0], 1, 6),
+            report(0, 2, [0, 1], 5, 1),
+        ],
+    )
+    assert runs_of(pool._await_quiescence()) == [(0, 2), (1, 1), (1, 2), (0, 2)]
+
+
+def test_a_pre_start_reports_payload_is_still_merged():
+    # Shard 1 ran run 2's work before its start (its report is tagged with
+    # run 1): that payload is this run's, and run_phase returns it.
     pool = ScriptedPool(
         [
-            [[moved], [moved]],
-            [[reported[1], report(1, done)], [done]],
-            [[reported[2]], [reported[2]]],
+            [[report(0, 2, [0, 1], 0, 1), report(0, 2, [0, 1], 1, 2)]],
+            [[report(1, 1, [0, 0], 1, 3), report(1, 2, [1, 0], 1, 1)]],
         ],
-        queued=queued,
     )
-    assert pool._settled(dict(enumerate(reported)))  # a report-only check passes
-    assert pool._await_quiescence() == (2, 4)
-    assert pool.pings() == [[1, 2], [1, 2], [1, 2]]
+    payloads = pool.run_phase("update", None)
+    assert runs_of(payloads) == [(0, 2), (0, 2), (1, 1), (1, 2)]
+    assert sum(payload["delivered"] for payload in payloads) == 7
+    assert [channel.starts[0][1] for channel in pool._channels] == [2, 2]
 
 
-def test_replies_to_an_earlier_wave_are_ignored():
-    a = status([0, 0], 0, 1)
-    busy, settled = status([0, 0], 0, 2, idle=False), status([0, 0], 0, 3)
-    busy_again, final = status([0, 0], 0, 4, idle=False), status([0, 0], 0, 5)
+def test_a_start_carries_its_shards_slice_of_the_change_or_none():
     pool = ScriptedPool(
         [
-            [[a], [a], [a]],
-            [
-                # Wave 1 finds shard 1 busy; it reports once it drains.
-                [busy, report(1, settled)],
-                # Wave 2: a late copy of a wave-1 reply, equal to the report
-                # under confirmation, arrives before the real (busy) answer.
-                [("status", 1, settled, 1), busy_again, report(1, final)],
-                [final],
-            ],
+            [[report(0, 2, [0, 0], 0)]],
+            [[report(1, 2, [0, 0], 0)]],
         ],
-        queued=[report(0, a), report(1, a)],
     )
-    assert pool._await_quiescence() == (3, 4)
+    change = Change(inserts={"n1": {"item": (("a",),)}})
+    pool.run_phase("update", None, change=change)
+    first, second = (channel.starts[0][-1] for channel in pool._channels)
+    assert first is None
+    assert second.inserts == change.inserts
 
 
-def test_a_worker_that_dies_after_its_report_fails_the_wave():
-    a, b = status([0, 0], 0, 1), status([0, 0], 0, 1)
-    pool = ScriptedPool([[[a]], [[b]]], queued=[report(0, a), report(1, b)])
+def test_a_worker_that_dies_after_its_report_fails_the_barrier():
+    pool = ScriptedPool(
+        [[], []],
+        queued=[report(0, 1, [0, 1], 0, 1), report(1, 1, [0, 0], 0, 1)],
+    )
     pool.kill_worker(1)
     with pytest.raises(NetworkError, match="shard 1 worker died"):
         pool._await_quiescence()
-    assert pool.pings() == [[1], [1]]  # the wave went out and never returned
+
+
+def test_a_worker_killed_after_the_barrier_fails_the_run():
+    pool = ScriptedPool([[[report(0, 2, [0, 0], 0)]], [[report(1, 2, [0, 0], 0)]]])
+    pool.injector = SimpleNamespace(
+        fire=lambda phase, target: phase == "quiescence" and target.kill_worker(1)
+    )
+    with pytest.raises(NetworkError, match="shard 1 worker is gone"):
+        pool.run_phase("update", None)
+    assert pool.closed
 
 
 def test_the_message_bound_trips_on_reports_alone():
     pool = ScriptedPool(
         [[], []],
-        queued=[report(0, status([0, 1], 0, 6)), report(1, status([0, 0], 0, 5))],
+        queued=[report(0, 1, [0, 1], 0, 6), report(1, 1, [0, 0], 0, 5)],
         max_messages=10,
     )
     with pytest.raises(NetworkError, match="exceeded 10 deliveries"):
         pool._await_quiescence()
-    assert pool.pings() == [[], []]
+
+
+def test_the_message_bound_is_per_run():
+    # 6 deliveries per run against a bound of 10: the pool's cumulative
+    # count passes the bound on the second run, and no run trips it.
+    runs = (2, 3, 4)
+    pool = ScriptedPool(
+        [
+            [[report(0, run, [0, 0], 0, 6)] for run in runs],
+            [[report(1, run, [0, 0], 0)] for run in runs],
+        ],
+        max_messages=10,
+    )
+    for _run in runs:
+        payloads = pool.run_phase("update", None)
+        assert sum(payload["delivered"] for payload in payloads) == 6
+    assert not pool.closed
 
 
 def test_a_worker_error_fails_the_barrier():
@@ -202,6 +217,6 @@ def test_a_worker_error_fails_the_barrier():
 
 def test_no_progress_for_the_stall_timeout_fails(monkeypatch):
     monkeypatch.setattr("repro.sharding.pool._WORKER_TIMEOUT", 0.05)
-    pool = ScriptedPool([[], []], queued=[report(0, status([0, 1], 0, 1))])
+    pool = ScriptedPool([[], []], queued=[report(0, 1, [0, 1], 0, 1)])
     with pytest.raises(NetworkError, match="stalled"):
         pool._await_quiescence()

@@ -153,8 +153,8 @@ class TestHostChannel:
     def test_put_frames_the_command_with_its_shard_id(self):
         link = FakeLink()
         channel = HostChannel(link, shard=3)
-        channel.put(("ping", 17))
-        assert link.sent == [("to", 3, ("ping", 17))]
+        channel.put(("stop",))
+        assert link.sent == [("to", 3, ("stop",))]
 
 
 class TestParseAddress:

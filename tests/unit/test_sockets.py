@@ -66,7 +66,8 @@ class TestFraming:
         left, right = sock_pair
         import pickle
 
-        body = pickle.dumps(("status", 0, {"idle": True}))
+        report = ("report", 0, 1, ((0, 0), 0), {"delivered": 0})
+        body = pickle.dumps(report)
         frame = struct.pack(">Q", len(body)) + body
 
         def dribble():
@@ -76,7 +77,7 @@ class TestFraming:
         sender = threading.Thread(target=dribble)
         sender.start()
         try:
-            assert recv_frame(right) == ("status", 0, {"idle": True})
+            assert recv_frame(right) == report
         finally:
             sender.join()
 
@@ -135,12 +136,12 @@ class TestShardHost:
                 assert kind == "error"
                 assert "frobnicate" in message
 
-    def test_ping_for_a_non_hosted_shard_gets_an_error_reply(self):
+    def test_a_command_for_a_non_hosted_shard_gets_an_error_reply(self):
         with ShardHost().start() as host:
             with socket.create_connection(host.address, timeout=5.0) as conn:
                 writer = _FrameWriter(conn, host.max_frame)
                 writer.send(("worlds", 1, []))
-                writer.send(("to", 0, ("ping", 1)))
+                writer.send(("to", 0, ("stop",)))
                 kind, shard, _message = recv_frame(conn)
                 assert (kind, shard) == ("error", 0)
 
@@ -360,25 +361,25 @@ class TestHostDeath:
                 host.close()
 
     def test_oversized_reply_surfaces_an_error_not_a_stall(self, monkeypatch):
-        # A collected payload too big to frame must come back as a prompt
-        # NetworkError naming the shard — never a silent 120 s stall.  The
-        # host runs in-process (worker threads share this interpreter), so
-        # bloating the worker payload helper makes the collect reply blow
-        # the frame bound while every control frame still fits.
+        # A report too big to frame must come back as a prompt NetworkError
+        # naming the shard — never a silent 120 s stall.  The host runs
+        # in-process (worker threads share this interpreter), so bloating
+        # the worker's report helper makes the report blow the frame bound
+        # while every control frame still fits.
         import repro.sharding.worker as worker_module
         from repro.coordination.rule import rule_from_text
         from repro.sharding.worker import _worlds_from_system
         from repro.sharding.planner import ShardPlanner
         from repro.sharding.sockets import SocketPool
 
-        original = worker_module._worker_payload
+        original = worker_module._report
 
         def bloated(*args, **kwargs):
-            payload = original(*args, **kwargs)
-            payload["ballast"] = "x" * (1 << 20)
-            return payload
+            report = original(*args, **kwargs)
+            report[-1]["ballast"] = "x" * (1 << 20)
+            return report
 
-        monkeypatch.setattr(worker_module, "_worker_payload", bloated)
+        monkeypatch.setattr(worker_module, "_report", bloated)
 
         system = ScenarioSpec.of(
             {
