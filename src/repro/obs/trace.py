@@ -10,8 +10,8 @@ axis.
 
 Cross-process story: every worker process creates its own tracer (same trace
 id, its own ``process`` label), records spans locally, and ships the drained
-records home inside its ordinary result payload — over the existing mp.Queue
-or length-prefixed-frame channel, no new wire format.  The coordinator's
+records home inside its ordinary result payload — over the existing worker
+pipe or length-prefixed-frame channel, no new wire format.  The coordinator's
 tracer :meth:`Tracer.adopt`\\ s them, re-parenting top-level worker spans
 under the currently open run span and correcting clock offset when the
 shipped wall clock disagrees with the local one by more than

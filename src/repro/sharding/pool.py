@@ -10,9 +10,9 @@ as peers' data shifts.  So the workers are *persistent* (the loop in
 * :class:`Channel` is how the coordinator talks to one shard's worker:
   ``put(command)``, ``alive`` (+ ``reason`` when not), ``kill()``,
   ``close()``.  Replies never come back through a channel — every worker
-  answers on the pool's single results queue.  There are exactly two
-  implementations: :class:`ProcessChannel` (a local OS process and its
-  inbox queue) here, and :class:`~repro.sharding.sockets.HostChannel` (a
+  answers on the pool's one reply source.  There are exactly two
+  implementations: :class:`ProcessChannel` (a local OS process and our end
+  of its pipe) here, and :class:`~repro.sharding.sockets.HostChannel` (a
   TCP link to a shard host plus the shard's id).
 * :class:`ShardPool` owns everything above the channels: awaiting replies
   with crashed-worker detection, the quiescence barrier, the delta
@@ -44,7 +44,7 @@ report belongs to this run and the ledgers balance (``sent == received``
 for every shard), the network is quiescent — every report was taken by a
 passive worker, so no confirming wave is needed
 (:meth:`ShardPool._await_quiescence` has the argument).  The coordinator
-blocks on the results queue throughout — no sleep, no polling.
+blocks on its reply source throughout — no sleep, no polling.
 
 Per-run accounting: a report ships the deliveries, counters and spans since
 the worker's previous report, so the reports of one run add up to the
@@ -61,7 +61,9 @@ import os
 import queue as queue_module
 import threading
 import time
+from collections import deque
 from dataclasses import replace
+from multiprocessing import connection
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Protocol
 
@@ -200,7 +202,7 @@ class Channel(Protocol):
     """How the coordinator talks to one shard's worker.
 
     Commands go in through :meth:`put`; replies come back on the owning
-    pool's results queue, never through the channel.
+    pool's reply source, never through the channel.
     """
 
     def put(self, command: tuple) -> None:
@@ -222,14 +224,17 @@ class Channel(Protocol):
 
 
 class ProcessChannel:
-    """The channel to a shard-worker process on this machine: its inbox queue."""
+    """The channel to a shard-worker process on this machine: our end of its pipe."""
 
-    def __init__(self, process, inbox):
+    def __init__(self, process, conn):
         self.process = process
-        self._inbox = inbox
+        self._conn = conn
 
     def put(self, command: tuple) -> None:
-        self._inbox.put(command)
+        try:
+            self._conn.send(command)
+        except OSError as error:  # EPIPE / ECONNRESET: the worker is gone
+            raise NetworkError(f"shard worker unreachable: {error}") from None
 
     @property
     def alive(self) -> bool:
@@ -240,11 +245,11 @@ class ProcessChannel:
         return f"exit code {self.process.exitcode}"
 
     def kill(self) -> None:
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout=5.0)
+        self.process.terminate()  # a no-op on a process that already exited
+        self.process.join(timeout=5.0)
 
     def close(self) -> None:
+        self._conn.close()  # first: a worker blocked sending a report fails
         # A process that never started (a spawn that failed part-way) has
         # nothing to join.
         if self.process.pid is not None:
@@ -252,8 +257,60 @@ class ProcessChannel:
             if self.process.is_alive():
                 self.process.terminate()
                 self.process.join(timeout=1.0)
-        self._inbox.close()
-        self._inbox.cancel_join_thread()
+
+
+class _PipeReplies:
+    """The workers' pipes as one reply source with a queue's ``get(timeout)``;
+    a pipe that reads EOF or reset is its shard's ``error`` item at once."""
+
+    def __init__(self, conns):
+        self._shard_of = {conn: shard for shard, conn in enumerate(conns)}
+        self._ready: deque[tuple] = deque()
+
+    def get(self, timeout: float) -> tuple:
+        if not self._ready:  # one item from each ready pipe: none starves
+            for conn in connection.wait(list(self._shard_of), timeout):
+                try:
+                    self._ready.append(conn.recv())
+                except (EOFError, OSError) as error:
+                    shard = self._shard_of.pop(conn)
+                    self._ready.append(("error", shard, f"pipe closed: {error!r}"))
+        if not self._ready:
+            raise queue_module.Empty
+        return self._ready.popleft()
+
+
+class _WorkerPipe:
+    """A pool worker's inbox — its pipe and its mailbox, read together — and
+    its ``results``, sent up the pipe inline."""
+
+    def __init__(self, conn, mailbox):
+        self._conn, self._mailbox, self.put = conn, mailbox, conn.send
+        self._sources = [conn, mailbox._reader]  # the queue's read end
+
+    def get(self, timeout: float | None = None) -> tuple:
+        ready = connection.wait(self._sources, timeout)
+        if self._conn in ready:
+            return self._conn.recv()
+        if not ready:
+            raise queue_module.Empty
+        return self._mailbox.get_nowait()  # its only reader: never Empty here
+
+    def get_nowait(self) -> tuple:
+        return self.get(0)
+
+    def empty(self) -> bool:
+        return not connection.wait(self._sources, 0)
+
+
+def _pooled_worker(world: ShardWorld, conn, mailboxes: list) -> None:
+    """A :class:`WorkerPool` process: the worker loop over its pipe."""
+    outboxes = list(mailboxes)
+    outboxes[world.shard_index] = own = _WorkerPipe(conn, mailboxes[world.shard_index])
+    try:
+        shard_worker_loop(world, outboxes, own)
+    except OSError:
+        pass  # the coordinator closed the pipe: nobody is left to tell
 
 
 # ------------------------------------------------------------------ the pool
@@ -268,7 +325,7 @@ class ShardPool:
     only what changed in the coordinator since.  Any failure — a crashed
     worker, a dead host, a stall, an exceeded message bound — closes the
     pool; the engine respawns a fresh one on the next run.  Subclasses
-    provide :meth:`_open`, which sets the results queue and one
+    provide :meth:`_open`, which sets the reply source and one
     :class:`Channel` per shard.
     """
 
@@ -373,7 +430,7 @@ class ShardPool:
     # ---------------------------------------------------------------- awaits
 
     def _next_reply(self, deadline: float, outstanding: Iterable[int]) -> tuple | None:
-        """The next item on the results queue, or None after an idle second.
+        """The next item from the reply source, or None after an idle second.
 
         An ``error`` item raises; so does a dead channel among the shards
         whose reply is still ``outstanding`` once a second passes with no
@@ -519,10 +576,11 @@ class ShardPool:
         :meth:`run_phase` must carry it: each worker's ``start`` brings its
         own shard's slice.
         """
-        self._require_open()
+        if self.closed:
+            raise ReproError("the pool is closed")
         delta = self._mirror.advance(system)
         # A sync-phase kill lands here: the dead worker is detected by the
-        # next run_phase's liveness check, never by a wedged barrier.
+        # next run_phase's ``start``, never by a wedged barrier.
         self.injector.fire("sync", self)
         return delta
 
@@ -550,7 +608,8 @@ class ShardPool:
         """
         tracer = tracer if tracer is not None else NULL_TRACER
         try:
-            self._require_open()
+            if self.closed:  # a dead worker fails its ``start`` send
+                raise ReproError("the pool is closed")
             self._run += 1
             origins = None if origins is None else tuple(origins)
             for shard, channel in enumerate(self._channels):
@@ -586,42 +645,53 @@ class ShardPool:
 class WorkerPool(ShardPool):
     """The pool whose workers are OS processes on this machine.
 
-    Workers are daemons forked from the fork server (:func:`_worker_context`)
-    — its children, not the coordinator's.  They and the server still die
-    with the coordinator process, but an explicit :meth:`close` is what
-    benchmarks and long-lived services should do.
+    Workers are daemons, children of the fork server
+    (:func:`_worker_context`), not of the coordinator; they die with it, but
+    benchmarks and services should :meth:`close` them.  One duplex pipe per
+    worker carries ``start`` / ``stop`` down (synchronous sends) and reports
+    up (inline, no feeder thread); a dead worker reads as a closed pipe at
+    once.  Pipes cannot deadlock: (1) the coordinator writes only ``stop``s
+    and ``start``s, these while every worker is passive and reading; (2)
+    workers write only reports, read until the barrier certifies; (3)
+    ``msg``s between workers go through queue mailboxes, as a pipe send could
+    block mid-drain.  Pitfalls: ``put`` turns ``OSError`` into
+    ``NetworkError`` (what a cold re-run is taken on); our copy of a worker's
+    end is closed once it started, or its death never reads as EOF; liveness
+    is ``is_alive()``, not a sentinel wait (once ``join()`` read a
+    fork-server worker's status, its sentinel can read "not ready" until the
+    server closes it); and :meth:`close` closes our ends before it joins, so
+    a worker blocked sending gets EPIPE.
     """
 
     def _open(self, worlds: list[ShardWorld]) -> None:
         context = _worker_context()
-        inboxes = [context.Queue() for _ in worlds]
-        self._results = context.Queue()
+        # Kept as long as the pool: collecting a queue unlinks its
+        # semaphores, which a worker may not have unpickled yet.
+        self._mailboxes = [context.Queue() for _ in worlds]
+        pipes = [context.Pipe() for _ in worlds]
         self._workers = [
             context.Process(
-                target=shard_worker_loop,
-                args=(world, inboxes, self._results),
+                target=_pooled_worker,
+                args=(world, theirs, self._mailboxes),
                 daemon=True,
             )
-            for world in worlds
+            for world, (_ours, theirs) in zip(worlds, pipes)
         ]
         # Channels exist before any process starts, so a start that fails
         # part-way is still reaped by close().
         self._channels = [
-            ProcessChannel(worker, inbox)
-            for worker, inbox in zip(self._workers, inboxes)
+            ProcessChannel(worker, ours)
+            for worker, (ours, _theirs) in zip(self._workers, pipes)
         ]
-        for worker in self._workers:
-            worker.start()
+        self._results = _PipeReplies([ours for ours, _theirs in pipes])
+        try:
+            for worker in self._workers:
+                worker.start()
+        finally:
+            for _ours, theirs in pipes:
+                theirs.close()
 
     @property
     def worker_pids(self) -> tuple[int | None, ...]:
         """The workers' process ids (stable across warm runs by design)."""
         return tuple(worker.pid for worker in self._workers)
-
-    def close(self) -> None:
-        if self.closed:
-            return
-        super().close()
-        if self._results is not None:
-            self._results.close()
-            self._results.cancel_join_thread()

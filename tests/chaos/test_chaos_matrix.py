@@ -18,6 +18,8 @@ covered at the matrix tail on the pooled engine's second update instead of
 in the per-run grid.
 """
 
+import time
+
 import pytest
 
 from repro.api import Session
@@ -74,6 +76,23 @@ class TestKillMatrix:
             assert registry.total("repro_fault_injected_total") >= 1
             assert registry.total("repro_fault_detected_total") >= 1
             assert registry.total("repro_fault_cold_reruns_total") == 0
+
+    def test_a_worker_killed_mid_run_fails_the_run_at_once(self, scenario, chaos_seed):
+        # A warm pooled run (run 2: discovery and an update came first) whose
+        # worker dies in the chase: its closed pipe is the error, not a
+        # liveness poll after an idle second.
+        plan = FaultPlan(
+            seed=chaos_seed,
+            faults=[FaultSpec(kind="kill_worker", phase="chase", run_index=2)],
+        )
+        spec = scenario.with_(transport="pooled", shards=2, faults=plan)
+        with Session.from_spec(spec) as session:
+            session.run("discovery")
+            session.update()
+            started = time.monotonic()
+            with pytest.raises(NetworkError):
+                session.update()
+            assert time.monotonic() - started < 0.25
 
 
 class TestFrameFaults:

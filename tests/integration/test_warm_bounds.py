@@ -24,6 +24,7 @@ nodes), build a ``NodeStats`` per node and compare every rule's text twice.
 
 import pickle
 from collections import Counter
+from multiprocessing.process import BaseProcess
 
 import pytest
 
@@ -209,6 +210,68 @@ def test_a_warm_insert_is_one_start_out_and_one_report_home_per_shard(warm):
         unchanged = session.run("update")
         assert unchanged.tuples_added == 0
         assert boundary.items[-1] == {"start": shards, "report": shards}
+
+
+def test_a_warm_insert_checks_each_worker_for_life_twice(warm, monkeypatch):
+    # Once in the engine's respawn decision, once after the barrier: a dead
+    # worker fails its ``start`` send or closes its pipe, so the checks
+    # before the run (two more per worker) went.
+    session, boundary = warm
+    node, relation_name, arity = feeding_site(session.spec)
+    site = session.system.node(node).database.relation(relation_name)
+    shards = session.engine.pool.shard_count
+    calls = Counter()
+    is_alive = BaseProcess.is_alive
+
+    def counting_is_alive(process):
+        calls[process.pid] += 1
+        return is_alive(process)
+
+    site.insert(tuple(f"alive-{column}" for column in range(arity)))
+    with monkeypatch.context() as patch:
+        patch.setattr(BaseProcess, "is_alive", counting_is_alive)
+        assert session.run("update").tuples_added > 0
+    assert boundary.items[-1] == {"start": shards, "report": shards}
+    assert sum(calls.values()) == 2 * shards == 4
+    assert set(calls.values()) == {2}
+
+
+def test_payloads_larger_than_a_pipe_buffer_cross_both_ways():
+    # A start and a report that each pickle to over a MiB: the coordinator
+    # blocks in a send only while the worker reads, and a worker only while
+    # the coordinator reads (the pipes carry no worker-to-worker traffic).
+    spec = ScenarioSpec.from_topology(tree_topology(2, 2), records_per_node=2, seed=0)
+    node, relation_name, arity = feeding_site(spec)
+    load = {
+        node: {
+            relation_name: [
+                tuple(f"bulk-{number:05d}-{column}" for column in range(arity))
+                for number in range(20_000)
+            ]
+        }
+    }
+    with Session.from_spec(spec.with_(transport="pooled", shards=2)) as session:
+        session.run("update")
+        boundary = Boundary(session.engine.pool)
+        sizes = Counter()
+        for channel in session.engine.pool._channels:
+            put = channel.put
+
+            def measuring_put(command, put=put):
+                sizes[command[0]] = max(sizes[command[0]], len(pickle.dumps(command)))
+                put(command)
+
+            channel.put = measuring_put
+        session.system.load_data(load)
+        assert session.run("update").tuples_added > 0
+        sizes["report"] = max(len(pickle.dumps(p)) for p in boundary.payloads[-1])
+        pooled = session.system.databases()
+    assert sizes["start"] >= 2**20 and sizes["report"] >= 2**20
+    with Session.from_spec(spec) as oracle:
+        oracle.run("update")
+        oracle.system.load_data(load)
+        oracle.run("update")
+        assert pooled == oracle.system.databases()
 
 
 def test_the_message_bound_is_per_run():

@@ -12,6 +12,7 @@ Run as a script it is the coordinator of the subprocess tests below:
 ``python test_pool_bringup.py <src> probe|abandon``.
 """
 
+import gc
 import json
 import multiprocessing
 import os
@@ -124,6 +125,18 @@ def test_a_coordinator_that_never_closed_leaves_no_process_behind():
         leftovers = [pid for pid in leftovers if not _gone(pid)]
         time.sleep(0.05)
     assert not leftovers
+
+
+def test_closing_pooled_sessions_returns_every_descriptor():
+    with _pooled_session() as session:  # the fork server is up from here on
+        session.run("update")
+    gc.collect()
+    baseline = len(os.listdir("/proc/self/fd"))
+    for _ in range(20):
+        with _pooled_session() as session:
+            session.run("update")
+    gc.collect()
+    assert len(os.listdir("/proc/self/fd")) == baseline
 
 
 if __name__ == "__main__":
