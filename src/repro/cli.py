@@ -6,7 +6,11 @@ the same table the corresponding module's ``main()`` produces (E9 compares
 the paper's update with the three reference strategies of
 :mod:`repro.api.strategies`).  The CLI is a thin veneer
 over :mod:`repro.experiments`, so scripted runs (benchmarks, CI, notebooks)
-and interactive runs share exactly the same code paths.
+and interactive runs share exactly the same code paths.  ``python -m repro
+run E11 --faults plan.json --trace out.json`` replays a fault plan against
+every partitioned engine and writes one Chrome trace of it, which
+``python -m repro trace validate|summarize out.json`` inspects.  Wall-clock
+comparisons of the engines live in ``benchmarks/perf``, not in the CLI.
 
 ``python -m repro lint scenario.json`` statically analyzes scenario files
 (termination, safety, schema consistency — the checks of
@@ -28,7 +32,6 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from repro.api.engine import transport_names
 from repro.errors import ReproError
 from repro.experiments import (
     baseline_comparison,
@@ -46,36 +49,6 @@ from repro.experiments import (
 )
 
 
-def _parse_sizes(text: str) -> tuple[int, ...]:
-    """Parse the --sizes flag ("127,511") into node counts."""
-    try:
-        sizes = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise ReproError(f"--sizes expects comma-separated integers, got {text!r}")
-    if not sizes:
-        raise ReproError("--sizes needs at least one node count")
-    return sizes
-
-
-def _parse_hosts(text: str | None) -> tuple[str, ...] | None:
-    """Parse the --hosts flag ("h1:9101,h2:9101") into addresses (or None)."""
-    if text is None:
-        return None
-    hosts = tuple(part.strip() for part in text.split(",") if part.strip())
-    if not hosts:
-        raise ReproError("--hosts needs at least one HOST:PORT address")
-    return hosts
-
-
-def _load_fault_plan(path: str | None):
-    """Load the --faults plan file, or None when the flag was not given."""
-    if path is None:
-        return None
-    from repro.faults import FaultPlan
-
-    return FaultPlan.load_json(path)
-
-
 #: Experiment id → (description, callable taking the parsed args).
 _EXPERIMENTS: dict[str, tuple[str, Callable[[argparse.Namespace], str]]] = {
     "E1": (
@@ -88,20 +61,7 @@ _EXPERIMENTS: dict[str, tuple[str, Callable[[argparse.Namespace], str]]] = {
     ),
     "E3": (
         "scalability sweep over trees, layered DAGs and cliques",
-        lambda args: (
-            scalability.shard_main(
-                records_per_node=getattr(args, "shard_records", 3),
-                shards=getattr(args, "shards", 4),
-                sizes=_parse_sizes(getattr(args, "sizes", "127,511")),
-                engine=args.engine,
-                repeats=getattr(args, "repeats", 3),
-                hosts=_parse_hosts(getattr(args, "hosts", None)),
-                trace_path=getattr(args, "trace", None),
-                faults=_load_fault_plan(getattr(args, "faults", None)),
-            )
-            if getattr(args, "engine", "sync") in transport_names(partitioned=True)
-            else scalability.main(records_per_node=args.records)
-        ),
+        lambda args: scalability.main(records_per_node=args.records),
     ),
     "E4": (
         "execution time vs depth (linearity)",
@@ -136,6 +96,7 @@ _EXPERIMENTS: dict[str, tuple[str, Callable[[argparse.Namespace], str]]] = {
         lambda args: faults_experiment.main(
             records_per_node=getattr(args, "shard_records", 3),
             plan_path=getattr(args, "faults", None),
+            trace_path=getattr(args, "trace", None),
         ),
     ),
     "E12": (
@@ -178,57 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="number of trace rows to print for E2 (default 40)",
     )
     run_parser.add_argument(
-        "--engine",
-        choices=("sync", *transport_names(partitioned=True)),
-        default="sync",
-        help=(
-            "execution engine for E3: 'multiproc' runs the large "
-            "sync-vs-multiproc sweep (one process per shard) instead of the "
-            "paper-sized one; 'pooled' adds the repeat-run comparison against "
-            "a persistent worker pool; 'socket' compares against the TCP "
-            "shard-host engine (see --hosts) (default sync)"
-        ),
-    )
-    run_parser.add_argument(
-        "--hosts",
-        default=None,
-        help=(
-            "comma-separated HOST:PORT shard-host addresses for --engine "
-            "socket (each a running 'python -m repro.shardhost'); omitted, "
-            "localhost hosts are auto-spawned"
-        ),
-    )
-    run_parser.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help=(
-            "update runs per engine for --engine pooled: the cold multiproc "
-            "engine pays spawn/ship on each, the warm pool only on the first "
-            "(default 3)"
-        ),
-    )
-    run_parser.add_argument(
-        "--shards",
-        type=int,
-        default=4,
-        help="shard count for --engine multiproc/pooled/socket (default 4)",
-    )
-    run_parser.add_argument(
-        "--sizes",
-        default="127,511",
-        help=(
-            "comma-separated node counts for --engine multiproc/pooled/socket "
-            "(default 127,511)"
-        ),
-    )
-    run_parser.add_argument(
         "--shard-records",
         dest="shard_records",
         type=int,
         default=3,
-        help="records per node for the engine sweep (default 3; the sweep "
-        "runs hundreds of nodes, so it stays small independently of --records)",
+        help="records per node for E11 and E12 (default 3)",
     )
 
     run_parser.add_argument(
@@ -248,10 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help=(
-            "a fault-plan JSON file (the format of FaultPlan.dump_json) to "
-            "inject during the run; valid with E11 (replayed against the "
-            "multiproc, pooled and socket engines) and with the E3 engine "
-            "sweep under --engine multiproc/pooled/socket"
+            "E11 only: a fault-plan JSON file (the format of "
+            "FaultPlan.dump_json) replayed against the multiproc, pooled and "
+            "socket engines instead of the built-in matrix"
         ),
     )
     run_parser.add_argument(
@@ -259,9 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help=(
-            "write a Chrome trace-event JSON timeline of the E3 engine sweep "
-            "to PATH (open it at https://ui.perfetto.dev); only valid with "
-            "E3 and --engine multiproc/pooled/socket"
+            "E11 only: write a Chrome trace-event JSON timeline of every "
+            "faulted session to PATH (open it at https://ui.perfetto.dev)"
         ),
     )
     run_parser.add_argument(
@@ -428,51 +341,11 @@ def main(argv: list[str] | None = None) -> int:
             cut_threshold=args.cut_threshold,
         )
     if args.command == "run":
-        if args.engine != "sync" and args.experiment != "E3":
+        if (args.faults or args.trace) and args.experiment != "E11":
+            # Silently running fault-free or untraced while the user named a
+            # plan or a trace file would be the worst outcome; fail loudly.
             print(
-                f"note: --engine {args.engine} selects the E3 engine sweep; "
-                f"{args.experiment} runs its usual configuration"
-            )
-        if getattr(args, "hosts", None) and (
-            args.engine != "socket" or args.experiment != "E3"
-        ):
-            # Silently running on the local box while the user named a fleet
-            # would be the worst outcome; fail loudly instead.  Only the E3
-            # engine sweep consumes hosts.
-            print(
-                "error: --hosts applies only to the E3 socket sweep "
-                f"(run E3 --engine socket); got {args.experiment} with "
-                f"--engine {args.engine}",
-                file=sys.stderr,
-            )
-            return 2
-        if getattr(args, "faults", None) and not (
-            args.experiment == "E11"
-            or (
-                args.experiment == "E3"
-                and args.engine in transport_names(partitioned=True)
-            )
-        ):
-            # Same loud-failure policy as --hosts: silently running
-            # fault-free while the user named a fault plan would be the
-            # worst outcome.
-            print(
-                "error: --faults applies only to E11 or the E3 engine sweep "
-                f"(run E3 --engine {'/'.join(transport_names(partitioned=True))}); "
-                f"got {args.experiment} with --engine {args.engine}",
-                file=sys.stderr,
-            )
-            return 2
-        if getattr(args, "trace", None) and (
-            args.experiment != "E3"
-            or args.engine not in transport_names(partitioned=True)
-        ):
-            # Same loud-failure policy as --hosts: only the E3 engine sweep
-            # is instrumented to write a trace file.
-            print(
-                "error: --trace applies only to the E3 engine sweep "
-                f"(run E3 --engine {'/'.join(transport_names(partitioned=True))}); "
-                f"got {args.experiment} with --engine {args.engine}",
+                f"error: --faults and --trace apply only to E11; got {args.experiment}",
                 file=sys.stderr,
             )
             return 2

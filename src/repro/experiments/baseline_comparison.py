@@ -180,6 +180,3 @@ def main() -> str:
     print(table)
     return table
 
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

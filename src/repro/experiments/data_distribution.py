@@ -141,6 +141,3 @@ def main(records_per_node: int = 40) -> str:
     print(table)
     return table
 
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -106,6 +106,3 @@ def main(records_per_node: int = 20) -> str:
     print(table)
     return table
 
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

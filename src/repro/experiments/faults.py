@@ -17,18 +17,22 @@ converge to the union state.
 
 ``python -m repro run E11`` runs the built-in matrix;
 ``python -m repro run E11 --faults plan.json`` replays a plan of your own
-against the multiproc, pooled and socket engines instead.
+against the multiproc, pooled and socket engines instead.  ``--trace
+out.json`` records every faulted session into one Chrome trace-event
+timeline, worker spans included.  The run fails when any row is not ``ok``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.api.engine import transport_names
 from repro.api.session import Session
 from repro.api.spec import ScenarioSpec
 from repro.errors import NetworkError, ReproError
 from repro.faults import FaultPlan, FaultSpec, reconcile
+from repro.obs import Tracer
 from repro.stats.report import format_table
 from repro.workloads.topologies import tree_topology
 
@@ -73,13 +77,14 @@ def _run_plan(
     transport: str,
     plan: FaultPlan,
     expect: str = "converged",
+    tracer: Tracer | None = None,
 ) -> FaultRunRow:
     """Run one faulted session and grade it against the sync baseline."""
     spec = scenario.with_(transport=transport, shards=2, faults=plan)
     outcome = "converged"
     parity = False
     detected = cold = retries = 0
-    with Session.from_spec(spec) as session:
+    with Session.from_spec(spec, tracer=tracer) as session:
         try:
             session.run("discovery")
             session.update()
@@ -152,6 +157,7 @@ def run_fault_matrix(
     records_per_node: int = 3,
     seed: int = 0,
     plan_path: str | None = None,
+    tracer: Tracer | None = None,
 ) -> list[FaultRunRow]:
     """Run the chaos matrix (or a user-supplied plan) and grade every row.
 
@@ -161,13 +167,13 @@ def run_fault_matrix(
     hanging; dropped and delayed frames leave the fix-point bit-identical; a
     partition heals under retry-with-backoff; a permanent partition raises
     :class:`~repro.errors.PartitionError`; diverged replicas reconcile from
-    their change logs.
+    their change logs.  ``tracer`` is shared by every faulted session.
     """
     topology = tree_topology(2, 2)
     scenario = ScenarioSpec.from_topology(
         topology, records_per_node=records_per_node, seed=seed
     )
-    baseline = _baseline(scenario)
+    run = partial(_run_plan, scenario, _baseline(scenario), tracer=tracer)
 
     if plan_path is not None:
         plan = FaultPlan.load_json(plan_path)
@@ -175,9 +181,7 @@ def run_fault_matrix(
         for transport in transport_names(partitioned=True):
             try:
                 rows.append(
-                    _run_plan(
-                        scenario,
-                        baseline,
+                    run(
                         label=f"user plan on {transport}",
                         transport=transport,
                         plan=plan,
@@ -201,9 +205,7 @@ def run_fault_matrix(
         return rows
 
     rows = [
-        _run_plan(
-            scenario,
-            baseline,
+        run(
             label="kill worker, recovery budget 1",
             transport="pooled",
             plan=FaultPlan(
@@ -214,9 +216,7 @@ def run_fault_matrix(
                 ],
             ),
         ),
-        _run_plan(
-            scenario,
-            baseline,
+        run(
             label="kill worker, no recovery",
             transport="multiproc",
             plan=FaultPlan(
@@ -227,9 +227,7 @@ def run_fault_matrix(
             ),
             expect="raised",
         ),
-        _run_plan(
-            scenario,
-            baseline,
+        run(
             label="drop + delay cross-shard frames",
             transport="multiproc",
             plan=FaultPlan(
@@ -240,9 +238,7 @@ def run_fault_matrix(
                 ],
             ),
         ),
-        _run_plan(
-            scenario,
-            baseline,
+        run(
             label="partition, heals under backoff",
             transport="socket",
             plan=FaultPlan(
@@ -259,9 +255,7 @@ def run_fault_matrix(
                 ],
             ),
         ),
-        _run_plan(
-            scenario,
-            baseline,
+        run(
             label="permanent partition, no recovery",
             transport="socket",
             plan=FaultPlan(
@@ -287,10 +281,20 @@ def main(
     records_per_node: int = 3,
     seed: int = 0,
     plan_path: str | None = None,
+    trace_path: str | None = None,
 ) -> str:
-    """Print the fault-injection matrix table."""
+    """Print the fault-injection matrix table; raise if any row is not ok.
+
+    ``trace_path`` (the CLI's ``--trace out.json``) traces every faulted
+    session into one timeline, writes it as Chrome trace-event JSON (open it
+    at https://ui.perfetto.dev) and appends the per-phase summary table.
+    """
+    tracer = Tracer(process="coordinator") if trace_path else None
     rows = run_fault_matrix(
-        records_per_node=records_per_node, seed=seed, plan_path=plan_path
+        records_per_node=records_per_node,
+        seed=seed,
+        plan_path=plan_path,
+        tracer=tracer,
     )
     table = format_table(
         [
@@ -322,8 +326,21 @@ def main(
         ),
     )
     print(table)
+    if tracer is not None and trace_path is not None:
+        from repro.obs.export import (
+            chrome_trace_summary,
+            format_trace_summary,
+            trace_to_chrome,
+            write_chrome_trace,
+        )
+
+        trace = tracer.trace()
+        written = write_chrome_trace(trace, trace_path)
+        summary = format_trace_summary(chrome_trace_summary(trace_to_chrome(trace)))
+        print(f"\ntrace written to {written} (open at https://ui.perfetto.dev)")
+        print(summary)
+        table = table + "\n" + summary
+    failed = [row.label for row in rows if not row.ok]
+    if failed:
+        raise ReproError(f"E11 scenario(s) not ok: {', '.join(failed)}")
     return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

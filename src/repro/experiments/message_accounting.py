@@ -103,6 +103,3 @@ def main(clique_size: int = 5, records_per_node: int = 20) -> str:
     print(table)
     return table
 
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

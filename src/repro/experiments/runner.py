@@ -7,14 +7,13 @@ run the paper's distributed algorithm through the unified
 :class:`repro.api.Session` façade; the reference strategies are compared in
 E9 (:mod:`repro.experiments.baseline_comparison`).  The returned
 :class:`UpdateRunResult` carries exactly the quantities the paper's
-statistics module accumulated: execution time (simulated and wall-clock),
-message counts by phase and type, data volumes, per-node counters, and the
+statistics module accumulated: simulated execution time, message
+counts by phase and type, data volumes, per-node counters, and the
 fix-point indicators.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro.api.session import Session
@@ -48,7 +47,6 @@ class UpdateRunResult:
     tuples_inserted: int
     all_closed: bool
     fixpoint_reached: bool
-    wall_seconds: float
     per_node: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def as_row(self) -> list[object]:
@@ -91,7 +89,6 @@ def run_system_update(
     check_fixpoint: bool = True,
 ) -> UpdateRunResult:
     """Run discovery (optionally) and the paper's update on an assembled system."""
-    started = time.perf_counter()
     session = Session(system)
 
     discovery_time = 0.0
@@ -125,7 +122,6 @@ def run_system_update(
         tuples_inserted=snapshot.total_tuples_inserted,
         all_closed=all_nodes_closed(system),
         fixpoint_reached=satisfies_all_rules(system) if check_fixpoint else True,
-        wall_seconds=time.perf_counter() - started,
         per_node=_per_node_counters(snapshot),
     )
 

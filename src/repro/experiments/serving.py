@@ -272,6 +272,3 @@ def main(
     print(table)
     return table
 
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -97,6 +97,3 @@ def main(limit: int = 40) -> str:
     print(table)
     return table
 
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

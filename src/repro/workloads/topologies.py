@@ -105,21 +105,16 @@ def star_topology(leaves: int) -> TopologySpec:
     return TopologySpec("star", (hub, *leaf_nodes), edges, 1)
 
 
-def layered_topology(
-    depth: int, width: int = 2, seed: int = 0, max_imports: int | None = None
-) -> TopologySpec:
+def layered_topology(depth: int, width: int = 2, seed: int = 0) -> TopologySpec:
     """A layered acyclic graph: ``depth + 1`` layers of ``width`` nodes.
 
     Every node of layer *k* imports from a random non-empty subset of layer
     *k+1* (deterministic in ``seed``), so data flows from the deepest layer to
-    layer 0.  ``max_imports`` caps each node's fan-in; without it a node may
-    import from the whole next layer, which is faithful to the paper's small
-    graphs but quadratic in ``width`` — the large scalability sweeps cap it.
+    layer 0.  A node may import from the whole next layer, as in the paper's
+    small graphs, so the edge count is quadratic in ``width``.
     """
     if depth < 0 or width < 1:
         raise ReproError("layered topology needs depth >= 0 and width >= 1")
-    if max_imports is not None and max_imports < 1:
-        raise ReproError("max_imports must be at least 1")
     rng = random.Random(seed)
     layers: list[list[NodeId]] = []
     index = 0
@@ -130,9 +125,8 @@ def layered_topology(
     nodes = tuple(node for layer in layers for node in layer)
     edges: list[ImportEdge] = []
     for upper, lower in zip(layers, layers[1:]):
-        bound = len(lower) if max_imports is None else min(max_imports, len(lower))
         for importer in upper:
-            count = rng.randint(1, bound)
+            count = rng.randint(1, len(lower))
             for exporter in rng.sample(lower, count):
                 edges.append((importer, exporter))
     return TopologySpec("layered", nodes, tuple(edges), depth)

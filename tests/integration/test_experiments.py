@@ -11,7 +11,7 @@ from repro.experiments.message_accounting import run_message_accounting
 from repro.experiments.paper_example import main as paper_example_main
 from repro.experiments.paper_example import run_paper_example
 from repro.experiments.runner import run_dblp_update
-from repro.experiments.scalability import run_scalability, run_shard_scalability
+from repro.experiments.scalability import run_scalability
 from repro.experiments.trace_example import run_trace_example
 from repro.workloads.topologies import clique_topology, layered_topology, tree_topology
 
@@ -99,42 +99,6 @@ class TestE3Scalability:
         _, result = run_dblp_update(spec, records_per_node=5)
         assert result.node_count == nodes
         assert result.all_closed
-
-
-class TestE3ShardSweep:
-    def test_sync_and_multiproc_agree_at_reduced_scale(self):
-        comparisons = run_shard_scalability(
-            sizes=(15,), shards=2, records_per_node=3
-        )
-        assert len(comparisons) == 2  # one tree + one layered DAG
-        for comparison in comparisons:
-            assert comparison.engine == "multiproc"
-            assert comparison.parity
-            assert comparison.shards == 2
-            assert comparison.engine_messages > 0
-            assert sum(comparison.messages_by_shard.values()) == (
-                comparison.engine_messages
-            )
-            assert 0.0 <= comparison.cut_ratio <= 1.0
-            assert comparison.pooled_warm_wall is None
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("size", [127, 511])
-    def test_most_traffic_stays_inside_a_shard_at_scale(self, size):
-        for comparison in run_shard_scalability(
-            sizes=(size,), shards=4, records_per_node=3
-        ):
-            assert comparison.parity
-            assert comparison.cross_shard_messages > 0
-            assert comparison.cut_ratio < 0.5  # the planner keeps most traffic local
-
-    @pytest.mark.slow
-    def test_warm_pool_matches_sync_at_127_nodes(self):
-        for comparison in run_shard_scalability(
-            sizes=(127,), shards=4, records_per_node=3, engine="pooled", repeats=3
-        ):
-            assert comparison.parity
-            assert comparison.pooled_parity
 
 
 class TestE4DepthLinearity:

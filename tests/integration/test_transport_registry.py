@@ -15,7 +15,6 @@ import pytest
 
 from repro.api import ScenarioSpec, Session
 from repro.api.engine import engine_for, transport_kinds, transport_names
-from repro.cli import build_parser
 from repro.errors import NetworkError, ReproError
 from repro.faults import FaultPlan, FaultSpec
 from repro.sharding import ProcessTransport
@@ -148,14 +147,6 @@ def test_unknown_transport_name_lists_the_registered_ones():
         paper_spec("carrier-pigeon").build_system()
     for name in transport_names():
         assert name in str(excinfo.value)
-
-
-def test_cli_engine_choices_come_from_the_registry():
-    run_parser = build_parser()._subparsers._group_actions[0].choices["run"]
-    engine_flag = next(
-        action for action in run_parser._actions if "--engine" in action.option_strings
-    )
-    assert tuple(engine_flag.choices) == ("sync", *transport_names(partitioned=True))
 
 
 def test_the_registry_is_sync_plus_the_process_engines():

@@ -1,9 +1,21 @@
 """Unit tests for the command-line interface."""
 
+import json
+
 import pytest
 
-from repro.cli import _parse_hosts, _parse_sizes, build_parser, list_experiments, main
-from repro.errors import ReproError
+from repro.cli import build_parser, list_experiments, main
+from repro.faults import FaultPlan, FaultSpec
+
+
+def _kill_plan(path, *, max_cold_reruns):
+    """A plan file that kills a worker mid-chase on the first run."""
+    FaultPlan(
+        seed=1,
+        max_cold_reruns=max_cold_reruns,
+        faults=[FaultSpec(kind="kill_worker", phase="chase", run_index=1)],
+    ).dump_json(path)
+    return str(path)
 
 
 class TestParser:
@@ -28,47 +40,6 @@ class TestParser:
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
-
-    def test_engine_and_shard_flags(self):
-        args = build_parser().parse_args(
-            ["run", "E3", "--engine", "multiproc", "--shards", "8", "--sizes", "63"]
-        )
-        assert args.engine == "multiproc"
-        assert args.shards == 8
-        assert args.sizes == "63"
-        assert args.shard_records == 3
-
-    def test_engine_defaults_to_sync(self):
-        args = build_parser().parse_args(["run", "E3"])
-        assert args.engine == "sync"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "E3", "--engine", "warp"])
-
-    def test_parse_sizes(self):
-        assert _parse_sizes("127,511") == (127, 511)
-        assert _parse_sizes("63") == (63,)
-        with pytest.raises(ReproError):
-            _parse_sizes("63,oops")
-        with pytest.raises(ReproError):
-            _parse_sizes("")
-
-    def test_socket_engine_and_hosts_flags(self):
-        args = build_parser().parse_args(
-            ["run", "E3", "--engine", "socket", "--hosts", "h1:9101, h2:9102"]
-        )
-        assert args.engine == "socket"
-        assert _parse_hosts(args.hosts) == ("h1:9101", "h2:9102")
-
-    def test_hosts_default_to_auto_spawn(self):
-        args = build_parser().parse_args(["run", "E3", "--engine", "socket"])
-        assert args.hosts is None
-        assert _parse_hosts(args.hosts) is None
-
-    def test_empty_hosts_rejected(self):
-        with pytest.raises(ReproError):
-            _parse_hosts(" , ")
 
     def test_shardhost_parser_binds_and_bounds(self):
         from repro.shardhost import build_parser as build_host_parser
@@ -122,41 +93,48 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "request_nodes" in out
 
-    def test_hosts_with_a_non_socket_engine_fails_loudly(self, capsys):
-        # Silently sweeping the local box while the user named a fleet would
-        # be the worst outcome, so this is an error, not a note.
-        assert (
-            main(["run", "E3", "--engine", "pooled", "--hosts", "h1:9101"]) == 2
-        )
-        assert "--hosts applies only" in capsys.readouterr().err
+    def test_e11_fails_when_a_row_is_not_ok(self, tmp_path, capsys):
+        # Without a recovery budget the killed worker's run raises, so the
+        # user-plan rows lose parity and the command must say so.
+        plan = _kill_plan(tmp_path / "plan.json", max_cold_reruns=0)
+        assert main(["run", "E11", "--faults", plan]) == 1
+        captured = capsys.readouterr()
+        assert "E11 —" in captured.out
+        assert "not ok: user plan on" in captured.err
 
-    def test_hosts_outside_the_e3_sweep_fails_loudly(self, capsys):
-        # Only E3's engine sweep consumes hosts; every other experiment
-        # would silently run on the local box.
-        assert (
-            main(["run", "E1", "--engine", "socket", "--hosts", "h1:9101"]) == 2
-        )
-        assert "--hosts applies only" in capsys.readouterr().err
+    def test_e11_writes_a_valid_trace_of_every_engine(self, tmp_path, capsys):
+        plan = _kill_plan(tmp_path / "plan.json", max_cold_reruns=1)
+        trace = str(tmp_path / "out.json")
+        assert main(["run", "E11", "--faults", plan, "--trace", trace]) == 0
+        assert main(["trace", "validate", trace]) == 0
+        with open(trace, encoding="utf-8") as handle:
+            events = json.load(handle)["traceEvents"]
+        tracks = {
+            event["args"]["name"] for event in events if event["ph"] == "M"
+        }
+        assert "coordinator" in tracks
+        assert any(track.startswith("shard-") for track in tracks)
 
-    def test_main_runs_the_multiproc_sweep(self, capsys):
-        assert (
-            main(
-                [
-                    "run",
-                    "E3",
-                    "--engine",
-                    "multiproc",
-                    "--shards",
-                    "2",
-                    "--sizes",
-                    "7",
-                    "--shard-records",
-                    "2",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "sync vs multiproc" in out
-        assert "multiproc wall s" in out
-        assert "cross-shard" in out
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "E3", "--trace", "x.json"], ["run", "E1", "--faults", "plan.json"]],
+    )
+    def test_faults_and_trace_outside_e11_fail_loudly(self, argv, capsys):
+        assert main(argv) == 2
+        assert "apply only to E11" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--engine", "multiproc"),
+            ("--hosts", "h1:9101"),
+            ("--repeats", "3"),
+            ("--shards", "4"),
+            ("--sizes", "127"),
+        ],
+    )
+    def test_the_removed_sweep_flags_are_unrecognized(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "E3", flag, value])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
