@@ -41,6 +41,7 @@ def start_phase(
 ) -> list[NodeId]:
     """Kick off ``phase`` at its origin nodes and return the origins used.
 
+    The ``sync`` engine and every shard worker start a phase here.
     Discovery defaults to the super-peer initiating, as in the paper; the
     update defaults to every node (the super-peer's global update request).
     """

@@ -22,7 +22,7 @@ from repro.api.spec import ScenarioSpec
 from repro.baselines.centralized import centralized_update
 from repro.core.dynamics import (
     NetworkChange,
-    apply_change_operation,
+    apply_change_interleaved,
     is_separated_under_change,
 )
 from repro.core.fixpoint import ground_part
@@ -101,13 +101,7 @@ def run_separation(
     # Start the update only inside component A, then interleave B's churn.
     for node_id in spec_a.nodes:
         system.node(node_id).update.start()
-    operations = list(churn)
-    for operation in operations:
-        for _ in range(3):
-            if system.transport.step() is None:  # type: ignore[attr-defined]
-                break
-        apply_change_operation(system, operation)
-    system.transport.run()  # type: ignore[attr-defined]
+    apply_change_interleaved(system, churn, steps_between=3)
 
     a_closed = all(system.node(node).is_update_closed for node in spec_a.nodes)
 
@@ -129,7 +123,7 @@ def run_separation(
     return SeparationResult(
         component_a_nodes=spec_a.node_count,
         component_b_nodes=spec_b.node_count,
-        churn_operations=len(operations),
+        churn_operations=len(churn),
         separated=separated,
         a_terminated=a_closed,
         a_matches_isolated_run=matches,

@@ -123,7 +123,8 @@ class BaseTransport:
 
 
 class SyncTransport(BaseTransport):
-    """Deterministic discrete-event transport with a virtual clock."""
+    """Deterministic discrete-event transport with a virtual clock: the
+    ``sync`` engine's, and every shard worker's (:mod:`repro.sharding.worker`)."""
 
     kind = "sync"
 
@@ -138,6 +139,8 @@ class SyncTransport(BaseTransport):
         self.clock = 0.0
         self.max_messages = max_messages
         self.delivered_count = 0
+        #: The ``delivered_count`` at which the current run's budget is spent.
+        self._allowed = max_messages
         self._sent = 0
 
     def send(self, message: Message) -> None:
@@ -146,9 +149,13 @@ class SyncTransport(BaseTransport):
             raise UnknownPeerError(
                 f"cannot send {message}: recipient is not registered"
             )
+        self._push(self.clock + self.latency.delay_for(message, self._sent), message)
+
+    def _push(self, delivery_time: float, message: Message) -> None:
+        """Queue ``message``; its push index (the latency index of a send)
+        breaks ties, since messages are not orderable."""
         index = self._sent
         self._sent = index + 1
-        delivery_time = self.clock + self.latency.delay_for(message, index)
         heapq.heappush(self._queue, (delivery_time, index, message))
 
     @property
@@ -156,34 +163,52 @@ class SyncTransport(BaseTransport):
         """Number of messages queued but not yet delivered."""
         return len(self._queue)
 
+    def drain(self, limit: int | None = None) -> None:
+        """Deliver queued messages in (time, index) order; handlers may queue more.
+
+        ``limit`` caps how many this call delivers; without it the queue is
+        drained to quiescence.  Raises :class:`NetworkError` when the current
+        run would deliver more than ``max_messages``, which indicates a
+        non-terminating protocol (cf. Theorem 2(3)).
+        """
+        queue = self._queue
+        allowed = self._allowed
+        stop = allowed if limit is None else min(allowed, self.delivered_count + limit)
+        while queue:
+            if self.delivered_count >= stop:
+                if stop < allowed:
+                    return
+                raise NetworkError(
+                    f"exceeded {self.max_messages} deliveries in one run; "
+                    "the protocol does not appear to terminate"
+                )
+            delivery_time, _index, message = heapq.heappop(queue)
+            self.clock = max(self.clock, delivery_time)
+            self.delivered_count += 1
+            self._deliver(message, self.clock)
+
     def run(self) -> float:
-        """Deliver messages until the network is quiescent.
+        """Open a run's budget and deliver messages until the network is quiescent.
 
         Returns the virtual-clock time of the last delivery — the simulated
         execution time of whatever protocol phase was running.  Raises
-        :class:`NetworkError` if more than ``max_messages`` deliveries happen,
-        which indicates a non-terminating protocol (cf. Theorem 2(3)).
+        :class:`NetworkError` if this run would deliver more than
+        ``max_messages`` (see :meth:`drain`).
         """
         started = time.perf_counter()
-        while self._queue:
-            delivery_time, _index, message = heapq.heappop(self._queue)
-            self.clock = max(self.clock, delivery_time)
-            self.delivered_count += 1
-            if self.delivered_count > self.max_messages:
-                raise NetworkError(
-                    f"exceeded {self.max_messages} deliveries; "
-                    "the protocol does not appear to terminate"
-                )
-            self._deliver(message, self.clock)
+        self._allowed = self.delivered_count + self.max_messages
+        self.drain()
         self.stats.elapsed_wall_seconds += time.perf_counter() - started
         return self.clock
 
     def step(self) -> Message | None:
-        """Deliver exactly one message (or return None when quiescent)."""
+        """Deliver exactly one message (or return None when quiescent).
+
+        The delivery counts against the budget the latest :meth:`run` opened
+        (the constructor opens the first), so a stepped runaway fails too.
+        """
         if not self._queue:
             return None
-        delivery_time, _index, message = heapq.heappop(self._queue)
-        self.clock = max(self.clock, delivery_time)
-        self.delivered_count += 1
-        self._deliver(message, self.clock)
+        message = self._queue[0][2]
+        self.drain(1)
         return message

@@ -38,6 +38,7 @@ from collections import Counter
 from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+from repro.api.engine import PHASES, finalize_phase
 from repro.coordination.rule import NodeId
 from repro.errors import NetworkError, ReproError
 from repro.faults.injector import injector_of
@@ -291,10 +292,8 @@ class ProcessEngine:
     def run(
         self, system, phase: str, origins: Iterable[NodeId] | None = None
     ) -> tuple[float, StatsSnapshot]:
-        if phase not in ("discovery", "update"):
-            raise ReproError(
-                f"unknown phase {phase!r}; expected 'discovery' or 'update'"
-            )
+        if phase not in PHASES:
+            raise ReproError(f"unknown phase {phase!r}; expected one of {PHASES}")
         transport = system.transport
         if not isinstance(transport, ProcessTransport) or transport.kind != self.kind:
             raise ReproError(
@@ -338,9 +337,7 @@ class ProcessEngine:
         wall = time.perf_counter() - started
         try:
             completion = self._merge(system, transport, payloads, wall)
-            if phase == "discovery":  # paths follow from the merged edges
-                for node in system.nodes.values():
-                    node.discovery.finalize_paths()
+            finalize_phase(system, phase)  # paths follow from the merged edges
             if self._pool is not None:
                 self._pool.note_merged(system)
         except BaseException:
@@ -453,11 +450,6 @@ class ProcessEngine:
         delivered_by_shard: Counter[int] = Counter()
         for payload in payloads:
             delivered_by_shard[payload["shard"]] += payload["delivered"]
-        if sum(delivered_by_shard.values()) > transport.max_messages:
-            raise NetworkError(
-                f"exceeded {transport.max_messages} deliveries across shards; "
-                "the protocol does not appear to terminate"
-            )
         collector = system.stats
         tracer = tracer_of(system)
         merge_span = tracer.start_span("merge", shards=transport.shard_count)

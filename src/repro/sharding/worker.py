@@ -9,11 +9,12 @@ and a distributed-quiescence barrier.  This module is everything that runs
 * :class:`ShardWorld` is the picklable payload a worker rebuilds its shard
   from (schemas, rules, its data slice); :func:`_worlds_from_system` slices a
   live coordinator system into one world per shard.
-* ``_WorkerTransport`` is the in-worker transport: a discrete-event queue for
-  intra-shard traffic plus outboxes for messages whose recipient lives in
-  another shard.  Cross-shard messages are stamped ``sender shard clock +
-  latency`` by the sender and advance the receiving shard's clock on
-  delivery.
+* ``_WorkerTransport`` is the in-worker transport: the simulator's
+  :class:`~repro.network.transport.SyncTransport` (queue, virtual clock,
+  latency index, the per-run ``max_messages`` bound, the ``drain`` loop)
+  plus outboxes for messages whose recipient lives in another shard.
+  Cross-shard messages are stamped ``sender shard clock + latency`` by the
+  sender and advance the receiving shard's clock on delivery.
 * :func:`shard_worker_loop` is the one persistent command loop (``start`` /
   ``msg`` / ``stop``).  Each time the worker runs out of work it reports
   home unasked, and the report carries what the coordinator does not hold
@@ -34,7 +35,6 @@ so traffic ordering stays causally sane.
 
 from __future__ import annotations
 
-import heapq
 import queue as queue_module
 import time
 import traceback
@@ -42,13 +42,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping
 
+from repro.api.engine import start_phase
 from repro.coordination.changeset import Change, RelationMarks
 from repro.coordination.rule import CoordinationRule, NodeId
-from repro.errors import NetworkError, ReproError
+from repro.errors import NetworkError
 from repro.faults.injector import WorkerFrameInjector, injector_of
 from repro.network.latency import LatencyModel
 from repro.network.message import Message
-from repro.network.transport import BaseTransport
+from repro.network.transport import SyncTransport
 from repro.obs import NULL_TRACER, Tracer, tracer_of
 from repro.sharding.planner import ShardPlan
 from repro.stats.collector import StatisticsCollector
@@ -145,8 +146,8 @@ def _worlds_from_system(system: P2PSystem, plan: ShardPlan) -> list[ShardWorld]:
 # ------------------------------------------------------------ worker process
 
 
-class _WorkerTransport(BaseTransport):
-    """The in-worker transport: local event queue + cross-shard outboxes."""
+class _WorkerTransport(SyncTransport):
+    """The simulator's queue for owned recipients, outboxes for the rest."""
 
     def __init__(
         self,
@@ -157,65 +158,51 @@ class _WorkerTransport(BaseTransport):
         max_messages: int,
         clock_start: float = 0.0,
     ):
-        super().__init__(latency=latency, stats=StatisticsCollector())
+        super().__init__(latency, StatisticsCollector(), max_messages)
         self.shard_index = shard_index
         self.shard_of = dict(shard_of)
         self.outboxes = outboxes
-        self.max_messages = max_messages
         self.clock = clock_start
         #: The cross-shard ledger the quiescence barrier balances, kept over
         #: the worker's whole life: messages sent to each shard, received.
         self.cross_sent = [0] * len(outboxes)
         self.cross_received = 0
-        #: Deliveries over the worker's life; the current run fails once they
-        #: pass ``limit``, ``max_messages`` beyond where it started.
-        self.delivered = 0
-        self.limit = max_messages
         #: The latest ``start``'s run id, stamped on every cross-shard send.
-        self.run = 0
-        #: ``(delivered, cross_received)`` as of the last report.
+        self.run_id = 0
+        #: ``(delivered_count, cross_received)`` as of the last report.
         self.reported = (0, 0)
         #: The owned peers that ran since the last report: the recipients of
         #: deliveries and the origins a ``start`` kicked off or seeded.  Only
         #: their protocol state can have moved.
         self.ran: set[NodeId] = set()
-        self._queue: list[tuple[float, int, Message]] = []
         self._held: list[tuple[int, float, Message]] = []
-        self._tiebreak = 0
-        self._sent = 0
         #: Worker-side frame injector (set by the worker loop when the
         #: shipped world carries a fault plan); None keeps sends untouched.
         self.fault_injector: WorkerFrameInjector | None = None
 
-    def _push(self, deliver_at: float, message: Message) -> None:
-        # Local monotone tie-break: Message objects are not orderable, and
-        # sequence numbers from different processes can collide.
-        self._tiebreak += 1
-        heapq.heappush(self._queue, (deliver_at, self._tiebreak, message))
-
     def send(self, message: Message) -> None:
         """Queue locally for owned recipients, ship across the cut otherwise."""
-        if message.recipient not in self._handlers:
-            raise NetworkError(
-                f"cannot send {message}: recipient is not registered"
-            )
         target = self.shard_of.get(message.recipient)
+        if target == self.shard_index or message.recipient not in self._handlers:
+            super().send(message)
+            return
         if target is None:
             raise NetworkError(
                 f"cannot send {message}: recipient is outside the shard plan"
             )
         deliver_at = self.clock + self.latency.delay_for(message, self._sent)
         self._sent += 1
-        if target == self.shard_index:
-            self._push(deliver_at, message)
-        else:
-            if self.fault_injector is not None:
-                # Frame faults model drop-as-retransmit / delay: the frame
-                # still arrives exactly once (the cross-shard ledgers
-                # stays balanced) but pays extra simulated latency.
-                deliver_at += self.fault_injector.frame_fault()
-            self.outboxes[target].put(("msg", self.run, deliver_at, message))
-            self.cross_sent[target] += 1
+        if self.fault_injector is not None:
+            # Frame faults model drop-as-retransmit / delay: the frame
+            # still arrives exactly once (the cross-shard ledgers
+            # stays balanced) but pays extra simulated latency.
+            deliver_at += self.fault_injector.frame_fault()
+        self.outboxes[target].put(("msg", self.run_id, deliver_at, message))
+        self.cross_sent[target] += 1
+
+    def _deliver(self, message: Message, at_time: float) -> None:
+        self.ran.add(message.recipient)
+        super()._deliver(message, at_time)
 
     def receive_cross(self, run: int, deliver_at: float, message: Message) -> bool:
         """Accept one message from another shard's worker.
@@ -224,7 +211,7 @@ class _WorkerTransport(BaseTransport):
         held (False) until :meth:`start_run`: it must see the change that
         ``start`` brings.
         """
-        if run > self.run:
+        if run > self.run_id:
             self._held.append((run, deliver_at, message))
             return False
         self.cross_received += 1
@@ -232,45 +219,15 @@ class _WorkerTransport(BaseTransport):
         return True
 
     def start_run(self, run: int) -> None:
-        """Take run ``run``'s ``start``: stamp its sends, bound its
-        deliveries, and queue the messages held for it."""
-        self.run = run
-        self.limit = self.delivered + self.max_messages
+        """Take run ``run``'s ``start``: stamp its sends, open its budget of
+        ``max_messages`` deliveries, and queue the messages held for it."""
+        self.run_id = run
+        self._allowed = self.delivered_count + self.max_messages
         if self.fault_injector is not None:
             self.fault_injector.start_run()
         held, self._held = self._held, []
         for message in held:
             self.receive_cross(*message)
-
-    @property
-    def has_local_work(self) -> bool:
-        """True while local deliveries are queued."""
-        return bool(self._queue)
-
-    def drain(self, limit: int | None = None) -> None:
-        """Deliver queued local events (handlers may enqueue more).
-
-        ``limit`` bounds the batch so the worker loop can interleave inbox
-        polls (cross-shard arrivals, a ``stop``) with long local chains;
-        without it the drain runs to exhaustion (handlers may keep the queue
-        alive, so exhaustion is only reached via the ``max_messages`` bound
-        on divergent protocols).
-        """
-        remaining = limit
-        while self._queue and (remaining is None or remaining > 0):
-            if remaining is not None:
-                remaining -= 1
-            deliver_at, _tiebreak, message = heapq.heappop(self._queue)
-            self.clock = max(self.clock, deliver_at)
-            self.delivered += 1
-            self.ran.add(message.recipient)
-            if self.delivered > self.limit:
-                raise NetworkError(
-                    f"shard {self.shard_index} exceeded {self.max_messages} "
-                    "deliveries in one run; the protocol does not appear to "
-                    "terminate"
-                )
-            self._deliver(message, self.clock)
 
     def ledger(self) -> tuple[tuple[int, ...], int]:
         """``(sent per shard, received)``: what the quiescence barrier balances."""
@@ -301,18 +258,6 @@ def _owned_origins(
     return tuple(origin for origin in origins if origin in owned)
 
 
-def _start_worker_phase(
-    system: P2PSystem, phase: str, origins: Iterable[NodeId]
-) -> None:
-    for origin in origins:
-        if phase == "discovery":
-            system.node(origin).discovery.start()
-        elif phase == "update":
-            system.node(origin).update.start()
-        else:  # pragma: no cover - the engine validates the phase
-            raise ReproError(f"unknown phase {phase!r}")
-
-
 def _report(
     system: P2PSystem,
     world: ShardWorld,
@@ -341,7 +286,7 @@ def _report(
         state = {"closed": node.is_update_closed, "edges": set(node.state.edges)}
         if shipped_state.get(node_id) != state:
             shipped_state[node_id] = node_state[node_id] = state
-    delivered, received = transport.delivered, transport.cross_received
+    delivered, received = transport.delivered_count, transport.cross_received
     payload = {
         "shard": world.shard_index,
         "change": change,
@@ -367,7 +312,7 @@ def _report(
         payload["chase_profile"] = vars(chase).copy()
         for name, value in vars(chase).items():
             setattr(chase, name, type(value)())
-    return ("report", world.shard_index, transport.run, transport.ledger(), payload)
+    return ("report", world.shard_index, transport.run_id, transport.ledger(), payload)
 
 
 def _remark(system: P2PSystem, marks: RelationMarks, change: Change) -> None:
@@ -463,10 +408,10 @@ def shard_worker_loop(world: ShardWorld, outboxes: list, results) -> None:
         # idle report once its local queue and its inbox are both empty.
         report_due = False
         while True:
-            if transport.has_local_work:
+            if transport.pending:
                 if chase_span is None and tracer.enabled:
                     chase_span = tracer.start_span("chase", shard=world.shard_index)
-                    delivered_mark = transport.delivered
+                    delivered_mark = transport.delivered_count
                 try:
                     item = inbox.get_nowait()
                 except queue_module.Empty:
@@ -475,7 +420,7 @@ def shard_worker_loop(world: ShardWorld, outboxes: list, results) -> None:
             else:
                 if chase_span is not None:
                     tracer.end_span(
-                        chase_span, delivered=transport.delivered - delivered_mark
+                        chase_span, delivered=transport.delivered_count - delivered_mark
                     )
                     chase_span = None
                 if report_due and inbox.empty():
@@ -500,11 +445,11 @@ def shard_worker_loop(world: ShardWorld, outboxes: list, results) -> None:
                     if mode == "incremental" and changes.rows_only:
                         started = system.seed_update_delta(changes, nodes=started)
                     else:
-                        _start_worker_phase(system, phase, started)
+                        start_phase(system, phase, started)
                 else:
                     # Discovery runs neither consume nor stale the pending
                     # delta; it still belongs to the next update start.
-                    _start_worker_phase(system, phase, started)
+                    start_phase(system, phase, started)
                 transport.ran.update(started)
                 report_due = True
             elif kind == "stop":

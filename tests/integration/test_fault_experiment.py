@@ -1,6 +1,7 @@
 """Integration tests of the fault-injection experiment (E11) at its real scale."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,10 @@ from repro.experiments.faults import run_fault_matrix
 from repro.faults import FaultPlan, FaultSpec
 from repro.obs import Tracer
 from repro.obs.export import trace_to_chrome, validate_chrome_trace
+
+#: ``python -m repro run E11`` output, regenerated only for a change meant
+#: to move its table.
+GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "E11.txt"
 
 
 def _kill_plan(path, *, max_cold_reruns):
@@ -49,6 +54,16 @@ class TestBuiltInMatrix:
         assert row.outcome == "converged"
         assert row.detected == 1
         assert row.cold_reruns == 1
+
+    def test_the_table_matches_the_golden(self, matrix, monkeypatch, capsys):
+        # The matrix is seeded, so its table prints byte for byte; main()
+        # prints the fixture's rows rather than running the matrix again.
+        monkeypatch.setattr(
+            "repro.experiments.faults.run_fault_matrix",
+            lambda **_: list(matrix.values()),
+        )
+        faults_main()
+        assert capsys.readouterr().out == GOLDEN.read_text(encoding="utf-8")
 
     def test_a_kill_without_recovery_raises_instead_of_hanging(self, matrix):
         row = matrix["kill worker, no recovery"]

@@ -78,7 +78,7 @@ class ModelWorker:
 
     @property
     def passive(self):
-        return not self.transport.has_local_work and not self.inbox
+        return not self.transport.pending and not self.inbox
 
     def take(self):
         """Process the next inbox item, as ``shard_worker_loop`` does."""
@@ -102,11 +102,11 @@ class ModelWorker:
         """Report unasked once passive, with this worker's latest run."""
         if self.report_due and self.passive:
             transport = self.transport
-            delivered = transport.delivered - transport.reported[0]
-            transport.reported = (transport.delivered, transport.cross_received)
+            delivered = transport.delivered_count - transport.reported[0]
+            transport.reported = (transport.delivered_count, transport.cross_received)
             payload = {"shard": self.shard, "delivered": delivered}
             self.network.reports[self.shard].append(
-                ("report", self.shard, transport.run, transport.ledger(), payload)
+                ("report", self.shard, transport.run_id, transport.ledger(), payload)
             )
             self.report_due = False
 
@@ -133,7 +133,7 @@ class ModelNetwork:
         for worker in self.workers:
             if worker.inbox:
                 events.append(("take", worker.shard))
-            if worker.transport.has_local_work:
+            if worker.transport.pending:
                 events.append(("deliver", worker.shard))
             if self.reports[worker.shard]:
                 events.append(("report", worker.shard))
@@ -158,12 +158,12 @@ class ModelNetwork:
                 worker.maybe_report()
 
     def delivered(self):
-        return sum(worker.transport.delivered for worker in self.workers)
+        return sum(worker.transport.delivered_count for worker in self.workers)
 
     def check_terminated(self, run):
         assert not self.transit, "certified with a message in flight"
         for worker in self.workers:
-            assert worker.transport.run == run, "certified before a worker started"
+            assert worker.transport.run_id == run, "certified before a worker started"
             assert worker.passive, "certified with work pending"
             assert not worker.transport._held, "certified with a message held"
             assert not self.reports[worker.shard], "certified before a report landed"

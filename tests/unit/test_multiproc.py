@@ -137,7 +137,7 @@ class TestWorkerTransport:
         transport.send(Message(sender="b", recipient="a", type=MessageType.QUERY))
         assert outboxes[1].items == []
         transport.drain()
-        assert transport.delivered == 1
+        assert transport.delivered_count == 1
         assert transport.cross_sent == [0, 0]
 
     def test_cross_send_goes_through_the_outbox(self):
@@ -145,12 +145,12 @@ class TestWorkerTransport:
         transport.send(Message(sender="a", recipient="b", type=MessageType.QUERY))
         assert transport.cross_sent == [0, 1]
         kind, run, deliver_at, message = outboxes[1].items[0]
-        assert (kind, run) == ("msg", transport.run)
+        assert (kind, run) == ("msg", transport.run_id)
         assert deliver_at == pytest.approx(1.0)  # clock 0 + constant latency
         assert message.recipient == "b"
         # Cross-shard messages are not delivered locally.
         transport.drain()
-        assert transport.delivered == 0
+        assert transport.delivered_count == 0
 
     def test_received_cross_message_advances_the_clock(self):
         transport, _outboxes = self._transport()

@@ -105,7 +105,8 @@ class TestSyncTransport:
         completion = transport.run()  # must not raise
         assert completion >= 0
 
-    def test_runaway_protocol_detected(self):
+    @pytest.mark.parametrize("stepped", [False, True], ids=["run", "step"])
+    def test_runaway_protocol_detected(self, stepped):
         transport = SyncTransport(max_messages=10)
 
         def ping_pong(message):
@@ -118,8 +119,12 @@ class TestSyncTransport:
         transport.register("A", ping_pong)
         transport.register("B", ping_pong)
         transport.send(make_message("A", "B"))
-        with pytest.raises(NetworkError):
-            transport.run()
+        with pytest.raises(NetworkError, match="exceeded 10 deliveries"):
+            if stepped:
+                for _ in range(100):
+                    transport.step()
+            else:
+                transport.run()
 
     def test_stats_record_messages(self):
         transport = SyncTransport()
