@@ -99,8 +99,9 @@ class SyncEngine:
         tracer = tracer_of(system)
         start_phase(system, phase, origins)
         with tracer.span("chase", engine=self.name) as span:
+            delivered = transport.delivered_count
             completion = transport.run()
-            span.set(delivered=transport.delivered_count)
+            span.set(delivered=transport.delivered_count - delivered)
         finalize_phase(system, phase)
         return completion, system.stats.snapshot()
 

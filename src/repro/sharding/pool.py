@@ -4,54 +4,45 @@ A one-shot process run pays a fixed price before the first message moves:
 one process start (or host dial) per shard plus a pickle of the full
 schema/rule world.  That is fine for one-shot sweeps and fatal for the
 workloads the paper motivates — the same rule world updated again and again
-as peers' data shifts.  So the workers are *persistent* (the loop in
-:mod:`repro.sharding.worker`), and this module is the one driver for them:
+as peers' data shifts.  So the workers are *persistent*
+(:class:`~repro.sharding.worker.ShardWorker` machines), and this module is
+the one driver for them:
 
 * :class:`Channel` is how the coordinator talks to one shard's worker:
   ``put(command)``, ``alive`` (+ ``reason`` when not), ``kill()``,
-  ``close()``.  Replies never come back through a channel — every worker
-  answers on the pool's one reply source.  There are exactly two
-  implementations: :class:`ProcessChannel` (a local OS process and our end
-  of its pipe) here, and :class:`~repro.sharding.sockets.HostChannel` (a
-  TCP link to a shard host plus the shard's id).
-* :class:`ShardPool` owns everything above the channels: awaiting replies
-  with crashed-worker detection, the quiescence barrier, the delta
-  :meth:`~ShardPool.sync`, :meth:`~ShardPool.run_phase`, re-plan
-  invalidation and the :class:`WorldMirror` bookkeeping.  Successive runs
-  move only **deltas**, in both directions: out go the rows inserted into
-  the coordinator since the last run, relations whose contents were
-  rewritten, and ``addLink``/``deleteLink`` rule changes, each shard's
-  slice riding on its ``start``; home come the rows each shard gained,
-  riding on its idle reports — never the schemas or the unchanged data.
-  Both directions are one :class:`~repro.coordination.changeset.Change`,
-  read structurally off the relations written since, against marks on them
-  (:meth:`Change.read <repro.coordination.changeset.Change.read>`: a
-  relation reports its own writes, so no caller can forget to), at a cost
-  proportional to the change, not to the world.
+  ``close()``.  There are exactly two: :class:`ProcessChannel` (a local OS
+  process and our end of its pipe) here, and
+  :class:`~repro.sharding.sockets.HostChannel` (a TCP link to a shard host
+  plus the shard's id).
+* :class:`Replies` is the one reply source of both pools: every pipe or
+  host link read through one :func:`multiprocessing.connection.wait`, a
+  lost end turned into its shard's ``error`` at once, and a hosted worker's
+  message for another host relayed inline.
+* :class:`ShardPool` owns everything above them: awaiting replies, the
+  quiescence barrier, :meth:`~ShardPool.sync`, :meth:`~ShardPool.run_phase`,
+  re-plan invalidation and the :class:`WorldMirror` bookkeeping.  Runs move
+  only **deltas**, both ways, each one
+  :class:`~repro.coordination.changeset.Change` read off the relations
+  written since their marks (:meth:`Change.read
+  <repro.coordination.changeset.Change.read>`): out, each shard's slice of
+  the coordinator's change rides on its ``start``; home, the rows each shard
+  gained ride on its idle reports — never the schemas or unchanged data.
 * :class:`WorkerPool` and :class:`~repro.sharding.sockets.SocketPool` are
-  reduced to how their channels are made: start one process per shard, or
-  dial a host fleet and ship it the worlds.  :func:`_worker_context` decides
-  how a process starts: forked from a server that imported the worker's
-  modules once, so a worker costs a fork and an unpickle, not an interpreter
-  boot and a re-import of the package.
+  reduced to how their channels are made: start one process per shard
+  (forked from a server that imported the worker's modules once:
+  :func:`_worker_context`), or dial a host fleet and ship it the worlds.
 
 A warm run is one command out per shard and the idle reports home.  Each
 worker keeps a cumulative ledger ``(cross-sent per shard, cross-received)``
 and, whenever it runs out of work after a ``start`` or a cross-shard
 message, reports unasked: the run id of its latest ``start``, the ledger,
-and what it gained since its previous report.  Once every shard's latest
-report belongs to this run and the ledgers balance (``sent == received``
-for every shard), the network is quiescent — every report was taken by a
-passive worker, so no confirming wave is needed
+and what it gained since.  Once every shard's latest report belongs to this
+run and the ledgers balance, the network is quiescent
 (:meth:`ShardPool._await_quiescence` has the argument).  The coordinator
-blocks on its reply source throughout — no sleep, no polling.
-
-Per-run accounting: a report ships the deliveries, counters and spans since
-the worker's previous report, so the reports of one run add up to the
-per-run numbers a cold run would report — merge, traffic stats and the
-regression gates read identically over both.  The ledgers are never reset,
-and worker virtual clocks are not either: like the simulator's persistent
-clock, simulated completion times stay monotone across consecutive runs.
+blocks on its reply source throughout — no sleep, no polling.  The reports
+of one run add up to the per-run numbers a cold run reports; ledgers and
+worker clocks are never reset, so simulated completion times stay monotone
+across runs, like the simulator's persistent clock.
 """
 
 from __future__ import annotations
@@ -61,6 +52,7 @@ import os
 import queue as queue_module
 import threading
 import time
+import traceback
 from collections import deque
 from dataclasses import replace
 from multiprocessing import connection
@@ -73,11 +65,7 @@ from repro.errors import NetworkError, ReproError
 from repro.faults.injector import NULL_INJECTOR, injector_of
 from repro.obs import NULL_TRACER, get_logger
 from repro.sharding.planner import ShardPlan, ShardPlanner
-from repro.sharding.worker import (
-    ShardWorld,
-    _worlds_from_system,
-    shard_worker_loop,
-)
+from repro.sharding.worker import ShardWorker, ShardWorld, _worlds_from_system
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.core.system import P2PSystem
@@ -91,7 +79,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
 _WORKER_TIMEOUT = 120.0
 
 #: What the fork server imports before it forks a worker: the modules a
-#: :class:`ShardWorld` unpickles into and :func:`shard_worker_loop` runs on.
+#: :class:`ShardWorld` unpickles into and :class:`ShardWorker` runs on.
 _PRELOAD = ["repro.sharding.worker", "repro.core.system"]
 _context_lock = threading.Lock()
 
@@ -171,10 +159,8 @@ class WorldMirror:
         """What changed in the coordinator since the marks were taken
         (:meth:`Change.read` plus the rule edits), with the marks moved up.
 
-        Structural by construction: whatever mutated the system —
-        ``load_data``, ``addLink``/``deleteLink``, a direct relation write —
-        shows up, because a relation reports its own writes and the registry
-        its own version; there is no notification for a caller to forget.
+        Structural: a relation reports its own writes and the registry its
+        own version, so there is no notification for a caller to forget.
         """
         change = Change.read(system, self.marks)
         registry = system.registry
@@ -250,8 +236,7 @@ class ProcessChannel:
 
     def close(self) -> None:
         self._conn.close()  # first: a worker blocked sending a report fails
-        # A process that never started (a spawn that failed part-way) has
-        # nothing to join.
+        # A process whose start failed part-way has no pid to join.
         if self.process.pid is not None:
             self.process.join(timeout=5.0)
             if self.process.is_alive():
@@ -259,58 +244,84 @@ class ProcessChannel:
                 self.process.join(timeout=1.0)
 
 
-class _PipeReplies:
-    """The workers' pipes as one reply source with a queue's ``get(timeout)``;
-    a pipe that reads EOF or reset is its shard's ``error`` item at once."""
+class Replies:
+    """Every worker's replies as one source with a queue's ``get(timeout)``.
 
-    def __init__(self, conns):
-        self._shard_of = {conn: shard for shard, conn in enumerate(conns)}
+    ``ends`` maps each end replies arrive on (a pipe, a host link) to the
+    shard its failure is charged to and the name the error gives it.  An
+    end that reads EOF, a reset or a malformed frame, or that we closed, is
+    that shard's ``error`` at once.  A ``("to", shard, command)`` frame goes
+    to ``relay`` inline, which returns None or the item its failure is.
+    """
+
+    def __init__(self, ends: dict, relay=None):
+        self._ends = ends
+        self._relay = relay
         self._ready: deque[tuple] = deque()
 
     def get(self, timeout: float) -> tuple:
-        if not self._ready:  # one item from each ready pipe: none starves
-            for conn in connection.wait(list(self._shard_of), timeout):
+        deadline = time.monotonic() + timeout
+        while not self._ready:
+            for end in [end for end in self._ends if end.closed]:
+                self._fail(end, "closed by the coordinator")
+            if self._ready:
+                break
+            ready = connection.wait(
+                list(self._ends), max(0.0, deadline - time.monotonic())
+            )
+            if not ready:
+                raise queue_module.Empty
+            for end in ready:  # one item from each ready end: none starves
                 try:
-                    self._ready.append(conn.recv())
-                except (EOFError, OSError) as error:
-                    shard = self._shard_of.pop(conn)
-                    self._ready.append(("error", shard, f"pipe closed: {error!r}"))
-        if not self._ready:
-            raise queue_module.Empty
+                    item = end.recv()
+                    if item[0] == "to":
+                        _kind, shard, command = item
+                        item = self._relay(shard, command)
+                except (EOFError, OSError, NetworkError) as error:
+                    self._fail(end, repr(error))
+                except (TypeError, ValueError, IndexError, KeyError) as error:
+                    self._fail(end, f"malformed frame: {error!r}")
+                else:
+                    if item is not None:
+                        self._ready.append(item)
         return self._ready.popleft()
 
-
-class _WorkerPipe:
-    """A pool worker's inbox — its pipe and its mailbox, read together — and
-    its ``results``, sent up the pipe inline."""
-
-    def __init__(self, conn, mailbox):
-        self._conn, self._mailbox, self.put = conn, mailbox, conn.send
-        self._sources = [conn, mailbox._reader]  # the queue's read end
-
-    def get(self, timeout: float | None = None) -> tuple:
-        ready = connection.wait(self._sources, timeout)
-        if self._conn in ready:
-            return self._conn.recv()
-        if not ready:
-            raise queue_module.Empty
-        return self._mailbox.get_nowait()  # its only reader: never Empty here
-
-    def get_nowait(self) -> tuple:
-        return self.get(0)
-
-    def empty(self) -> bool:
-        return not connection.wait(self._sources, 0)
+    def _fail(self, end, reason: str) -> None:
+        shard, name = self._ends.pop(end)
+        self._ready.append(("error", shard, f"{name} lost: {reason}"))
 
 
-def _pooled_worker(world: ShardWorld, conn, mailboxes: list) -> None:
-    """A :class:`WorkerPool` process: the worker loop over its pipe."""
-    outboxes = list(mailboxes)
-    outboxes[world.shard_index] = own = _WorkerPipe(conn, mailboxes[world.shard_index])
+def _worker_process(world: ShardWorld, conn, mailboxes: list) -> None:
+    """A :class:`WorkerPool` process: the shard's machine stepped between
+    waits on its pipe and its mailbox, reporting only with nothing to read."""
+    shard = world.shard_index
+    mailbox = mailboxes[shard]
+    sources = [conn, mailbox._reader]  # the queue's read end
     try:
-        shard_worker_loop(world, outboxes, own)
-    except OSError:
-        pass  # the coordinator closed the pipe: nobody is left to tell
+        worker = ShardWorker(world)
+        conn.send(("ready", shard))
+        while True:
+            ready = connection.wait(sources, 0)
+            if not ready and worker.busy:
+                frames = worker.step()
+            else:
+                if not ready:
+                    report = worker.idle()
+                    if report is not None:
+                        conn.send(report)
+                    ready = connection.wait(sources)
+                # The mailbox's only reader: it holds an item when ready.
+                item = conn.recv() if conn in ready else mailbox.get_nowait()
+                if item[0] == "stop":
+                    return
+                frames = worker.handle(item)
+            for _to, target, command in frames:
+                mailboxes[target].put(command)
+    except Exception:  # noqa: BLE001 - shipped to the coordinator
+        try:
+            conn.send(("error", shard, traceback.format_exc()))
+        except OSError:
+            pass  # the coordinator closed the pipe: nobody is left to tell
 
 
 # ------------------------------------------------------------------ the pool
@@ -432,11 +443,10 @@ class ShardPool:
     def _next_reply(self, deadline: float, outstanding: Iterable[int]) -> tuple | None:
         """The next item from the reply source, or None after an idle second.
 
-        An ``error`` item raises; so does a dead channel among the shards
-        whose reply is still ``outstanding`` once a second passes with no
-        item (a worker that already answered may be gone legitimately).
-        ``deadline`` only caps the wait — the caller decides what running
-        out of time means.
+        An ``error`` item raises — the reply source turns a lost pipe or link
+        into one at once.  As a backstop, so does a dead channel among the
+        shards whose reply is still ``outstanding`` once a second passes with
+        no item.  ``deadline`` only caps the wait.
         """
         try:
             item = self._results.get(
@@ -569,12 +579,9 @@ class ShardPool:
     # ------------------------------------------------------------------ runs
 
     def sync(self, system: P2PSystem) -> Change:
-        """Read the coordinator's changes since the last run.
-
-        Returns the change — rule changes and rows, empty when nothing
-        moved.  The mirror counts it as shipped, so the next
-        :meth:`run_phase` must carry it: each worker's ``start`` brings its
-        own shard's slice.
+        """The coordinator's change since the last run (empty when nothing
+        moved).  The mirror counts it as shipped, so the next
+        :meth:`run_phase` must carry it, each shard's slice on its ``start``.
         """
         if self.closed:
             raise ReproError("the pool is closed")
@@ -596,15 +603,12 @@ class ShardPool:
         """Drive one phase over the warm workers and return their payloads.
 
         Every worker's ``start`` carries its slice of ``change`` (what
-        :meth:`sync` returned) and the owned origins (``None``: every peer);
-        the workers' idle reports carry home what each shard gained, and
-        the run ends when they certify quiescence.  Once the caller has
-        merged the payloads it calls :meth:`note_merged`.
-        ``mode="incremental"`` asks the workers for the delta-driven update
-        path; each worker double-checks eligibility against its own
-        accumulated changes and falls back to naive when they disagree.
-        Any error closes the pool — a half-synced pool must never serve
-        another run.
+        :meth:`sync` returned), the origins (``None``: every peer) and
+        ``mode`` (``"incremental"`` asks for the delta path; each worker
+        re-checks that it applies, and runs naive if not).  The run ends
+        when the idle reports certify quiescence; the caller calls
+        :meth:`note_merged` once it merged them.  Any error closes the pool
+        — a half-synced pool must never serve another run.
         """
         tracer = tracer if tracer is not None else NULL_TRACER
         try:
@@ -646,21 +650,18 @@ class WorkerPool(ShardPool):
     """The pool whose workers are OS processes on this machine.
 
     Workers are daemons, children of the fork server
-    (:func:`_worker_context`), not of the coordinator; they die with it, but
-    benchmarks and services should :meth:`close` them.  One duplex pipe per
-    worker carries ``start`` / ``stop`` down (synchronous sends) and reports
-    up (inline, no feeder thread); a dead worker reads as a closed pipe at
-    once.  Pipes cannot deadlock: (1) the coordinator writes only ``stop``s
-    and ``start``s, these while every worker is passive and reading; (2)
-    workers write only reports, read until the barrier certifies; (3)
-    ``msg``s between workers go through queue mailboxes, as a pipe send could
-    block mid-drain.  Pitfalls: ``put`` turns ``OSError`` into
-    ``NetworkError`` (what a cold re-run is taken on); our copy of a worker's
-    end is closed once it started, or its death never reads as EOF; liveness
-    is ``is_alive()``, not a sentinel wait (once ``join()`` read a
-    fork-server worker's status, its sentinel can read "not ready" until the
-    server closes it); and :meth:`close` closes our ends before it joins, so
-    a worker blocked sending gets EPIPE.
+    (:func:`_worker_context`); they die with the coordinator, but benchmarks
+    and services should :meth:`close` them.  One duplex pipe per worker
+    carries ``start`` / ``stop`` down and reports up; worker↔worker ``msg``s
+    use queue mailboxes, as a pipe send could block mid-drain.  Pipes cannot
+    deadlock: the coordinator writes only ``start``s and ``stop``s, while
+    every worker is passive and reading, and workers write only reports,
+    which the coordinator reads until the barrier certifies.  Pitfalls: our
+    copy of a worker's end is closed once it started, or its death never
+    reads as EOF; liveness is ``is_alive()``, not a sentinel wait (once
+    ``join()`` read a fork-server worker's status, its sentinel can read
+    "not ready" until the server closes it); and :meth:`close` closes our
+    ends before it joins, so a worker blocked sending gets EPIPE.
     """
 
     def _open(self, worlds: list[ShardWorld]) -> None:
@@ -671,7 +672,7 @@ class WorkerPool(ShardPool):
         pipes = [context.Pipe() for _ in worlds]
         self._workers = [
             context.Process(
-                target=_pooled_worker,
+                target=_worker_process,
                 args=(world, theirs, self._mailboxes),
                 daemon=True,
             )
@@ -683,7 +684,9 @@ class WorkerPool(ShardPool):
             ProcessChannel(worker, ours)
             for worker, (ours, _theirs) in zip(self._workers, pipes)
         ]
-        self._results = _PipeReplies([ours for ours, _theirs in pipes])
+        self._results = Replies(
+            {ours: (shard, "pipe") for shard, (ours, _theirs) in enumerate(pipes)}
+        )
         try:
             for worker in self._workers:
                 worker.start()

@@ -22,13 +22,12 @@ What differs between them is data on the coordinator's transport handle:
   engine) to stop them.
 
 The engine owns the pool's lifecycle: the first run spawns it, a crashed
-worker or dead host is detected (a dead channel with an outstanding reply)
-and the pool is respawned cold on the next run — reconnecting, and reviving
+worker or dead host fails the run at once (its pipe or link is lost) and the
+pool is respawned cold on the next run — reconnecting, and reviving
 auto-spawned localhost hosts that died — and a rule-graph change triggers
-**re-plan invalidation**: the planner runs again, and if the fresh plan moves
-any peer to a different shard the pool restarts with the new partition
-(otherwise the rule delta is shipped to the warm workers and the partition
-is kept).
+**re-plan invalidation**: if the fresh plan moves any peer to a different
+shard the pool restarts with the new partition (otherwise the rule delta is
+shipped to the warm workers).
 """
 
 from __future__ import annotations
@@ -377,8 +376,8 @@ class ProcessEngine:
         try:
             if self._pool is not None and not (
                 self._pool.alive
-                # An auto-spawned host's exit status is known at once; its
-                # link's reader thread may take a moment to see the close.
+                # An auto-spawned host's exit status is known before its
+                # closed socket reaches the link.
                 and (self._cluster is None or self._cluster.alive)
             ):
                 _log.warning("warm pool died; respawning cold")

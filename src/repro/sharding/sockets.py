@@ -2,44 +2,49 @@
 
 Spawned worker processes confine all K shards to one box's cores, which caps
 the sweeps near 1023 nodes.  The paper's coordination model is inherently
-distributed (peers on different machines exchanging update messages), and
-the pool's delta-sync protocol and cumulative-ledger quiescence barrier are
-already transport-shaped for the wire.  This module puts them on it:
+distributed, and the pool's delta sync and cumulative-ledger quiescence
+barrier are already transport-shaped for the wire.  This module puts them on
+it:
 
 * :class:`ShardHost` is a standalone server process
-  (``python -m repro.shardhost --bind HOST:PORT``) that can run anywhere and
-  hosts one or more shard workers — the one worker loop,
-  :func:`repro.sharding.worker.shard_worker_loop`, run as threads inside the
-  host process (one *process per host*, so a cluster of hosts is what buys
-  multi-core/multi-machine parallelism).
+  (``python -m repro.shardhost --bind HOST:PORT``) that steps every
+  :class:`~repro.sharding.worker.ShardWorker` it hosts on the one thread
+  serving its coordinator (one *process per host*, so a cluster of hosts is
+  what buys multi-core/multi-machine parallelism).  Co-hosted shards hand
+  each other messages in memory.
 * :class:`HostChannel` is the second (and last)
-  :class:`~repro.sharding.pool.Channel` implementation: a link plus a shard
-  id, framing every command as ``("to", shard, command)``.  The coordinator
-  reaches each hosted worker through one; a hosted worker reaches a shard on
-  *another* host through one too, and the coordinator relays the frame
-  (hub-and-spoke: hosts never need to reach each other, only the coordinator
-  needs to reach the hosts).  Workers co-hosted on one host exchange
-  messages directly in memory.
+  :class:`~repro.sharding.pool.Channel`: a link plus a shard id, framing
+  every command as ``("to", shard, command)``.  A hosted worker's message
+  for a shard on *another* host is the same frame, and the pool's reply
+  source (:class:`~repro.sharding.pool.Replies`) relays it inline
+  (hub-and-spoke: only the coordinator needs to reach the hosts).
 * :class:`SocketPool` is the :class:`~repro.sharding.pool.ShardPool` whose
-  channels are made by dialing a list of hosts over TCP and shipping each
-  its pickled :class:`~repro.sharding.worker.ShardWorld`\\ s with
-  length-prefixed framing; everything above the channels (delta sync, the
-  barrier) is the shared pool.
-* :class:`LocalHostCluster` auto-spawns K localhost hosts as subprocesses, so
-  tests, benchmarks and CI need no real cluster: a system built with
-  ``transport="socket"`` and no ``hosts`` list gets one spawned on demand
-  (and torn down by ``session.close()``).
+  channels are made by dialing the hosts and shipping each its pickled
+  :class:`~repro.sharding.worker.ShardWorld`\\ s in length-prefixed frames.
+* :class:`LocalHostCluster` auto-spawns K localhost hosts as subprocesses
+  for a ``transport="socket"`` system with no ``hosts`` list, so tests,
+  benchmarks and CI need no real cluster.
 
-Liveness mirrors the crashed-process handling: every await loop checks the
-channels, a dead host surfaces as a :class:`~repro.errors.NetworkError`
-(never a silent stall), and the next run reconnects — respawning
-auto-spawned hosts that died.
+Flow control: each end of a link runs on one thread, so two ends that both
+wrote with blocking calls could fill each other's buffers and wait forever.
+The **host** queues: it writes only what the socket takes when ``select``
+says it will (:class:`_Wire`), and reads the coordinator's frames in
+between.  The coordinator writes with a blocking ``sendall`` and reads whole
+frames.  That cannot deadlock: the coordinator waits only on hosts, and a
+host waits only for the rest of a frame the coordinator is already sending.
+The host is the side that queues because its loop polls between steps
+anyway; the coordinator's sends stay synchronous, so a failed ``start``
+raises where it is made.
 
-Trust model: frames are **pickles**.  Unpickling executes code, so a shard
-host must only ever listen on localhost or inside a trusted network segment —
-the same deployment boundary as every pickle-based RPC (and as the
-``multiprocessing`` spawn pipes this replaces).  Hosts also run the same
-``repro`` codebase as the coordinator; version skew is not negotiated.
+Liveness: a link that reads EOF, a reset or a malformed frame, or that the
+coordinator closed (a kill), is its shard's ``error`` reply at once, and the
+run fails with a :class:`~repro.errors.NetworkError`; the next run
+reconnects, respawning auto-spawned hosts that died.
+
+Trust model: frames are **pickles**, and unpickling executes code, so a
+shard host must only listen on localhost or inside a trusted network
+segment.  Hosts run the same ``repro`` codebase as the coordinator; version
+skew is not negotiated.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ import atexit
 import copy
 import os
 import pickle
-import queue as queue_module
 import select
 import socket
 import struct
@@ -58,6 +62,7 @@ import tempfile
 import threading
 import time
 import traceback
+from collections import deque
 from typing import Sequence
 
 from repro.errors import NetworkError, ReproError
@@ -65,8 +70,13 @@ from repro.faults.injector import NULL_INJECTOR
 from repro.faults.recovery import retry_call
 from repro.obs import get_logger
 from repro.sharding.planner import ShardPlan
-from repro.sharding.pool import _WORKER_TIMEOUT, ShardPool, package_pythonpath
-from repro.sharding.worker import ShardWorld, shard_worker_loop
+from repro.sharding.pool import (
+    _WORKER_TIMEOUT,
+    Replies,
+    ShardPool,
+    package_pythonpath,
+)
+from repro.sharding.worker import ShardWorker, ShardWorld
 
 #: Hard bound on one frame's pickled payload.  Large enough for a shipped
 #: world at the 1000+-node sweeps, small enough that a corrupt or hostile
@@ -114,18 +124,7 @@ class ConnectionClosed(NetworkError):
     """The peer closed the connection cleanly at a frame boundary."""
 
 
-class _IdleTimeout(Exception):
-    """A timed read expired while *no* frame was in progress.
-
-    Long-lived connections (a warm pool between runs, a host waiting for its
-    coordinator's next command) legitimately idle for minutes; their readers
-    catch this and keep waiting.  A timeout once any frame byte has arrived
-    is never idle — that peer is wedged, and it surfaces as a
-    :class:`~repro.errors.NetworkError` instead.
-    """
-
-
-def _recv_exact(sock: socket.socket, count: int, *, idle_ok: bool = False) -> bytes:
+def _recv_exact(sock: socket.socket, count: int) -> bytes:
     """Read exactly ``count`` bytes, surviving arbitrarily partial reads."""
     chunks: list[bytes] = []
     received = 0
@@ -133,8 +132,6 @@ def _recv_exact(sock: socket.socket, count: int, *, idle_ok: bool = False) -> by
         try:
             chunk = sock.recv(min(count - received, 1 << 20))
         except TimeoutError:
-            if idle_ok and not chunks:
-                raise _IdleTimeout() from None
             raise NetworkError(
                 f"socket read timed out mid-frame ({received} of {count} "
                 "bytes read); the peer appears wedged"
@@ -152,20 +149,9 @@ def _recv_exact(sock: socket.socket, count: int, *, idle_ok: bool = False) -> by
     return b"".join(chunks)
 
 
-def recv_frame(
-    sock: socket.socket,
-    *,
-    max_frame: int = DEFAULT_MAX_FRAME,
-    idle_ok: bool = False,
-):
-    """Receive one length-prefixed pickled frame.
-
-    With ``idle_ok`` a read timeout *between* frames raises
-    :class:`_IdleTimeout` (the caller's loop continues); once the header has
-    started arriving, timeouts are hard errors like everywhere else.
-    """
-    header = _recv_exact(sock, _FRAME_HEADER.size, idle_ok=idle_ok)
-    (length,) = _FRAME_HEADER.unpack(header)
+def recv_frame(sock: socket.socket, *, max_frame: int = DEFAULT_MAX_FRAME):
+    """Receive one length-prefixed pickled frame, blocking until it is whole."""
+    (length,) = _FRAME_HEADER.unpack(_recv_exact(sock, _FRAME_HEADER.size))
     if length > max_frame:
         raise NetworkError(
             f"incoming frame of {length} bytes exceeds the {max_frame}-byte "
@@ -185,45 +171,74 @@ def recv_frame(
         raise NetworkError(f"could not unpickle a frame: {error}") from None
 
 
-class _FrameWriter:
-    """Serialised frame sends over one socket (many threads, one writer lock)."""
+def _pickled(obj, max_frame: int) -> bytes:
+    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    if len(payload) > max_frame:
+        raise NetworkError(
+            f"outgoing frame of {len(payload)} bytes exceeds the "
+            f"{max_frame}-byte bound (max_frame)"
+        )
+    return payload
+
+
+def send_frame(sock: socket.socket, obj, max_frame: int = DEFAULT_MAX_FRAME) -> None:
+    """Send one frame, blocking until the socket took all of it."""
+    payload = _pickled(obj, max_frame)
+    try:
+        # Two sendalls: no second full-size copy of a world-sized frame
+        # just to put its header in front.
+        sock.sendall(_FRAME_HEADER.pack(len(payload)))
+        sock.sendall(payload)
+    except OSError as error:
+        raise NetworkError(f"socket write failed: {error}") from None
+
+
+class _Wire:
+    """The frames a shard host owes its coordinator, written only as the
+    socket takes them: the host is the side of a link that queues."""
 
     def __init__(self, sock: socket.socket, max_frame: int):
         self._sock = sock
         self._max_frame = max_frame
-        self._lock = threading.Lock()
+        self._outgoing = bytearray()
 
-    def send(self, obj) -> None:
-        payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        if len(payload) > self._max_frame:
-            raise NetworkError(
-                f"outgoing frame of {len(payload)} bytes exceeds the "
-                f"{self._max_frame}-byte bound (max_frame)"
-            )
-        header = _FRAME_HEADER.pack(len(payload))
+    def queue(self, obj) -> None:
         try:
-            # Two sendalls under the one lock: frame atomicity without
-            # materialising header+payload (a second full-size copy of a
-            # world-sized frame) just to concatenate.
-            with self._lock:
-                self._sock.sendall(header)
-                self._sock.sendall(payload)
-        except OSError as error:
-            raise NetworkError(f"socket write failed: {error}") from None
+            payload = _pickled(obj, self._max_frame)
+        except NetworkError as error:
+            # A reply too big to frame must not become a silent stall: tell
+            # the coordinator which shard's reply was dropped.
+            shard = obj[1] if isinstance(obj[1], int) else -1
+            reason = f"could not ship a {obj[0]!r} reply: {error}"
+            payload = _pickled(("error", shard, reason), self._max_frame)
+        self._outgoing += _FRAME_HEADER.pack(len(payload))
+        self._outgoing += payload
+
+    def poll(self, block: bool) -> bool:
+        """Flush as the socket allows; return whether a frame is arriving
+        (``block``: wait until one is).  A coordinator that takes none of our
+        bytes for ``_WORKER_TIMEOUT`` is wedged."""
+        while True:
+            readable, writable, _ = select.select(
+                [self._sock],
+                [self._sock] if self._outgoing else [],
+                [],
+                (_WORKER_TIMEOUT if self._outgoing else None) if block else 0,
+            )
+            if writable:  # it takes some bytes now, maybe not all
+                del self._outgoing[: self._sock.send(self._outgoing)]
+            if readable or not block:
+                return bool(readable)
+            if not writable:
+                raise NetworkError("the coordinator stopped reading")
 
 
 # ------------------------------------------------------------- the host side
 
 
 class HostChannel:
-    """The channel to a shard across a link: the link plus the shard's id.
-
-    Every command is framed ``("to", shard, command)``.  The coordinator's
-    ``link`` is a :class:`_HostLink` to the host running the shard's worker;
-    inside a host, ``link`` is the connection's frame writer and the
-    channel is a worker's outbox for a shard living on another host (the
-    coordinator relays the frame to the right host).
-    """
+    """The channel to a shard on a host: its :class:`_HostLink` plus the
+    shard's id, framing every command ``("to", shard, command)``."""
 
     def __init__(self, link, shard: int):
         self._link = link
@@ -241,48 +256,22 @@ class HostChannel:
         return self._link.exitcode or f"lost connection to {self._link.address}"
 
     def kill(self) -> None:
-        # Severs the connection; the host itself survives — its read loop
-        # sees the close, stops its workers and loops back to ``accept`` —
-        # so the next (re)spawned pool can reconnect, which is exactly the
-        # crash-recovery path the fault suite exercises.
+        # Severs the link; the host survives and loops back to ``accept``,
+        # so the next (re)spawned pool can reconnect.
         self._link.close()
 
     def close(self) -> None:
         self._link.close()  # shared by the host's shards; closing is idempotent
 
 
-def _host_worker(
-    world: ShardWorld, outboxes: list, results, isolate: bool
-) -> None:
-    """One hosted shard worker: isolate the world, run the worker loop.
-
-    Workers co-hosted on one host are threads sharing the unpickled
-    ``worlds`` frame, but the worker loop mutates its world's schemas and
-    databases — with ``isolate`` each thread gets a private deep copy,
-    restoring the separation that distinct processes give the mp engines
-    for free.  A host running a *single* worker skips the copy (nothing
-    shares the world), which matters at large worlds: the default
-    one-shard-per-host layout would otherwise hold every world twice.
-    """
-    try:
-        if isolate:
-            world = copy.deepcopy(world)
-    except BaseException:  # noqa: BLE001 - shipped to the coordinator
-        results.put(("error", world.shard_index, traceback.format_exc()))
-        return
-    shard_worker_loop(world, outboxes, results)
-
-
 class ShardHost:
     """A server process hosting shard workers for one coordinator at a time.
 
-    The host accepts a TCP connection, receives its workers' worlds, runs
-    them as persistent threads (the same command loop the worker processes
-    run), hands each ``("to", shard, command)`` frame to that shard's inbox,
-    and forwards the workers' replies back over the wire.  When the
-    coordinator disconnects the workers are stopped and the host loops back
-    to ``accept``, ready for the next coordinator, so a fleet of hosts can
-    serve many successive runs without respawning.
+    The host accepts a TCP connection, builds one
+    :class:`~repro.sharding.worker.ShardWorker` per world it receives, and
+    steps them all on the thread serving the connection.  When the
+    coordinator disconnects the machines are dropped and the host loops back
+    to ``accept``, so a fleet of hosts serves many successive runs.
     """
 
     def __init__(
@@ -296,7 +285,6 @@ class ShardHost:
         self.address: tuple[str, int] = self._listener.getsockname()[:2]
         self._shutdown = False
         self._conn: socket.socket | None = None
-        self._thread: threading.Thread | None = None
 
     @property
     def port(self) -> int:
@@ -329,10 +317,8 @@ class ShardHost:
                     pass
 
     def start(self) -> "ShardHost":
-        """Serve in a daemon thread (in-process hosts for tests)."""
-        if self._thread is None:
-            self._thread = threading.Thread(target=self.serve_forever, daemon=True)
-            self._thread.start()
+        """Serve in a daemon thread (in-process hosts for tests); call it once."""
+        threading.Thread(target=self.serve_forever, daemon=True).start()
         return self
 
     def close(self) -> None:
@@ -358,155 +344,109 @@ class ShardHost:
     # ------------------------------------------------------------ connection
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        # A timed socket bounds every blocking call: a wedged coordinator
-        # (connected, not draining) cannot hold this host's writes forever.
-        # Reads tolerate idling — the coordinator may sit quiet for minutes
-        # between warm runs — via the _IdleTimeout continue below.
+        """Serve one coordinator: every hosted machine on this one thread.
+
+        Commands for a hosted shard and the frames co-hosted shards send
+        each other wait in ``inbox``, in order; frames for shards on other
+        hosts and the replies wait on the wire.  Machines step only after
+        everything that arrived was read, and hand over their idle reports
+        only once no machine on the host has work left.
+        """
+        # Timed: a coordinator wedged mid-frame cannot hold the host.
         conn.settimeout(_WORKER_TIMEOUT)
-        writer = _FrameWriter(conn, self.max_frame)
-        inboxes: dict[int, queue_module.Queue] = {}
-        threads: list[threading.Thread] = []
-        results: queue_module.Queue = queue_module.Queue()
-        forwarder: threading.Thread | None = None
-        stop_sentinel = object()
+        wire = _Wire(conn, self.max_frame)
+        workers: dict[int, ShardWorker] = {}
+        inbox: deque[tuple[int, tuple]] = deque()
 
-        def stop_workers() -> None:
-            nonlocal forwarder
-            for inbox in inboxes.values():
-                inbox.put(("stop",))
-            for thread in threads:
-                thread.join(timeout=5.0)
-            inboxes.clear()
-            threads.clear()
-            if forwarder is not None:
-                results.put(stop_sentinel)
-                forwarder.join(timeout=5.0)
-                forwarder = None
+        def run(shard: int, action, *args):
+            """One machine call; a failure is the shard's ``error`` reply."""
+            try:
+                return action(*args)
+            except Exception:  # noqa: BLE001 - shipped to the coordinator
+                workers.pop(shard, None)
+                wire.queue(("error", shard, traceback.format_exc()))
+                return None
 
-        def forward_results() -> None:
-            while True:
-                item = results.get()
-                if item is stop_sentinel:
-                    return
-                try:
-                    writer.send(item)
-                except NetworkError as error:
-                    # A reply too big to frame must not become a silent
-                    # stall: tell the coordinator which shard's reply was
-                    # dropped (a tiny control frame) and keep forwarding —
-                    # other workers' replies may still fit.  If even that
-                    # fails the connection itself is gone; teardown follows
-                    # via the recv loop.
-                    shard = (
-                        item[1]
-                        if len(item) > 1 and isinstance(item[1], int)
-                        else -1
-                    )
-                    try:
-                        writer.send(
-                            (
-                                "error",
-                                shard,
-                                f"could not ship a {item[0]!r} reply: {error}",
-                            )
-                        )
-                    except NetworkError:
-                        return
+        def send(frames) -> None:
+            for frame in frames or ():
+                if frame[1] in workers:
+                    inbox.append(frame[1:])
+                else:
+                    wire.queue(frame)
 
         try:
             while True:
-                try:
-                    frame = recv_frame(conn, max_frame=self.max_frame, idle_ok=True)
-                except _IdleTimeout:
-                    continue  # a quiet coordinator is a healthy coordinator
-                except ConnectionClosed:
-                    return
-                except NetworkError:
-                    return  # unframeable input: drop the coordinator
-                try:
+                busy = inbox or any(worker.busy for worker in workers.values())
+                readable = wire.poll(block=False)
+                if not (busy or readable):
+                    for shard, worker in list(workers.items()):
+                        report = run(shard, worker.idle)
+                        if report is not None:
+                            wire.queue(report)
+                    readable = wire.poll(block=True)
+                if readable:
+                    frame = recv_frame(conn, max_frame=self.max_frame)
                     kind = frame[0]
-                    if kind == "worlds":
-                        stop_workers()  # a re-ship replaces previous workers
-                        total, worlds = frame[1], frame[2]
-                        inboxes = {
-                            world.shard_index: queue_module.Queue()
-                            for world in worlds
-                        }
-                        outboxes = [
-                            inboxes[shard]
-                            if shard in inboxes
-                            else HostChannel(writer, shard)
-                            for shard in range(total)
-                        ]
-                        threads = [
-                            threading.Thread(
-                                target=_host_worker,
-                                args=(world, outboxes, results, len(worlds) > 1),
-                                daemon=True,
-                            )
-                            for world in worlds
-                        ]
-                        forwarder = threading.Thread(
-                            target=forward_results, daemon=True
-                        )
-                        forwarder.start()
-                        for thread in threads:
-                            thread.start()
+                    if kind == "worlds":  # a re-ship replaces previous workers
+                        worlds = frame[1]
+                        workers.clear()
+                        inbox.clear()
+                        for world in worlds:
+                            # Co-hosted machines would share (and mutate)
+                            # one unpickled frame; a lone one needs no copy.
+                            if len(worlds) > 1:
+                                world = copy.deepcopy(world)
+                            worker = run(world.shard_index, ShardWorker, world)
+                            if worker is not None:
+                                workers[world.shard_index] = worker
+                                wire.queue(("ready", world.shard_index))
                     elif kind == "to":
                         _kind, shard, command = frame
-                        inbox = inboxes.get(shard)
-                        if inbox is None:
-                            writer.send(
-                                (
-                                    "error",
-                                    shard,
-                                    f"{command[0]!r} command for a non-hosted shard",
-                                )
-                            )
+                        if shard not in workers:
+                            reason = f"{command[0]!r} command for a non-hosted shard"
+                            wire.queue(("error", shard, reason))
+                        elif command[0] == "stop":
+                            del workers[shard]
                         else:
-                            inbox.put(command)
+                            inbox.append((shard, command))
                     else:
-                        writer.send(("error", -1, f"unknown frame kind {kind!r}"))
-                except (TypeError, ValueError, IndexError, AttributeError) as error:
-                    # A well-pickled frame of the wrong *shape* (version
-                    # skew, a buggy client): report it and drop this
-                    # coordinator — the host must outlive any one client.
-                    try:
-                        writer.send(("error", -1, f"malformed frame: {error}"))
-                    except NetworkError:
-                        pass
-                    return
-                except NetworkError:
-                    # An inline reply (a non-hosted-shard or unknown-kind
-                    # error frame) failed to write: the coordinator is gone
-                    # or wedged.  Drop it; the host must outlive any client.
-                    return
+                        wire.queue(("error", -1, f"unknown frame kind {kind!r}"))
+                    continue  # read everything waiting before stepping
+                while inbox:
+                    shard, command = inbox.popleft()
+                    if shard in workers:
+                        send(run(shard, workers[shard].handle, command))
+                for shard, worker in list(workers.items()):
+                    if worker.busy:
+                        send(run(shard, worker.step))
+        except (TypeError, ValueError, IndexError, AttributeError) as error:
+            # A well-pickled frame of the wrong *shape* (version skew, a
+            # buggy client): report it and drop this coordinator — the host
+            # must outlive any one client.
+            wire.queue(("error", -1, f"malformed frame: {error}"))
+        except (NetworkError, OSError):
+            pass  # closed, reset, unframeable or wedged: drop the coordinator
         finally:
-            stop_workers()
+            try:
+                wire.poll(block=False)  # a last error reply, if the socket takes it
+            except OSError:
+                pass
 
 
 # ------------------------------------------------------- the coordinator side
 
 
 class _HostLink:
-    """One coordinator↔host connection: framed sends plus a reader thread.
+    """One coordinator↔host connection: blocking framed sends behind the
+    partition gate, and whole-frame reads for the pool's reply source
+    (:class:`~repro.sharding.pool.Replies`, which waits on :meth:`fileno`)."""
 
-    The reader hands ``("to", shard, command)`` frames — a hosted worker's
-    message for a shard on another host — to the pool's router (the
-    hub-and-spoke path) and funnels every other frame, the workers' replies,
-    into the pool's results queue.  A closed or failing connection flips
-    :attr:`alive`, which the liveness checks read through the channels.
-    """
-
-    def __init__(
-        self, address: str, results, router, max_frame: int, injector=NULL_INJECTOR
-    ):
+    def __init__(self, address: str, max_frame: int, injector=NULL_INJECTOR):
         self.address = address
-        self.alive = False
+        self.closed = False
+        #: Why a send failed, once one did.
         self.exitcode: str | None = None
         self.injector = injector
-        self._results = results
-        self._router = router
         self._max_frame = max_frame
         host, port = parse_address(address)
         try:
@@ -517,47 +457,30 @@ class _HostLink:
             raise NetworkError(
                 f"cannot connect to shard host {address}: {error}"
             ) from None
-        # Keep the socket timed: a wedged host (alive TCP, not reading or
-        # not sending) must bound sendall and mid-frame reads instead of
-        # blocking forever.  Idle reads between frames are tolerated in
-        # _read_loop — a warm pool legitimately sits quiet between runs.
+        # Timed: a wedged host must bound sendall and mid-frame reads.
         self._sock.settimeout(_WORKER_TIMEOUT)
         # Frames are requests awaiting replies: send each at once rather
         # than hold a small one back for the peer's delayed ACK (Nagle).
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._writer = _FrameWriter(self._sock, max_frame)
-        self.alive = True
         _log.debug("connected to shard host %s", address)
-        self._reader = threading.Thread(target=self._read_loop, daemon=True)
-        self._reader.start()
 
-    def _read_loop(self) -> None:
+    def fileno(self) -> int:
+        return self._sock.fileno()
+
+    def recv(self):
+        """The next whole frame from the host."""
+        return recv_frame(self._sock, max_frame=self._max_frame)
+
+    @property
+    def alive(self) -> bool:
+        """False once closed, failed, or at EOF (a peek, not a read)."""
+        if self.closed or self.exitcode is not None:
+            return False
         try:
-            while True:
-                try:
-                    frame = recv_frame(
-                        self._sock, max_frame=self._max_frame, idle_ok=True
-                    )
-                except _IdleTimeout:
-                    continue  # no frame in progress; keep listening
-                try:
-                    if frame[0] == "to":
-                        self._router(frame[1], frame[2])
-                    else:
-                        self._results.put(frame)
-                except (TypeError, IndexError, KeyError) as error:
-                    # A well-pickled frame of the wrong shape (version skew,
-                    # a buggy host) must read as a protocol failure on this
-                    # link, not kill the reader with a bare traceback and a
-                    # misleading "lost connection" diagnosis.
-                    raise NetworkError(
-                        f"malformed frame from shard host {self.address}: "
-                        f"{error!r}"
-                    ) from None
-        except NetworkError as error:
-            self.exitcode = str(error)
-        finally:
-            self.alive = False
+            readable, _, _ = select.select([self._sock], [], [], 0)
+            return not readable or bool(self._sock.recv(1, socket.MSG_PEEK))
+        except OSError:
+            return False
 
     def send(self, obj) -> None:
         self._gated(lambda: self._send_raw(obj))
@@ -588,24 +511,18 @@ class _HostLink:
 
     def _send_raw(self, obj) -> None:
         try:
-            self._writer.send(obj)
-        except NetworkError:
-            self.alive = False
+            send_frame(self._sock, obj, self._max_frame)
+        except NetworkError as error:
+            self.exitcode = str(error)
             raise
 
     def close(self) -> None:
-        self.alive = False
-        # shutdown() first: close() alone does not send FIN (nor wake this
-        # link's reader) while the reader thread is blocked in recv on the
-        # same fd, which would leave the host serving a dead connection.
+        self.closed = True
         try:
-            self._sock.shutdown(socket.SHUT_RDWR)
+            self._sock.shutdown(socket.SHUT_RDWR)  # FIN even if fds linger
         except OSError:
             pass  # peer already gone
-        try:
-            self._sock.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
+        self._sock.close()
 
 
 class SocketPool(ShardPool):
@@ -629,34 +546,17 @@ class SocketPool(ShardPool):
     ):
         if not hosts:
             raise ReproError("the socket pool needs at least one shard host")
-        if len(set(hosts)) != len(hosts):
-            raise NetworkError(
-                f"duplicate shard-host addresses in {tuple(hosts)}; list "
-                "each host once (shards are assigned round-robin across them)"
-            )
-        # Round-robin assignment uses at most one host per shard, so hosts
-        # past the shard count would never own a worker — don't dial them,
-        # and never let an idle machine's restart fail a run.  (Trimming
-        # preserves the mapping: shard % len(hosts[:K]) == shard % len(hosts)
-        # for shard < K ≤ len(hosts).)
+        # Round-robin never reaches hosts past the shard count: don't dial
+        # them (shard % len(hosts[:K]) == shard % len(hosts) for shard < K).
         self.hosts = tuple(hosts)[: plan.shard_count]
         self._max_frame = max_frame
         self._links: list[_HostLink] = []
         super().__init__(plan, worlds, injector=injector)
 
     def _open(self, worlds: list[ShardWorld]) -> None:
-        self._results = queue_module.Queue()
         try:
             for address in self.hosts:
-                self._links.append(
-                    _HostLink(
-                        address,
-                        self._results,
-                        self._route,
-                        self._max_frame,
-                        self.injector,
-                    )
-                )
+                self._links.append(_HostLink(address, self._max_frame, self.injector))
         except BaseException:
             for link in self._links:  # no channel owns these yet
                 link.close()
@@ -665,18 +565,15 @@ class SocketPool(ShardPool):
             HostChannel(self._links[shard % len(self._links)], shard)
             for shard in range(len(worlds))
         ]
-        for host_index, link in enumerate(self._links):
-            link.send(
-                (
-                    "worlds",
-                    len(worlds),
-                    [
-                        world
-                        for world in worlds
-                        if world.shard_index % len(self._links) == host_index
-                    ],
-                )
-            )
+        # A link's failure is charged to the first shard it hosts.
+        names = [f"link to shard host {link.address}" for link in self._links]
+        self._results = Replies(
+            {link: (index, names[index]) for index, link in enumerate(self._links)},
+            self._route,
+        )
+        for index, link in enumerate(self._links):
+            hosted = worlds[index :: len(self._links)]  # round-robin
+            link.send(("worlds", hosted))
 
     def _require_open(self) -> None:
         super()._require_open()
@@ -687,21 +584,19 @@ class SocketPool(ShardPool):
         """The host address a shard's worker runs on."""
         return self.hosts[shard % len(self.hosts)]
 
-    def _route(self, target: int, command: tuple) -> None:
-        """Relay one hosted worker's command to the host owning ``target``."""
+    def _route(self, target: int, command: tuple) -> tuple | None:
+        """Relay one hosted worker's command to the host owning ``target``;
+        a failed relay is ``target``'s error item (the run is doomed)."""
         channel = self._channels[target]
         try:
             channel.put(command)
         except NetworkError:
-            # The run is doomed; surface it through the results queue so the
-            # await loops fail fast instead of stalling out the barrier.
-            self._results.put(
-                (
-                    "error",
-                    target,
-                    f"{channel.reason} while routing a cross-host message",
-                )
+            return (
+                "error",
+                target,
+                f"{channel.reason} while routing a cross-host message",
             )
+        return None
 
 
 # ------------------------------------------------------- localhost auto-spawn

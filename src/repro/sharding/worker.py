@@ -1,4 +1,4 @@
-"""The worker side of every process-backed engine: one shard, one loop.
+"""The worker side of every process-backed engine: one shard, one state machine.
 
 The process-backed engines partition the peers with the
 :class:`~repro.sharding.planner.ShardPlanner` and give every shard a worker
@@ -12,17 +12,15 @@ and a distributed-quiescence barrier.  This module is everything that runs
 * ``_WorkerTransport`` is the in-worker transport: the simulator's
   :class:`~repro.network.transport.SyncTransport` (queue, virtual clock,
   latency index, the per-run ``max_messages`` bound, the ``drain`` loop)
-  plus outboxes for messages whose recipient lives in another shard.
+  plus an outbox for messages whose recipient lives in another shard.
   Cross-shard messages are stamped ``sender shard clock + latency`` by the
   sender and advance the receiving shard's clock on delivery.
-* :func:`shard_worker_loop` is the one persistent command loop (``start`` /
-  ``msg`` / ``stop``).  Each time the worker runs out of work it reports
-  home unasked, and the report carries what the coordinator does not hold
-  yet (:func:`_report`), never the world.  A
-  :class:`~repro.sharding.pool.WorkerPool` runs it as the target of one
-  fork-server child per shard, a :class:`~repro.sharding.sockets.ShardHost`
-  as one thread per hosted shard; a one-shot run is the same loop stopped
-  after its first run.
+* :class:`ShardWorker` is the one shard worker: a state machine that does
+  no I/O and never blocks, stepped by thin drivers — a
+  :class:`~repro.sharding.pool.WorkerPool` process, a
+  :class:`~repro.sharding.sockets.ShardHost`'s one thread, the tests'
+  in-memory driver.  A one-shot run is the same machine stopped after its
+  first run.
 
 Clock caveat: each worker drains its local queue to exhaustion between
 stimuli and there is no global time synchronisation between shards, so a
@@ -35,12 +33,10 @@ so traffic ordering stays causally sane.
 
 from __future__ import annotations
 
-import queue as queue_module
 import time
-import traceback
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro.api.engine import start_phase
 from repro.coordination.changeset import Change, RelationMarks
@@ -58,8 +54,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports us)
     from repro.core.system import P2PSystem
     from repro.faults.plan import FaultPlan
 
-#: Local deliveries a worker executes between inbox polls.  Bounded batches
-#: let cross-shard arrivals and a ``stop`` in while a long local chain runs.
+#: Local deliveries one :meth:`ShardWorker.step` executes.  Bounded batches
+#: let a driver read cross-shard arrivals and a ``stop`` while a long local
+#: chain runs.
 _DRAIN_BATCH = 500
 
 
@@ -79,6 +76,8 @@ class ShardWorld:
 
     shard_index: int
     shard_of: dict[NodeId, int]
+    #: The number of shards, owning peers or not: the width of the ledger.
+    shard_count: int
     schemas: dict[NodeId, object]
     rules: tuple[CoordinationRule, ...]
     data_slice: dict[NodeId, dict[str, frozenset]]
@@ -129,6 +128,7 @@ def _worlds_from_system(system: P2PSystem, plan: ShardPlan) -> list[ShardWorld]:
             ShardWorld(
                 shard_index=shard,
                 shard_of=shard_of,
+                shard_count=plan.shard_count,
                 schemas=schemas,
                 rules=rules,
                 data_slice={n: facts[n] for n in owned if n in facts},
@@ -147,13 +147,13 @@ def _worlds_from_system(system: P2PSystem, plan: ShardPlan) -> list[ShardWorld]:
 
 
 class _WorkerTransport(SyncTransport):
-    """The simulator's queue for owned recipients, outboxes for the rest."""
+    """The simulator's queue for owned recipients, an outbox for the rest."""
 
     def __init__(
         self,
         shard_index: int,
         shard_of: Mapping[NodeId, int],
-        outboxes: list,
+        shard_count: int,
         latency: LatencyModel | None,
         max_messages: int,
         clock_start: float = 0.0,
@@ -161,11 +161,13 @@ class _WorkerTransport(SyncTransport):
         super().__init__(latency, StatisticsCollector(), max_messages)
         self.shard_index = shard_index
         self.shard_of = dict(shard_of)
-        self.outboxes = outboxes
+        #: ``("to", shard, ("msg", run, deliver_at, message))`` frames for
+        #: other shards, in send order, until the machine hands them out.
+        self.outbox: list[tuple] = []
         self.clock = clock_start
         #: The cross-shard ledger the quiescence barrier balances, kept over
         #: the worker's whole life: messages sent to each shard, received.
-        self.cross_sent = [0] * len(outboxes)
+        self.cross_sent = [0] * shard_count
         self.cross_received = 0
         #: The latest ``start``'s run id, stamped on every cross-shard send.
         self.run_id = 0
@@ -176,8 +178,7 @@ class _WorkerTransport(SyncTransport):
         #: their protocol state can have moved.
         self.ran: set[NodeId] = set()
         self._held: list[tuple[int, float, Message]] = []
-        #: Worker-side frame injector (set by the worker loop when the
-        #: shipped world carries a fault plan); None keeps sends untouched.
+        #: Frame injector from the world's fault plan; None sends untouched.
         self.fault_injector: WorkerFrameInjector | None = None
 
     def send(self, message: Message) -> None:
@@ -197,7 +198,7 @@ class _WorkerTransport(SyncTransport):
             # still arrives exactly once (the cross-shard ledgers
             # stays balanced) but pays extra simulated latency.
             deliver_at += self.fault_injector.frame_fault()
-        self.outboxes[target].put(("msg", self.run_id, deliver_at, message))
+        self.outbox.append(("to", target, ("msg", self.run_id, deliver_at, message)))
         self.cross_sent[target] += 1
 
     def _deliver(self, message: Message, at_time: float) -> None:
@@ -234,154 +235,53 @@ class _WorkerTransport(SyncTransport):
         return tuple(self.cross_sent), self.cross_received
 
 
-def _build_worker_system(world: ShardWorld, transport: _WorkerTransport) -> P2PSystem:
-    from repro.core.system import P2PSystem
+class ShardWorker:
+    """One shard worker as a state machine: commands in, frames out.
 
-    system = P2PSystem(transport)
-    for node_id, schema in world.schemas.items():
-        system.add_node(
-            node_id, schema, propagation=world.propagation.get(node_id, "once")
-        )
-    for rule in world.rules:
-        system.add_rule(rule)
-    system.load_data(world.data_slice)
-    return system
-
-
-def _owned_origins(
-    world: ShardWorld, origins: Iterable[NodeId] | None
-) -> tuple[NodeId, ...]:
-    """The origins this shard starts, in order; ``None`` means every peer."""
-    if origins is None:
-        return world.owned
-    owned = set(world.owned)
-    return tuple(origin for origin in origins if origin in owned)
-
-
-def _report(
-    system: P2PSystem,
-    world: ShardWorld,
-    transport: _WorkerTransport,
-    marks: RelationMarks,
-    shipped_state: dict[NodeId, dict],
-) -> tuple:
-    """One idle report: ``("report", shard, run, ledger, payload)``, the
-    payload being what moved since the previous report.
-
-    What the coordinator already holds of the shard is ``marks`` — per owned
-    relation, the mark taken when it was last shipped home, or when the
-    world was built (those rows came from the coordinator) — and
-    ``shipped_state``, the protocol state as last shipped.  ``change`` is
-    :meth:`Change.read <repro.coordination.changeset.Change.read>` over the
-    marks, so only the relations written since are visited; the protocol
-    state of a peer that ran rides along when it changed.  Discovery paths
-    do not ship: they are a function of the edges, and the coordinator
-    derives them from its merged copy.  Counters, spans and the chase
-    profile ship and restart from zero.
-    """
-    change = Change.read(system, marks)
-    node_state = {}
-    for node_id in sorted(transport.ran):
-        node = system.node(node_id)
-        state = {"closed": node.is_update_closed, "edges": set(node.state.edges)}
-        if shipped_state.get(node_id) != state:
-            shipped_state[node_id] = node_state[node_id] = state
-    delivered, received = transport.delivered_count, transport.cross_received
-    payload = {
-        "shard": world.shard_index,
-        "change": change,
-        "node_state": node_state,
-        # One aggregation code path for every engine: the worker ships its
-        # whole metrics registry; the coordinator folds it in with
-        # StatisticsCollector.merge_counters.
-        "counters": transport.stats.dump_counters(),
-        "delivered": delivered - transport.reported[0],
-        "cross_received": received - transport.reported[1],
-        "clock": transport.clock,
-    }
-    transport.reported = (delivered, received)
-    transport.stats.reset()
-    transport.ran = set()
-    tracer = tracer_of(transport)
-    if tracer.enabled:
-        payload["spans"] = tracer.drain()
-        payload["trace_clock"] = time.time()
-        # Ship-and-zero in place: the worker's databases hold references to
-        # this ChaseProfile, so it must stay the same object across runs.
-        chase = tracer.chase
-        payload["chase_profile"] = vars(chase).copy()
-        for name, value in vars(chase).items():
-            setattr(chase, name, type(value)())
-    return ("report", world.shard_index, transport.run_id, transport.ledger(), payload)
-
-
-def _remark(system: P2PSystem, marks: RelationMarks, change: Change) -> None:
-    """Mark the relations a coordinator ``change`` touched: both sides hold
-    the same rows of them now.
-
-    A change arrives with a ``start``, after the worker's last report of
-    the run before, so nothing else moved since; this only drops what the
-    coordinator already has from the next report.  Without it a row the
-    coordinator deleted and this worker derives again would read as deleted
-    and put back — no change — and never ship home.
-    """
-    touched = {
-        (node_id, name)
-        for rows in (change.inserts, change.removes, change.replaces)
-        for node_id, relations in rows.items()
-        for name in relations
-    }
-    for node_id, schemas in change.relations.items():
-        touched.update((node_id, schema.name) for schema in schemas)
-    for node_id, name in touched:
-        marks.marks[node_id, name] = system.node(node_id).database.relation(name).mark()
-
-
-def shard_worker_loop(world: ShardWorld, outboxes: list, results) -> None:
-    """The command loop of one shard worker (a process target or a host thread).
-
-    ``outboxes[s]`` is where a command for shard ``s`` goes (this worker's
-    own entry is its inbox); replies go to ``results``.  Control and data
-    share the single inbox, so the loop is fully event-driven:
-    ``("start", run, phase, origins, mode, change)`` applies the
-    coordinator's :class:`~repro.coordination.changeset.Change` for this
-    shard (``None`` when nothing changed) and kicks the phase off at the
-    owned origins, ``("msg", run, deliver_at, message)`` is a cross-shard
-    delivery (held until its run's ``start`` if it overtook it:
-    :meth:`_WorkerTransport.receive_cross`), and ``stop`` ends the worker.
+    It does no I/O and never blocks; a driver owns the I/O.  The driver
+    passes each command that arrives to :meth:`handle` and calls
+    :meth:`step` while the machine is :attr:`busy`; both return the
+    ``("to", shard, command)`` frames to send on.  ``("start", run, phase,
+    origins, mode, change)`` applies the coordinator's
+    :class:`~repro.coordination.changeset.Change` for this shard (``None``
+    when nothing changed) and kicks the phase off at the owned origins;
+    ``("msg", run, deliver_at, message)`` is a cross-shard delivery, held
+    until its run's ``start`` if it overtook it
+    (:meth:`_WorkerTransport.receive_cross`).  ``stop`` ends the driver, not
+    the machine; a failure raises, and the driver sends ``("error", shard,
+    traceback)`` home and drops the machine.
 
     Quiescence is reported, not polled for: after a ``start`` or a ``msg``,
-    the first time the local queue and the inbox are both empty the worker
-    puts ``("report", shard, run, ledger, payload)`` on ``results`` and only
-    then blocks.  ``run`` is the latest ``start``'s, ``ledger`` the
-    cumulative cross-shard counters (:meth:`_WorkerTransport.ledger`, never
-    reset) and ``payload`` what moved since the previous report
-    (:func:`_report`).  The coordinator certifies termination from
-    the reports alone (:meth:`ShardPool._await_quiescence
-    <repro.sharding.pool.ShardPool._await_quiescence>`).
+    the first time the machine is not busy *and* its driver has nothing left
+    to read, :meth:`idle` returns ``("report", shard, run, ledger,
+    payload)`` — the latest ``start``'s run, the cumulative cross-shard
+    ledger (:meth:`_WorkerTransport.ledger`) and what moved since the
+    previous report (:meth:`ShardWorker._report`) — and None otherwise.  One ``chase``
+    span covers each busy period.
 
-    Every change is also folded into the worker's pending
-    :class:`~repro.coordination.changeset.Change` (with ``union``), which an
-    update ``start`` consumes: if the coordinator asked for
-    ``mode="incremental"`` *and* the pending change is ``rows_only``, the
-    owned nodes it inserted into or removed from seed their delta frontier
-    instead of re-opening for naive pull rounds.  After applying a change
-    the worker re-marks the relations it touched (:func:`_remark`).  The
-    worker-side check is authoritative — a coordinator that over-asks (say,
-    after a rule change it did not notice) still gets a correct naive run.
+    Every change is also folded into a pending
+    :class:`~repro.coordination.changeset.Change` that an update ``start``
+    consumes: if the coordinator asked for ``mode="incremental"`` *and* the
+    pending change is ``rows_only``, the owned nodes it moved rows at seed
+    their delta frontier instead of re-opening for naive pull rounds.  The
+    worker-side check is authoritative — a coordinator that over-asks still
+    gets a correct naive run.  After applying a change the machine re-marks
+    the relations it touched (:meth:`_remark`).
     """
-    inbox = outboxes[world.shard_index]
-    pending = Change()
-    try:
-        transport = _WorkerTransport(
+
+    def __init__(self, world: ShardWorld):
+        from repro.core.system import P2PSystem
+
+        self.world = world
+        self.transport = transport = _WorkerTransport(
             world.shard_index,
             world.shard_of,
-            outboxes,
+            world.shard_count,
             world.latency,
             world.max_messages,
             clock_start=world.clock_start,
         )
-        tracer = (
+        self.tracer = tracer = (
             Tracer(trace_id=world.trace_id, process=f"shard-{world.shard_index}")
             if world.trace_id is not None
             else NULL_TRACER
@@ -394,67 +294,162 @@ def shard_worker_loop(world: ShardWorld, outboxes: list, results) -> None:
                 transport.stats.registry,
             )
         with tracer.span("build", shard=world.shard_index):
-            system = _build_worker_system(world, transport)
-        marks, shipped = RelationMarks(system, world.owned), {}
+            self.system = system = P2PSystem(transport)
+            for node_id, schema in world.schemas.items():
+                propagation = world.propagation.get(node_id, "once")
+                system.add_node(node_id, schema, propagation=propagation)
+            for rule in world.rules:
+                system.add_rule(rule)
+            system.load_data(world.data_slice)
+        #: What the coordinator holds of the shard: per owned relation, the
+        #: mark taken when it was last shipped home, or when the world was
+        #: built (those rows came from the coordinator); and the protocol
+        #: state of each peer as last shipped.
+        self._marks, self._shipped = RelationMarks(system, world.owned), {}
         if tracer.enabled:
             for node in system.nodes.values():
                 node.database.profile = tracer.chase
-        results.put(("ready", world.shard_index))
-        # One "chase" span covers each busy period: opened when local work
-        # appears, closed when the queue drains and the worker blocks again.
-        chase_span = None
-        delivered_mark = 0
-        # Set by a ``start`` or a ``msg``: the worker owes the coordinator an
-        # idle report once its local queue and its inbox are both empty.
-        report_due = False
-        while True:
-            if transport.pending:
-                if chase_span is None and tracer.enabled:
-                    chase_span = tracer.start_span("chase", shard=world.shard_index)
-                    delivered_mark = transport.delivered_count
-                try:
-                    item = inbox.get_nowait()
-                except queue_module.Empty:
-                    transport.drain(_DRAIN_BATCH)
-                    continue
-            else:
-                if chase_span is not None:
-                    tracer.end_span(
-                        chase_span, delivered=transport.delivered_count - delivered_mark
-                    )
-                    chase_span = None
-                if report_due and inbox.empty():
-                    results.put(_report(system, world, transport, marks, shipped))
-                    report_due = False
-                item = inbox.get()
-            kind = item[0]
-            if kind == "msg":
-                if transport.receive_cross(*item[1:]):
-                    report_due = True
-            elif kind == "start":
-                _kind, run, phase, origins, mode, change = item
-                transport.start_run(run)
-                if change is not None:
-                    with tracer.span("sync", shard=world.shard_index):
-                        change.apply(system)
-                        pending = pending.union(change)
-                        _remark(system, marks, change)
-                started = _owned_origins(world, origins)
-                if phase == "update":
-                    changes, pending = pending, Change()
-                    if mode == "incremental" and changes.rows_only:
-                        started = system.seed_update_delta(changes, nodes=started)
-                    else:
-                        start_phase(system, phase, started)
+        self._pending = Change()
+        self._chase_span = None
+        self._chase_mark = 0
+        #: Set by a ``start`` or a ``msg``: the machine owes an idle report.
+        self._report_due = False
+
+    @property
+    def busy(self) -> bool:
+        """Whether local deliveries are queued: :meth:`step` has work."""
+        return bool(self.transport.pending)
+
+    def handle(self, item: tuple) -> list[tuple]:
+        """Take one command; return the frames it sent to other shards."""
+        kind, transport = item[0], self.transport
+        if kind == "msg":
+            if transport.receive_cross(*item[1:]):
+                self._report_due = True
+        elif kind == "start":
+            _kind, run, phase, origins, mode, change = item
+            system = self.system
+            transport.start_run(run)
+            if change is not None:
+                with self.tracer.span("sync", shard=self.world.shard_index):
+                    change.apply(system)
+                    self._pending = self._pending.union(change)
+                    self._remark(change)
+            # The origins this shard starts, in order; None means every peer.
+            started = self.world.owned
+            if origins is not None:
+                owned = set(started)
+                started = tuple(origin for origin in origins if origin in owned)
+            if phase == "update":
+                changes, self._pending = self._pending, Change()
+                if mode == "incremental" and changes.rows_only:
+                    started = system.seed_update_delta(changes, nodes=started)
                 else:
-                    # Discovery runs neither consume nor stale the pending
-                    # delta; it still belongs to the next update start.
                     start_phase(system, phase, started)
-                transport.ran.update(started)
-                report_due = True
-            elif kind == "stop":
-                return
-            else:  # pragma: no cover - coordinator never sends other kinds
-                raise NetworkError(f"unknown control message {kind!r}")
-    except BaseException:  # noqa: BLE001 - shipped to the coordinator
-        results.put(("error", world.shard_index, traceback.format_exc()))
+            else:
+                # Discovery runs neither consume nor stale the pending
+                # delta; it still belongs to the next update start.
+                start_phase(system, phase, started)
+            transport.ran.update(started)
+            self._report_due = True
+        else:
+            raise NetworkError(f"unknown control message {kind!r}")
+        return self._sent()
+
+    def step(self) -> list[tuple]:
+        """Deliver up to ``_DRAIN_BATCH`` local messages; return the frames
+        they sent to other shards."""
+        transport, tracer = self.transport, self.tracer
+        if self._chase_span is None and tracer.enabled:
+            self._chase_span = tracer.start_span("chase", shard=self.world.shard_index)
+            self._chase_mark = transport.delivered_count
+        transport.drain(_DRAIN_BATCH)
+        if self._chase_span is not None and not transport.pending:
+            tracer.end_span(
+                self._chase_span,
+                delivered=transport.delivered_count - self._chase_mark,
+            )
+            self._chase_span = None
+        return self._sent()
+
+    def idle(self) -> tuple | None:
+        """The report owed, once the driver found nothing left to read."""
+        if not self._report_due or self.transport.pending:
+            return None
+        self._report_due = False
+        return self._report()
+
+    def _sent(self) -> list[tuple]:
+        sent, self.transport.outbox = self.transport.outbox, []
+        return sent
+
+    def _report(self) -> tuple:
+        """``("report", shard, run, ledger, payload)``, the payload being
+        what moved since the previous report.
+
+        ``change`` is :meth:`Change.read
+        <repro.coordination.changeset.Change.read>` over the marks, so only
+        the relations written since are visited; the protocol state of a
+        peer that ran rides along when it changed.  Discovery paths do not
+        ship: they are a function of the edges, and the coordinator derives
+        them from its merged copy.  Counters, spans and the chase profile
+        ship and restart from zero.
+        """
+        system, transport, shipped = self.system, self.transport, self._shipped
+        change = Change.read(system, self._marks)
+        node_state = {}
+        for node_id in sorted(transport.ran):
+            node = system.node(node_id)
+            state = {"closed": node.is_update_closed, "edges": set(node.state.edges)}
+            if shipped.get(node_id) != state:
+                shipped[node_id] = node_state[node_id] = state
+        delivered, received = transport.delivered_count, transport.cross_received
+        shard = self.world.shard_index
+        payload = {
+            "shard": shard,
+            "change": change,
+            "node_state": node_state,
+            # One aggregation code path for every engine: the worker ships its
+            # whole metrics registry; the coordinator folds it in with
+            # StatisticsCollector.merge_counters.
+            "counters": transport.stats.dump_counters(),
+            "delivered": delivered - transport.reported[0],
+            "cross_received": received - transport.reported[1],
+            "clock": transport.clock,
+        }
+        transport.reported = (delivered, received)
+        transport.stats.reset()
+        transport.ran = set()
+        tracer = self.tracer
+        if tracer.enabled:
+            payload["spans"] = tracer.drain()
+            payload["trace_clock"] = time.time()
+            # Ship-and-zero in place: the worker's databases hold references
+            # to this ChaseProfile, so it must stay the same object across runs.
+            chase = tracer.chase
+            payload["chase_profile"] = vars(chase).copy()
+            for name, value in vars(chase).items():
+                setattr(chase, name, type(value)())
+        return ("report", shard, transport.run_id, transport.ledger(), payload)
+
+    def _remark(self, change: Change) -> None:
+        """Mark the relations a coordinator ``change`` touched: both sides
+        hold the same rows of them now.
+
+        A change arrives with a ``start``, after the machine's last report
+        of the run before, so nothing else moved since; this only drops what
+        the coordinator already has from the next report.  Without it a row
+        the coordinator deleted and this worker derives again would read as
+        deleted and put back — no change — and never ship home.
+        """
+        touched = {
+            (node_id, name)
+            for rows in (change.inserts, change.removes, change.replaces)
+            for node_id, relations in rows.items()
+            for name in relations
+        }
+        for node_id, schemas in change.relations.items():
+            touched.update((node_id, schema.name) for schema in schemas)
+        for node_id, name in touched:
+            relation = self.system.node(node_id).database.relation(name)
+            self._marks.marks[node_id, name] = relation.mark()

@@ -77,22 +77,33 @@ class TestKillMatrix:
             assert registry.total("repro_fault_detected_total") >= 1
             assert registry.total("repro_fault_cold_reruns_total") == 0
 
-    def test_a_worker_killed_mid_run_fails_the_run_at_once(self, scenario, chaos_seed):
-        # A warm pooled run (run 2: discovery and an update came first) whose
-        # worker dies in the chase: its closed pipe is the error, not a
-        # liveness poll after an idle second.
+    @pytest.mark.parametrize(
+        "settings, severed",
+        [
+            ({"transport": "pooled"}, r"shard \d worker"),
+            ({"transport": "socket", "pool": True}, "link to shard host .* lost"),
+        ],
+        ids=["pooled", "socket-pooled"],
+    )
+    def test_a_worker_killed_mid_run_fails_the_run_at_once(
+        self, scenario, chaos_seed, settings, severed
+    ):
+        # A warm run (run 2: discovery and an update came first) whose
+        # worker dies in the chase: its closed pipe or severed link is the
+        # error, not a liveness poll after an idle second.
         plan = FaultPlan(
             seed=chaos_seed,
             faults=[FaultSpec(kind="kill_worker", phase="chase", run_index=2)],
         )
-        spec = scenario.with_(transport="pooled", shards=2, faults=plan)
+        spec = scenario.with_(shards=2, faults=plan, **settings)
         with Session.from_spec(spec) as session:
             session.run("discovery")
             session.update()
             started = time.monotonic()
-            with pytest.raises(NetworkError):
+            with pytest.raises(NetworkError, match=severed) as failure:
                 session.update()
             assert time.monotonic() - started < 0.25
+            assert "Bad file descriptor" not in str(failure.value)
 
 
 class TestFrameFaults:

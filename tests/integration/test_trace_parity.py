@@ -134,3 +134,16 @@ class TestOneSnapshotCodePath:
             node: stats.tuples_inserted
             for node, stats in sync_result.stats.nodes.items()
         }
+
+
+def test_a_sync_chase_span_counts_the_deliveries_of_its_own_run():
+    # The simulator's delivered count lives as long as the session; each
+    # run's chase span must carry only that run's share of it.
+    delivered = []
+    with Session.from_spec(base_spec(), trace=True) as session:
+        session.run("discovery")
+        for _update in range(3):
+            spans = session.update().extras["trace"]["spans"]
+            (chase,) = [span for span in spans if span["name"] == "chase"]
+            delivered.append(chase["attributes"]["delivered"])
+    assert delivered == [62, 26, 26]

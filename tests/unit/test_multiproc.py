@@ -26,15 +26,6 @@ def _item_schemas(*names):
     }
 
 
-class _ListQueue:
-    """A stand-in for an mp.Queue capturing what a worker would ship out."""
-
-    def __init__(self):
-        self.items = []
-
-    def put(self, item):
-        self.items.append(item)
-
 
 class TestProcessTransport:
     def test_engine_for_picks_multiproc_engine(self):
@@ -120,31 +111,31 @@ class TestProcessTransport:
 
 class TestWorkerTransport:
     def _transport(self):
-        outboxes = [_ListQueue(), _ListQueue()]
         transport = _WorkerTransport(
             shard_index=0,
             shard_of={"a": 0, "b": 1},
-            outboxes=outboxes,
+            shard_count=2,
             latency=None,  # defaults to ConstantLatency(1.0)
             max_messages=100,
         )
         transport.register("a", lambda message: None)
         transport.register("b", lambda message: None)
-        return transport, outboxes
+        return transport
 
     def test_local_send_stays_in_the_worker(self):
-        transport, outboxes = self._transport()
+        transport = self._transport()
         transport.send(Message(sender="b", recipient="a", type=MessageType.QUERY))
-        assert outboxes[1].items == []
+        assert transport.outbox == []
         transport.drain()
         assert transport.delivered_count == 1
         assert transport.cross_sent == [0, 0]
 
     def test_cross_send_goes_through_the_outbox(self):
-        transport, outboxes = self._transport()
+        transport = self._transport()
         transport.send(Message(sender="a", recipient="b", type=MessageType.QUERY))
         assert transport.cross_sent == [0, 1]
-        kind, run, deliver_at, message = outboxes[1].items[0]
+        (_to, target, (kind, run, deliver_at, message)) = transport.outbox[0]
+        assert target == 1
         assert (kind, run) == ("msg", transport.run_id)
         assert deliver_at == pytest.approx(1.0)  # clock 0 + constant latency
         assert message.recipient == "b"
@@ -153,7 +144,7 @@ class TestWorkerTransport:
         assert transport.delivered_count == 0
 
     def test_received_cross_message_advances_the_clock(self):
-        transport, _outboxes = self._transport()
+        transport = self._transport()
         transport.receive_cross(
             0, 7.5, Message(sender="b", recipient="a", type=MessageType.ANSWER)
         )
@@ -162,15 +153,14 @@ class TestWorkerTransport:
         assert transport.cross_received == 1
 
     def test_unregistered_recipient_raises(self):
-        transport, _outboxes = self._transport()
+        transport = self._transport()
         with pytest.raises(NetworkError):
             transport.send(
                 Message(sender="a", recipient="zz", type=MessageType.QUERY)
             )
 
     def test_max_messages_bound_raises(self):
-        outboxes = [_ListQueue()]
-        transport = _WorkerTransport(0, {"a": 0}, outboxes, None, max_messages=2)
+        transport = _WorkerTransport(0, {"a": 0}, 1, None, max_messages=2)
 
         def echo(message):
             transport.send(
@@ -209,6 +199,7 @@ class TestShardWorlds:
         world = ShardWorld(
             shard_index=0,
             shard_of={"a": 0, "b": 1},
+            shard_count=2,
             schemas=_item_schemas("a", "b"),
             rules=(rule_from_text("ab", "b: item(X, Y) -> a: item(X, Y)"),),
             data_slice={"a": {"item": frozenset({("1", "2")})}},

@@ -3,7 +3,7 @@
 The parity suites exercise these only incidentally (and only on the happy
 path); here each failure mode is pinned on its own: partial reads across
 fragmented frames, clean closes vs mid-frame closes, the oversize-frame
-bound, the idle-timeout distinction, and the socket
+bound, a stall mid-frame, and the socket
 :class:`~repro.sharding.pool.Channel` (:class:`HostChannel`) that presents a
 host link plus a shard id through the liveness surface the await loops poll.
 """
@@ -19,11 +19,10 @@ from repro.faults import NULL_INJECTOR
 from repro.sharding.sockets import (
     ConnectionClosed,
     HostChannel,
-    _FrameWriter,
-    _IdleTimeout,
     _recv_exact,
     parse_address,
     recv_frame,
+    send_frame,
 )
 
 
@@ -36,10 +35,6 @@ def pair():
     finally:
         left.close()
         right.close()
-
-
-def send_frame(sock, obj, max_frame=2**20):
-    _FrameWriter(sock, max_frame).send(obj)
 
 
 class TestRecvExact:
@@ -73,16 +68,14 @@ class TestRecvExact:
         # Not the clean-close subtype: callers distinguish the two.
         assert not isinstance(excinfo.value, ConnectionClosed)
 
-    def test_idle_timeout_only_before_any_byte(self, pair):
+    def test_a_stall_mid_frame_is_a_wedged_peer(self, pair):
         left, right = pair
         right.settimeout(0.05)
-        with pytest.raises(_IdleTimeout):
-            _recv_exact(right, 4, idle_ok=True)
-        left.sendall(b"a")  # a frame has started: a stall is now an error
+        left.sendall(b"a")  # a frame has started: a stall is an error
         with pytest.raises(NetworkError, match="wedged"):
-            _recv_exact(right, 4, idle_ok=True)
+            _recv_exact(right, 4)
 
-    def test_timeout_without_idle_ok_is_an_error(self, pair):
+    def test_a_timeout_is_an_error(self, pair):
         _left, right = pair
         right.settimeout(0.05)
         with pytest.raises(NetworkError):
@@ -104,7 +97,7 @@ class TestRecvFrame:
     def test_oversize_send_is_refused_symmetrically(self, pair):
         left, _right = pair
         with pytest.raises(NetworkError, match="max_frame"):
-            _FrameWriter(left, max_frame=8).send("x" * 64)
+            send_frame(left, "x" * 64, max_frame=8)
 
     def test_close_after_header_is_a_truncated_frame(self, pair):
         left, right = pair

@@ -22,9 +22,9 @@ from repro.sharding.sockets import (
     ConnectionClosed,
     LocalHostCluster,
     ShardHost,
-    _FrameWriter,
     parse_address,
     recv_frame,
+    send_frame,
 )
 from repro.workloads.topologies import tree_topology
 
@@ -55,9 +55,8 @@ class TestParseAddress:
 class TestFraming:
     def test_round_trip(self, sock_pair):
         left, right = sock_pair
-        writer = _FrameWriter(left, max_frame=1 << 20)
         payload = ("msg", 3, {"rows": [("a", "b")] * 100})
-        writer.send(payload)
+        send_frame(left, payload, max_frame=1 << 20)
         assert recv_frame(right, max_frame=1 << 20) == payload
 
     def test_partial_reads_are_reassembled(self, sock_pair):
@@ -116,9 +115,8 @@ class TestFraming:
 
     def test_oversized_outgoing_frame_is_refused(self, sock_pair):
         left, _right = sock_pair
-        writer = _FrameWriter(left, max_frame=64)
         with pytest.raises(NetworkError, match="exceeds the 64-byte"):
-            writer.send("x" * 1000)
+            send_frame(left, "x" * 1000, max_frame=64)
 
     def test_garbage_payload_is_a_network_error(self, sock_pair):
         left, right = sock_pair
@@ -131,7 +129,7 @@ class TestShardHost:
     def test_unknown_frame_kind_gets_an_error_reply(self):
         with ShardHost().start() as host:
             with socket.create_connection(host.address, timeout=5.0) as conn:
-                _FrameWriter(conn, host.max_frame).send(("frobnicate",))
+                send_frame(conn, ("frobnicate",), host.max_frame)
                 kind, shard, message = recv_frame(conn)
                 assert kind == "error"
                 assert "frobnicate" in message
@@ -139,20 +137,18 @@ class TestShardHost:
     def test_a_command_for_a_non_hosted_shard_gets_an_error_reply(self):
         with ShardHost().start() as host:
             with socket.create_connection(host.address, timeout=5.0) as conn:
-                writer = _FrameWriter(conn, host.max_frame)
-                writer.send(("worlds", 1, []))
-                writer.send(("to", 0, ("stop",)))
+                send_frame(conn, ("worlds", []), host.max_frame)
+                send_frame(conn, ("to", 0, ("stop",)), host.max_frame)
                 kind, shard, _message = recv_frame(conn)
                 assert (kind, shard) == ("error", 0)
 
-    def test_malformed_host_frame_marks_the_link_dead(self):
+    def test_a_malformed_host_frame_is_the_shards_error_at_once(self):
         # A well-pickled frame of the wrong shape from a (version-skewed,
-        # buggy) host must read as a protocol failure on the link — exitcode
-        # names the malformed frame — not kill the reader thread bare.
+        # buggy) host must read as a protocol failure on its link, charged
+        # to the link's shard, not as a bare traceback or a stall.
         import pickle
-        import queue
-        import time
 
+        from repro.sharding.pool import Replies
         from repro.sharding.sockets import _HostLink
 
         server = socket.create_server(("127.0.0.1", 0))
@@ -166,22 +162,18 @@ class TestShardHost:
 
         sender = threading.Thread(target=serve, daemon=True)
         sender.start()
-        link = _HostLink(
-            f"127.0.0.1:{port}", queue.Queue(), lambda *args: None, 1 << 20
-        )
+        link = _HostLink(f"127.0.0.1:{port}", 1 << 20)
         try:
-            sender.join(timeout=5.0)
-            deadline = time.monotonic() + 5.0
-            while link.alive and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert not link.alive
-            assert "malformed frame" in (link.exitcode or "")
+            replies = Replies({link: (0, "link to shard host h")})
+            kind, shard, reason = replies.get(timeout=5.0)
+            assert (kind, shard) == ("error", 0)
+            assert "malformed frame" in reason
         finally:
+            sender.join(timeout=5.0)
             link.close()
             server.close()
 
     def test_both_ends_of_a_host_link_disable_nagle(self):
-        import queue
         import time
 
         from repro.sharding.sockets import _HostLink
@@ -190,9 +182,7 @@ class TestShardHost:
             return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
         with ShardHost().start() as host:
-            link = _HostLink(
-                f"127.0.0.1:{host.port}", queue.Queue(), lambda *args: None, 1 << 20
-            )
+            link = _HostLink(f"127.0.0.1:{host.port}", 1 << 20)
             try:
                 deadline = time.monotonic() + 5.0
                 while host._conn is None and time.monotonic() < deadline:
@@ -229,7 +219,7 @@ class TestShardHost:
         host._listener = Listener()
         with host.start():
             with socket.create_connection(host.address, timeout=5.0) as conn:
-                _FrameWriter(conn, host.max_frame).send(("bogus",))
+                send_frame(conn, ("bogus",), host.max_frame)
                 assert recv_frame(conn)[0] == "error"
         assert reset.closed
 
@@ -238,10 +228,10 @@ class TestShardHost:
         # can land must not take the host process down with a failed write.
         with ShardHost().start() as host:
             conn = socket.create_connection(host.address, timeout=5.0)
-            _FrameWriter(conn, host.max_frame).send(("frobnicate",))
+            send_frame(conn, ("frobnicate",), host.max_frame)
             conn.close()
             with socket.create_connection(host.address, timeout=5.0) as conn2:
-                _FrameWriter(conn2, host.max_frame).send(("bogus",))
+                send_frame(conn2, ("bogus",), host.max_frame)
                 assert recv_frame(conn2)[0] == "error"
 
     def test_host_survives_coordinator_churn(self):
@@ -250,7 +240,7 @@ class TestShardHost:
         with ShardHost().start() as host:
             for _round in range(2):
                 with socket.create_connection(host.address, timeout=5.0) as conn:
-                    _FrameWriter(conn, host.max_frame).send(("bogus",))
+                    send_frame(conn, ("bogus",), host.max_frame)
                     assert recv_frame(conn)[0] == "error"
 
 
@@ -363,23 +353,22 @@ class TestHostDeath:
     def test_oversized_reply_surfaces_an_error_not_a_stall(self, monkeypatch):
         # A report too big to frame must come back as a prompt NetworkError
         # naming the shard — never a silent 120 s stall.  The host runs
-        # in-process (worker threads share this interpreter), so bloating
+        # in-process (its machines share this interpreter), so bloating
         # the worker's report helper makes the report blow the frame bound
         # while every control frame still fits.
-        import repro.sharding.worker as worker_module
         from repro.coordination.rule import rule_from_text
-        from repro.sharding.worker import _worlds_from_system
+        from repro.sharding.worker import ShardWorker, _worlds_from_system
         from repro.sharding.planner import ShardPlanner
         from repro.sharding.sockets import SocketPool
 
-        original = worker_module._report
+        original = ShardWorker._report
 
         def bloated(*args, **kwargs):
             report = original(*args, **kwargs)
             report[-1]["ballast"] = "x" * (1 << 20)
             return report
 
-        monkeypatch.setattr(worker_module, "_report", bloated)
+        monkeypatch.setattr(ShardWorker, "_report", bloated)
 
         system = ScenarioSpec.of(
             {
@@ -470,3 +459,107 @@ class TestLocalHostCluster:
         cluster.close()
         assert all(process.poll() is not None for process in processes)
         cluster.close()  # idempotent
+
+
+def clique_spec(peers: int, rows: int) -> ScenarioSpec:
+    """Every peer copies every other peer's ``item`` rows."""
+    nodes = [f"n{index}" for index in range(peers)]
+    return ScenarioSpec.of(
+        {node: [RelationSchema("item", ["x", "y"])] for node in nodes},
+        [
+            f"{target}{source}: {source}: item(X, Y) -> {target}: item(X, Y)"
+            for target in nodes
+            for source in nodes
+            if target != source
+        ],
+        {node: {"item": [(node, str(row)) for row in range(rows)]} for node in nodes},
+    )
+
+
+def thread_counts_during_runs(pool, monkeypatch) -> list[int]:
+    """``threading.active_count()`` at every reply the pool waits for."""
+    counts = []
+    next_reply = pool._next_reply
+
+    def counting(*args):
+        counts.append(threading.active_count())
+        return next_reply(*args)
+
+    monkeypatch.setattr(pool, "_next_reply", counting)
+    return counts
+
+
+class TestOneThreadPerEnd:
+    def test_a_warm_socket_pooled_run_starts_no_thread(self, monkeypatch):
+        spec = ScenarioSpec.from_topology(
+            tree_topology(2, 2), records_per_node=2, seed=0
+        ).with_(transport="socket", shards=2, pool=True)
+        before = threading.active_count()
+        with Session.from_spec(spec) as session:
+            session.run("update")
+            counts = thread_counts_during_runs(session.engine.pool, monkeypatch)
+            session.run("update")
+        assert counts and max(counts) == before
+
+    def test_a_host_steps_its_co_hosted_shards_on_its_serve_thread(self, monkeypatch):
+        from repro.sharding.planner import ShardPlan
+        from repro.sharding.sockets import SocketPool
+
+        system = clique_spec(4, 2).build_system()
+        plan = ShardPlan(2, {"n0": 0, "n1": 0, "n2": 1, "n3": 1})
+        with ShardHost().start() as host:
+            before = threading.active_count()  # the serve thread included
+            with SocketPool.spawn(system, plan, [f"127.0.0.1:{host.port}"]) as pool:
+                counts = thread_counts_during_runs(pool, monkeypatch)
+                pool.run_phase("update", None)
+            assert counts and max(counts) == before
+
+    def test_relaying_through_full_socket_buffers_does_not_deadlock(self, monkeypatch):
+        # One side of each link queues (the host), so the coordinator's
+        # blocking relay and a host's replies cannot wait on each other
+        # even when every buffer in between is full.
+        import pickle
+
+        from repro.core.fixpoint import ground_part
+        from repro.sharding.sockets import SocketPool
+
+        buffer = 4096
+
+        def small_buffers(address, *args, **kwargs):
+            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            for option in (socket.SO_SNDBUF, socket.SO_RCVBUF):
+                sock.setsockopt(socket.SOL_SOCKET, option, buffer)
+            sock.connect(address)
+            return sock
+
+        relayed = []
+        route = SocketPool._route
+
+        def counting_route(pool, target, command):
+            relayed.append(len(pickle.dumps(command)))
+            return route(pool, target, command)
+
+        spec = clique_spec(6, 60)
+        with Session.from_spec(spec) as session:
+            session.run("discovery")
+            session.update()
+            expected = ground_part(session.databases())
+        hosts = [ShardHost(), ShardHost()]
+        for host in hosts:  # accepted sockets inherit the listener's buffers
+            for option in (socket.SO_SNDBUF, socket.SO_RCVBUF):
+                host._listener.setsockopt(socket.SOL_SOCKET, option, buffer)
+            host.start()
+        monkeypatch.setattr(socket, "create_connection", small_buffers)
+        monkeypatch.setattr(SocketPool, "_route", counting_route)
+        addresses = tuple(f"127.0.0.1:{host.port}" for host in hosts)
+        try:
+            with Session.from_spec(
+                spec.with_(transport="socket", hosts=addresses, pool=True)
+            ) as session:
+                session.run("discovery")
+                session.update()
+                assert ground_part(session.databases()) == expected
+        finally:
+            for host in hosts:
+                host.close()
+        assert sum(relayed) > 20 * buffer
