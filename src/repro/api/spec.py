@@ -34,7 +34,6 @@ from repro.database.relation import Row
 from repro.database.schema import Attribute, DatabaseSchema, RelationSchema
 from repro.errors import ReproError
 from repro.network.latency import ConstantLatency, LatencyModel, UniformLatency
-from repro.network.transport import BaseTransport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.core.system import P2PSystem
@@ -47,13 +46,6 @@ _SPEC_FORMAT = "repro-scenario/1"
 
 #: What :meth:`ScenarioSpec.of` accepts per node before schema coercion.
 SchemaInput = DatabaseSchema | RelationSchema | Iterable[RelationSchema]
-
-
-def _transport_label(transport: str | BaseTransport) -> str:
-    """How error messages name the spec's transport setting."""
-    if isinstance(transport, str):
-        return transport
-    return repr(type(transport).__name__)
 
 
 def _name_list(names: Iterable[str]) -> str:
@@ -126,7 +118,7 @@ class ScenarioSpec:
     schemas: Mapping[NodeId, DatabaseSchema]
     rules: tuple[CoordinationRule, ...] = ()
     data: Mapping[NodeId, Mapping[str, tuple[Row, ...]]] = field(default_factory=dict)
-    transport: str | BaseTransport = "sync"
+    transport: str = "sync"
     propagation: str = "once"
     latency: LatencyModel | None = None
     super_peer: NodeId | None = None
@@ -164,8 +156,7 @@ class ScenarioSpec:
     faults: "FaultPlan | None" = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.transport, str):
-            transport_kind(self.transport)  # unknown and removed names raise
+        transport_kind(self.transport)  # unknown and removed names raise
 
     @classmethod
     def of(
@@ -247,14 +238,9 @@ class ScenarioSpec:
 
         The result round-trips through :meth:`load_json`, so sweep
         configurations can live as checked-in spec files.  Only replayable
-        specs serialise: the transport must be a kind string (not a live
-        instance) and the latency model constant, uniform or absent.
+        specs serialise: the latency model must be constant, uniform or
+        absent.
         """
-        if isinstance(self.transport, BaseTransport):
-            raise ReproError(
-                "cannot dump a spec holding a transport instance; use "
-                f"transport={_name_list(transport_names())}"
-            )
         document = {
             "format": _SPEC_FORMAT,
             "name": self.name,
@@ -374,59 +360,37 @@ class ScenarioSpec:
 
         This is the one place a network is put together: every setting is
         checked against the transport's kind, the transport is built from its
-        name, then the nodes, rules and data are added.  A spec is replayable
-        — each call builds an independent system — except when it holds a
-        *transport instance*, which can only back one system (its peer
-        registry and statistics are per-system state); in that case a second
-        build raises :class:`ReproError`.  Pass a transport name (``"sync"``,
-        ``"multiproc"``, ...) to keep the spec fully replayable.
+        name, then the nodes, rules and data are added.  Each call builds an
+        independent system.  A hand-built transport instance runs through
+        ``Session(P2PSystem(transport))`` instead.
         """
         from repro.core.system import P2PSystem
 
-        transport = self.transport
-        live = isinstance(transport, BaseTransport)
-        if live and transport.peers:
-            raise ReproError(
-                "this spec holds a transport instance that already backs a "
-                "system; use a transport name for a replayable spec"
-            )
-        # A live instance is judged by the kind it was built as.
-        kind = transport_kind(transport.kind if live else transport)
-        label = _transport_label(transport)
+        kind = transport_kind(self.transport)
         partitioned = transport_names(partitioned=True)
-        if self.shards is not None:
-            if not kind.partitioned:
-                raise ReproError(
-                    f"shards={self.shards} needs a partitioned transport, but "
-                    f"the spec selects {label}; drop the shards setting or use "
-                    f"transport={_name_list(partitioned)}"
-                )
-            if live and self.shards != transport.shard_count:
-                raise ReproError(
-                    f"shards={self.shards} differs from the "
-                    f"{transport.shard_count} shards of the transport "
-                    "instance; drop the shards setting"
-                )
-        # A live process-backed transport instance already satisfies the pool
-        # flag; everything else cannot pool.
+        if self.shards is not None and not kind.partitioned:
+            raise ReproError(
+                f"shards={self.shards} needs a partitioned transport, but the "
+                f"spec selects {self.transport}; drop the shards setting or "
+                f"use transport={_name_list(partitioned)}"
+            )
         if self.pool and not kind.partitioned:
             raise ReproError(
                 f"pool=True needs the multiproc or socket transport, but "
-                f"the spec selects {label}; "
+                f"the spec selects {self.transport}; "
                 f"use transport={_name_list(partitioned)} with the pool flag"
             )
-        if self.hosts and (live or kind.name != "socket"):
-            # A transport *instance* carries its own hosts; spec-level hosts
-            # only make sense when the spec builds the transport itself.
+        if self.hosts and kind.name != "socket":
             raise ReproError(
-                f"hosts= needs transport='socket', but the spec selects {label}"
+                "hosts= needs transport='socket', but the spec selects "
+                f"{self.transport}"
             )
         if self.faults is not None:
             if not kind.partitioned:
                 raise ReproError(
                     "faults= needs a process-backed transport "
                     f"({_name_list(partitioned)}), but the spec selects "
-                    f"{label}; the in-process transport "
+                    f"{self.transport}; the in-process transport "
                     "has no workers to kill or frames to drop"
                 )
             if kind.name != "socket" and any(
@@ -435,16 +399,15 @@ class ScenarioSpec:
                 raise ReproError(
                     "partition faults need transport='socket' (partitions cut "
                     "coordinator-to-host links), but the spec selects "
-                    f"{label}"
+                    f"{self.transport}"
                 )
-        if not live:
-            transport = kind.build(
-                latency=self.latency,
-                max_messages=self.max_messages,
-                shards=self.shards,
-                pool=self.pool,
-                hosts=self.hosts,
-            )
+        transport = kind.build(
+            latency=self.latency,
+            max_messages=self.max_messages,
+            shards=self.shards,
+            pool=self.pool,
+            hosts=self.hosts,
+        )
         system = P2PSystem(transport, super_peer=self.super_peer)
         for node_id, schema in self.schemas.items():
             system.add_node(node_id, schema, propagation=self.propagation)

@@ -19,9 +19,10 @@ the one driver for them:
   lost end turned into its shard's ``error`` at once, and a hosted worker's
   message for another host relayed inline.
 * :class:`ShardPool` owns everything above them: awaiting replies, the
-  quiescence barrier, :meth:`~ShardPool.sync`, :meth:`~ShardPool.run_phase`,
-  re-plan invalidation and the :class:`WorldMirror` bookkeeping.  Runs move
-  only **deltas**, both ways, each one
+  quiescence barrier, :meth:`~ShardPool.sync`, :meth:`~ShardPool.run_phase`
+  and the :class:`WorldMirror` bookkeeping.  A pool keeps the plan it was
+  spawned with for life: a rule edit rides the synced change like a row
+  does.  Runs move only **deltas**, both ways, each one
   :class:`~repro.coordination.changeset.Change` read off the relations
   written since their marks (:meth:`Change.read
   <repro.coordination.changeset.Change.read>`): out, each shard's slice of
@@ -64,7 +65,7 @@ from repro.coordination.rule import NodeId
 from repro.errors import NetworkError, ReproError
 from repro.faults.injector import NULL_INJECTOR, injector_of
 from repro.obs import NULL_TRACER, get_logger
-from repro.sharding.planner import ShardPlan, ShardPlanner
+from repro.sharding.planner import ShardPlan
 from repro.sharding.worker import ShardWorker, ShardWorld, _worlds_from_system
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
@@ -147,13 +148,6 @@ class WorldMirror:
     def mark(self, system: P2PSystem) -> None:
         """Record that the workers hold the coordinator's current facts."""
         self.marks.mark(system)
-
-    def rules_changed(self, system: P2PSystem) -> bool:
-        """Whether the rule set differs from the one the workers run."""
-        registry = system.registry
-        return registry.version != self.version and (
-            rules_fingerprint(registry) != self.rules
-        )
 
     def advance(self, system: P2PSystem) -> Change:
         """What changed in the coordinator since the marks were taken
@@ -555,26 +549,6 @@ class ShardPool:
             sum(sent[shard] for sent, _received in ledgers.values()) == received
             for shard, (_sent, received) in ledgers.items()
         )
-
-    # --------------------------------------------------------------- re-plan
-
-    def plan_if_stale(
-        self, system: P2PSystem, planner: ShardPlanner
-    ) -> ShardPlan | None:
-        """Re-plan after a rule-graph change; a moved peer invalidates the pool.
-
-        Returns ``None`` while the rule graph is unchanged *or* the fresh plan
-        keeps every peer on its current shard (then :meth:`sync` ships the
-        rule delta to the warm workers); returns the fresh plan when any peer
-        would move — the caller must close this pool and spawn a new one over
-        the new partition, because data slices live in worker memory.
-        """
-        if not self._mirror.rules_changed(system):
-            return None
-        fresh = planner.plan_system(system)
-        if dict(fresh.shard_of) == dict(self.plan.shard_of):
-            return None
-        return fresh
 
     # ------------------------------------------------------------------ runs
 

@@ -5,10 +5,9 @@ What differs between them is data on the coordinator's transport handle:
 
 * :class:`ProcessTransport` carries the run configuration — ``kind`` says
   what carries the channels to the shard workers (``"multiproc"``: fork-server
-  children on this box; ``"socket"``: TCP shard hosts, with ``hosts`` and
-  ``max_frame``), ``pool`` says whether the workers outlive a run — adopts
-  the shard plan, and after a run exposes the merged per-shard counters
-  (:func:`traffic_stats`).  It never delivers a message itself.
+  children on this box; ``"socket"``: TCP shard hosts, with ``hosts``),
+  ``pool`` says whether the workers outlive a run — and adopts the shard
+  plan.  It never delivers a message itself.
 * :class:`ProcessEngine` implements the
   :class:`~repro.api.engine.ExecutionEngine` protocol: it plans the
   partition, brings a :class:`~repro.sharding.pool.ShardPool` up over the
@@ -24,18 +23,17 @@ What differs between them is data on the coordinator's transport handle:
 The engine owns the pool's lifecycle: the first run spawns it, a crashed
 worker or dead host fails the run at once (its pipe or link is lost) and the
 pool is respawned cold on the next run — reconnecting, and reviving
-auto-spawned localhost hosts that died — and a rule-graph change triggers
-**re-plan invalidation**: if the fresh plan moves any peer to a different
-shard the pool restarts with the new partition (otherwise the rule delta is
-shipped to the warm workers).
+auto-spawned localhost hosts that died.  The partition is fixed at bring-up:
+the network changes only through ``addLink`` / ``deleteLink``, and a rule
+edit reaches the warm workers as the synced change's ``add_rules`` /
+``remove_rules``.  Only a peer the plan does not cover (one added after
+bring-up) re-plans, and so respawns the pool.
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter
-from dataclasses import replace
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.api.engine import PHASES, finalize_phase
 from repro.coordination.rule import NodeId
@@ -47,13 +45,8 @@ from repro.network.transport import BaseTransport
 from repro.obs import get_logger, tracer_of
 from repro.sharding.planner import ShardPlan, ShardPlanner
 from repro.sharding.pool import ShardPool, WorkerPool
-from repro.sharding.sockets import (
-    DEFAULT_MAX_FRAME,
-    LocalHostCluster,
-    SocketPool,
-    parse_address,
-)
-from repro.stats.collector import ShardTrafficStats, StatisticsCollector, StatsSnapshot
+from repro.sharding.sockets import LocalHostCluster, SocketPool, parse_address
+from repro.stats.collector import StatisticsCollector, StatsSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports us)
     from repro.core.system import P2PSystem
@@ -92,7 +85,6 @@ class ProcessTransport(BaseTransport):
         latency: LatencyModel | None = None,
         stats: StatisticsCollector | None = None,
         max_messages: int = 1_000_000,
-        max_frame: int = DEFAULT_MAX_FRAME,
     ):
         if (kind, pool) not in _ENGINE_NAMES:
             raise ReproError(
@@ -111,11 +103,7 @@ class ProcessTransport(BaseTransport):
         self.shard_count = shard_count
         self.max_messages = max_messages
         self.hosts: tuple[str, ...] | None = tuple(hosts) if hosts else None
-        self.max_frame = max_frame
         self.plan: ShardPlan | None = None
-        self.delivered_count = 0
-        self._delivered_by_shard: dict[int, int] = {}
-        self._cross_shard = 0
         for address in self.hosts or ():
             parse_address(address)  # fail at build time, not first run
         if self.hosts and len(set(self.hosts)) != len(self.hosts):
@@ -142,12 +130,6 @@ class ProcessTransport(BaseTransport):
             )
         self.plan = plan
 
-    def shard_of(self, node_id: str) -> int:
-        """The shard a peer is assigned to (after planning)."""
-        if self.plan is None:
-            raise NetworkError(f"the {self.kind} transport has no shard plan yet")
-        return self.plan.shard(node_id)
-
     def send(self, message: Message) -> None:
         raise NetworkError(
             f"the {self.kind} transport delivers only inside its shard "
@@ -159,58 +141,12 @@ class ProcessTransport(BaseTransport):
         """Always 0 between runs: deliveries only exist inside workers."""
         return 0
 
-    # ---- merged counters (filled by the engine after each run) -------------
-
-    def record_run(
-        self, delivered_by_shard: Mapping[int, int], cross_shard: int
-    ) -> None:
-        """Accumulate one run's merged delivery counters."""
-        for shard, count in delivered_by_shard.items():
-            self._delivered_by_shard[shard] = (
-                self._delivered_by_shard.get(shard, 0) + count
-            )
-        self.delivered_count += sum(delivered_by_shard.values())
-        self._cross_shard += cross_shard
-
-    def shard_message_counts(self) -> dict[int, int]:
-        """Messages delivered per shard so far (merged across runs)."""
-        counts = {shard: 0 for shard in range(self.shard_count)}
-        counts.update(self._delivered_by_shard)
-        return counts
-
-    @property
-    def cross_shard_messages(self) -> int:
-        """Messages that crossed the cut (went through another worker)."""
-        return self._cross_shard
-
-    @property
-    def intra_shard_messages(self) -> int:
-        """Delivered messages that stayed inside their shard's worker."""
-        return self.delivered_count - min(self._cross_shard, self.delivered_count)
-
     def __repr__(self) -> str:
         planned = "planned" if self.plan is not None else "unplanned"
         return (
             f"ProcessTransport({_ENGINE_NAMES[self.kind, self.pool]}, "
-            f"{self.shard_count} shards, {planned}, "
-            f"{self.delivered_count} delivered)"
+            f"{self.shard_count} shards, {planned})"
         )
-
-
-def traffic_stats(
-    transport: ProcessTransport, snapshot: StatsSnapshot
-) -> ShardTrafficStats:
-    """The per-shard traffic view of the runs so far over ``transport``."""
-    tuples_by_shard = {shard: 0 for shard in range(transport.shard_count)}
-    for node_id, node_stats in snapshot.nodes.items():
-        tuples_by_shard[transport.shard_of(node_id)] += node_stats.tuples_received
-    return ShardTrafficStats(
-        shard_count=transport.shard_count,
-        messages_by_shard=transport.shard_message_counts(),
-        tuples_by_shard=tuples_by_shard,
-        cross_shard_messages=transport.cross_shard_messages,
-        intra_shard_messages=transport.intra_shard_messages,
-    )
 
 
 class ProcessEngine:
@@ -223,17 +159,10 @@ class ProcessEngine:
     measured crossover points).
     """
 
-    def __init__(
-        self,
-        kind: str = "multiproc",
-        *,
-        pool: bool = False,
-        planner: ShardPlanner | None = None,
-    ):
+    def __init__(self, kind: str = "multiproc", *, pool: bool = False):
         self.name = _ENGINE_NAMES[kind, pool]
         self.kind = kind
         self.warm = pool
-        self.planner = planner
         #: Set False to pin every warm update to the naive path — the parity
         #: tests use this to compare both paths over the same engine.
         self.incremental = True
@@ -302,8 +231,10 @@ class ProcessEngine:
             )
         tracer = tracer_of(system)
         with tracer.span("plan", shards=transport.shard_count):
-            if transport.plan is None:
-                planner = self.planner or ShardPlanner(transport.shard_count)
+            plan = transport.plan
+            # Bring-up, or a peer added since: the one case that re-plans.
+            if plan is None or any(p not in plan.shard_of for p in transport.peers):
+                planner = ShardPlanner(transport.shard_count)
                 transport.apply_plan(planner.plan_system(system))
         # None starts the update at every peer: each worker knows its own.
         origin_list: list[NodeId] | None = None
@@ -345,10 +276,7 @@ class ProcessEngine:
             # good: drop the pool, the next run respawns from this state.
             self._close_pool()
             raise
-        snapshot = system.stats.snapshot()
-        return completion, replace(
-            snapshot, sharding=traffic_stats(transport, snapshot)
-        )
+        return completion, system.stats.snapshot()
 
     # ------------------------------------------------------------ internals
 
@@ -362,11 +290,11 @@ class ProcessEngine:
         """Reuse the warm pool when possible; (re)spawn when it is not.
 
         Cold paths: no pool (always, on a one-shot engine), a worker died
-        since the last run, or the rule graph changed in a way that
-        re-partitions the network (:meth:`ShardPool.plan_if_stale`).  Warm
-        path: ship the delta, run the phase — as a delta-driven incremental
-        update when the pool is primed (previous update converged) and the
-        delta only moves rows (:attr:`Change.rows_only
+        since the last run, or the pool runs another plan than the
+        transport's (a peer joined, so :meth:`run` re-planned).  Warm path:
+        ship the delta, rule edits included, and run the phase — as a
+        delta-driven incremental update when the pool is primed (previous
+        update converged) and the delta only moves rows (:attr:`Change.rows_only
         <repro.coordination.changeset.Change.rows_only>`), naively otherwise.
         Any failure drops the pool, so the next run (or fault-budgeted
         re-run) starts cold.
@@ -382,13 +310,9 @@ class ProcessEngine:
             ):
                 _log.warning("warm pool died; respawning cold")
                 self._close_pool()
-            if self._pool is not None:
-                planner = self.planner or ShardPlanner(transport.shard_count)
-                fresh_plan = self._pool.plan_if_stale(system, planner)
-                if fresh_plan is not None:
-                    _log.debug("rule graph re-partitioned the network; pool restarts")
-                    self._close_pool()
-                    transport.apply_plan(fresh_plan)
+            if self._pool is not None and self._pool.plan is not transport.plan:
+                _log.debug("a peer joined the network; pool restarts re-planned")
+                self._close_pool()
             delta = None
             if self._pool is not None:
                 with tracer.span("sync") as sync_span:
@@ -431,9 +355,7 @@ class ProcessEngine:
             hosts = self._cluster.addresses
         else:
             hosts = self._cluster.ensure_alive()
-        return SocketPool.spawn(
-            system, transport.plan, hosts, max_frame=transport.max_frame
-        )
+        return SocketPool.spawn(system, transport.plan, hosts)
 
     def _merge(
         self, system, transport: ProcessTransport, payloads: list[dict], wall: float
@@ -446,16 +368,11 @@ class ProcessEngine:
         """
         from repro.core.state import UpdateState
 
-        delivered_by_shard: Counter[int] = Counter()
-        for payload in payloads:
-            delivered_by_shard[payload["shard"]] += payload["delivered"]
         collector = system.stats
         tracer = tracer_of(system)
         merge_span = tracer.start_span("merge", shards=transport.shard_count)
-        cross_shard = 0
         completion = 0.0
         for payload in payloads:
-            cross_shard += payload["cross_received"]
             completion = max(completion, payload["clock"])
             # --- databases: the rows and relations the shard gained.
             payload["change"].apply(system)
@@ -476,6 +393,5 @@ class ProcessEngine:
                 tracer.chase.merge(payload.get("chase_profile", {}))
         collector.advance_time(completion)
         collector.elapsed_wall_seconds += wall
-        transport.record_run(delivered_by_shard, cross_shard)
         tracer.end_span(merge_span, completion=completion)
         return completion

@@ -171,8 +171,8 @@ class _WorkerTransport(SyncTransport):
         self.cross_received = 0
         #: The latest ``start``'s run id, stamped on every cross-shard send.
         self.run_id = 0
-        #: ``(delivered_count, cross_received)`` as of the last report.
-        self.reported = (0, 0)
+        #: ``delivered_count`` as of the last report.
+        self.reported = 0
         #: The owned peers that ran since the last report: the recipients of
         #: deliveries and the origins a ``start`` kicked off or seeded.  Only
         #: their protocol state can have moved.
@@ -403,21 +403,18 @@ class ShardWorker:
             state = {"closed": node.is_update_closed, "edges": set(node.state.edges)}
             if shipped.get(node_id) != state:
                 shipped[node_id] = node_state[node_id] = state
-        delivered, received = transport.delivered_count, transport.cross_received
-        shard = self.world.shard_index
+        delivered = transport.delivered_count
         payload = {
-            "shard": shard,
             "change": change,
             "node_state": node_state,
             # One aggregation code path for every engine: the worker ships its
             # whole metrics registry; the coordinator folds it in with
             # StatisticsCollector.merge_counters.
             "counters": transport.stats.dump_counters(),
-            "delivered": delivered - transport.reported[0],
-            "cross_received": received - transport.reported[1],
+            "delivered": delivered - transport.reported,
             "clock": transport.clock,
         }
-        transport.reported = (delivered, received)
+        transport.reported = delivered
         transport.stats.reset()
         transport.ran = set()
         tracer = self.tracer
@@ -430,6 +427,7 @@ class ShardWorker:
             payload["chase_profile"] = vars(chase).copy()
             for name, value in vars(chase).items():
                 setattr(chase, name, type(value)())
+        shard = self.world.shard_index
         return ("report", shard, transport.run_id, transport.ledger(), payload)
 
     def _remark(self, change: Change) -> None:

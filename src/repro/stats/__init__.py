@@ -12,7 +12,6 @@ library counterpart used by every experiment.
 from repro.stats.collector import (
     MessageStats,
     NodeStats,
-    ShardTrafficStats,
     StatisticsCollector,
 )
 from repro.stats.report import format_table, series_summary
@@ -20,7 +19,6 @@ from repro.stats.report import format_table, series_summary
 __all__ = [
     "MessageStats",
     "NodeStats",
-    "ShardTrafficStats",
     "StatisticsCollector",
     "format_table",
     "series_summary",

@@ -53,40 +53,6 @@ class NodeStats:
 
 
 @dataclass(frozen=True)
-class ShardTrafficStats:
-    """Traffic accounting of one sharded run (see :mod:`repro.sharding`).
-
-    ``messages_by_shard`` counts deliveries executed by each shard worker,
-    ``tuples_by_shard`` the tuples received by the peers of each shard, and
-    ``cross_shard_messages`` the messages that crossed the partition cut
-    (routed through an inter-shard mailbox) — the quantity the shard planner
-    minimises.
-    """
-
-    shard_count: int
-    messages_by_shard: dict[int, int]
-    tuples_by_shard: dict[int, int]
-    cross_shard_messages: int
-    intra_shard_messages: int
-
-    @property
-    def total_messages(self) -> int:
-        """Deliveries summed over all shards."""
-        return sum(self.messages_by_shard.values())
-
-    @property
-    def cut_ratio(self) -> float:
-        """Cross-shard messages as a fraction of all deliveries."""
-        total = self.total_messages
-        return self.cross_shard_messages / total if total else 0.0
-
-    @property
-    def max_shard_messages(self) -> int:
-        """The busiest shard's delivery count (the parallel critical path)."""
-        return max(self.messages_by_shard.values(), default=0)
-
-
-@dataclass(frozen=True)
 class StatsSnapshot:
     """An immutable snapshot of all counters at one point in (simulated) time."""
 
@@ -94,8 +60,6 @@ class StatsSnapshot:
     nodes: dict[str, NodeStats]
     simulated_time: float
     elapsed_wall_seconds: float
-    #: Filled by the partitioned engines only; None for sync runs.
-    sharding: ShardTrafficStats | None = None
 
     @property
     def total_messages(self) -> int:

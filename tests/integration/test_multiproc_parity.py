@@ -56,15 +56,10 @@ class TestMultiprocParity:
         assert (
             multiproc_result.ground_databases() == sync_result.ground_databases()
         )
-        traffic = multiproc_result.stats.sharding
-        assert traffic is not None
-        assert traffic.shard_count == min(
-            shards, len(multiproc_session.system.nodes)
-        )
-        if shards == 1:
-            assert traffic.cross_shard_messages == 0
-        else:
-            assert traffic.cross_shard_messages > 0
+        plan = multiproc_session.system.transport.plan
+        assert plan.shard_count == min(shards, len(multiproc_session.system.nodes))
+        # The static witness of cross-shard traffic: rules span the cut.
+        assert bool(plan.cut_edges()) == (shards > 1)
 
     @pytest.mark.parametrize("shards", [1, 4])
     def test_multiproc_matches_sync_on_the_paper_example(self, shards):
@@ -86,9 +81,9 @@ class TestMultiprocParity:
         )
 
     def test_cross_shard_traffic_follows_the_shard_plan_cut(self):
-        # The engine partitions with the ShardPlanner; each worker delivers
-        # exactly the messages addressed to the peers the plan gave it, and
-        # real traffic crosses the plan's cut while most stays local.
+        # The engine partitions with the ShardPlanner, and each worker
+        # delivers exactly the messages addressed to the peers the plan gave
+        # it: the per-shard sums of the peers' counters add up to the total.
         spec = ScenarioSpec.from_topology(
             tree_topology(3, 2), records_per_node=3, seed=0
         )
@@ -98,15 +93,39 @@ class TestMultiprocParity:
         plan = session.system.transport.plan
         assert plan.shard_of == ShardPlanner(4).plan_system(session.system).shard_of
         assert plan.cut_edges()
-        traffic = result.stats.sharding
-        assert traffic.shard_count == plan.shard_count
-        for shard in range(plan.shard_count):
-            assert traffic.messages_by_shard[shard] == sum(
+        by_shard = [
+            sum(
                 result.stats.nodes[node].messages_received
                 for node in plan.members(shard)
             )
-        assert 0 < traffic.cross_shard_messages < traffic.total_messages
-        assert traffic.cut_ratio < 0.5
+            for shard in range(plan.shard_count)
+        ]
+        assert all(by_shard)
+        assert sum(by_shard) == result.stats.total_messages
+
+    def test_a_one_shot_engine_plans_once_per_peer_set(self):
+        # Without a pool the workers are spawned afresh every run, yet the
+        # partition is still fixed at the first run: a rule edit keeps the
+        # plan, and only a peer the plan does not cover re-plans.
+        spec = ScenarioSpec.from_topology(
+            tree_topology(2, 2), records_per_node=3, seed=0
+        )
+        session = Session.from_spec(spec.with_(transport="multiproc", shards=2))
+        transport = session.system.transport
+        assert transport.plan is None
+        session.run("update")
+        plan = transport.plan
+        first = min(rule.rule_id for rule in session.system.registry)
+        rule = session.system.remove_rule(first)
+        session.run("update")
+        session.system.add_rule(rule)
+        session.run("update")
+        assert transport.plan is plan
+        schema = session.system.node(rule.target).database.schema
+        session.system.add_node("joiner", schema)
+        session.run("update")
+        assert transport.plan is not plan
+        assert set(transport.plan.shard_of) == set(session.system.nodes)
 
     def test_discovery_parity_under_multiproc(self):
         # Topology discovery also runs across the cut; the Paths relations

@@ -20,6 +20,7 @@ import pytest
 from repro.api import ScenarioSpec, Session
 from repro.coordination.rule import rule_from_text
 from repro.core.fixpoint import ground_part
+from repro.database.schema import RelationSchema
 from repro.workloads.scenarios import (
     paper_example_data,
     paper_example_rules,
@@ -98,12 +99,9 @@ class TestPooledParity:
             assert (
                 pooled_result.ground_databases() == sync_result.ground_databases()
             )
-            traffic = pooled_result.stats.sharding
-            assert traffic is not None
-            if shards == 1:
-                assert traffic.cross_shard_messages == 0
-            else:
-                assert traffic.cross_shard_messages > 0
+            # The static witness of cross-shard traffic: rules span the cut.
+            cut = session.system.transport.plan.cut_edges()
+            assert bool(cut) == (shards > 1)
 
     @pytest.mark.parametrize("shards", [1, 4])
     def test_pooled_matches_sync_on_the_paper_example(self, shards):
@@ -130,9 +128,9 @@ class TestPooledParity:
 
         The sequence — update, insert new facts, update, addLink, update,
         deleteLink, update — is mirrored step by step on a sync session, and
-        every step's ground state must match.  The pool must survive the
-        whole sequence warm (modulo a re-plan restart, which is allowed but
-        must stay invisible in the results).
+        every step's ground state must match.  The pool keeps its partition
+        for life, so the same pool and worker processes serve the whole
+        sequence.
         """
         spec = ScenarioSpec.from_topology(
             tree_topology(2, 2), records_per_node=3, seed=1
@@ -150,6 +148,8 @@ class TestPooledParity:
 
             sync_session.run("discovery")
             pooled.run("discovery")
+            pool = pooled.engine.pool
+            pids = pool.worker_pids
             step()
 
             leaf = sorted(spec.schemas)[-1]
@@ -161,6 +161,39 @@ class TestPooledParity:
             step(lambda system: system.add_rule(rule))
 
             step(lambda system: system.remove_rule(rule.rule_id))
+            assert pooled.engine.pool is pool
+            assert pool.worker_pids == pids
+
+    def test_a_peer_joining_a_warm_session_matches_sync(self):
+        """A peer added after a run is the one change the plan does not
+        cover: the engine re-plans, respawns the pool, and stays in parity."""
+        item = [RelationSchema("item", ["x", "y"])]
+        spec = ScenarioSpec.of(
+            {node: item for node in "abcd"},
+            [
+                "ab: b: item(X, Y) -> a: item(X, Y)",
+                "bc: c: item(X, Y) -> b: item(X, Y)",
+                "cd: d: item(X, Y) -> c: item(X, Y)",
+            ],
+            {"d": {"item": [("d1", "d2")]}},
+        )
+        sync_session = Session.from_spec(spec)
+        with Session.from_spec(spec.with_(transport="pooled", shards=2)) as pooled:
+            for session in (sync_session, pooled):
+                session.update()
+                session.system.add_node("e", item)
+                session.system.load_data({"e": {"item": [("e1", "e2")]}})
+                session.system.add_rule(
+                    rule_from_text("de", "e: item(X, Y) -> d: item(X, Y)")
+                )
+                session.update()
+            assert "e" in pooled.system.transport.plan.shard_of
+            assert ("e1", "e2") in pooled.system.node("a").database.relation(
+                "item"
+            ).rows()
+            assert ground_part(pooled.databases()) == ground_part(
+                sync_session.databases()
+            )
 
     def test_workers_stay_warm_across_runs(self):
         """Repeat runs reuse the same worker processes (that is the point)."""

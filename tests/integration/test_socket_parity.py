@@ -117,12 +117,9 @@ class TestSocketParity:
             assert (
                 socket_result.ground_databases() == sync_result.ground_databases()
             )
-            traffic = socket_result.stats.sharding
-            assert traffic is not None
-            if shards == 1:
-                assert traffic.cross_shard_messages == 0
-            else:
-                assert traffic.cross_shard_messages > 0
+            # The static witness of cross-shard traffic: rules span the cut.
+            cut = session.system.transport.plan.cut_edges()
+            assert bool(cut) == (shards > 1)
 
     @pytest.mark.parametrize("shards", [1, 4])
     def test_socket_matches_sync_on_the_paper_example(self, cluster, shards):
@@ -148,9 +145,8 @@ class TestSocketParity:
 
         The sequence — update, insert new facts, update, addLink, update,
         deleteLink, update — is mirrored step by step on a sync session, and
-        every step's ground state must match.  The pool must survive the
-        whole sequence warm (modulo a re-plan restart, which is allowed but
-        must stay invisible in the results).
+        every step's ground state must match.  The pool keeps its partition
+        for life, so the same pool serves the whole sequence.
         """
         spec = ScenarioSpec.from_topology(
             tree_topology(2, 2), records_per_node=3, seed=1
@@ -171,6 +167,7 @@ class TestSocketParity:
 
             sync_session.run("discovery")
             pooled.run("discovery")
+            pool = pooled.engine.pool
             step()
 
             leaf = sorted(spec.schemas)[-1]
@@ -182,6 +179,7 @@ class TestSocketParity:
             step(lambda system: system.add_rule(rule))
 
             step(lambda system: system.remove_rule(rule.rule_id))
+            assert pooled.engine.pool is pool
 
     def test_connections_stay_warm_across_runs(self, cluster):
         """Repeat runs reuse the same pool and connections (that is the point)."""

@@ -16,19 +16,11 @@ from repro.api import ScenarioSpec, Session
 from repro.coordination.changeset import Change
 from repro.coordination.rule import rule_from_text
 from repro.database.schema import RelationSchema
-from repro.sharding.planner import ShardPlanner, round_robin_plan
 from repro.sharding.pool import ShardPool
 from repro.sharding.sockets import LocalHostCluster
 from repro.workloads.topologies import tree_topology
 
 ENGINES = ["sync", "pooled", "socket-pooled"]
-
-
-class PinnedPlanner(ShardPlanner):
-    """Never moves a peer: rule changes ride to the warm workers."""
-
-    def plan_system(self, system):
-        return round_robin_plan(system.nodes, self.shard_count)
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +64,6 @@ def open_session(engine, cluster):
         **engine_settings(engine, cluster),
     )
     session = Session.from_spec(spec)
-    if engine != "sync":
-        session.engine.planner = PinnedPlanner(2)
     session.run("update")  # the priming run
     return session
 

@@ -17,7 +17,6 @@ from repro.api import ScenarioSpec, Session
 from repro.api.engine import engine_for, transport_kinds, transport_names
 from repro.errors import NetworkError, ReproError
 from repro.faults import FaultPlan, FaultSpec
-from repro.sharding import ProcessTransport
 from repro.workloads.scenarios import (
     paper_example_data,
     paper_example_rules,
@@ -186,19 +185,10 @@ def test_shards_on_the_sync_transport_is_refused():
         Session.from_spec(paper_spec().with_(shards=2))
 
 
-def live_spec(**settings):
-    """The paper example over a live two-shard multiproc transport instance."""
-    return paper_spec().with_(transport=ProcessTransport("multiproc", 2), **settings)
-
-
-def test_a_live_transport_is_judged_by_its_kind():
-    kill = FaultPlan(seed=0, faults=[FaultSpec(kind="kill_worker")])
-    assert live_spec(faults=kill).build_system().transport.kind == "multiproc"
-    assert live_spec(shards=2).build_system().transport.shard_count == 2
+def test_a_multiproc_spec_refuses_socket_only_settings():
     partition = FaultPlan(seed=0, faults=[FaultSpec(kind="partition")])
+    multiproc = paper_spec().with_(transport="multiproc", shards=2)
     with pytest.raises(ReproError, match="partition faults need transport='socket'"):
-        live_spec(faults=partition).build_system()
-    with pytest.raises(ReproError, match="shards=3 differs from the 2 shards"):
-        live_spec(shards=3).build_system()
+        multiproc.with_(faults=partition).build_system()
     with pytest.raises(ReproError, match="hosts= needs transport='socket'"):
-        live_spec(hosts=("h1:9101",)).build_system()
+        multiproc.with_(hosts=("h1:9101",)).build_system()

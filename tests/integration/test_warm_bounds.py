@@ -290,7 +290,7 @@ def test_the_message_bound_is_per_run(transport):
         site = session.system.node(node).database.relation(relation_name)
         pool = getattr(session.engine, "pool", None)
         number = 0
-        while session.system.transport.delivered_count <= 2 * bound:
+        while session.snapshot_stats().total_messages <= 2 * bound:
             site.insert(tuple(f"b{number:04d}-{column}" for column in range(arity)))
             session.run("update")
             number += 1

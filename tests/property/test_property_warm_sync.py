@@ -25,7 +25,6 @@ from repro.api.spec import ScenarioSpec
 from repro.coordination.rule import rule_from_text
 from repro.core.fixpoint import ground_part
 from repro.database.schema import RelationSchema
-from repro.sharding.planner import ShardPlanner, round_robin_plan
 from repro.sharding.pool import ShardPool
 from repro.workloads.topologies import clique_topology, tree_topology
 from sync_oracle import (
@@ -43,19 +42,6 @@ EXTRA_LINKS = {
 picks = st.integers(min_value=0, max_value=63)
 values = st.sampled_from(["k1", "k2", "k3", "a", "b"])
 row_seeds = st.lists(st.lists(values, min_size=5, max_size=5), min_size=1, max_size=5)
-
-
-class PinnedPlanner(ShardPlanner):
-    """Never moves a peer, so every rule change rides to the *warm* workers.
-
-    A re-plan that moves a peer respawns the pool cold, which forgets what the
-    peers had cached of each other's fragments — after a hand-made deletion
-    that is allowed to change which stale rows come back (``sync`` and
-    ``pooled`` already differ there), and it is not the boundary under test.
-    """
-
-    def plan_system(self, system):
-        return round_robin_plan(system.nodes, self.shard_count)
 
 
 def pick_relation(session, node_pick, relation_pick):
@@ -130,7 +116,6 @@ class WarmSyncMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.session = Session.from_spec(self.spec(transport="pooled", shards=2))
-        self.session.engine.planner = PinnedPlanner(2)
         self.script = []
         #: The set-difference oracle's copy of what the workers hold, and the
         #: relations cleared since it was taken.

@@ -2,7 +2,7 @@
 
 Everything here runs without spawning a single child process: the worker
 transport's routing/stamping logic is driven directly, and the coordinator
-transport is exercised as the configuration-and-counters handle it is.
+transport is exercised as the configuration-and-plan handle it is.
 The cross-process end-to-end behaviour lives in
 ``tests/integration/test_multiproc_parity.py``.
 """
@@ -14,7 +14,6 @@ from repro.api.spec import ScenarioSpec
 from repro.errors import NetworkError, ReproError
 from repro.network.message import Message, MessageType
 from repro.sharding import ProcessEngine, ProcessTransport, ShardPlan
-from repro.sharding.process import traffic_stats
 from repro.sharding.worker import ShardWorld, _WorkerTransport, _worlds_from_system
 from repro.database.schema import DatabaseSchema, RelationSchema
 from repro.coordination.rule import rule_from_text
@@ -64,38 +63,6 @@ class TestProcessTransport:
     def test_at_least_one_shard_required(self):
         with pytest.raises(NetworkError):
             ProcessTransport(shard_count=0)
-
-    def test_shard_of_requires_a_plan(self):
-        transport = ProcessTransport(shard_count=2)
-        with pytest.raises(NetworkError):
-            transport.shard_of("a")
-
-    def test_record_run_accumulates_counters(self):
-        transport = ProcessTransport(shard_count=2)
-        transport.record_run({0: 10, 1: 5}, cross_shard=3)
-        transport.record_run({0: 2}, cross_shard=1)
-        assert transport.delivered_count == 17
-        assert transport.shard_message_counts() == {0: 12, 1: 5}
-        assert transport.cross_shard_messages == 4
-        assert transport.intra_shard_messages == 13
-
-    def test_traffic_stats_group_counters_by_the_plan(self):
-        system = ScenarioSpec.of(
-            _item_schemas("a", "b", "c"), transport="multiproc", shards=2
-        ).build_system()
-        transport = system.transport
-        transport.apply_plan(
-            ShardPlan(shard_count=2, shard_of={"a": 0, "b": 1, "c": 1})
-        )
-        transport.record_run({0: 5, 1: 2}, cross_shard=1)
-        for node, received in (("a", 3), ("b", 4), ("c", 6)):
-            transport.stats.record_update(node, received=received, inserted=0)
-        traffic = traffic_stats(transport, transport.stats.snapshot())
-        assert traffic.shard_count == 2
-        assert traffic.messages_by_shard == {0: 5, 1: 2}
-        assert traffic.tuples_by_shard == {0: 3, 1: 10}
-        assert traffic.cross_shard_messages == 1
-        assert traffic.intra_shard_messages == 6
 
     def test_engine_rejects_other_transports(self, chain_system):
         with pytest.raises(ReproError):

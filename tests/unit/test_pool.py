@@ -1,10 +1,10 @@
 """Unit coverage of the persistent worker pool: deltas, wiring, lifecycle.
 
 The pure pieces — what :class:`~repro.sharding.pool.WorldMirror` ships
-(checked against the set-difference oracle of ``tests/sync_oracle.py``), the
-fingerprint and the re-plan decision — are tested without any processes; the
-lifecycle tests (spawn / crash / recover / close) use the smallest systems
-that exercise a real pool.
+(checked against the set-difference oracle of ``tests/sync_oracle.py``) and
+the fingerprint — are tested without any processes; the lifecycle tests
+(spawn / crash / recover / close) use the smallest systems that exercise a
+real pool.
 """
 
 import dataclasses
@@ -18,7 +18,7 @@ from repro.core.fixpoint import ground_part
 from repro.coordination.rule import rule_from_text
 from repro.database.schema import RelationSchema
 from repro.errors import NetworkError, ReproError
-from repro.sharding.planner import ShardPlan, ShardPlanner
+from repro.sharding.planner import ShardPlan
 from repro.sharding.pool import WorldMirror
 from repro.workloads.topologies import tree_topology
 from test_pool_bringup import FORK_SERVER_VISIBLE, parent_of
@@ -375,6 +375,9 @@ class TestPoolLifecycle:
 
 
 class TestReplanInvalidation:
+    """A warm pool keeps the plan it was spawned with: rule edits ride the
+    synced change, and only a peer the plan does not cover re-plans."""
+
     def _warm_session(self):
         spec = ScenarioSpec.of(
             {
@@ -395,20 +398,17 @@ class TestReplanInvalidation:
     def test_unchanged_rules_never_replan(self):
         with self._warm_session() as session:
             pool = session.engine.pool
-            assert pool.plan_if_stale(session.system, ShardPlanner(2)) is None
+            plan, pids = pool.plan, pool.worker_pids
+            session.run("update")
+            assert session.engine.pool is pool
+            assert pool.plan is plan
+            assert session.system.transport.plan is plan
+            assert pool.worker_pids == pids
 
     def test_rule_change_keeping_the_partition_ships_a_delta(self):
         with self._warm_session() as session:
             pool = session.engine.pool
             pids = pool.worker_pids
-            plan = pool.plan
-            # A planner pinned to the current assignment: the partition
-            # cannot move, so the rule change must ride a warm delta.
-            class PinnedPlanner(ShardPlanner):
-                def plan_system(self, system):
-                    return plan
-
-            session.engine.planner = PinnedPlanner(2)
             session.system.add_rule(
                 rule_from_text("r9", "c: item(X, Y) -> a: item(X, Y)")
             )
@@ -416,29 +416,30 @@ class TestReplanInvalidation:
             assert session.engine.pool is pool
             assert pool.worker_pids == pids
 
-    def test_rule_change_moving_the_partition_restarts_the_pool(self):
+    def test_rule_removal_keeps_the_partition(self):
         with self._warm_session() as session:
             pool = session.engine.pool
-            current = dict(pool.plan.shard_of)
-            flipped = ShardPlan(
-                shard_count=pool.plan.shard_count,
-                shard_of={
-                    node: (shard + 1) % pool.plan.shard_count
-                    for node, shard in current.items()
-                },
-            )
+            plan, pids = pool.plan, pool.worker_pids
+            session.system.remove_rule("r1")
+            session.run("update")
+            assert session.engine.pool is pool
+            assert pool.plan is plan
+            assert pool.worker_pids == pids
 
-            class MovingPlanner(ShardPlanner):
-                def plan_system(self, system):
-                    return flipped
-
-            session.engine.planner = MovingPlanner(2)
+    def test_a_peer_outside_the_plan_respawns_the_pool(self):
+        with self._warm_session() as session:
+            pool = session.engine.pool
+            session.system.add_node("e", [RelationSchema("item", ["x", "y"])])
+            session.system.load_data({"e": {"item": [("e1", "e2")]}})
             session.system.add_rule(
-                rule_from_text("r9", "c: item(X, Y) -> a: item(X, Y)")
+                rule_from_text("r9", "e: item(X, Y) -> a: item(X, Y)")
             )
-            result = session.run("update")
-            assert result.engine == "pooled"
+            session.run("update")
             new_pool = session.engine.pool
             assert new_pool is not pool
             assert pool.closed
-            assert dict(new_pool.plan.shard_of) == dict(flipped.shard_of)
+            assert new_pool.plan is session.system.transport.plan
+            assert "e" in new_pool.plan.shard_of
+            assert ("e1", "e2") in session.system.node("a").database.relation(
+                "item"
+            ).rows()

@@ -129,9 +129,10 @@ class TestSpecRoundTrip:
 
 class TestSpecIoErrors:
     def test_transport_instance_does_not_dump(self):
-        spec = paper_spec(transport=SyncTransport())
-        with pytest.raises(ReproError):
-            spec.dump_json()
+        # A spec names its transport; an instance is refused before it
+        # could reach a dump (it runs through Session(P2PSystem(t))).
+        with pytest.raises(ReproError, match="unknown transport kind"):
+            paper_spec(transport=SyncTransport()).dump_json()
 
     def test_unsupported_latency_does_not_dump(self):
         spec = paper_spec(latency=PerHopLatency(1.0))
