@@ -123,11 +123,7 @@ class PeerNode:
         """
         self.transport.send(
             Message(
-                sender=self.node_id,
-                recipient=recipient,
-                type=message_type,
-                payload=payload,
-                tuples_size=tuples_size,
+                self.node_id, recipient, message_type, payload, tuples_size=tuples_size
             )
         )
 

@@ -147,7 +147,10 @@ class NodeState:
     state_u: UpdateState = UpdateState.OPEN
     rule_flags: dict[str, RuleFlags] = field(default_factory=dict)
     update_owner: list[OwnerEntry] = field(default_factory=list)
-    fragments: dict[tuple[str, NodeId], frozenset[tuple]] = field(default_factory=dict)
+    # Per incoming rule, the fragment stored from each of its sources.
+    fragments: dict[str, dict[NodeId, frozenset[tuple]]] = field(
+        default_factory=dict
+    )
     update_paths: dict[Path, PathFlags] = field(default_factory=dict)
     queried_paths: set[Path] = field(default_factory=set)
     update_started: bool = False
@@ -205,8 +208,7 @@ class NodeState:
         """Drop the fragments received for a rule that no longer targets this
         node (its rows have that rule's shape) and what they were fired into."""
         self.fired.pop(rule_id, None)
-        for key in [key for key in self.fragments if key[0] == rule_id]:
-            del self.fragments[key]
+        self.fragments.pop(rule_id, None)
 
     def forget_outgoing_rule(self, rule_id: str, body: str | None) -> None:
         """Drop the dependants and ledger of a rule no longer read here, and

@@ -413,8 +413,10 @@ class UpdateProtocol:
         state.round_dirty = False
         state.rerun_requested = False
         state.queried_paths.add(path)
+        rule_flags = state.rule_flags
         for rule_id, rule in node.incoming_rules.items():
-            state.rule_flags.setdefault(rule_id, RuleFlags())
+            if rule_id not in rule_flags:
+                rule_flags[rule_id] = RuleFlags()
             for source in rule.sources:
                 state.pending_answers.add((rule_id, source))
         # Send after registering every expectation, so an answer delivered
@@ -441,7 +443,8 @@ class UpdateProtocol:
         node = self.node
         state = node.state
         state.state_u = UpdateState.OPEN
-        state.rule_flags.setdefault(rule.rule_id, RuleFlags())
+        if rule.rule_id not in state.rule_flags:
+            state.rule_flags[rule.rule_id] = RuleFlags()
         if state.pending_answers:
             state.rerun_requested = True
         else:
@@ -530,10 +533,12 @@ class UpdateProtocol:
         if mark is not None and mark.rule is not rule:
             # Stored under this id by another rule: rows of another shape.
             state.forget_incoming_rule(rule.rule_id)
-        key = (rule.rule_id, source)
-        previous = state.fragments.get(key)
+        stored = state.fragments.get(rule.rule_id)
+        if stored is None:
+            stored = state.fragments[rule.rule_id] = {}
+        previous = stored.get(source)
         if previous is None:
-            fresh = state.fragments[key] = tuples
+            fresh = stored[source] = tuples
         elif tuples is previous:
             fresh = frozenset()
         else:
@@ -541,24 +546,29 @@ class UpdateProtocol:
             if len(tuples) == len(previous) + len(fresh):
                 # A whole-fragment answer normally holds every earlier row:
                 # keep the sender's set itself, not an equal union.
-                state.fragments[key] = tuples
+                stored[source] = tuples
             elif fresh:
-                state.fragments[key] = previous | fresh
+                stored[source] = previous | fresh
         if self._fired_holds(rule):
             if not fresh:
                 return set()
-            return self._fire(rule, delta_source=source, delta_rows=fresh)
+            return self._fire(rule, source, fresh)
         return self._fire_in_full(rule)
 
-    def _fire(self, rule: CoordinationRule, **delta) -> set[tuple]:
-        """Join ``rule``'s stored fragments (``delta`` as for
+    def _fire(
+        self,
+        rule: CoordinationRule,
+        delta_source: NodeId | None = None,
+        delta_rows: Fragment | None = None,
+    ) -> set[tuple]:
+        """Join ``rule``'s stored fragments (the delta as for
         :func:`join_fragments`), chase the firings in, return the new rows."""
-        state = self.node.state
-        fragments = {
-            source: state.fragments.get((rule.rule_id, source), frozenset())
-            for source in rule.sources
-        }
-        answers = join_fragments(rule, fragments, **delta)
+        answers = join_fragments(
+            rule,
+            self.node.state.fragments.get(rule.rule_id) or {},
+            delta_source=delta_source,
+            delta_rows=delta_rows,
+        )
         return self.node.database.apply_view_tuples(
             rule.rule_id, rule.head, rule.distinguished_variables, answers
         )
@@ -671,13 +681,18 @@ class UpdateProtocol:
                 self._push_to_owners(incremental=True)
             return
 
-        flags = state.rule_flags.setdefault(rule_id, RuleFlags())
+        # Flags are made only when missing: nearly every answer finds them.
+        flags = state.rule_flags.get(rule_id)
+        if flags is None:
+            flags = state.rule_flags[rule_id] = RuleFlags()
         if complete:
             flags.complete_sources.add(source)
             if set(rule.sources) <= flags.complete_sources:
                 flags.flag = True
 
-        path_flags = state.update_paths.setdefault(path, PathFlags())
+        path_flags = state.update_paths.get(path)
+        if path_flags is None:
+            path_flags = state.update_paths[path] = PathFlags()
         path_flags.no_new_data = not inserted
         if complete:
             path_flags.closed = True
@@ -717,8 +732,12 @@ class UpdateProtocol:
         # Fix-point at this node: the last full round imported nothing new.
         was_closed = state.state_u == UpdateState.CLOSED
         state.state_u = UpdateState.CLOSED
+        rule_flags = state.rule_flags
         for rule_id in node.incoming_rules:
-            state.rule_flags.setdefault(rule_id, RuleFlags()).finished = True
+            flags = rule_flags.get(rule_id)
+            if flags is None:
+                flags = rule_flags[rule_id] = RuleFlags()
+            flags.finished = True
         for flags in state.update_paths.values():
             flags.closed = True
         if not was_closed:

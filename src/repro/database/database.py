@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 import weakref
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.database.evaluate import evaluate_body, evaluate_query
 from repro.database.nulls import SkolemFactory
@@ -70,7 +70,13 @@ class _HeadTemplate:
                 columns.append(width + len(constants) + existentials.index(term.name))
                 continue
             known_positions.append(position)
-        self.build = row_picker(columns)
+        self.build: Callable[[Sequence], Row]
+        if columns == list(range(width + len(constants) + len(existentials))):
+            # The head lists the columns in their order, as the copy rules of
+            # the benchmark networks do: the row is the columns themselves.
+            self.build = tuple
+        else:
+            self.build = row_picker(columns)
         self.known_positions = known_positions
 
 
@@ -226,11 +232,11 @@ class LocalDatabase:
         Returns the set of head rows that were actually new (empty set means
         the local fix-point condition "no new data" holds for this batch).
         """
-        if head.relation not in self.schema:
+        relation = self._relations.get(head.relation)
+        if relation is None:
             raise SchemaError(
                 f"rule {rule_id!r} targets unknown relation {head.relation!r}"
             )
-        relation = self.relation(head.relation)
         if relation.schema.arity != head.arity:
             raise QueryError(
                 f"rule {rule_id!r} head {head} does not match the arity of "
@@ -249,54 +255,70 @@ class LocalDatabase:
                 _head_template(head, distinguished),
             )
         template = cached[2]
-        names, constants, existentials = (
-            template.names,
-            template.constants,
-            template.existentials,
-        )
-        build, known_positions = template.build, template.known_positions
-        width = len(names)
-        null_for = self.skolems.null_for
+        width = len(template.names)
+        if type(answers) not in (set, frozenset, list, tuple):
+            answers = list(answers)  # walked twice: lengths, then rows
+        if set(map(len, answers)) - {width}:
+            answer = next(a for a in answers if len(a) != width)
+            raise QueryError(
+                f"answer {answer!r} does not match distinguished variables "
+                f"{[str(v) for v in distinguished]} of rule {rule_id!r}"
+            )
 
         profile = self.profile
         if profile is not None:
             profile.calls += 1
             profile_started = time.perf_counter()
 
-        inserted: set[Row] = set()
-        for answer in answers:
-            if len(answer) != width:
-                raise QueryError(
-                    f"answer {answer!r} does not match distinguished variables "
-                    f"{[str(v) for v in distinguished]} of rule {rule_id!r}"
-                )
-            if existentials:
-                # The Skolem term is a function of the firing's binding; only
-                # a head with existentials needs that dict built.
-                binding = dict(zip(names, answer))
-                nulls = [null_for(rule_id, name, binding) for name in existentials]
-                row = build((*answer, *constants, *nulls))
-            elif constants:
-                row = build((*answer, *constants))
-            else:
-                row = build(answer)
-            if existentials:
-                present, scanned = self._projection_present(
-                    relation, row, known_positions
-                )
-                if profile is not None:
-                    profile.projection_checks += 1
-                    profile.candidates_scanned += scanned
-                    profile.skipped_by_projection += present
-                if present:
-                    continue
-            if relation.insert(row):
-                inserted.add(row)
+        # Every row the template builds is a tuple of the head's arity, which
+        # matches the relation's (checked above): one check for the batch.
+        build, constants = template.build, template.constants
+        if template.existentials:
+            rows = self._unmatched_rows(rule_id, relation, template, answers)
+        elif constants:
+            rows = (build((*answer, *constants)) for answer in answers)
+        else:
+            rows = map(build, answers)
+        inserted = relation.insert_built(rows)
 
         if profile is not None:
             profile.rows_inserted += len(inserted)
             profile.wall_seconds += time.perf_counter() - profile_started
         return inserted
+
+    def _unmatched_rows(
+        self,
+        rule_id: str,
+        relation: Relation,
+        template: _HeadTemplate,
+        answers: Iterable[tuple],
+    ) -> Iterator[Row]:
+        """The head rows of a template with existentials, each with its
+        labelled nulls, skipping a row the relation already holds on every
+        known position; drawn one at a time, so each check sees the rows the
+        batch inserted before it."""
+        names, constants, existentials = (
+            template.names,
+            template.constants,
+            template.existentials,
+        )
+        build, known_positions = template.build, template.known_positions
+        null_for = self.skolems.null_for
+        profile = self.profile
+        for answer in answers:
+            # The Skolem term is a function of the firing's binding.
+            binding = dict(zip(names, answer))
+            nulls = [null_for(rule_id, name, binding) for name in existentials]
+            row = build((*answer, *constants, *nulls))
+            present, scanned = self._projection_present(
+                relation, row, known_positions
+            )
+            if profile is not None:
+                profile.projection_checks += 1
+                profile.candidates_scanned += scanned
+                profile.skipped_by_projection += present
+            if not present:
+                yield row
 
     @staticmethod
     def _projection_present(

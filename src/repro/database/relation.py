@@ -133,8 +133,7 @@ class Relation:
         self._touched = _DETACHED
         self._key: tuple = ()
         self._reported = _DETACHED.generation
-        for row in rows:
-            self.insert(row)
+        self.insert_many(rows)
 
     # ------------------------------------------------------------------ basic
 
@@ -173,21 +172,35 @@ class Relation:
         The arity is validated against the schema; set semantics means a
         duplicate insert is a no-op that returns False.
         """
-        row = tuple(row)
-        if row in self._rows:
-            return False
-        self.schema.validate_tuple(row)
-        self._rows[row] = self._epoch
-        self._snapshot = None
-        if self._reported != self._touched.generation:
-            self._touched.report(self)
-        for position, index in self._indexes.items():
-            index[row[position]].add(row)
-        return True
+        return self.insert_many((row,)) == 1
 
     def insert_many(self, rows: Iterable[Row]) -> int:
         """Insert every row in ``rows``; return how many were actually new."""
-        return sum(1 for row in rows if self.insert(row))
+        validate = self.schema.validate_tuple
+        return len(self.insert_built(validate(tuple(row)) for row in rows))
+
+    def insert_built(self, rows: Iterable[Row]) -> set[Row]:
+        """Insert rows built to the schema — tuples of its arity, checked
+        once by the caller for the whole batch (the chase's head template) —
+        and return the ones that were new.
+
+        Each row is in, with its epoch, its index entries and the
+        :class:`Touched` report, before the next is drawn, so ``rows`` may be
+        a generator that reads the relation (the chase's projection check).
+        """
+        stored, epoch, indexes = self._rows, self._epoch, self._indexes
+        new: set[Row] = set()
+        for row in rows:
+            if row in stored:
+                continue
+            stored[row] = epoch
+            new.add(row)
+            self._snapshot = None
+            if self._reported != self._touched.generation:
+                self._touched.report(self)
+            for position, index in indexes.items():
+                index[row[position]].add(row)
+        return new
 
     def delete(self, row: Row) -> bool:
         """Delete ``row``; return True if it was present."""
@@ -295,12 +308,13 @@ class Relation:
         Builds a hash index on ``position`` the first time it is used; later
         lookups on the same position are O(matching rows).
         """
-        if position < 0 or position >= self.schema.arity:
-            raise SchemaError(
-                f"position {position} out of range for relation {self.name!r}"
-            )
         index = self._indexes.get(position)
         if index is None:
+            # Only a valid position gets an index, so only a new one is checked.
+            if position < 0 or position >= self.schema.arity:
+                raise SchemaError(
+                    f"position {position} out of range for relation {self.name!r}"
+                )
             index = defaultdict(set)
             for row in self._rows:
                 index[row[position]].add(row)

@@ -13,6 +13,7 @@ participate on the network".  This module models both levels:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from repro.errors import SchemaError
@@ -62,9 +63,9 @@ class RelationSchema:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "attributes", attrs)
 
-    @property
+    @cached_property
     def arity(self) -> int:
-        """Number of attributes."""
+        """Number of attributes (computed once: every lookup and chase reads it)."""
         return len(self.attributes)
 
     @property

@@ -42,9 +42,15 @@ class MessageType(str, Enum):
 _SEQUENCE = itertools.count()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Message:
-    """One message on the simulated network."""
+    """One message on the simulated network.
+
+    Built once per send and never changed after (nothing assigns to a sent
+    message's fields); not frozen only because a frozen dataclass's
+    ``__init__`` sets each field through ``object.__setattr__``, which every
+    delivery would pay for.
+    """
 
     sender: str
     recipient: str
@@ -78,7 +84,19 @@ class Message:
 
 
 def value_size(value: Any) -> int:
-    """The modelled bytes of one payload value (see ``size_estimate``)."""
+    """The modelled bytes of one payload value (see ``size_estimate``).
+
+    The types a protocol payload holds are told apart by exact type first;
+    anything else (a subclass, a mapping) takes the ``isinstance`` chain,
+    which sizes those types identically.
+    """
+    kind = type(value)
+    if kind is str:
+        return len(value)
+    if kind is tuple or kind is frozenset or kind is list or kind is set:
+        return 8 + rows_size(value)
+    if kind is bool or kind is int or kind is float or value is None:
+        return 8
     if isinstance(value, str):
         return len(value)
     if isinstance(value, Mapping):

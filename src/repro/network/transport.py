@@ -23,8 +23,8 @@ from __future__ import annotations
 import heapq
 import time
 from types import MethodType
-from typing import Callable
-from weakref import WeakMethod
+from typing import Any, Callable
+from weakref import ref
 
 from repro.errors import NetworkError, UnknownPeerError
 from repro.network.latency import ConstantLatency, LatencyModel
@@ -32,6 +32,10 @@ from repro.network.message import Message
 from repro.stats.collector import StatisticsCollector
 
 Handler = Callable[[Message], None]
+
+
+def _call(handler: Handler, message: Message) -> None:
+    handler(message)
 
 
 class BaseTransport:
@@ -49,9 +53,12 @@ class BaseTransport:
     ):
         self.latency = latency or ConstantLatency(1.0)
         self.stats = stats or StatisticsCollector()
-        #: Peer id -> a callable returning the peer's handler (None once a
-        #: weakly held one is gone); see :meth:`register`.
-        self._handlers: dict[str, Callable[[], Handler | None]] = {}
+        #: Peer id -> ``(owner, function)``: a delivery calls
+        #: ``function(owner(), message)``, unless ``owner()`` is None (a
+        #: weakly held peer is gone); see :meth:`register`.
+        self._handlers: dict[
+            str, tuple[Callable[[], Any], Callable[[Any, Message], None]]
+        ] = {}
         self._trace: list[tuple[float, Message]] = []
         self.trace_enabled = False
 
@@ -68,9 +75,11 @@ class BaseTransport:
         if node_id in self._handlers:
             raise NetworkError(f"peer {node_id!r} is already registered")
         if isinstance(handler, MethodType):
-            self._handlers[node_id] = WeakMethod(handler)
+            # A weak reference to the peer and the plain function: resolving
+            # them costs a delivery two C-level calls, no bound method.
+            self._handlers[node_id] = (ref(handler.__self__), handler.__func__)
         else:
-            self._handlers[node_id] = lambda: handler
+            self._handlers[node_id] = (lambda: handler, _call)
 
     def unregister(self, node_id: str) -> None:
         """Remove a peer from the network (undelivered messages to it are dropped)."""
@@ -98,14 +107,14 @@ class BaseTransport:
 
     def _deliver(self, message: Message, at_time: float) -> None:
         """Run the recipient handler and account for the delivery."""
-        resolve = self._handlers.get(message.recipient)
-        handler = resolve() if resolve is not None else None
-        if handler is None:
+        entry = self._handlers.get(message.recipient)
+        owner = None if entry is None else entry[0]()
+        if entry is None or owner is None:
             # The peer left the network while the message was in flight; the
             # dynamic-network semantics of Section 4 allows dropping it.
             return
         self.stats.record_message(
-            message.type.value,
+            message.type,
             message.sender,
             message.recipient,
             message.size_estimate(),
@@ -113,7 +122,7 @@ class BaseTransport:
         self.stats.advance_time(at_time)
         if self.trace_enabled:
             self._trace.append((at_time, message))
-        handler(message)
+        entry[1](owner, message)
 
     # --------------------------------------------------------------- interface
 

@@ -407,15 +407,14 @@ class ShardWorker:
         payload = {
             "change": change,
             "node_state": node_state,
-            # One aggregation code path for every engine: the worker ships its
-            # whole metrics registry; the coordinator folds it in with
-            # StatisticsCollector.merge_counters.
-            "counters": transport.stats.dump_counters(),
+            # One aggregation code path for every engine: the worker ships the
+            # counters of its registry that moved (and zeroes them in place);
+            # the coordinator folds them in with merge_counters.
+            "counters": transport.stats.ship_counters(),
             "delivered": delivered - transport.reported,
             "clock": transport.clock,
         }
         transport.reported = delivered
-        transport.stats.reset()
         transport.ran = set()
         tracer = self.tracer
         if tracer.enabled:

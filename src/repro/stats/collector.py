@@ -9,7 +9,7 @@ a run and the super-peer can reset all counters between runs.
 Since the observability layer landed, every counter lives in a
 :class:`~repro.obs.metrics.MetricsRegistry` (``collector.registry``): the
 in-process engines bump registry counters through cached handles, worker
-processes ship their registries home as :meth:`dump_counters` payloads, and
+processes ship home the counters that moved (:meth:`ship_counters`), and
 the coordinator folds them in with :meth:`merge_counters` — one aggregation
 code path for all engines, with :meth:`snapshot` assembling the familiar
 :class:`StatsSnapshot` view from the registry on demand.  A snapshot
@@ -141,6 +141,8 @@ class StatisticsCollector:
         # message-type counter has its pair here, merged ones included.
         self._type_handles: dict[str, tuple[MetricCounter, MetricCounter]] = {}
         self._node_handles: dict[str, _NodeHandles] = {}
+        # Per node, its incremental counters in _INCREMENTAL_METRICS order.
+        self._incremental_handles: dict[str, list[MetricCounter]] = {}
         # The nodes whose counters moved since the last snapshot — handed a
         # recording handle (kept here) or named by a merge (None): the only
         # ones whose NodeStats can be stale.
@@ -152,6 +154,9 @@ class StatisticsCollector:
     # --------------------------------------------------------------- recording
 
     def _handles(self, node_id: str) -> _NodeHandles:
+        """``node_id``'s handles, marking the node moved.  The recorders try
+        ``self._moved.get(node_id)`` inline first: per delivery, the node has
+        nearly always moved already."""
         handles = self._moved.get(node_id)
         if handles is None:
             handles = self._node_handles.get(node_id)
@@ -165,6 +170,8 @@ class StatisticsCollector:
     def _message_handles(
         self, message_type: str
     ) -> tuple[MetricCounter, MetricCounter]:
+        # Keyed by the plain string: a MessageType member (a str) finds it.
+        message_type = str(message_type)
         type_handles = self._type_handles.get(message_type)
         if type_handles is None:
             type_handles = self._type_handles[message_type] = (
@@ -176,18 +183,21 @@ class StatisticsCollector:
     def record_message(
         self, message_type: str, sender: str, recipient: str, size: int
     ) -> None:
-        """Record one message delivery (called by the transport)."""
+        """Record one message delivery (called by the transport, which
+        passes the message's :class:`~repro.network.message.MessageType`:
+        it is the str it names, without the enum's ``value`` lookup)."""
         type_handles = self._type_handles.get(message_type)
         if type_handles is None:
             type_handles = self._message_handles(message_type)
         type_handles[0].value += 1
         type_handles[1].value += size
-        self._handles(sender).messages_sent.value += 1
-        self._handles(recipient).messages_received.value += 1
+        moved = self._moved
+        (moved.get(sender) or self._handles(sender)).messages_sent.value += 1
+        (moved.get(recipient) or self._handles(recipient)).messages_received.value += 1
 
     def record_query(self, node_id: str, *, duplicate: bool = False) -> None:
         """Record a local query execution at ``node_id``."""
-        handles = self._handles(node_id)
+        handles = self._moved.get(node_id) or self._handles(node_id)
         handles.queries_executed.value += 1
         if duplicate:
             handles.duplicate_queries.value += 1
@@ -196,7 +206,7 @@ class StatisticsCollector:
         self, node_id: str, *, received: int, inserted: int
     ) -> None:
         """Record one local-update application at ``node_id``."""
-        handles = self._handles(node_id)
+        handles = self._moved.get(node_id) or self._handles(node_id)
         handles.updates_applied.value += 1
         handles.tuples_received.value += received
         handles.tuples_inserted.value += inserted
@@ -212,19 +222,25 @@ class StatisticsCollector:
     ) -> None:
         """Record delta-driven update work at ``node_id`` (incremental mode).
 
-        Cold path by design: incremental runs bump these once per seeded node
-        / fired rule / push batch, not per message, so the handles are not
-        cached.  The counters ride the same registry dump/merge pipeline as
-        every other metric, so worker-side increments surface in the
-        coordinator's registry (and in ``Session.export_metrics``) unchanged.
+        The delta path calls this once per delivery and once per push, so
+        the node's four handles are cached like :class:`_NodeHandles`.  The
+        counters ride the same registry dump/merge pipeline as every other
+        metric, so worker-side increments surface in the coordinator's
+        registry (and in ``Session.export_metrics``) unchanged.
         """
-        labels = {"node": node_id}
-        for name, amount in zip(
-            _INCREMENTAL_METRICS, (seed_rows, rules_fired, rows_derived, pushes)
+        handles = self._incremental_handles.get(node_id)
+        if handles is None:
+            labels = {"node": node_id}
+            handles = self._incremental_handles[node_id] = [
+                self.registry.counter(name, labels) for name in _INCREMENTAL_METRICS
+            ]
+        totals = self._incremental
+        for name, handle, amount in zip(
+            _INCREMENTAL_METRICS, handles, (seed_rows, rules_fired, rows_derived, pushes)
         ):
             if amount:
-                self.registry.counter(name, labels).value += amount
-                self._incremental[name] += amount
+                handle.value += amount
+                totals[name] += amount
 
     def incremental_totals(self) -> dict[str, int]:
         """The incremental counters summed over all nodes (zero-filled);
@@ -238,12 +254,27 @@ class StatisticsCollector:
 
     # ----------------------------------------------------- cross-process merge
 
-    def dump_counters(self) -> dict:
-        """The picklable registry payload a worker ships to the coordinator."""
-        return self.registry.dump()
+    def ship_counters(self) -> dict:
+        """A registry dump (:meth:`MetricsRegistry.dump
+        <repro.obs.metrics.MetricsRegistry.dump>` format) of the counters
+        that moved since the previous call, which then restart from zero.
+
+        What a shard worker sends home after each run.  Unlike :meth:`reset`
+        it zeroes the counters in place, so every cached handle stays valid
+        and the next run does not look its nodes' counters up again.
+        """
+        moved = [c for c in self.registry.counters.values() if c.value]
+        dump = {"counters": [(c.name, c.labels, c.value) for c in moved]}
+        for counter in moved:
+            counter.value = 0
+        self._moved, self._nodes = {}, {}
+        self._incremental = dict.fromkeys(_INCREMENTAL_METRICS, 0)
+        self.simulated_time = 0.0
+        self.elapsed_wall_seconds = 0.0
+        return dump
 
     def merge_counters(self, dump: Mapping) -> None:
-        """Fold a worker's :meth:`dump_counters` payload into this collector.
+        """Fold a worker's :meth:`ship_counters` payload into this collector.
 
         The dump names what moved: its node counters mark their nodes for
         the next snapshot, its message and incremental counters join the
@@ -305,6 +336,7 @@ class StatisticsCollector:
         self.registry.reset()
         self._type_handles.clear()
         self._node_handles.clear()
+        self._incremental_handles.clear()
         self._moved, self._nodes = {}, {}
         self._incremental = dict.fromkeys(_INCREMENTAL_METRICS, 0)
         self.simulated_time = 0.0

@@ -23,6 +23,7 @@ import repro.network.message as message_module
 from repro.api.session import Session
 from repro.api.spec import ScenarioSpec
 from repro.core.fixpoint import ground_part
+from repro.core.state import PathFlags, RuleFlags
 from repro.database.database import LocalDatabase
 from repro.workloads.topologies import clique_topology, tree_topology
 
@@ -205,6 +206,37 @@ def test_only_new_rows_are_chased_and_sized(
     assert stats.total_tuples_transferred == GOLDEN[workload, 0][2]
     assert rows_inserted == inserted[0] <= offered[0] <= offered_bound
     assert 0 < sized[0] <= sized_bound
+
+
+def test_flags_are_made_only_for_the_entries_kept(monkeypatch):
+    """The protocol's per-answer allocations, machine-independent.
+
+    One cold update makes exactly one ``RuleFlags`` per rule entry and one
+    ``PathFlags`` per update path that the peers keep: 122 and 61 on the
+    tree, 78 and 49 on the clique.  While every answer and round built one
+    for ``setdefault`` to throw away, it made 2 554 and 896 on the tree and
+    3 894 and 702 on the clique.
+    """
+    made = dict.fromkeys((RuleFlags, PathFlags), 0)
+    for cls in made:
+        init = cls.__init__
+
+        def counting_init(self, *args, _cls=cls, _init=init, **kwargs):
+            made[_cls] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+
+    for workload, kept in (("cold_tree", (122, 61)), ("cold_clique", (78, 49))):
+        made.update(dict.fromkeys(made, 0))
+        with Session.from_spec(spec_of(workload, 0)) as session:
+            session.run("update")
+            states = [node.state for node in session.system.nodes.values()]
+        assert (
+            sum(len(state.rule_flags) for state in states),
+            sum(len(state.update_paths) for state in states),
+        ) == kept
+        assert (made[RuleFlags], made[PathFlags]) == kept
 
 
 def test_each_shape_is_compiled_once(monkeypatch):

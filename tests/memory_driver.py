@@ -14,12 +14,14 @@ choice:
 Like every driver, it asks a machine for its idle report only when the
 machine's inbox is empty.  :meth:`MemoryDriver.get` is a reply source with a
 queue's ``get(timeout)``, and :meth:`MemoryDriver.channel` a shard's
-channel, so the real :class:`~repro.sharding.pool.ShardPool` runs on top.
+channel, so the real :class:`~repro.sharding.pool.ShardPool` runs on top
+(:class:`DrivenPool`).
 """
 
 from collections import deque
 from types import SimpleNamespace
 
+from repro.sharding.pool import ShardPool
 from repro.sharding.worker import ShardWorker
 
 COORDINATOR = -1
@@ -94,3 +96,18 @@ class MemoryDriver:
             or worker.transport._held
             for shard, worker in enumerate(self.workers)
         )
+
+
+class DrivenPool(ShardPool):
+    """The real barrier over the in-memory driver's channels and replies."""
+
+    def __init__(self, driver, plan, worlds):
+        self._driver = driver
+        super().__init__(plan, worlds)
+
+    def _open(self, worlds):
+        self._results = self._driver
+        self._channels = [self._driver.channel(shard) for shard in range(len(worlds))]
+
+    def _await_ready(self):
+        pass  # the driver built every machine before the pool opened

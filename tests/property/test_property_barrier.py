@@ -24,7 +24,7 @@ from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from memory_driver import MemoryDriver
+from memory_driver import DrivenPool, MemoryDriver
 
 import repro.sharding.worker as worker_module
 from repro.api import ScenarioSpec, Session
@@ -32,23 +32,7 @@ from repro.coordination.changeset import Change
 from repro.core.fixpoint import ground_part
 from repro.database.schema import RelationSchema
 from repro.sharding.planner import ShardPlan
-from repro.sharding.pool import ShardPool
 from repro.sharding.worker import _worlds_from_system
-
-
-class DrivenPool(ShardPool):
-    """The real barrier over the in-memory driver's channels and replies."""
-
-    def __init__(self, driver, plan, worlds):
-        self._driver = driver
-        super().__init__(plan, worlds)
-
-    def _open(self, worlds):
-        self._results = self._driver
-        self._channels = [self._driver.channel(shard) for shard in range(len(worlds))]
-
-    def _await_ready(self):
-        pass  # the driver built every machine before the pool opened
 
 
 @st.composite

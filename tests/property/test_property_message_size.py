@@ -5,9 +5,12 @@ is the implementation it had before the flat pass over fragment rows and is
 kept here as the reference.  ``total_bytes`` of every experiment depends on
 the two agreeing exactly — also when a message carries the size of its
 ``tuples`` as a hint (a maintained fragment keeps its own) instead of walking
-them.
+them, and for values whose exact type is not the one ``value_size`` tries
+first (a ``MessageType``, a ``bool``, a namedtuple, a mapping proxy).
 """
 
+from collections import namedtuple
+from types import MappingProxyType
 from typing import Any, Mapping
 
 from hypothesis import given, settings
@@ -19,7 +22,7 @@ from repro.core.update import maintain_fragment
 from repro.database.database import LocalDatabase
 from repro.database.nulls import LabeledNull
 from repro.database.schema import DatabaseSchema, RelationSchema
-from repro.network.message import Message, MessageType
+from repro.network.message import Message, MessageType, value_size
 from repro.network.transport import SyncTransport
 
 
@@ -43,19 +46,26 @@ def reference_size(payload: Mapping[str, Any]) -> int:
     return 64 + sum(reference_value_size(value) for value in payload.values())
 
 
+#: A tuple subclass: sized like the tuple it is.
+Pair = namedtuple("Pair", "left right")
+
 scalars = st.one_of(
     st.text(max_size=12),
+    st.sampled_from(MessageType),  # a str subclass
     st.integers(),
     st.booleans(),
     st.none(),
     st.floats(allow_nan=False),
     st.builds(LabeledNull, st.text(max_size=6)),
 )
-#: Hashable values: scalars, and tuples / frozensets of hashable values.
+#: Hashable values: scalars, and tuples / namedtuples / frozensets of
+#: hashable values, nested.
 hashables = st.recursive(
     scalars,
     lambda inner: st.one_of(
-        st.lists(inner, max_size=4).map(tuple), st.frozensets(inner, max_size=4)
+        st.lists(inner, max_size=4).map(tuple),
+        st.builds(Pair, inner, inner),
+        st.frozensets(inner, max_size=4),
     ),
     max_leaves=12,
 )
@@ -66,6 +76,7 @@ anything = st.recursive(
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.dictionaries(hashables, inner, max_size=4),
+        st.dictionaries(hashables, inner, max_size=3).map(MappingProxyType),
         st.lists(inner, max_size=3).map(tuple),
     ),
     max_leaves=20,
@@ -78,6 +89,28 @@ payloads = st.dictionaries(st.text(max_size=8), anything, max_size=5)
 def test_size_estimate_equals_the_recursive_model(payload):
     message = Message("a", "b", MessageType.ANSWER, payload)
     assert message.size_estimate() == reference_size(payload)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=anything)
+def test_value_size_equals_the_recursive_model(value):
+    """The exact-type fast paths and the ``isinstance`` chain behind them
+    size every value alike."""
+    assert value_size(value) == reference_value_size(value)
+
+
+def test_subclasses_and_views_take_the_isinstance_chain():
+    """Values whose exact type is not one the fast path names, pinned."""
+    nested = frozenset({frozenset({"ab", 1}), frozenset()})
+    for value, size in (
+        (MessageType.QUERY, len("query")),
+        (True, 8),
+        (LabeledNull("n1"), 8),
+        (Pair("ab", False), 8 + 2 + 8),
+        (MappingProxyType({"k": ("v", 1)}), 8 + 1 + (8 + 1 + 8)),
+        (nested, 8 + (8 + 2 + 8) + 8),
+    ):
+        assert value_size(value) == reference_value_size(value) == size
 
 
 @given(tuples=fragments, path=st.lists(st.text(max_size=4), max_size=5).map(tuple))

@@ -169,6 +169,109 @@ class TestApplyViewTuples:
             )
 
 
+def make_database():
+    return LocalDatabase(
+        DatabaseSchema(
+            [
+                RelationSchema("person", ["name", "city"]),
+                RelationSchema("knows", ["a", "b"]),
+            ]
+        )
+    )
+
+
+#: Head, distinguished variables, answers and a row of the head relation
+#: already present: a copy head (whose row is the answer itself), one that
+#: swaps the columns, one with a constant and one with an existential (whose
+#: projection check reads the relation between the rows it inserts).
+CHASES = {
+    "copy": ("knows(X, Y)", "XY", {("a", "b"), ("b", "c")}, ("a", "b")),
+    "swapped": ("knows(Y, X)", "XY", {("a", "b"), ("b", "c")}, ("b", "a")),
+    "constant": ("knows(X, 'bob')", "X", {("a",), ("c",), ("d",)}, ("a", "bob")),
+    "existential": (
+        "person(X, C)",
+        "X",
+        {("ada",), ("bea",), ("cy",)},
+        ("ada", "london"),
+    ),
+}
+
+
+def variables(names):
+    return tuple(Variable(name) for name in names)
+
+
+class TestChasedRowsLandLikeInsertedRows:
+    """A6 hands the relation the rows its head template built, checking the
+    head's arity once per batch instead of once per row.  Those rows must land
+    exactly as ``Relation.insert`` lands them: in ``since(mark)``, in
+    ``newest``, in an index ``lookup`` built before them, in ``rows()`` and in
+    the touched set."""
+
+    @staticmethod
+    def attached(name, present):
+        """A database attached to a touched set, ``present`` in relation
+        ``name`` and both of its columns indexed."""
+        database, touched = make_database(), Touched()
+        database.attach(touched, "n")
+        relation = database.relation(name)
+        relation.insert(present)
+        for position in (0, 1):
+            relation.lookup(position, present[position])
+        return database, relation, touched
+
+    @pytest.mark.parametrize("case", sorted(CHASES))
+    def test_chased_rows_match_inserted_rows(self, case):
+        text, names, answers, present = CHASES[case]
+        head = parse_atom(text)
+        chased, chased_relation, chased_touched = self.attached(head.relation, present)
+        _, inserted_relation, inserted_touched = self.attached(head.relation, present)
+        readings = []
+        for relation, touched in (
+            (chased_relation, chased_touched),
+            (inserted_relation, inserted_touched),
+        ):
+            readings.append((relation.mark(), touched.read(), relation.rows()))
+
+        new = chased.apply_view_tuples("r", head, variables(names), answers)
+        # The same rows, in the order they landed, through insert().
+        landed = tuple(chased_relation.newest(len(new)))[::-1]
+        for row in landed:
+            assert inserted_relation.insert(row)
+
+        assert len(new) == len(answers) - 1 and set(landed) == new
+        for relation, touched, (mark, generation, snapshot) in zip(
+            (chased_relation, inserted_relation),
+            (chased_touched, inserted_touched),
+            readings,
+        ):
+            assert relation.since(mark) == (landed, ())
+            assert tuple(relation.newest(len(landed)))[::-1] == landed
+            assert touched.since(generation) == [("n", relation.name)]
+            assert relation.rows() is not snapshot
+            assert relation.rows() == {present, *landed}
+            for position in (0, 1):
+                for row in (present, *landed):
+                    assert row in set(relation.lookup(position, row[position]))
+
+    @pytest.mark.parametrize(
+        ("text", "names", "answers"),
+        [
+            ("person(X)", "X", [("a",)]),  # the head's arity is not the relation's
+            ("knows(X, Y)", "XY", [("x", "y"), ("only-one",)]),  # a short answer
+        ],
+    )
+    def test_a_mismatch_raises_before_any_row_lands(self, text, names, answers):
+        database, _, touched = self.attached("knows", ("a", "b"))
+        marks = [relation.mark() for relation in database.relations()]
+        generation = touched.read()
+        with pytest.raises(QueryError):
+            database.apply_view_tuples("r", parse_atom(text), variables(names), answers)
+        for relation, mark in zip(database.relations(), marks):
+            assert relation.since(mark) == ((), ())
+        assert touched.since(generation) == []
+
+
 class TestAttached:
     """Every relation a database holds reports to the touched set it joined."""
 

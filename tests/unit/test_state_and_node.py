@@ -55,7 +55,7 @@ class TestNodeState:
     def test_reset_update(self):
         state = NodeState()
         state.state_u = UpdateState.CLOSED
-        state.fragments[("r", "b")] = frozenset({(1,)})
+        state.fragments["r"] = {"b": frozenset({(1,)})}
         state.pending_answers.add(("r", "b"))
         state.pushed_fragments[("r", "b")] = frozenset()
         state.reset_update()

@@ -1,7 +1,14 @@
 """Unit tests for the statistics collector and the report helpers."""
 
 import pytest
+from memory_driver import DrivenPool, MemoryDriver
 
+import repro.stats.collector as collector_module
+from repro.api import ScenarioSpec
+from repro.coordination.changeset import Change
+from repro.database.schema import RelationSchema
+from repro.sharding.planner import ShardPlan
+from repro.sharding.worker import _worlds_from_system
 from repro.stats.collector import StatisticsCollector
 from repro.stats.report import format_table, series_summary
 
@@ -57,6 +64,97 @@ class TestStatisticsCollector:
         assert snapshot.total_messages == 0
         assert snapshot.simulated_time == 0.0
         assert snapshot.nodes == {}
+
+
+class TestShipCounters:
+    """What a shard worker sends home after each run: the counters that
+    moved, zeroed in place so every cached handle stays valid."""
+
+    @staticmethod
+    def record_run(stats, *, answers):
+        stats.record_message("query", "A", "B", 10)
+        for _ in range(answers):
+            stats.record_message("answer", "B", "A", 30)
+        stats.record_update("A", received=3, inserted=answers)
+        stats.record_incremental("A", seed_rows=1, pushes=answers)
+
+    def test_only_what_moved_ships_and_restarts_from_zero(self):
+        stats = StatisticsCollector()
+        self.record_run(stats, answers=0)
+        counters = dict(stats.registry.counters)
+        shipped = stats.ship_counters()["counters"]
+        assert sorted(shipped) == [
+            ("repro_incremental_seed_rows_total", (("node", "A"),), 1),
+            ("repro_message_bytes_total", (("type", "query"),), 10),
+            ("repro_messages_total", (("type", "query"),), 1),
+            ("repro_node_messages_received_total", (("node", "B"),), 1),
+            ("repro_node_messages_sent_total", (("node", "A"),), 1),
+            ("repro_node_tuples_received_total", (("node", "A"),), 3),
+            ("repro_node_updates_applied_total", (("node", "A"),), 1),
+        ]
+        # The very same counters, zeroed, and nothing else in the registry.
+        assert stats.registry.counters == counters
+        assert all(counter.value == 0 for counter in counters.values())
+        assert set(stats.incremental_totals().values()) == {0}
+        assert stats.snapshot().total_messages == 0
+
+        self.record_run(stats, answers=2)
+        assert all(
+            stats.registry.counters[key] is counter for key, counter in counters.items()
+        )
+        assert all(value for _name, _labels, value in stats.ship_counters()["counters"])
+
+    def test_merged_shipments_equal_recording_in_one_place(self):
+        worker, direct, coordinator = (StatisticsCollector() for _ in range(3))
+        for answers in (0, 2, 1):
+            for stats in (worker, direct):
+                self.record_run(stats, answers=answers)
+            coordinator.merge_counters(worker.ship_counters())
+        merged, expected = coordinator.snapshot(), direct.snapshot()
+        assert merged.messages == expected.messages
+        assert merged.nodes == expected.nodes
+        assert coordinator.incremental_totals() == direct.incremental_totals()
+
+    def test_a_warm_worker_builds_each_peers_handles_once(self, monkeypatch):
+        """A worker's report used to reset its registry, so every warm run
+        looked up the seven counters of each peer it touched again."""
+        built = []  # (worker registry, peer) per _NodeHandles built
+        init = collector_module._NodeHandles.__init__
+
+        def counting_init(self, registry, node_id):
+            built.append((id(registry), node_id))
+            init(self, registry, node_id)
+
+        monkeypatch.setattr(collector_module._NodeHandles, "__init__", counting_init)
+        peers = ["p0", "p1", "p2", "p3"]
+        rules = [f"r{i}: p{i + 1}: item(X, Y) -> p{i}: item(X, Y)" for i in range(3)]
+        spec = ScenarioSpec.of(
+            {peer: [RelationSchema("item", ["x", "y"])] for peer in peers},
+            rules,
+            {peer: {"item": [(peer, "y")]} for peer in peers},
+        )
+        plan = ShardPlan(2, {peer: index % 2 for index, peer in enumerate(peers)})
+        worlds = _worlds_from_system(spec.build_system(), plan)
+        driver = MemoryDriver(worlds, lambda count: 0)
+        pool = DrivenPool(driver, plan, worlds)
+        pool.run_phase("discovery", None)
+        pool.run_phase("update", None)
+        cold = sorted(built)
+        # A worker also counts the remote senders of what it delivers.
+        assert {peer for _registry, peer in cold} == set(peers)
+        for index in range(3):
+            change = Change(inserts={"p3": {"item": ((f"new{index}", "y"),)}})
+            payloads = pool.run_phase("update", None, change=change, mode="incremental")
+            assert sum(p["delivered"] for p in payloads) == 3
+            shipped = [
+                counter
+                for payload in payloads
+                for counter in payload["counters"]["counters"]
+            ]
+            assert shipped and all(value for _name, _labels, value in shipped)
+        assert sorted(built) == cold and len(set(cold)) == len(cold)
+        rows = driver.workers[0].system.node("p0").database.relation("item")
+        assert {("new0", "y"), ("new1", "y"), ("new2", "y")} <= set(rows)
 
 
 class TestFormatTable:
