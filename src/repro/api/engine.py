@@ -121,16 +121,6 @@ class TransportKind:
     partitioned: bool = False
 
 
-#: Transport names that were removed, and what replaces each.
-_RETIRED = {
-    "async": (
-        "transport='sync' with a latency= model; a seeded UniformLatency "
-        "gives one delivery order per seed"
-    ),
-    "sharded": "transport='multiproc' or 'pooled' with shards=K",
-}
-
-
 @functools.cache
 def transport_kinds() -> dict[str, TransportKind]:
     """The transport registry, keyed by the name a spec selects."""
@@ -177,17 +167,10 @@ def transport_names(*, partitioned: bool = False) -> tuple[str, ...]:
 
 
 def transport_kind(name: str) -> TransportKind:
-    """The registry row for a transport name.
-
-    A removed name raises a :class:`ReproError` naming its replacement.
-    """
+    """The registry row for a transport name."""
     try:
         return transport_kinds()[name]
     except KeyError:
-        if name in _RETIRED:
-            raise ReproError(
-                f"transport {name!r} was removed; use {_RETIRED[name]}"
-            ) from None
         raise ReproError(
             f"unknown transport kind {name!r}; expected one of {transport_names()}"
         ) from None

@@ -43,7 +43,7 @@ from repro.database.query import ConjunctiveQuery
 from repro.database.relation import Row
 from repro.database.schema import DatabaseSchema
 from repro.errors import ReproError
-from repro.obs import Tracer
+from repro.obs import MetricsRegistry, Tracer
 from repro.stats.collector import StatsSnapshot
 
 if TYPE_CHECKING:
@@ -90,10 +90,11 @@ class Session:
         self.tracer = tracer
         if tracer is not None:
             system.tracer = tracer
-            # The A6 chase profile rides on the databases so the projection
-            # check can bump counters without knowing about sessions.
+            # The A6 counters ride on the databases so the projection check
+            # can bump them without knowing about sessions.
+            chase = system.stats.chase_handles()
             for node in system.nodes.values():
-                node.database.profile = tracer.chase
+                node.database.profile = chase
         # Fault injection: a plan (passed directly or carried by the spec)
         # attaches a coordinator-side injector to the system; the engines
         # discover it via repro.faults.injector_of, exactly like the tracer.
@@ -181,26 +182,14 @@ class Session:
         """Reset all counters (the super-peer's reset command)."""
         self.system.reset_statistics()
 
-    def export_metrics(self, format: str = "json") -> str:
-        """The session's metrics in ``"json"`` or ``"prometheus"`` text form.
-
-        The export merges the statistics collector's registry (message and
-        per-node counters), the tracer's span-duration histograms when the
-        session is traced, and two run-level gauges (simulated clock,
-        cumulative wall seconds) into one registry before rendering.
-        """
-        # Imported lazily: the exporters pull in the report formatter, which
-        # sessions otherwise never need.
-        from repro.obs.export import metrics_to_json, metrics_to_prometheus
-        from repro.obs.metrics import MetricsRegistry
-
+    def metrics_registry(self) -> MetricsRegistry:
+        """A copy of the statistics registry — the session's one metrics
+        store, with a traced run's span histograms and A6 chase counters —
+        plus two run-level gauges; what both ``export_metrics`` and serve's
+        ``/metrics`` render."""
         collector = self.system.stats
         registry = MetricsRegistry()
         registry.merge(collector.registry.dump())
-        for name in collector.registry._help:
-            registry.describe(name, collector.registry.help_for(name))
-        if self.tracer is not None:
-            registry.merge(self.tracer.metrics.dump())
         registry.describe(
             "repro_simulated_time_seconds", "Simulated clock at the last snapshot."
         )
@@ -211,10 +200,18 @@ class Session:
         registry.gauge("repro_wall_seconds_total").set(
             collector.elapsed_wall_seconds
         )
+        return registry
+
+    def export_metrics(self, format: str = "json") -> str:
+        """:meth:`metrics_registry` in ``"json"`` or ``"prometheus"`` text form."""
+        # Imported lazily: the exporters pull in the report formatter, which
+        # sessions otherwise never need.
+        from repro.obs.export import metrics_to_json, metrics_to_prometheus
+
         if format == "json":
-            return json.dumps(metrics_to_json(registry), indent=2)
+            return json.dumps(metrics_to_json(self.metrics_registry()), indent=2)
         if format == "prometheus":
-            return metrics_to_prometheus(registry)
+            return metrics_to_prometheus(self.metrics_registry())
         raise ReproError(
             f"unknown metrics format {format!r}; expected 'json' or 'prometheus'"
         )
@@ -270,7 +267,8 @@ class Session:
         ``phase`` is ``"discovery"`` or ``"update"``; ``origins`` are the
         initiating nodes (defaults: the super-peer for discovery, every node
         for the update).  On a traced session the run is wrapped in a ``run``
-        span and the merged timeline lands on ``result.extras["trace"]``.
+        span, the merged timeline lands on ``result.extras["trace"]``, and
+        each of its spans is observed into ``repro_span_seconds{name}``.
 
         The result's ``deltas`` is :meth:`Change.read
         <repro.coordination.changeset.Change.read>` over relation marks moved
@@ -288,18 +286,24 @@ class Session:
             completion, snapshot = self.engine.run(self.system, phase, origins)
             return self._package(phase, completion, snapshot, started)
         mark = tracer.mark()
-        chase_before = tracer.chase.snapshot()
+        chase = self.system.stats.chase_handles()
+        chase_before = chase.values()
         with tracer.span("run", phase=phase, engine=self.engine.name) as span:
             completion, snapshot = self.engine.run(self.system, phase, origins)
             span.set(
                 completion_time=completion,
                 messages=sum(snapshot.messages.by_type.values()),
-                **tracer.chase.delta_attributes(chase_before),
+                **chase.attributes_since(chase_before),
+            )
+        trace = tracer.trace(since=mark)
+        # Every span of the run, the adopted worker spans included.
+        registry = self.system.stats.registry
+        for record in trace["spans"]:
+            registry.histogram("repro_span_seconds", {"name": record["name"]}).observe(
+                record["end"] - record["start"]
             )
         result = self._package(phase, completion, snapshot, started)
-        return replace(
-            result, extras={**result.extras, "trace": tracer.trace(since=mark)}
-        )
+        return replace(result, extras={**result.extras, "trace": trace})
 
     def discover(self, *, origins: Iterable[NodeId] | None = None) -> RunResult:
         """Shorthand for ``run("discovery")``."""

@@ -22,7 +22,7 @@ from repro.database.schema import DatabaseSchema, RelationSchema
 from repro.errors import QueryError, SchemaError
 
 if TYPE_CHECKING:
-    from repro.obs.metrics import ChaseProfile
+    from repro.stats.collector import ChaseHandles
 
 
 class _HeadTemplate:
@@ -127,9 +127,9 @@ class LocalDatabase:
         self.schema = DatabaseSchema(schema)
         self._relations = _Relations({rel.name: Relation(rel) for rel in self.schema})
         self.skolems = SkolemFactory()
-        #: A6 projection-check profiling sink; attached by traced sessions
-        #: (None keeps the chase on the unprofiled fast path).
-        self.profile: ChaseProfile | None = None
+        #: The A6 counters of the system's statistics collector; attached by
+        #: traced sessions and workers (None keeps the chase on the fast path).
+        self.profile: ChaseHandles | None = None
         # rule id -> (head, distinguished, _head_template(head, distinguished)),
         # looked up again when the id presents another head or variable tuple.
         self._head_templates: dict[str, tuple] = {}
@@ -267,7 +267,7 @@ class LocalDatabase:
 
         profile = self.profile
         if profile is not None:
-            profile.calls += 1
+            profile.calls.value += 1
             profile_started = time.perf_counter()
 
         # Every row the template builds is a tuple of the head's arity, which
@@ -282,8 +282,8 @@ class LocalDatabase:
         inserted = relation.insert_built(rows)
 
         if profile is not None:
-            profile.rows_inserted += len(inserted)
-            profile.wall_seconds += time.perf_counter() - profile_started
+            profile.rows_inserted.value += len(inserted)
+            profile.wall_seconds.value += time.perf_counter() - profile_started
         return inserted
 
     def _unmatched_rows(
@@ -314,9 +314,9 @@ class LocalDatabase:
                 relation, row, known_positions
             )
             if profile is not None:
-                profile.projection_checks += 1
-                profile.candidates_scanned += scanned
-                profile.skipped_by_projection += present
+                profile.projection_checks.value += 1
+                profile.candidates_scanned.value += scanned
+                profile.skipped_by_projection.value += present
             if not present:
                 yield row
 

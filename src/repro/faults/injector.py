@@ -226,8 +226,8 @@ class FaultInjector:
         labels: dict[str, str] | None = None,
         amount: float = 1,
     ) -> None:
-        # Get-or-create on every bump: the collector resets its registry
-        # between runs, so cached handles would go stale.
+        # Get-or-create on every bump: reset_statistics clears the
+        # collector's registry, so cached handles would go stale.
         self.registry.counter(name, labels).inc(amount)
 
 

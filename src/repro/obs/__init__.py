@@ -10,13 +10,7 @@ this package).
 """
 
 from repro.obs.logs import configure_logging, get_logger
-from repro.obs.metrics import (
-    ChaseProfile,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.trace import (
     CLOCK_SKEW_THRESHOLD,
     NULL_TRACER,
@@ -29,7 +23,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "CLOCK_SKEW_THRESHOLD",
-    "ChaseProfile",
     "Counter",
     "Gauge",
     "Histogram",

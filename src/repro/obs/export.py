@@ -218,33 +218,33 @@ def _prom_number(value: float) -> str:
 
 
 def metrics_to_prometheus(registry: MetricsRegistry) -> str:
-    """Render ``registry`` in the Prometheus text exposition format."""
-    lines: list[str] = []
+    """Render ``registry`` in the Prometheus text exposition format.
 
-    def header(name: str, kind: str) -> None:
-        lines.append(f"# HELP {name} {registry.help_for(name)}")
-        lines.append(f"# TYPE {name} {kind}")
+    Each family prints once, HELP and TYPE first, then all of its samples
+    together, however the registry's merges interleaved them.
+    """
+    families: dict[str, list[str]] = {}
 
-    seen: set[str] = set()
+    def family(name: str, kind: str) -> list[str]:
+        lines = families.get(name)
+        if lines is None:
+            lines = families[name] = [
+                f"# HELP {name} {registry.help_for(name)}",
+                f"# TYPE {name} {kind}",
+            ]
+        return lines
+
     for counter in registry.counters.values():
-        if counter.name not in seen:
-            seen.add(counter.name)
-            header(counter.name, "counter")
-        lines.append(
+        family(counter.name, "counter").append(
             f"{counter.name}{_prom_labels(counter.labels)}"
             f" {_prom_number(counter.value)}"
         )
     for gauge in registry.gauges.values():
-        if gauge.name not in seen:
-            seen.add(gauge.name)
-            header(gauge.name, "gauge")
-        lines.append(
+        family(gauge.name, "gauge").append(
             f"{gauge.name}{_prom_labels(gauge.labels)} {_prom_number(gauge.value)}"
         )
     for histogram in registry.histograms.values():
-        if histogram.name not in seen:
-            seen.add(histogram.name)
-            header(histogram.name, "histogram")
+        lines = family(histogram.name, "histogram")
         cumulative = histogram.cumulative_counts()
         bounds = [*histogram.buckets, float("inf")]
         for bound, count in zip(bounds, cumulative):
@@ -259,4 +259,4 @@ def metrics_to_prometheus(registry: MetricsRegistry) -> str:
             f"{histogram.name}_count{_prom_labels(histogram.labels)}"
             f" {histogram.count}"
         )
-    return "\n".join(lines) + "\n" if lines else ""
+    return "".join(f"{line}\n" for lines in families.values() for line in lines)

@@ -16,7 +16,6 @@ merge by maximum (they report levels, not flows — e.g. a shard's clock).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Iterator, Mapping
 
 #: Labels in their canonical, hashable form: sorted ``(key, value)`` pairs.
@@ -170,8 +169,9 @@ class MetricsRegistry:
     # ----------------------------------------------------------- dump / merge
 
     def dump(self) -> dict:
-        """A picklable snapshot (the worker payload / merge wire format)."""
+        """A picklable snapshot (the merge wire format), HELP texts included."""
         return {
+            "help": dict(self._help),
             "counters": [
                 (c.name, c.labels, c.value) for c in self.counters.values()
             ],
@@ -196,6 +196,7 @@ class MetricsRegistry:
         Prometheus federation job would relabel scraped series.
         """
         extra = dict(extra_labels) if extra_labels else {}
+        self._help.update(dump.get("help", ()))
 
         def relabel(labels: LabelItems) -> dict[str, object]:
             return {**dict(labels), **extra}
@@ -233,43 +234,3 @@ class MetricsRegistry:
         self.counters.clear()
         self.gauges.clear()
         self.histograms.clear()
-
-
-# --------------------------------------------------------------- A6 profiling
-
-
-@dataclass
-class ChaseProfile:
-    """Counters for the A6 projection check (``_projection_present``).
-
-    Attached to every :class:`~repro.database.database.LocalDatabase` of a
-    traced session (and of traced worker processes), accumulated across runs,
-    and surfaced as attributes of the run span — the ROADMAP's "profile the
-    runtime projection check" instrumentation.
-    """
-
-    calls: int = 0
-    projection_checks: int = 0
-    candidates_scanned: int = 0
-    skipped_by_projection: int = 0
-    rows_inserted: int = 0
-    wall_seconds: float = 0.0
-
-    def merge(self, other: "ChaseProfile | Mapping[str, float]") -> None:
-        """Fold another profile (or its ``vars()`` dict) into this one."""
-        values = other if isinstance(other, Mapping) else vars(other)
-        for name, value in values.items():
-            setattr(self, name, getattr(self, name) + value)
-
-    def snapshot(self) -> "ChaseProfile":
-        return replace(self)
-
-    def delta_attributes(self, since: "ChaseProfile") -> dict[str, float]:
-        """Span attributes for the change since ``since`` (``a6_``-prefixed)."""
-        attributes = {}
-        for name, value in vars(self).items():
-            delta = value - getattr(since, name)
-            attributes[f"a6_{name}"] = (
-                round(delta, 6) if name == "wall_seconds" else delta
-            )
-        return attributes

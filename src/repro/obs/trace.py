@@ -31,8 +31,6 @@ import time
 import uuid
 from typing import Any, Iterator, Mapping
 
-from repro.obs.metrics import ChaseProfile, MetricsRegistry
-
 #: Wall-clock disagreement (seconds) below which two processes are assumed to
 #: share one clock.  Queue/frame transit on one host is milliseconds; real
 #: cross-machine skew worth correcting is seconds to minutes.
@@ -83,9 +81,12 @@ class _SpanContext:
 class Tracer:
     """Span recorder for one process's view of a run trace.
 
-    Finished spans are stored as plain, export-ready dict records (see
-    :meth:`export` for the schema), so shipping them across a process
-    boundary is free and :meth:`adopt` can append foreign records directly.
+    It records spans and owns no metrics: :meth:`Session.run
+    <repro.api.session.Session.run>` observes each span of a run's trace
+    into the statistics registry.  Finished spans are stored as plain,
+    export-ready dict records (see :meth:`export` for the schema), so
+    shipping them across a process boundary is free and :meth:`adopt` can
+    append foreign records directly.
     """
 
     enabled = True
@@ -93,10 +94,6 @@ class Tracer:
     def __init__(self, *, trace_id: str | None = None, process: str = "coordinator"):
         self.trace_id = trace_id or uuid.uuid4().hex[:16]
         self.process = process
-        #: Span-duration histograms etc. — the metrics side of the tracer.
-        self.metrics = MetricsRegistry()
-        #: A6 projection-check counters (see :class:`ChaseProfile`).
-        self.chase = ChaseProfile()
         self._epoch_perf = time.perf_counter()
         self._epoch_wall = time.time()
         self._records: list[SpanRecord] = []
@@ -124,9 +121,6 @@ class Tracer:
             pass  # already closed (defensive; double end is a no-op record)
         else:
             self._records.append(self._record(span))
-            self.metrics.histogram(
-                "repro_span_seconds", {"name": span.name}
-            ).observe(span.end - span.start)
 
     def span(self, name: str, **attributes: Any) -> _SpanContext:
         """``with tracer.span("merge", shards=4) as s: ...``"""

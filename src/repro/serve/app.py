@@ -332,16 +332,16 @@ class ServeApp:
     def metrics_exposition(self) -> str:
         """The ``/metrics`` document: server + every tenant, one registry.
 
-        Each ready tenant's statistics registry (message counters, the
-        ``repro_incremental_*`` series, fault counters) is folded in with a
-        ``tenant`` label — the same relabelling a Prometheus federation of
-        per-tenant exporters would produce — alongside the server's own
+        Each ready tenant's :meth:`Session.metrics_registry
+        <repro.api.session.Session.metrics_registry>` — what its
+        ``export_metrics`` renders: message, incremental, fault and A6 chase
+        counters, span histograms, run gauges — is folded in with a
+        ``tenant`` label, the same relabelling a Prometheus federation of
+        per-tenant exporters would produce, alongside the server's own
         request/rejection/queue series.
         """
         registry = MetricsRegistry()
         registry.merge(self.registry.dump())
-        for name in self.registry._help:
-            registry.describe(name, self.registry.help_for(name))
         registry.describe(
             "repro_serve_uptime_seconds", "Seconds since the server booted."
         )
@@ -369,13 +369,11 @@ class ServeApp:
             registry.counter(
                 "repro_serve_runs_completed_total", {"tenant": name}
             ).value = tenant.runs_completed
-            session = tenant.session
-            if session is None:
-                continue
-            stats_registry = session.system.stats.registry
-            registry.merge(stats_registry.dump(), extra_labels={"tenant": name})
-            for metric_name in stats_registry._help:
-                registry.describe(metric_name, stats_registry.help_for(metric_name))
+            if tenant.session is not None:
+                registry.merge(
+                    tenant.session.metrics_registry().dump(),
+                    extra_labels={"tenant": name},
+                )
         return metrics_to_prometheus(registry)
 
 

@@ -387,10 +387,9 @@ class ProcessEngine:
             # merge path is double-count free.
             collector.merge_counters(payload["counters"])
             # --- telemetry: worker spans nest under the open run span,
-            # aligned for clock skew; chase profiles accumulate.
+            # aligned for clock skew.
             if tracer.enabled and "spans" in payload:
                 tracer.adopt(payload["spans"], clock=payload.get("trace_clock"))
-                tracer.chase.merge(payload.get("chase_profile", {}))
         collector.advance_time(completion)
         collector.elapsed_wall_seconds += wall
         tracer.end_span(merge_span, completion=completion)

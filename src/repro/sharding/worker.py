@@ -307,8 +307,9 @@ class ShardWorker:
         #: state of each peer as last shipped.
         self._marks, self._shipped = RelationMarks(system, world.owned), {}
         if tracer.enabled:
+            chase = transport.stats.chase_handles()
             for node in system.nodes.values():
-                node.database.profile = tracer.chase
+                node.database.profile = chase
         self._pending = Change()
         self._chase_span = None
         self._chase_mark = 0
@@ -392,8 +393,8 @@ class ShardWorker:
         the relations written since are visited; the protocol state of a
         peer that ran rides along when it changed.  Discovery paths do not
         ship: they are a function of the edges, and the coordinator derives
-        them from its merged copy.  Counters, spans and the chase profile
-        ship and restart from zero.
+        them from its merged copy.  Counters (the A6 chase counters of a
+        traced worker among them) and spans ship and restart from zero.
         """
         system, transport, shipped = self.system, self.transport, self._shipped
         change = Change.read(system, self._marks)
@@ -420,12 +421,6 @@ class ShardWorker:
         if tracer.enabled:
             payload["spans"] = tracer.drain()
             payload["trace_clock"] = time.time()
-            # Ship-and-zero in place: the worker's databases hold references
-            # to this ChaseProfile, so it must stay the same object across runs.
-            chase = tracer.chase
-            payload["chase_profile"] = vars(chase).copy()
-            for name, value in vars(chase).items():
-                setattr(chase, name, type(value)())
         shard = self.world.shard_index
         return ("report", shard, transport.run_id, transport.ledger(), payload)
 

@@ -115,6 +115,42 @@ _INCREMENTAL_METRICS: tuple[str, ...] = (
 )
 
 
+#: The A6 chase counters (``LocalDatabase.apply_view_tuples`` and its
+#: projection check), as ``repro_chase_<field>_total`` without labels.
+_CHASE_FIELDS: tuple[str, ...] = (
+    "calls",
+    "projection_checks",
+    "candidates_scanned",
+    "skipped_by_projection",
+    "rows_inserted",
+    "wall_seconds",
+)
+
+
+class ChaseHandles:
+    """The six A6 counter handles a traced system's databases bump
+    (``LocalDatabase.profile``); :meth:`StatisticsCollector.reset` re-binds
+    them, so the databases never hold stale ones."""
+
+    __slots__ = _CHASE_FIELDS
+
+    def bind(self, registry: MetricsRegistry) -> None:
+        for name in _CHASE_FIELDS:
+            setattr(self, name, registry.counter(f"repro_chase_{name}_total"))
+
+    def values(self) -> list[float]:
+        return [getattr(self, name).value for name in _CHASE_FIELDS]
+
+    def attributes_since(self, before: list[float]) -> dict[str, float]:
+        """The run span's ``a6_*`` attributes: the change since ``before``."""
+        now = self.values()
+        deltas = {
+            f"a6_{name}": now[i] - before[i] for i, name in enumerate(_CHASE_FIELDS)
+        }
+        deltas["a6_wall_seconds"] = round(deltas["a6_wall_seconds"], 6)
+        return deltas
+
+
 class _NodeHandles:
     """Cached registry-counter handles for one node's seven counters."""
 
@@ -150,8 +186,16 @@ class StatisticsCollector:
         # NodeStats per node as last assembled; never mutated once shared.
         self._nodes: dict[str, NodeStats] = {}
         self._incremental: dict[str, int] = dict.fromkeys(_INCREMENTAL_METRICS, 0)
+        self._chase: ChaseHandles | None = None
 
     # --------------------------------------------------------------- recording
+
+    def chase_handles(self) -> ChaseHandles:
+        """The A6 counters' handles, for a traced system's databases."""
+        if self._chase is None:
+            self._chase = ChaseHandles()
+            self._chase.bind(self.registry)
+        return self._chase
 
     def _handles(self, node_id: str) -> _NodeHandles:
         """``node_id``'s handles, marking the node moved.  The recorders try
@@ -341,3 +385,5 @@ class StatisticsCollector:
         self._incremental = dict.fromkeys(_INCREMENTAL_METRICS, 0)
         self.simulated_time = 0.0
         self.elapsed_wall_seconds = 0.0
+        if self._chase is not None:
+            self._chase.bind(self.registry)

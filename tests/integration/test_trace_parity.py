@@ -15,6 +15,8 @@ varies between runs — for those the suite pins the ground state and the
 convergence invariant (per-node ``tuples_inserted``) instead.
 """
 
+import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -134,6 +136,72 @@ class TestOneSnapshotCodePath:
             node: stats.tuples_inserted
             for node, stats in sync_result.stats.nodes.items()
         }
+
+
+def _metrics(session: Session) -> dict:
+    return json.loads(session.export_metrics("json"))
+
+
+def _chase_counters(metrics: dict) -> dict[str, float]:
+    return {
+        counter["name"]: counter["value"]
+        for counter in metrics["counters"]
+        if counter["name"].startswith("repro_chase_")
+    }
+
+
+def _a6_as_counters(run_span: dict) -> dict[str, float]:
+    """The run span's ``a6_*`` attributes under their counters' names."""
+    return {
+        f"repro_chase_{name.removeprefix('a6_')}_total": value
+        for name, value in run_span["attributes"].items()
+        if name.startswith("a6_")
+    }
+
+
+class TestOneMetricsStore:
+    """A traced session keeps its span timings and A6 counters in the one
+    statistics registry that ``export_metrics`` renders."""
+
+    @pytest.fixture(scope="class")
+    def pooled(self):
+        spec = ENGINES["pooled"](base_spec())
+        with Session.from_spec(spec, trace=True) as session:
+            result = session.run("update")
+            return result.extras["trace"]["spans"], _metrics(session)
+
+    def test_every_span_of_the_run_is_observed_worker_spans_included(self, pooled):
+        spans, metrics = pooled
+        counted = Counter(span["name"] for span in spans)
+        assert {"build", "chase", "run", "merge"} <= set(counted)
+        assert any(span["process"] != "coordinator" for span in spans)
+        observed = {
+            histogram["labels"]["name"]: histogram["count"]
+            for histogram in metrics["histograms"]
+            if histogram["name"] == "repro_span_seconds"
+        }
+        assert observed == dict(counted)
+
+    def test_the_chase_counters_are_the_run_span_attributes(self, pooled):
+        spans, metrics = pooled
+        (run_span,) = [span for span in spans if span["name"] == "run"]
+        expected = _a6_as_counters(run_span)
+        counters = _chase_counters(metrics)
+        assert set(counters) == set(expected) and len(expected) == 6
+        assert expected["repro_chase_calls_total"] > 0
+        wall = "repro_chase_wall_seconds_total"
+        assert counters.pop(wall) == pytest.approx(expected.pop(wall), abs=1e-6)
+        assert counters == expected
+
+    def test_a_reset_leaves_the_chase_counters_recording(self):
+        with Session.from_spec(base_spec(), trace=True) as session:
+            session.run("discovery")
+            session.reset_statistics()
+            spans = session.update().extras["trace"]["spans"]
+            counters = _chase_counters(_metrics(session))
+        (run_span,) = [span for span in spans if span["name"] == "run"]
+        assert run_span["attributes"]["a6_calls"] > 0
+        assert counters["repro_chase_calls_total"] == run_span["attributes"]["a6_calls"]
 
 
 def test_a_sync_chase_span_counts_the_deliveries_of_its_own_run():

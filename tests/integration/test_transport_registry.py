@@ -152,31 +152,6 @@ def test_the_registry_is_sync_plus_the_process_engines():
     assert tuple(transport_kinds()) == ("sync", "multiproc", "pooled", "socket")
 
 
-#: Removed transport name -> a word of the replacement its error must name.
-RETIRED = {"async": "latency=", "sharded": "multiproc"}
-
-
-@pytest.mark.parametrize("name", sorted(RETIRED))
-def test_a_spec_naming_a_removed_transport_is_refused(name):
-    with pytest.raises(ReproError, match=RETIRED[name]):
-        paper_spec(name)
-    with pytest.raises(ReproError, match=RETIRED[name]):
-        paper_spec().with_(transport=name)
-
-
-@pytest.mark.parametrize("name", sorted(RETIRED))
-def test_a_spec_file_naming_a_removed_transport_is_refused(name):
-    document = paper_spec().dump_json().replace('"sync"', f'"{name}"', 1)
-    with pytest.raises(ReproError, match=RETIRED[name]):
-        ScenarioSpec.load_json(document)
-
-
-@pytest.mark.parametrize("name", sorted(RETIRED))
-def test_building_a_removed_transport_is_refused(name):
-    with pytest.raises(ReproError, match=RETIRED[name]):
-        ScenarioSpec.of({"a": []}, transport=name).build_system()
-
-
 def test_shards_on_the_sync_transport_is_refused():
     # A shard count used to pick an in-process partitioned engine silently.
     with pytest.raises(ReproError, match="needs a partitioned transport"):

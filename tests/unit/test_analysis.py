@@ -427,17 +427,6 @@ class TestLintCli:
         assert main(["lint", str(path)]) == 0
         assert "seeded" in capsys.readouterr().out
 
-    def test_lint_names_the_replacement_of_a_removed_transport(
-        self, tmp_path, capsys
-    ):
-        path = tmp_path / "retired.json"
-        path.write_text(
-            clean_spec().dump_json().replace('"sync"', '"async"', 1),
-            encoding="utf-8",
-        )
-        assert main(["lint", str(path)]) == 1
-        assert "latency=" in capsys.readouterr().err
-
     def test_the_shipped_example_scenarios_lint_clean_under_strict(self, capsys):
         examples = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
         scenarios = sorted(str(path) for path in examples.glob("*.json"))

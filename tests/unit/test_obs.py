@@ -10,13 +10,13 @@ configuration idempotence and the null tracer's no-op guarantees.
 import io
 import json
 import logging
+import re
 
 import pytest
 
 from repro.obs import (
     CLOCK_SKEW_THRESHOLD,
     NULL_TRACER,
-    ChaseProfile,
     MetricsRegistry,
     NullTracer,
     Tracer,
@@ -108,14 +108,6 @@ class TestTracer:
         assert tracer.export() == []
         tracer.end_span(open_span)
         assert [r["name"] for r in tracer.drain()] == ["chase"]
-
-    def test_closing_spans_feeds_the_duration_histogram(self):
-        tracer = Tracer()
-        with tracer.span("chase"):
-            pass
-        histogram = tracer.metrics.histogram("repro_span_seconds", {"name": "chase"})
-        assert histogram.count == 1
-        assert histogram.sum >= 0.0
 
 
 class TestAdopt:
@@ -222,24 +214,6 @@ class TestMetricsRegistry:
         assert registry.counter("c", {"a": 1}) is registry.counter("c", {"a": 1})
 
 
-class TestChaseProfile:
-    def test_merge_accepts_profiles_and_mappings(self):
-        profile = ChaseProfile(calls=1, wall_seconds=0.5)
-        profile.merge(ChaseProfile(calls=2, rows_inserted=3))
-        profile.merge({"calls": 1, "wall_seconds": 0.25})
-        assert profile.calls == 4
-        assert profile.rows_inserted == 3
-        assert profile.wall_seconds == pytest.approx(0.75)
-
-    def test_delta_attributes_are_prefixed_and_relative(self):
-        profile = ChaseProfile(calls=5, projection_checks=2)
-        before = profile.snapshot()
-        profile.calls += 3
-        deltas = profile.delta_attributes(before)
-        assert deltas["a6_calls"] == 3
-        assert deltas["a6_projection_checks"] == 0
-
-
 class TestExport:
     def _trace(self):
         tracer = Tracer(process="coordinator")
@@ -321,6 +295,35 @@ class TestExport:
         assert 'repro_span_seconds_bucket{le="+Inf"} 1' in text
         assert "repro_span_seconds_count 1" in text
         assert text.endswith("\n")
+
+    def test_prometheus_groups_each_family_of_merged_registries(self):
+        # Two tenants merged as /metrics merges them: every family's samples
+        # must follow its one HELP/TYPE pair, whatever the merge order.
+        tenant = MetricsRegistry()
+        tenant.describe("repro_messages_total", "Messages delivered.")
+        tenant.counter("repro_messages_total", {"type": "query"}).inc(2)
+        tenant.counter("repro_node_queries_total", {"node": "a"}).inc(1)
+        tenant.histogram("repro_span_seconds", {"name": "run"}).observe(0.5)
+        merged = MetricsRegistry()
+        merged.merge(tenant.dump(), extra_labels={"tenant": "t1"})
+        merged.merge(tenant.dump(), extra_labels={"tenant": "t2"})
+        lines = metrics_to_prometheus(merged).splitlines()
+        types = [line.split()[2] for line in lines if line.startswith("# TYPE")]
+        assert len(types) == len(set(types)) == 3
+        samples = [line.split("{")[0] for line in lines if not line.startswith("#")]
+        families = [re.sub("_(bucket|sum|count)$", "", name) for name in samples]
+        # One unbroken run of samples per family, in the TYPE lines' order.
+        runs = [f for i, f in enumerate(families) if families[i - 1 : i] != [f]]
+        assert runs == types
+        assert "# HELP repro_messages_total Messages delivered." in lines
+
+    def test_dump_and_merge_carry_the_help_text(self):
+        source = MetricsRegistry()
+        source.describe("c", "A described counter.")
+        source.counter("c").inc()
+        target = MetricsRegistry()
+        target.merge(source.dump())
+        assert target.help_for("c") == "A described counter."
 
     def test_metrics_json_uses_cumulative_histogram_counts(self):
         registry = MetricsRegistry()

@@ -347,6 +347,31 @@ class TestEndpoints:
 
         run(scenario())
 
+    def test_a_tenants_metrics_carry_every_family_of_its_session_export(self):
+        async def scenario():
+            app = await booted_app()
+            await app.handle(
+                request(
+                    "POST",
+                    "/tenants/paper/update",
+                    {"inserts": {"E": {"e": [["m1", "m2"]]}}},
+                )
+            )
+            text = (await app.handle(request("GET", "/metrics"))).body.decode()
+            session = app.manager.tenants["paper"].session
+            exported = session.export_metrics("prometheus")
+            await app.shutdown()
+            return text, exported
+
+        text, exported = run(scenario())
+        families = [line for line in exported.splitlines() if line.startswith("#")]
+        assert "# TYPE repro_span_seconds histogram" in families
+        assert "# TYPE repro_chase_calls_total counter" in families
+        served = text.splitlines()
+        assert [line for line in families if line not in served] == []
+        assert 'repro_span_seconds_count{name="chase",tenant="paper"} 2' in served
+        assert 'repro_chase_calls_total{tenant="paper"}' in text
+
     def test_overload_rejects_429_and_never_hangs(self):
         async def scenario():
             app = await booted_app(queue_depth=2)
