@@ -204,6 +204,36 @@ class TestOneMetricsStore:
         assert counters["repro_chase_calls_total"] == run_span["attributes"]["a6_calls"]
 
 
+    def test_a_sync_run_observes_every_span_of_its_trace(self):
+        with Session.from_spec(base_spec(), trace=True) as session:
+            spans = session.run("update").extras["trace"]["spans"]
+            metrics = _metrics(session)
+        observed = {
+            histogram["labels"]["name"]: histogram["count"]
+            for histogram in metrics["histograms"]
+            if histogram["name"] == "repro_span_seconds"
+        }
+        assert observed == dict(Counter(span["name"] for span in spans))
+
+    def test_exporting_observes_nothing_and_leaves_the_store_alone(self):
+        with Session.from_spec(base_spec(), trace=True) as session:
+            session.run("update")
+            first = session.export_metrics("prometheus")
+            assert session.export_metrics("prometheus") == first
+            # The run gauges ride on the export's copy, not on the store.
+            assert session.system.stats.registry.gauges == {}
+        assert "repro_simulated_time_seconds" in first
+
+    def test_an_untraced_session_keeps_no_span_or_chase_metric(self):
+        with Session.from_spec(base_spec()) as session:
+            session.run("update")
+            profiles = {n.database.profile for n in session.system.nodes.values()}
+            metrics = _metrics(session)
+        assert profiles == {None}
+        assert _chase_counters(metrics) == {}
+        assert metrics["histograms"] == []
+
+
 def test_a_sync_chase_span_counts_the_deliveries_of_its_own_run():
     # The simulator's delivered count lives as long as the session; each
     # run's chase span must carry only that run's share of it.

@@ -157,6 +157,60 @@ class TestShipCounters:
         assert {("new0", "y"), ("new1", "y"), ("new2", "y")} <= set(rows)
 
 
+class TestChaseHandles:
+    """The six A6 counters a traced system's databases bump: plain registry
+    counters, so they ship, merge, reset and export like every other one."""
+
+    def test_the_handles_are_cached_registry_counters(self):
+        stats = StatisticsCollector()
+        chase = stats.chase_handles()
+        assert stats.chase_handles() is chase
+        chase.calls.inc(2)
+        chase.rows_inserted.inc(5)
+        assert stats.registry.total("repro_chase_calls_total") == 2
+        assert stats.registry.total("repro_chase_rows_inserted_total") == 5
+        assert len(chase.values()) == 6
+
+    def test_a_reset_rebinds_the_same_handles_to_fresh_counters(self):
+        stats = StatisticsCollector()
+        chase = stats.chase_handles()
+        chase.calls.inc(3)
+        stats.reset()
+        assert stats.chase_handles() is chase
+        assert chase.values() == [0] * 6
+        chase.calls.inc()
+        assert stats.registry.total("repro_chase_calls_total") == 1
+
+    def test_attributes_since_are_the_run_delta_under_a6_names(self):
+        chase = StatisticsCollector().chase_handles()
+        chase.calls.inc(4)
+        before = chase.values()
+        chase.calls.inc(3)
+        chase.wall_seconds.inc(0.12345678)
+        deltas = chase.attributes_since(before)
+        assert set(deltas) == {
+            "a6_calls",
+            "a6_projection_checks",
+            "a6_candidates_scanned",
+            "a6_skipped_by_projection",
+            "a6_rows_inserted",
+            "a6_wall_seconds",
+        }
+        assert deltas["a6_calls"] == 3
+        assert deltas["a6_rows_inserted"] == 0
+        assert deltas["a6_wall_seconds"] == 0.123457
+
+    def test_a_workers_chase_counters_ship_home_and_restart_from_zero(self):
+        worker, coordinator = StatisticsCollector(), StatisticsCollector()
+        home = coordinator.chase_handles()
+        for calls in (2, 1):
+            worker.chase_handles().calls.inc(calls)
+            coordinator.merge_counters(worker.ship_counters())
+            assert worker.chase_handles().values() == [0] * 6
+        assert home.calls.value == 3
+        assert coordinator.registry.total("repro_chase_calls_total") == 3
+
+
 class TestFormatTable:
     def test_basic_rendering(self):
         table = format_table(["a", "b"], [[1, "xx"], [22, "y"]], title="T")
