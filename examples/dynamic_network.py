@@ -17,7 +17,6 @@ from __future__ import annotations
 from repro import (
     NetworkChange,
     ScenarioSpec,
-    SuperPeer,
     complete_envelope,
     is_complete_answer,
     is_sound_answer,
@@ -63,7 +62,6 @@ def main() -> None:
     print("   deleteLink:", dropped.rule_id)
 
     # Start the update everywhere, interleave the change with deliveries.
-    super_peer = SuperPeer(system)
     for node_id in sorted(system.nodes):
         system.node(node_id).update.start()
     completion = apply_change_interleaved(system, change, steps_between=8)
@@ -71,7 +69,7 @@ def main() -> None:
     measured = system.databases()
     upper = sound_envelope(schemas, initial_rules, change, data)
     lower = complete_envelope(schemas, initial_rules, change, data)
-    stats = super_peer.collect_statistics()
+    stats = system.snapshot_stats()
 
     print(f"\nupdate terminated at simulated time {completion:.1f} "
           f"after {stats.total_messages} messages")

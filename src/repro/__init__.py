@@ -69,7 +69,6 @@ from repro.network import (
 from repro.core import (
     PeerNode,
     P2PSystem,
-    SuperPeer,
     AddLink,
     DeleteLink,
     NetworkChange,
@@ -147,7 +146,6 @@ __all__ = [
     # core
     "PeerNode",
     "P2PSystem",
-    "SuperPeer",
     "AddLink",
     "DeleteLink",
     "NetworkChange",

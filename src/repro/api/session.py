@@ -185,8 +185,9 @@ class Session:
     def metrics_registry(self) -> MetricsRegistry:
         """A copy of the statistics registry — the session's one metrics
         store, with a traced run's span histograms and A6 chase counters —
-        plus two run-level gauges; what both ``export_metrics`` and serve's
-        ``/metrics`` render."""
+        plus the simulated clock (a gauge) and the runs' wall time (a
+        counter); what both ``export_metrics`` and serve's ``/metrics``
+        render."""
         collector = self.system.stats
         registry = MetricsRegistry()
         registry.merge(collector.registry.dump())
@@ -197,7 +198,7 @@ class Session:
         registry.describe(
             "repro_wall_seconds_total", "Cumulative wall-clock time of all runs."
         )
-        registry.gauge("repro_wall_seconds_total").set(
+        registry.counter("repro_wall_seconds_total").inc(
             collector.elapsed_wall_seconds
         )
         return registry

@@ -8,9 +8,10 @@
 * :mod:`repro.core.node` — :class:`PeerNode`, one peer with its local
   database, its coordination rules and both protocol engines,
 * :mod:`repro.core.system` — :class:`P2PSystem`, the whole network: nodes,
-  rule registry, pipes and transport,
-* :mod:`repro.core.superpeer` — :class:`SuperPeer`, the orchestration role of
-  Section 5 (rule broadcast, starting discovery/update, statistics),
+  rule registry and transport (the Section 5 super-peer is
+  ``P2PSystem.super_peer``, discovery's default origin; a
+  :class:`repro.api.Session` starts its runs and collects or resets the
+  statistics),
 * :mod:`repro.core.dynamics` — the dynamic-network model of Section 4
   (``addLink`` / ``deleteLink``, changes, sub-changes, sound/complete
   envelopes, separation),
@@ -20,7 +21,6 @@
 from repro.core.state import DiscoveryState, UpdateState, NodeState
 from repro.core.node import PeerNode
 from repro.core.system import P2PSystem
-from repro.core.superpeer import SuperPeer
 from repro.core.dynamics import (
     AddLink,
     DeleteLink,
@@ -42,7 +42,6 @@ __all__ = [
     "NodeState",
     "PeerNode",
     "P2PSystem",
-    "SuperPeer",
     "AddLink",
     "DeleteLink",
     "NetworkChange",

@@ -136,40 +136,6 @@ class PeerNode:
             )
         handler(self, message)
 
-    # ------------------------------------------------------------ control msgs
-
-    def _on_update_request(self, message: Message) -> None:
-        """Start the update phase on behalf of the requesting super-peer."""
-        path = tuple(message.payload.get("path", ()))
-        self.update.start(path)
-
-    def _on_add_rule(self, message: Message) -> None:
-        """Section 4 ``addRule`` notification: install a rule at run time."""
-        rule: CoordinationRule = message.payload["rule"]
-        role: str = message.payload.get("role", "target")
-        if role == "target":
-            self.add_incoming_rule(rule)
-            if self.state.update_started or message.payload.get("trigger", False):
-                self.update.request_rule(rule)
-        else:
-            self.add_outgoing_rule(rule)
-
-    def _on_delete_rule(self, message: Message) -> None:
-        """Section 4 ``deleteRule`` notification: drop a rule at run time."""
-        rule_id: str = message.payload["rule_id"]
-        role: str = message.payload.get("role", "target")
-        if role == "target":
-            self.remove_incoming_rule(rule_id)
-        else:
-            self.remove_outgoing_rule(rule_id)
-
-    def _on_reset(self, message: Message) -> None:
-        """Super-peer reset: clear protocol state and optionally the statistics."""
-        self.state.reset_discovery()
-        self.state.reset_update()
-        if message.payload.get("clear_data", False):
-            self.database.clear()
-
     # ----------------------------------------------------------------- queries
 
     def local_query(self, query: ConjunctiveQuery) -> set[tuple]:
@@ -204,8 +170,4 @@ _HANDLERS: dict[MessageType, Callable[[PeerNode, Message], None]] = {
     MessageType.DISCOVERY_ANSWER: lambda node, m: node.discovery.on_discovery_answer(m),
     MessageType.QUERY: lambda node, m: node.update.on_query(m),
     MessageType.ANSWER: lambda node, m: node.update.on_answer(m),
-    MessageType.UPDATE_REQUEST: PeerNode._on_update_request,
-    MessageType.ADD_RULE: PeerNode._on_add_rule,
-    MessageType.DELETE_RULE: PeerNode._on_delete_rule,
-    MessageType.RESET: PeerNode._on_reset,
 }

@@ -174,36 +174,6 @@ class NodeState:
     # self-validating like the fragment cache.
     fired: dict[str, FiredMark] = field(default_factory=dict)
 
-    # ------------------------------------------------------------------ reset
-
-    def reset_discovery(self) -> None:
-        """Forget every discovery-phase datum (super-peer RESET)."""
-        self.state_d = DiscoveryState.UNDEFINED
-        self.finished = False
-        self.edges.clear()
-        self.paths.clear()
-        self.discovery_owner.clear()
-        self.origins_seen.clear()
-        self.branch_state_closed.clear()
-        self.branch_finished.clear()
-
-    def reset_update(self) -> None:
-        """Forget every update-phase datum (local data itself is kept)."""
-        self.state_u = UpdateState.OPEN
-        self.rule_flags.clear()
-        self.update_owner.clear()
-        self.fragments.clear()
-        self.update_paths.clear()
-        self.queried_paths.clear()
-        self.update_started = False
-        self.pending_answers.clear()
-        self.round_dirty = False
-        self.rerun_requested = False
-        self.rounds_completed = 0
-        self.pushed_fragments.clear()
-        self.fragment_cache.clear()
-        self.fired.clear()
-
     def forget_incoming_rule(self, rule_id: str) -> None:
         """Drop the fragments received for a rule that no longer targets this
         node (its rows have that rule's shape) and what they were fired into."""

@@ -1,9 +1,9 @@
-"""The whole P2P database network: nodes, rules, pipes and transport.
+"""The whole P2P database network: nodes, rules and transport.
 
 :class:`P2PSystem` is the state-holding substrate of the library.  It owns the
 rule registry, builds one :class:`~repro.core.node.PeerNode` per participating
 peer, wires every rule to its target (incoming) and source (outgoing) nodes,
-opens the pipes the prototype would open, and applies dynamic-network changes.
+and applies dynamic-network changes.
 *Assembly* and *execution* live one layer up: a
 :class:`repro.api.ScenarioSpec` describes a network and its
 :meth:`~repro.api.ScenarioSpec.build_system` is the one place a system is put
@@ -26,8 +26,6 @@ from repro.database.query import ConjunctiveQuery
 from repro.database.relation import Row, Touched
 from repro.database.schema import DatabaseSchema, RelationSchema
 from repro.errors import ReproError
-from repro.network.advertisement import Advertisement, DiscoveryService
-from repro.network.pipe import PipeTable
 from repro.network.transport import BaseTransport
 from repro.stats.collector import StatisticsCollector, StatsSnapshot
 
@@ -55,8 +53,6 @@ class P2PSystem:
         #: the warm pools' syncs and collects visit instead of every relation.
         self.touched = Touched()
         self.nodes: dict[NodeId, PeerNode] = {}
-        self.pipes = PipeTable()
-        self.discovery_service = DiscoveryService()
         self._super_peer = super_peer
 
     # -------------------------------------------------------------- building
@@ -81,11 +77,6 @@ class P2PSystem:
             propagation=propagation,
         )
         self.nodes[node_id] = node
-        self.discovery_service.publish(
-            Advertisement(
-                peer_id=node_id, shared_relations=database.schema.relation_names
-            )
-        )
         return node
 
     def add_rule(self, rule: CoordinationRule, *, trigger_update: bool = False) -> None:
@@ -105,18 +96,16 @@ class P2PSystem:
         target.add_incoming_rule(rule)
         for source in rule.sources:
             self.nodes[source].add_outgoing_rule(rule)
-            self.pipes.ensure_pipe(rule.target, source, rule.rule_id)
         if trigger_update:
             target.update.request_rule(rule)
 
     def remove_rule(self, rule_id: str) -> CoordinationRule:
-        """Uninstall a coordination rule everywhere (pipes close when unused)."""
+        """Uninstall a coordination rule at its target and source nodes."""
         rule = self.registry.remove(rule_id)
         self.nodes[rule.target].remove_incoming_rule(rule_id)
         for source in rule.sources:
             if source in self.nodes:
                 self.nodes[source].remove_outgoing_rule(rule_id)
-            self.pipes.drop_rule(rule.target, source, rule_id)
         return rule
 
     def load_data(self, data: DataSpec) -> None:

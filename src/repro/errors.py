@@ -42,13 +42,9 @@ class RuleError(ReproError):
 class NetworkError(ReproError):
     """A failure in the simulated P2P message substrate.
 
-    Raised when sending to an unregistered peer, when a pipe has been closed,
-    or when the transport has been shut down while messages are still queued.
+    Raised when sending to an unregistered peer, or when the transport has
+    been shut down while messages are still queued.
     """
-
-
-class PipeClosedError(NetworkError):
-    """A message was sent on a pipe that has already been closed."""
 
 
 class UnknownPeerError(NetworkError):

@@ -28,12 +28,6 @@ class AccountingResult:
     per_path: UpdateRunResult
     once: UpdateRunResult
 
-    @property
-    def duplicate_query_ratio(self) -> float:
-        """Duplicate queries under per-path propagation per query under once."""
-        base = max(1, self.once.query_messages)
-        return self.per_path.duplicate_queries / base
-
 
 def run_message_accounting(
     *,

@@ -17,23 +17,15 @@ from typing import Any
 
 
 class MessageType(str, Enum):
-    """The message vocabulary of the two protocol phases plus control traffic."""
+    """The message vocabulary of the two protocol phases: all that peers send."""
 
     # Topology discovery (algorithms A1-A3).
     REQUEST_NODES = "request_nodes"
     DISCOVERY_ANSWER = "discovery_answer"
 
     # Distributed update (algorithms A4-A6).
-    UPDATE_REQUEST = "update_request"
     QUERY = "query"
     ANSWER = "answer"
-
-    # Dynamic network control (Section 4) and super-peer control (Section 5).
-    ADD_RULE = "add_rule"
-    DELETE_RULE = "delete_rule"
-    STATS_REQUEST = "stats_request"
-    STATS_REPLY = "stats_reply"
-    RESET = "reset"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value

@@ -134,7 +134,6 @@ class UpdateOutcome:
     """What one serialized update run did (the update response body)."""
 
     mode: str
-    result_extras: dict[str, Any]
     completion_time: float
     wall_seconds: float
     tuples_added: int
@@ -285,7 +284,6 @@ class Tenant:
             self.runs_completed += 1
             return UpdateOutcome(
                 mode=mode,
-                result_extras={},
                 completion_time=result.completion_time,
                 wall_seconds=result.wall_seconds,
                 tuples_added=result.tuples_added,

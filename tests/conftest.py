@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.superpeer import SuperPeer
+from repro.api.session import Session
 from repro.api.spec import ScenarioSpec
 from repro.coordination.rule import rule_from_text
 from repro.database.schema import DatabaseSchema, RelationSchema
@@ -43,9 +43,9 @@ def paper_system():
 @pytest.fixture
 def updated_paper_system(paper_system):
     """The example system after discovery and a complete global update."""
-    super_peer = SuperPeer(paper_system, "A")
-    super_peer.run_discovery()
-    super_peer.run_global_update()
+    session = Session(paper_system)
+    session.run("discovery", origins=["A"])
+    session.run("update")
     return paper_system
 
 

@@ -1,8 +1,7 @@
 """Integration tests on the DBLP workload networks (the Section 5 configuration)."""
 
-from repro.api.spec import ScenarioSpec
+from repro.api import ScenarioSpec, Session
 from repro.core.fixpoint import all_nodes_closed, verify_against_centralized
-from repro.core.superpeer import SuperPeer
 from repro.database.parser import parse_query
 from repro.workloads.topologies import (
     clique_topology,
@@ -19,9 +18,9 @@ PRIMARY = {"wide": "pub", "split": "article", "norm": "work"}
 def run_network(topology, **kwargs):
     spec = ScenarioSpec.from_topology(topology, **kwargs)
     system = spec.build_system()
-    super_peer = SuperPeer(system)
-    super_peer.run_discovery()
-    super_peer.run_global_update()
+    session = Session(system)
+    session.run("discovery")
+    session.run("update")
     return spec, system
 
 

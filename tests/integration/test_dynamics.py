@@ -16,7 +16,6 @@ from repro.core.dynamics import (
     is_sound_answer,
     sound_envelope,
 )
-from repro.core.superpeer import SuperPeer
 from repro.database.schema import DatabaseSchema, RelationSchema
 from repro.errors import ChangeError
 from repro.experiments.dynamic_changes import run_dynamic_changes
@@ -99,8 +98,8 @@ class TestApplyingChanges:
         rules = [rule_from_text("ab", "b: item(X, Y) -> a: item(X, Y)")]
         data = {"b": {"item": [("1", "2"), ("2", "3")]}}
         system = ScenarioSpec.of(schemas, rules, data).build_system()
-        super_peer = SuperPeer(system)
-        super_peer.run_global_update()
+        session = Session(system)
+        session.run("update")
         system.remove_rule("ab")
         head, source = system.node("a").state, system.node("b").state
         assert not head.fragments and not head.fired
@@ -108,7 +107,7 @@ class TestApplyingChanges:
         system.add_rule(
             rule_from_text("ab", "b: item(Z, X), item(X, Y) -> a: item(Y, Z)")
         )
-        super_peer.run_global_update()
+        session.run("update")
         assert system.node("a").database.relation("item").rows() == {
             ("1", "2"),
             ("2", "3"),

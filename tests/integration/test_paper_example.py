@@ -7,7 +7,6 @@ from repro.core.fixpoint import (
     verify_against_centralized,
 )
 from repro.core.state import DiscoveryState, UpdateState
-from repro.core.superpeer import SuperPeer
 from repro.database.parser import parse_query
 from repro.network.message import MessageType
 from repro.workloads.scenarios import (
@@ -20,8 +19,7 @@ from repro.workloads.scenarios import (
 
 class TestDiscoveryOnExample:
     def test_super_peer_learns_all_edges(self, paper_system):
-        super_peer = SuperPeer(paper_system, "A")
-        super_peer.run_discovery()
+        Session(paper_system).run("discovery", origins=["A"])
         node_a = paper_system.node("A")
         assert node_a.state.state_d == DiscoveryState.CLOSED
         assert {
@@ -34,7 +32,7 @@ class TestDiscoveryOnExample:
         } <= node_a.state.edges
 
     def test_super_peer_paths_match_paper_table(self, paper_system):
-        SuperPeer(paper_system, "A").run_discovery()
+        Session(paper_system).run("discovery", origins=["A"])
         paths = {"".join(p) for p in paper_system.node("A").state.maximal_paths()}
         assert paths == {"ABE", "ABCA", "ABCB", "ABCDA"}
 
@@ -46,13 +44,13 @@ class TestDiscoveryOnExample:
             assert set(node.state.maximal_paths()) == expected
 
     def test_leaf_node_closes_immediately(self, paper_system):
-        SuperPeer(paper_system, "A").run_discovery()
+        Session(paper_system).run("discovery", origins=["A"])
         node_e = paper_system.node("E")
         assert node_e.state.state_d == DiscoveryState.CLOSED
         assert node_e.state.finished
 
     def test_discovery_message_types(self, paper_system):
-        SuperPeer(paper_system, "A").run_discovery()
+        Session(paper_system).run("discovery", origins=["A"])
         by_type = paper_system.snapshot_stats().messages.by_type
         assert by_type[MessageType.REQUEST_NODES.value] > 0
         assert by_type[MessageType.DISCOVERY_ANSWER.value] > 0
@@ -101,8 +99,6 @@ class TestUpdateOnExample:
 
     def test_second_update_run_changes_nothing(self, updated_paper_system):
         before = updated_paper_system.databases()
-        for node in updated_paper_system.nodes.values():
-            node.state.reset_update()
         Session(updated_paper_system).run("update")
         assert updated_paper_system.databases() == before
 
@@ -110,7 +106,7 @@ class TestUpdateOnExample:
         once = build_paper_example(propagation="once")
         per_path = build_paper_example(propagation="per_path")
         for system in (once, per_path):
-            SuperPeer(system, "A").run_discovery()
+            Session(system).run("discovery", origins=["A"])
             Session(system).run("update")
         assert once.databases() == per_path.databases()
 
@@ -118,7 +114,7 @@ class TestUpdateOnExample:
         once = build_paper_example(propagation="once")
         per_path = build_paper_example(propagation="per_path")
         for system in (once, per_path):
-            SuperPeer(system, "A").run_discovery()
+            Session(system).run("discovery", origins=["A"])
             Session(system).run("update")
         assert (
             per_path.snapshot_stats().total_messages

@@ -78,8 +78,6 @@ class TestDistributedMatchesCentralized:
         system = ScenarioSpec.of(schemas, rules, initial).build_system()
         Session(system).run("update")
         snapshot_after_first = system.databases()
-        for node in system.nodes.values():
-            node.state.reset_update()
         Session(system).run("update")
         assert system.databases() == snapshot_after_first
 

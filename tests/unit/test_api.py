@@ -1,5 +1,6 @@
 """Unit tests for the execution façade: spec, strategies, results."""
 
+import json
 import subprocess
 import sys
 
@@ -205,6 +206,30 @@ class TestRunResult:
         result = session.update("centralized")
         assert result.label == "update/centralized"
         assert "centralized" in repr(result)
+
+
+class TestExportedMetrics:
+    def test_the_runs_wall_time_is_a_counter(self):
+        """A ``_total`` family is a counter: it only grows and it adds up
+        when registries merge (a gauge would merge by maximum)."""
+        session = Session.from_spec(small_spec())
+        session.update()
+        text = session.export_metrics("prometheus")
+        assert "# TYPE repro_wall_seconds_total counter" in text
+        types = dict(
+            line.split()[2:4]
+            for line in text.splitlines()
+            if line.startswith("# TYPE ")
+        )
+        totals = {name: kind for name, kind in types.items() if name.endswith("_total")}
+        assert set(totals.values()) == {"counter"}
+        counters = {
+            counter["name"]: counter["value"]
+            for counter in json.loads(session.export_metrics("json"))["counters"]
+        }
+        wall = session.system.stats.elapsed_wall_seconds
+        assert wall > 0
+        assert counters["repro_wall_seconds_total"] == wall
 
 
 REFERENCE_STRATEGIES = ["centralized", "acyclic", "querytime"]

@@ -106,8 +106,7 @@ class TestErrorHierarchy:
     def test_all_errors_derive_from_repro_error(self, exc):
         assert issubclass(exc, errors.ReproError)
 
-    def test_pipe_and_peer_errors_are_network_errors(self):
-        assert issubclass(errors.PipeClosedError, errors.NetworkError)
+    def test_peer_errors_are_network_errors(self):
         assert issubclass(errors.UnknownPeerError, errors.NetworkError)
 
     def test_catching_the_base_class(self):

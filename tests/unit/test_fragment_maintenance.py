@@ -165,12 +165,6 @@ class TestEvaluateFragment:
         node.remove_outgoing_rule("other")
         assert node.state.fragment_cache == {}
 
-    def test_reset_update_drops_the_entries(self, node):
-        rule = rule_from_text("out", JOIN)
-        maintain_fragment(node, rule)
-        node.state.reset_update()
-        assert node.state.fragment_cache == {}
-
 
 class TestCachesOnFrozenDataclasses:
     def warmed_rule(self):

@@ -1,15 +1,13 @@
-"""Unit tests for messages, pipes, latency models and advertisements."""
+"""Unit tests for messages and latency models."""
 
 import dataclasses
 import pickle
 
 import pytest
 
-from repro.errors import PipeClosedError
-from repro.network.advertisement import Advertisement, DiscoveryService
+import repro.core.node as node_module
 from repro.network.latency import ConstantLatency, PerHopLatency, UniformLatency
 from repro.network.message import Message, MessageType
-from repro.network.pipe import Pipe, PipeTable
 
 
 class TestMessage:
@@ -48,50 +46,12 @@ class TestMessage:
     def test_str_mentions_endpoints(self):
         assert "A->B" in str(self._message())
 
-    def test_message_types_cover_both_phases(self):
+    def test_the_vocabulary_is_exactly_what_peers_handle(self):
+        """Every message type has a peer handler and every handler a type:
+        the two phases' four messages and nothing else."""
+        assert set(node_module._HANDLERS) == set(MessageType)
         values = {t.value for t in MessageType}
-        assert {"request_nodes", "discovery_answer", "query", "answer"} <= values
-
-
-class TestPipes:
-    def test_pipe_lifecycle(self):
-        pipe = Pipe("A", "B")
-        pipe.assign_rule("r1")
-        pipe.assign_rule("r2")
-        pipe.unassign_rule("r1")
-        assert not pipe.closed
-        pipe.unassign_rule("r2")
-        assert pipe.closed
-
-    def test_check_open_raises_when_closed(self):
-        pipe = Pipe("A", "B", closed=True)
-        with pytest.raises(PipeClosedError):
-            pipe.check_open()
-
-    def test_reassigning_reopens(self):
-        pipe = Pipe("A", "B")
-        pipe.assign_rule("r1")
-        pipe.unassign_rule("r1")
-        pipe.assign_rule("r2")
-        assert not pipe.closed
-
-    def test_pipe_table_shares_pipe_between_rules(self):
-        table = PipeTable()
-        first = table.ensure_pipe("A", "B", "r1")
-        second = table.ensure_pipe("B", "A", "r2")
-        assert first is second
-        assert len(table) == 1
-
-    def test_pipe_table_closes_unused_pipe(self):
-        table = PipeTable()
-        table.ensure_pipe("A", "B", "r1")
-        table.drop_rule("A", "B", "r1")
-        assert table.open_pipes() == []
-
-    def test_pipe_table_unknown_pair(self):
-        table = PipeTable()
-        assert table.pipe_for("A", "B") is None
-        assert table.drop_rule("A", "B", "r") is None
+        assert values == {"request_nodes", "discovery_answer", "query", "answer"}
 
 
 class TestLatencyModels:
@@ -133,32 +93,3 @@ class TestLatencyModels:
         model = PerHopLatency(base=1.0, overrides={("A", "B"): 5.0})
         assert model.delay_for(self._message(), 0) == 5.0
         assert model.delay_for(Message("B", "A", MessageType.QUERY, {}), 1) == 1.0
-
-
-class TestDiscoveryService:
-    def test_publish_lookup_withdraw(self):
-        service = DiscoveryService()
-        service.publish(Advertisement("A", ("pub",)))
-        assert service.lookup("A").shared_relations == ("pub",)
-        service.withdraw("A")
-        assert service.lookup("A") is None
-
-    def test_peers_by_group(self):
-        service = DiscoveryService()
-        service.publish_all(
-            [Advertisement("A", group="g1"), Advertisement("B", group="g2")]
-        )
-        assert service.peers("g1") == ("A",)
-        assert set(service.peers()) == {"A", "B"}
-
-    def test_peers_sharing_relation(self):
-        service = DiscoveryService()
-        service.publish(Advertisement("A", ("pub", "work")))
-        service.publish(Advertisement("B", ("work",)))
-        assert set(service.peers_sharing("work")) == {"A", "B"}
-        assert service.peers_sharing("nope") == ()
-
-    def test_advertisement_attributes(self):
-        ad = Advertisement("A", attributes=(("version", "1"),))
-        assert ad.attribute("version") == "1"
-        assert ad.attribute("missing", "default") == "default"

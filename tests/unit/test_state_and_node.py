@@ -8,14 +8,13 @@ from repro.core.state import (
     DiscoveryState,
     NodeState,
     OwnerEntry,
-    PathFlags,
     UpdateState,
 )
 from repro.database.database import LocalDatabase
 from repro.database.parser import parse_query
 from repro.database.schema import DatabaseSchema, RelationSchema
 from repro.errors import ProtocolError, RuleError
-from repro.network.message import Message, MessageType
+from repro.network.message import Message
 from repro.network.transport import SyncTransport
 
 
@@ -41,28 +40,6 @@ class TestNodeState:
         assert not state.has_discovery_owner("b", "x")
         assert state.has_update_owner("b", "r")
         assert not state.has_update_owner("b", "other")
-
-    def test_reset_discovery(self):
-        state = NodeState()
-        state.state_d = DiscoveryState.CLOSED
-        state.edges.add(("a", "b"))
-        state.paths[("a",)] = PathFlags()
-        state.reset_discovery()
-        assert state.state_d == DiscoveryState.UNDEFINED
-        assert state.edges == set()
-        assert state.paths == {}
-
-    def test_reset_update(self):
-        state = NodeState()
-        state.state_u = UpdateState.CLOSED
-        state.fragments["r"] = {"b": frozenset({(1,)})}
-        state.pending_answers.add(("r", "b"))
-        state.pushed_fragments[("r", "b")] = frozenset()
-        state.reset_update()
-        assert state.state_u == UpdateState.OPEN
-        assert state.fragments == {}
-        assert state.pending_answers == set()
-        assert state.pushed_fragments == {}
 
 
 class TestPeerNode:
@@ -107,7 +84,7 @@ class TestPeerNode:
 
     def test_unknown_message_type_raises(self):
         node, _ = make_node("a")
-        message = Message("x", "a", MessageType.STATS_REQUEST, {})
+        message = Message("x", "a", "stats_request", {})
         with pytest.raises(ProtocolError):
             node.handle(message)
 
@@ -115,16 +92,6 @@ class TestPeerNode:
         node, _ = make_node("a")
         node.database.insert("item", ("1", "2"))
         assert node.local_query(parse_query("q(X) :- item(X, Y)")) == {("1",)}
-
-    def test_reset_message_clears_state_and_optionally_data(self):
-        node, _ = make_node("a")
-        node.database.insert("item", ("1", "2"))
-        node.state.state_u = UpdateState.CLOSED
-        node.handle(Message("x", "a", MessageType.RESET, {}))
-        assert node.state.state_u == UpdateState.OPEN
-        assert node.database.total_rows() == 1
-        node.handle(Message("x", "a", MessageType.RESET, {"clear_data": True}))
-        assert node.database.total_rows() == 0
 
     def test_is_update_closed_reflects_state(self):
         node, _ = make_node("a")
