@@ -102,6 +102,16 @@ class TestUpdateOnExample:
         Session(updated_paper_system).run("update")
         assert updated_paper_system.databases() == before
 
+    def test_second_update_run_talks_but_reports_no_delta(self, updated_paper_system):
+        """With no protocol-state reset between them, the second run still
+        queries every rule, and its answers move no row."""
+        session = Session(updated_paper_system)
+        before = session.snapshot_stats().total_messages
+        result = session.run("update")
+        assert session.snapshot_stats().total_messages > before
+        assert result.deltas.empty
+        assert result.deltas.inserted_rows == 0
+
     def test_per_path_policy_reaches_same_fixpoint(self):
         once = build_paper_example(propagation="once")
         per_path = build_paper_example(propagation="per_path")

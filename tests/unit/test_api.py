@@ -1,5 +1,6 @@
 """Unit tests for the execution façade: spec, strategies, results."""
 
+import importlib
 import json
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from repro.coordination.rule import rule_from_text
 from repro.core.system import P2PSystem
 from repro.database.schema import DatabaseSchema, RelationSchema
 from repro.errors import ReproError
+from repro.obs.metrics import MetricsRegistry
 from repro.network.transport import SyncTransport
 from repro.workloads.scenarios import (
     paper_example_data,
@@ -230,6 +232,37 @@ class TestExportedMetrics:
         wall = session.system.stats.elapsed_wall_seconds
         assert wall > 0
         assert counters["repro_wall_seconds_total"] == wall
+
+    def test_the_runs_wall_time_adds_up_when_registries_merge(self):
+        merged = MetricsRegistry()
+        walls = []
+        for _ in range(2):
+            session = Session.from_spec(small_spec())
+            session.update()
+            walls.append(session.system.stats.elapsed_wall_seconds)
+            merged.merge(session.metrics_registry().dump())
+        total = merged.counter("repro_wall_seconds_total").value
+        assert total == pytest.approx(sum(walls))
+        assert total > max(walls)
+
+    def test_the_simulated_clock_stays_a_gauge(self):
+        session = Session.from_spec(small_spec())
+        session.update()
+        text = session.export_metrics("prometheus")
+        assert "# TYPE repro_simulated_time_seconds gauge" in text
+
+
+class TestRemovedModules:
+    """The shadow control plane is gone; each name is listed with its
+    replacement in docs/migration.md."""
+
+    @pytest.mark.parametrize(
+        "module",
+        ["repro.core.superpeer", "repro.network.pipe", "repro.network.advertisement"],
+    )
+    def test_the_module_is_gone(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
 
 
 REFERENCE_STRATEGIES = ["centralized", "acyclic", "querytime"]

@@ -53,6 +53,13 @@ class TestMessage:
         values = {t.value for t in MessageType}
         assert values == {"request_nodes", "discovery_answer", "query", "answer"}
 
+    @pytest.mark.parametrize("kind", list(MessageType))
+    def test_a_frames_string_type_reaches_the_same_handler(self, kind):
+        """Socket frames carry the type's string value; it must dispatch
+        exactly as the enum member does."""
+        assert MessageType(kind.value) is kind
+        assert node_module._HANDLERS[kind.value] is node_module._HANDLERS[kind]
+
 
 class TestLatencyModels:
     def _message(self):

@@ -88,6 +88,29 @@ class TestPeerNode:
         with pytest.raises(ProtocolError):
             node.handle(message)
 
+    @pytest.mark.parametrize(
+        "retired",
+        [
+            "update_request",
+            "add_rule",
+            "delete_rule",
+            "stats_request",
+            "stats_reply",
+            "reset",
+        ],
+    )
+    def test_a_retired_control_type_is_rejected_and_changes_nothing(self, retired):
+        """A frame from outside the process may still carry one of the old
+        control types; the peer refuses it before touching state or data."""
+        node, transport = make_node("a")
+        node.database.insert("item", ("1", "2"))
+        node.state.state_u = UpdateState.CLOSED
+        with pytest.raises(ProtocolError):
+            node.handle(Message("x", "a", retired, {"clear_data": True}))
+        assert node.state.state_u == UpdateState.CLOSED
+        assert node.database.total_rows() == 1
+        assert transport.pending == 0
+
     def test_local_query(self):
         node, _ = make_node("a")
         node.database.insert("item", ("1", "2"))
