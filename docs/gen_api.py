@@ -41,7 +41,7 @@ TARGETS: list[tuple[str, str, str]] = [
     (
         "repro.coordination.changeset",
         "Change",
-        "the one change record: pool sync, reports, served updates, reconciliation",
+        "the one change record: run changes, reports, served updates, reconciliation",
     ),
     (
         "repro.serve.client",

@@ -23,6 +23,7 @@ import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol, runtime_checkable
 
+from repro.coordination.changeset import Change
 from repro.coordination.rule import NodeId
 from repro.errors import ReproError
 from repro.network.transport import BaseTransport, SyncTransport
@@ -58,6 +59,47 @@ def start_phase(
     return origin_list
 
 
+def start_run(
+    system: P2PSystem,
+    phase: str,
+    origins: Iterable[NodeId] | None,
+    change: Change | None,
+    *,
+    incremental: bool = True,
+    nodes: Iterable[NodeId] | None = None,
+) -> list[NodeId]:
+    """Start ``phase`` on the system holding the data; return the nodes started.
+
+    The one delta-path decision, made by the ``sync`` engine and by every
+    shard worker.  ``change`` (what changed since the previous run; None:
+    not known) is folded into ``system.pending``, which only an update
+    start consumes.  The update seeds the delta path
+    (:meth:`~repro.core.system.P2PSystem.seed_update_delta`) only when
+
+    * it starts everywhere (``origins is None``),
+    * the previous update did too and converged (``system.primed``; a
+      failed run unprimes the ``sync`` system, and takes a worker down with
+      its pool),
+    * the pending change is :attr:`~repro.coordination.changeset.Change.rows_only`
+    * and the run is not pinned naive (``incremental=False``);
+
+    otherwise :func:`start_phase` starts it at ``nodes`` (default
+    ``origins``; a shard worker passes its owned share of them).
+    """
+    if change is None:
+        system.primed = False
+    elif not change.empty:
+        system.pending = system.pending.union(change)
+    started = origins if nodes is None else nodes
+    if phase != "update":
+        return start_phase(system, phase, started)
+    pending, system.pending = system.pending, Change()
+    if origins is None and system.primed and pending.rows_only and incremental:
+        return system.seed_update_delta(pending, nodes=started)
+    system.primed = origins is None
+    return start_phase(system, phase, started)
+
+
 def finalize_phase(system: P2PSystem, phase: str) -> None:
     """Post-quiescence bookkeeping (discovery finalises every ``Paths`` relation)."""
     if phase == "discovery":
@@ -72,9 +114,20 @@ class ExecutionEngine(Protocol):
     name: str
 
     def run(
-        self, system: P2PSystem, phase: str, origins: Iterable[NodeId] | None = None
+        self,
+        system: P2PSystem,
+        phase: str,
+        origins: Iterable[NodeId] | None = None,
+        change: Change | None = None,
+        *,
+        incremental: bool = True,
     ) -> tuple[float, StatsSnapshot]:
-        """Blocking run; returns (simulated completion time, stats snapshot)."""
+        """Blocking run; returns (simulated completion time, stats snapshot).
+
+        ``change`` is what changed in ``system`` since the previous run
+        (None: not known) and ``incremental=False`` pins the run naive; both
+        feed :func:`start_run`'s decision.
+        """
         ...
 
 
@@ -93,15 +146,25 @@ class SyncEngine:
         return transport
 
     def run(
-        self, system: P2PSystem, phase: str, origins: Iterable[NodeId] | None = None
+        self,
+        system: P2PSystem,
+        phase: str,
+        origins: Iterable[NodeId] | None = None,
+        change: Change | None = None,
+        *,
+        incremental: bool = True,
     ) -> tuple[float, StatsSnapshot]:
         transport = self._check(system)
         tracer = tracer_of(system)
-        start_phase(system, phase, origins)
-        with tracer.span("chase", engine=self.name) as span:
-            delivered = transport.delivered_count
-            completion = transport.run()
-            span.set(delivered=transport.delivered_count - delivered)
+        try:
+            start_run(system, phase, origins, change, incremental=incremental)
+            with tracer.span("chase", engine=self.name) as span:
+                delivered = transport.delivered_count
+                completion = transport.run()
+                span.set(delivered=transport.delivered_count - delivered)
+        except BaseException:
+            system.primed = False  # no converged update to extend
+            raise
         finalize_phase(system, phase)
         return completion, system.stats.snapshot()
 

@@ -36,7 +36,7 @@ from repro.api.engine import ExecutionEngine, engine_for
 from repro.api.result import RunResult
 from repro.api.spec import ScenarioSpec
 from repro.api.strategies import get_strategy
-from repro.coordination.changeset import Change, RelationMarks
+from repro.coordination.changeset import Change, RelationMarks, rules_fingerprint
 from repro.coordination.rule import CoordinationRule, NodeId
 from repro.database.parser import parse_query
 from repro.database.query import ConjunctiveQuery
@@ -77,9 +77,14 @@ class Session:
             if strategy is not None
             else (spec.strategy if spec is not None else "distributed")
         )
-        # A run's deltas: marks on every relation, moved up at each run's
-        # start past the writes made between runs (built by the first run).
+        # The one reader of change (_changed): marks on every relation, built
+        # by the first run, and the rules as of the previous run's start.
         self._marks: RelationMarks | None = None
+        self._rules: tuple[CoordinationRule, ...] = ()
+        self._version = -1
+        #: False pins every update to the naive path, on every engine: the
+        #: parity tests compare both paths on one engine this way.
+        self.incremental = True
         # Tracing: off (the default) leaves every run bit-identical — no
         # tracer object is created and no span ever opens.  ``trace=True``
         # (or a spec with trace=True) builds a fresh coordinator tracer;
@@ -271,40 +276,64 @@ class Session:
         span, the merged timeline lands on ``result.extras["trace"]``, and
         each of its spans is observed into ``repro_span_seconds{name}``.
 
-        The result's ``deltas`` is :meth:`Change.read
-        <repro.coordination.changeset.Change.read>` over relation marks moved
-        up before the engine starts: one ``(relation, removals, len)`` per
-        relation, no copy of any row, and only the relations written since
-        are visited.
+        The engine is handed :meth:`_changed`, what changed between runs
+        (:func:`repro.api.engine.start_run` decides by it); the result's
+        ``deltas`` is the same marks read again after the run: one
+        ``(relation, removals, len)`` per relation, no copy of any row, and
+        only the relations written since are visited.
         """
         started = time.perf_counter()
-        if self._marks is None:
-            self._marks = RelationMarks(self.system)
-        else:
-            self._marks.mark(self.system)
-        tracer = self.tracer
+        change = self._changed()
+        system, tracer = self.system, self.tracer
         if tracer is None:
-            completion, snapshot = self.engine.run(self.system, phase, origins)
+            completion, snapshot = self.engine.run(
+                system, phase, origins, change, incremental=self.incremental
+            )
             return self._package(phase, completion, snapshot, started)
         mark = tracer.mark()
-        chase = self.system.stats.chase_handles()
+        chase = system.stats.chase_handles()
         chase_before = chase.values()
+        sent = system.stats.messages.total_messages
         with tracer.span("run", phase=phase, engine=self.engine.name) as span:
-            completion, snapshot = self.engine.run(self.system, phase, origins)
+            completion, snapshot = self.engine.run(
+                system, phase, origins, change, incremental=self.incremental
+            )
             span.set(
                 completion_time=completion,
-                messages=sum(snapshot.messages.by_type.values()),
+                messages=system.stats.messages.total_messages - sent,
                 **chase.attributes_since(chase_before),
             )
         trace = tracer.trace(since=mark)
         # Every span of the run, the adopted worker spans included.
-        registry = self.system.stats.registry
+        registry = system.stats.registry
         for record in trace["spans"]:
             registry.histogram("repro_span_seconds", {"name": record["name"]}).observe(
                 record["end"] - record["start"]
             )
         result = self._package(phase, completion, snapshot, started)
         return replace(result, extras={**result.extras, "trace": trace})
+
+    def _changed(self) -> Change | None:
+        """What changed since the previous run's end: :meth:`Change.read
+        <repro.coordination.changeset.Change.read>` over the marks, plus the
+        rule edits when the registry's version moved.  None on the first
+        run, which has nothing to compare with.
+        """
+        system = self.system
+        registry = system.registry
+        if self._marks is None:
+            self._marks = RelationMarks(system)
+            self._rules, self._version = tuple(registry), registry.version
+            return None
+        change = Change.read(system, self._marks)
+        if registry.version == self._version:
+            return change
+        known = rules_fingerprint(self._rules)
+        self._rules, self._version = tuple(registry), registry.version
+        current = rules_fingerprint(self._rules)
+        added = tuple(r for r in self._rules if known.get(r.rule_id) != r.text)
+        removed = tuple(i for i, text in known.items() if current.get(i) != text)
+        return replace(change, add_rules=added, remove_rules=removed)
 
     def discover(self, *, origins: Iterable[NodeId] | None = None) -> RunResult:
         """Shorthand for ``run("discovery")``."""

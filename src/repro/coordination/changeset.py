@@ -1,16 +1,17 @@
 """The one change record, and the rules half of a system's fingerprint.
 
 * :class:`Change` is *what changed* in a network, and the one shape every
-  boundary speaks: a session run's deltas, pool sync and the workers'
-  reports (:meth:`Change.read` over :class:`RelationMarks`), a worker's
-  pending changes (:meth:`Change.union`), the incremental seed, the served update
-  document (:meth:`Change.from_json`) and reconciliation logs
+  boundary speaks: what a session hands its engine at a run's start, a
+  run's deltas and the workers' reports (:meth:`Change.read` over
+  :class:`RelationMarks`), the pending change a system folds until its
+  next update (:meth:`Change.union`), the incremental seed, the served
+  update document (:meth:`Change.from_json`) and reconciliation logs
   (:meth:`Change.between`).  It is checked before it mutates anything.
 
-* :func:`rules_fingerprint` is ``rule_id -> text`` for a rule set; the warm
-  pools' :class:`repro.sharding.pool.WorldMirror` rebuilds it only when the
-  registry's version moved, and for the data keeps marks on the live
-  relations instead of a second copy of them.
+* :func:`rules_fingerprint` is ``rule_id -> text`` for a rule set; a
+  session compares the rule texts only when the registry's version moved,
+  and for the data keeps marks on the live relations instead of a second
+  copy of them.
 """
 
 from __future__ import annotations
@@ -155,8 +156,8 @@ class Change:
 
     @property
     def rows_only(self) -> bool:
-        """True when the change only inserts and removes rows: the warm
-        engines' delta-path eligibility.
+        """True when the change only inserts and removes rows: what the
+        delta path can extend a fix-point by.
 
         No rule is edited, no relation is new and none is rewritten whole.
         A removal retracts nothing already derived (``deleteLink`` keeps

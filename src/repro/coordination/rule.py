@@ -180,7 +180,7 @@ class CoordinationRule:
     def text(self) -> str:
         """The rule in arrow syntax: id, body, comparisons and head (``str``).
 
-        Built once — the warm engines compare rule texts
+        Built once — a session compares rule texts
         (:func:`repro.coordination.changeset.rules_fingerprint`) whenever
         the registry's version says the rule set changed.
         """

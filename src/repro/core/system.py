@@ -49,11 +49,16 @@ class P2PSystem:
         #: (engines resolve this via repro.faults.injector_of).
         self.fault_injector = None
         self.registry = RuleRegistry()
-        #: The relations written since a reader's read: what a run's deltas,
-        #: the warm pools' syncs and collects visit instead of every relation.
+        #: The relations written since a reader's read: what a session's
+        #: reads and a worker's reports visit instead of every relation.
         self.touched = Touched()
         self.nodes: dict[NodeId, PeerNode] = {}
         self._super_peer = super_peer
+        #: The delta path's state (:func:`repro.api.engine.start_run`): the
+        #: change folded since the last update start, and whether that update
+        #: started everywhere and converged.
+        self.pending = Change()
+        self.primed = False
 
     # -------------------------------------------------------------- building
 
@@ -151,12 +156,6 @@ class P2PSystem:
         if not self.nodes:
             raise ReproError("the system has no nodes")
         return min(self.nodes)
-
-    @super_peer.setter
-    def super_peer(self, node_id: NodeId) -> None:
-        if node_id not in self.nodes:
-            raise ReproError(f"unknown node {node_id!r}")
-        self._super_peer = node_id
 
     def dependency_graph(self) -> DependencyGraph:
         """The dependency graph of the current rule set."""

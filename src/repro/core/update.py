@@ -64,7 +64,7 @@ compare with — always recomputes.
 Incremental (delta-driven) mode
 -------------------------------
 On top of the naive pull rounds, the protocol supports an *incremental* mode
-used by the warm engines for repeat runs whose only change since the last
+used by every engine for repeat runs whose only change since the last
 converged run is rows inserted or removed (see ``docs/incremental.md``).  No
 queries are sent at all: a node whose base data changed calls
 :meth:`start_incremental`, which re-fires the incoming rules whose head
@@ -460,8 +460,8 @@ class UpdateProtocol:
         """Seed the delta frontier at this node (incremental update run).
 
         ``inserted`` and ``removed`` map relation names to rows *already*
-        inserted into / deleted from this node's database (the warm engines
-        apply the sync delta before starting the phase).  No queries are
+        inserted into / deleted from this node's database (the change is
+        applied before the phase starts).  No queries are
         sent and the node stays in whatever ``state_u`` the previous
         converged run left it in.
 

@@ -40,9 +40,9 @@ FAULT_KINDS: tuple[str, ...] = (
 )
 
 #: Engine phases a fault can be armed for.  ``ship`` covers spawn/world
-#: shipping, ``sync`` the warm-pool delta read, ``chase`` the main fix-point
-#: drive, and ``quiescence`` fires after the barrier certifies, before the
-#: run checks that every worker is still reachable.
+#: shipping, ``sync`` a warm pool before its ``start``s, ``chase`` the main
+#: fix-point drive, and ``quiescence`` fires after the barrier certifies,
+#: before the run checks that every worker is still reachable.
 FAULT_PHASES: tuple[str, ...] = ("ship", "sync", "chase", "quiescence")
 
 #: Kinds injected inside worker processes (they act on individual frames).

@@ -225,9 +225,8 @@ class Tenant:
         """Build the session and converge the network (worker thread)."""
         session = Session.from_spec(self.spec, trace=True)
         try:
-            # One cold run brings every relation to its fix-point and leaves
-            # the pool's mirror primed, so the next rows-only update can
-            # take the delta path.
+            # One cold run brings every relation to its fix-point, so the
+            # next rows-only update can take the delta path.
             session.run("update")
             if session.tracer is not None:
                 session.tracer.drain()

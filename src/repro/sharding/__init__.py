@@ -29,7 +29,7 @@ See ``docs/architecture.md`` and ``docs/engines.md``.
 """
 
 from repro.sharding.planner import ShardPlan, ShardPlanner, round_robin_plan
-from repro.sharding.pool import ShardPool, WorkerPool, WorldMirror
+from repro.sharding.pool import ShardPool, WorkerPool
 from repro.sharding.process import ProcessEngine, ProcessTransport
 from repro.sharding.sockets import LocalHostCluster, ShardHost, SocketPool
 
@@ -43,6 +43,5 @@ __all__ = [
     "ShardPool",
     "SocketPool",
     "WorkerPool",
-    "WorldMirror",
     "round_robin_plan",
 ]

@@ -19,15 +19,15 @@ the one driver for them:
   lost end turned into its shard's ``error`` at once, and a hosted worker's
   message for another host relayed inline.
 * :class:`ShardPool` owns everything above them: awaiting replies, the
-  quiescence barrier, :meth:`~ShardPool.sync`, :meth:`~ShardPool.run_phase`
-  and the :class:`WorldMirror` bookkeeping.  A pool keeps the plan it was
-  spawned with for life: a rule edit rides the synced change like a row
-  does.  Runs move only **deltas**, both ways, each one
+  quiescence barrier and :meth:`~ShardPool.run_phase`.  A pool keeps the
+  plan it was spawned with for life: a rule edit rides the change like a
+  row does.  Runs move only **deltas**, both ways, each one
   :class:`~repro.coordination.changeset.Change` read off the relations
   written since their marks (:meth:`Change.read
-  <repro.coordination.changeset.Change.read>`): out, each shard's slice of
-  the coordinator's change rides on its ``start``; home, the rows each shard
-  gained ride on its idle reports — never the schemas or unchanged data.
+  <repro.coordination.changeset.Change.read>`): out, the change the session
+  read at the run's start rides on every ``start``; home, the rows each
+  shard gained ride on its idle reports — never the schemas or unchanged
+  data.
 * :class:`WorkerPool` and :class:`~repro.sharding.sockets.SocketPool` are
   reduced to how their channels are made: start one process per shard
   (forked from a server that imported the worker's modules once:
@@ -55,12 +55,11 @@ import threading
 import time
 import traceback
 from collections import deque
-from dataclasses import replace
 from multiprocessing import connection
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Protocol
 
-from repro.coordination.changeset import Change, RelationMarks, rules_fingerprint
+from repro.coordination.changeset import Change
 from repro.coordination.rule import NodeId
 from repro.errors import NetworkError, ReproError
 from repro.faults.injector import NULL_INJECTOR, injector_of
@@ -123,56 +122,6 @@ def _worker_context():
             else:
                 os.environ["PYTHONPATH"] = existing
     return context
-
-
-# ------------------------------------------------------------------- deltas
-
-
-class WorldMirror:
-    """What a pool's workers hold, as marks on the coordinator's own relations.
-
-    Per relation the mirror keeps the :meth:`Relation.mark
-    <repro.database.relation.Relation.mark>` taken when coordinator and
-    workers last agreed on it — at spawn, after every sync, after every
-    merge — plus the rule texts the workers run and the registry version
-    they were read at.  What a warm run must re-ship is then whatever the
-    relations written since hold beyond their marks, and the rule texts are
-    compared only when the version moved.
-    """
-
-    def __init__(self, system: P2PSystem):
-        self.version = system.registry.version
-        self.rules: dict[str, str] = rules_fingerprint(system.registry)
-        self.marks = RelationMarks(system)
-
-    def mark(self, system: P2PSystem) -> None:
-        """Record that the workers hold the coordinator's current facts."""
-        self.marks.mark(system)
-
-    def advance(self, system: P2PSystem) -> Change:
-        """What changed in the coordinator since the marks were taken
-        (:meth:`Change.read` plus the rule edits), with the marks moved up.
-
-        Structural: a relation reports its own writes and the registry its
-        own version, so there is no notification for a caller to forget.
-        """
-        change = Change.read(system, self.marks)
-        registry = system.registry
-        if registry.version == self.version:
-            return change
-        known, self.rules = self.rules, rules_fingerprint(registry)
-        self.version = registry.version
-        return replace(
-            change,
-            add_rules=tuple(
-                rule for rule in registry if known.get(rule.rule_id) != rule.text
-            ),
-            remove_rules=tuple(
-                rule_id
-                for rule_id, text in known.items()
-                if self.rules.get(rule_id) != text
-            ),
-        )
 
 
 # ----------------------------------------------------------------- channels
@@ -325,11 +274,10 @@ class ShardPool:
     """K persistent shard workers behind per-shard channels.
 
     Spawn with :meth:`spawn` (ships each worker its world once), then call
-    :meth:`sync` + :meth:`run_phase` per run.  The pool keeps marks on the
-    coordinator's relations of what its workers hold, so :meth:`sync` reads
-    only what changed in the coordinator since.  Any failure — a crashed
-    worker, a dead host, a stall, an exceeded message bound — closes the
-    pool; the engine respawns a fresh one on the next run.  Subclasses
+    :meth:`run_phase` per run with what changed in the coordinator since
+    the previous one.  Any failure — a crashed worker, a dead host, a
+    stall, an exceeded message bound — closes the pool; the engine
+    respawns a fresh one on the next run.  Subclasses
     provide :meth:`_open`, which sets the reply source and one
     :class:`Channel` per shard.
     """
@@ -343,8 +291,6 @@ class ShardPool:
                 f"worlds for {plan.shard_count} shards"
             )
         self.plan = plan
-        # Each shard's peers: what a sync slices the change by.
-        self._members = [frozenset(plan.members(s)) for s in range(plan.shard_count)]
         self.closed = False
         #: Fault injector firing kill faults at this pool's phase hook points
         #: (the null injector keeps every hook a no-op on fault-free runs).
@@ -353,8 +299,6 @@ class ShardPool:
         #: The current run's id, stamped on its ``start`` and on every report
         #: a worker takes after that ``start``.
         self._run = 0
-        #: Set by :meth:`spawn`: marks need the system the worlds came from.
-        self._mirror: WorldMirror | None = None
         self._results: Any = None
         self._channels: list[Channel] = []
         try:
@@ -371,16 +315,13 @@ class ShardPool:
     @classmethod
     def spawn(cls, system: P2PSystem, plan: ShardPlan, *args, **kwargs):
         """Bring a pool up over the live system's current state."""
-        mirror = WorldMirror(system)
-        pool = cls(
+        return cls(
             plan,
             _worlds_from_system(system, plan),
             *args,
             injector=injector_of(system),
             **kwargs,
         )
-        pool._mirror = mirror
-        return pool
 
     # ---------------------------------------------------------------- status
 
@@ -552,19 +493,6 @@ class ShardPool:
 
     # ------------------------------------------------------------------ runs
 
-    def sync(self, system: P2PSystem) -> Change:
-        """The coordinator's change since the last run (empty when nothing
-        moved).  The mirror counts it as shipped, so the next
-        :meth:`run_phase` must carry it, each shard's slice on its ``start``.
-        """
-        if self.closed:
-            raise ReproError("the pool is closed")
-        delta = self._mirror.advance(system)
-        # A sync-phase kill lands here: the dead worker is detected by the
-        # next run_phase's ``start``, never by a wedged barrier.
-        self.injector.fire("sync", self)
-        return delta
-
     def run_phase(
         self,
         phase: str,
@@ -572,17 +500,18 @@ class ShardPool:
         *,
         change: Change | None = None,
         tracer=None,
-        mode: str | None = None,
+        incremental: bool = True,
     ) -> list[dict]:
         """Drive one phase over the warm workers and return their payloads.
 
-        Every worker's ``start`` carries its slice of ``change`` (what
-        :meth:`sync` returned), the origins (``None``: every peer) and
-        ``mode`` (``"incremental"`` asks for the delta path; each worker
-        re-checks that it applies, and runs naive if not).  The run ends
-        when the idle reports certify quiescence; the caller calls
-        :meth:`note_merged` once it merged them.  Any error closes the pool
-        — a half-synced pool must never serve another run.
+        Every worker's ``start`` carries ``change`` (what changed in the
+        coordinator since the previous run; ``None`` when nothing did), the
+        origins (``None``: every peer) and ``incremental`` (False pins the
+        run naive).  Each worker applies its own peers' slice of the change
+        and decides the path with :func:`~repro.api.engine.start_run` on the
+        whole of it, so the workers decide alike.  The run ends when the
+        idle reports certify quiescence.  Any error closes the pool — a
+        half-synced pool must never serve another run.
         """
         tracer = tracer if tracer is not None else NULL_TRACER
         try:
@@ -590,11 +519,10 @@ class ShardPool:
                 raise ReproError("the pool is closed")
             self._run += 1
             origins = None if origins is None else tuple(origins)
-            for shard, channel in enumerate(self._channels):
-                sliced = None if change is None else change.only(self._members[shard])
-                if sliced is not None and sliced.empty:
-                    sliced = None
-                channel.put(("start", self._run, phase, origins, mode, sliced))
+            if change is not None and change.empty:
+                change = None
+            for channel in self._channels:
+                channel.put(("start", self._run, phase, origins, incremental, change))
             self.injector.fire("chase", self)
             with tracer.span("quiescence") as quiescence_span:
                 payloads = self._await_quiescence()
@@ -607,13 +535,6 @@ class ShardPool:
             self.close()
             raise
         return payloads
-
-    def note_merged(self, system: P2PSystem) -> None:
-        """Record that ``system`` now holds what the workers shipped home.
-
-        Without it the next :meth:`sync` would ship every merged row back.
-        """
-        self._mirror.mark(system)
 
     def __repr__(self) -> str:
         state = "closed" if self.closed else ("alive" if self.alive else "dead")

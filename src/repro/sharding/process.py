@@ -11,7 +11,7 @@ What differs between them is data on the coordinator's transport handle:
 * :class:`ProcessEngine` implements the
   :class:`~repro.api.engine.ExecutionEngine` protocol: it plans the
   partition, brings a :class:`~repro.sharding.pool.ShardPool` up over the
-  live system (or syncs the warm one with the structural delta), drives the
+  live system (or hands the warm one the change the session read), drives the
   phase to distributed quiescence, and merges what the workers gained — new
   rows, changed protocol state, statistics — into the coordinator's system so
   ``Session.run`` / parity checks / experiments read one consistent picture.
@@ -25,9 +25,11 @@ worker or dead host fails the run at once (its pipe or link is lost) and the
 pool is respawned cold on the next run — reconnecting, and reviving
 auto-spawned localhost hosts that died.  The partition is fixed at bring-up:
 the network changes only through ``addLink`` / ``deleteLink``, and a rule
-edit reaches the warm workers as the synced change's ``add_rules`` /
+edit reaches the warm workers as the change's ``add_rules`` /
 ``remove_rules``.  Only a peer the plan does not cover (one added after
-bring-up) re-plans, and so respawns the pool.
+bring-up) re-plans, and so respawns the pool.  Whether an update extends the
+last fix-point is each worker's call (:func:`repro.api.engine.start_run`);
+a respawned pool's workers hold no update yet, so they run naive.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import time
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.api.engine import PHASES, finalize_phase
+from repro.coordination.changeset import Change
 from repro.coordination.rule import NodeId
 from repro.errors import NetworkError, ReproError
 from repro.faults.injector import injector_of
@@ -163,15 +166,7 @@ class ProcessEngine:
         self.name = _ENGINE_NAMES[kind, pool]
         self.kind = kind
         self.warm = pool
-        #: Set False to pin every warm update to the naive path — the parity
-        #: tests use this to compare both paths over the same engine.
-        self.incremental = True
         self._pool: ShardPool | None = None
-        #: True once the warm workers hold a *converged* update fix-point —
-        #: the precondition for the delta path, which pushes along the owner
-        #: edges the previous run registered.  Spawns and non-update phases
-        #: do not set it; dropping the pool clears it.
-        self._primed = False
         self._cluster: LocalHostCluster | None = None
 
     @property
@@ -201,7 +196,6 @@ class ProcessEngine:
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-        self._primed = False
 
     def __enter__(self) -> "ProcessEngine":
         return self
@@ -218,10 +212,14 @@ class ProcessEngine:
     # ------------------------------------------------------------- protocol
 
     def run(
-        self, system, phase: str, origins: Iterable[NodeId] | None = None
+        self,
+        system,
+        phase: str,
+        origins: Iterable[NodeId] | None = None,
+        change: Change | None = None,
+        *,
+        incremental: bool = True,
     ) -> tuple[float, StatsSnapshot]:
-        if phase not in PHASES:
-            raise ReproError(f"unknown phase {phase!r}; expected one of {PHASES}")
         transport = system.transport
         if not isinstance(transport, ProcessTransport) or transport.kind != self.kind:
             raise ReproError(
@@ -229,51 +227,56 @@ class ProcessEngine:
                 "use Session.run (which picks the engine) or build the system "
                 f"with transport={self.kind!r}"
             )
-        tracer = tracer_of(system)
-        with tracer.span("plan", shards=transport.shard_count):
-            plan = transport.plan
-            # Bring-up, or a peer added since: the one case that re-plans.
-            if plan is None or any(p not in plan.shard_of for p in transport.peers):
-                planner = ShardPlanner(transport.shard_count)
-                transport.apply_plan(planner.plan_system(system))
-        # None starts the update at every peer: each worker knows its own.
-        origin_list: list[NodeId] | None = None
-        if origins is not None:
-            origin_list = list(origins)
-        elif phase == "discovery":
-            origin_list = [system.super_peer]
-
-        started = time.perf_counter()
-        # Fault-injected runs may degrade to a cold re-run: the injector
-        # detects the failure (a killed worker, an unhealed partition) and
-        # grants re-runs from its plan's budget.  The coordinator's state is
-        # only mutated by a *successful* _merge below, so a re-run starts
-        # from exactly the state the failed attempt started from.
-        injector = injector_of(system)
-        while True:
-            injector.start_run()
-            try:
-                payloads = self._drive_pool(system, transport, phase, origin_list)
-                break
-            except NetworkError as error:
-                if not injector.should_rerun(error):
-                    raise
-                _log.warning(
-                    "%s run failed under fault injection (%s); "
-                    "degrading to a cold re-run",
-                    self.name,
-                    error,
-                )
-        wall = time.perf_counter() - started
         try:
+            if phase not in PHASES:
+                raise ReproError(f"unknown phase {phase!r}; expected one of {PHASES}")
+            tracer = tracer_of(system)
+            with tracer.span("plan", shards=transport.shard_count):
+                plan = transport.plan
+                # Bring-up, or a peer added since: the one case that re-plans.
+                if plan is None or any(p not in plan.shard_of for p in transport.peers):
+                    planner = ShardPlanner(transport.shard_count)
+                    transport.apply_plan(planner.plan_system(system))
+            # None starts the update at every peer: each worker knows its own.
+            origin_list: list[NodeId] | None = None
+            if origins is not None:
+                origin_list = list(origins)
+            elif phase == "discovery":
+                origin_list = [system.super_peer]
+
+            started = time.perf_counter()
+            # Fault-injected runs may degrade to a cold re-run: the injector
+            # detects the failure (a killed worker, an unhealed partition)
+            # and grants re-runs from its plan's budget.  The coordinator's
+            # state is only mutated by a *successful* _merge below, so a
+            # re-run starts from exactly the state the failed attempt
+            # started from.
+            injector = injector_of(system)
+            while True:
+                injector.start_run()
+                try:
+                    payloads = self._drive_pool(
+                        system, transport, phase, origin_list, change, incremental
+                    )
+                    break
+                except NetworkError as error:
+                    self._close_pool()  # a re-run starts cold
+                    if not injector.should_rerun(error):
+                        raise
+                    _log.warning(
+                        "%s run failed under fault injection (%s); "
+                        "degrading to a cold re-run",
+                        self.name,
+                        error,
+                    )
+            wall = time.perf_counter() - started
             completion = self._merge(system, transport, payloads, wall)
             finalize_phase(system, phase)  # paths follow from the merged edges
-            if self._pool is not None:
-                self._pool.note_merged(system)
         except BaseException:
-            # The workers only ship what they gained since their last
-            # report, so a payload that was not merged in full is lost for
-            # good: drop the pool, the next run respawns from this state.
+            # The workers learn what changed only from this run's change, and
+            # ship only what they gained since their last report: a failed
+            # run lost both, so drop the pool; the next run respawns from
+            # the coordinator's state.
             self._close_pool()
             raise
         return completion, system.stats.snapshot()
@@ -286,62 +289,47 @@ class ProcessEngine:
         transport: ProcessTransport,
         phase: str,
         origins: list[NodeId] | None,
+        change: Change | None,
+        incremental: bool,
     ) -> list[dict]:
         """Reuse the warm pool when possible; (re)spawn when it is not.
 
         Cold paths: no pool (always, on a one-shot engine), a worker died
-        since the last run, or the pool runs another plan than the
-        transport's (a peer joined, so :meth:`run` re-planned).  Warm path:
-        ship the delta, rule edits included, and run the phase — as a
-        delta-driven incremental update when the pool is primed (previous
-        update converged) and the delta only moves rows (:attr:`Change.rows_only
-        <repro.coordination.changeset.Change.rows_only>`), naively otherwise.
-        Any failure drops the pool, so the next run (or fault-budgeted
-        re-run) starts cold.
+        since the last run, the pool runs another plan than the transport's
+        (a peer joined, so :meth:`run` re-planned), or what changed since
+        the previous run is not known (``change`` is None).  Warm path: hand
+        the workers the change, rule edits included, and run the phase.
         """
         tracer = tracer_of(system)
-        mode: str | None = None
-        try:
-            if self._pool is not None and not (
-                self._pool.alive
-                # An auto-spawned host's exit status is known before its
-                # closed socket reaches the link.
-                and (self._cluster is None or self._cluster.alive)
-            ):
-                _log.warning("warm pool died; respawning cold")
-                self._close_pool()
-            if self._pool is not None and self._pool.plan is not transport.plan:
-                _log.debug("a peer joined the network; pool restarts re-planned")
-                self._close_pool()
-            delta = None
-            if self._pool is not None:
-                with tracer.span("sync") as sync_span:
-                    delta = self._pool.sync(system)
-                    sync_span.set(empty=delta.empty)
-                eligible = self.incremental and self._primed and delta.rows_only
-                if phase == "update" and eligible:
-                    # Coordinator-side gate only: each worker re-checks
-                    # against the deltas it actually accumulated (a sync may
-                    # have been shipped before a discovery run) and falls
-                    # back to naive on its own if they disagree.
-                    mode = "incremental"
-            else:
-                _log.debug(
-                    "spawning %s pool (%d shards)", self.kind, transport.shard_count
-                )
-                with tracer.span("ship", shards=transport.shard_count):
-                    self._pool = self._spawn_pool(system, transport)
-                injector_of(system).fire("ship", self._pool)
-            payloads = self._pool.run_phase(
-                phase, origins, change=delta, tracer=tracer, mode=mode
-            )
-        except BaseException:
+        if self._pool is not None and not (
+            self._pool.alive
+            # An auto-spawned host's exit status is known before its
+            # closed socket reaches the link.
+            and (self._cluster is None or self._cluster.alive)
+        ):
+            _log.warning("warm pool died; respawning cold")
             self._close_pool()
-            raise
+        if self._pool is not None and self._pool.plan is not transport.plan:
+            _log.debug("a peer joined the network; pool restarts re-planned")
+            self._close_pool()
+        if self._pool is not None and change is not None:
+            with tracer.span("sync") as sync_span:
+                sync_span.set(empty=change.empty)
+                # A sync-phase kill lands here: the dead worker is detected
+                # by the ``start`` below, never by a wedged barrier.
+                injector_of(system).fire("sync", self._pool)
+        else:
+            self._close_pool()  # none, or one that cannot be told what changed
+            _log.debug("spawning %s pool (%d shards)", self.kind, transport.shard_count)
+            with tracer.span("ship", shards=transport.shard_count):
+                self._pool = self._spawn_pool(system, transport)
+            injector_of(system).fire("ship", self._pool)
+            change = None  # the worlds carry the live state
+        payloads = self._pool.run_phase(
+            phase, origins, change=change, tracer=tracer, incremental=incremental
+        )
         if not self.warm:
             self._close_pool()
-        elif phase == "update":
-            self._primed = True
         return payloads
 
     def _spawn_pool(self, system: P2PSystem, transport: ProcessTransport) -> ShardPool:

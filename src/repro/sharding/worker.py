@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
-from repro.api.engine import start_phase
+from repro.api.engine import start_run
 from repro.coordination.changeset import Change, RelationMarks
 from repro.coordination.rule import CoordinationRule, NodeId
 from repro.errors import NetworkError
@@ -242,9 +242,11 @@ class ShardWorker:
     passes each command that arrives to :meth:`handle` and calls
     :meth:`step` while the machine is :attr:`busy`; both return the
     ``("to", shard, command)`` frames to send on.  ``("start", run, phase,
-    origins, mode, change)`` applies the coordinator's
-    :class:`~repro.coordination.changeset.Change` for this shard (``None``
-    when nothing changed) and kicks the phase off at the owned origins;
+    origins, incremental, change)`` applies this shard's slice of the
+    coordinator's :class:`~repro.coordination.changeset.Change` (``None``
+    when nothing changed) and kicks the phase off at the owned origins —
+    on the delta path when :func:`~repro.api.engine.start_run`, handed the
+    whole change, says so;
     ``("msg", run, deliver_at, message)`` is a cross-shard delivery, held
     until its run's ``start`` if it overtook it
     (:meth:`_WorkerTransport.receive_cross`).  ``stop`` ends the driver, not
@@ -259,14 +261,11 @@ class ShardWorker:
     previous report (:meth:`ShardWorker._report`) — and None otherwise.  One ``chase``
     span covers each busy period.
 
-    Every change is also folded into a pending
-    :class:`~repro.coordination.changeset.Change` that an update ``start``
-    consumes: if the coordinator asked for ``mode="incremental"`` *and* the
-    pending change is ``rows_only``, the owned nodes it moved rows at seed
-    their delta frontier instead of re-opening for naive pull rounds.  The
-    worker-side check is authoritative — a coordinator that over-asks still
-    gets a correct naive run.  After applying a change the machine re-marks
-    the relations it touched (:meth:`_remark`).
+    The machine's system keeps the delta path's state (the pending change
+    and whether the last update started everywhere), so a change that
+    arrived with a discovery ``start`` still reaches the next update, and a
+    freshly built worker runs its first update naive.  After applying a
+    change the machine re-marks the relations it touched (:meth:`_remark`).
     """
 
     def __init__(self, world: ShardWorld):
@@ -310,7 +309,6 @@ class ShardWorker:
             chase = transport.stats.chase_handles()
             for node in system.nodes.values():
                 node.database.profile = chase
-        self._pending = Change()
         self._chase_span = None
         self._chase_mark = 0
         #: Set by a ``start`` or a ``msg``: the machine owes an idle report.
@@ -328,29 +326,23 @@ class ShardWorker:
             if transport.receive_cross(*item[1:]):
                 self._report_due = True
         elif kind == "start":
-            _kind, run, phase, origins, mode, change = item
+            _kind, run, phase, origins, incremental, change = item
             system = self.system
             transport.start_run(run)
-            if change is not None:
+            change = Change() if change is None else change
+            mine = change.only(self.world.owned)
+            if not mine.empty:
                 with self.tracer.span("sync", shard=self.world.shard_index):
-                    change.apply(system)
-                    self._pending = self._pending.union(change)
-                    self._remark(change)
+                    mine.apply(system)
+                    self._remark(mine)
             # The origins this shard starts, in order; None means every peer.
-            started = self.world.owned
+            nodes = self.world.owned
             if origins is not None:
-                owned = set(started)
-                started = tuple(origin for origin in origins if origin in owned)
-            if phase == "update":
-                changes, self._pending = self._pending, Change()
-                if mode == "incremental" and changes.rows_only:
-                    started = system.seed_update_delta(changes, nodes=started)
-                else:
-                    start_phase(system, phase, started)
-            else:
-                # Discovery runs neither consume nor stale the pending
-                # delta; it still belongs to the next update start.
-                start_phase(system, phase, started)
+                owned = set(nodes)
+                nodes = tuple(origin for origin in origins if origin in owned)
+            started = start_run(
+                system, phase, origins, change, incremental=incremental, nodes=nodes
+            )
             transport.ran.update(started)
             self._report_due = True
         else:

@@ -5,9 +5,10 @@ Three guarantees are pinned here (the model is documented in
 
 * **Parity** — a warm repeat whose only change is rows inserted or removed
   produces final per-node databases *bit-identical* (labelled nulls
-  included) to a naive re-run, on every engine.  The warm pooled engines
-  take the delta-driven path for that repeat; the one-shot engines re-run
-  naively; all must land on the same fix-point as the synchronous reference
+  included) to a naive re-run, on every engine.  ``sync`` and the warm
+  pooled engines take the delta-driven path for that repeat; the one-shot
+  engines re-run naively; all must land on the same fix-point as the
+  synchronous reference pinned naive (``Session.incremental = False``)
   executing the same sequence.  A ``clear`` still takes the naive path.
 * **The delta path actually runs** — the ``repro_incremental_*`` counters
   are non-zero exactly when a warm eligible repeat happened, and zero on
@@ -24,7 +25,9 @@ from repro.coordination.rule import rule_from_text
 from repro.core.fixpoint import ground_part
 from repro.database.nulls import is_null
 from repro.database.schema import DatabaseSchema, RelationSchema
+from repro.experiments.serving import feeding_site
 from repro.network.latency import UniformLatency
+from repro.sharding.planner import ShardPlan
 from repro.sharding.sockets import LocalHostCluster
 from repro.workloads.scenarios import (
     paper_example_data,
@@ -34,10 +37,11 @@ from repro.workloads.scenarios import (
 from repro.workloads.topologies import layered_topology, tree_topology
 from test_warm_bounds import spied_warm_insert
 
-#: Engine configurations compared against the synchronous reference.  The
-#: pooled engines keep worker processes warm across the two updates (the
-#: incremental path); the rest re-run naively and double as the control.
-#: "sync-seeded" is the simulator under another legal delivery order.
+#: Engine configurations compared against the synchronous reference.
+#: ``sync`` and the pooled engines keep their state across the two updates
+#: (the incremental path); the one-shot engines re-run naively and double
+#: as the control.  "sync-seeded" is the simulator under another legal
+#: delivery order.
 ENGINES = ["sync", "sync-seeded", "multiproc", "pooled", "socket-pooled"]
 
 
@@ -101,9 +105,10 @@ def _insert_feeding_row(system, tag="delta"):
     return exporter, atom.relation, row
 
 
-def _converge_insert_converge(spec: ScenarioSpec):
+def _converge_insert_converge(spec: ScenarioSpec, *, incremental=True):
     """Run update, insert one row, run update again; return the session."""
     session = Session.from_spec(spec)
+    session.incremental = incremental
     session.run("discovery")
     session.update()
     _insert_one_row(session.system)
@@ -119,21 +124,22 @@ class TestIncrementalParity:
         # The Section 2 example is cyclic and invents labelled nulls, so this
         # asserts the strongest form of parity: the *complete* databases —
         # nulls included — are identical, not just the ground part.  On the
-        # pooled engines the second update takes the delta-driven path; on
-        # the others it is a naive re-run of the same logical sequence.
+        # warm engines the second update takes the delta-driven path; on
+        # the one-shot ones it is a naive re-run of the same logical
+        # sequence, and so is the pinned reference's.
         spec = ScenarioSpec.of(
             paper_example_schemas(),
             paper_example_rules(),
             paper_example_data(),
             super_peer="A",
         )
-        reference = _converge_insert_converge(spec)
+        reference = _converge_insert_converge(spec, incremental=False)
         with _converge_insert_converge(
             _spec_for(engine, spec, cluster)
         ) as session:
             assert session.databases() == reference.databases()
 
-    @pytest.mark.parametrize("engine", ["pooled", "socket-pooled"])
+    @pytest.mark.parametrize("engine", ["sync", "pooled", "socket-pooled"])
     def test_delta_and_naive_paths_agree_on_one_warm_engine(
         self, engine, cluster
     ):
@@ -145,12 +151,7 @@ class TestIncrementalParity:
             tree_topology(2, 2), records_per_node=3, seed=5
         )
         engine_spec = _spec_for(engine, spec, cluster)
-        with Session.from_spec(engine_spec) as naive:
-            naive.engine.incremental = False
-            naive.run("discovery")
-            naive.update()
-            _insert_one_row(naive.system)
-            naive.update()
+        with _converge_insert_converge(engine_spec, incremental=False) as naive:
             totals = naive.system.stats.incremental_totals()
             assert all(value == 0 for value in totals.values())
             naive_databases = naive.databases()
@@ -158,6 +159,78 @@ class TestIncrementalParity:
             totals = incremental.system.stats.incremental_totals()
             assert totals["repro_incremental_seed_rows_total"] == 1
             assert incremental.databases() == naive_databases
+
+
+@pytest.mark.parametrize("engine", ["sync", "pooled"])
+def test_a_restricted_update_leaves_the_insert_to_the_next_whole_one(engine, cluster):
+    # An update with origins runs naive and primes nothing, so the whole
+    # update after it re-pulls the network and n03's row reaches the root.
+    # The pooled workers used to spend the insert on the restricted run's
+    # delta path, where n01 is not the row's node: it never left n03.
+    spec = _spec_for(engine, _tree_spec(), cluster)
+    with Session.from_spec(spec) as session:
+        session.run("discovery")
+        session.update()
+        exporter, relation, row = _insert_feeding_row(session.system)
+        assert (exporter, relation) == ("n03", "pub")
+        session.update(origins=["n01"])
+        session.update()
+        reached = {
+            node_id
+            for node_id, relations in session.databases().items()
+            for rows in relations.values()
+            if any(other[0] == row[0] for other in rows)
+        }
+        assert reached == {"n00", "n01", "n03"}
+
+
+@pytest.mark.parametrize("engine", ["sync", "pooled"])
+def test_a_change_handed_to_a_discovery_run_waits_for_the_next_update(
+    engine, cluster
+):
+    # The clear rides the discovery run's change, the insert the update's;
+    # folded together they are not rows-only, so the update runs naive and
+    # derives n00's pub again, as the pinned-naive run does.
+    def play(spec, incremental):
+        with Session.from_spec(spec) as session:
+            session.incremental = incremental
+            session.update()
+            session.system.node("n00").database.relation("pub").clear()
+            session.run("discovery")
+            _insert_feeding_row(session.system)
+            session.update()
+            return session.databases()
+
+    naive = play(_tree_spec(), incremental=False)
+    assert naive["n00"]["pub"]
+    assert play(_spec_for(engine, _tree_spec(), cluster), incremental=True) == naive
+
+
+def test_every_worker_decides_on_the_whole_change():
+    # n03 alone on its shard: a rewritten n03.pub is not rows-only, so the
+    # whole network re-runs naive, although the other shard's own slices
+    # (nothing, then an insert at n00) are.  A leaf starts naive without a
+    # message, so n01 on the other shard must re-pull the new row itself;
+    # the new row used to stay at n03.
+    def play(spec, incremental):
+        with Session.from_spec(spec) as session:
+            session.incremental = incremental
+            if spec.transport == "pooled":
+                shard_of = {node: int(node == "n03") for node in session.system.nodes}
+                session.system.transport.apply_plan(ShardPlan(2, shard_of))
+            session.update()
+            pub = session.system.node("n03").database.relation("pub")
+            rows = [*pub, ("new", "title", "author", "year", "venue")]
+            pub.clear()
+            pub.insert_many(rows)
+            session.run("discovery")
+            session.system.node("n00").database.insert("pub", ("n00-new",) * 5)
+            session.update()
+            return session.databases()
+
+    naive = play(_tree_spec(), incremental=False)
+    assert any(row[0] == "new" for row in naive["n01"]["article"])
+    assert play(_tree_spec().with_(transport="pooled", shards=2), True) == naive
 
 
 def _feeding_rule(system):
@@ -266,8 +339,7 @@ def _play(spec, script, *, incremental=True):
     """Converge, then play ``script``; the databases and the rows the delta
     path seeded after the converging run and after every step."""
     with Session.from_spec(spec) as session:
-        if not incremental:
-            session.engine.incremental = False
+        session.incremental = incremental
         session.update()
         seen = [(session.databases(), 0)]
         for step in script:
@@ -286,16 +358,16 @@ class TestDeleteParity:
     Nothing derived is retracted (``deleteLink`` keeps imported data, paper
     Section 4), so a removal re-fires only the rules whose head lost rows.
     Each case is played on the delta path, on the same engine pinned naive,
-    and on the ``sync`` reference; every database, labelled nulls included,
-    must agree after every step.
+    and on the pinned-naive ``sync`` reference; every database, labelled
+    nulls included, must agree after every step.
     """
 
     @pytest.mark.parametrize("case", sorted(DELETE_CASES))
-    @pytest.mark.parametrize("engine", ["pooled", "socket-pooled"])
+    @pytest.mark.parametrize("engine", ["sync", "pooled", "socket-pooled"])
     def test_the_delta_path_matches_naive_and_sync(self, engine, case, cluster):
         make_spec, script = DELETE_CASES[case]
         spec = make_spec()
-        reference = _play(spec, script())
+        reference = _play(spec, script(), incremental=False)
         engine_spec = _spec_for(engine, spec, cluster)
         naive = _play(engine_spec, script(), incremental=False)
         delta = _play(engine_spec, script())
@@ -381,6 +453,28 @@ class TestIncrementalWork:
                 visits[len(session.system.nodes)] = counts["visits"]
         # The coordinator's bookkeeping does not grow with the network.
         assert visits[511] == visits[63]
+
+    def test_a_warm_sync_insert_extends_the_fix_point(self):
+        # The warm_pooled benchmark network on the simulator: a one-row
+        # insert seeds one row and sends a handful of messages (the naive
+        # re-run sent 317), and a run with nothing to do sends none (304).
+        spec = ScenarioSpec.from_topology(
+            tree_topology(5, 2), records_per_node=10, seed=0
+        )
+        with Session.from_spec(spec) as session:
+            session.run("update")
+            converged = session.snapshot_stats().total_messages
+            node, relation_name, arity = feeding_site(spec)
+            session.system.node(node).database.relation(relation_name).insert(
+                tuple(f"warm-{column}" for column in range(arity))
+            )
+            session.run("update")
+            inserted = session.snapshot_stats().total_messages
+            assert inserted - converged <= 3
+            totals = session.system.stats.incremental_totals()
+            assert totals["repro_incremental_seed_rows_total"] == 1
+            session.run("update")
+            assert session.snapshot_stats().total_messages == inserted
 
     def test_warm_noop_repeat_is_message_free(self):
         spec = ScenarioSpec.from_topology(

@@ -90,12 +90,6 @@ class TestSystemAssembly:
     def test_super_peer_defaults_to_smallest_id(self, chain_system):
         assert chain_system.super_peer == "a"
 
-    def test_super_peer_setter_validates(self, chain_system):
-        chain_system.super_peer = "b"
-        assert chain_system.super_peer == "b"
-        with pytest.raises(ReproError):
-            chain_system.super_peer = "zzz"
-
     def test_unknown_node_lookup(self, chain_system):
         with pytest.raises(ReproError):
             chain_system.node("zzz")

@@ -1,22 +1,24 @@
 """A relation reports its own writes: nothing written between runs is missed.
 
-The warm pools' syncs, the workers' collects and a run's deltas read only
-the relations the system's touched set names (``docs/incremental.md``).  The
-report sits in ``Relation``'s mutators and in ``LocalDatabase``, so a write
-made behind the session's back — a direct ``insert``, ``delete`` or
-``clear``, a relation created by a :class:`Change` — still ships on the next
-sync, and none of it shows in the next run's ``deltas``, which are what the
-*run* wrote.  The same script runs on ``sync`` (no boundary to cross) and on
-the warm ``pooled`` and ``socket-pooled`` engines.
+What a session hands its engine at a run's start, the workers' reports and
+a run's deltas read only the relations the system's touched set names
+(``docs/incremental.md``).  The report sits in ``Relation``'s mutators and
+in ``LocalDatabase``, so a write made behind the session's back — a direct
+``insert``, ``delete`` or ``clear``, a relation created by a
+:class:`Change` — is in the change the next run is handed, and none of it
+shows in that run's ``deltas``, which are what the *run* wrote.  The same
+script runs on ``sync`` and on the warm ``pooled`` and ``socket-pooled``
+engines, and each engine is handed the same change.
 """
 
 import pytest
 
 from repro.api import ScenarioSpec, Session
+from repro.api.engine import SyncEngine
 from repro.coordination.changeset import Change
 from repro.coordination.rule import rule_from_text
 from repro.database.schema import RelationSchema
-from repro.sharding.pool import ShardPool
+from repro.sharding.process import ProcessEngine
 from repro.sharding.sockets import LocalHostCluster
 from repro.workloads.topologies import tree_topology
 
@@ -31,14 +33,19 @@ def cluster():
 
 @pytest.fixture
 def shipped(monkeypatch):
-    """Every change a warm pool's ``sync`` ships, in order."""
-    changes, sync = [], ShardPool.sync
+    """Every change a session hands its engine, in order (a first run is
+    handed None: nothing to compare with)."""
+    changes = []
+    for engine in (SyncEngine, ProcessEngine):
 
-    def recording_sync(pool, system):
-        changes.append(sync(pool, system))
-        return changes[-1]
+        def recording_run(
+            self, system, phase, origins, change, *, run=engine.run, **pin
+        ):
+            if change is not None:
+                changes.append(change)
+            return run(self, system, phase, origins, change, **pin)
 
-    monkeypatch.setattr(ShardPool, "sync", recording_sync)
+        monkeypatch.setattr(engine, "run", recording_run)
     return changes
 
 
@@ -101,9 +108,6 @@ def test_a_direct_write_ships_and_is_not_the_runs_delta(
         expected_b = {"insert": {("1", "2"), ("3", "4")}}.get(write, set())
         assert session.databases()["b"]["item"] == expected_b
         assert ("1", "2") in session.databases()["a"]["item"]
-        if engine == "sync":
-            assert not shipped
-            return
         [change] = shipped
         assert {
             "insert": change.inserts,
@@ -134,11 +138,10 @@ def test_a_relation_created_by_a_change_brings_its_schema(engine, cluster, shipp
         assert ("v", "v") in session.databases()["b"]["item"]
         assert ("v", "v") in session.databases()["a"]["item"]
         assert "c" not in written(result.deltas)
-        if engine != "sync":
-            [change] = shipped
-            assert change.relations == {"c": (extra,)}
-            assert change.replaces == {"c": {"extra": (("v",),)}}
-            assert [rule.rule_id for rule in change.add_rules] == ["r2"]
+        [change] = shipped
+        assert change.relations == {"c": (extra,)}
+        assert change.replaces == {"c": {"extra": (("v",),)}}
+        assert [rule.rule_id for rule in change.add_rules] == ["r2"]
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -152,11 +155,10 @@ def test_a_relation_written_synced_and_written_again_ships_each_write_once(
         item.insert(("5", "6"))
         result = session.run("update")
         assert written(result.deltas) == {"a": {"item": {("3", "4"), ("5", "6")}}}
-        if engine != "sync":
-            assert [change.inserts for change in shipped] == [
-                {"b": {"item": (("3", "4"),)}},
-                {"b": {"item": (("5", "6"),)}},
-            ]
+        assert [change.inserts for change in shipped] == [
+            {"b": {"item": (("3", "4"),)}},
+            {"b": {"item": (("5", "6"),)}},
+        ]
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -172,10 +174,9 @@ def test_added_and_removed_rules_reach_the_workers(engine, cluster, shipped):
         source.insert(("9", "10"))
         session.run("update")
         assert ("10", "9") not in session.databases()["a"]["item"]
-        if engine != "sync":
-            assert [rule.rule_id for rule in shipped[0].add_rules] == ["r2"]
-            assert shipped[1].remove_rules == ("r2",)
-            assert not (shipped[0].remove_rules or shipped[1].add_rules)
+        assert [rule.rule_id for rule in shipped[0].add_rules] == ["r2"]
+        assert shipped[1].remove_rules == ("r2",)
+        assert not (shipped[0].remove_rules or shipped[1].add_rules)
 
 
 def protocol_states(session):
@@ -205,3 +206,22 @@ def test_the_protocol_state_of_every_peer_that_ran_comes_home(engine, cluster):
         sync, pooled = states
         assert sync[pick(sync)][0]  # the origin closed
         assert pooled == sync
+
+
+@pytest.mark.parametrize("engine", ["pooled", "socket-pooled"])
+def test_restricted_updates_close_the_same_peers_as_sync(engine, cluster):
+    # A restricted update runs naive everywhere and leaves nothing to
+    # extend, so the root's update after a leaf's re-pulls the whole tree
+    # on every engine: 15 peers closed on both (on pooled the root's run
+    # used to take the delta path, seeded nothing and closed 1).
+    spec = ScenarioSpec.from_topology(tree_topology(3, 2), records_per_node=2, seed=0)
+    states = []
+    for built in (spec, spec.with_(**engine_settings(engine, cluster))):
+        with Session.from_spec(built) as session:
+            session.run("discovery")
+            session.run("update", origins=[max(session.system.nodes)])
+            session.run("update", origins=[min(session.system.nodes)])
+            states.append((protocol_states(session), session.databases()))
+    (sync, sync_databases), (pooled, pooled_databases) = states
+    assert sum(closed for closed, _edges, _paths in sync.values()) == 15
+    assert pooled == sync and pooled_databases == sync_databases

@@ -25,6 +25,11 @@ from repro.api import ScenarioSpec, Session
 from repro.core.fixpoint import ground_part
 from repro.network.latency import UniformLatency
 from repro.obs.export import trace_to_chrome, validate_chrome_trace
+from repro.workloads.scenarios import (
+    paper_example_data,
+    paper_example_rules,
+    paper_example_schemas,
+)
 from repro.workloads.topologies import tree_topology
 
 #: Engine label → spec transform.  Small topology: three of these spawn real
@@ -236,12 +241,37 @@ class TestOneMetricsStore:
 
 def test_a_sync_chase_span_counts_the_deliveries_of_its_own_run():
     # The simulator's delivered count lives as long as the session; each
-    # run's chase span must carry only that run's share of it.
+    # run's chase span must carry only that run's share of it: the first
+    # update's, a one-row insert's delta run, and a run with nothing to do.
     delivered = []
     with Session.from_spec(base_spec(), trace=True) as session:
         session.run("discovery")
-        for _update in range(3):
+        for update in range(3):
+            if update == 1:
+                row = ("k", "title", "author", "year", "venue")
+                session.system.node("n03").database.insert("pub", row)
             spans = session.update().extras["trace"]["spans"]
             (chase,) = [span for span in spans if span["name"] == "chase"]
             delivered.append(chase["attributes"]["delivered"])
-    assert delivered == [62, 26, 26]
+    assert delivered == [62, 3, 0]
+
+
+def test_the_run_span_counts_the_messages_of_its_own_run():
+    # The paper example as examples/paper_example.py runs it: the update's
+    # span reads its own 136 messages, not the session's 166.
+    spec = ScenarioSpec.of(
+        paper_example_schemas(),
+        paper_example_rules(),
+        paper_example_data(),
+        super_peer="A",
+        propagation="per_path",
+    )
+    with Session.from_spec(spec, trace=True) as session:
+        counts = [
+            span["attributes"]["messages"]
+            for phase in ("discovery", "update")
+            for span in session.run(phase).extras["trace"]["spans"]
+            if span["name"] == "run"
+        ]
+        assert counts == [30, 136]
+        assert session.snapshot_stats().total_messages == 166

@@ -39,23 +39,28 @@ from repro.workloads.topologies import tree_topology
 INSERTS = 200
 
 
+def seeded_rows(session):
+    """The rows the session's delta-path runs seeded so far."""
+    totals = session.system.stats.incremental_totals()
+    return totals["repro_incremental_seed_rows_total"]
+
+
 class Boundary:
     """Records what crosses a warm pool's boundary, run by run: the change
-    each ``sync`` read, the payloads of each run's reports, and the kinds of
-    the items each run put on the channels and took off the results queue."""
+    each run shipped out, the payloads of each run's reports, and the kinds
+    of the items each run put on the channels and took off the results
+    queue."""
 
-    def __init__(self, pool):
-        self.deltas, self.modes, self.payloads, self.items = [], [], [], []
-        sync, run_phase, next_reply = pool.sync, pool.run_phase, pool._next_reply
+    def __init__(self, session):
+        self.session, pool = session, session.engine.pool
+        self.deltas, self.payloads, self.items = [], [], []
+        run_phase, next_reply = pool.run_phase, pool._next_reply
 
-        def recording_sync(system):
-            self.deltas.append(sync(system))
-            return self.deltas[-1]
-
-        def recording_run_phase(*args, mode=None, **kwargs):
+        def recording_run_phase(*args, change=None, **kwargs):
             self.items.append(Counter())
-            self.modes.append(mode)
-            self.payloads.append(run_phase(*args, mode=mode, **kwargs))
+            self.deltas.append(change)
+            self.seeded_before = seeded_rows(session)
+            self.payloads.append(run_phase(*args, change=change, **kwargs))
             return self.payloads[-1]
 
         def recording_next_reply(*args):
@@ -66,8 +71,7 @@ class Boundary:
 
         for channel in pool._channels:
             self._record_puts(channel)
-        pool.sync, pool.run_phase = recording_sync, recording_run_phase
-        pool._next_reply = recording_next_reply
+        pool.run_phase, pool._next_reply = recording_run_phase, recording_next_reply
 
     def _record_puts(self, channel):
         put = channel.put
@@ -78,6 +82,12 @@ class Boundary:
             put(command)
 
         channel.put = recording_put
+
+    @property
+    def delta_path(self):
+        """Whether the last run seeded the delta path (a naive one seeds
+        nothing)."""
+        return seeded_rows(self.session) > self.seeded_before
 
     @property
     def shipped_home(self):
@@ -106,7 +116,7 @@ def warm():
     ).with_(transport="pooled", shards=2)
     with Session.from_spec(spec) as session:
         session.run("update")  # the priming run: spawn, cold, converge
-        yield session, Boundary(session.engine.pool)
+        yield session, Boundary(session)
 
 
 def test_a_warm_insert_moves_rows_not_the_world(warm):
@@ -128,7 +138,7 @@ def test_a_warm_insert_moves_rows_not_the_world(warm):
     for number in range(INSERTS):
         site.insert(tuple(f"w{number:04d}-{column}" for column in range(arity)))
         result = session.run("update")
-        assert boundary.modes[-1] == "incremental"
+        assert boundary.delta_path
         delta = boundary.deltas[-1]
         assert delta.insert_only
         assert [len(rows) for rows in delta.inserts[node].values()] == [1]
@@ -165,7 +175,7 @@ def test_a_warm_delete_moves_the_removed_row_not_the_relation(warm):
     site = system.node(node).database.relation(relation_name)
     site.insert(tuple(f"probe-{column}" for column in range(arity)))
     insert_messages = messages_of(session, lambda: session.run("update"))
-    assert boundary.modes[-1] == "incremental" and insert_messages > 0
+    assert boundary.delta_path and insert_messages > 0
 
     # The base rows the insert test added: nothing derives them again.
     victims = [row for row in site if row[0].startswith("w0")]
@@ -174,7 +184,7 @@ def test_a_warm_delete_moves_the_removed_row_not_the_relation(warm):
     for victim in victims:
         site.delete(victim)
         messages = messages_of(session, lambda: session.run("update"))
-        assert boundary.modes[-1] == "incremental"  # no naive re-run
+        assert boundary.delta_path  # no naive re-run
         delta = boundary.deltas[-1]
         assert delta.removes == {node: {relation_name: (victim,)}}
         assert not (delta.inserts or delta.replaces or delta.relations)
@@ -186,13 +196,11 @@ def test_a_warm_delete_moves_the_removed_row_not_the_relation(warm):
         sizes.append(boundary.payload_bytes)
     # Flat in world size: the last delete ships what the first did.
     assert sizes[-1] == sizes[0] <= 8 * 1024
-    assert session.system.stats.incremental_totals()[
-        "repro_incremental_seed_rows_total"
-    ] >= INSERTS
+    assert seeded_rows(session) >= INSERTS
     # ... and an insert after them is still a delta.
     site.insert(victims[0])
     session.run("update")
-    assert boundary.modes[-1] == "incremental"
+    assert boundary.delta_path
     assert boundary.deltas[-1].inserts == {node: {relation_name: (victims[0],)}}
 
 
@@ -204,7 +212,7 @@ def test_a_warm_insert_is_one_start_out_and_one_report_home_per_shard(warm):
     for number in range(INSERTS // 4):
         site.insert(tuple(f"q{number:04d}-{column}" for column in range(arity)))
         inserted = session.run("update")
-        assert boundary.modes[-1] == "incremental"
+        assert boundary.delta_path
         assert inserted.tuples_added > 0
         assert boundary.items[-1] == {"start": shards, "report": shards}
         unchanged = session.run("update")
@@ -252,7 +260,7 @@ def test_payloads_larger_than_a_pipe_buffer_cross_both_ways():
     }
     with Session.from_spec(spec.with_(transport="pooled", shards=2)) as session:
         session.run("update")
-        boundary = Boundary(session.engine.pool)
+        boundary = Boundary(session)
         sizes = Counter()
         for channel in session.engine.pool._channels:
             put = channel.put
@@ -366,9 +374,9 @@ def test_a_warm_insert_visits_what_it_touched_not_the_network(warm_trees, monkey
     small, large = (
         spied_warm_insert(warm_trees[depth], monkeypatch, "gate") for depth in (3, 5)
     )
-    # Relations: flat in network size, at most four visits per relation
-    # written (run start, sync, merge, the run's deltas).
-    assert small["visits"] == large["visits"] <= 4 * large["touched"]
+    # Relations: flat in network size, two visits per relation written
+    # (the session's reads at the run's start and for the run's deltas).
+    assert small["visits"] == large["visits"] == 2 * large["touched"]
     for counts in (small, large):
         # Statistics: one NodeStats per node whose counters moved, no more.
         assert counts["moved"] and counts["assembled"] == len(counts["moved"])

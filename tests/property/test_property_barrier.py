@@ -106,13 +106,13 @@ def test_the_barrier_certifies_exactly_when_the_workers_terminated(network, data
         peer, row = insert
         change = Change(inserts={peer: {"item": (row,)}})
         runs = [
-            ("discovery", None, None, None),
-            ("update", None, None, converged),
-            ("update", change, "incremental", inserted),
+            ("discovery", None, None),
+            ("update", None, converged),
+            ("update", change, inserted),  # the delta path
         ]
-        for phase, change, mode, expected in runs:
+        for phase, change, expected in runs:
             before = sum(w.transport.delivered_count for w in driver.workers)
-            payloads = pool.run_phase(phase, None, change=change, mode=mode)
+            payloads = pool.run_phase(phase, None, change=change)
             assert driver.quiet(), "certified with work left somewhere"
             for worker in driver.workers:
                 assert worker.transport.run_id == pool._run, "certified before a start"
@@ -120,3 +120,10 @@ def test_the_barrier_certifies_exactly_when_the_workers_terminated(network, data
             assert sum(p["delivered"] for p in payloads) == delivered - before
             if expected is not None:
                 assert ground_part(shard_facts(driver)) == expected
+            seeded = sum(
+                value
+                for payload in payloads
+                for name, _labels, value in payload["counters"]["counters"]
+                if name == "repro_incremental_seed_rows_total"
+            )
+            assert seeded == (change is not None)

@@ -1,31 +1,33 @@
-"""Stateful test: a warm pooled session never drifts from a cold replay.
+"""Stateful test: a warm session never drifts from a naive replay.
 
-The coordinator and its workers exchange cursors' worth of rows — what each
-side appended or deleted since the other last saw the relation — and fall
-back to whole relations when a mark does not validate.  Whatever the script
-does between two runs (inserts anywhere, deletes, rows deleted and put back
-or inserted and deleted again, clears, rewritten, swapped and added
-relations, ``addLink`` / ``deleteLink``, discovery runs), two things must
-hold:
+The session hands its engine what changed since the previous run — cursors'
+worth of rows, what each relation appended or deleted since the session
+last read it, and whole relations where a mark does not validate — and the
+engine decides whether the next update can extend the last fix-point.
+Whatever the script does between two runs (inserts anywhere, deletes, rows
+deleted and put back or inserted and deleted again, clears, rewritten,
+swapped and added relations, ``addLink`` / ``deleteLink``, discovery runs,
+updates from one origin), on a warm ``sync`` or ``pooled`` session two
+things must hold:
 
-* after every update the coordinator's ground databases equal those of a
-  *fresh* ``sync`` session that replays the same script on the same spec —
-  an oracle that never crosses the process boundary;
-* every :class:`~repro.coordination.changeset.Change` the pool ships is what
-  the former set-difference sync (``tests/sync_oracle.py``) computes from a
-  full copy of the world.
+* after every step its ground databases equal those of a ``sync`` session
+  pinned naive (``Session.incremental = False``) that plays the same script
+  on the same spec — an oracle that never takes the delta path nor crosses
+  the process boundary;
+* every :class:`~repro.coordination.changeset.Change` the engine is handed
+  is what the former set-difference sync (``tests/sync_oracle.py``) computes
+  from a full copy of the world.
 """
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
 from repro.api.session import Session
 from repro.api.spec import ScenarioSpec
 from repro.coordination.rule import rule_from_text
 from repro.core.fixpoint import ground_part
 from repro.database.schema import RelationSchema
-from repro.sharding.pool import ShardPool
 from repro.workloads.topologies import clique_topology, tree_topology
 from sync_oracle import (
     assert_ships_what_the_oracle_ships,
@@ -55,7 +57,8 @@ def apply(session, step):
     """Play one script step on ``session``; True if it rewrote a relation."""
     kind, *arguments = step
     if kind == "run":
-        session.run(*arguments)
+        phase, origins = arguments
+        session.run(phase, origins=origins)
     elif kind == "add_link":
         (rule_id,) = arguments
         if rule_id not in {rule.rule_id for rule in session.system.registry}:
@@ -113,36 +116,41 @@ class WarmSyncMachine(RuleBasedStateMachine):
         spec = ScenarioSpec.from_topology(self.topology(), records_per_node=2, seed=0)
         return spec.with_(**settings) if settings else spec
 
-    def __init__(self):
-        super().__init__()
-        self.session = Session.from_spec(self.spec(transport="pooled", shards=2))
-        self.script = []
-        #: The set-difference oracle's copy of what the workers hold, and the
-        #: relations cleared since it was taken.
+    @initialize(engine=st.sampled_from(["sync", "pooled"]))
+    def open(self, engine):
+        settings = {"transport": "pooled", "shards": 2} if engine == "pooled" else {}
+        self.session = Session.from_spec(self.spec(**settings))
+        self.reference = Session.from_spec(self.spec())
+        self.reference.incremental = False
+        #: The set-difference oracle's copy of what the session last read,
+        #: and the relations cleared since it was taken.
         self.known = snapshot_of(self.session.system)
         self.rewritten = set()
-        machine, self._sync = self, ShardPool.sync
+        machine, run = self, self.session.engine.run
 
-        def checked_sync(pool, system):
-            oracle = set_difference_delta(system, *machine.known)
-            delta = machine._sync(pool, system)
-            assert_ships_what_the_oracle_ships(
-                system, delta, oracle, machine.known[1], machine.rewritten
-            )
-            return delta
+        def checked_run(system, phase, origins=None, change=None, **pin):
+            if change is not None:  # None: a first run, nothing to compare
+                oracle = set_difference_delta(system, *machine.known)
+                assert_ships_what_the_oracle_ships(
+                    system, change, oracle, machine.known[1], machine.rewritten
+                )
+            return run(system, phase, origins, change, **pin)
 
-        ShardPool.sync = checked_sync
+        self.session.engine.run = checked_run
 
     def teardown(self):
         try:
             self.update()
         finally:
-            ShardPool.sync = self._sync
             self.session.close()
 
     def play(self, *step):
-        self.script.append(step)
-        return apply(self.session, step)
+        rewrote = apply(self.session, step)
+        apply(self.reference, step)
+        assert ground_part(self.session.databases()) == ground_part(
+            self.reference.databases()
+        )
+        return rewrote
 
     def change(self, kind, node_pick, relation_pick, payload):
         node_id, relation = pick_relation(self.session, node_pick, relation_pick)
@@ -189,9 +197,9 @@ class WarmSyncMachine(RuleBasedStateMachine):
     def delete_link(self, pick):
         self.play("delete_link", pick)
 
-    def run_phase(self, phase):
-        self.play("run", phase)
-        # Coordinator and workers agree again: the oracle takes a new copy.
+    def run_phase(self, phase, origins=None):
+        self.play("run", phase, origins)
+        # The session read everything: the oracle takes a new copy.
         self.known = snapshot_of(self.session.system)
         self.rewritten.clear()
 
@@ -202,11 +210,11 @@ class WarmSyncMachine(RuleBasedStateMachine):
     @rule()
     def update(self):
         self.run_phase("update")
-        with Session.from_spec(self.spec()) as fresh:
-            for step in self.script:
-                apply(fresh, step)
-            expected = ground_part(fresh.databases())
-        assert ground_part(self.session.databases()) == expected
+
+    @rule(node=picks)
+    def update_from_one_origin(self, node):
+        nodes = sorted(self.session.system.nodes)
+        self.run_phase("update", (nodes[node % len(nodes)],))
 
 
 class WarmSyncCliqueMachine(WarmSyncMachine):

@@ -4,18 +4,35 @@ Until the coordinator↔worker boundary moved to cursors, the pool held a
 frozenset copy of every relation its workers had and found what to re-ship
 by set difference against the live system.  That is O(world) per run, which
 is why production no longer does it — and exactly what makes it a good
-oracle: it shares no code with the marks it checks
-(:class:`repro.sharding.pool.WorldMirror`, :meth:`Change.read`).
+oracle: it shares no code with what it checks, the change a
+:class:`~repro.api.session.Session` reads at a run's start and hands its
+engine (:meth:`Change.read` over the session's marks, plus the rule edits).
 
 ``snapshot_of`` takes the copy, ``set_difference_delta`` diffs against it,
 and ``assert_ships_what_the_oracle_ships`` states how the two may differ: a
 relation that was cleared or swapped since the copy was taken is rewritten
 whole by the marks, even where the set difference comes out smaller (the rows
 were put back, or had never been shipped).  Rows a ``delete`` took ship as
-exactly the rows the set difference finds gone.
+exactly the rows the set difference finds gone.  ``Recorder`` is an engine
+that runs nothing and keeps the change each run was handed.
 """
 
 from repro.coordination.changeset import Change, rules_fingerprint
+
+
+class Recorder:
+    """An engine that runs nothing: it keeps the change each run is handed
+    and lets ``during(system)`` stand in for what a run writes."""
+
+    name = "recorder"
+
+    def __init__(self, during=lambda system: None):
+        self.changes, self.during = [], during
+
+    def run(self, system, phase, origins=None, change=None, *, incremental=True):
+        self.changes.append(change)
+        self.during(system)
+        return 0.0, system.stats.snapshot()
 
 
 def snapshot_of(system):

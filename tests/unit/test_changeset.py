@@ -4,10 +4,10 @@ Covers the two pieces of :mod:`repro.coordination.changeset`: the
 :class:`Change` record — its eligibility rule for the delta-driven update
 path, the set-wise fold a worker keeps of its pending syncs, the check that
 runs before every apply, the canonical apply order and the served document
-form — and :func:`rules_fingerprint`, which the warm pools'
-:class:`~repro.sharding.pool.WorldMirror` keeps next to marks on the live
-relations.  "Unchanged" is checked against ``snapshot_of(system)``, the
-rules fingerprint plus every node's facts.
+form — and :func:`rules_fingerprint`, which a session compares when the
+rule set moved, next to its marks on the live relations.  "Unchanged" is
+checked against ``snapshot_of(system)``, the rules fingerprint plus every
+node's facts.
 """
 
 import pytest
@@ -17,13 +17,12 @@ from repro.coordination.changeset import Change, rules_fingerprint
 from repro.coordination.rule import rule_from_text
 from repro.database.schema import RelationSchema
 from repro.errors import ChangeError
-from repro.sharding.pool import WorldMirror
 from repro.workloads.scenarios import (
     paper_example_data,
     paper_example_rules,
     paper_example_schemas,
 )
-from sync_oracle import snapshot_of
+from sync_oracle import Recorder, snapshot_of
 
 #: Closes an existential cycle with the paper example's r1 (E.e -> B.b).
 T001_RULE = "x1: B: b(X, Y) -> E: e(Y, Z)"
@@ -224,26 +223,29 @@ class TestDocument:
             Change(replaces={"E": {"e": ()}}).to_json()
 
 
-class TestWorldMirror:
-    def test_world_mirror_follows_the_live_system_without_a_copy_of_it(self):
-        # The mirror keeps marks on the live relations, not their rows: what
-        # it ships after a mutation is exactly what moved the snapshot, and
-        # once shipped the mirror is level with the system again.
-        session = _paper_session()
+class TestSessionReader:
+    def test_the_session_follows_the_live_system_without_a_copy_of_it(self):
+        # The session keeps marks on the live relations, not their rows:
+        # what it hands its engine after a mutation is exactly what moved
+        # the snapshot, and once handed the session is level again.
+        recorder = Recorder()
+        session = Session(_paper_session().system, engine=recorder)
         system = session.system
-        mirror = WorldMirror(system)
-        assert mirror.rules == rules_fingerprint(system.registry)
-        assert mirror.advance(system).empty
+        session.run("update")  # the first run marks every relation
+        session.run("update")
+        assert recorder.changes == [None, Change()]
         before = snapshot_of(system)
         node = sorted(system.nodes)[0]
         relation = next(system.node(node).database.relations())
         row = tuple(f"new{i}" for i in range(relation.schema.arity))
         relation.insert(row)
         assert snapshot_of(system) != before
-        delta = mirror.advance(system)
+        session.run("update")
+        delta = recorder.changes[-1]
         assert delta.inserts == {node: {relation.name: (row,)}}
         assert delta.insert_only
-        assert mirror.advance(system).empty
+        session.run("update")
+        assert recorder.changes[-1].empty
 
     def test_rules_fingerprint_reads_edits_as_remove_plus_add(self):
         rule_a = rule_from_text("r1", "B: item(X, Y) -> A: item(X, Y)")

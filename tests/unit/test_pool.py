@@ -1,10 +1,10 @@
 """Unit coverage of the persistent worker pool: deltas, wiring, lifecycle.
 
-The pure pieces — what :class:`~repro.sharding.pool.WorldMirror` ships
-(checked against the set-difference oracle of ``tests/sync_oracle.py``) and
-the fingerprint — are tested without any processes; the lifecycle tests
-(spawn / crash / recover / close) use the smallest systems that exercise a
-real pool.
+The pure pieces — the change a session hands its engine, which a warm pool
+ships (checked against the set-difference oracle of ``tests/sync_oracle.py``
+through an engine that runs nothing), and the fingerprint — are tested
+without any processes; the lifecycle tests (spawn / crash / recover / close)
+use the smallest systems that exercise a real pool.
 """
 
 import dataclasses
@@ -19,10 +19,10 @@ from repro.coordination.rule import rule_from_text
 from repro.database.schema import RelationSchema
 from repro.errors import NetworkError, ReproError
 from repro.sharding.planner import ShardPlan
-from repro.sharding.pool import WorldMirror
 from repro.workloads.topologies import tree_topology
 from test_pool_bringup import FORK_SERVER_VISIBLE, parent_of
 from sync_oracle import (
+    Recorder,
     assert_ships_what_the_oracle_ships,
     set_difference_delta,
     snapshot_of,
@@ -51,14 +51,19 @@ def _parents_of(pids):
 
 
 def deltas_after(system, mutate, rewritten=()):
-    """Mutate ``system``; return what the marks ship, checked against the oracle."""
-    mirror = WorldMirror(system)
+    """Mutate ``system`` between two runs; return the change the session
+    hands its engine at the second, checked against the oracle."""
+    recorder = Recorder()
+    session = Session(system, engine=recorder)
+    session.run("update")  # the first run marks every relation
     rules, facts = snapshot_of(system)
     mutate()
     oracle = set_difference_delta(system, rules, facts)
-    shipped = mirror.advance(system)
+    session.run("update")
+    shipped = recorder.changes[-1]
     assert_ships_what_the_oracle_ships(system, shipped, oracle, facts, rewritten)
-    assert mirror.advance(system).empty  # the marks moved up with the delta
+    session.run("update")
+    assert recorder.changes[-1].empty  # the marks moved up with the change
     return shipped
 
 
@@ -184,12 +189,15 @@ class TestSyncDelta:
         assert set(shard1.inserts) == {"c"}
         assert shard0.add_rules == shard1.add_rules == delta.add_rules
 
-    def test_marking_after_a_merge_stops_merged_rows_from_shipping_back(self):
-        system = small_system()
-        mirror = WorldMirror(system)
-        system.load_data({"a": {"item": [("1", "2")]}})  # as a merge would
-        mirror.mark(system)
-        assert mirror.advance(system).empty
+    def test_rows_a_run_merged_do_not_ship_back(self):
+        def merge(system):
+            system.load_data({"a": {"item": [("1", "2")]}})  # as a merge would
+
+        recorder = Recorder(merge)
+        session = Session(small_system(), engine=recorder)
+        session.run("update")
+        assert session.run("update").deltas.empty  # merged by the first
+        assert recorder.changes[-1].empty
 
 
 class TestWiring:
@@ -328,7 +336,16 @@ class TestPoolLifecycle:
         with self._pooled_session() as session:
             session.run("update")
             inserted = self._insert_everywhere(session, "ordered", count=5)
-            delta = session.engine.pool.sync(session.system)
+            pool, shipped = session.engine.pool, []
+            run_phase = pool.run_phase
+
+            def recording_run_phase(*args, change=None, **kwargs):
+                shipped.append(change)
+                return run_phase(*args, change=change, **kwargs)
+
+            pool.run_phase = recording_run_phase
+            session.run("update")
+            [delta] = shipped
             assert delta.inserts == inserted
             assert not delta.replaces
 

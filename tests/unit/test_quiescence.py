@@ -148,18 +148,22 @@ def test_a_pre_start_reports_payload_is_still_merged():
     assert [channel.starts[0][1] for channel in pool._channels] == [2, 2]
 
 
-def test_a_start_carries_its_shards_slice_of_the_change_or_none():
+def test_every_start_carries_the_whole_change_or_none():
+    # Each worker applies its own peers' slice but decides the path on the
+    # whole change, so the shards decide alike; nothing changed is None.
     pool = ScriptedPool(
         [
-            [[report(0, 2, [0, 0], 0)]],
-            [[report(1, 2, [0, 0], 0)]],
+            [[report(0, 2, [0, 0], 0)], [report(0, 3, [0, 0], 0)]],
+            [[report(1, 2, [0, 0], 0)], [report(1, 3, [0, 0], 0)]],
         ],
     )
     change = Change(inserts={"n1": {"item": (("a",),)}})
     pool.run_phase("update", None, change=change)
-    first, second = (channel.starts[0][-1] for channel in pool._channels)
-    assert first is None
-    assert second.inserts == change.inserts
+    pool.run_phase("update", None, change=Change())
+    assert [[start[-1] for start in channel.starts] for channel in pool._channels] == [
+        [change, None],
+        [change, None],
+    ]
 
 
 def test_a_worker_that_dies_after_its_report_fails_the_barrier():

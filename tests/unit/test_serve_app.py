@@ -433,25 +433,23 @@ class TestEndpoints:
         run(scenario())
 
     def test_naive_mode_reported_for_removals(self):
+        # A removed row rides the delta path, on the cold tenant's sync
+        # engine too; a cleared relation is rewritten whole, which only a
+        # naive re-run can take, on every engine.
         async def scenario():
             app = await booted_app()
-            await app.handle(
-                request(
-                    "POST",
-                    "/tenants/paper/update",
-                    {"inserts": {"E": {"e": [["n1", "n2"]]}}},
+            rows = {"E": {"e": [["n1", "n2"]]}}
+            modes = []
+            for document in ({"inserts": rows}, {"removes": rows}):
+                response = await app.handle(
+                    request("POST", "/tenants/paper/update", document)
                 )
-            )
-            removed = body(
-                await app.handle(
-                    request(
-                        "POST",
-                        "/tenants/paper/update",
-                        {"removes": {"E": {"e": [["n1", "n2"]]}}},
-                    )
-                )
-            )
-            assert removed["mode"] == "naive"
+                modes.append(body(response)["mode"])
+            system = app.manager.get("paper").session.system
+            system.node("E").database.relation("e").clear()
+            response = await app.handle(request("POST", "/tenants/paper/update", {}))
+            modes.append(body(response)["mode"])
+            assert modes == ["incremental", "incremental", "naive"]
             await app.shutdown()
 
         run(scenario())

@@ -144,7 +144,7 @@ class TestShipCounters:
         assert {peer for _registry, peer in cold} == set(peers)
         for index in range(3):
             change = Change(inserts={"p3": {"item": ((f"new{index}", "y"),)}})
-            payloads = pool.run_phase("update", None, change=change, mode="incremental")
+            payloads = pool.run_phase("update", None, change=change)
             assert sum(p["delivered"] for p in payloads) == 3
             shipped = [
                 counter
