@@ -65,7 +65,6 @@ def start_run(
     origins: Iterable[NodeId] | None,
     change: Change | None,
     *,
-    incremental: bool = True,
     nodes: Iterable[NodeId] | None = None,
 ) -> list[NodeId]:
     """Start ``phase`` on the system holding the data; return the nodes started.
@@ -80,21 +79,24 @@ def start_run(
     * the previous update did too and converged (``system.primed``; a
       failed run unprimes the ``sync`` system, and takes a worker down with
       its pool),
-    * the pending change is :attr:`~repro.coordination.changeset.Change.rows_only`
-    * and the run is not pinned naive (``incremental=False``);
+    * and the pending change is
+      :attr:`~repro.coordination.changeset.Change.rows_only`;
 
     otherwise :func:`start_phase` starts it at ``nodes`` (default
-    ``origins``; a shard worker passes its owned share of them).
+    ``origins``; a shard worker passes its owned share of them).  The
+    decision is left on ``system.mode``, which a result reports.
     """
     if change is None:
         system.primed = False
     elif not change.empty:
         system.pending = system.pending.union(change)
     started = origins if nodes is None else nodes
+    system.mode = "naive"
     if phase != "update":
         return start_phase(system, phase, started)
     pending, system.pending = system.pending, Change()
-    if origins is None and system.primed and pending.rows_only and incremental:
+    if origins is None and system.primed and pending.rows_only:
+        system.mode = "incremental"
         return system.seed_update_delta(pending, nodes=started)
     system.primed = origins is None
     return start_phase(system, phase, started)
@@ -119,14 +121,13 @@ class ExecutionEngine(Protocol):
         phase: str,
         origins: Iterable[NodeId] | None = None,
         change: Change | None = None,
-        *,
-        incremental: bool = True,
     ) -> tuple[float, StatsSnapshot]:
         """Blocking run; returns (simulated completion time, stats snapshot).
 
         ``change`` is what changed in ``system`` since the previous run
-        (None: not known) and ``incremental=False`` pins the run naive; both
-        feed :func:`start_run`'s decision.
+        (None: not known, so the run is naive); it feeds
+        :func:`start_run`'s decision, which the run leaves on
+        ``system.mode``.
         """
         ...
 
@@ -151,13 +152,11 @@ class SyncEngine:
         phase: str,
         origins: Iterable[NodeId] | None = None,
         change: Change | None = None,
-        *,
-        incremental: bool = True,
     ) -> tuple[float, StatsSnapshot]:
         transport = self._check(system)
         tracer = tracer_of(system)
         try:
-            start_run(system, phase, origins, change, incremental=incremental)
+            start_run(system, phase, origins, change)
             with tracer.span("chase", engine=self.name) as span:
                 delivered = transport.delivered_count
                 completion = transport.run()

@@ -32,7 +32,10 @@ class RunResult:
     ``deltas`` is the :class:`~repro.coordination.changeset.Change` the run
     made; under the paper's update semantics a run only adds rows, so it
     holds ``inserts`` alone.  ``extras`` carries strategy-specific metrics
-    (rounds, rule applications, query-time messages, ...).
+    (rounds, rule applications, query-time messages, ...).  ``mode`` is how
+    the run started: ``"incremental"`` when
+    :func:`~repro.api.engine.start_run` took the delta path, ``"naive"``
+    otherwise (a discovery, a reference strategy).
     """
 
     phase: str
@@ -44,6 +47,7 @@ class RunResult:
     databases: Snapshot
     deltas: Change
     extras: Mapping[str, object] = field(default_factory=dict)
+    mode: str = "naive"
 
     @property
     def label(self) -> str:

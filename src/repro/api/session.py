@@ -82,9 +82,6 @@ class Session:
         self._marks: RelationMarks | None = None
         self._rules: tuple[CoordinationRule, ...] = ()
         self._version = -1
-        #: False pins every update to the naive path, on every engine: the
-        #: parity tests compare both paths on one engine this way.
-        self.incremental = True
         # Tracing: off (the default) leaves every run bit-identical — no
         # tracer object is created and no span ever opens.  ``trace=True``
         # (or a spec with trace=True) builds a fresh coordinator tracer;
@@ -247,6 +244,7 @@ class Session:
                 stats=snapshot,
                 databases=system.databases(),
                 deltas=Change.read(system, self._marks),
+                mode=system.mode,
             )
         )
 
@@ -286,18 +284,14 @@ class Session:
         change = self._changed()
         system, tracer = self.system, self.tracer
         if tracer is None:
-            completion, snapshot = self.engine.run(
-                system, phase, origins, change, incremental=self.incremental
-            )
+            completion, snapshot = self.engine.run(system, phase, origins, change)
             return self._package(phase, completion, snapshot, started)
         mark = tracer.mark()
         chase = system.stats.chase_handles()
         chase_before = chase.values()
         sent = system.stats.messages.total_messages
         with tracer.span("run", phase=phase, engine=self.engine.name) as span:
-            completion, snapshot = self.engine.run(
-                system, phase, origins, change, incremental=self.incremental
-            )
+            completion, snapshot = self.engine.run(system, phase, origins, change)
             span.set(
                 completion_time=completion,
                 messages=system.stats.messages.total_messages - sent,

@@ -55,10 +55,12 @@ class P2PSystem:
         self.nodes: dict[NodeId, PeerNode] = {}
         self._super_peer = super_peer
         #: The delta path's state (:func:`repro.api.engine.start_run`): the
-        #: change folded since the last update start, and whether that update
-        #: started everywhere and converged.
+        #: change folded since the last update start, whether that update
+        #: started everywhere and converged, and how the last run started
+        #: (``"incremental"``: on the delta path).
         self.pending = Change()
         self.primed = False
+        self.mode = "naive"
 
     # -------------------------------------------------------------- building
 

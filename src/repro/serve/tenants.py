@@ -256,6 +256,7 @@ class Tenant:
             system = session.system
             changes.apply(system)
             before = system.stats.incremental_totals()
+            sent = system.stats.messages.total_messages
             result = retry_call(
                 lambda: session.run("update"),
                 policy=retry_policy,
@@ -265,10 +266,6 @@ class Tenant:
             incremental = {
                 name: int(after[name] - before.get(name, 0)) for name in after
             }
-            # Read from what the engine did, not from the document: only the
-            # delta path seeds rows, inserted or removed.
-            seeded = incremental.get("repro_incremental_seed_rows_total", 0)
-            mode = "incremental" if seeded else "naive"
             spans = []
             if session.tracer is not None:
                 spans = [
@@ -282,11 +279,11 @@ class Tenant:
                 ]
             self.runs_completed += 1
             return UpdateOutcome(
-                mode=mode,
+                mode=result.mode,
                 completion_time=result.completion_time,
                 wall_seconds=result.wall_seconds,
                 tuples_added=result.tuples_added,
-                messages=result.stats.total_messages,
+                messages=result.stats.total_messages - sent,
                 incremental=incremental,
                 spans=spans,
             )

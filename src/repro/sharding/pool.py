@@ -500,16 +500,15 @@ class ShardPool:
         *,
         change: Change | None = None,
         tracer=None,
-        incremental: bool = True,
     ) -> list[dict]:
         """Drive one phase over the warm workers and return their payloads.
 
         Every worker's ``start`` carries ``change`` (what changed in the
-        coordinator since the previous run; ``None`` when nothing did), the
-        origins (``None``: every peer) and ``incremental`` (False pins the
-        run naive).  Each worker applies its own peers' slice of the change
-        and decides the path with :func:`~repro.api.engine.start_run` on the
-        whole of it, so the workers decide alike.  The run ends when the
+        coordinator since the previous run; ``None`` when nothing did) and
+        the origins (``None``: every peer).  Each worker applies its own
+        peers' slice of the change and decides the path with
+        :func:`~repro.api.engine.start_run` on the whole of it, so the
+        workers decide alike.  The run ends when the
         idle reports certify quiescence.  Any error closes the pool — a
         half-synced pool must never serve another run.
         """
@@ -522,7 +521,7 @@ class ShardPool:
             if change is not None and change.empty:
                 change = None
             for channel in self._channels:
-                channel.put(("start", self._run, phase, origins, incremental, change))
+                channel.put(("start", self._run, phase, origins, change))
             self.injector.fire("chase", self)
             with tracer.span("quiescence") as quiescence_span:
                 payloads = self._await_quiescence()

@@ -217,8 +217,6 @@ class ProcessEngine:
         phase: str,
         origins: Iterable[NodeId] | None = None,
         change: Change | None = None,
-        *,
-        incremental: bool = True,
     ) -> tuple[float, StatsSnapshot]:
         transport = system.transport
         if not isinstance(transport, ProcessTransport) or transport.kind != self.kind:
@@ -256,7 +254,7 @@ class ProcessEngine:
                 injector.start_run()
                 try:
                     payloads = self._drive_pool(
-                        system, transport, phase, origin_list, change, incremental
+                        system, transport, phase, origin_list, change
                     )
                     break
                 except NetworkError as error:
@@ -290,7 +288,6 @@ class ProcessEngine:
         phase: str,
         origins: list[NodeId] | None,
         change: Change | None,
-        incremental: bool,
     ) -> list[dict]:
         """Reuse the warm pool when possible; (re)spawn when it is not.
 
@@ -325,9 +322,7 @@ class ProcessEngine:
                 self._pool = self._spawn_pool(system, transport)
             injector_of(system).fire("ship", self._pool)
             change = None  # the worlds carry the live state
-        payloads = self._pool.run_phase(
-            phase, origins, change=change, tracer=tracer, incremental=incremental
-        )
+        payloads = self._pool.run_phase(phase, origins, change=change, tracer=tracer)
         if not self.warm:
             self._close_pool()
         return payloads
@@ -362,6 +357,8 @@ class ProcessEngine:
         completion = 0.0
         for payload in payloads:
             completion = max(completion, payload["clock"])
+            # --- the path the run took: every worker decided alike.
+            system.mode = payload["mode"]
             # --- databases: the rows and relations the shard gained.
             payload["change"].apply(system)
             # --- protocol state: closed flags and discovery edges.

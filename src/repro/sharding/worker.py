@@ -242,7 +242,7 @@ class ShardWorker:
     passes each command that arrives to :meth:`handle` and calls
     :meth:`step` while the machine is :attr:`busy`; both return the
     ``("to", shard, command)`` frames to send on.  ``("start", run, phase,
-    origins, incremental, change)`` applies this shard's slice of the
+    origins, change)`` applies this shard's slice of the
     coordinator's :class:`~repro.coordination.changeset.Change` (``None``
     when nothing changed) and kicks the phase off at the owned origins —
     on the delta path when :func:`~repro.api.engine.start_run`, handed the
@@ -326,7 +326,7 @@ class ShardWorker:
             if transport.receive_cross(*item[1:]):
                 self._report_due = True
         elif kind == "start":
-            _kind, run, phase, origins, incremental, change = item
+            _kind, run, phase, origins, change = item
             system = self.system
             transport.start_run(run)
             change = Change() if change is None else change
@@ -340,9 +340,7 @@ class ShardWorker:
             if origins is not None:
                 owned = set(nodes)
                 nodes = tuple(origin for origin in origins if origin in owned)
-            started = start_run(
-                system, phase, origins, change, incremental=incremental, nodes=nodes
-            )
+            started = start_run(system, phase, origins, change, nodes=nodes)
             transport.ran.update(started)
             self._report_due = True
         else:
@@ -383,10 +381,12 @@ class ShardWorker:
         ``change`` is :meth:`Change.read
         <repro.coordination.changeset.Change.read>` over the marks, so only
         the relations written since are visited; the protocol state of a
-        peer that ran rides along when it changed.  Discovery paths do not
-        ship: they are a function of the edges, and the coordinator derives
-        them from its merged copy.  Counters (the A6 chase counters of a
-        traced worker among them) and spans ship and restart from zero.
+        peer that ran rides along when it changed, and ``mode`` is how the
+        run started (:func:`~repro.api.engine.start_run`'s decision).
+        Discovery paths do not ship: they are a function of the edges, and
+        the coordinator derives them from its merged copy.  Counters (the
+        A6 chase counters of a traced worker among them) and spans ship and
+        restart from zero.
         """
         system, transport, shipped = self.system, self.transport, self._shipped
         change = Change.read(system, self._marks)
@@ -406,6 +406,7 @@ class ShardWorker:
             "counters": transport.stats.ship_counters(),
             "delivered": delivered - transport.reported,
             "clock": transport.clock,
+            "mode": system.mode,
         }
         transport.reported = delivered
         transport.ran = set()

@@ -16,6 +16,11 @@ cell asserts the one contract the fault subsystem promises:
 The ``sync`` phase structurally exists only on warm repeat runs, so it is
 covered at the matrix tail on the pooled engine's second update instead of
 in the per-run grid.
+
+The engines are the partitioned rows of the shared table
+(``tests/engines.py``): one ``ProcessEngine`` drives them all, so each must
+honour the same contract.  The socket rows run on the test session's shard
+hosts; a killed socket worker severs its link, and the host survives.
 """
 
 import time
@@ -25,10 +30,7 @@ import pytest
 from repro.api import Session
 from repro.errors import NetworkError
 from repro.faults import FaultPlan, FaultSpec
-
-# Every process-backed transport name (one ProcessEngine drives them all, so
-# each must honour the same converge-or-raise contract).
-ENGINES = ("multiproc", "pooled", "socket")
+from engines import PARTITIONED
 
 # Phases every engine passes through on its very first run (run_index 0):
 # worlds are shipped, the chase is driven, the quiescence barrier settles.
@@ -36,18 +38,17 @@ FIRST_RUN_PHASES = ("ship", "chase", "quiescence")
 
 
 class TestKillMatrix:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", PARTITIONED)
     @pytest.mark.parametrize("phase", FIRST_RUN_PHASES)
     def test_kill_with_budget_converges_bit_identical(
-        self, scenario, sync_baseline, faulted_run, chaos_seed, engine, phase
+        self, scenario, sync_baseline, faulted_run, chaos_seed, engine, phase, on_engine
     ):
         plan = FaultPlan(
             seed=chaos_seed,
             max_cold_reruns=2,
             faults=[FaultSpec(kind="kill_worker", phase=phase, run_index=0)],
         )
-        spec = scenario.with_(transport=engine, shards=2, faults=plan)
-        databases, registry = faulted_run(spec)
+        databases, registry = faulted_run(on_engine(scenario, engine, faults=plan))
         assert databases == sync_baseline
         assert registry.total("repro_fault_injected_total") >= 1
         # A kill the coordinator noticed must have been paid for by a cold
@@ -57,9 +58,9 @@ class TestKillMatrix:
         if detected:
             assert registry.total("repro_fault_cold_reruns_total") >= 1
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", PARTITIONED)
     def test_kill_without_budget_raises_typed_error(
-        self, scenario, chaos_seed, engine
+        self, scenario, chaos_seed, engine, on_engine
     ):
         # A chase-phase kill always lands mid-run, so with the recovery
         # budget at its zero default the run must surface a typed error.
@@ -67,8 +68,7 @@ class TestKillMatrix:
             seed=chaos_seed,
             faults=[FaultSpec(kind="kill_worker", phase="chase", run_index=0)],
         )
-        spec = scenario.with_(transport=engine, shards=2, faults=plan)
-        with Session.from_spec(spec) as session:
+        with Session.from_spec(on_engine(scenario, engine, faults=plan)) as session:
             with pytest.raises(NetworkError):
                 session.run("discovery")
                 session.update()
@@ -78,15 +78,15 @@ class TestKillMatrix:
             assert registry.total("repro_fault_cold_reruns_total") == 0
 
     @pytest.mark.parametrize(
-        "settings, severed",
+        "engine, severed",
         [
-            ({"transport": "pooled"}, r"shard \d worker"),
-            ({"transport": "socket", "pool": True}, "link to shard host .* lost"),
+            ("pooled", r"shard \d worker"),
+            ("socket-pooled", "link to shard host .* lost"),
         ],
         ids=["pooled", "socket-pooled"],
     )
     def test_a_worker_killed_mid_run_fails_the_run_at_once(
-        self, scenario, chaos_seed, settings, severed
+        self, scenario, chaos_seed, engine, severed, on_engine
     ):
         # A warm run (run 2: discovery and an update came first) whose
         # worker dies in the chase: its closed pipe or severed link is the
@@ -95,8 +95,7 @@ class TestKillMatrix:
             seed=chaos_seed,
             faults=[FaultSpec(kind="kill_worker", phase="chase", run_index=2)],
         )
-        spec = scenario.with_(shards=2, faults=plan, **settings)
-        with Session.from_spec(spec) as session:
+        with Session.from_spec(on_engine(scenario, engine, faults=plan)) as session:
             session.run("discovery")
             session.update()
             started = time.monotonic()
@@ -107,9 +106,9 @@ class TestKillMatrix:
 
 
 class TestFrameFaults:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", PARTITIONED)
     def test_dropped_and_delayed_frames_keep_the_fixpoint(
-        self, scenario, sync_baseline, faulted_run, chaos_seed, engine
+        self, scenario, sync_baseline, faulted_run, chaos_seed, engine, on_engine
     ):
         # Frame faults arm inside the workers during the update's chase
         # (run_index 1: discovery is the session's run 0).  A drop is
@@ -128,15 +127,16 @@ class TestFrameFaults:
                 ),
             ],
         )
-        spec = scenario.with_(transport=engine, shards=2, faults=plan)
-        databases, registry = faulted_run(spec)
+        databases, registry = faulted_run(on_engine(scenario, engine, faults=plan))
         assert databases == sync_baseline
         assert registry.total("repro_fault_frames_dropped_total") >= 1
         assert registry.total("repro_fault_frames_delayed_total") >= 1
 
 
 class TestSyncPhase:
-    def test_sync_phase_kill_on_a_warm_pool_recovers(self, scenario, chaos_seed):
+    def test_sync_phase_kill_on_a_warm_pool_recovers(
+        self, scenario, chaos_seed, on_engine
+    ):
         # The sync phase only exists on a warm pool's repeat runs: run 0 is
         # discovery, run 1 spawns the pool and ships worlds, run 2 ships the
         # structural delta — and the kill lands there.
@@ -150,18 +150,10 @@ class TestSyncPhase:
             with Session.from_spec(spec) as session:
                 session.run("discovery")
                 session.update()
-                node = sorted(session.system.nodes)[0]
-                relation = sorted(session.system.node(node).database.facts())[0]
-                arity = len(
-                    next(
-                        schema
-                        for schema in session.system.node(node).database.schema
-                        if schema.name == relation
-                    ).attributes
-                )
-                session.system.node(node).database.insert(
-                    relation, tuple(f"warm-{k}" for k in range(arity))
-                )
+                database = session.system.node(min(session.system.nodes)).database
+                relation = database.relation(sorted(database.facts())[0])
+                arity = relation.schema.arity
+                relation.insert(tuple(f"warm-{k}" for k in range(arity)))
                 session.update()
                 return (
                     session.system.databases(),
@@ -169,9 +161,7 @@ class TestSyncPhase:
                 )
 
         reference, _ = drive(scenario)
-        databases, registry = drive(
-            scenario.with_(transport="pooled", shards=2, faults=plan)
-        )
+        databases, registry = drive(on_engine(scenario, "pooled", faults=plan))
         assert databases == reference
         assert registry.total("repro_fault_injected_total") >= 1
         assert registry.total("repro_fault_cold_reruns_total") >= 1

@@ -8,12 +8,38 @@ from repro.api.session import Session
 from repro.api.spec import ScenarioSpec
 from repro.coordination.rule import rule_from_text
 from repro.database.schema import DatabaseSchema, RelationSchema
+from repro.sharding.sockets import LocalHostCluster
 from repro.workloads.scenarios import (
     build_paper_example,
     paper_example_data,
     paper_example_rules,
     paper_example_schemas,
 )
+
+from engines import ENGINES
+
+
+@pytest.fixture(scope="session")
+def shard_hosts():
+    """Two real shard-host subprocesses shared by the whole test session."""
+    with LocalHostCluster(2) as cluster:
+        yield cluster
+
+
+@pytest.fixture
+def on_engine(request):
+    """``on_engine(spec, label, **settings)``: ``spec`` on the ``ENGINES``
+    row ``label`` (``settings`` override the row's).  A socket row runs on
+    the session's shard hosts, which start when a test first asks."""
+
+    def select(spec, label, **settings):
+        row = {**ENGINES[label], **settings}
+        if row.get("transport") == "socket":
+            hosts = request.getfixturevalue("shard_hosts").addresses
+            row["hosts"] = tuple(hosts)
+        return spec.with_(**row)
+
+    return select
 
 
 @pytest.fixture

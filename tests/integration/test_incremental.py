@@ -8,8 +8,9 @@ Three guarantees are pinned here (the model is documented in
   included) to a naive re-run, on every engine.  ``sync`` and the warm
   pooled engines take the delta-driven path for that repeat; the one-shot
   engines re-run naively; all must land on the same fix-point as the
-  synchronous reference pinned naive (``Session.incremental = False``)
-  executing the same sequence.  A ``clear`` still takes the naive path.
+  synchronous reference executing the same sequence naively (every run on a
+  fresh session, which hands its engine no change).  A ``clear`` still
+  takes the naive path.
 * **The delta path actually runs** — the ``repro_incremental_*`` counters
   are non-zero exactly when a warm eligible repeat happened, and zero on
   cold or naive runs (no silent fallback in either direction).
@@ -17,6 +18,8 @@ Three guarantees are pinned here (the model is documented in
   network re-derives only the handful of rows that row entails, not the
   database (asserted through the frontier counters, not wall time).
 """
+
+from functools import partial
 
 import pytest
 
@@ -26,64 +29,22 @@ from repro.core.fixpoint import ground_part
 from repro.database.nulls import is_null
 from repro.database.schema import DatabaseSchema, RelationSchema
 from repro.experiments.serving import feeding_site
-from repro.network.latency import UniformLatency
 from repro.sharding.planner import ShardPlan
-from repro.sharding.sockets import LocalHostCluster
 from repro.workloads.scenarios import (
     paper_example_data,
     paper_example_rules,
     paper_example_schemas,
 )
 from repro.workloads.topologies import layered_topology, tree_topology
+from engines import ENGINES, KEPT, run_naive
 from test_warm_bounds import spied_warm_insert
-
-#: Engine configurations compared against the synchronous reference.
-#: ``sync`` and the pooled engines keep their state across the two updates
-#: (the incremental path); the one-shot engines re-run naively and double
-#: as the control.  "sync-seeded" is the simulator under another legal
-#: delivery order.
-ENGINES = ["sync", "sync-seeded", "multiproc", "pooled", "socket-pooled"]
-
-
-@pytest.fixture(scope="module")
-def cluster():
-    """Two real shard-host subprocesses shared by the whole module."""
-    with LocalHostCluster(2) as cluster:
-        yield cluster
-
-
-def _spec_for(engine: str, spec: ScenarioSpec, cluster) -> ScenarioSpec:
-    if engine == "sync":
-        return spec
-    if engine == "sync-seeded":
-        return spec.with_(latency=UniformLatency(0, 1, seed=5))
-    if engine == "multiproc":
-        return spec.with_(transport="multiproc", shards=2)
-    if engine == "pooled":
-        return spec.with_(transport="pooled", shards=2)
-    if engine == "socket-pooled":
-        return spec.with_(
-            transport="socket",
-            shards=2,
-            hosts=tuple(cluster.addresses),
-            pool=True,
-        )
-    raise AssertionError(engine)
 
 
 def _insert_one_row(system):
     """Insert one well-typed fresh base row at the lexicographically last node."""
-    node_id = sorted(system.nodes)[-1]
-    node = system.node(node_id)
-    relation = sorted(node.database.facts())[0]
-    arity = len(
-        next(
-            schema for schema in node.database.schema if schema.name == relation
-        ).attributes
-    )
-    row = tuple(f"delta{i}" for i in range(arity))
-    node.database.relation(relation).insert(row)
-    return node_id, relation, row
+    database = system.node(max(system.nodes)).database
+    relation = database.relation(sorted(database.facts())[0])
+    relation.insert(tuple(f"delta{i}" for i in range(relation.schema.arity)))
 
 
 def _insert_feeding_row(system, tag="delta"):
@@ -105,53 +66,53 @@ def _insert_feeding_row(system, tag="delta"):
     return exporter, atom.relation, row
 
 
-def _converge_insert_converge(spec: ScenarioSpec, *, incremental=True):
-    """Run update, insert one row, run update again; return the session."""
+def _converge_insert_converge(spec: ScenarioSpec, *, naive=False):
+    """Run update, insert one row, run update again; return the session.
+    ``naive`` makes every run :func:`run_naive`."""
     session = Session.from_spec(spec)
-    session.incremental = incremental
-    session.run("discovery")
-    session.update()
+    run = partial(run_naive, session.system) if naive else session.run
+    run("discovery")
+    run("update")
     _insert_one_row(session.system)
-    session.update()
+    run("update")
     return session
 
 
 class TestIncrementalParity:
-    @pytest.mark.parametrize("engine", ENGINES)
+    # ``sync`` and the warm engines keep their state across the two updates
+    # (the incremental path); the one-shot engines re-run naively and double
+    # as the control.
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_warm_insert_repeat_matches_sync_on_the_paper_example(
-        self, engine, cluster
+        self, engine, on_engine
     ):
         # The Section 2 example is cyclic and invents labelled nulls, so this
         # asserts the strongest form of parity: the *complete* databases —
         # nulls included — are identical, not just the ground part.  On the
         # warm engines the second update takes the delta-driven path; on
         # the one-shot ones it is a naive re-run of the same logical
-        # sequence, and so is the pinned reference's.
+        # sequence, and so is the reference's.
         spec = ScenarioSpec.of(
             paper_example_schemas(),
             paper_example_rules(),
             paper_example_data(),
             super_peer="A",
         )
-        reference = _converge_insert_converge(spec, incremental=False)
-        with _converge_insert_converge(
-            _spec_for(engine, spec, cluster)
-        ) as session:
+        reference = _converge_insert_converge(spec, naive=True)
+        with _converge_insert_converge(on_engine(spec, engine)) as session:
             assert session.databases() == reference.databases()
 
-    @pytest.mark.parametrize("engine", ["sync", "pooled", "socket-pooled"])
-    def test_delta_and_naive_paths_agree_on_one_warm_engine(
-        self, engine, cluster
-    ):
-        # Same engine, same sequence, incremental on vs pinned off: the
-        # delta path must change work, never results.  (Sessions run one
-        # after the other — the module's two shard hosts serve one warm
-        # session at a time.)
+    @pytest.mark.parametrize("engine", KEPT)
+    def test_delta_and_naive_paths_agree_on_one_warm_engine(self, engine, on_engine):
+        # Same engine, same sequence, warm vs every run on a fresh session:
+        # the delta path must change work, never results.  (Sessions run
+        # one after the other — the two shard hosts serve one session at a
+        # time.)
         spec = ScenarioSpec.from_topology(
             tree_topology(2, 2), records_per_node=3, seed=5
         )
-        engine_spec = _spec_for(engine, spec, cluster)
-        with _converge_insert_converge(engine_spec, incremental=False) as naive:
+        engine_spec = on_engine(spec, engine)
+        with _converge_insert_converge(engine_spec, naive=True) as naive:
             totals = naive.system.stats.incremental_totals()
             assert all(value == 0 for value in totals.values())
             naive_databases = naive.databases()
@@ -162,13 +123,14 @@ class TestIncrementalParity:
 
 
 @pytest.mark.parametrize("engine", ["sync", "pooled"])
-def test_a_restricted_update_leaves_the_insert_to_the_next_whole_one(engine, cluster):
+def test_a_restricted_update_leaves_the_insert_to_the_next_whole_one(
+    engine, on_engine
+):
     # An update with origins runs naive and primes nothing, so the whole
     # update after it re-pulls the network and n03's row reaches the root.
     # The pooled workers used to spend the insert on the restricted run's
     # delta path, where n01 is not the row's node: it never left n03.
-    spec = _spec_for(engine, _tree_spec(), cluster)
-    with Session.from_spec(spec) as session:
+    with Session.from_spec(on_engine(_tree_spec(), engine)) as session:
         session.run("discovery")
         session.update()
         exporter, relation, row = _insert_feeding_row(session.system)
@@ -186,24 +148,24 @@ def test_a_restricted_update_leaves_the_insert_to_the_next_whole_one(engine, clu
 
 @pytest.mark.parametrize("engine", ["sync", "pooled"])
 def test_a_change_handed_to_a_discovery_run_waits_for_the_next_update(
-    engine, cluster
+    engine, on_engine
 ):
     # The clear rides the discovery run's change, the insert the update's;
     # folded together they are not rows-only, so the update runs naive and
-    # derives n00's pub again, as the pinned-naive run does.
-    def play(spec, incremental):
+    # derives n00's pub again, as the naive reference does.
+    def play(spec, naive=False):
         with Session.from_spec(spec) as session:
-            session.incremental = incremental
-            session.update()
+            run = partial(run_naive, session.system) if naive else session.run
+            run("update")
             session.system.node("n00").database.relation("pub").clear()
-            session.run("discovery")
+            run("discovery")
             _insert_feeding_row(session.system)
-            session.update()
+            run("update")
             return session.databases()
 
-    naive = play(_tree_spec(), incremental=False)
+    naive = play(_tree_spec(), naive=True)
     assert naive["n00"]["pub"]
-    assert play(_spec_for(engine, _tree_spec(), cluster), incremental=True) == naive
+    assert play(on_engine(_tree_spec(), engine)) == naive
 
 
 def test_every_worker_decides_on_the_whole_change():
@@ -212,25 +174,25 @@ def test_every_worker_decides_on_the_whole_change():
     # (nothing, then an insert at n00) are.  A leaf starts naive without a
     # message, so n01 on the other shard must re-pull the new row itself;
     # the new row used to stay at n03.
-    def play(spec, incremental):
+    def play(spec, naive=False):
         with Session.from_spec(spec) as session:
-            session.incremental = incremental
+            run = partial(run_naive, session.system) if naive else session.run
             if spec.transport == "pooled":
                 shard_of = {node: int(node == "n03") for node in session.system.nodes}
                 session.system.transport.apply_plan(ShardPlan(2, shard_of))
-            session.update()
+            run("update")
             pub = session.system.node("n03").database.relation("pub")
             rows = [*pub, ("new", "title", "author", "year", "venue")]
             pub.clear()
             pub.insert_many(rows)
-            session.run("discovery")
+            run("discovery")
             session.system.node("n00").database.insert("pub", ("n00-new",) * 5)
-            session.update()
+            run("update")
             return session.databases()
 
-    naive = play(_tree_spec(), incremental=False)
+    naive = play(_tree_spec(), naive=True)
     assert any(row[0] == "new" for row in naive["n01"]["article"])
-    assert play(_tree_spec().with_(transport="pooled", shards=2), True) == naive
+    assert play(_tree_spec().with_(transport="pooled", shards=2)) == naive
 
 
 def _feeding_rule(system):
@@ -335,18 +297,19 @@ DELETE_CASES = {
 }
 
 
-def _play(spec, script, *, incremental=True):
+def _play(spec, script, *, naive=False):
     """Converge, then play ``script``; the databases and the rows the delta
-    path seeded after the converging run and after every step."""
+    path seeded after the converging run and after every step.  ``naive``
+    makes every run :func:`run_naive`."""
     with Session.from_spec(spec) as session:
-        session.incremental = incremental
-        session.update()
+        run = partial(run_naive, session.system) if naive else session.run
+        run("update")
         seen = [(session.databases(), 0)]
         for step in script:
             totals = session.system.stats.incremental_totals
             before = totals()["repro_incremental_seed_rows_total"]
             step(session.system)
-            session.update()
+            run("update")
             seeded = totals()["repro_incremental_seed_rows_total"] - before
             seen.append((session.databases(), seeded))
     return seen
@@ -357,24 +320,24 @@ class TestDeleteParity:
 
     Nothing derived is retracted (``deleteLink`` keeps imported data, paper
     Section 4), so a removal re-fires only the rules whose head lost rows.
-    Each case is played on the delta path, on the same engine pinned naive,
-    and on the pinned-naive ``sync`` reference; every database, labelled
-    nulls included, must agree after every step.
+    Each case is played on the delta path, on the same engine naively (every
+    run on a fresh session) and on the naive ``sync`` reference; every
+    database, labelled nulls included, must agree after every step.
     """
 
     @pytest.mark.parametrize("case", sorted(DELETE_CASES))
-    @pytest.mark.parametrize("engine", ["sync", "pooled", "socket-pooled"])
-    def test_the_delta_path_matches_naive_and_sync(self, engine, case, cluster):
+    @pytest.mark.parametrize("engine", KEPT)
+    def test_the_delta_path_matches_naive_and_sync(self, engine, case, on_engine):
         make_spec, script = DELETE_CASES[case]
         spec = make_spec()
-        reference = _play(spec, script(), incremental=False)
-        engine_spec = _spec_for(engine, spec, cluster)
-        naive = _play(engine_spec, script(), incremental=False)
+        reference = _play(spec, script(), naive=True)
+        engine_spec = on_engine(spec, engine)
+        naive = _play(engine_spec, script(), naive=True)
         delta = _play(engine_spec, script())
-        for (expected, _), (pinned, unseeded), (got, seeded) in zip(
+        for (expected, _), (rerun, unseeded), (got, seeded) in zip(
             reference[1:], naive[1:], delta[1:]
         ):
-            assert pinned == expected and unseeded == 0
+            assert rerun == expected and unseeded == 0
             assert got == expected
             # A clear rewrites the relation: the naive path, seeding nothing.
             assert (seeded > 0) == (case != "clear")

@@ -16,12 +16,7 @@ from repro.coordination.changeset import Change
 from repro.core.system import P2PSystem
 from repro.experiments.serving import feeding_site
 from repro.workloads.topologies import tree_topology
-
-ENGINES = {
-    "sync": {},
-    "pooled": {"transport": "pooled", "shards": 2},
-    "multiproc": {"transport": "multiproc", "shards": 2},
-}
+from engines import ENGINES, ONE_SHOT
 
 
 def tree_spec(depth: int = 3, records: int = 3) -> ScenarioSpec:
@@ -66,8 +61,8 @@ def checked_run(session):
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
-def test_run_deltas_match_the_set_difference(engine):
-    spec = tree_spec().with_(**ENGINES[engine])
+def test_run_deltas_match_the_set_difference(engine, on_engine):
+    spec = on_engine(tree_spec(), engine)
     node, relation_name, arity = feeding_site(spec)
     with Session.from_spec(spec) as session:
         system = session.system
@@ -75,10 +70,14 @@ def test_run_deltas_match_the_set_difference(engine):
 
         cold = checked_run(session)
         assert cold.tuples_added > 0
+        assert cold.mode == "naive"
 
         site.insert(tuple(f"fresh-{column}" for column in range(arity)))
         inserted = checked_run(session)
         assert 0 < inserted.tuples_added < cold.tuples_added
+        # The mode is what start_run decided: a one-shot engine's workers
+        # are told nothing, so they re-run naive.
+        assert inserted.mode == ("naive" if engine in ONE_SHOT else "incremental")
 
         assert checked_run(session).tuples_added == 0
 

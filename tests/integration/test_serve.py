@@ -155,12 +155,16 @@ class TestServing:
         [(relation, [row])] = relations.items()
         system = handle.app.manager.get("tree").session.system
         assert tuple(row) not in system.node(node).database.relation(relation)
-        # A rule change still re-runs naively, and says so.
+        # A rule edit that puts the same text back changes no rule, so the
+        # run extends the fix-point; a rule change re-runs naively, and both
+        # say so.
         rule = next(iter(system.registry))
         outcome = client.update(
             "tree", remove_rules=[rule.rule_id], add_rules=[rule.text]
         )
-        assert outcome["mode"] == "naive"
+        assert outcome["mode"] == "incremental"
+        assert client.update("tree", remove_rules=[rule.rule_id])["mode"] == "naive"
+        assert client.update("tree", add_rules=[rule.text])["mode"] == "naive"
 
     def test_event_channel_streams_runs(self, server):
         handle, client = server

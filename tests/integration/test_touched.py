@@ -19,16 +19,8 @@ from repro.coordination.changeset import Change
 from repro.coordination.rule import rule_from_text
 from repro.database.schema import RelationSchema
 from repro.sharding.process import ProcessEngine
-from repro.sharding.sockets import LocalHostCluster
 from repro.workloads.topologies import tree_topology
-
-ENGINES = ["sync", "pooled", "socket-pooled"]
-
-
-@pytest.fixture(scope="module")
-def cluster():
-    with LocalHostCluster(2) as cluster:
-        yield cluster
+from engines import KEPT, WARM
 
 
 @pytest.fixture
@@ -38,41 +30,30 @@ def shipped(monkeypatch):
     changes = []
     for engine in (SyncEngine, ProcessEngine):
 
-        def recording_run(
-            self, system, phase, origins, change, *, run=engine.run, **pin
-        ):
+        def recording_run(self, system, phase, origins, change, *, run=engine.run):
             if change is not None:
                 changes.append(change)
-            return run(self, system, phase, origins, change, **pin)
+            return run(self, system, phase, origins, change)
 
         monkeypatch.setattr(engine, "run", recording_run)
     return changes
 
 
-def engine_settings(engine, cluster):
-    """The spec settings that select ``engine``."""
-    if engine == "sync":
-        return {}
-    if engine == "pooled":
-        return {"transport": "pooled", "shards": 2}
-    return {
-        "transport": "socket",
-        "shards": 2,
-        "hosts": tuple(cluster.addresses),
-        "pool": True,
-    }
+def open_session(spec):
+    session = Session.from_spec(spec)
+    session.run("update")  # the priming run
+    return session
 
 
-def open_session(engine, cluster):
+@pytest.fixture
+def item_spec(engine, on_engine):
+    """Three peers, ``b`` feeding ``a``, on ``engine``."""
     spec = ScenarioSpec.of(
         {node: [RelationSchema("item", ["x", "y"])] for node in ("a", "b", "c")},
         ["r1: b: item(X, Y) -> a: item(X, Y)"],
         {"b": {"item": [("1", "2")]}},
-        **engine_settings(engine, cluster),
     )
-    session = Session.from_spec(spec)
-    session.run("update")  # the priming run
-    return session
+    return on_engine(spec, engine)
 
 
 def written(deltas):
@@ -85,12 +66,10 @@ def written(deltas):
     return names
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", KEPT)
 @pytest.mark.parametrize("write", ["insert", "delete", "clear"])
-def test_a_direct_write_ships_and_is_not_the_runs_delta(
-    engine, write, cluster, shipped
-):
-    with open_session(engine, cluster) as session:
+def test_a_direct_write_ships_and_is_not_the_runs_delta(write, item_spec, shipped):
+    with open_session(item_spec) as session:
         item = session.system.node("b").database.relation("item")
         if write == "insert":
             item.insert(("3", "4"))
@@ -124,9 +103,9 @@ def test_a_direct_write_ships_and_is_not_the_runs_delta(
         }
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_a_relation_created_by_a_change_brings_its_schema(engine, cluster, shipped):
-    with open_session(engine, cluster) as session:
+@pytest.mark.parametrize("engine", KEPT)
+def test_a_relation_created_by_a_change_brings_its_schema(item_spec, shipped):
+    with open_session(item_spec) as session:
         extra = RelationSchema("extra", ["k"])
         Change(
             relations={"c": (extra,)},
@@ -144,11 +123,11 @@ def test_a_relation_created_by_a_change_brings_its_schema(engine, cluster, shipp
         assert [rule.rule_id for rule in change.add_rules] == ["r2"]
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", KEPT)
 def test_a_relation_written_synced_and_written_again_ships_each_write_once(
-    engine, cluster, shipped
+    item_spec, shipped
 ):
-    with open_session(engine, cluster) as session:
+    with open_session(item_spec) as session:
         item = session.system.node("b").database.relation("item")
         item.insert(("3", "4"))
         session.run("discovery")  # a sync, and no update
@@ -161,9 +140,9 @@ def test_a_relation_written_synced_and_written_again_ships_each_write_once(
         ]
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_added_and_removed_rules_reach_the_workers(engine, cluster, shipped):
-    with open_session(engine, cluster) as session:
+@pytest.mark.parametrize("engine", KEPT)
+def test_added_and_removed_rules_reach_the_workers(item_spec, shipped):
+    with open_session(item_spec) as session:
         system = session.system
         source = system.node("c").database.relation("item")
         system.add_rule(rule_from_text("r2", "c: item(X, Y) -> a: item(Y, X)"))
@@ -190,15 +169,15 @@ def protocol_states(session):
     }
 
 
-@pytest.mark.parametrize("engine", ["pooled", "socket-pooled"])
-def test_the_protocol_state_of_every_peer_that_ran_comes_home(engine, cluster):
+@pytest.mark.parametrize("engine", WARM)
+def test_the_protocol_state_of_every_peer_that_ran_comes_home(engine, on_engine):
     # A collect compares the protocol state of the peers that ran only: the
     # origins a start kicked off (a leaf closes without a message) *and*
     # every peer a message reached.
     spec = ScenarioSpec.from_topology(tree_topology(3, 2), records_per_node=2, seed=0)
     for pick in (max, min):  # a leaf, then the root
         states = []
-        for built in (spec, spec.with_(**engine_settings(engine, cluster))):
+        for built in (spec, on_engine(spec, engine)):
             with Session.from_spec(built) as session:
                 session.run("discovery")
                 session.run("update", origins=[pick(session.system.nodes)])
@@ -208,15 +187,15 @@ def test_the_protocol_state_of_every_peer_that_ran_comes_home(engine, cluster):
         assert pooled == sync
 
 
-@pytest.mark.parametrize("engine", ["pooled", "socket-pooled"])
-def test_restricted_updates_close_the_same_peers_as_sync(engine, cluster):
+@pytest.mark.parametrize("engine", WARM)
+def test_restricted_updates_close_the_same_peers_as_sync(engine, on_engine):
     # A restricted update runs naive everywhere and leaves nothing to
     # extend, so the root's update after a leaf's re-pulls the whole tree
     # on every engine: 15 peers closed on both (on pooled the root's run
     # used to take the delta path, seeded nothing and closed 1).
     spec = ScenarioSpec.from_topology(tree_topology(3, 2), records_per_node=2, seed=0)
     states = []
-    for built in (spec, spec.with_(**engine_settings(engine, cluster))):
+    for built in (spec, on_engine(spec, engine)):
         with Session.from_spec(built) as session:
             session.run("discovery")
             session.run("update", origins=[max(session.system.nodes)])

@@ -9,7 +9,7 @@ through the one :class:`~repro.obs.metrics.MetricsRegistry` code path, so a
 deterministic run produces *equal* snapshots, not just similar ones.
 
 The deterministic runs (sync, under constant or seeded latency) are compared
-bit-for-bit; the process-backed engines (multiproc, pooled, socket) schedule
+bit-for-bit; the process-backed engines (``tests/engines.py``) schedule
 deliveries at the mercy of the OS, so their message accounting legitimately
 varies between runs — for those the suite pins the ground state and the
 convergence invariant (per-node ``tuples_inserted``) instead.
@@ -23,7 +23,6 @@ import pytest
 
 from repro.api import ScenarioSpec, Session
 from repro.core.fixpoint import ground_part
-from repro.network.latency import UniformLatency
 from repro.obs.export import trace_to_chrome, validate_chrome_trace
 from repro.workloads.scenarios import (
     paper_example_data,
@@ -31,16 +30,7 @@ from repro.workloads.scenarios import (
     paper_example_schemas,
 )
 from repro.workloads.topologies import tree_topology
-
-#: Engine label → spec transform.  Small topology: three of these spawn real
-#: OS processes (and "socket" a TCP host fleet) per run.
-ENGINES = {
-    "sync": lambda spec: spec,
-    "sync-seeded": lambda spec: spec.with_(latency=UniformLatency(0, 1, seed=5)),
-    "multiproc": lambda spec: spec.with_(transport="multiproc", shards=2),
-    "pooled": lambda spec: spec.with_(transport="pooled", shards=2),
-    "socket": lambda spec: spec.with_(transport="socket", shards=2),
-}
+from engines import ENGINES
 
 #: Runs that are deterministic end to end (single-threaded scheduling, a
 #: seeded schedule replays), so even the message counters must match exactly.
@@ -64,8 +54,8 @@ def _comparable(snapshot):
 
 class TestTraceParity:
     @pytest.mark.parametrize("engine", sorted(ENGINES))
-    def test_traced_runs_leave_results_bit_identical(self, engine):
-        spec = ENGINES[engine](base_spec())
+    def test_traced_runs_leave_results_bit_identical(self, engine, on_engine):
+        spec = on_engine(base_spec(), engine)
         plain_dbs, plain = _run(spec, trace=False)
         traced_dbs, traced = _run(spec, trace=True)
 
@@ -84,7 +74,7 @@ class TestTraceParity:
         assert "chase" in names
 
     def test_traced_multiproc_nests_worker_spans_under_one_run(self):
-        spec = ENGINES["multiproc"](base_spec())
+        spec = base_spec().with_(**ENGINES["multiproc"])
         _dbs, traced = _run(spec, trace=True)
         trace = traced.extras["trace"]
         spans = trace["spans"]
@@ -125,14 +115,12 @@ class TestTraceParity:
 class TestOneSnapshotCodePath:
     """All engines assemble their snapshot through the metrics registry."""
 
-    @pytest.mark.parametrize(
-        "engine", ("sync-seeded", "multiproc", "pooled", "socket")
-    )
-    def test_other_schedules_agree_on_tuples_inserted(self, engine):
+    @pytest.mark.parametrize("engine", sorted(set(ENGINES) - {"sync"}))
+    def test_other_schedules_agree_on_tuples_inserted(self, engine, on_engine):
         # Message counts depend on the delivery order even on the simulator;
         # the rows each node gains do not.
         _dbs, sync_result = _run(base_spec(), trace=False)
-        _dbs, other_result = _run(ENGINES[engine](base_spec()), trace=False)
+        _dbs, other_result = _run(on_engine(base_spec(), engine), trace=False)
         inserted = {
             node: stats.tuples_inserted
             for node, stats in other_result.stats.nodes.items()
@@ -170,7 +158,7 @@ class TestOneMetricsStore:
 
     @pytest.fixture(scope="class")
     def pooled(self):
-        spec = ENGINES["pooled"](base_spec())
+        spec = base_spec().with_(**ENGINES["pooled"])
         with Session.from_spec(spec, trace=True) as session:
             result = session.run("update")
             return result.extras["trace"]["spans"], _metrics(session)

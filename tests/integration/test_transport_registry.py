@@ -1,12 +1,14 @@
-"""The transport registry's contract, one case per registered name (× pool).
+"""The transport registry's contract, one case per engine it builds.
 
 Whatever :func:`repro.api.engine.transport_kinds` registers must build
-through :class:`~repro.api.spec.ScenarioSpec`, get an engine with the
-documented name from :func:`~repro.api.engine.engine_for`, drive the paper
-example to the ``sync`` ground fix-point, and leave nothing behind after
-``close()`` — and a one-shot process engine must leave nothing behind as soon
-as ``run`` returns, even when the run raised.  A new registry row without an
-entry in :data:`DOCUMENTED_NAMES` fails the coverage check below.
+through :class:`~repro.api.spec.ScenarioSpec`, get an engine named after a
+row of the shared engine table (``tests/engines.py``, the names
+``docs/engines.md`` documents) from :func:`~repro.api.engine.engine_for`,
+drive the paper example to the ``sync`` ground fix-point, and leave nothing
+behind after ``close()`` — and a one-shot process engine must leave nothing
+behind as soon as ``run`` returns, even when the run raised.  A registry row
+whose engine the table lacks fails the coverage check below.  The socket
+rows spawn their own hosts here, so their teardown is checked too.
 """
 
 import multiprocessing
@@ -22,39 +24,26 @@ from repro.workloads.scenarios import (
     paper_example_rules,
     paper_example_schemas,
 )
+from engines import ENGINES, ONE_SHOT, PARTITIONED
 
-#: (transport name, pool flag) -> the ``engine.name`` docs/engines.md promises.
-DOCUMENTED_NAMES = {
-    ("sync", False): "sync",
-    ("multiproc", False): "multiproc",
-    ("multiproc", True): "pooled",
-    ("pooled", False): "pooled",
-    ("pooled", True): "pooled",
-    ("socket", False): "socket",
-    ("socket", True): "socket-pooled",
-}
-
+#: Every (transport name, pool flag) the registry accepts.
 CASES = [
     (kind.name, pool)
     for kind in transport_kinds().values()
     for pool in ((False, True) if kind.partitioned else (False,))
 ]
-ONE_SHOT = [
-    case for case in CASES if DOCUMENTED_NAMES.get(case) in ("multiproc", "socket")
-]
+#: The engines those cases build: one per row of the table ("sync-seeded"
+#: is the ``sync`` engine under another latency).
+NAMES = sorted(set(ENGINES) - {"sync-seeded"})
 
 
-def paper_spec(transport="sync", pool=False, **settings):
-    partitioned = transport in transport_names(partitioned=True)
+def paper_spec(engine="sync", **settings):
     return ScenarioSpec.of(
         paper_example_schemas(),
         paper_example_rules(),
         paper_example_data(),
         super_peer="A",
-        transport=transport,
-        shards=2 if partitioned else None,
-        pool=pool,
-        **settings,
+        **{**ENGINES[engine], **settings},
     )
 
 
@@ -86,23 +75,28 @@ def assert_nothing_left(pools, host_processes=()):
     assert all(process.poll() is not None for process in host_processes)
 
 
-def test_every_registered_case_is_documented():
-    assert sorted(CASES) == sorted(DOCUMENTED_NAMES)
+def test_every_registered_case_builds_an_engine_of_the_table():
+    names = {}
+    for transport, pool in CASES:
+        partitioned = transport in transport_names(partitioned=True)
+        spec = paper_spec(transport=transport, pool=pool).with_(
+            shards=2 if partitioned else None
+        )
+        names[transport, pool] = engine_for(spec.build_system().transport).name
+    assert sorted(set(names.values())) == NAMES
+    # The pool flag keeps a multiproc transport warm: the pooled engine.
+    pooled = {names["multiproc", True], names["pooled", False], names["pooled", True]}
+    assert pooled == {"pooled"}
 
 
-@pytest.mark.parametrize("transport,pool", CASES)
-def test_builds_runs_to_the_sync_fixpoint_and_closes_clean(
-    transport, pool, sync_fixpoint
-):
-    spec = paper_spec(transport, pool)
-    assert engine_for(spec.build_system().transport).name == (
-        DOCUMENTED_NAMES[transport, pool]
-    )
+@pytest.mark.parametrize("engine", NAMES)
+def test_builds_runs_to_the_sync_fixpoint_and_closes_clean(engine, sync_fixpoint):
+    spec = paper_spec(engine)
+    assert engine_for(spec.build_system().transport).name == engine
     session = Session.from_spec(spec)
-    partitioned = transport in transport_names(partitioned=True)
-    pools = record_pools(session.engine) if partitioned else []
+    pools = record_pools(session.engine) if engine in PARTITIONED else []
     try:
-        assert session.engine.name == DOCUMENTED_NAMES[transport, pool]
+        assert session.engine.name == engine
         session.run("discovery")
         assert session.update().ground_databases() == sync_fixpoint
         cluster = getattr(session.engine, "cluster", None)
@@ -114,9 +108,9 @@ def test_builds_runs_to_the_sync_fixpoint_and_closes_clean(
     assert_nothing_left(pools, host_processes)
 
 
-@pytest.mark.parametrize("transport,pool", ONE_SHOT)
-def test_one_shot_engines_hold_nothing_between_runs(transport, pool, sync_fixpoint):
-    with Session.from_spec(paper_spec(transport, pool)) as session:
+@pytest.mark.parametrize("engine", ONE_SHOT)
+def test_one_shot_engines_hold_nothing_between_runs(engine, sync_fixpoint):
+    with Session.from_spec(paper_spec(engine)) as session:
         pools = record_pools(session.engine)
         session.run("discovery")
         assert session.engine.pool is None
@@ -127,12 +121,12 @@ def test_one_shot_engines_hold_nothing_between_runs(transport, pool, sync_fixpoi
         assert_nothing_left(pools)
 
 
-@pytest.mark.parametrize("transport,pool", ONE_SHOT)
-def test_one_shot_engines_hold_nothing_after_a_failed_run(transport, pool):
+@pytest.mark.parametrize("engine", ONE_SHOT)
+def test_one_shot_engines_hold_nothing_after_a_failed_run(engine):
     plan = FaultPlan(
         seed=0, faults=[FaultSpec(kind="kill_worker", phase="chase", run_index=0)]
     )
-    with Session.from_spec(paper_spec(transport, pool, faults=plan)) as session:
+    with Session.from_spec(paper_spec(engine, faults=plan)) as session:
         pools = record_pools(session.engine)
         with pytest.raises(NetworkError):
             session.run("update")
@@ -143,7 +137,7 @@ def test_one_shot_engines_hold_nothing_after_a_failed_run(transport, pool):
 
 def test_unknown_transport_name_lists_the_registered_ones():
     with pytest.raises(ReproError) as excinfo:
-        paper_spec("carrier-pigeon").build_system()
+        paper_spec(transport="carrier-pigeon").build_system()
     for name in transport_names():
         assert name in str(excinfo.value)
 
@@ -162,7 +156,7 @@ def test_shards_on_the_sync_transport_is_refused():
 
 def test_a_multiproc_spec_refuses_socket_only_settings():
     partition = FaultPlan(seed=0, faults=[FaultSpec(kind="partition")])
-    multiproc = paper_spec().with_(transport="multiproc", shards=2)
+    multiproc = paper_spec("multiproc")
     with pytest.raises(ReproError, match="partition faults need transport='socket'"):
         multiproc.with_(faults=partition).build_system()
     with pytest.raises(ReproError, match="hosts= needs transport='socket'"):

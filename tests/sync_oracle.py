@@ -29,7 +29,7 @@ class Recorder:
     def __init__(self, during=lambda system: None):
         self.changes, self.during = [], during
 
-    def run(self, system, phase, origins=None, change=None, *, incremental=True):
+    def run(self, system, phase, origins=None, change=None):
         self.changes.append(change)
         self.during(system)
         return 0.0, system.stats.snapshot()

@@ -454,6 +454,53 @@ class TestEndpoints:
 
         run(scenario())
 
+    def test_an_empty_update_reports_the_path_it_took(self):
+        # Nothing to seed still takes the delta path on a primed tenant: the
+        # mode is start_run's decision, not read off the rows seeded.
+        async def scenario():
+            app = await booted_app()
+            update = request("POST", "/tenants/paper/update", {})
+            empty = body(await app.handle(update))
+            assert (empty["mode"], empty["messages"]) == ("incremental", 0)
+            system = app.manager.get("paper").session.system
+            system.node("E").database.relation("e").clear()
+            assert body(await app.handle(update))["mode"] == "naive"
+            await app.shutdown()
+
+        run(scenario())
+
+    def test_an_update_reports_the_messages_of_its_own_run(self):
+        # Two one-row inserts: each answer and each run event carries its
+        # request's increase of the tenant's repro_messages_total, not the
+        # tenant's lifetime count.
+        async def scenario():
+            app = await booted_app()
+            events = app.manager.subscribe("paper")
+
+            async def sent() -> int:
+                text = (await app.handle(request("GET", "/metrics"))).body.decode()
+                return sum(
+                    int(float(line.rsplit(" ", 1)[1]))
+                    for line in text.splitlines()
+                    if line.startswith("repro_messages_total{")
+                    and 'tenant="paper"' in line
+                )
+
+            for row in (["w1", "w2"], ["w3", "w4"]):
+                before = await sent()
+                document = {"inserts": {"E": {"e": [row]}}}
+                answer = body(
+                    await app.handle(
+                        request("POST", "/tenants/paper/update", document)
+                    )
+                )
+                event = events.get_nowait()
+                assert answer["messages"] == event["messages"] > 0
+                assert answer["messages"] == await sent() - before
+            await app.shutdown()
+
+        run(scenario())
+
     def test_a_rejected_update_applies_nothing(self):
         # Checked before anything mutates: the valid insert riding along
         # with an unknown rule id must not stay behind.
