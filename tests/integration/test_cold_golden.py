@@ -1,8 +1,9 @@
 """Golden values and work bounds for the two cold benchmark networks.
 
-``centralized_update`` — the oracle every other parity test compares with —
-shares the join, the fragment functions and the chase with the distributed
-engine, so a bug common to both would go unnoticed there.  The values below
+``centralized_update`` shares the join, the fragment functions and the
+chase with the distributed engine, so a bug common to both would go
+unnoticed by a comparison with it (the chase of ``tests/fixpoint_oracle.py``
+shares none, but runs on small drawn networks only).  The values below
 were recorded from the commit *before* the evaluator was replaced by compiled
 plans and fragments became maintained (``df58d8b``), with
 ``benchmarks/perf``'s ``cold_tree`` / ``cold_clique`` specs: a digest of the

@@ -1,14 +1,13 @@
-"""Integration tests on the DBLP workload networks (the Section 5 configuration)."""
+"""Integration tests on the DBLP workload networks (the Section 5 configuration).
+
+Which peer ends up with which publications; that every update reaches the
+fix-point is the oracle machine's to check (``test_property_oracle.py``).
+"""
 
 from repro.api import ScenarioSpec, Session
-from repro.core.fixpoint import all_nodes_closed, verify_against_centralized
+from repro.core.fixpoint import all_nodes_closed
 from repro.database.parser import parse_query
-from repro.workloads.topologies import (
-    clique_topology,
-    layered_topology,
-    star_topology,
-    tree_topology,
-)
+from repro.workloads.topologies import clique_topology, tree_topology
 
 
 #: Schema variant -> the relation holding one row per publication, key first.
@@ -24,10 +23,6 @@ def run_network(topology, **kwargs):
     return spec, system
 
 
-def verify(spec, system):
-    return verify_against_centralized(system, spec.schemas, spec.rules, spec.data)
-
-
 def record_keys(spec, topology, nodes):
     """The keys of the publications initially loaded at ``nodes``."""
     return {
@@ -38,11 +33,6 @@ def record_keys(spec, topology, nodes):
 
 
 class TestTreeNetwork:
-    def test_small_tree_matches_centralized(self):
-        spec, system = run_network(tree_topology(2, 2), records_per_node=10)
-        assert verify(spec, system).ok
-        assert all_nodes_closed(system)
-
     def test_root_accumulates_every_publication(self):
         topology = tree_topology(2, 2)
         spec, system = run_network(topology, records_per_node=10)
@@ -62,16 +52,6 @@ class TestTreeNetwork:
 
 
 class TestOtherTopologies:
-    def test_star_network(self):
-        spec, system = run_network(star_topology(4), records_per_node=10)
-        assert verify(spec, system).ok
-
-    def test_layered_network(self):
-        spec, system = run_network(
-            layered_topology(2, width=2, seed=1), records_per_node=10
-        )
-        assert verify(spec, system).ok
-
     def test_small_clique_every_node_gets_everything(self):
         topology = clique_topology(4)
         spec, system = run_network(topology, records_per_node=8)
@@ -81,14 +61,6 @@ class TestOtherTopologies:
             rows = system.node(node).database.relation(relation).rows()
             assert len(rows) == len(distinct_keys)
         assert all_nodes_closed(system)
-
-    def test_tree_of_31_nodes(self):
-        # The paper's headline size; runs in about a second, so it stays in
-        # the default gate (the registered `slow` marker is reserved for the
-        # minutes-to-hours pathological cases excluded via pytest.ini).
-        spec, system = run_network(tree_topology(4, 2), records_per_node=15)
-        assert all_nodes_closed(system)
-        assert verify(spec, system).ok
 
 
 class TestOverlapDistribution:
@@ -103,9 +75,3 @@ class TestOverlapDistribution:
         inserted_disjoint = disjoint.snapshot_stats().total_tuples_inserted
         inserted_overlap = overlapping.snapshot_stats().total_tuples_inserted
         assert inserted_overlap < inserted_disjoint
-
-    def test_overlap_network_still_correct(self):
-        spec, system = run_network(
-            tree_topology(2, 2), records_per_node=10, overlap_probability=0.5
-        )
-        assert verify(spec, system).ok

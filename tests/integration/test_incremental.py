@@ -122,52 +122,6 @@ class TestIncrementalParity:
             assert incremental.databases() == naive_databases
 
 
-@pytest.mark.parametrize("engine", ["sync", "pooled"])
-def test_a_restricted_update_leaves_the_insert_to_the_next_whole_one(
-    engine, on_engine
-):
-    # An update with origins runs naive and primes nothing, so the whole
-    # update after it re-pulls the network and n03's row reaches the root.
-    # The pooled workers used to spend the insert on the restricted run's
-    # delta path, where n01 is not the row's node: it never left n03.
-    with Session.from_spec(on_engine(_tree_spec(), engine)) as session:
-        session.run("discovery")
-        session.update()
-        exporter, relation, row = _insert_feeding_row(session.system)
-        assert (exporter, relation) == ("n03", "pub")
-        session.update(origins=["n01"])
-        session.update()
-        reached = {
-            node_id
-            for node_id, relations in session.databases().items()
-            for rows in relations.values()
-            if any(other[0] == row[0] for other in rows)
-        }
-        assert reached == {"n00", "n01", "n03"}
-
-
-@pytest.mark.parametrize("engine", ["sync", "pooled"])
-def test_a_change_handed_to_a_discovery_run_waits_for_the_next_update(
-    engine, on_engine
-):
-    # The clear rides the discovery run's change, the insert the update's;
-    # folded together they are not rows-only, so the update runs naive and
-    # derives n00's pub again, as the naive reference does.
-    def play(spec, naive=False):
-        with Session.from_spec(spec) as session:
-            run = partial(run_naive, session.system) if naive else session.run
-            run("update")
-            session.system.node("n00").database.relation("pub").clear()
-            run("discovery")
-            _insert_feeding_row(session.system)
-            run("update")
-            return session.databases()
-
-    naive = play(_tree_spec(), naive=True)
-    assert naive["n00"]["pub"]
-    assert play(on_engine(_tree_spec(), engine)) == naive
-
-
 def test_every_worker_decides_on_the_whole_change():
     # n03 alone on its shard: a rewritten n03.pub is not rows-only, so the
     # whole network re-runs naive, although the other shard's own slices

@@ -1,9 +1,9 @@
 """Differential test: the compiled join plans against a brute-force evaluator.
 
-The reference below is a nested loop over the cross product of the body
-atoms' relations, written here from the definition of a conjunctive query —
-it shares no code with :mod:`repro.database.evaluate` (not even
-``Comparison.evaluate``).  Generated queries cover repeated variables inside
+The reference is the fix-point oracle's evaluator
+(``tests/fixpoint_oracle.py``), written from the definition of a
+conjunctive query — it shares no code with :mod:`repro.database.evaluate`
+(not even ``Comparison.evaluate``).  Generated queries cover repeated variables inside
 one atom, constants, self-joins, relations the database does not have, atoms
 of the wrong arity, and comparisons over integers, strings and labelled
 nulls, including the rule that an ordered comparison between incomparable
@@ -13,8 +13,7 @@ the join order cached per size ranking is checked against the greedy choice
 recomputed from the sizes themselves.
 """
 
-import itertools
-import operator
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -38,17 +37,12 @@ from repro.database.query import (
 )
 from repro.database.schema import DatabaseSchema, RelationSchema
 from repro.errors import QueryError
+from fixpoint_oracle import OPERATORS, brute_force as brute_force_over, variables_of
 
 ARITIES = {"r": 2, "s": 2, "t": 3}
 VARIABLES = [Variable(name) for name in "XYZW"]
-OPERATORS = {
-    "=": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
+#: The oracle's evaluator over the relations above.
+brute_force = partial(brute_force_over, arities=ARITIES)
 
 constants = st.one_of(st.integers(0, 3), st.sampled_from(["a", "b", "c"]))
 values = st.one_of(
@@ -99,67 +93,6 @@ def database_of(facts):
     for name, rows in facts.items():
         database.insert_many(name, rows)
     return database
-
-
-def variables_of(query):
-    seen = []
-    for atom in query.body:
-        for term in atom.terms:
-            if isinstance(term, Variable) and term not in seen:
-                seen.append(term)
-    return seen
-
-
-def brute_force(facts, query, delta=None):
-    """Every solution as a tuple over ``variables_of(query)``.
-
-    With ``delta``, only the solutions that use a delta row for at least one
-    atom.  Raises QueryError when an atom does not fit a relation the
-    database has; a relation it does not have is empty.
-    """
-    for atom in query.body:
-        if atom.relation in ARITIES and ARITIES[atom.relation] != len(atom.terms):
-            raise QueryError(f"arity of {atom}")
-    variables = variables_of(query)
-    solutions = set()
-    for combination in itertools.product(
-        *(sorted(facts.get(atom.relation, ()), key=repr) for atom in query.body)
-    ):
-        binding = {}
-        consistent = True
-        for atom, row in zip(query.body, combination):
-            for term, value in zip(atom.terms, row):
-                if isinstance(term, Constant):
-                    consistent = consistent and term.value == value
-                elif term in binding:
-                    consistent = consistent and binding[term] == value
-                else:
-                    binding[term] = value
-        if not consistent:
-            continue
-
-        def value_of(term):
-            return term.value if isinstance(term, Constant) else binding[term]
-
-        def holds(comparison):
-            try:
-                return bool(
-                    OPERATORS[comparison.operator](
-                        value_of(comparison.left), value_of(comparison.right)
-                    )
-                )
-            except TypeError:
-                return False
-
-        if not all(holds(comparison) for comparison in query.comparisons):
-            continue
-        if delta is not None and not any(
-            row in delta.get(atom.relation, ())
-            for atom, row in zip(query.body, combination)
-        ):
-            continue
-        solutions.add(tuple(binding[variable] for variable in variables))
-    return solutions
 
 
 def outcome(function):
