@@ -14,7 +14,7 @@ Quickstart::
 
     session = Session(build_paper_example())
     session.run("discovery")
-    result = session.update()          # or strategy="centralized" / "acyclic" / ...
+    result = session.update()          # shorthand for session.run("update")
     print(result.completion_time, result.tuples_added)
     print(session.query("A", "q(X, Y) :- a(X, Y)"))
 
@@ -85,9 +85,6 @@ from repro.api import (
     ExecutionEngine,
     SyncEngine,
     engine_for,
-    UpdateStrategy,
-    get_strategy,
-    available_strategies,
 )
 from repro.baselines import centralized_update, acyclic_update, query_time_answer
 from repro.workloads import (
@@ -161,9 +158,6 @@ __all__ = [
     "ExecutionEngine",
     "SyncEngine",
     "engine_for",
-    "UpdateStrategy",
-    "get_strategy",
-    "available_strategies",
     # sharding
     "ShardPlan",
     "ShardPlanner",

@@ -1,15 +1,12 @@
-"""The library's front door: sessions, engines, strategies, specs.
+"""The library's front door: sessions, engines, specs, results.
 
 This package is the unified execution façade over the substrate in
 :mod:`repro.core`:
 
-* :class:`~repro.api.session.Session` — engine-agnostic runs
-  (``session.run("discovery")``) and updates by any of four strategies
-  (``session.update(strategy="centralized")``),
+* :class:`~repro.api.session.Session` — engine-agnostic runs of the
+  paper's two phases (``session.run("discovery")``, ``session.update()``),
 * :class:`~repro.api.engine.ExecutionEngine` with
   :class:`~repro.api.engine.SyncEngine`,
-* :class:`~repro.api.strategies.UpdateStrategy` and its fixed table of four
-  (``"distributed"``, ``"centralized"``, ``"acyclic"``, ``"querytime"``),
 * :class:`~repro.api.spec.ScenarioSpec` — the one description of a network;
   its ``build_system()`` is the one place a network is assembled (JSON format
   in ``docs/scenarios.md``),
@@ -25,6 +22,10 @@ Every spec goes through the static pre-flight analyzer
 <repro.api.session.Session.from_spec>` builds anything: error-level
 diagnostics raise, warnings ride along on the results (``check=False``
 opts out; ``docs/analysis.md`` lists the diagnostic codes).
+
+The baselines the paper compares its update with (the centralized global
+algorithm, one acyclic pass, query-time answering) are plain functions of
+:mod:`repro.baselines` over a spec's schemas, rules and data.
 """
 
 from repro.api.engine import (
@@ -36,11 +37,6 @@ from repro.api.engine import (
 from repro.api.result import RunResult
 from repro.api.session import Session
 from repro.api.spec import ScenarioSpec
-from repro.api.strategies import (
-    UpdateStrategy,
-    available_strategies,
-    get_strategy,
-)
 
 __all__ = [
     "PHASES",
@@ -50,7 +46,4 @@ __all__ = [
     "RunResult",
     "Session",
     "ScenarioSpec",
-    "UpdateStrategy",
-    "available_strategies",
-    "get_strategy",
 ]

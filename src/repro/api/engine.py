@@ -43,11 +43,13 @@ def start_phase(
     """Kick off ``phase`` at its origin nodes and return the origins used.
 
     The ``sync`` engine and every shard worker start a phase here.
-    Discovery defaults to the super-peer initiating, as in the paper; the
+    Discovery defaults to the super-peer initiating, as in the paper, and
+    starts every peer from no discovery state (:func:`reset_discovery`); the
     update defaults to every node (the super-peer's global update request).
     """
     if phase == "discovery":
         origin_list = list(origins) if origins is not None else [system.super_peer]
+        reset_discovery(system)
         for origin in origin_list:
             system.node(origin).discovery.start()
     elif phase == "update":
@@ -57,6 +59,14 @@ def start_phase(
     else:
         raise ReproError(f"unknown phase {phase!r}; expected one of {PHASES}")
     return origin_list
+
+
+def reset_discovery(system: P2PSystem) -> None:
+    """Forget every peer's earlier discovery runs, so a run's paths follow
+    from the rules installed when it starts; the system holding the data and
+    a process engine's coordinator both reset."""
+    for node in system.nodes.values():
+        node.state.reset_discovery()
 
 
 def start_run(

@@ -7,10 +7,8 @@ exposes the library's operations uniformly:
 
 * ``session.run("discovery")`` / ``session.run("update")`` — the paper's two
   protocol phases, identical over the simulator and the process engines,
-* ``session.update(strategy="centralized")`` — one of the four
-  :class:`~repro.api.strategies.UpdateStrategy` entries (the paper's algorithm
-  or one of the three baselines), always returning a uniform
-  :class:`~repro.api.result.RunResult`,
+  each returning a :class:`~repro.api.result.RunResult`
+  (``session.discover()`` and ``session.update()`` are shorthands),
 * ``session.query(node, "q(X) :- item(X, Y)")`` — local query answering.
 
 Sessions are built from a declarative :class:`~repro.api.spec.ScenarioSpec`
@@ -35,7 +33,6 @@ from repro.analysis.diagnostics import AnalysisReport
 from repro.api.engine import ExecutionEngine, engine_for
 from repro.api.result import RunResult
 from repro.api.spec import ScenarioSpec
-from repro.api.strategies import get_strategy
 from repro.coordination.changeset import Change, RelationMarks, rules_fingerprint
 from repro.coordination.rule import CoordinationRule, NodeId
 from repro.database.parser import parse_query
@@ -51,7 +48,7 @@ if TYPE_CHECKING:
     from repro.faults.plan import FaultPlan
 
 class Session:
-    """Engine-agnostic execution over one system, by any of four strategies."""
+    """Engine-agnostic execution of the paper's two phases over one system."""
 
     def __init__(
         self,
@@ -59,7 +56,6 @@ class Session:
         *,
         spec: ScenarioSpec | None = None,
         engine: ExecutionEngine | None = None,
-        strategy: str | None = None,
         preflight: AnalysisReport | None = None,
         trace: bool = False,
         tracer: Tracer | None = None,
@@ -72,11 +68,6 @@ class Session:
         # check=False); its warning codes ride along on every RunResult.
         self.preflight = preflight
         self.engine = engine if engine is not None else engine_for(system.transport)
-        self.default_strategy = (
-            strategy
-            if strategy is not None
-            else (spec.strategy if spec is not None else "distributed")
-        )
         # The one reader of change (_changed): marks on every relation, built
         # by the first run, and the rules as of the previous run's start.
         self._marks: RelationMarks | None = None
@@ -233,34 +224,23 @@ class Session:
         snapshot: StatsSnapshot,
         started: float,
     ) -> RunResult:
-        system = self.system
-        return self._attach_preflight(
-            RunResult(
-                phase=phase,
-                strategy=None,
-                engine=self.engine.name,
-                completion_time=completion,
-                wall_seconds=time.perf_counter() - started,
-                stats=snapshot,
-                databases=system.databases(),
-                deltas=Change.read(system, self._marks),
-                mode=system.mode,
-            )
-        )
-
-    def _attach_preflight(self, result: RunResult) -> RunResult:
-        """Tag the pre-flight warning codes onto a result (no-op when clean).
-
-        A clean pre-flight adds nothing, so results are bit-identical with
-        ``check=True`` and ``check=False`` — the parity the test-suite pins.
-        """
-        if self.preflight is None or not self.preflight.warnings:
-            return result
-        if "preflight_warnings" in result.extras:
-            return result
-        codes = tuple(d.code for d in self.preflight.warnings)
-        return replace(
-            result, extras={**result.extras, "preflight_warnings": codes}
+        system, preflight = self.system, self.preflight
+        # The pre-flight warning codes ride along; a clean pre-flight adds
+        # nothing, so results are bit-identical with check=True and
+        # check=False — the parity the test-suite pins.
+        extras: dict[str, object] = {}
+        if preflight is not None and preflight.warnings:
+            extras["preflight_warnings"] = tuple(d.code for d in preflight.warnings)
+        return RunResult(
+            phase=phase,
+            engine=self.engine.name,
+            completion_time=completion,
+            wall_seconds=time.perf_counter() - started,
+            stats=snapshot,
+            databases=system.databases(),
+            deltas=Change.read(system, self._marks),
+            extras=extras,
+            mode=system.mode,
         )
 
     def run(
@@ -333,27 +313,9 @@ class Session:
         """Shorthand for ``run("discovery")``."""
         return self.run("discovery", origins=origins)
 
-    def update(
-        self,
-        strategy: str | None = None,
-        *,
-        origins: Iterable[NodeId] | None = None,
-        **options: object,
-    ) -> RunResult:
-        """Bring the network's data to a fix-point with the chosen strategy.
-
-        ``strategy`` names one of the four strategies (default: the
-        session's — usually ``"distributed"``); ``options`` are forwarded to
-        it (e.g. ``force=True`` for ``"acyclic"``, ``node=``/``query=`` for
-        ``"querytime"``).  The result's fields mean the same thing whichever
-        strategy ran; a :class:`RunResult` with ``strategy`` set is returned.
-        """
-        name = strategy if strategy is not None else self.default_strategy
-        result = get_strategy(name).run(self, origins=origins, **options)
-        if result.strategy is None:
-            # The distributed strategy delegates to run(); tag its origin.
-            result = replace(result, strategy=name)
-        return self._attach_preflight(result)
+    def update(self, *, origins: Iterable[NodeId] | None = None) -> RunResult:
+        """Shorthand for ``run("update")``."""
+        return self.run("update", origins=origins)
 
     # ---------------------------------------------------------------- queries
 
@@ -366,7 +328,4 @@ class Session:
         return self.system.local_query(node_id, query)
 
     def __repr__(self) -> str:
-        return (
-            f"Session({self.system!r}, engine={self.engine.name!r}, "
-            f"strategy={self.default_strategy!r})"
-        )
+        return f"Session({self.system!r}, engine={self.engine.name!r})"

@@ -1,10 +1,10 @@
 """Declarative scenarios: the one description of a network.
 
 A :class:`ScenarioSpec` is everything a run needs in one object — schemas,
-rules, initial data, transport, propagation policy, latency, super-peer and a
-default update strategy — so experiments reduce to *spec + run + report* and
-can be stored, varied and replayed.  :meth:`ScenarioSpec.of` builds one from
-loose parts (schema lists, rule strings)::
+rules, initial data, transport, propagation policy, latency and super-peer —
+so experiments reduce to *spec + run + report* and can be stored, varied and
+replayed.  :meth:`ScenarioSpec.of` builds one from loose parts (schema
+lists, rule strings)::
 
     spec = ScenarioSpec.of(
         {"a": [RelationSchema("item", ["x", "y"])],
@@ -122,7 +122,6 @@ class ScenarioSpec:
     propagation: str = "once"
     latency: LatencyModel | None = None
     super_peer: NodeId | None = None
-    strategy: str = "distributed"
     max_messages: int = 1_000_000
     name: str = "scenario"
     #: Shard count for the partitioned transports (``"multiproc"`` /
@@ -248,7 +247,6 @@ class ScenarioSpec:
             "propagation": self.propagation,
             "latency": _dump_latency(self.latency),
             "super_peer": self.super_peer,
-            "strategy": self.strategy,
             "max_messages": self.max_messages,
             "shards": self.shards,
             "pool": self.pool,
@@ -287,7 +285,9 @@ class ScenarioSpec:
         """Rebuild a spec dumped by :meth:`dump_json`.
 
         ``source`` is a path to a spec file, or the JSON text itself (any
-        string whose first non-blank character is ``{``).
+        string whose first non-blank character is ``{``).  A ``strategy``
+        key, which older files carry, must be ``"distributed"``: the
+        baselines are functions of :mod:`repro.baselines`, not runs.
         """
         if isinstance(source, Path):
             text = source.read_text(encoding="utf-8")
@@ -303,6 +303,13 @@ class ScenarioSpec:
             raise ReproError(
                 f"unsupported scenario format {document.get('format')!r}; "
                 f"expected {_SPEC_FORMAT!r}"
+            )
+        strategy = document.get("strategy", "distributed")
+        if strategy != "distributed":
+            raise ReproError(
+                f"scenario strategy {strategy!r} is no longer a run: call "
+                "repro.baselines (centralized_update, acyclic_update, "
+                "query_time_answer) on the spec's schemas, rules and data"
             )
         schemas = {
             node: DatabaseSchema(
@@ -331,7 +338,6 @@ class ScenarioSpec:
             propagation=document.get("propagation", "once"),
             latency=_load_latency(document.get("latency")),
             super_peer=document.get("super_peer"),
-            strategy=document.get("strategy", "distributed"),
             max_messages=document.get("max_messages", 1_000_000),
             name=document.get("name", "scenario"),
             shards=document.get("shards"),

@@ -24,10 +24,10 @@ from repro.baselines.centralized import (
     DataSpec,
     SchemaSpec,
     _build_databases,
+    apply_rule,
 )
 from repro.coordination.depgraph import DependencyGraph
 from repro.coordination.rule import CoordinationRule, NodeId
-from repro.core.update import fragment_for, join_fragments
 from repro.errors import ReproError
 
 
@@ -83,18 +83,7 @@ def acyclic_update(
     tuples_inserted = 0
     for rule in ordered_rules:
         rule_applications += 1
-        fragments = {
-            source: fragment_for(databases[source], rule, source)
-            for source in rule.sources
-            if source in databases
-        }
-        if len(fragments) != len(rule.sources):
-            continue
-        answers = join_fragments(rule, fragments)
-        inserted = databases[rule.target].apply_view_tuples(
-            rule.rule_id, rule.head, rule.distinguished_variables, answers
-        )
-        tuples_inserted += len(inserted)
+        tuples_inserted += len(apply_rule(databases, rule))
 
     return CentralizedResult(
         databases=databases,

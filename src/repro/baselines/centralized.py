@@ -10,12 +10,13 @@ chase step as the distributed engine:
   joining the per-source fragments and materialises the head — until a full
   round adds no tuple anywhere.
 
-Because it shares :func:`repro.core.update.fragment_for`,
+Each rule application is :func:`apply_rule`, the one chase step of every
+baseline, built from the distributed engine's own
+:func:`repro.core.update.fragment_for`,
 :func:`repro.core.update.join_fragments` and
-:meth:`repro.database.database.LocalDatabase.apply_view_tuples` with the
-distributed engine, its fix-point is the reference result the distributed
-algorithm must reproduce (soundness and completeness, Lemma 1), and the tests
-use it exactly that way.
+:meth:`repro.database.database.LocalDatabase.apply_view_tuples`.  The
+fix-point is the reference result the distributed algorithm must reproduce
+(soundness and completeness, Lemma 1).
 """
 
 from __future__ import annotations
@@ -62,6 +63,30 @@ def _build_databases(
     return databases
 
 
+def apply_rule(
+    databases: Mapping[NodeId, LocalDatabase], rule: CoordinationRule
+) -> set[Row]:
+    """One chase step: join ``rule``'s body fragments over ``databases`` and
+    materialise its head at the target (step A6).
+
+    Returns the rows inserted; none when a source has no database.  Every
+    baseline and :func:`repro.core.fixpoint.satisfies_all_rules` apply rules
+    through this function.
+    """
+    if any(source not in databases for source in rule.sources):
+        return set()
+    fragments = {
+        source: fragment_for(databases[source], rule, source)
+        for source in rule.sources
+    }
+    return databases[rule.target].apply_view_tuples(
+        rule.rule_id,
+        rule.head,
+        rule.distinguished_variables,
+        join_fragments(rule, fragments),
+    )
+
+
 def centralized_update(
     schemas: SchemaSpec,
     rules: Iterable[CoordinationRule],
@@ -92,17 +117,7 @@ def centralized_update(
         changed = False
         for rule in rules:
             rule_applications += 1
-            fragments = {
-                source: fragment_for(databases[source], rule, source)
-                for source in rule.sources
-                if source in databases
-            }
-            if len(fragments) != len(rule.sources):
-                continue
-            answers = join_fragments(rule, fragments)
-            inserted = databases[rule.target].apply_view_tuples(
-                rule.rule_id, rule.head, rule.distinguished_variables, answers
-            )
+            inserted = apply_rule(databases, rule)
             if inserted:
                 changed = True
                 tuples_inserted += len(inserted)

@@ -24,12 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.baselines.centralized import DataSpec, SchemaSpec, _build_databases
+from repro.baselines.centralized import DataSpec, SchemaSpec, centralized_update
 from repro.coordination.depgraph import DependencyGraph
 from repro.coordination.rule import CoordinationRule, NodeId
-from repro.core.update import fragment_for, join_fragments
 from repro.database.query import ConjunctiveQuery
-from repro.errors import TerminationError
 
 
 @dataclass(frozen=True)
@@ -42,75 +40,6 @@ class QueryTimeResult:
     nodes_contacted: int
 
 
-@dataclass(frozen=True)
-class ClosureFetch:
-    """The accumulated state after fetching one node's dependency closure."""
-
-    databases: dict[NodeId, "LocalDatabase"]
-    messages: int
-    rounds: int
-    closure: frozenset[NodeId]
-
-
-def fetch_closure(
-    schemas: SchemaSpec,
-    rules: Iterable[CoordinationRule],
-    data: DataSpec | None,
-    node_id: NodeId,
-    *,
-    max_rounds: int = 10_000,
-) -> ClosureFetch:
-    """Fetch ``node_id``'s dependency closure round by round until its fix-point.
-
-    This is the message-paying part of query-time answering, factored out so
-    the strategy façade can report the accumulated databases; every
-    (rule, source) fetch in a round costs one query and one answer message.
-    """
-    rules = list(rules)
-    graph = DependencyGraph.from_rules(rules, nodes=schemas.keys())
-    closure = graph.reachable_from(node_id)
-    relevant_rules = [
-        rule
-        for rule in rules
-        if rule.target in closure and all(source in closure for source in rule.sources)
-    ]
-
-    databases = _build_databases(schemas, data)
-    messages = 0
-    rounds = 0
-    changed = True
-    while changed:
-        if rounds >= max_rounds:
-            raise TerminationError(
-                f"query-time fetching did not converge in {max_rounds} rounds"
-            )
-        rounds += 1
-        changed = False
-        for rule in relevant_rules:
-            fragments = {}
-            for source in rule.sources:
-                if source not in databases:
-                    continue
-                # One query message to the source and one answer back.
-                messages += 2
-                fragments[source] = fragment_for(databases[source], rule, source)
-            if len(fragments) != len(rule.sources):
-                continue
-            answers = join_fragments(rule, fragments)
-            inserted = databases[rule.target].apply_view_tuples(
-                rule.rule_id, rule.head, rule.distinguished_variables, answers
-            )
-            if inserted:
-                changed = True
-
-    return ClosureFetch(
-        databases=databases,
-        messages=messages,
-        rounds=rounds,
-        closure=frozenset(closure),
-    )
-
-
 def query_time_answer(
     schemas: SchemaSpec,
     rules: Iterable[CoordinationRule],
@@ -120,12 +49,24 @@ def query_time_answer(
     *,
     max_rounds: int = 10_000,
 ) -> QueryTimeResult:
-    """Answer ``query`` at ``node_id`` by fetching remote data at query time."""
-    fetch = fetch_closure(schemas, rules, data, node_id, max_rounds=max_rounds)
-    final_answers = frozenset(fetch.databases[node_id].query(query))
+    """Answer ``query`` at ``node_id`` by fetching remote data at query time.
+
+    The fetch is the centralized fix-point over the rules of ``node_id``'s
+    dependency closure; every round fetches once through every (rule,
+    source) pair, one query message and one answer message each.
+    """
+    rules = list(rules)
+    graph = DependencyGraph.from_rules(rules, nodes=schemas.keys())
+    closure = graph.reachable_from(node_id)
+    relevant = [
+        rule
+        for rule in rules
+        if rule.target in closure and all(source in closure for source in rule.sources)
+    ]
+    fetched = centralized_update(schemas, relevant, data, max_rounds=max_rounds)
     return QueryTimeResult(
-        answers=final_answers,
-        messages=fetch.messages,
-        rounds=fetch.rounds,
-        nodes_contacted=len(fetch.closure) - 1,
+        answers=frozenset(fetched.databases[node_id].query(query)),
+        messages=fetched.rounds * 2 * sum(len(rule.sources) for rule in relevant),
+        rounds=fetched.rounds,
+        nodes_contacted=len(closure) - 1,
     )

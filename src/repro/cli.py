@@ -3,8 +3,8 @@
 ``python -m repro list`` shows the available experiments;
 ``python -m repro run E4 --records 30`` regenerates one of them and prints
 the same table the corresponding module's ``main()`` produces (E9 compares
-the paper's update with the three reference strategies of
-:mod:`repro.api.strategies`).  The CLI is a thin veneer
+the paper's update with the three baselines of :mod:`repro.baselines`).
+The CLI is a thin veneer
 over :mod:`repro.experiments`, so scripted runs (benchmarks, CI, notebooks)
 and interactive runs share exactly the same code paths.  ``python -m repro
 run E11 --faults plan.json --trace out.json`` replays a fault plan against

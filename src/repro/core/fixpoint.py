@@ -20,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from repro.baselines.centralized import centralized_update
+from repro.baselines.centralized import apply_rule, centralized_update
 from repro.coordination.rule import CoordinationRule, NodeId
 from repro.core.system import P2PSystem
-from repro.core.update import fragment_for, join_fragments
 from repro.database.nulls import is_null
 from repro.database.relation import Row
 
@@ -37,17 +36,10 @@ def all_nodes_closed(system: P2PSystem) -> bool:
 
 def satisfies_all_rules(system: P2PSystem) -> bool:
     """True when no rule application can add a tuple anywhere (semantic fix-point)."""
+    databases = {node_id: node.database for node_id, node in system.nodes.items()}
     for rule in system.registry:
-        fragments = {
-            source: fragment_for(system.node(source).database, rule, source)
-            for source in rule.sources
-        }
-        answers = join_fragments(rule, fragments)
-        target_db = system.node(rule.target).database.copy()
-        inserted = target_db.apply_view_tuples(
-            rule.rule_id, rule.head, rule.distinguished_variables, answers
-        )
-        if inserted:
+        # The step fires into a copy of the target: checking writes nothing.
+        if apply_rule({**databases, rule.target: databases[rule.target].copy()}, rule):
             return False
     return True
 

@@ -192,6 +192,20 @@ class NodeState:
         for key in [key for key in self.pushed_fragments if key[0] == rule_id]:
             del self.pushed_fragments[key]
 
+    def reset_discovery(self) -> None:
+        """Forget what earlier discovery runs learned: state, edges, paths,
+        owners, the origins seen and the branch flags.  They describe the
+        rules as they were then; kept, a removed rule's edges would stay in
+        the paths."""
+        self.state_d = DiscoveryState.UNDEFINED
+        self.finished = False
+        self.edges = set()
+        self.paths = {}
+        self.discovery_owner = []
+        self.origins_seen = set()
+        self.branch_state_closed = {}
+        self.branch_finished = {}
+
     # ------------------------------------------------------------- inspection
 
     def has_discovery_owner(self, requester: NodeId | None, origin: NodeId) -> bool:

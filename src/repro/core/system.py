@@ -9,7 +9,7 @@ and applies dynamic-network changes.
 :meth:`~repro.api.ScenarioSpec.build_system` is the one place a system is put
 together; open a :class:`repro.api.Session` on it (or use
 :meth:`repro.api.Session.from_spec`) and call ``session.run("discovery")`` /
-``session.update(strategy=...)``.
+``session.run("update")``.
 """
 
 from __future__ import annotations

@@ -7,13 +7,11 @@ The introduction positions the update algorithm against two alternatives:
 * the *global* algorithm of the related work, which assumes a central node
   performing all the computation.
 
-Since the façade refactor all four contenders run through the same
-:class:`repro.api.Session` API — the distributed update on the live system,
-and the ``centralized`` / ``acyclic`` / ``querytime`` strategies from a fresh
-session over the same :class:`~repro.api.ScenarioSpec` — and return the same
-:class:`~repro.api.RunResult`, so the comparison is a straight read-off of
-uniform fields.  The experiment reports, for a batch of user queries issued
-at the super-peer:
+The distributed update runs on a :class:`repro.api.Session`; the three
+baselines of :mod:`repro.baselines` (``centralized_update``,
+``query_time_answer``, ``acyclic_update``) run on the same
+:class:`~repro.api.ScenarioSpec`'s schemas, rules and data.  The experiment
+reports, for a batch of user queries issued at the super-peer:
 
 * messages paid by the distributed update (once) and per subsequent query
   (zero — queries are answered locally),
@@ -21,7 +19,7 @@ at the super-peer:
 * the centralized baseline's cost model (no messages, but every database must
   be shipped to / accessible from one site — reported as tuples that would
   need to be centralised),
-* whether the acyclic single-pass strategy applies and, where it does, whether
+* whether the acyclic single-pass baseline applies and, where it does, whether
   it reaches the same fix-point (it fails on cyclic networks — precisely the
   limitation the paper's algorithm removes).
 """
@@ -32,6 +30,9 @@ from dataclasses import dataclass
 
 from repro.api.session import Session
 from repro.api.spec import ScenarioSpec
+from repro.baselines import acyclic_update, centralized_update, query_time_answer
+from repro.core.fixpoint import ground_part
+from repro.database.parser import parse_query
 from repro.errors import ReproError
 from repro.experiments.runner import report
 from repro.workloads.topologies import TopologySpec, clique_topology, tree_topology
@@ -39,7 +40,7 @@ from repro.workloads.topologies import TopologySpec, clique_topology, tree_topol
 
 @dataclass(frozen=True)
 class BaselineComparison:
-    """Costs of the competing strategies on one topology."""
+    """Costs of the competing algorithms on one topology."""
 
     topology: str
     node_count: int
@@ -92,20 +93,19 @@ def run_baseline_comparison(
     update_time = distributed.completion_time - discovery.completion_time
     local_answers = session.query(query_node, query_text)
 
-    # The reference strategies from a fresh session over the same spec (they
-    # read the initial state and do not mutate it, so one session serves all).
-    reference = Session.from_spec(scenario)
-    central = reference.update("centralized", node=query_node, query=query_text)
-    query_time = reference.update("querytime", node=query_node, query=query_text)
-
-    central_answers = set(central.extras["answers"])
-    querytime_answers = query_time.extras["answers"]
-    querytime_messages = int(query_time.extras["messages"])
+    # The baselines on the same initial state, at one site.
+    schemas, rules, data = scenario.schemas, scenario.rules, scenario.data
+    query = parse_query(query_text)
+    central = centralized_update(schemas, rules, data)
+    central_answers = central.databases[query_node].query(query)
+    query_time = query_time_answer(schemas, rules, data, query_node, query)
+    querytime_messages = query_time.messages
 
     try:
-        acyclic = reference.update("acyclic")
+        acyclic = acyclic_update(schemas, rules, data)
         acyclic_applicable = True
-        acyclic_matches = acyclic.ground_databases() == central.ground_databases()
+        central_ground = ground_part(central.snapshot())
+        acyclic_matches = ground_part(acyclic.snapshot()) == central_ground
     except ReproError:
         acyclic_applicable = False
         acyclic_matches = False
@@ -121,7 +121,7 @@ def run_baseline_comparison(
         centralized_tuples_to_ship=scenario.total_rows,
         acyclic_applicable=acyclic_applicable,
         acyclic_matches=acyclic_matches,
-        answers_agree=(local_answers == set(querytime_answers) == central_answers),
+        answers_agree=(local_answers == set(query_time.answers) == central_answers),
     )
 
 

@@ -3,8 +3,8 @@
 Every workload-driven experiment builds on :func:`run_dblp_update` (DBLP
 workload over a topology, :meth:`~repro.api.ScenarioSpec.from_topology`),
 which runs the paper's distributed algorithm through the unified
-:class:`repro.api.Session` façade; the reference strategies are compared in
-E9 (:mod:`repro.experiments.baseline_comparison`).  The returned
+:class:`repro.api.Session` façade; the baselines of :mod:`repro.baselines`
+are compared with it in E9 (:mod:`repro.experiments.baseline_comparison`).  The returned
 :class:`UpdateRunResult` carries exactly the quantities the paper's
 statistics module accumulated: simulated execution time, message
 counts by phase and type, data volumes, per-node counters, and the

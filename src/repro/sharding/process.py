@@ -37,7 +37,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.api.engine import PHASES, finalize_phase
+from repro.api.engine import PHASES, finalize_phase, reset_discovery
 from repro.coordination.changeset import Change
 from repro.coordination.rule import NodeId
 from repro.errors import NetworkError, ReproError
@@ -268,6 +268,8 @@ class ProcessEngine:
                         error,
                     )
             wall = time.perf_counter() - started
+            if phase == "discovery":
+                reset_discovery(system)  # the workers started from none too
             completion = self._merge(system, transport, payloads, wall)
             finalize_phase(system, phase)  # paths follow from the merged edges
         except BaseException:

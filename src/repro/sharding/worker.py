@@ -341,6 +341,10 @@ class ShardWorker:
                 owned = set(nodes)
                 nodes = tuple(origin for origin in origins if origin in owned)
             started = start_run(system, phase, origins, change, nodes=nodes)
+            if phase == "discovery":
+                # Every peer's discovery state restarted, here and at the
+                # coordinator: what was shipped home before is gone.
+                self._shipped.clear()
             transport.ran.update(started)
             self._report_due = True
         else:

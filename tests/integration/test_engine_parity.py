@@ -6,7 +6,9 @@ is the oracle machine's to check (``tests/property/test_property_oracle.py``).
 Here the rows limited to one kind of engine pin warmth itself and a peer
 joining a warm session (the warm engines), planning without a pool (the
 one-shot engines), the plan cut (``multiproc``), and the hosts a ``socket``
-engine spawns when given none.
+engine spawns when given none; and, on a kept-state, a warm and a one-shot
+engine, that a second discovery after a rule edit finds what a fresh system
+finds.
 """
 
 import pytest
@@ -28,6 +30,57 @@ def sync_result(spec: ScenarioSpec):
     with Session.from_spec(spec) as session:
         session.run("discovery")
         return session.update()
+
+
+def copy(source: str, target: str) -> str:
+    return f"{target}{source}: {source}: t(X, Y, Z) -> {target}: t(X, Y, Z)"
+
+
+def discovered_paths(spec: ScenarioSpec, *edits) -> dict:
+    """Every peer's maximal paths after a discovery, and again after each
+    edit of the system and a discovery."""
+    with Session.from_spec(spec) as session:
+        session.run("discovery")
+        for edit in edits:
+            edit(session.system)
+            session.run("discovery")
+        nodes = session.system.nodes
+        return {name: node.state.maximal_paths() for name, node in nodes.items()}
+
+
+class TestRediscovery:
+    """Each discovery starts from no discovery state, at the peers and at a
+    process engine's coordinator alike."""
+
+    T = [RelationSchema("t", ["x", "y", "z"])]
+
+    @pytest.mark.parametrize("engine", ["sync", "pooled", "multiproc"])
+    def test_a_removed_rule_leaves_the_paths(self, engine, on_engine):
+        spec = ScenarioSpec.of(
+            {peer: self.T for peer in "abc"},
+            [copy(source, target) for source, target in ("ba", "cb")],
+            super_peer="a",
+        )
+        spec = on_engine(spec, engine)
+        assert discovered_paths(spec)["a"] == [("a", "b", "c")]
+        paths = discovered_paths(spec, lambda system: system.remove_rule("bc"))
+        assert paths["a"] == [("a", "b")]
+        assert paths == discovered_paths(spec.with_(rules=spec.rules[:1]))
+
+    @pytest.mark.parametrize("engine", ["sync", "pooled", "multiproc"])
+    def test_an_added_rule_joins_the_paths(self, engine, on_engine):
+        # d imports nothing at the first discovery, and closes on its own.
+        spec = ScenarioSpec.of(
+            {peer: self.T for peer in "abcdef"},
+            [copy(source, target) for source, target in ("ca", "fa", "ec", "af", "df")],
+            super_peer="a",
+        )
+        spec = on_engine(spec, engine)
+        added = rule_from_text("da", "a: t(X, Y, Z) -> d: t(X, Y, Z)")
+        paths = discovered_paths(spec, lambda system: system.add_rule(added))
+        found = [("d", "a", "c", "e"), ("d", "a", "f", "a"), ("d", "a", "f", "d")]
+        assert paths["d"] == found
+        assert paths == discovered_paths(spec.with_(rules=(*spec.rules, added)))
 
 
 class TestWarmEngines:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.api import ScenarioSpec, Session
+from repro.api import ScenarioSpec
+from repro.baselines import centralized_update
 from repro.experiments.baseline_comparison import run_baseline_comparison
 from repro.experiments.complexity_growth import run_change_growth, run_clique_growth
 from repro.experiments.data_distribution import run_data_distribution
@@ -107,9 +108,8 @@ class TestE4DepthLinearity:
             assert list(data.update_messages) == sorted(data.update_messages)
 
     def test_each_depth_inserts_the_centralized_tuples(self):
-        # E9 is where the strategies are compared; here E4's distributed
-        # counts are checked against the centralized fix-point of the same
-        # workload, reached through Session.update.
+        # E4's distributed counts against the centralized fix-point of the
+        # same workload.
         series = run_depth_linearity(depths=(1, 2), records_per_node=5)
         topologies = {
             "tree": lambda depth: tree_topology(depth, fanout=2),
@@ -120,8 +120,8 @@ class TestE4DepthLinearity:
                 spec = ScenarioSpec.from_topology(
                     topologies[family](depth), records_per_node=5, seed=0
                 )
-                reference = Session.from_spec(spec).update("centralized")
-                assert result.tuples_inserted == reference.tuples_added > 0
+                reference = centralized_update(spec.schemas, spec.rules, spec.data)
+                assert result.tuples_inserted == reference.tuples_inserted > 0
 
 
 class TestE5DataDistribution:
@@ -151,10 +151,10 @@ class TestE6MessageAccounting:
         spec = ScenarioSpec.from_topology(
             clique_topology(3), records_per_node=4, seed=0
         )
-        reference = Session.from_spec(spec).update("centralized")
-        assert reference.tuples_added > 0
-        assert result.once.tuples_inserted == reference.tuples_added
-        assert result.per_path.tuples_inserted == reference.tuples_added
+        reference = centralized_update(spec.schemas, spec.rules, spec.data)
+        assert reference.tuples_inserted > 0
+        assert result.once.tuples_inserted == reference.tuples_inserted
+        assert result.per_path.tuples_inserted == reference.tuples_inserted
 
 
 class TestE9BaselineComparison:

@@ -1,8 +1,7 @@
 """A run's ``deltas`` is the :class:`Change` it made, on every engine.
 
 ``Session.run`` marks every relation before the engine starts and reads the
-marks back afterwards (:meth:`Change.read`); the reference strategies diff
-their own snapshots (:meth:`Change.between`).  Both are checked here against
+marks back afterwards (:meth:`Change.read`).  That is checked here against
 a set-difference oracle of the world before and after the run, over the run
 kinds a warm network sees: a cold update, a one-row insert, a run with
 nothing to do and a run after a delete (on ``pooled``, the delta path).
@@ -97,27 +96,6 @@ def test_run_deltas_match_the_set_difference(engine, on_engine):
         assert checked_run(session).tuples_added == 0
 
 
-@pytest.mark.parametrize(
-    "strategy, options",
-    [
-        ("distributed", {}),
-        ("centralized", {}),
-        ("acyclic", {}),
-        # n01's closure is half the tree; the rest keeps its rows unread.
-        ("querytime", {"node": "n01"}),
-    ],
-)
-def test_strategy_deltas_match_the_set_difference(strategy, options):
-    session = Session.from_spec(tree_spec())
-    before = session.databases()
-    result = session.update(strategy, **options)
-    assert_matches(result, before, result.databases)
-    assert result.tuples_added > 0
-    if strategy == "querytime":
-        assert "n01" in result.deltas.inserts
-        assert "n00" not in result.deltas.inserts
-
-
 def test_a_warm_run_snapshots_the_world_once(monkeypatch):
     spec = tree_spec(depth=5, records=10).with_(**ENGINES["pooled"])
     node, relation_name, arity = feeding_site(spec)
@@ -139,7 +117,7 @@ def test_a_warm_run_snapshots_the_world_once(monkeypatch):
     assert result.tuples_added > 0
 
 
-@pytest.mark.parametrize("option", ["capture_deltas", "cache_strategies"])
+@pytest.mark.parametrize("option", ["capture_deltas", "cache_strategies", "strategy"])
 def test_removed_session_options_are_refused(option):
     with pytest.raises(TypeError, match=option):
         Session.from_spec(tree_spec(depth=1), **{option: False})

@@ -16,11 +16,12 @@ and checks, with the chase of ``tests/fixpoint_oracle.py``, that
 * no peer holds a ground row that the closure of every row held at a run's
   start or end lacks (nothing is retracted: after a delete the two bounds
   differ, while rows only grow they are one);
-* after every step the ground databases, and after a discovery the maximal
-  paths, equal a ``sync`` replay's whose runs are all naive (``run_naive``)
-  — on a one-shot engine, which keeps no protocol state between runs, only
-  until a removal or a rule edit after a discovery; a whole update right
-  after one changes nothing of the replay's;
+* after every step the ground databases equal a ``sync`` replay's whose
+  runs are all naive (``run_naive``) — on a one-shot engine, which keeps
+  no protocol state between runs, only until a removal; a whole update
+  right after one changes nothing of the replay's;
+* after a discovery every peer's maximal paths equal those a system
+  freshly built with the rules of the moment discovers;
 * every ``Change`` the engine is handed is the set difference of
   ``tests/sync_oracle.py``; completion times never go back, and a run that
   added rows sent messages.
@@ -70,6 +71,8 @@ picks = st.integers(min_value=0, max_value=63)
 row_seeds = st.lists(st.tuples(values, values, values), min_size=1, max_size=3)
 #: Row changes; "clear", "replace" and "swap" rewrite the relation.
 CHANGES = ("insert", "delete", "put_back", "transient", "clear", "replace", "swap")
+#: The settings that turn a spec's row into the constant-latency simulator.
+SYNC = dict(transport="sync", shards=None, pool=False, latency=None)
 
 
 def atom(node, relation, terms):
@@ -224,19 +227,18 @@ class OracleMachine(RuleBasedStateMachine):
         self.system = self.session.system
         # Loaded again: systems built from one spec share its schema
         # objects, so a relation added to one would show in the other.
-        naive = dict(transport="sync", shards=None, pool=False, latency=None)
-        self.reference = ScenarioSpec.load_json(spec_json).with_(**naive).build_system()
+        self.reference = ScenarioSpec.load_json(spec_json).with_(**SYNC).build_system()
         #: The set-difference oracle's copy of what the session last read, and
         #: the relations rewritten since; every row held at a run's start or
         #: end; the replay's databases if the last step was a whole update.
         self.known, self.rewritten = snapshot_of(self.system), set()
         self.held, self.settled, self.clock = {}, None, 0.0
         # A one-shot engine runs every phase from fresh protocol state, the
-        # replay keeps it: received fragments, closed flags, discovery paths.
-        # They part at a removal or at a rule edit after a discovery, and
-        # only the oracle's bounds hold both (see CHANGES.md).
+        # replay keeps it: received fragments and closed flags.  They part
+        # at a removal, and only the oracle's bounds hold both (see
+        # CHANGES.md).
         self.one_shot = self.session.engine.name in ONE_SHOT
-        self.discovered = self.apart = False
+        self.apart = False
         machine, run = self, self.session.engine.run
 
         def checked_run(system, phase, origins=None, change=None):
@@ -266,10 +268,8 @@ class OracleMachine(RuleBasedStateMachine):
                 apply(self.reference, step)
                 if step[0] in ("clear", "replace", "swap"):
                     self.rewritten.add((step[1], step[2]))
-                parting = step[0] in ("delete", "clear", "replace") or (
-                    self.discovered and step[0].endswith("_rule")
-                )
-                self.apart |= self.one_shot and parting
+                removal = step[0] in ("delete", "clear", "replace")
+                self.apart |= self.one_shot and removal
             if not self.apart:
                 reference = ground(self.reference.databases())
                 assert ground(self.session.databases()) == reference
@@ -287,8 +287,7 @@ class OracleMachine(RuleBasedStateMachine):
         assert result.completion_time >= self.clock
         self.clock = result.completion_time
         if phase == "discovery":
-            assert self.apart or paths(self.system) == paths(self.reference)
-            self.discovered = True
+            assert paths(self.system) == fresh_paths(self.spec_json, rules, origins)
             return
         if result.tuples_added:
             stats = result.stats
@@ -398,6 +397,14 @@ class OracleMachine(RuleBasedStateMachine):
 
 def paths(system):
     return {name: node.state.maximal_paths() for name, node in system.nodes.items()}
+
+
+def fresh_paths(spec_json, rules, origins):
+    """The paths a system freshly built with ``rules`` discovers."""
+    spec = ScenarioSpec.load_json(spec_json).with_(rules=rules, data={}, **SYNC)
+    system = spec.build_system()
+    run_naive(system, "discovery", origins)
+    return paths(system)
 
 
 def hold(held, databases):

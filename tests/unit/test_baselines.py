@@ -3,9 +3,10 @@
 import pytest
 
 from repro.baselines.acyclic import acyclic_update
-from repro.baselines.centralized import centralized_update
+from repro.baselines.centralized import apply_rule, centralized_update
 from repro.baselines.querytime import query_time_answer
 from repro.coordination.rule import rule_from_text
+from repro.database.database import LocalDatabase
 from repro.database.nulls import is_null
 from repro.database.parser import parse_query
 from repro.database.schema import DatabaseSchema, RelationSchema
@@ -67,6 +68,16 @@ class TestCentralized:
         assert result.tuples_inserted == 4
         assert result.rule_applications >= len(rules)
 
+    def test_one_chase_step_reports_the_rows_it_inserts(self):
+        schemas, (ab, bc), data = chain_setup()
+        databases = {node: LocalDatabase(schema) for node, schema in schemas.items()}
+        databases["c"].insert_many("item", data["c"]["item"])
+        assert apply_rule(databases, ab) == set()
+        assert apply_rule(databases, bc) == {("1", "2"), ("3", "4")}
+        assert apply_rule(databases, bc) == set()
+        del databases["c"]  # a source without a database fires nothing
+        assert apply_rule(databases, bc) == set()
+
     def test_empty_rule_set(self):
         schemas, _rules, data = chain_setup()
         result = centralized_update(schemas, [], data)
@@ -127,16 +138,16 @@ class TestQueryTime:
         assert result.messages == 0
         assert set(result.answers) == {("1", "2"), ("3", "4")}
 
-    def test_works_on_cyclic_example(self):
-        query = parse_query("q(X, Y) :- b(X, Y)")
-        result = query_time_answer(
-            paper_example_schemas(),
-            paper_example_rules(),
-            paper_example_data(),
-            "B",
-            query,
-        )
-        central = centralized_update(
-            paper_example_schemas(), paper_example_rules(), paper_example_data()
-        )
-        assert set(result.answers) == central.databases["B"].query(query)
+    @pytest.mark.parametrize("node, contacted", [("A", 4), ("B", 4), ("E", 0)])
+    def test_works_on_cyclic_example(self, node, contacted):
+        # The queried peer holds its share of the whole network's fix-point.
+        # All but E reach the other four; each round then fetches through
+        # the seven single-source rules, one query and one answer each.
+        query = parse_query(f"q(X, Y) :- {node.lower()}(X, Y)")
+        schemas, rules = paper_example_schemas(), paper_example_rules()
+        data = paper_example_data()
+        result = query_time_answer(schemas, rules, data, node, query)
+        central = centralized_update(schemas, rules, data)
+        assert set(result.answers) == central.databases[node].query(query)
+        assert result.nodes_contacted == contacted
+        assert result.messages == (14 * result.rounds if contacted else 0)

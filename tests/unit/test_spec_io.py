@@ -47,7 +47,6 @@ def assert_specs_equivalent(original: ScenarioSpec, loaded: ScenarioSpec) -> Non
         "transport",
         "propagation",
         "super_peer",
-        "strategy",
         "max_messages",
         "name",
         "shards",
@@ -143,6 +142,16 @@ class TestSpecIoErrors:
         document = json.loads(paper_spec().dump_json())
         document["format"] = "something-else/9"
         with pytest.raises(ReproError):
+            ScenarioSpec.load_json(json.dumps(document))
+
+    def test_a_baseline_strategy_is_refused(self):
+        # A file that asked for a baseline must not run the distributed
+        # update instead; "distributed", which older files carry, still loads.
+        document = json.loads(paper_spec().dump_json())
+        document["strategy"] = "distributed"
+        assert ScenarioSpec.load_json(json.dumps(document)).name == "paper"
+        document["strategy"] = "centralized"
+        with pytest.raises(ReproError, match="repro.baselines"):
             ScenarioSpec.load_json(json.dumps(document))
 
     def test_invalid_json_is_rejected(self):
