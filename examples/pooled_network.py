@@ -1,6 +1,6 @@
 """A persistent worker pool: spawn shard processes once, update many times.
 
-Builds the DBLP sharing workload on a 31-node tree over the pooled multiproc
+Builds the DBLP sharing workload on a 31-node tree over the pooled
 engine (2 worker OS processes), then runs a sequence a long-lived service
 would: a cold first update (which spawns the pool and ships the worlds),
 warm repeat updates after new data arrives at a leaf (only the delta rows

@@ -12,9 +12,9 @@ This package is the unified execution façade over the substrate in
   in ``docs/scenarios.md``),
 * :class:`~repro.api.result.RunResult` — the uniform result of every run.
 
-The scaling engines (multiproc, pooled, socket) live in
-:mod:`repro.sharding` and plug into the same protocol; ``Session`` selects
-them from the spec's ``transport``/``shards``/``pool`` knobs
+The scaling engines (pooled, socket) live in :mod:`repro.sharding` and plug
+into the same protocol; ``Session`` selects them from the spec's
+``transport``/``shards``/``hosts`` knobs
 (``docs/engines.md`` is the guide).
 
 Every spec goes through the static pre-flight analyzer

@@ -6,8 +6,8 @@ One :class:`ExecutionEngine` protocol — a blocking ``run`` — so
 * :class:`SyncEngine` drives a :class:`~repro.network.transport.SyncTransport`
   (the discrete-event simulator) and reads the virtual clock,
 * the scaling layer adds :class:`repro.sharding.process.ProcessEngine`
-  (shard workers in forked processes or on TCP shard hosts, one-shot or kept
-  warm).
+  (shard workers in forked processes or on TCP shard hosts, kept warm until
+  the session or engine closes).
 
 Which transport a name builds and which engine drives it is one table,
 :func:`transport_kinds`; :func:`engine_for` and
@@ -183,13 +183,13 @@ class TransportKind:
     """One row of the transport registry: how a named transport is built and run."""
 
     name: str
-    #: ``build(latency=, max_messages=, shards=, pool=, hosts=)``: the transport.
+    #: ``build(latency=, max_messages=, shards=, hosts=)``: the transport.
     build: Callable[..., BaseTransport]
     #: The engine that drives a transport built by this row.
     engine: Callable[[BaseTransport], ExecutionEngine]
     #: The peers are partitioned across ``shards=`` workers that live outside
-    #: this interpreter, so they can be kept warm (``pool=``) and killed,
-    #: dropped on or partitioned (``faults=``).
+    #: this interpreter, so they can be killed, dropped on or partitioned
+    #: (``faults=``).
     partitioned: bool = False
 
 
@@ -203,28 +203,21 @@ def transport_kinds() -> dict[str, TransportKind]:
     def sync(latency, max_messages, **_):
         return SyncTransport(latency=latency, max_messages=max_messages)
 
-    def process(name: str, kind: str, warm: bool = False) -> TransportKind:
-        def build(latency, max_messages, shards, pool, hosts):
+    def process(name: str) -> TransportKind:
+        def build(latency, max_messages, shards, hosts):
             return ProcessTransport(
-                kind,
-                shards,
-                pool=pool or warm,
-                hosts=hosts,
-                latency=latency,
-                max_messages=max_messages,
+                name, shards, hosts=hosts, latency=latency, max_messages=max_messages
             )
 
         def engine(transport):
-            return ProcessEngine(transport.kind, pool=transport.pool)
+            return ProcessEngine(transport.kind)
 
         return TransportKind(name, build, engine, partitioned=True)
 
     rows = (
         TransportKind("sync", sync, lambda _: SyncEngine()),
-        process("multiproc", "multiproc"),
-        # "pooled" is "multiproc" with the pool flag already set.
-        process("pooled", "multiproc", warm=True),
-        process("socket", "socket"),
+        process("pooled"),
+        process("socket"),
     )
     return {row.name: row for row in rows}
 

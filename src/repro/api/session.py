@@ -14,8 +14,8 @@ exposes the library's operations uniformly:
 Sessions are built from a declarative :class:`~repro.api.spec.ScenarioSpec`
 (:meth:`Session.from_spec`) or opened around an already assembled system
 (``Session(spec.build_system())``).  A session also owns its
-engine's resources: the pooled multiproc engine keeps worker OS processes
-warm across runs, so use the session as a context manager (or call
+engine's resources: the ``pooled`` and ``socket`` engines keep worker OS
+processes warm across runs, so use the session as a context manager (or call
 :meth:`Session.close`) to stop them deterministically.  The layer map and
 the run-time data flow are documented in ``docs/architecture.md``; the
 engine selection guide in ``docs/engines.md``.
@@ -135,10 +135,10 @@ class Session:
     def close(self) -> None:
         """Release engine-held resources (idempotent).
 
-        Most engines hold none and this is a no-op; the pooled multiproc
-        engine keeps worker OS processes warm between runs and stops them
-        here.  A closed session can keep running — the next pooled run just
-        respawns its workers cold.
+        The ``sync`` engine holds none and this is a no-op; the ``pooled``
+        and ``socket`` engines keep worker OS processes warm between runs and
+        stop them here.  A closed session can keep running — the next run
+        just respawns its workers cold.
         """
         close_engine = getattr(self.engine, "close", None)
         if callable(close_engine):

@@ -124,15 +124,14 @@ class ScenarioSpec:
     super_peer: NodeId | None = None
     max_messages: int = 1_000_000
     name: str = "scenario"
-    #: Shard count for the partitioned transports (``"multiproc"`` /
-    #: ``"pooled"`` run one worker OS process per shard, ``"socket"`` one
-    #: worker per shard on TCP shard hosts); any other transport refuses it.
+    #: Shard count for the partitioned transports (``"pooled"`` runs one
+    #: worker OS process per shard, ``"socket"`` one worker per shard on TCP
+    #: shard hosts); any other transport refuses it.
     shards: int | None = None
-    #: With ``transport="multiproc"``, keep the shard worker processes alive
-    #: between runs (the persistent :class:`~repro.sharding.pool.WorkerPool`:
-    #: spawn once, ship the worlds once, re-ship only deltas).  Equivalent to
-    #: ``transport="pooled"``; with ``transport="socket"`` it selects the warm
-    #: socket pool the same way; ignored by the other transports.
+    #: Has no effect: every process-backed engine keeps its workers until its
+    #: session closes.  Kept only because the ungated ``warm_socket`` perf
+    #: workload still sets it; ``dump_json`` does not write it and
+    #: ``load_json`` ignores it.
     pool: bool = False
     #: ``"HOST:PORT"`` shard-host addresses for ``transport="socket"`` —
     #: every entry a running ``python -m repro.shardhost`` server; shards are
@@ -249,7 +248,6 @@ class ScenarioSpec:
             "super_peer": self.super_peer,
             "max_messages": self.max_messages,
             "shards": self.shards,
-            "pool": self.pool,
             "hosts": list(self.hosts) if self.hosts else None,
             "trace": self.trace,
             "faults": self.faults.to_json_dict() if self.faults else None,
@@ -287,7 +285,8 @@ class ScenarioSpec:
         ``source`` is a path to a spec file, or the JSON text itself (any
         string whose first non-blank character is ``{``).  A ``strategy``
         key, which older files carry, must be ``"distributed"``: the
-        baselines are functions of :mod:`repro.baselines`, not runs.
+        baselines are functions of :mod:`repro.baselines`, not runs.  A
+        ``pool`` key, which older files carry too, is ignored.
         """
         if isinstance(source, Path):
             text = source.read_text(encoding="utf-8")
@@ -341,7 +340,6 @@ class ScenarioSpec:
             max_messages=document.get("max_messages", 1_000_000),
             name=document.get("name", "scenario"),
             shards=document.get("shards"),
-            pool=document.get("pool", False),
             hosts=tuple(document["hosts"]) if document.get("hosts") else None,
             trace=document.get("trace", False),
             faults=_load_faults(document.get("faults")),
@@ -380,12 +378,6 @@ class ScenarioSpec:
                 f"spec selects {self.transport}; drop the shards setting or "
                 f"use transport={_name_list(partitioned)}"
             )
-        if self.pool and not kind.partitioned:
-            raise ReproError(
-                f"pool=True needs the multiproc or socket transport, but "
-                f"the spec selects {self.transport}; "
-                f"use transport={_name_list(partitioned)} with the pool flag"
-            )
         if self.hosts and kind.name != "socket":
             raise ReproError(
                 "hosts= needs transport='socket', but the spec selects "
@@ -411,7 +403,6 @@ class ScenarioSpec:
             latency=self.latency,
             max_messages=self.max_messages,
             shards=self.shards,
-            pool=self.pool,
             hosts=self.hosts,
         )
         system = P2PSystem(transport, super_peer=self.super_peer)

@@ -207,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help=(
             "E11 only: a fault-plan JSON file (the format of "
-            "FaultPlan.dump_json) replayed against the multiproc, pooled and "
-            "socket engines instead of the built-in matrix"
+            "FaultPlan.dump_json) replayed against the pooled and socket "
+            "engines instead of the built-in matrix"
         ),
     )
     run_parser.add_argument(

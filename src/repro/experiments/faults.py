@@ -17,7 +17,7 @@ converge to the union state.
 
 ``python -m repro run E11`` runs the built-in matrix;
 ``python -m repro run E11 --faults plan.json`` replays a plan of your own
-against the multiproc, pooled and socket engines instead.  ``--trace
+against the pooled and socket engines instead.  ``--trace
 out.json`` records every faulted session into one Chrome trace-event
 timeline, worker spans included.  The run fails when any row is not ``ok``.
 """
@@ -218,7 +218,7 @@ def run_fault_matrix(
         ),
         run(
             label="kill worker, no recovery",
-            transport="multiproc",
+            transport="pooled",
             plan=FaultPlan(
                 seed=seed,
                 faults=[
@@ -229,7 +229,7 @@ def run_fault_matrix(
         ),
         run(
             label="drop + delay cross-shard frames",
-            transport="multiproc",
+            transport="pooled",
             plan=FaultPlan(
                 seed=seed,
                 faults=[

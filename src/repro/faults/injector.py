@@ -116,10 +116,10 @@ class FaultInjector:
         count ``start`` commands since their own spawn — and worlds ship at
         spawn time, which the engines always do *after* :meth:`start_run`.
         Subtracting the current run index makes the two clocks agree for
-        every generation: a one-shot engine re-ships each run (base = that
-        run), a warm pool ships once (base = the run that spawned it) and
-        counts forward, and a post-crash respawn drops the specs its
-        predecessor already lived through.
+        every generation: a pool ships once (base = the run that spawned it)
+        and counts forward, and a respawn after a crash (base = the run that
+        respawned it) drops the specs its predecessor already lived
+        through.
         """
         plan = self.plan.worker_plan()
         if plan is None:
@@ -161,8 +161,8 @@ class FaultInjector:
                 host_of = getattr(pool, "host_of", None)
                 if host_of is None:
                     raise FaultError(
-                        "partition faults need a socket engine "
-                        "(transport='socket' or 'socket-pooled')"
+                        "partition faults need the socket engine "
+                        "(transport='socket')"
                     )
                 deadline = (
                     None

@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cold",
         action="store_true",
-        help="serve specs on their declared transports instead of warm pools",
+        help="serve sync specs on the in-process simulator instead of a warm pool",
     )
     parser.add_argument(
         "--retry-attempts",

@@ -1,8 +1,8 @@
 """Tenants: named scenario networks kept warm behind the serving front-end.
 
 A :class:`Tenant` wraps one :class:`~repro.api.session.Session` — by default
-re-targeted onto a warm :class:`~repro.sharding.process.ProcessEngine`
-(``pooled`` or ``socket-pooled``), so worker processes persist between requests
+re-targeted onto a :class:`~repro.sharding.process.ProcessEngine`
+(``pooled`` or ``socket``), so worker processes persist between requests
 and updates that only insert or remove rows take the delta-driven path of
 ``docs/incremental.md``.
 A :class:`TenantManager` owns the fleet: lifecycle (``available`` → ``loading``
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.api.engine import transport_names
 from repro.api.session import Session
 from repro.api.spec import ScenarioSpec
 from repro.coordination.changeset import Change
@@ -111,17 +110,15 @@ parse_changes = Change.from_json
 
 
 def warm_spec(spec: ScenarioSpec) -> ScenarioSpec:
-    """Re-target a spec onto a warm (persistent-worker) transport.
+    """Re-target a ``sync`` spec onto the ``pooled`` engine.
 
-    Served tenants answer many requests over one network, so the cold
-    engines make no sense behind the front-end: ``sync`` becomes the pooled
-    multiproc engine; the process-backed transports keep
-    their kind (and ``socket`` its fleet) and gain ``pool=True``.
-    Specs already warm pass through unchanged.
+    Served tenants answer many requests over one network, so they run on
+    worker processes that persist between requests.  A partitioned spec
+    (``pooled`` or ``socket``) keeps them already and passes through
+    unchanged.
     """
-    if spec.transport in transport_names(partitioned=True):
-        warm = spec.pool or spec.transport == "pooled"
-        return spec if warm else spec.with_(pool=True)
+    if spec.transport != "sync":
+        return spec
     shards = spec.shards if spec.shards else min(2, max(1, spec.node_count))
     return spec.with_(transport="pooled", shards=shards)
 

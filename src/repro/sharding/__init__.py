@@ -22,8 +22,8 @@ is the locality-blind baseline), and the shards run in real workers:
   plus a shard id — :class:`~repro.sharding.sockets.SocketPool`;
   :class:`~repro.sharding.sockets.LocalHostCluster` spawns localhost hosts);
 * :class:`~repro.sharding.process.ProcessEngine` is the one engine:
-  ``transport="multiproc"`` / ``"socket"`` close the pool after each run,
-  ``"pooled"`` (or ``pool=True``) keeps it warm and re-ships only deltas.
+  ``transport="pooled"`` and ``"socket"`` both keep the pool warm until the
+  session closes and re-ship only deltas.
 
 See ``docs/architecture.md`` and ``docs/engines.md``.
 """

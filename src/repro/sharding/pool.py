@@ -1,10 +1,10 @@
 """The coordinator side of every process-backed engine: one pool of workers.
 
-A one-shot process run pays a fixed price before the first message moves:
-one process start (or host dial) per shard plus a pickle of the full
-schema/rule world.  That is fine for one-shot sweeps and fatal for the
-workloads the paper motivates — the same rule world updated again and again
-as peers' data shifts.  So the workers are *persistent*
+Bringing workers up pays a fixed price before the first message moves: one
+process start (or host dial) per shard plus a pickle of the full
+schema/rule world.  Paying it on every run would be fatal for the workloads
+the paper motivates — the same rule world updated again and again as peers'
+data shifts.  So the workers are *persistent*
 (:class:`~repro.sharding.worker.ShardWorker` machines), and this module is
 the one driver for them:
 

@@ -1,31 +1,32 @@
-"""The process-backed engine: one engine over one pool, kept warm or not.
+"""The process-backed engine: one engine over one pool of long-lived workers.
 
-``multiproc``, ``pooled``, ``socket`` and ``socket-pooled`` are one engine.
-What differs between them is data on the coordinator's transport handle:
+``pooled`` and ``socket`` are one engine.  What differs between them is
+data on the coordinator's transport handle:
 
-* :class:`ProcessTransport` carries the run configuration — ``kind`` says
-  what carries the channels to the shard workers (``"multiproc"``: fork-server
-  children on this box; ``"socket"``: TCP shard hosts, with ``hosts``),
-  ``pool`` says whether the workers outlive a run — and adopts the shard
-  plan.  It never delivers a message itself.
+* :class:`ProcessTransport` carries the run configuration — ``kind`` is the
+  registry name and says what carries the channels to the shard workers
+  (``"pooled"``: fork-server children on this box; ``"socket"``: TCP shard
+  hosts, with ``hosts``) — and adopts the shard plan.  It never delivers a
+  message itself.
 * :class:`ProcessEngine` implements the
   :class:`~repro.api.engine.ExecutionEngine` protocol: it plans the
   partition, brings a :class:`~repro.sharding.pool.ShardPool` up over the
-  live system (or hands the warm one the change the session read), drives the
-  phase to distributed quiescence, and merges what the workers gained — new
-  rows, changed protocol state, statistics — into the coordinator's system so
-  ``Session.run`` / parity checks / experiments read one consistent picture.
-  A one-shot run is a pool closed after its run; a warm engine keeps the
-  pool, so a :class:`~repro.api.session.Session` holding it keeps its
-  workers across ``session.run(...)`` calls — close the session (or the
-  engine) to stop them.
+  live system (or hands the running one the change the session read),
+  drives the phase to distributed quiescence, and merges what the workers
+  gained — new rows, changed protocol state, statistics — into the
+  coordinator's system so ``Session.run`` / parity checks / experiments read
+  one consistent picture.
+  The workers live as long as the engine, so a
+  :class:`~repro.api.session.Session` holding it keeps them, with their
+  databases and protocol state, across ``session.run(...)`` calls — close the
+  session (or the engine) to stop them.
 
 The engine owns the pool's lifecycle: the first run spawns it, a crashed
 worker or dead host fails the run at once (its pipe or link is lost) and the
 pool is respawned cold on the next run — reconnecting, and reviving
 auto-spawned localhost hosts that died.  The partition is fixed at bring-up:
 the network changes only through ``addLink`` / ``deleteLink``, and a rule
-edit reaches the warm workers as the change's ``add_rules`` /
+edit reaches the running workers as the change's ``add_rules`` /
 ``remove_rules``.  Only a peer the plan does not cover (one added after
 bring-up) re-plans, and so respawns the pool.  Whether an update extends the
 last fix-point is each worker's call (:func:`repro.api.engine.start_run`);
@@ -54,14 +55,6 @@ from repro.stats.collector import StatisticsCollector, StatsSnapshot
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports us)
     from repro.core.system import P2PSystem
 
-#: ``engine.name`` by what carries the channels and whether the pool is kept.
-_ENGINE_NAMES = {
-    ("multiproc", False): "multiproc",
-    ("multiproc", True): "pooled",
-    ("socket", False): "socket",
-    ("socket", True): "socket-pooled",
-}
-
 _log = get_logger("process")
 
 
@@ -80,19 +73,18 @@ class ProcessTransport(BaseTransport):
 
     def __init__(
         self,
-        kind: str = "multiproc",
+        kind: str = "pooled",
         shard_count: int | None = None,
         *,
-        pool: bool = False,
         hosts: Sequence[str] | None = None,
         latency: LatencyModel | None = None,
         stats: StatisticsCollector | None = None,
         max_messages: int = 1_000_000,
     ):
-        if (kind, pool) not in _ENGINE_NAMES:
+        if kind not in ("pooled", "socket"):
             raise ReproError(
                 f"unknown process transport kind {kind!r}; "
-                "expected 'multiproc' or 'socket'"
+                "expected 'pooled' or 'socket'"
             )
         if hosts and kind != "socket":
             raise ReproError(f"hosts= needs transport='socket', not {kind!r}")
@@ -102,7 +94,6 @@ class ProcessTransport(BaseTransport):
             raise NetworkError(f"a {kind} transport needs at least one shard")
         super().__init__(latency=latency, stats=stats)
         self.kind = kind
-        self.pool = pool
         self.shard_count = shard_count
         self.max_messages = max_messages
         self.hosts: tuple[str, ...] | None = tuple(hosts) if hosts else None
@@ -146,41 +137,34 @@ class ProcessTransport(BaseTransport):
 
     def __repr__(self) -> str:
         planned = "planned" if self.plan is not None else "unplanned"
-        return (
-            f"ProcessTransport({_ENGINE_NAMES[self.kind, self.pool]}, "
-            f"{self.shard_count} shards, {planned})"
-        )
+        return f"ProcessTransport({self.kind}, {self.shard_count} shards, {planned})"
 
 
 class ProcessEngine:
     """Engine for every process-backed transport (see the module docstring).
 
-    ``kind`` and ``pool`` mirror the :class:`ProcessTransport` the engine
-    will drive and fix ``engine.name``: ``multiproc`` / ``socket`` spawn (or
-    dial), run one phase and close; ``pooled`` / ``socket-pooled`` keep the
-    pool warm and re-ship only deltas (see ``docs/engines.md`` for the
-    measured crossover points).
+    ``kind`` is the :class:`ProcessTransport` kind the engine will drive and
+    its ``engine.name``: both kinds spawn (or dial) their workers on the
+    first run, keep them warm and re-ship only deltas (see
+    ``docs/engines.md`` for the measured crossover points).
     """
 
-    def __init__(self, kind: str = "multiproc", *, pool: bool = False):
-        self.name = _ENGINE_NAMES[kind, pool]
-        self.kind = kind
-        self.warm = pool
+    def __init__(self, kind: str = "pooled"):
+        self.name = kind
         self._pool: ShardPool | None = None
         self._cluster: LocalHostCluster | None = None
 
     @property
     def pool(self) -> ShardPool | None:
-        """The live warm pool; None before the first run, after close() and
-        always between the runs of a one-shot engine."""
+        """The live pool; None before the first run, after close() and
+        after a failed run."""
         return self._pool
 
     @property
     def cluster(self) -> LocalHostCluster | None:
         """The auto-spawned localhost cluster (socket kind without hosts).
 
-        It is kept (and revived) across runs, warm or one-shot; ``close()``
-        stops it.
+        It is kept (and revived) across runs; ``close()`` stops it.
         """
         return self._cluster
 
@@ -219,11 +203,11 @@ class ProcessEngine:
         change: Change | None = None,
     ) -> tuple[float, StatsSnapshot]:
         transport = system.transport
-        if not isinstance(transport, ProcessTransport) or transport.kind != self.kind:
+        if not isinstance(transport, ProcessTransport) or transport.kind != self.name:
             raise ReproError(
-                f"the {self.name} engine needs a {self.kind!r} ProcessTransport; "
+                f"the {self.name} engine needs a {self.name!r} ProcessTransport; "
                 "use Session.run (which picks the engine) or build the system "
-                f"with transport={self.kind!r}"
+                f"with transport={self.name!r}"
             )
         try:
             if phase not in PHASES:
@@ -293,10 +277,11 @@ class ProcessEngine:
     ) -> list[dict]:
         """Reuse the warm pool when possible; (re)spawn when it is not.
 
-        Cold paths: no pool (always, on a one-shot engine), a worker died
-        since the last run, the pool runs another plan than the transport's
-        (a peer joined, so :meth:`run` re-planned), or what changed since
-        the previous run is not known (``change`` is None).  Warm path: hand
+        Cold paths: no pool (the first run, or the one after a failure or
+        ``close()``), a worker died since the last run, the pool runs
+        another plan than the transport's (a peer joined, so :meth:`run`
+        re-planned), or what changed since the previous run is not known
+        (``change`` is None).  Warm path: hand
         the workers the change, rule edits included, and run the phase.
         """
         tracer = tracer_of(system)
@@ -319,19 +304,16 @@ class ProcessEngine:
                 injector_of(system).fire("sync", self._pool)
         else:
             self._close_pool()  # none, or one that cannot be told what changed
-            _log.debug("spawning %s pool (%d shards)", self.kind, transport.shard_count)
+            _log.debug("spawning %s pool (%d shards)", self.name, transport.shard_count)
             with tracer.span("ship", shards=transport.shard_count):
                 self._pool = self._spawn_pool(system, transport)
             injector_of(system).fire("ship", self._pool)
             change = None  # the worlds carry the live state
-        payloads = self._pool.run_phase(phase, origins, change=change, tracer=tracer)
-        if not self.warm:
-            self._close_pool()
-        return payloads
+        return self._pool.run_phase(phase, origins, change=change, tracer=tracer)
 
     def _spawn_pool(self, system: P2PSystem, transport: ProcessTransport) -> ShardPool:
         """How the channels are made is the one thing ``kind`` decides."""
-        if self.kind == "multiproc":
+        if self.name == "pooled":
             return WorkerPool.spawn(system, transport.plan)
         if transport.hosts:
             hosts: Sequence[str] = transport.hosts

@@ -19,8 +19,7 @@ and a distributed-quiescence barrier.  This module is everything that runs
   no I/O and never blocks, stepped by thin drivers — a
   :class:`~repro.sharding.pool.WorkerPool` process, a
   :class:`~repro.sharding.sockets.ShardHost`'s one thread, the tests'
-  in-memory driver.  A one-shot run is the same machine stopped after its
-  first run.
+  in-memory driver.
 
 Clock caveat: each worker drains its local queue to exhaustion between
 stimuli and there is no global time synchronisation between shards, so a

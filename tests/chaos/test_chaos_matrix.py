@@ -37,6 +37,22 @@ from engines import PARTITIONED
 FIRST_RUN_PHASES = ("ship", "chase", "quiescence")
 
 
+def drive_warm(spec):
+    """Discovery, an update, a fresh row at the first peer and a second
+    update on one session; return the databases, the metrics registry and
+    the engine's pool after each update."""
+    with Session.from_spec(spec) as session:
+        session.run("discovery")
+        session.update()
+        pools = [getattr(session.engine, "pool", None)]
+        database = session.system.node(min(session.system.nodes)).database
+        relation = database.relation(sorted(database.facts())[0])
+        relation.insert(tuple(f"warm-{k}" for k in range(relation.schema.arity)))
+        session.update()
+        pools.append(getattr(session.engine, "pool", None))
+        return session.system.databases(), session.system.stats.registry, pools
+
+
 class TestKillMatrix:
     @pytest.mark.parametrize("engine", PARTITIONED)
     @pytest.mark.parametrize("phase", FIRST_RUN_PHASES)
@@ -72,6 +88,7 @@ class TestKillMatrix:
             with pytest.raises(NetworkError):
                 session.run("discovery")
                 session.update()
+            assert session.engine.pool is None  # a failed run drops its pool
             registry = session.system.stats.registry
             assert registry.total("repro_fault_injected_total") >= 1
             assert registry.total("repro_fault_detected_total") >= 1
@@ -81,9 +98,9 @@ class TestKillMatrix:
         "engine, severed",
         [
             ("pooled", r"shard \d worker"),
-            ("socket-pooled", "link to shard host .* lost"),
+            ("socket", "link to shard host .* lost"),
         ],
-        ids=["pooled", "socket-pooled"],
+        ids=["pooled", "socket"],
     )
     def test_a_worker_killed_mid_run_fails_the_run_at_once(
         self, scenario, chaos_seed, engine, severed, on_engine
@@ -103,6 +120,27 @@ class TestKillMatrix:
                 session.update()
             assert time.monotonic() - started < 0.25
             assert "Bad file descriptor" not in str(failure.value)
+
+    @pytest.mark.parametrize("engine", PARTITIONED)
+    @pytest.mark.parametrize("phase", FIRST_RUN_PHASES)
+    def test_the_pool_a_recovery_brings_up_serves_the_warm_runs_after_it(
+        self, scenario, chaos_seed, engine, phase, on_engine
+    ):
+        # Workers live as long as the session: once a kill in the first run
+        # is recovered, both updates after it run on one pool and match the
+        # fault-free runs.
+        plan = FaultPlan(
+            seed=chaos_seed,
+            max_cold_reruns=2,
+            faults=[FaultSpec(kind="kill_worker", phase=phase, run_index=0)],
+        )
+        reference, _, _ = drive_warm(scenario)
+        databases, registry, pools = drive_warm(
+            on_engine(scenario, engine, faults=plan)
+        )
+        assert databases == reference
+        assert registry.total("repro_fault_injected_total") >= 1
+        assert pools[0] is not None and pools[1] is pools[0]
 
 
 class TestFrameFaults:
@@ -146,22 +184,8 @@ class TestSyncPhase:
             faults=[FaultSpec(kind="kill_worker", phase="sync", run_index=2)],
         )
 
-        def drive(spec):
-            with Session.from_spec(spec) as session:
-                session.run("discovery")
-                session.update()
-                database = session.system.node(min(session.system.nodes)).database
-                relation = database.relation(sorted(database.facts())[0])
-                arity = relation.schema.arity
-                relation.insert(tuple(f"warm-{k}" for k in range(arity)))
-                session.update()
-                return (
-                    session.system.databases(),
-                    session.system.stats.registry,
-                )
-
-        reference, _ = drive(scenario)
-        databases, registry = drive(on_engine(scenario, "pooled", faults=plan))
+        reference, _, _ = drive_warm(scenario)
+        databases, registry, _ = drive_warm(on_engine(scenario, "pooled", faults=plan))
         assert databases == reference
         assert registry.total("repro_fault_injected_total") >= 1
         assert registry.total("repro_fault_cold_reruns_total") >= 1

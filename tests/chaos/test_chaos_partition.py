@@ -100,5 +100,5 @@ class TestPermanentPartition:
         )
         with pytest.raises(ReproError, match="socket"):
             Session.from_spec(
-                scenario.with_(transport="multiproc", shards=2, faults=plan)
+                scenario.with_(transport="pooled", shards=2, faults=plan)
             )

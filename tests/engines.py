@@ -15,21 +15,16 @@ from repro.network.latency import UniformLatency
 ENGINES = {
     "sync": {},
     "sync-seeded": {"latency": UniformLatency(0, 1, seed=5)},
-    "multiproc": {"transport": "multiproc", "shards": 2},
     "pooled": {"transport": "pooled", "shards": 2},
     "socket": {"transport": "socket", "shards": 2},
-    "socket-pooled": {"transport": "socket", "shards": 2, "pool": True},
 }
 
 #: The rows whose peers live in shard workers outside this interpreter.
 PARTITIONED = tuple(label for label, row in ENGINES.items() if "transport" in row)
 
-#: The rows that keep their workers between runs, and those that do not.
-WARM = ("pooled", "socket-pooled")
-ONE_SHOT = tuple(label for label in PARTITIONED if label not in WARM)
-
-#: The rows that keep, between runs, the state a run's change extends.
-KEPT = ("sync", *WARM)
+#: One row per engine: the simulator at its constant latency and the
+#: partitioned rows.
+ONE_PER_ENGINE = ("sync", *PARTITIONED)
 
 
 def run_naive(system, phase="update", origins=None):

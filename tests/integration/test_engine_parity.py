@@ -3,12 +3,11 @@
 That every engine of the shared table (``tests/engines.py``) reaches the
 fix-point, across drawn networks, schedules, shard counts and link changes,
 is the oracle machine's to check (``tests/property/test_property_oracle.py``).
-Here the rows limited to one kind of engine pin warmth itself and a peer
-joining a warm session (the warm engines), planning without a pool (the
-one-shot engines), the plan cut (``multiproc``), and the hosts a ``socket``
-engine spawns when given none; and, on a kept-state, a warm and a one-shot
-engine, that a second discovery after a rule edit finds what a fresh system
-finds.
+Here the rows limited to one kind of engine pin warmth itself, a rule edit
+that keeps the plan and the workers, and a peer joining a warm session (the
+partitioned engines), the plan cut, and the hosts a ``socket``
+engine spawns when given none; and, on every row, that a second discovery
+after a rule edit finds what a fresh system finds.
 """
 
 import pytest
@@ -19,7 +18,7 @@ from repro.core.fixpoint import ground_part
 from repro.database.schema import RelationSchema
 from repro.sharding import ShardPlanner
 from repro.workloads.topologies import tree_topology
-from engines import ENGINES, ONE_SHOT, WARM
+from engines import ENGINES, PARTITIONED
 
 
 def tree_spec() -> ScenarioSpec:
@@ -54,7 +53,7 @@ class TestRediscovery:
 
     T = [RelationSchema("t", ["x", "y", "z"])]
 
-    @pytest.mark.parametrize("engine", ["sync", "pooled", "multiproc"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_a_removed_rule_leaves_the_paths(self, engine, on_engine):
         spec = ScenarioSpec.of(
             {peer: self.T for peer in "abc"},
@@ -67,7 +66,7 @@ class TestRediscovery:
         assert paths["a"] == [("a", "b")]
         assert paths == discovered_paths(spec.with_(rules=spec.rules[:1]))
 
-    @pytest.mark.parametrize("engine", ["sync", "pooled", "multiproc"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_an_added_rule_joins_the_paths(self, engine, on_engine):
         # d imports nothing at the first discovery, and closes on its own.
         spec = ScenarioSpec.of(
@@ -84,7 +83,7 @@ class TestRediscovery:
 
 
 class TestWarmEngines:
-    @pytest.mark.parametrize("engine", WARM)
+    @pytest.mark.parametrize("engine", PARTITIONED)
     def test_workers_stay_warm_across_runs(self, engine, on_engine):
         """Repeat runs reuse the same pool, connections and worker processes
         (that is the point)."""
@@ -99,7 +98,29 @@ class TestWarmEngines:
             assert pool.alive
             assert getattr(pool, "worker_pids", None) == pids
 
-    @pytest.mark.parametrize("engine", WARM)
+    @pytest.mark.parametrize("engine", PARTITIONED)
+    def test_a_rule_edit_keeps_the_plan_and_the_workers(self, engine, on_engine):
+        """A rule removed and added back reaches the workers as a delta: the
+        plan, the pool and its processes stay, and the fix-point is sync's."""
+        with Session.from_spec(tree_spec()) as sync_session:
+            sync_session.run("update")
+        with Session.from_spec(on_engine(tree_spec(), engine)) as session:
+            session.run("update")
+            plan, pool = session.system.transport.plan, session.engine.pool
+            pids = getattr(pool, "worker_pids", None)
+            first = min(rule.rule_id for rule in session.system.registry)
+            rule = session.system.remove_rule(first)
+            session.run("update")
+            session.system.add_rule(rule)
+            session.run("update")
+            assert session.system.transport.plan is plan
+            assert session.engine.pool is pool and pool.alive
+            assert getattr(pool, "worker_pids", None) == pids
+            assert ground_part(session.databases()) == ground_part(
+                sync_session.databases()
+            )
+
+    @pytest.mark.parametrize("engine", PARTITIONED)
     def test_a_peer_joining_a_warm_session_matches_sync(self, engine, on_engine):
         """A peer added after a run is the one change the plan does not
         cover: the engine re-plans, respawns the pool, and stays in parity."""
@@ -131,37 +152,14 @@ class TestWarmEngines:
             )
 
 
-@pytest.mark.parametrize("engine", ONE_SHOT)
-def test_a_one_shot_engine_plans_once_per_peer_set(engine, on_engine):
-    # Without a pool the workers are spawned afresh every run, yet the
-    # partition is still fixed at the first run: a rule edit keeps the
-    # plan, and only a peer the plan does not cover re-plans.
-    session = Session.from_spec(on_engine(tree_spec(), engine))
-    with session:
-        transport = session.system.transport
-        assert transport.plan is None
-        session.run("update")
-        plan = transport.plan
-        first = min(rule.rule_id for rule in session.system.registry)
-        rule = session.system.remove_rule(first)
-        session.run("update")
-        session.system.add_rule(rule)
-        session.run("update")
-        assert transport.plan is plan
-        schema = session.system.node(rule.target).database.schema
-        session.system.add_node("joiner", schema)
-        session.run("update")
-        assert transport.plan is not plan
-        assert set(transport.plan.shard_of) == set(session.system.nodes)
-
-
-def test_cross_shard_traffic_follows_the_shard_plan_cut(on_engine):
+@pytest.mark.parametrize("engine", PARTITIONED)
+def test_cross_shard_traffic_follows_the_shard_plan_cut(engine, on_engine):
     # The engine partitions with the ShardPlanner, and each worker
     # delivers exactly the messages addressed to the peers the plan gave
     # it: the per-shard sums of the peers' counters add up to the total.
     spec = ScenarioSpec.from_topology(tree_topology(3, 2), records_per_node=3, seed=0)
-    session = Session.from_spec(on_engine(spec, "multiproc", shards=4))
-    result = session.run("update")
+    with Session.from_spec(on_engine(spec, engine, shards=4)) as session:
+        result = session.run("update")
 
     plan = session.system.transport.plan
     assert plan.shard_of == ShardPlanner(4).plan_system(session.system).shard_of

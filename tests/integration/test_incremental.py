@@ -5,11 +5,10 @@ Three guarantees are pinned here (the model is documented in
 
 * **Parity** — a warm repeat whose only change is rows inserted or removed
   produces final per-node databases *bit-identical* (labelled nulls
-  included) to a naive re-run, on every engine.  ``sync`` and the warm
-  pooled engines take the delta-driven path for that repeat; the one-shot
-  engines re-run naively; all must land on the same fix-point as the
-  synchronous reference executing the same sequence naively (every run on a
-  fresh session, which hands its engine no change).  A ``clear`` still
+  included) to a naive re-run, on every engine.  Every engine takes the
+  delta-driven path for that repeat and must land on the same fix-point as
+  the synchronous reference executing the same sequence naively (every run
+  on a fresh session, which hands its engine no change).  A ``clear`` still
   takes the naive path.
 * **The delta path actually runs** — the ``repro_incremental_*`` counters
   are non-zero exactly when a warm eligible repeat happened, and zero on
@@ -36,7 +35,7 @@ from repro.workloads.scenarios import (
     paper_example_schemas,
 )
 from repro.workloads.topologies import layered_topology, tree_topology
-from engines import ENGINES, KEPT, run_naive
+from engines import ENGINES, ONE_PER_ENGINE, run_naive
 from test_warm_bounds import spied_warm_insert
 
 
@@ -79,19 +78,17 @@ def _converge_insert_converge(spec: ScenarioSpec, *, naive=False):
 
 
 class TestIncrementalParity:
-    # ``sync`` and the warm engines keep their state across the two updates
-    # (the incremental path); the one-shot engines re-run naively and double
-    # as the control.
+    # Every engine keeps its state across the two updates (the incremental
+    # path).
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_warm_insert_repeat_matches_sync_on_the_paper_example(
         self, engine, on_engine
     ):
         # The Section 2 example is cyclic and invents labelled nulls, so this
         # asserts the strongest form of parity: the *complete* databases —
-        # nulls included — are identical, not just the ground part.  On the
-        # warm engines the second update takes the delta-driven path; on
-        # the one-shot ones it is a naive re-run of the same logical
-        # sequence, and so is the reference's.
+        # nulls included — are identical, not just the ground part.  The
+        # second update takes the delta-driven path; the reference's is a
+        # naive re-run of the same logical sequence.
         spec = ScenarioSpec.of(
             paper_example_schemas(),
             paper_example_rules(),
@@ -102,7 +99,7 @@ class TestIncrementalParity:
         with _converge_insert_converge(on_engine(spec, engine)) as session:
             assert session.databases() == reference.databases()
 
-    @pytest.mark.parametrize("engine", KEPT)
+    @pytest.mark.parametrize("engine", ONE_PER_ENGINE)
     def test_delta_and_naive_paths_agree_on_one_warm_engine(self, engine, on_engine):
         # Same engine, same sequence, warm vs every run on a fresh session:
         # the delta path must change work, never results.  (Sessions run
@@ -280,7 +277,7 @@ class TestDeleteParity:
     """
 
     @pytest.mark.parametrize("case", sorted(DELETE_CASES))
-    @pytest.mark.parametrize("engine", KEPT)
+    @pytest.mark.parametrize("engine", ONE_PER_ENGINE)
     def test_the_delta_path_matches_naive_and_sync(self, engine, case, on_engine):
         make_spec, script = DELETE_CASES[case]
         spec = make_spec()

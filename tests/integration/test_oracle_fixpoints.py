@@ -6,10 +6,11 @@ the ones the paper and the benchmark name: the Section 2 example (cyclic,
 existential, its nulls invented in one worker and joined in another) and
 the Section 5 DBLP families (a 7-node and a 31-node tree, a star, a layered
 network, a 4-clique, a tree whose peers share records).  On each, every row
-of ``tests/engines.py``, the partitioned ones on one shard and on four, runs
-a discovery and an update, then an insert, a second discovery, an insert at
-another peer and a second update: the discovery must leave the first insert
-pending, and the second must join it.  After each update every peer is
+of ``tests/engines.py``, the partitioned ones on every shard count from one
+to four (three cuts the peers unevenly), runs a discovery and an update,
+then an insert, a second discovery, an insert at another peer and a second
+update: the discovery must leave the first insert pending, and the second
+must join it.  After each update every peer is
 closed, every rule holds and the ground databases equal the ground part of
 ``tests/fixpoint_oracle.py``'s chase of the databases the run started from.
 """
@@ -57,7 +58,7 @@ NETWORKS = {
 CONFIGS = [
     (label, shards)
     for label in ENGINES
-    for shards in ([1, 4] if label in PARTITIONED else [None])
+    for shards in ([1, 2, 3, 4] if label in PARTITIONED else [None])
 ]
 
 

@@ -15,7 +15,7 @@ from repro.coordination.changeset import Change
 from repro.core.system import P2PSystem
 from repro.experiments.serving import feeding_site
 from repro.workloads.topologies import tree_topology
-from engines import ENGINES, ONE_SHOT
+from engines import ENGINES
 
 
 def tree_spec(depth: int = 3, records: int = 3) -> ScenarioSpec:
@@ -74,9 +74,8 @@ def test_run_deltas_match_the_set_difference(engine, on_engine):
         site.insert(tuple(f"fresh-{column}" for column in range(arity)))
         inserted = checked_run(session)
         assert 0 < inserted.tuples_added < cold.tuples_added
-        # The mode is what start_run decided: a one-shot engine's workers
-        # are told nothing, so they re-run naive.
-        assert inserted.mode == ("naive" if engine in ONE_SHOT else "incremental")
+        # The mode is what start_run decided.
+        assert inserted.mode == "incremental"
 
         assert checked_run(session).tuples_added == 0
 

@@ -63,11 +63,11 @@ def rows_of_b(name: str, rules, data) -> set:
 
 
 class TestFixPointParity:
-    @pytest.mark.parametrize("engine", ["sync", "pooled"])
-    def test_paper_example_reaches_reference_fixpoint(self, engine):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_paper_example_reaches_reference_fixpoint(self, engine, on_engine):
         spec = paper_spec()
         reference = centralized_update(spec.schemas, spec.rules, spec.data)
-        measured = distributed(spec.with_(**ENGINES[engine]))
+        measured = distributed(on_engine(spec, engine))
         assert ground_part(measured) == ground_part(reference.snapshot())
 
     @pytest.mark.parametrize("method", ["distributed", "centralized", "acyclic"])

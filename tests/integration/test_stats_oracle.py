@@ -5,7 +5,7 @@ moved since the previous snapshot, and ``incremental_totals`` is kept as the
 counters are recorded and merged.  The oracle here is what the collector
 did before: walk every counter of the registry and rebuild ``nodes``,
 ``messages`` and the incremental totals from scratch.  The two must agree on
-every engine at every point of a session's life — cold, warm, idle, after
+every row of the engine table at every point of a session's life — cold, warm, idle, after
 a delete, a reset and a pool respawned by a fault.
 """
 
@@ -16,6 +16,7 @@ from repro.experiments.serving import feeding_site
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.stats.collector import MessageStats, NodeStats
 from repro.workloads.topologies import tree_topology
+from engines import ENGINES, PARTITIONED
 
 NODE_FIELDS = {
     "repro_node_queries_total": "queries_executed",
@@ -68,16 +69,18 @@ def assert_matches_the_scan(session, result=None):
         assert collector.node(node_id) == nodes.get(node_id, NodeStats())
 
 
-@pytest.mark.parametrize("engine", ["sync", "pooled", "multiproc"])
-def test_snapshots_equal_a_full_registry_scan(engine):
+@pytest.mark.parametrize("engine", ENGINES)
+def test_snapshots_equal_a_full_registry_scan(engine, on_engine):
     spec = ScenarioSpec.from_topology(tree_topology(3, 2), records_per_node=3, seed=0)
-    if engine != "sync":
+    if engine in PARTITIONED:
         # Run 5 is killed mid-chase and re-run cold on a fresh pool.
         plan = FaultPlan(
             max_cold_reruns=1,
             faults=[FaultSpec(kind="kill_worker", phase="chase", run_index=5)],
         )
-        spec = spec.with_(transport=engine, shards=2, faults=plan)
+        spec = on_engine(spec, engine, faults=plan)
+    else:
+        spec = on_engine(spec, engine)
     node, relation_name, arity = feeding_site(spec)
     with Session.from_spec(spec) as session:
         site = session.system.node(node).database.relation(relation_name)
@@ -97,6 +100,6 @@ def test_snapshots_equal_a_full_registry_scan(engine):
         site.insert(tuple(f"respawn-{column}" for column in range(arity)))
         respawned = session.run("update")
         assert_matches_the_scan(session, respawned)  # after the fault, if any
-        if engine != "sync":
+        if engine in PARTITIONED:
             registry = session.system.stats.registry
             assert registry.total("repro_fault_cold_reruns_total") == 1

@@ -95,7 +95,7 @@ class TestSystemAssembly:
             chain_system.node("zzz")
 
     def test_sync_methods_require_sync_transport(self):
-        system = build_paper_example(transport="multiproc")
+        system = build_paper_example(transport="pooled")
         session = Session(system, engine=SyncEngine())
         with pytest.raises(ReproError):
             session.run("discovery")

@@ -7,8 +7,8 @@ in ``LocalDatabase``, so a write made behind the session's back — a direct
 ``insert``, ``delete`` or ``clear``, a relation created by a
 :class:`Change` — is in the change the next run is handed, and none of it
 shows in that run's ``deltas``, which are what the *run* wrote.  The same
-script runs on ``sync`` and on the warm ``pooled`` and ``socket-pooled``
-engines, and each engine is handed the same change.
+script runs on ``sync`` and on the ``pooled`` and ``socket`` engines, and
+each engine is handed the same change.
 """
 
 import pytest
@@ -20,7 +20,7 @@ from repro.coordination.rule import rule_from_text
 from repro.database.schema import RelationSchema
 from repro.sharding.process import ProcessEngine
 from repro.workloads.topologies import tree_topology
-from engines import KEPT, WARM
+from engines import ONE_PER_ENGINE, PARTITIONED
 
 
 @pytest.fixture
@@ -66,7 +66,7 @@ def written(deltas):
     return names
 
 
-@pytest.mark.parametrize("engine", KEPT)
+@pytest.mark.parametrize("engine", ONE_PER_ENGINE)
 @pytest.mark.parametrize("write", ["insert", "delete", "clear"])
 def test_a_direct_write_ships_and_is_not_the_runs_delta(write, item_spec, shipped):
     with open_session(item_spec) as session:
@@ -103,7 +103,7 @@ def test_a_direct_write_ships_and_is_not_the_runs_delta(write, item_spec, shippe
         }
 
 
-@pytest.mark.parametrize("engine", KEPT)
+@pytest.mark.parametrize("engine", ONE_PER_ENGINE)
 def test_a_relation_created_by_a_change_brings_its_schema(item_spec, shipped):
     with open_session(item_spec) as session:
         extra = RelationSchema("extra", ["k"])
@@ -123,7 +123,7 @@ def test_a_relation_created_by_a_change_brings_its_schema(item_spec, shipped):
         assert [rule.rule_id for rule in change.add_rules] == ["r2"]
 
 
-@pytest.mark.parametrize("engine", KEPT)
+@pytest.mark.parametrize("engine", ONE_PER_ENGINE)
 def test_a_relation_written_synced_and_written_again_ships_each_write_once(
     item_spec, shipped
 ):
@@ -140,7 +140,7 @@ def test_a_relation_written_synced_and_written_again_ships_each_write_once(
         ]
 
 
-@pytest.mark.parametrize("engine", KEPT)
+@pytest.mark.parametrize("engine", ONE_PER_ENGINE)
 def test_added_and_removed_rules_reach_the_workers(item_spec, shipped):
     with open_session(item_spec) as session:
         system = session.system
@@ -169,7 +169,7 @@ def protocol_states(session):
     }
 
 
-@pytest.mark.parametrize("engine", WARM)
+@pytest.mark.parametrize("engine", PARTITIONED)
 def test_the_protocol_state_of_every_peer_that_ran_comes_home(engine, on_engine):
     # A collect compares the protocol state of the peers that ran only: the
     # origins a start kicked off (a leaf closes without a message) *and*
@@ -187,7 +187,7 @@ def test_the_protocol_state_of_every_peer_that_ran_comes_home(engine, on_engine)
         assert pooled == sync
 
 
-@pytest.mark.parametrize("engine", WARM)
+@pytest.mark.parametrize("engine", PARTITIONED)
 def test_restricted_updates_close_the_same_peers_as_sync(engine, on_engine):
     # A restricted update runs naive everywhere and leaves nothing to
     # extend, so the root's update after a leaf's re-pulls the whole tree

@@ -30,7 +30,7 @@ from repro.workloads.scenarios import (
     paper_example_schemas,
 )
 from repro.workloads.topologies import tree_topology
-from engines import ENGINES
+from engines import ENGINES, PARTITIONED
 
 #: Runs that are deterministic end to end (single-threaded scheduling, a
 #: seeded schedule replays), so even the message counters must match exactly.
@@ -73,8 +73,11 @@ class TestTraceParity:
         assert "run" in names
         assert "chase" in names
 
-    def test_traced_multiproc_nests_worker_spans_under_one_run(self):
-        spec = base_spec().with_(**ENGINES["multiproc"])
+    @pytest.mark.parametrize("engine", PARTITIONED)
+    def test_traced_partitioned_runs_nest_worker_spans_under_one_run(
+        self, engine, on_engine
+    ):
+        spec = on_engine(base_spec(), engine)
         _dbs, traced = _run(spec, trace=True)
         trace = traced.extras["trace"]
         spans = trace["spans"]

@@ -5,12 +5,14 @@ through :class:`~repro.api.spec.ScenarioSpec`, get an engine named after a
 row of the shared engine table (``tests/engines.py``, the names
 ``docs/engines.md`` documents) from :func:`~repro.api.engine.engine_for`,
 drive the paper example to the ``sync`` ground fix-point, and leave nothing
-behind after ``close()`` — and a one-shot process engine must leave nothing
-behind as soon as ``run`` returns, even when the run raised.  A registry row
-whose engine the table lacks fails the coverage check below.  The socket
-rows spawn their own hosts here, so their teardown is checked too.
+behind after ``close()``.  A partitioned engine keeps one pool from its
+first run until it closes; a run that fails drops the pool and the next run
+spawns a fresh one.  A registry row whose engine the table lacks fails the
+coverage check below, and a retired engine name is an unknown one.  The
+socket row spawns its own hosts here, so their teardown is checked too.
 """
 
+import json
 import multiprocessing
 
 import pytest
@@ -24,17 +26,7 @@ from repro.workloads.scenarios import (
     paper_example_rules,
     paper_example_schemas,
 )
-from engines import ENGINES, ONE_SHOT, PARTITIONED
-
-#: Every (transport name, pool flag) the registry accepts.
-CASES = [
-    (kind.name, pool)
-    for kind in transport_kinds().values()
-    for pool in ((False, True) if kind.partitioned else (False,))
-]
-#: The engines those cases build: one per row of the table ("sync-seeded"
-#: is the ``sync`` engine under another latency).
-NAMES = sorted(set(ENGINES) - {"sync-seeded"})
+from engines import ENGINES, ONE_PER_ENGINE, PARTITIONED
 
 
 def paper_spec(engine="sync", **settings):
@@ -55,7 +47,7 @@ def sync_fixpoint():
 
 
 def record_pools(engine):
-    """Every pool the engine brings up from now on (one-shot ones included)."""
+    """Every pool the engine brings up from now on."""
     pools = []
     spawn = engine._spawn_pool
 
@@ -75,21 +67,7 @@ def assert_nothing_left(pools, host_processes=()):
     assert all(process.poll() is not None for process in host_processes)
 
 
-def test_every_registered_case_builds_an_engine_of_the_table():
-    names = {}
-    for transport, pool in CASES:
-        partitioned = transport in transport_names(partitioned=True)
-        spec = paper_spec(transport=transport, pool=pool).with_(
-            shards=2 if partitioned else None
-        )
-        names[transport, pool] = engine_for(spec.build_system().transport).name
-    assert sorted(set(names.values())) == NAMES
-    # The pool flag keeps a multiproc transport warm: the pooled engine.
-    pooled = {names["multiproc", True], names["pooled", False], names["pooled", True]}
-    assert pooled == {"pooled"}
-
-
-@pytest.mark.parametrize("engine", NAMES)
+@pytest.mark.parametrize("engine", ONE_PER_ENGINE)
 def test_builds_runs_to_the_sync_fixpoint_and_closes_clean(engine, sync_fixpoint):
     spec = paper_spec(engine)
     assert engine_for(spec.build_system().transport).name == engine
@@ -108,21 +86,22 @@ def test_builds_runs_to_the_sync_fixpoint_and_closes_clean(engine, sync_fixpoint
     assert_nothing_left(pools, host_processes)
 
 
-@pytest.mark.parametrize("engine", ONE_SHOT)
-def test_one_shot_engines_hold_nothing_between_runs(engine, sync_fixpoint):
+@pytest.mark.parametrize("engine", PARTITIONED)
+def test_a_warm_engine_keeps_one_pool_until_it_closes(engine, sync_fixpoint):
     with Session.from_spec(paper_spec(engine)) as session:
         pools = record_pools(session.engine)
         session.run("discovery")
-        assert session.engine.pool is None
-        assert_nothing_left(pools)
         assert session.update().ground_databases() == sync_fixpoint
-        assert session.engine.pool is None
-        assert len(pools) == 2  # one pool per run, each already gone
-        assert_nothing_left(pools)
+        session.update()
+        assert len(pools) == 1 and session.engine.pool is pools[0]
+        assert pools[0].alive
+    assert_nothing_left(pools)
 
 
-@pytest.mark.parametrize("engine", ONE_SHOT)
-def test_one_shot_engines_hold_nothing_after_a_failed_run(engine):
+@pytest.mark.parametrize("engine", PARTITIONED)
+def test_a_failed_run_drops_its_pool_and_the_next_run_spawns_one(
+    engine, sync_fixpoint
+):
     plan = FaultPlan(
         seed=0, faults=[FaultSpec(kind="kill_worker", phase="chase", run_index=0)]
     )
@@ -131,8 +110,23 @@ def test_one_shot_engines_hold_nothing_after_a_failed_run(engine):
         with pytest.raises(NetworkError):
             session.run("update")
         assert session.engine.pool is None
-        assert len(pools) == 1
         assert_nothing_left(pools)
+        session.run("discovery")
+        assert session.update().ground_databases() == sync_fixpoint
+        assert len(pools) == 2 and session.engine.pool is pools[1]
+    assert_nothing_left(pools)
+
+
+@pytest.mark.parametrize("source", ["spec", "file"])
+@pytest.mark.parametrize("retired", ["multiproc", "socket-pooled"])
+def test_a_retired_engine_name_is_an_unknown_transport_kind(retired, source):
+    pooled = paper_spec("pooled")
+    with pytest.raises(ReproError, match=f"unknown transport kind '{retired}'"):
+        if source == "spec":
+            pooled.with_(transport=retired)
+        else:
+            document = json.loads(pooled.dump_json())
+            ScenarioSpec.load_json(json.dumps({**document, "transport": retired}))
 
 
 def test_unknown_transport_name_lists_the_registered_ones():
@@ -143,7 +137,9 @@ def test_unknown_transport_name_lists_the_registered_ones():
 
 
 def test_the_registry_is_sync_plus_the_process_engines():
-    assert tuple(transport_kinds()) == ("sync", "multiproc", "pooled", "socket")
+    # One row of the table per registered name ("sync-seeded" is the
+    # ``sync`` engine under another latency).
+    assert tuple(transport_kinds()) == ("sync", "pooled", "socket") == ONE_PER_ENGINE
 
 
 def test_shards_on_the_sync_transport_is_refused():
@@ -154,10 +150,10 @@ def test_shards_on_the_sync_transport_is_refused():
         Session.from_spec(paper_spec().with_(shards=2))
 
 
-def test_a_multiproc_spec_refuses_socket_only_settings():
+def test_a_pooled_spec_refuses_socket_only_settings():
     partition = FaultPlan(seed=0, faults=[FaultSpec(kind="partition")])
-    multiproc = paper_spec("multiproc")
+    pooled = paper_spec("pooled")
     with pytest.raises(ReproError, match="partition faults need transport='socket'"):
-        multiproc.with_(faults=partition).build_system()
+        pooled.with_(faults=partition).build_system()
     with pytest.raises(ReproError, match="hosts= needs transport='socket'"):
-        multiproc.with_(hosts=("h1:9101",)).build_system()
+        pooled.with_(hosts=("h1:9101",)).build_system()

@@ -17,9 +17,8 @@ and checks, with the chase of ``tests/fixpoint_oracle.py``, that
   start or end lacks (nothing is retracted: after a delete the two bounds
   differ, while rows only grow they are one);
 * after every step the ground databases equal a ``sync`` replay's whose
-  runs are all naive (``run_naive``) — on a one-shot engine, which keeps
-  no protocol state between runs, only until a removal; a whole update
-  right after one changes nothing of the replay's;
+  runs are all naive (``run_naive``); a whole update right after one
+  changes nothing of the replay's;
 * after a discovery every peer's maximal paths equal those a system
   freshly built with the rules of the moment discovers;
 * every ``Change`` the engine is handed is the set difference of
@@ -55,7 +54,7 @@ from repro.database.nulls import is_null
 from repro.database.query import Constant
 from repro.database.schema import RelationSchema
 from repro.network.latency import UniformLatency
-from engines import ENGINES, ONE_SHOT, run_naive
+from engines import ENGINES, run_naive
 import fixpoint_oracle
 from fixpoint_oracle import OPERATORS, chase, ground
 from sync_oracle import (
@@ -72,7 +71,7 @@ row_seeds = st.lists(st.tuples(values, values, values), min_size=1, max_size=3)
 #: Row changes; "clear", "replace" and "swap" rewrite the relation.
 CHANGES = ("insert", "delete", "put_back", "transient", "clear", "replace", "swap")
 #: The settings that turn a spec's row into the constant-latency simulator.
-SYNC = dict(transport="sync", shards=None, pool=False, latency=None)
+SYNC = dict(transport="sync", shards=None, latency=None)
 
 
 def atom(node, relation, terms):
@@ -233,12 +232,6 @@ class OracleMachine(RuleBasedStateMachine):
         #: end; the replay's databases if the last step was a whole update.
         self.known, self.rewritten = snapshot_of(self.system), set()
         self.held, self.settled, self.clock = {}, None, 0.0
-        # A one-shot engine runs every phase from fresh protocol state, the
-        # replay keeps it: received fragments and closed flags.  They part
-        # at a removal, and only the oracle's bounds hold both (see
-        # CHANGES.md).
-        self.one_shot = self.session.engine.name in ONE_SHOT
-        self.apart = False
         machine, run = self, self.session.engine.run
 
         def checked_run(system, phase, origins=None, change=None):
@@ -268,11 +261,8 @@ class OracleMachine(RuleBasedStateMachine):
                 apply(self.reference, step)
                 if step[0] in ("clear", "replace", "swap"):
                     self.rewritten.add((step[1], step[2]))
-                removal = step[0] in ("delete", "clear", "replace")
-                self.apart |= self.one_shot and removal
-            if not self.apart:
-                reference = ground(self.reference.databases())
-                assert ground(self.session.databases()) == reference
+            reference = ground(self.reference.databases())
+            assert ground(self.session.databases()) == reference
         except AssertionError as error:
             script = f"replay({self.spec_json!r}, {self.script!r})"
             raise AssertionError(f"{error}\n{script}") from error
@@ -357,11 +347,8 @@ class OracleMachine(RuleBasedStateMachine):
 
     @rule(node=picks)
     def update_from_one_origin(self, node):
-        # A one-shot engine's workers start with every peer open, so there an
-        # update from one origin reaches past the peers it asks.
-        if not self.one_shot:
-            origin = sorted(self.system.nodes)[node % len(self.system.nodes)]
-            self.play(["run", "update", [origin]])
+        origin = sorted(self.system.nodes)[node % len(self.system.nodes)]
+        self.play(["run", "update", [origin]])
 
     @rule(pick=picks, again=st.booleans())
     def feed_discover_update(self, pick, again):

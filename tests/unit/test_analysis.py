@@ -22,6 +22,7 @@ from repro.api.session import Session
 from repro.api.spec import ScenarioSpec
 from repro.cli import lint_scenarios, main
 from repro.coordination.rule import rule_from_text
+from repro.core.fixpoint import all_nodes_closed, satisfies_all_rules
 from repro.database.schema import DatabaseSchema, RelationSchema
 from repro.errors import ReproError
 from repro.network.latency import UniformLatency
@@ -32,6 +33,7 @@ from repro.workloads.scenarios import (
 )
 from repro.workloads.topologies import clique_topology, single_relation_rules_for
 
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
 
 def item_schemas(*names):
     return {
@@ -428,10 +430,18 @@ class TestLintCli:
         assert "seeded" in capsys.readouterr().out
 
     def test_the_shipped_example_scenarios_lint_clean_under_strict(self, capsys):
-        examples = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
-        scenarios = sorted(str(path) for path in examples.glob("*.json"))
+        scenarios = sorted(str(path) for path in EXAMPLES.glob("*.json"))
         assert len(scenarios) == 3
         assert lint_scenarios(scenarios, strict=True) == 0
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in EXAMPLES.glob("*.json")))
+    def test_a_shipped_example_scenario_builds_and_reaches_its_fixpoint(self, name):
+        # The lint reads the file; the settings checks run only when it builds.
+        with Session.from_spec(ScenarioSpec.load_json(str(EXAMPLES / name))) as session:
+            session.run("discovery")
+            session.update()
+            assert all_nodes_closed(session.system)
+            assert satisfies_all_rules(session.system)
 
     def test_lint_unreadable_file_fails_without_crashing(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

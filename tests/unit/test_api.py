@@ -119,7 +119,7 @@ class TestEngines:
         assert isinstance(engine_for(SyncTransport()), SyncEngine)
 
     def test_sync_engine_rejects_a_process_transport(self):
-        session = Session(small_spec().with_(transport="multiproc").build_system())
+        session = Session(small_spec().with_(transport="pooled").build_system())
         with pytest.raises(ReproError):
             SyncEngine().run(session.system, "discovery")
 

@@ -129,7 +129,7 @@ class TestExecution:
     @pytest.mark.parametrize(
         "flag, value",
         [
-            ("--engine", "multiproc"),
+            ("--engine", "pooled"),
             ("--hosts", "h1:9101"),
             ("--repeats", "3"),
             ("--shards", "4"),

@@ -8,12 +8,12 @@ use the smallest systems that exercise a real pool.
 """
 
 import dataclasses
+import json
 import os
 
 import pytest
 
 from repro.api import ScenarioSpec, Session
-from repro.api.engine import engine_for
 from repro.core.fixpoint import ground_part
 from repro.coordination.rule import rule_from_text
 from repro.database.schema import RelationSchema
@@ -201,42 +201,22 @@ class TestSyncDelta:
 
 
 class TestWiring:
-    def test_build_pooled_transport_by_kind(self):
-        system = small_system(transport="pooled", shards=2)
-        assert (system.transport.kind, system.transport.pool) == ("multiproc", True)
-        assert engine_for(system.transport).name == "pooled"
-
-    def test_multiproc_with_pool_flag_builds_pooled_transport(self):
-        system = small_system(transport="multiproc", shards=2, pool=True)
-        assert (system.transport.kind, system.transport.pool) == ("multiproc", True)
-
-    def test_multiproc_without_pool_flag_stays_cold(self):
-        system = small_system(transport="multiproc", shards=2)
-        assert system.transport.pool is False
-        engine = engine_for(system.transport)
-        assert engine.name == "multiproc"
-
-    def test_spec_pool_flag_round_trips_and_builds_pooled(self):
+    @pytest.mark.parametrize("transport", ["sync", "pooled", "socket"])
+    def test_a_pool_key_in_a_spec_file_is_ignored(self, transport):
+        # Every process-backed engine keeps its workers, so the flag selects
+        # nothing.
         spec = ScenarioSpec.of(
-            {
-                "a": RelationSchema("item", ["x", "y"]),
-                "b": RelationSchema("item", ["x", "y"]),
-            },
-            [RULE],
-            transport="multiproc",
-            shards=2,
+            {"a": RelationSchema("item", ["x", "y"])},
+            transport=transport,
+            shards=None if transport == "sync" else 1,
             pool=True,
         )
-        loaded = ScenarioSpec.load_json(spec.dump_json())
-        assert loaded.pool is True
-        assert loaded.build_system().transport.pool is True
-
-    def test_spec_rejects_pool_on_unpartitioned_transports(self):
-        spec = ScenarioSpec.of(
-            {"a": RelationSchema("item", ["x", "y"])}, pool=True
-        )
-        with pytest.raises(ReproError, match="pool=True needs the multiproc"):
-            spec.build_system()
+        assert spec.build_system().transport.kind == transport
+        document = json.loads(spec.dump_json())
+        assert "pool" not in document
+        loaded = ScenarioSpec.load_json(json.dumps({**document, "pool": True}))
+        assert loaded.pool is False
+        assert loaded.build_system().transport.kind == transport
 
     def test_session_close_is_a_noop_for_engines_without_pools(self):
         session = Session.from_spec(

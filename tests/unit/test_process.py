@@ -1,10 +1,10 @@
-"""Unit tests for the coordinator side of the multi-process engine.
+"""Unit tests for the coordinator side of the process engine.
 
 Everything here runs without spawning a single child process: the worker
 transport's routing/stamping logic is driven directly, and the coordinator
 transport is exercised as the configuration-and-plan handle it is.
-The cross-process end-to-end behaviour lives in
-``tests/integration/test_multiproc_parity.py``.
+The cross-process end-to-end behaviour is the oracle machine's
+(``tests/property/test_property_oracle.py``).
 """
 
 import pytest
@@ -25,18 +25,24 @@ def _item_schemas(*names):
     }
 
 
-
 class TestProcessTransport:
-    def test_engine_for_picks_multiproc_engine(self):
-        transport = ProcessTransport(shard_count=2)
-        assert engine_for(transport).name == "multiproc"
+    @pytest.mark.parametrize("kind", ["pooled", "socket"])
+    def test_engine_for_picks_the_engine_named_after_the_kind(self, kind):
+        transport = ProcessTransport(kind, shard_count=2)
+        assert engine_for(transport).name == kind
 
-    def test_system_build_knows_the_multiproc_kind(self):
+    @pytest.mark.parametrize("kind", ["pooled", "socket"])
+    def test_system_build_knows_the_process_kinds(self, kind):
         system = ScenarioSpec.of(
-            _item_schemas("a", "b"), transport="multiproc", shards=3
+            _item_schemas("a", "b"), transport=kind, shards=3
         ).build_system()
-        assert (system.transport.kind, system.transport.pool) == ("multiproc", False)
+        assert system.transport.kind == kind
         assert system.transport.shard_count == 3
+
+    @pytest.mark.parametrize("kind", ["multiproc", "socket-pooled"])
+    def test_a_retired_kind_is_refused(self, kind):
+        with pytest.raises(ReproError, match="unknown process transport kind"):
+            ProcessTransport(kind)
 
     def test_send_is_refused_on_the_coordinator(self):
         transport = ProcessTransport(shard_count=2)
@@ -70,7 +76,7 @@ class TestProcessTransport:
 
     def test_engine_rejects_unknown_phase(self):
         system = ScenarioSpec.of(
-            _item_schemas("a"), transport="multiproc", shards=1
+            _item_schemas("a"), transport="pooled", shards=1
         ).build_system()
         with pytest.raises(ReproError):
             ProcessEngine().run(system, "gossip")
@@ -146,7 +152,7 @@ class TestShardWorlds:
             _item_schemas("a", "b"),
             [rule_from_text("ab", "b: item(X, Y) -> a: item(X, Y)")],
             {"a": {"item": [("1", "2")]}, "b": {"item": [("3", "4")]}},
-            transport="multiproc",
+            transport="pooled",
             shards=2,
         ).build_system()
         plan = ShardPlan(shard_count=2, shard_of={"a": 0, "b": 1})

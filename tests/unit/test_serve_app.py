@@ -186,17 +186,19 @@ class TestParseChanges:
         with pytest.raises(ReproError, match="cannot parse rule"):
             parse_changes({"add_rules": ["no-arrow-here"]})
 
-    def test_warm_spec_retargets_cold_transports(self):
+    def test_warm_spec_moves_sync_to_pooled(self):
         spec = paper_spec()
         assert spec.transport == "sync"
         warmed = warm_spec(spec)
         assert warmed.transport == "pooled"
-        assert warm_spec(warmed) is warmed
-        socket_spec = spec.with_(transport="socket", shards=2)
-        assert warm_spec(socket_spec).pool is True
         # A shard count the sync transport refuses still serves, pooled.
         sharded = warm_spec(spec.with_(shards=3))
         assert (sharded.transport, sharded.shards) == ("pooled", 3)
+
+    @pytest.mark.parametrize("transport", ["pooled", "socket"])
+    def test_warm_spec_passes_a_partitioned_spec_through(self, transport):
+        partitioned = paper_spec().with_(transport=transport, shards=2)
+        assert warm_spec(partitioned) is partitioned
 
 
 # ------------------------------------------------------------------- endpoints

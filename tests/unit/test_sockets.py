@@ -252,21 +252,11 @@ class TestWiring:
             hosts=["h1:9101", "h2:9102", "h3:9103"],
         ).build_system()
         transport = system.transport
-        assert (transport.kind, transport.pool) == ("socket", False)
+        assert transport.kind == "socket"
         assert transport.hosts == ("h1:9101", "h2:9102", "h3:9103")
         # One shard per host unless told otherwise.
         assert transport.shard_count == 3
         assert engine_for(transport).name == "socket"
-
-    def test_pool_flag_selects_the_pooled_socket_engine(self):
-        system = ScenarioSpec.of(
-            {"a": [RelationSchema("item", ["x", "y"])]},
-            transport="socket",
-            pool=True,
-            shards=2,
-        ).build_system()
-        assert (system.transport.kind, system.transport.pool) == ("socket", True)
-        assert engine_for(system.transport).name == "socket-pooled"
 
     def test_bad_host_address_fails_at_build_time(self):
         with pytest.raises(ReproError, match="expected 'HOST:PORT'"):
@@ -280,7 +270,7 @@ class TestWiring:
         with pytest.raises(ReproError, match="needs transport='socket'"):
             ScenarioSpec.of(
                 {"a": [RelationSchema("item", ["x", "y"])]},
-                transport="multiproc",
+                transport="pooled",
                 hosts=["h1:9101"],
             ).build_system()
 
@@ -298,16 +288,14 @@ class TestWiring:
             {"a": RelationSchema("item", ["x", "y"])},
             transport="socket",
             hosts=("h1:9101", "h2:9102"),
-            pool=True,
         )
         loaded = ScenarioSpec.load_json(spec.dump_json())
         assert loaded.transport == "socket"
         assert loaded.hosts == ("h1:9101", "h2:9102")
-        assert loaded.pool is True
 
     def test_socket_engine_rejects_foreign_transports(self):
         system = ScenarioSpec.of(
-            {"a": [RelationSchema("item", ["x", "y"])]}, transport="multiproc"
+            {"a": [RelationSchema("item", ["x", "y"])]}, transport="pooled"
         ).build_system()
         with pytest.raises(ReproError, match="needs a 'socket' ProcessTransport"):
             ProcessEngine("socket").run(system, "update")
@@ -323,7 +311,7 @@ class TestHostDeath:
     def _session(self, addresses):
         spec = ScenarioSpec.from_topology(
             tree_topology(1, 2), records_per_node=2, seed=0
-        ).with_(transport="socket", shards=2, hosts=tuple(addresses), pool=True)
+        ).with_(transport="socket", shards=2, hosts=tuple(addresses))
         return Session.from_spec(spec)
 
     def test_host_death_mid_barrier_raises_instead_of_stalling(self):
@@ -434,7 +422,7 @@ class TestLocalHostCluster:
         # reconnects — with the warm pool rebuilt from the live system.
         spec = ScenarioSpec.from_topology(
             tree_topology(1, 2), records_per_node=2, seed=0
-        ).with_(transport="socket", shards=2, pool=True)
+        ).with_(transport="socket", shards=2)
         with Session.from_spec(spec) as session:
             first = session.run("update")
             cluster = session.engine.cluster
@@ -490,10 +478,10 @@ def thread_counts_during_runs(pool, monkeypatch) -> list[int]:
 
 
 class TestOneThreadPerEnd:
-    def test_a_warm_socket_pooled_run_starts_no_thread(self, monkeypatch):
+    def test_a_warm_socket_run_starts_no_thread(self, monkeypatch):
         spec = ScenarioSpec.from_topology(
             tree_topology(2, 2), records_per_node=2, seed=0
-        ).with_(transport="socket", shards=2, pool=True)
+        ).with_(transport="socket", shards=2)
         before = threading.active_count()
         with Session.from_spec(spec) as session:
             session.run("update")
@@ -554,7 +542,7 @@ class TestOneThreadPerEnd:
         addresses = tuple(f"127.0.0.1:{host.port}" for host in hosts)
         try:
             with Session.from_spec(
-                spec.with_(transport="socket", hosts=addresses, pool=True)
+                spec.with_(transport="socket", hosts=addresses)
             ) as session:
                 session.run("discovery")
                 session.update()
